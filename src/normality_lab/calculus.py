@@ -6,13 +6,23 @@ upper ("u") or lower ("l"); new axes from differentiation are appended
 last, so the entry order of a derivative array is [field indices...,
 derivative index].
 
+Derivatives are evaluated densely, in vector forward mode: the field
+and the connection are stacked into value, gradient and Hessian arrays
+(jets.stack), each formula is a few einsum contractions over them, and
+a derivative field is wrapped back into jets only at the boundary.
+Curvature and dynamic curvature come back as plain float arrays.
+
 The fiber derivative lowers an index in the velocity representation
 and raises one in the momentum representation. The horizontal
 derivative is covariant: a base-coordinate derivative, a fiber
 correction built from the connection, and one connection term per
-tensor index. Applying it twice demotes entries to order zero, which
-is fine for value-level use and raises MissingJets on any attempt to
-extract further derivatives.
+tensor index; the product rule gives its gradient.
+
+Every derivative peels one order off, and the order of a field is the
+lowest over its entries. A horizontal derivative has order min(field
+order - 1, connection order), so applying it twice yields order zero:
+fine for value-level use, while any further derivative raises
+MissingJets.
 """
 
 from dataclasses import dataclass
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import DimensionError, MixedRepresentationError
+from .errors import DimensionError, MissingJets, MixedRepresentationError
 from .phase import PhasePoint, Rep
 from .system import PContext, SystemDef, VContext, legendre_forward
 
@@ -30,10 +40,6 @@ LOWER = "l"
 
 def _is_momentum(ctx) -> bool:
     return isinstance(ctx, PContext)
-
-
-def _connection_of(ctx):
-    return ctx.gamma_p if _is_momentum(ctx) else ctx.gamma
 
 
 class FieldValue:
@@ -69,18 +75,12 @@ class FieldValue:
     def __add__(self, other):
         if not isinstance(other, FieldValue) or not self._compatible(other):
             return NotImplemented
-        out = np.empty(self.data.shape, dtype=object)
-        for idx in np.ndindex(self.data.shape):
-            out[idx] = self.data[idx] + other.data[idx]
-        return FieldValue(self.ctx, out, self.variance)
+        return FieldValue(self.ctx, self.data + other.data, self.variance)
 
     def __sub__(self, other):
         if not isinstance(other, FieldValue) or not self._compatible(other):
             return NotImplemented
-        out = np.empty(self.data.shape, dtype=object)
-        for idx in np.ndindex(self.data.shape):
-            out[idx] = self.data[idx] - other.data[idx]
-        return FieldValue(self.ctx, out, self.variance)
+        return FieldValue(self.ctx, self.data - other.data, self.variance)
 
 
 def field_of(ctx, components, variance=(), evaluate=None):
@@ -106,11 +106,24 @@ def field_of(ctx, components, variance=(), evaluate=None):
 def tensor_product(a: FieldValue, b: FieldValue) -> FieldValue:
     if a.ctx is not b.ctx:
         raise DimensionError("tensor product needs fields on a single context")
-    out = np.empty(a.data.shape + b.data.shape, dtype=object)
-    for ia in np.ndindex(a.data.shape):
-        for ib in np.ndindex(b.data.shape):
-            out[ia + ib] = a.data[ia] * b.data[ib]
-    return FieldValue(a.ctx, out, a.variance + b.variance)
+    return FieldValue(a.ctx, np.multiply.outer(a.data, b.data),
+                      a.variance + b.variance)
+
+
+def _stacked(field: FieldValue):
+    order, val, grad, hess = jets.stack(field.data, field.ctx.m)
+    if order == 0:
+        raise MissingJets("field carries no derivative data")
+    return order, val, grad, hess
+
+
+def _connection(ctx):
+    """Stacked connection of the context's representation and the fiber
+    coordinates it is contracted with: (G, dG, fiber)."""
+    order, G, dG, _ = ctx.connection_dense
+    if order == 0:
+        raise MissingJets("connection carries no derivative data")
+    return G, dG, (ctx.p if _is_momentum(ctx) else ctx.v)
 
 
 def vertical_derivative(field: FieldValue) -> FieldValue:
@@ -118,12 +131,11 @@ def vertical_derivative(field: FieldValue) -> FieldValue:
     representation and a lower index in the velocity representation."""
     ctx = field.ctx
     n = ctx.n
-    out = np.empty(field.data.shape + (n,), dtype=object)
-    for idx in np.ndindex(field.data.shape):
-        for k in range(n):
-            out[idx + (k,)] = ctx.dfiber(field.data[idx], k)
+    _, _, grad, hess = _stacked(field)
+    second = None if hess is None else hess[..., n:, :]
     mark = UPPER if _is_momentum(ctx) else LOWER
-    return FieldValue(ctx, out, field.variance + (mark,))
+    return FieldValue(ctx, jets.from_dense(grad[..., n:], second),
+                      field.variance + (mark,))
 
 
 def horizontal_derivative(field: FieldValue) -> FieldValue:
@@ -135,33 +147,39 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
         D_m X = dX/dx^m + sum_ab p_a G^a_mb dX/dp_b  (+ index terms)
     where G is the connection in the matching representation; each
     upper index k contributes +sum_a G^k_ma X[..a..] and each lower
-    index k contributes -sum_b G^b_mk X[..b..]."""
+    index k contributes -sum_b G^b_mk X[..b..]. The gradient of the
+    result follows from the product rule; it exists only when the field
+    is second order."""
     ctx = field.ctx
     n = ctx.n
-    conn = _connection_of(ctx)
-    fiber = [ctx.seeds[n + a] for a in range(n)]
-    momentum = _is_momentum(ctx)
-    out = np.empty(field.data.shape + (n,), dtype=object)
-    for idx in np.ndindex(field.data.shape):
-        entry = field.data[idx]
-        for m in range(n):
-            acc = ctx.dx(entry, m)
-            for a in range(n):
-                for b in range(n):
-                    if momentum:
-                        acc = acc + fiber[a] * conn[a, m, b] * ctx.dfiber(entry, b)
-                    else:
-                        acc = acc - fiber[a] * conn[b, a, m] * ctx.dfiber(entry, b)
-            for t, mark in enumerate(field.variance):
-                k = idx[t]
-                for a in range(n):
-                    swapped = idx[:t] + (a,) + idx[t + 1:]
-                    if mark == UPPER:
-                        acc = acc + conn[k, m, a] * field.data[swapped]
-                    else:
-                        acc = acc - conn[a, m, k] * field.data[swapped]
-            out[idx + (m,)] = acc
-    return FieldValue(ctx, out, field.variance + (LOWER,))
+    _, X, dX, ddX = _stacked(field)
+    G, dG, fiber = _connection(ctx)
+    # fiber correction N[b, m], the coefficient of dX/dfiber_b in D_m X,
+    # and its gradient dN[b, m, z]
+    if _is_momentum(ctx):
+        N = np.einsum("a,amb->bm", fiber, G)
+        dN = np.einsum("a,ambz->bmz", fiber, dG)
+        dN[:, :, n:] += np.einsum("amb->bma", G)
+    else:
+        N = -np.einsum("a,bam->bm", fiber, G)
+        dN = -np.einsum("a,bamz->bmz", fiber, dG)
+        dN[:, :, n:] -= np.einsum("bam->bma", G)
+
+    val = dX[..., :n] + dX[..., n:] @ N
+    grad = None
+    if ddX is not None:
+        grad = (ddX[..., :n, :] + np.einsum("...bz,bm->...mz", ddX[..., n:, :], N)
+                + np.einsum("...b,bmz->...mz", dX[..., n:], dN))
+    slots = "abcdefgh"[:field.rank]
+    for t, mark in enumerate(field.variance):
+        src = slots[:t] + "y" + slots[t + 1:]
+        conn, sign = ((f"{slots[t]}my", 1.0) if mark == UPPER
+                      else (f"ym{slots[t]}", -1.0))
+        val += sign * np.einsum(f"{conn},{src}->{slots}m", G, X)
+        if grad is not None:
+            grad += sign * (np.einsum(f"{conn}z,{src}->{slots}mz", dG, X)
+                            + np.einsum(f"{conn},{src}z->{slots}mz", G, dX))
+    return FieldValue(ctx, jets.from_dense(val, grad), field.variance + (LOWER,))
 
 
 def dynamic_curvature(ctx) -> np.ndarray:
@@ -170,18 +188,11 @@ def dynamic_curvature(ctx) -> np.ndarray:
     Layout [k][r][i][j]: in the velocity representation the entry is
     -dG^k_ir/dv^j (one upper, three lower indices); in the momentum
     representation it is -dG^k_ij/dp_r (upper pair k,r; lower pair i,j)."""
-    n = ctx.n
-    conn = _connection_of(ctx)
-    out = np.empty((n, n, n, n), dtype=object)
-    for k in range(n):
-        for r in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if _is_momentum(ctx):
-                        out[k, r, i, j] = -ctx.dfiber(conn[k, i, j], r)
-                    else:
-                        out[k, r, i, j] = -ctx.dfiber(conn[k, i, r], j)
-    return out
+    _, dG, _ = _connection(ctx)
+    dfiber = dG[..., ctx.n:]
+    if _is_momentum(ctx):
+        return -np.einsum("kijr->krij", dfiber)
+    return -np.einsum("kirj->krij", dfiber)
 
 
 def curvature(ctx) -> np.ndarray:
@@ -190,28 +201,15 @@ def curvature(ctx) -> np.ndarray:
     signs in the two representations, matching the horizontal
     derivative they come from."""
     n = ctx.n
-    conn = _connection_of(ctx)
-    fiber = [ctx.seeds[n + a] for a in range(n)]
-    momentum = _is_momentum(ctx)
-    out = np.empty((n, n, n, n), dtype=object)
-    for k in range(n):
-        for r in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = ctx.dx(conn[k, j, r], i) - ctx.dx(conn[k, i, r], j)
-                    for m in range(n):
-                        acc = acc + conn[k, i, m] * conn[m, j, r]
-                        acc = acc - conn[k, j, m] * conn[m, i, r]
-                        for s in range(n):
-                            lead = fiber[s]
-                            if momentum:
-                                acc = acc + lead * conn[s, m, i] * ctx.dfiber(conn[k, j, r], m)
-                                acc = acc - lead * conn[s, m, j] * ctx.dfiber(conn[k, i, r], m)
-                            else:
-                                acc = acc - lead * conn[m, i, s] * ctx.dfiber(conn[k, j, r], m)
-                                acc = acc + lead * conn[m, j, s] * ctx.dfiber(conn[k, i, r], m)
-                    out[k, r, i, j] = acc
-    return out
+    G, dG, fiber = _connection(ctx)
+    # lead[m, i]: coefficient of dG/dfiber_m in the base derivative D_i
+    if _is_momentum(ctx):
+        lead = np.einsum("s,smi->mi", fiber, G)
+    else:
+        lead = -np.einsum("s,mis->mi", fiber, G)
+    base = dG[..., :n] + np.einsum("kjrm,mi->kjri", dG[..., n:], lead)
+    half = np.einsum("kjri->krij", base) + np.einsum("kim,mjr->krij", G, G)
+    return half - np.einsum("krij->krji", half)
 
 
 @dataclass(frozen=True)
@@ -223,10 +221,13 @@ class RelationCheck:
     deviation: float
 
 
-def _relation(lhs: np.ndarray, rhs: np.ndarray) -> RelationCheck:
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    dev = float(np.max(np.abs(lhs - rhs))) / scale
-    return RelationCheck(lhs, rhs, dev)
+def relative_deviation(a, b) -> float:
+    """Sup-norm distance of two arrays, relative to their larger entry
+    and never to a scale below one."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) / scale
 
 
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
@@ -238,29 +239,31 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
     return vctx, pctx
 
 
+def _fiber_map_field(vctx) -> FieldValue:
+    return FieldValue(vctx, np.array(vctx.L, dtype=object), (LOWER,))
+
+
 def dynamic_curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
     """Momentum-representation dynamic curvature at the image point
     against the metric-contracted velocity-representation one."""
     vctx, pctx = _paired_contexts(sysdef, pt)
-    lhs = jets.values(dynamic_curvature(pctx))
-    dv = jets.values(dynamic_curvature(vctx))
-    rhs = np.einsum("sr,kijs->krij", vctx.g_inv_values, dv)
-    return _relation(lhs, rhs)
+    lhs = dynamic_curvature(pctx)
+    rhs = np.einsum("sr,kijs->krij", vctx.g_inv_values, dynamic_curvature(vctx))
+    return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs))
 
 
 def curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
     """Momentum-representation curvature at the image point against the
     velocity-representation curvature plus its fiber-map correction."""
     vctx, pctx = _paired_contexts(sysdef, pt)
-    lhs = jets.values(curvature(pctx))
-    rv = jets.values(curvature(vctx))
-    dv = jets.values(dynamic_curvature(vctx))
-    L_field = FieldValue(vctx, np.array(vctx.L, dtype=object), (LOWER,))
-    grad_L = horizontal_derivative(L_field).values()       # [q, m]
+    lhs = curvature(pctx)
+    dv = dynamic_curvature(vctx)
+    grad_L = horizontal_derivative(_fiber_map_field(vctx)).values()   # [q, m]
     g_inv = vctx.g_inv_values
     corr = (np.einsum("qi,sq,kjrs->krij", grad_L, g_inv, dv)
             - np.einsum("qj,sq,kirs->krij", grad_L, g_inv, dv))
-    return _relation(lhs, rv + corr)
+    rhs = curvature(vctx) + corr
+    return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs))
 
 
 # --- transport of derivatives through the fiber map ---------------------
@@ -271,10 +274,8 @@ def vertical_transport_velocity(sysdef, pt, func) -> float:
     vctx, pctx = _paired_contexts(sysdef, pt)
     n = sysdef.n
     direct = vctx.eval_native(func)
-    lhs = direct.grad[n:]
     composed = pctx.eval_velocity_native(func)
-    rhs = vctx.g_values.T @ composed.grad[n:]
-    return _relation(lhs, rhs).deviation
+    return relative_deviation(direct.grad[n:], vctx.g_values.T @ composed.grad[n:])
 
 
 def vertical_transport_momentum(sysdef, pt, func) -> float:
@@ -282,10 +283,21 @@ def vertical_transport_momentum(sysdef, pt, func) -> float:
     vctx, pctx = _paired_contexts(sysdef, pt)
     n = sysdef.n
     direct = pctx.eval_native(func)
-    lhs = direct.grad[n:]
     composed = vctx.eval_momentum_native(func)
-    rhs = vctx.g_inv_values.T @ composed.grad[n:]
-    return _relation(lhs, rhs).deviation
+    return relative_deviation(direct.grad[n:],
+                              vctx.g_inv_values.T @ composed.grad[n:])
+
+
+def _horizontal_transport(native_ctx, other_ctx, evaluate, fiber_map,
+                          components, variance) -> float:
+    # D_m X = D_m(X o map) + sum_q D_m map_q d(X o map)/dfiber_q, with the
+    # right side taken on the other context
+    lhs = horizontal_derivative(field_of(native_ctx, components, variance)).values()
+    composed = field_of(other_ctx, components, variance, evaluate=evaluate)
+    rhs = (horizontal_derivative(composed).values()
+           + np.einsum("...q,qm->...m", vertical_derivative(composed).values(),
+                       horizontal_derivative(fiber_map).values()))
+    return relative_deviation(lhs, rhs)
 
 
 def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
@@ -293,21 +305,9 @@ def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
     natively versus through the fiber map,
     D_m X = D_m(X o map) + sum_q D_m V^q d(X o map)/dv^q."""
     vctx, pctx = _paired_contexts(sysdef, pt)
-    n = sysdef.n
-    native = field_of(pctx, components, variance)
-    lhs = horizontal_derivative(native).values()
-    composed = field_of(vctx, components, variance,
-                        evaluate=vctx.eval_momentum_native)
-    base = horizontal_derivative(composed).values()
     v_field = FieldValue(pctx, np.array(pctx.V, dtype=object), (UPPER,))
-    grad_v = horizontal_derivative(v_field).values()       # [q, m]
-    rhs = base.copy()
-    for idx in np.ndindex(composed.data.shape):
-        vert = np.array([jets.value_of(vctx.dfiber(composed.data[idx], q))
-                         for q in range(n)])
-        for m in range(n):
-            rhs[idx + (m,)] += grad_v[:, m] @ vert
-    return _relation(lhs, rhs).deviation
+    return _horizontal_transport(pctx, vctx, vctx.eval_momentum_native,
+                                 v_field, components, variance)
 
 
 def horizontal_transport_velocity(sysdef, pt, components, variance=()) -> float:
@@ -315,18 +315,5 @@ def horizontal_transport_velocity(sysdef, pt, components, variance=()) -> float:
     natively versus through the inverse map,
     D_m X = D_m(X o inv) + sum_q D_m L_q d(X o inv)/dp_q."""
     vctx, pctx = _paired_contexts(sysdef, pt)
-    n = sysdef.n
-    native = field_of(vctx, components, variance)
-    lhs = horizontal_derivative(native).values()
-    composed = field_of(pctx, components, variance,
-                        evaluate=pctx.eval_velocity_native)
-    base = horizontal_derivative(composed).values()
-    L_field = FieldValue(vctx, np.array(vctx.L, dtype=object), (LOWER,))
-    grad_L = horizontal_derivative(L_field).values()       # [q, m]
-    rhs = base.copy()
-    for idx in np.ndindex(composed.data.shape):
-        vert = np.array([jets.value_of(pctx.dfiber(composed.data[idx], q))
-                         for q in range(n)])
-        for m in range(n):
-            rhs[idx + (m,)] += grad_L[:, m] @ vert
-    return _relation(lhs, rhs).deviation
+    return _horizontal_transport(vctx, pctx, pctx.eval_velocity_native,
+                                 _fiber_map_field(vctx), components, variance)

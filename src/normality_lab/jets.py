@@ -8,6 +8,8 @@ operations demote to the lowest order of their operands, so derivative
 data can never be read past the order at which it is actually valid
 (`derivative` peels one order off and raises MissingJets below zero).
 Plain floats are exact constants and do not demote anything.
+`stack` turns an object array of jets into dense value, gradient and
+Hessian arrays under the same rules, and `from_dense` turns them back.
 
 The Dual class at the bottom is a one-direction dual number whose
 components live in the jet ring. Evaluating a scalar expression over
@@ -257,6 +259,39 @@ def values(arr) -> np.ndarray:
     out = np.empty(arr.shape, dtype=float)
     for idx in np.ndindex(arr.shape):
         out[idx] = value_of(arr[idx])
+    return out
+
+
+def stack(arr, m: int):
+    """Dense data of an object array of jets over m variables:
+    (order, val[S], grad[S, m] or None, hess[S, m, m] or None).
+
+    The order is the lowest over the entries; plain floats are exact
+    constants and count as second order with zero derivatives."""
+    entries = np.asarray(arr, dtype=object).ravel()
+    shape = np.shape(arr)
+    order = min((u.order for u in entries if isinstance(u, Jet)), default=2)
+    val = np.array([value_of(u) for u in entries]).reshape(shape)
+    grad = hess = None
+    if order >= 1:
+        zero = np.zeros(m)
+        grad = np.array([u.grad if isinstance(u, Jet) else zero
+                         for u in entries]).reshape(shape + (m,))
+    if order == 2:
+        zero = np.zeros((m, m))
+        hess = np.array([u.hess if isinstance(u, Jet) else zero
+                         for u in entries]).reshape(shape + (m, m))
+    return order, val, grad, hess
+
+
+def from_dense(val, grad=None, hess=None) -> np.ndarray:
+    """Object array of jets from dense data; the inverse of stack.
+    A missing gradient gives order-zero jets."""
+    out = np.empty(val.shape, dtype=object)
+    for idx in np.ndindex(val.shape):
+        out[idx] = Jet(val[idx],
+                       None if grad is None else grad[idx],
+                       None if grad is None or hess is None else hess[idx])
     return out
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import jets
 from .calculus import (LOWER, UPPER, FieldValue, curvature,
-                       dynamic_curvature, horizontal_derivative)
+                       dynamic_curvature, horizontal_derivative,
+                       relative_deviation)
 from .errors import (DegeneratePoint, DimensionError,
                      MixedRepresentationError, ValidationError)
 from .phase import PhasePoint, Rep
@@ -164,8 +165,8 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     tgg = np.array([[[gradL_field.data[r, s].grad[n + q] for q in range(n)]
                      for s in range(n)] for r in range(n)])
 
-    Dv = jets.values(dynamic_curvature(ctx))
-    Rv = jets.values(curvature(ctx))
+    Dv = dynamic_curvature(ctx)
+    Rv = curvature(ctx)
 
     alpha = (np.einsum("rk,r->k", gi, U)
              + np.einsum("r,kr->k", v, gradLup)
@@ -268,8 +269,8 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
     tQ = np.array([[ctx.Q[r].grad[n + k] for r in range(n)] for k in range(n)])
     tU = np.array([[U_jets[k].grad[n + r] for k in range(n)] for r in range(n)])
 
-    Dp = jets.values(dynamic_curvature(ctx))
-    Rp = jets.values(curvature(ctx))
+    Dp = dynamic_curvature(ctx)
+    Rp = curvature(ctx)
 
     alpha = (np.einsum("kr,r->k", tV, U)
              + np.einsum("kr,r->k", gradW, Vv)
@@ -340,13 +341,6 @@ def normality_residuals(sysdef: SystemDef, pt: PhasePoint,
     return out
 
 
-def _relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / scale
-
-
 def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
                     mutate: str = None) -> dict:
     """Both computation routes for every field at one paired point.
@@ -369,7 +363,7 @@ def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
     for field in CROSS_FIELDS:
         a = getattr(vb, field)
         b = getattr(pb, field)
-        out[field] = CrossCheck(field, a, b, _relative_deviation(a, b))
+        out[field] = CrossCheck(field, a, b, relative_deviation(a, b))
     return out
 
 

@@ -44,27 +44,6 @@ class ConstFunc:
         return set()
 
 
-class NegFunc:
-    __slots__ = ("inner",)
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def dimension(self):
-        return self.inner.dimension
-
-    @property
-    def fiber_kind(self):
-        return self.inner.fiber_kind
-
-    def evaluate(self, env):
-        return -self.inner.evaluate(env)
-
-    def variables(self):
-        return self.inner.variables()
-
-
 class SumFunc:
     __slots__ = ("first", "second")
 
@@ -236,9 +215,6 @@ class VContext:
     def point(self) -> PhasePoint:
         return PhasePoint.velocity(self.x, self.v)
 
-    def dx(self, jet, m: int):
-        return jets.derivative(jet, m)
-
     def dfiber(self, jet, k: int):
         return jets.derivative(jet, self.n + k)
 
@@ -271,6 +247,11 @@ class VContext:
                 for j in range(n):
                     out[k, i, j] = self.eval_native(self.sys.connection[k, i, j])
         return out
+
+    @cached_property
+    def connection_dense(self):
+        """The connection as dense data (order, val, grad, hess)."""
+        return jets.stack(self.gamma, self.m)
 
     @cached_property
     def g_values(self) -> np.ndarray:
@@ -378,9 +359,6 @@ class PContext:
     def point(self) -> PhasePoint:
         return PhasePoint.momentum(self.x, self.p)
 
-    def dx(self, jet, m: int):
-        return jets.derivative(jet, m)
-
     def dfiber(self, jet, k: int):
         return jets.derivative(jet, self.n + k)
 
@@ -401,13 +379,21 @@ class PContext:
         return self.compose(self.inner.eval_native(func))
 
     @cached_property
+    def connection_dense(self):
+        """The connection pushed through the inverse map as dense data
+        (order, val, grad, hess), every entry in one batched chain rule:
+        grad = J^T g, hess = J^T H J + sum_a g_a T_a."""
+        order, val, g, h = self.inner.connection_dense
+        t_order, _, J, T = jets.stack(self.transform, self.m)
+        if min(order, t_order) == 0:
+            return 0, val, None, None
+        if h is None or T is None:
+            return 1, val, g @ J, None
+        return 2, val, g @ J, J.T @ h @ J + np.tensordot(g, T, axes=1)
+
+    @cached_property
     def gamma_p(self):
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        inner_gamma = self.inner.gamma
-        for idx in np.ndindex(n, n, n):
-            out[idx] = self.compose(inner_gamma[idx])
-        return out
+        return jets.from_dense(*self.connection_dense[1:])
 
     @cached_property
     def theta(self):
@@ -419,7 +405,7 @@ class PContext:
         for i in range(n):
             acc = None
             for s in range(n):
-                term = (inner.dx(inner.L[i], s) * inner.seeds[n + s]
+                term = (jets.derivative(inner.L[i], s) * inner.seeds[n + s]
                         + inner.dfiber(inner.L[i], s) * inner.phi[s])
                 acc = term if acc is None else acc + term
             out.append(self.compose(acc))

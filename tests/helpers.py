@@ -24,6 +24,18 @@ def fd_gradient(f, x0, h=FD_STEP):
     return g
 
 
+def fd_jacobian(f, x0, h=FD_STEP):
+    """Central differences of an array-valued f; the derivative axis is
+    appended last."""
+    x0 = np.asarray(x0, dtype=float)
+    cols = []
+    for i in range(x0.size):
+        e = np.zeros_like(x0)
+        e[i] = h
+        cols.append((np.asarray(f(x0 + e)) - np.asarray(f(x0 - e))) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def fd_hessian(f, x0, h=FD_STEP):
     x0 = np.asarray(x0, dtype=float)
     m = x0.size
@@ -116,6 +128,29 @@ def random_box_point(rng, n, x_lo=-1.0, x_hi=1.0, f_lo=0.5, f_hi=1.5):
 
 # ---------------------------------------------------------------------------
 # shared system fixtures
+
+class NegFunc:
+    """Negated component, for undoing a gauge shift."""
+
+    __slots__ = ("inner",)
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dimension(self):
+        return self.inner.dimension
+
+    @property
+    def fiber_kind(self):
+        return self.inner.fiber_kind
+
+    def evaluate(self, env):
+        return -self.inner.evaluate(env)
+
+    def variables(self):
+        return self.inner.variables()
+
 
 def parse_all(sources, n, kinds=("x", "v")):
     from normality_lab import expr

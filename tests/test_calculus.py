@@ -295,3 +295,132 @@ def test_horizontal_transport_both_directions():
                              kinds=("x", "p")) for _ in range(2)]
         for variance in ((UPPER,), (LOWER,)):
             assert horizontal_transport_momentum(sysdef, pt, pfield, variance) < 1e-7
+
+
+def _connection_values(sysdef, x, v):
+    n = sysdef.n
+    env = {}
+    for i in range(n):
+        env[f"x{i + 1}"] = x[i]
+        env[f"v{i + 1}"] = v[i]
+    return np.array([[[float(sysdef.connection[k, i, j].evaluate(env))
+                       for j in range(n)] for i in range(n)] for k in range(n)])
+
+
+def _momentum_connection_at(sysdef, z):
+    # connection at the preimage of the momentum point z = (x, p), with
+    # the inverse map solved by Newton on the float fiber map
+    n = sysdef.n
+    x, p = z[:n], z[n:]
+    return _connection_values(sysdef, x, _newton_solve(sysdef, x, p))
+
+
+@pytest.mark.parametrize("make", [helpers.sys_cubic, helpers.sys_cubic3])
+def test_curvature_momentum_form_against_finite_differences(make):
+    # momentum-form formula assembled from plain floats, with the
+    # connection over (x, p) differentiated through Newton solves
+    sysdef = make()
+    n = sysdef.n
+    rng = np.random.default_rng(25)
+    x, v = helpers.random_box_point(rng, n)
+    image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
+    pctx = PContext(sysdef, image.x, image.fiber)
+    p = pctx.p
+    z0 = np.concatenate([pctx.x, p])
+
+    G = _momentum_connection_at(sysdef, z0)
+    dG = helpers.fd_jacobian(lambda z: _momentum_connection_at(sysdef, z), z0)
+    want = np.zeros((n, n, n, n))
+    for k in range(n):
+        for r in range(n):
+            for i in range(n):
+                for j in range(n):
+                    acc = dG[k, j, r, i] - dG[k, i, r, j]
+                    for m in range(n):
+                        acc += G[k, i, m] * G[m, j, r] - G[k, j, m] * G[m, i, r]
+                        for s in range(n):
+                            acc += p[s] * G[s, m, i] * dG[k, j, r, n + m]
+                            acc -= p[s] * G[s, m, j] * dG[k, i, r, n + m]
+                    want[k, r, i, j] = acc
+    assert np.max(np.abs(want)) > 1e-3
+    assert helpers.rel_err(curvature(pctx), want) < 1e-8
+
+
+def _covariant_at(sysdef, fiber_kind, components, variance, z):
+    # D_m X at the phase point z = (x, fiber) from floats: first
+    # derivatives of the components from order-1 jets at z, connection
+    # values by plain evaluation (through Newton for momenta)
+    n = sysdef.n
+    momentum = fiber_kind == "p"
+    G = (_momentum_connection_at(sysdef, z) if momentum
+         else _connection_values(sysdef, z[:n], z[n:]))
+    seeded = jets.seeds(z, order=1)
+    env = {}
+    for i in range(n):
+        env[f"x{i + 1}"] = seeded[i]
+        env[f"{fiber_kind}{i + 1}"] = seeded[n + i]
+    shape = (n,) * len(variance)
+    X = np.zeros(shape)
+    dX = np.zeros(shape + (2 * n,))
+    for idx in np.ndindex(shape):
+        comp = components
+        for t in idx:
+            comp = comp[t]
+        jet = comp.evaluate(env)
+        X[idx], dX[idx] = jet.value, jet.grad
+    out = np.zeros(shape + (n,))
+    for idx in np.ndindex(shape):
+        for m in range(n):
+            acc = dX[idx][m]
+            for a in range(n):
+                for b in range(n):
+                    if momentum:
+                        acc += z[n + a] * G[a, m, b] * dX[idx][n + b]
+                    else:
+                        acc -= z[n + a] * G[b, a, m] * dX[idx][n + b]
+            for t, mark in enumerate(variance):
+                k = idx[t]
+                for a in range(n):
+                    swapped = idx[:t] + (a,) + idx[t + 1:]
+                    if mark == UPPER:
+                        acc += G[k, m, a] * X[swapped]
+                    else:
+                        acc -= G[a, m, k] * X[swapped]
+            out[idx + (m,)] = acc
+    return out
+
+
+@pytest.mark.parametrize("fiber_kind", ["v", "p"])
+@pytest.mark.parametrize("variance", [(), (UPPER,), (LOWER,)])
+def test_horizontal_derivative_gradient_against_finite_differences(
+        fiber_kind, variance):
+    # the order-1 jets of a once-applied horizontal derivative are what
+    # the bundles read as fiber derivatives; check their full gradient
+    sysdef = helpers.sys_cubic()
+    n = 2
+    x = np.array([0.35, -0.25])
+    v = np.array([1.05, 0.75])
+    vctx, pctx = paired(sysdef, x, v)
+    ctx = pctx if fiber_kind == "p" else vctx
+    kinds = ("x", fiber_kind)
+    f = fiber_kind
+    if variance:
+        components = helpers.parse_all(
+            [f"sin(x1)*{f}2^2 + x2*{f}1", f"{f}1*{f}2*x1 + cos(x2)*{f}1^2"],
+            n, kinds=kinds)
+    else:
+        components = expr.parse(f"{f}1^2*x2 + sin({f}2)*x1 + {f}1*{f}2", n,
+                                kinds=kinds)
+
+    got = horizontal_derivative(field_of(ctx, components, variance))
+    assert all(j.order == 1 for j in got.data.flat)
+    grad = np.array([j.grad for j in got.data.flat]).reshape(
+        got.data.shape + (2 * n,))
+
+    z0 = np.concatenate([ctx.x, ctx.p if fiber_kind == "p" else ctx.v])
+    assert helpers.rel_err(
+        got.values(), _covariant_at(sysdef, f, components, variance, z0)) < 1e-10
+    want = helpers.fd_jacobian(
+        lambda z: _covariant_at(sysdef, f, components, variance, z), z0)
+    assert np.max(np.abs(want[..., n:])) > 1e-2
+    assert helpers.rel_err(grad, want) < 1e-8

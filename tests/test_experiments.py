@@ -13,7 +13,7 @@ from normality_lab.experiments import (GaugeReport, ShiftRun, apply_gauge,
                                        hypersurface_normal, shift_integrate)
 from normality_lab.normality import normality_residuals
 from normality_lab.phase import PhasePoint
-from normality_lab.system import NegFunc, SystemDef, force_vector
+from normality_lab.system import SystemDef, force_vector
 
 
 def flat_system():
@@ -74,7 +74,7 @@ def test_apply_gauge_shifts_force_quadratically():
 def test_apply_gauge_round_trip():
     sysdef = flat_system()
     tensor = gauge_2d()
-    undo = [[[NegFunc(tensor[k][i][j]) for j in range(2)]
+    undo = [[[helpers.NegFunc(tensor[k][i][j]) for j in range(2)]
              for i in range(2)] for k in range(2)]
     back = apply_gauge(apply_gauge(sysdef, tensor), undo)
     env = {"x1": 0.3, "x2": -0.7, "v1": 1.1, "v2": 0.4}
@@ -196,7 +196,7 @@ def test_connection_free_matches_gauging_to_zero():
     # is invariant outright and has to match the original as well
     sysdef = helpers.sys_cubic()
     n = sysdef.n
-    undo = [[[NegFunc(sysdef.connection[k, i, j]) for j in range(n)]
+    undo = [[[helpers.NegFunc(sysdef.connection[k, i, j]) for j in range(n)]
              for i in range(n)] for k in range(n)]
     free = connection_free_mode(sysdef)
     gauged = apply_gauge(sysdef, undo)

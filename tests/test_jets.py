@@ -113,6 +113,28 @@ def test_compose_equals_direct_substitution():
     assert np.allclose(composed.hess, direct.hess, rtol=1e-13, atol=1e-13)
 
 
+def test_stack_orders_constants_and_round_trip():
+    x = jets.seeds([0.4, -1.2])
+    arr = np.array([[x[0] * x[1], 2.5], [jets.sin(x[0]), x[1]]], dtype=object)
+    order, val, grad, hess = jets.stack(arr, 2)
+    assert order == 2 and val.shape == (2, 2)
+    assert grad.shape == (2, 2, 2) and hess.shape == (2, 2, 2, 2)
+    # a plain float is an exact constant
+    assert val[0, 1] == 2.5 and not grad[0, 1].any() and not hess[0, 1].any()
+    back = jets.from_dense(val, grad, hess)
+    for u, w in zip(arr.flat, back.flat):
+        assert w.order == 2 and w.value == jets.value_of(u)
+    assert np.array_equal(back[0, 0].hess, arr[0, 0].hess)
+
+    # the lowest order over the entries wins
+    arr[1, 1] = jets.derivative(arr[1, 1], 0)
+    assert jets.stack(arr, 2)[0] == 1 and jets.stack(arr, 2)[3] is None
+    arr[1, 1] = jets.derivative(arr[1, 1], 0)
+    order, val, grad, hess = jets.stack(arr, 2)
+    assert order == 0 and grad is None and hess is None
+    assert all(w.order == 0 for w in jets.from_dense(val).flat)
+
+
 def test_matrix_inverse_values_and_derivative():
     (t,) = jets.seeds([0.4])
     A = np.empty((2, 2), dtype=object)

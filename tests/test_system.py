@@ -229,6 +229,22 @@ def test_momentum_native_composition():
     assert np.allclose(composed.hess, direct.hess, atol=1e-13)
 
 
+def test_momentum_connection_matches_entrywise_composition():
+    # the batched chain rule behind gamma_p against jets.compose, entry
+    # by entry, with both the closed-form and the Newton inverse
+    rng = np.random.default_rng(9)
+    for sysdef in (helpers.sys_cubic3(), helpers.sys_linear_mode_a()):
+        x, v = helpers.random_box_point(rng, sysdef.n)
+        image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
+        ctx = PContext(sysdef, image.x, image.fiber)
+        for idx in np.ndindex(ctx.gamma_p.shape):
+            want = jets.compose(ctx.inner.gamma[idx], ctx.transform)
+            got = ctx.gamma_p[idx]
+            assert got.value == want.value
+            assert np.allclose(got.grad, want.grad, rtol=1e-13, atol=1e-14)
+            assert np.allclose(got.hess, want.hess, rtol=1e-13, atol=1e-14)
+
+
 def test_newton_cycle_raises_and_guess_recovers():
     # classic two-cycle of the plain Newton iteration
     L = [expr.parse("v1^3 - 2*v1", 1, kinds=("x", "v"))]

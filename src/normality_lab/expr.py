@@ -283,9 +283,10 @@ def _point_env(e: Expression, point: PhasePoint):
         raise MixedRepresentationError(
             f"expression uses {e.fiber_kind}-variables, point is {fiber_kind}-typed")
     env = {}
+    x, fiber = point.x.tolist(), point.fiber.tolist()
     for i in range(point.n):
-        env[f"x{i + 1}"] = point.x[i]
-        env[f"{fiber_kind}{i + 1}"] = point.fiber[i]
+        env[f"x{i + 1}"] = x[i]
+        env[f"{fiber_kind}{i + 1}"] = fiber[i]
     return env, fiber_kind
 
 

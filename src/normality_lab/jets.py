@@ -8,6 +8,13 @@ operations demote to the lowest order of their operands, so derivative
 data can never be read past the order at which it is actually valid
 (`derivative` peels one order off and raises MissingJets below zero).
 Plain floats are exact constants and do not demote anything.
+
+A first-order jet may also be array-valued: a value of shape (N,) and a
+gradient of shape (m, N) carry N independent points at once (vector
+forward mode over a trailing node axis). Float arrays of shape (N,) are
+then the constants, every domain check covers all N entries, and a
+failing entry is named in the EvalError. Array values never reach the
+scalar branches: those keep using math.* on plain floats.
 `stack` turns an object array of jets into dense value, gradient and
 Hessian arrays under the same rules, and `from_dense` turns them back.
 
@@ -19,19 +26,38 @@ jets without a third-order kernel.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import EvalError, MissingJets, SingularMetric
 
 _NUMBER = (int, float, np.integer, np.floating)
+# constants a jet combines with: numbers, and float arrays over nodes
+_CONST = _NUMBER + (np.ndarray,)
+
+
+def _check(ok, v, message):
+    """Raise EvalError unless ok holds; ok and v are a bool and a float,
+    or arrays over nodes, and the first failing node is named."""
+    if v.__class__ is np.ndarray:
+        if not ok.all():
+            k = int(np.argmin(np.broadcast_to(ok, v.shape)))
+            raise EvalError(f"{message} {v.flat[k]} (node {k})")
+    elif not ok:
+        raise EvalError(f"{message} {v}")
 
 
 class Jet:
     __slots__ = ("value", "grad", "hess")
 
+    # numpy must hand mixed operations to the jet instead of building
+    # object arrays of jets
+    __array_ufunc__ = None
+
     def __init__(self, value, grad, hess=None):
-        self.value = float(value)
+        kind = value.__class__
+        self.value = value if kind is float or kind is np.ndarray else float(value)
         self.grad = grad
         self.hess = hess
 
@@ -51,6 +77,13 @@ class Jet:
 
     # chain rule for a smooth f with f(v)=f0, f'(v)=f1, f''(v)=f2
     def _chain(self, f0, f1, f2):
+        if f0.__class__ is np.ndarray:
+            _check(np.isfinite(f0), self.value, "non-finite value at argument")
+            if self.grad is None:
+                return Jet(f0, None, None)
+            _check(np.isfinite(f1), self.value,
+                   "non-finite derivative data at argument")
+            return Jet(f0, f1 * self.grad, None)
         if not math.isfinite(f0):
             raise EvalError(f"non-finite value (argument {self.value})")
         if self.grad is None:
@@ -65,8 +98,6 @@ class Jet:
         return Jet(f0, f1 * self.grad, hess)
 
     def __add__(self, other):
-        if isinstance(other, _NUMBER):
-            return Jet(self.value + other, self.grad, self.hess)
         if isinstance(other, Jet):
             if self.grad is None or other.grad is None:
                 return Jet(self.value + other.value, None, None)
@@ -74,6 +105,8 @@ class Jet:
             if self.hess is not None and other.hess is not None:
                 hess = self.hess + other.hess
             return Jet(self.value + other.value, self.grad + other.grad, hess)
+        if isinstance(other, _CONST):
+            return Jet(self.value + other, self.grad, self.hess)
         return NotImplemented
 
     __radd__ = __add__
@@ -84,8 +117,6 @@ class Jet:
                    None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
-        if isinstance(other, _NUMBER):
-            return Jet(self.value - other, self.grad, self.hess)
         if isinstance(other, Jet):
             if self.grad is None or other.grad is None:
                 return Jet(self.value - other.value, None, None)
@@ -93,21 +124,18 @@ class Jet:
             if self.hess is not None and other.hess is not None:
                 hess = self.hess - other.hess
             return Jet(self.value - other.value, self.grad - other.grad, hess)
+        if isinstance(other, _CONST):
+            return Jet(self.value - other, self.grad, self.hess)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMBER):
+        if isinstance(other, _CONST):
             return Jet(other - self.value,
                        None if self.grad is None else -self.grad,
                        None if self.hess is None else -self.hess)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, _NUMBER):
-            c = float(other)
-            return Jet(self.value * c,
-                       None if self.grad is None else self.grad * c,
-                       None if self.hess is None else self.hess * c)
         if isinstance(other, Jet):
             if self.grad is None or other.grad is None:
                 return Jet(self.value * other.value, None, None)
@@ -118,18 +146,17 @@ class Jet:
                 hess = (self.hess * other.value + other.hess * self.value
                         + cross + cross.T)
             return Jet(self.value * other.value, grad, hess)
+        if isinstance(other, _CONST):
+            return Jet(self.value * other,
+                       None if self.grad is None else self.grad * other,
+                       None if self.hess is None else self.hess * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMBER):
-            if other == 0:
-                raise EvalError("division by zero")
-            return self * (1.0 / float(other))
         if isinstance(other, Jet):
-            if other.value == 0.0:
-                raise EvalError("division by zero")
+            _check(other.value != 0.0, other.value, "division by zero, divisor")
             if self.grad is None or other.grad is None:
                 return Jet(self.value / other.value, None, None)
             w = self.value / other.value
@@ -139,12 +166,14 @@ class Jet:
                 cross = np.outer(grad, other.grad)
                 hess = (self.hess - cross - cross.T - w * other.hess) / other.value
             return Jet(w, grad, hess)
+        if isinstance(other, _CONST):
+            _check(other != 0.0, other, "division by zero, divisor")
+            return self * (1.0 / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBER):
-            if self.value == 0.0:
-                raise EvalError("division by zero")
+        if isinstance(other, _CONST):
+            _check(self.value != 0.0, self.value, "division by zero, divisor")
             v = self.value
             return self._chain(other / v, -other / (v * v), 2.0 * other / (v * v * v))
         return NotImplemented
@@ -157,12 +186,16 @@ class Jet:
 
 
 def seeds(values, order: int = 2):
-    """Identity-seeded jets for a coordinate vector."""
+    """Identity-seeded jets for a coordinate vector. Values of shape
+    (m, N) give first-order array-valued jets over N nodes."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
+    nodes = values.shape[1:]
+    if nodes and order != 1:
+        raise ValueError("array-valued jets are first order")
     out = []
     for i in range(m):
-        grad = np.zeros(m)
+        grad = np.zeros((m,) + nodes)
         grad[i] = 1.0
         hess = np.zeros((m, m)) if order == 2 else None
         out.append(Jet(values[i], grad, hess))
@@ -295,84 +328,127 @@ def from_dense(val, grad=None, hess=None) -> np.ndarray:
     return out
 
 
-# elementary functions, dispatching on float / Jet / Dual
+# elementary functions, dispatching on float / float array / Jet / Dual.
+# Floats go through math.*, float arrays through numpy, after the same
+# finiteness and domain checks, so neither path returns inf or nan.
+
+_EXP_MAX = math.log(sys.float_info.max)   # exp is finite up to here
+
+
+def _arg(u, what):
+    """(math or numpy, finite value) for a float, float array or Jet."""
+    v = u.value if isinstance(u, Jet) else u
+    if v.__class__ is np.ndarray:
+        _check(np.isfinite(v), v, f"{what} of non-finite value")
+        return np, v
+    v = float(v)
+    if not math.isfinite(v):
+        raise EvalError(f"{what} of non-finite value {v}")
+    return math, v
+
 
 def sin(u):
+    if u.__class__ is float and math.isfinite(u):
+        return math.sin(u)
     if isinstance(u, Dual):
         return Dual(sin(u.re), cos(u.re) * u.du)
+    lib, v = _arg(u, "sin")
     if isinstance(u, Jet):
-        s, c = math.sin(u.value), math.cos(u.value)
+        s, c = lib.sin(v), lib.cos(v)
         return u._chain(s, c, -s)
-    return math.sin(float(u))
+    return lib.sin(v)
 
 
 def cos(u):
+    if u.__class__ is float and math.isfinite(u):
+        return math.cos(u)
     if isinstance(u, Dual):
         return Dual(cos(u.re), -sin(u.re) * u.du)
+    lib, v = _arg(u, "cos")
     if isinstance(u, Jet):
-        s, c = math.sin(u.value), math.cos(u.value)
+        s, c = lib.sin(v), lib.cos(v)
         return u._chain(c, -s, -c)
-    return math.cos(float(u))
+    return lib.cos(v)
 
 
 def exp(u):
+    if u.__class__ is float and u <= _EXP_MAX:     # also false for nan
+        return math.exp(u)
     if isinstance(u, Dual):
         e = exp(u.re)
         return Dual(e, e * u.du)
+    lib, v = _arg(u, "exp")
+    _check(v <= _EXP_MAX, v, "exp overflow at")
+    e = lib.exp(v)
     if isinstance(u, Jet):
-        try:
-            e = math.exp(u.value)
-        except OverflowError:
-            raise EvalError(f"exp overflow at {u.value}") from None
         return u._chain(e, e, e)
-    try:
-        return math.exp(float(u))
-    except OverflowError:
-        raise EvalError(f"exp overflow at {u}") from None
+    return e
 
 
 def ln(u):
-    v = value_of(u)
-    if v <= 0.0:
-        raise EvalError(f"ln of non-positive value {v}")
+    if u.__class__ is float and 0.0 < u < math.inf:
+        return math.log(u)
     if isinstance(u, Dual):
         return Dual(ln(u.re), u.du / u.re)
+    lib, v = _arg(u, "ln")
+    _check(v > 0.0, v, "ln of non-positive value")
     if isinstance(u, Jet):
-        return u._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-    return math.log(v)
+        return u._chain(lib.log(v), 1.0 / v, -1.0 / (v * v))
+    return lib.log(v)
 
 
 def sqrt(u):
-    v = value_of(u)
-    if v < 0.0:
-        raise EvalError(f"sqrt of negative value {v}")
+    if u.__class__ is float and 0.0 <= u < math.inf:
+        return math.sqrt(u)
     if isinstance(u, Dual):
         s = sqrt(u.re)
-        return Dual(s, u.du / (2.0 * s))
+        return Dual(s, true_div(u.du, 2.0 * s))
+    lib, v = _arg(u, "sqrt")
+    _check(v >= 0.0, v, "sqrt of negative value")
     if isinstance(u, Jet):
-        if v == 0.0:
-            raise EvalError("sqrt derivative is singular at zero")
-        s = math.sqrt(v)
+        _check(v != 0.0, v, "sqrt derivative is singular at")
+        s = lib.sqrt(v)
         return u._chain(s, 0.5 / s, -0.25 / (s * v))
-    return math.sqrt(v)
+    return lib.sqrt(v)
 
 
 def tanh(u):
+    if u.__class__ is float and math.isfinite(u):
+        return math.tanh(u)
     if isinstance(u, Dual):
         t = tanh(u.re)
         return Dual(t, (1.0 - t * t) * u.du)
+    lib, v = _arg(u, "tanh")
+    t = lib.tanh(v)
     if isinstance(u, Jet):
-        t = math.tanh(u.value)
         sech2 = 1.0 - t * t
         return u._chain(t, sech2, -2.0 * t * sech2)
-    return math.tanh(float(u))
+    return t
+
+
+def _array_pow(base, e):
+    """base**e where base or e is a float array over nodes, under the
+    domain rules of _float_pow. A positive integer power needs only the
+    result check: it is finite exactly where the base is."""
+    if e.__class__ is np.ndarray or not (e > 0.0 and float(e).is_integer()):
+        b, e_b = np.broadcast_arrays(base, e)
+        _check(np.isfinite(b), b, "power of non-finite base")
+        _check((b >= 0.0) | (e_b == np.floor(e_b)), b,
+               "non-integer power of negative base")
+        _check((b != 0.0) | (e_b >= 0.0), b, "negative power of zero base")
+    r = np.power(base, e)
+    _check(np.isfinite(r), base if base.__class__ is np.ndarray else r,
+           "non-finite power result for base")
+    return r
 
 
 def _float_pow(base: float, e: float) -> float:
     if base < 0.0 and not float(e).is_integer():
         raise EvalError(f"non-integer power {e} of negative base {base}")
-    if base == 0.0 and e < 0.0:
-        raise EvalError("zero raised to a negative power")
+    # a nan or infinite result is caught below; an infinite base is not
+    # when the power is negative
+    if e < 0.0 and not 0.0 < abs(base) < math.inf:
+        raise EvalError(f"negative power {e} of base {base}")
     try:
         r = math.pow(base, e)
     except (ValueError, OverflowError) as exc:
@@ -383,14 +459,16 @@ def _float_pow(base: float, e: float) -> float:
 
 
 def power(u, e):
-    """u**e for any mix of float, Jet and Dual operands.
+    """u**e for any mix of float, float array, Jet and Dual operands.
 
     A non-constant (jet or dual) exponent routes through exp(e*ln u)
     and therefore requires a positive base.
     """
     if isinstance(e, _NUMBER):
         e = float(e)
-        if isinstance(u, _NUMBER):
+        if isinstance(u, _CONST):
+            if u.__class__ is np.ndarray:
+                return _array_pow(u, e)
             return _float_pow(float(u), e)
         if e == 0.0:
             return 1.0
@@ -399,10 +477,15 @@ def power(u, e):
         if isinstance(u, Dual):
             return Dual(power(u.re, e), e * power(u.re, e - 1.0) * u.du)
         v = u.value
-        f0 = _float_pow(v, e)
-        f1 = e * _float_pow(v, e - 1.0)
-        f2 = e * (e - 1.0) * _float_pow(v, e - 2.0) if e != 2.0 else 2.0
+        pow_ = _float_pow if v.__class__ is float else _array_pow
+        f0 = pow_(v, e)
+        f1 = e * pow_(v, e - 1.0)
+        f2 = 0.0
+        if u.hess is not None:
+            f2 = e * (e - 1.0) * pow_(v, e - 2.0) if e != 2.0 else 2.0
         return u._chain(f0, f1, f2)
+    if e.__class__ is np.ndarray and isinstance(u, _CONST):
+        return _array_pow(u, e)
     # exponent carries derivative structure
     return exp(e * ln(u))
 
@@ -411,12 +494,15 @@ FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt, "tanh":
 
 
 def true_div(a, b):
-    """Division with a zero check that also covers the float/float case."""
+    """Division with a zero check that also covers the float/float and
+    float-array cases."""
     if isinstance(b, _NUMBER):
         if float(b) == 0.0:
             raise EvalError("division by zero")
         if isinstance(a, _NUMBER):
             return float(a) / float(b)
+    elif b.__class__ is np.ndarray:
+        _check(b != 0.0, b, "division by zero, divisor")
     return a / b
 
 
@@ -424,6 +510,7 @@ class Dual:
     """Dual number a + eps*b with components in the jet ring."""
 
     __slots__ = ("re", "du")
+    __array_ufunc__ = None
 
     def __init__(self, re, du):
         self.re = re

@@ -182,18 +182,33 @@ class SystemDef:
         self.newton_guess = newton_guess
 
 
-def _float_env(sysdef, x, fiber, kind):
+def _env(x, fiber, kind):
+    """Evaluation environment binding x1.. and <kind>1.. to the entries
+    of x and fiber: floats, jets, or float arrays over nodes."""
     env = {}
-    for i in range(sysdef.n):
-        env[f"x{i + 1}"] = float(x[i])
-        env[f"{kind}{i + 1}"] = float(fiber[i])
+    for i in range(len(x)):
+        env[f"x{i + 1}"] = x[i]
+        env[f"{kind}{i + 1}"] = fiber[i]
     return env
 
 
-def _as_jet(value, m, order=2):
+def _as_jet(value, m, order=2, nodes=()):
+    """A component's value as a jet; constants get zero derivatives, and
+    with a node shape they are first order and array-valued."""
     if isinstance(value, jets.Jet):
         return value
+    if nodes:
+        return jets.Jet(np.full(nodes, value, dtype=float),
+                        np.zeros((m,) + nodes))
     return jets.constant(float(value), m, order=order)
+
+
+def _values(funcs, env, nodes=()):
+    """Float values of components, shape (len(funcs),) + nodes."""
+    out = np.empty((len(funcs),) + nodes)
+    for i, f in enumerate(funcs):
+        out[i] = f.evaluate(env)
+    return out
 
 
 class VContext:
@@ -206,10 +221,7 @@ class VContext:
         self.v = np.asarray(v, dtype=float)
         self.m = 2 * self.n
         self.seeds = jets.seeds(list(self.x) + list(self.v), order=2)
-        self.env = {}
-        for i in range(self.n):
-            self.env[f"x{i + 1}"] = self.seeds[i]
-            self.env[f"v{i + 1}"] = self.seeds[self.n + i]
+        self.env = _env(self.seeds[:self.n], self.seeds[self.n:], "v")
 
     @property
     def point(self) -> PhasePoint:
@@ -225,9 +237,7 @@ class VContext:
     def eval_momentum_native(self, func):
         """Jet of (momentum-native func) composed with the fiber map,
         i.e. func(x, L(x, v)), over (x, v)."""
-        env = {f"x{i + 1}": self.seeds[i] for i in range(self.n)}
-        for i in range(self.n):
-            env[f"p{i + 1}"] = self.L[i]
+        env = _env(self.seeds[:self.n], self.L, "p")
         return _as_jet(func.evaluate(env), self.m)
 
     @cached_property
@@ -281,31 +291,87 @@ class VContext:
         return jets.invert_matrix(self.g_jets)
 
 
-def _newton_solve(sysdef: SystemDef, x, p, guess=None):
+def _fiber_jets(sysdef: SystemDef, x, v, wrt_x=True):
+    """First-order jets of the fiber map components over (x, v), or over
+    v alone. x and v are (n,), or (n, N) for array-valued jets over N
+    nodes."""
     n = sysdef.n
+    nodes = v.shape[1:]
+    if wrt_x:
+        seeded = jets.seeds(np.concatenate([x, v]), order=1)
+        env = _env(seeded[:n], seeded[n:], "v")
+    else:
+        env = _env(x if nodes else x.tolist(), jets.seeds(v, order=1), "v")
+    m = 2 * n if wrt_x else n
+    return [_as_jet(f.evaluate(env), m, 1, nodes) for f in sysdef.legendre]
+
+
+def _at(k, **arrays):
+    """Where an error happened: the point, or node k of a batch."""
+    text = ", ".join(f"{name}={(a if k is None else a[:, k]).tolist()}"
+                     for name, a in arrays.items())
+    return text if k is None else f"{text} (node {k})"
+
+
+def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
+    """Newton iteration for the inverse fiber map L(x, v) = p.
+
+    x, p and guess are (n,), or (n, N) with a trailing node axis. Every
+    node iterates until its own residual meets NEWTON_TOL, under its own
+    condition check; converged nodes are not updated any more. Returns v
+    and the first-order jets of L at v, over (x, v) with wrt_x (what
+    theta needs) and over v alone otherwise (cheaper on scalar jets)."""
+    n = sysdef.n
+    x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if guess is None:
         guess = sysdef.newton_guess if sysdef.newton_guess is not None else p
     v = np.array(guess, dtype=float)
+    batched = p.ndim > 1
+    if batched and v.ndim == 1:
+        v = np.repeat(v[:, None], p.shape[1], axis=1)
     for iteration in range(NEWTON_MAX_ITER + 1):
-        fiber_jets = jets.seeds(list(v), order=1)
-        env = {f"x{i + 1}": float(x[i]) for i in range(n)}
-        for i in range(n):
-            env[f"v{i + 1}"] = fiber_jets[i]
-        Lj = [_as_jet(f.evaluate(env), n, order=1) for f in sysdef.legendre]
+        Lj = _fiber_jets(sysdef, x, v, wrt_x)
         residual = np.array([j.value for j in Lj]) - p
-        if np.max(np.abs(residual)) <= NEWTON_TOL:
-            return v
+        err = np.max(np.abs(residual), axis=0)
+        todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
+        if not (todo.any() if batched else todo):
+            return v, Lj
         if iteration == NEWTON_MAX_ITER:
+            k = int(np.argmax(np.where(todo, np.nan_to_num(err, nan=np.inf),
+                                       -1.0))) if batched else None
+            worst = err if k is None else err[k]
             raise NonConvergence(
-                f"Newton stalled at residual {np.max(np.abs(residual)):.3e} "
-                f"solving the inverse fiber map at x={list(x)}, p={p.tolist()}")
-        G = np.stack([j.grad for j in Lj])
-        if not np.all(np.isfinite(G)) or np.linalg.cond(G) > COND_LIMIT:
+                f"Newton stalled at residual {worst:.3e} solving the inverse "
+                f"fiber map at {_at(k, x=x, p=p)}")
+        G = np.stack([j.grad for j in Lj])[:, -n:]
+        if not batched:
+            if not np.all(np.isfinite(G)) or np.linalg.cond(G) > COND_LIMIT:
+                raise SingularMetric(
+                    f"fiber Jacobian singular during inversion at "
+                    f"{_at(None, x=x, v=v)}")
+            v = v + np.linalg.solve(G, -residual)
+            continue
+        # node-major systems of the nodes still iterating
+        nodes = np.flatnonzero(todo)
+        G = G.transpose(2, 0, 1)[nodes]
+        cond = np.full(len(nodes), np.inf)
+        finite = np.isfinite(G).all(axis=(1, 2))
+        if finite.any():
+            cond[finite] = np.linalg.cond(G[finite])
+        if not np.all(cond <= COND_LIMIT):
+            k = int(nodes[np.argmax(cond)])
             raise SingularMetric(
-                f"fiber Jacobian singular during inversion at x={list(x)}, v={v.tolist()}")
-        v = v + np.linalg.solve(G, -residual)
+                f"fiber Jacobian singular during inversion at "
+                f"{_at(k, x=x, v=v)}")
+        step = np.linalg.solve(G, -residual.T[nodes][:, :, None])[:, :, 0]
+        v[:, nodes] += step.T
     raise AssertionError("unreachable")
+
+
+def _newton_solve(sysdef: SystemDef, x, p, guess=None):
+    """Preimage v of the momentum p at x; see _newton."""
+    return _newton(sysdef, x, p, guess)[0]
 
 
 class PContext:
@@ -325,10 +391,7 @@ class PContext:
         self.seeds = jets.seeds(list(self.x) + list(self.p), order=2)
 
         if sysdef.v_inverse is not None:
-            env = {}
-            for i in range(n):
-                env[f"x{i + 1}"] = self.seeds[i]
-                env[f"p{i + 1}"] = self.seeds[n + i]
+            env = _env(self.seeds[:n], self.seeds[n:], "p")
             self.V = tuple(_as_jet(f.evaluate(env), self.m) for f in sysdef.v_inverse)
             v_star = np.array([j.value for j in self.V])
             self.inner = VContext(sysdef, self.x, v_star)
@@ -367,10 +430,7 @@ class PContext:
 
     def eval_native(self, func):
         """Jet of a momentum-native component over (x, p)."""
-        env = {}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = self.seeds[i]
-            env[f"p{i + 1}"] = self.seeds[self.n + i]
+        env = _env(self.seeds[:self.n], self.seeds[self.n:], "p")
         return _as_jet(func.evaluate(env), self.m)
 
     def eval_velocity_native(self, func):
@@ -449,9 +509,8 @@ def legendre_forward(sysdef: SystemDef, pt: PhasePoint) -> PhasePoint:
     """Map a velocity point to its momentum image p_i = L_i(x, v)."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("forward map expects a velocity point")
-    env = _float_env(sysdef, pt.x, pt.fiber, "v")
-    p = np.array([float(f.evaluate(env)) for f in sysdef.legendre])
-    return PhasePoint.momentum(pt.x, p)
+    env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
+    return PhasePoint.momentum(pt.x, _values(sysdef.legendre, env))
 
 
 def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
@@ -478,23 +537,39 @@ def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
     return MetricPair(lower, upper, float(dev))
 
 
+def _theta(sysdef: SystemDef, x, v, Lj):
+    """theta_i = dL_i/dx . v + dL_i/dv . Phi, the derivative of L_i along
+    (v, Phi), from the jets Lj of the fiber map over (x, v) and Phi
+    evaluated on floats; x and v are (n,) or (n, N)."""
+    nodes = v.shape[1:]
+    env = _env(x, v, "v") if nodes else _env(x.tolist(), v.tolist(), "v")
+    direction = np.concatenate([v, _values(sysdef.force, env, nodes)])
+    return np.einsum("im...,m...->i...", np.stack([j.grad for j in Lj]),
+                     direction)
+
+
 def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     """Values of the free force covector at a velocity point:
     theta_i = sum_s dL_i/dx^s v^s + sum_s dL_i/dv^s Phi^s."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("theta_from_phi expects a velocity point")
-    n = sysdef.n
-    seeded = jets.seeds(list(pt.x) + list(pt.fiber), order=1)
-    env = {}
-    for i in range(n):
-        env[f"x{i + 1}"] = seeded[i]
-        env[f"v{i + 1}"] = seeded[n + i]
-    Lj = [_as_jet(f.evaluate(env), 2 * n, order=1) for f in sysdef.legendre]
-    phi = np.array([jets.value_of(f.evaluate(env)) for f in sysdef.force])
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = (Lj[i].grad[:n] @ pt.fiber) + (Lj[i].grad[n:] @ phi)
-    return out
+    return _theta(sysdef, pt.x, pt.fiber, _fiber_jets(sysdef, pt.x, pt.fiber))
+
+
+def _phase_flow(sysdef: SystemDef, x, p, guess=None):
+    """Velocity v and free force covector theta at momentum points, the
+    right-hand side dx/dt = v, dp/dt = theta of a trajectory. x, p and
+    the Newton guess are (n,) or (n, N) over N nodes. theta reuses the
+    fiber map jets of the last Newton step, so the map is evaluated once
+    more only after a closed-form inverse."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if sysdef.v_inverse is not None:
+        v = _values(sysdef.v_inverse, _env(x, p, "p"), p.shape[1:])
+        Lj = _fiber_jets(sysdef, x, v)
+    else:
+        v, Lj = _newton(sysdef, x, p, guess, wrt_x=True)
+    return v, _theta(sysdef, x, v, Lj)
 
 
 def force_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
@@ -502,8 +577,8 @@ def force_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("force_vector expects a velocity point")
     n = sysdef.n
-    env = _float_env(sysdef, pt.x, pt.fiber, "v")
-    out = np.array([float(f.evaluate(env)) for f in sysdef.force])
+    env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
+    out = _values(sysdef.force, env)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -545,14 +620,14 @@ def validate_system(sysdef: SystemDef, rng=None, samples: int = 8):
     n = sysdef.n
     for _ in range(samples):
         x = rng.uniform(-1.0, 1.0, n)
-        env = _float_env(sysdef, x, np.zeros(n), "v")
+        env = _env(x.tolist(), [0.0] * n, "v")
         at_zero = [float(f.evaluate(env)) for f in sysdef.legendre]
         if np.max(np.abs(at_zero)) > 1e-9:
             raise ValidationError(
                 f"fiber map does not send v=0 to p=0 at x={x.tolist()}: {at_zero}")
 
         v = rng.uniform(0.5, 1.5, n)
-        env = _float_env(sysdef, x, v, "v")
+        env = _env(x.tolist(), v.tolist(), "v")
         for k in range(n):
             for i in range(n):
                 for j in range(i + 1, n):
@@ -571,9 +646,9 @@ def validate_system(sysdef: SystemDef, rng=None, samples: int = 8):
 
         if sysdef.v_inverse is not None:
             p = rng.uniform(0.5, 1.5, n)
-            penv = _float_env(sysdef, x, p, "p")
+            penv = _env(x.tolist(), p.tolist(), "p")
             v_closed = [float(f.evaluate(penv)) for f in sysdef.v_inverse]
-            env = _float_env(sysdef, x, v_closed, "v")
+            env = _env(x.tolist(), v_closed, "v")
             back = np.array([float(f.evaluate(env)) for f in sysdef.legendre])
             if np.max(np.abs(back - p)) > 1e-8:
                 raise ValidationError(

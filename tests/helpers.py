@@ -5,6 +5,8 @@
   Python's own eval(), independent of the package evaluator
 - a seeded random expression generator that stays inside the domains
   of ln/sqrt/division on the standard sampling box
+- a per-node shift integration, one solve_ivp per surface node, as the
+  oracle for the batched integration of whole fronts
 """
 
 import math
@@ -259,3 +261,49 @@ def sys_parallel(c=0.7, n=2):
     L = parse_all([f"v{i + 1}" for i in range(n)], n)
     phi = parse_all([f"{c}*v{i + 1}" for i in range(n)], n)
     return SystemDef(n, L, force=phi)
+
+
+def shift_per_node(sysdef, run):
+    """Reference shift of run's front: every surface node integrated on
+    its own by solve_ivp, with a scalar right-hand side from
+    _newton_solve (or the closed-form inverse) and theta_from_phi.
+    Returns (points, covectors, deviations) laid out as in ShiftResult."""
+    from scipy.integrate import solve_ivp
+
+    from normality_lab import experiments
+    from normality_lab.phase import PhasePoint
+    from normality_lab.system import _newton_solve, theta_from_phi
+
+    n, m = experiments._run_dims(run)
+    axes, wraps = experiments._axes(run, m)
+    shape = tuple(len(a) for a in axes)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
+
+    def rhs(t, y):
+        x, p = y[:n], y[n:]
+        if sysdef.v_inverse is not None:
+            env = {f"x{i + 1}": float(x[i]) for i in range(n)}
+            env.update({f"p{i + 1}": float(p[i]) for i in range(n)})
+            v = np.array([float(f.evaluate(env)) for f in sysdef.v_inverse])
+        else:
+            v = _newton_solve(sysdef, x, p)
+        theta = theta_from_phi(sysdef, PhasePoint.velocity(x, v))
+        return np.concatenate([v, theta])
+
+    paths = []
+    for u in nodes:
+        x0, tangents = experiments._surface_frame(run, u)
+        p0 = experiments._nu_value(run, u, m) * experiments._normal_of(tangents)
+        sol = solve_ivp(rhs, (0.0, float(run.t_final)),
+                        np.concatenate([x0, p0]), method="RK45",
+                        rtol=run.rtol, atol=1e-12, t_eval=times)
+        assert sol.success, sol.message
+        paths.append(sol.y.T)                       # (T+1, 2n)
+    paths = np.stack(paths, axis=1)                 # (T+1, nodes, 2n)
+    points = paths[..., :n].reshape((len(times),) + shape + (n,))
+    covectors = paths[..., n:].reshape((len(times),) + shape + (n,))
+    deviations = np.array([
+        experiments._collinearity(points[t], covectors[t], axes, wraps)
+        for t in range(len(times))])
+    return points, covectors, deviations

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +302,38 @@ def test_main_tolerance_override(tmp_path):
     assert status == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["config"]["tolerances"]["metric"] == 1e-3
+
+
+def test_overflow_in_a_component_is_a_structured_error(tmp_path):
+    # sin of an overflowed argument once escaped as a bare ValueError
+    path = write_system(tmp_path, """
+[system]
+n = 1
+
+[legendre]
+L1 = "v1 + 0.1*sin(x1*x1)*v1"
+""")
+    report, status = run_checks(RunConfig(path, checks=("metric",),
+                                          samples=2, seed=1,
+                                          x_box=(1e200, 2e200)))
+    assert status == 1
+    assert report["checks"][0]["error"]["type"] == "EvalError"
+
+
+def test_module_entry_point_runs_the_shift_check():
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "normality_lab",
+         "check", fixture("identity_full"), "--checks", "shift"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["checks"][0]["id"] == "shift"
+    assert report["checks"][0]["summary"]["passed"]
 
 
 def test_csv_shape():

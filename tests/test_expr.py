@@ -87,6 +87,20 @@ def test_eval_domain_errors():
         expr.eval_scalar(expr.parse("(0-v1)^0.5", 1), pt)
 
 
+@pytest.mark.parametrize("source", [
+    "sin(x1*x1)", "cos(x1*x1)", "ln(x1*x1)", "sqrt(x1*x1)", "exp(x1*x1)",
+    "tanh(x1*x1)", "(x1*x1)^2", "(x1*x1)^(0-1)"])
+def test_overflowed_arguments_raise_eval_error(source):
+    # x1*x1 overflows to inf; no function may turn that into a value or
+    # fail with anything but EvalError, on floats or on jets
+    pt = PhasePoint.velocity([1e200], [1.0])
+    e = expr.parse(source, 1)
+    with pytest.raises(EvalError):
+        expr.eval_scalar(e, pt)
+    with pytest.raises(EvalError):
+        expr.eval_jet(e, pt)
+
+
 def test_u_kind_for_surface_parameters():
     e = expr.parse("cos(u1)", 1, kinds=("u",))
     assert e.evaluate({"u1": 0.0}) == 1.0

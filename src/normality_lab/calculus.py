@@ -1,16 +1,16 @@
 """Derivative calculus for extended tensor fields.
 
-Fields live on one of the two evaluation contexts and are stored as
-object arrays of jets, one axis per tensor index. Each axis is marked
-upper ("u") or lower ("l"); new axes from differentiation are appended
-last, so the entry order of a derivative array is [field indices...,
-derivative index].
+A field lives on one of the two evaluation contexts and carries its
+derivative data as jets.Dense: value, gradient and Hessian arrays with
+one leading axis per tensor index. Each axis is marked upper ("u") or
+lower ("l"); new axes from differentiation are appended last, so the
+entry order of a derivative array is [field indices..., derivative
+index].
 
-Derivatives are evaluated densely, in vector forward mode: the field
-and the connection are stacked into value, gradient and Hessian arrays
-(jets.stack), each formula is a few einsum contractions over them, and
-a derivative field is wrapped back into jets only at the boundary.
-Curvature and dynamic curvature come back as plain float arrays.
+Derivatives are evaluated densely, in vector forward mode: each formula
+is a few einsum contractions of the field with the context's stacked
+connection, and its result is dense data again. Curvature and dynamic
+curvature come back as plain float arrays.
 
 The fiber derivative lowers an index in the velocity representation
 and raises one in the momentum representation. The horizontal
@@ -18,11 +18,10 @@ derivative is covariant: a base-coordinate derivative, a fiber
 correction built from the connection, and one connection term per
 tensor index; the product rule gives its gradient.
 
-Every derivative peels one order off, and the order of a field is the
-lowest over its entries. A horizontal derivative has order min(field
-order - 1, connection order), so applying it twice yields order zero:
-fine for value-level use, while any further derivative raises
-MissingJets.
+Every derivative peels one order off, and a field has one order for
+all its entries. A horizontal derivative has order min(field order -
+1, connection order), so applying it twice yields order zero: fine for
+value-level use, while any further derivative raises MissingJets.
 """
 
 from dataclasses import dataclass
@@ -43,31 +42,29 @@ def _is_momentum(ctx) -> bool:
 
 
 class FieldValue:
-    """Tensor field evaluated at one context."""
+    """Tensor field evaluated at one context. `data` is its jets.Dense;
+    a jet, a number or an object array of them is stacked once here."""
 
     __slots__ = ("ctx", "data", "variance")
 
     def __init__(self, ctx, data, variance=()):
         self.ctx = ctx
         self.variance = tuple(variance)
-        arr = np.empty((ctx.n,) * len(self.variance), dtype=object)
-        if self.variance:
-            src = np.asarray(data, dtype=object)
-            if src.shape != arr.shape:
-                raise DimensionError(
-                    f"field data shape {src.shape} does not match rank "
-                    f"{len(self.variance)} at n={ctx.n}")
-            arr[...] = src
-        else:
-            arr[()] = data
-        self.data = arr
+        if not isinstance(data, jets.Dense):
+            data = jets.stack(data, ctx.m)
+        shape = (ctx.n,) * len(self.variance)
+        if data.val.shape != shape:
+            raise DimensionError(
+                f"field data shape {data.val.shape} does not match rank "
+                f"{len(self.variance)} at n={ctx.n}")
+        self.data = data
 
     @property
     def rank(self) -> int:
         return len(self.variance)
 
     def values(self) -> np.ndarray:
-        return jets.values(self.data)
+        return self.data.val
 
     def _compatible(self, other):
         return self.ctx is other.ctx and self.variance == other.variance
@@ -91,36 +88,21 @@ def field_of(ctx, components, variance=(), evaluate=None):
     native to the context's representation; pass e.g.
     ctx.eval_velocity_native to compose through the fiber map instead."""
     evaluate = evaluate or ctx.eval_native
-    rank = len(variance)
-    if rank == 0:
-        return FieldValue(ctx, evaluate(components), ())
-    data = np.empty((ctx.n,) * rank, dtype=object)
-    for idx in np.ndindex(data.shape):
-        comp = components
-        for t in idx:
-            comp = comp[t]
-        data[idx] = evaluate(comp)
-    return FieldValue(ctx, data, variance)
+    return FieldValue(ctx, evaluate(components), variance)
 
 
 def tensor_product(a: FieldValue, b: FieldValue) -> FieldValue:
     if a.ctx is not b.ctx:
         raise DimensionError("tensor product needs fields on a single context")
-    return FieldValue(a.ctx, np.multiply.outer(a.data, b.data),
+    sa, sb = "abcdefgh"[:a.rank], "ijklmnop"[:b.rank]
+    return FieldValue(a.ctx, jets.einsum(f"{sa},{sb}->{sa}{sb}", a.data, b.data),
                       a.variance + b.variance)
-
-
-def _stacked(field: FieldValue):
-    order, val, grad, hess = jets.stack(field.data, field.ctx.m)
-    if order == 0:
-        raise MissingJets("field carries no derivative data")
-    return order, val, grad, hess
 
 
 def _connection(ctx):
     """Stacked connection of the context's representation and the fiber
     coordinates it is contracted with: (G, dG, fiber)."""
-    order, G, dG, _ = ctx.connection_dense
+    order, G, dG, _ = ctx.gamma_p if _is_momentum(ctx) else ctx.gamma
     if order == 0:
         raise MissingJets("connection carries no derivative data")
     return G, dG, (ctx.p if _is_momentum(ctx) else ctx.v)
@@ -130,11 +112,8 @@ def vertical_derivative(field: FieldValue) -> FieldValue:
     """Fiber derivative. Appends an upper index in the momentum
     representation and a lower index in the velocity representation."""
     ctx = field.ctx
-    n = ctx.n
-    _, _, grad, hess = _stacked(field)
-    second = None if hess is None else hess[..., n:, :]
     mark = UPPER if _is_momentum(ctx) else LOWER
-    return FieldValue(ctx, jets.from_dense(grad[..., n:], second),
+    return FieldValue(ctx, jets.derivative(field.data, slice(ctx.n, None)),
                       field.variance + (mark,))
 
 
@@ -152,7 +131,9 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
     is second order."""
     ctx = field.ctx
     n = ctx.n
-    _, X, dX, ddX = _stacked(field)
+    if field.data.order == 0:
+        raise MissingJets("field carries no derivative data")
+    _, X, dX, ddX = field.data
     G, dG, fiber = _connection(ctx)
     # fiber correction N[b, m], the coefficient of dX/dfiber_b in D_m X,
     # and its gradient dN[b, m, z]
@@ -179,7 +160,8 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
         if grad is not None:
             grad += sign * (np.einsum(f"{conn}z,{src}->{slots}mz", dG, X)
                             + np.einsum(f"{conn},{src}z->{slots}mz", G, dX))
-    return FieldValue(ctx, jets.from_dense(val, grad), field.variance + (LOWER,))
+    return FieldValue(ctx, jets.Dense(0 if grad is None else 1, val, grad),
+                      field.variance + (LOWER,))
 
 
 def dynamic_curvature(ctx) -> np.ndarray:
@@ -240,7 +222,7 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
 
 
 def _fiber_map_field(vctx) -> FieldValue:
-    return FieldValue(vctx, np.array(vctx.L, dtype=object), (LOWER,))
+    return FieldValue(vctx, vctx.L_dense, (LOWER,))
 
 
 def dynamic_curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
@@ -305,7 +287,7 @@ def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
     natively versus through the fiber map,
     D_m X = D_m(X o map) + sum_q D_m V^q d(X o map)/dv^q."""
     vctx, pctx = _paired_contexts(sysdef, pt)
-    v_field = FieldValue(pctx, np.array(pctx.V, dtype=object), (UPPER,))
+    v_field = FieldValue(pctx, pctx.V, (UPPER,))
     return _horizontal_transport(pctx, vctx, vctx.eval_momentum_native,
                                  v_field, components, variance)
 

@@ -51,10 +51,6 @@ class MissingGaugeTensor(NormalityLabError):
     """Operation requires a gauge tensor the system does not define."""
 
 
-class AsymmetricGauge(NormalityLabError):
-    """Gauge tensor is not symmetric in its lower index pair."""
-
-
 class DegenerateSurface(NormalityLabError):
     """Hypersurface tangent vectors do not span an (n-1)-dimensional
     space at the given parameter value."""
@@ -71,3 +67,7 @@ class SystemFileError(NormalityLabError):
 class ValidationError(NormalityLabError):
     """System definition violates a structural requirement (wrong
     component count, asymmetric connection, inconsistent inverse, ...)."""
+
+
+class AsymmetricGauge(ValidationError):
+    """Gauge tensor is not symmetric in its lower index pair."""

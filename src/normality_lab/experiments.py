@@ -29,7 +29,8 @@ from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
 from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
 from .phase import Rep
 from .system import (ConstFunc, SystemDef, SumFunc, VContext, _as_jet,
-                     _component_array, _phase_flow, zero_connection)
+                     _check_symmetric, _component_array, _phase_flow,
+                     zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
 
@@ -54,20 +55,8 @@ def _gauge_tensor(sysdef, gauge):
         raise MissingGaugeTensor(
             "system carries no gauge tensor and none was supplied")
     tensor = _component_array(tensor, sysdef.n, "gauge")
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        env = {}
-        for i in range(sysdef.n):
-            env[f"x{i + 1}"] = rng.uniform(-1.0, 1.0)
-            env[f"v{i + 1}"] = rng.uniform(-1.0, 1.0)
-        for k in range(sysdef.n):
-            for i in range(sysdef.n):
-                for j in range(i + 1, sysdef.n):
-                    a = float(tensor[k, i, j].evaluate(env))
-                    b = float(tensor[k, j, i].evaluate(env))
-                    if abs(a - b) > 1e-10 * max(1.0, abs(a), abs(b)):
-                        raise AsymmetricGauge(
-                            f"gauge tensor is asymmetric at [{k}][{i}][{j}]")
+    _check_symmetric(tensor, "gauge tensor", AsymmetricGauge,
+                     np.random.default_rng(11), samples=6)
     return tensor
 
 
@@ -129,8 +118,8 @@ def _point_deviations(sysdef, gauged, tensor, pt):
     vb2 = velocity_bundle(ctx2)
     v = np.asarray(pt.fiber, dtype=float)
 
-    Lv = np.array([j.value for j in ctx.L])
-    Lv2 = np.array([j.value for j in ctx2.L])
+    Lv = ctx.L_dense.val
+    Lv2 = ctx2.L_dense.val
     W, P, A, B, alpha = vb.W, vb.P, vb.A, vb.B, vb.alpha
 
     out = {

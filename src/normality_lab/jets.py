@@ -5,8 +5,7 @@ optionally a symmetric Hessian. With the Hessian present the jet is
 second order; with hess=None it is first order; with grad=None as well
 it is order zero, a bare value whose derivatives are unknown. Binary
 operations demote to the lowest order of their operands, so derivative
-data can never be read past the order at which it is actually valid
-(`derivative` peels one order off and raises MissingJets below zero).
+data can never be read past the order at which it is actually valid.
 Plain floats are exact constants and do not demote anything.
 
 A first-order jet may also be array-valued: a value of shape (N,) and a
@@ -15,8 +14,16 @@ forward mode over a trailing node axis). Float arrays of shape (N,) are
 then the constants, every domain check covers all N entries, and a
 failing entry is named in the EvalError. Array values never reach the
 scalar branches: those keep using math.* on plain floats.
-`stack` turns an object array of jets into dense value, gradient and
-Hessian arrays under the same rules, and `from_dense` turns them back.
+
+Jets are what the expression evaluator computes. Everything above it
+carries derivative data as Dense: one value, gradient and Hessian array
+for a whole array of quantities, with one order for all of them.
+`stack` turns evaluated jets into Dense once, under the same order
+rules; `einsum` contracts Dense data by the product rule, `derivative`
+slices one order off (and raises MissingJets below order zero),
+`compose` applies the chain rule through a point map, and
+`invert_matrix` inverts a matrix with its first derivatives. There is
+no way back from Dense to jets.
 
 The Dual class at the bottom is a one-direction dual number whose
 components live in the jet ring. Evaluating a scalar expression over
@@ -27,6 +34,7 @@ jets without a third-order kernel.
 
 import math
 import sys
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -215,94 +223,41 @@ def value_of(u) -> float:
     return float(u)
 
 
-def derivative(u, i: int):
-    """Peel the i-th first derivative off a jet, one order lower.
+class Dense(NamedTuple):
+    """Derivative data of an array of quantities over m variables:
+    val[S], grad[S, m] and hess[S, m, m] for an array of shape S. The
+    order says which of them are valid: grad is None at order zero and
+    hess is None below order two. Sums take the lower order."""
 
-    Second order -> first order -> order zero; below that (and for
-    plain numbers) the data does not exist and MissingJets is raised.
-    """
-    if not isinstance(u, Jet) or u.grad is None:
-        raise MissingJets("value carries no derivative data")
-    if u.hess is not None:
-        return Jet(u.grad[i], u.hess[i].copy(), None)
-    return Jet(u.grad[i], None, None)
+    order: int
+    val: np.ndarray
+    grad: Optional[np.ndarray] = None
+    hess: Optional[np.ndarray] = None
 
+    def __add__(self, other):
+        order = min(self.order, other.order)
+        return Dense(order, *(a + b for a, b in zip(self[1:order + 2],
+                                                    other[1:order + 2])))
 
-def compose(h, transform):
-    """Chain rule: push a jet over inner variables through a point map.
+    def __neg__(self):
+        return Dense(self.order, *(None if a is None else -a for a in self[1:]))
 
-    `transform` lists one jet per inner variable, each over the outer
-    variables. The result keeps the Hessian only when both h and every
-    transform component carry one.
-    """
-    if isinstance(h, _NUMBER):
-        return float(h)
-    if h.grad is None or any(t.grad is None for t in transform):
-        return Jet(h.value, None, None)
-    J = np.stack([t.grad for t in transform])  # (m_inner, m_outer)
-    grad = J.T @ h.grad
-    hess = None
-    if h.hess is not None and all(t.hess is not None for t in transform):
-        hess = J.T @ h.hess @ J
-        for a, t in enumerate(transform):
-            ga = h.grad[a]
-            if ga != 0.0:
-                hess = hess + ga * t.hess
-    return Jet(h.value, grad, hess)
+    def __sub__(self, other):
+        return self + -other
+
+    def truncated(self, order: int):
+        """The same data without the derivatives above order, for a
+        caller that will not read them."""
+        order = min(order, self.order)
+        return Dense(order, *self[1:order + 2])
 
 
-def invert_matrix(A):
-    """Invert a square matrix with jet-valued entries (Gauss-Jordan,
-    partial pivoting on the value part). Raises SingularMetric when a
-    pivot vanishes."""
-    A = np.asarray(A, dtype=object)
-    n = A.shape[0]
-    work = [[A[i][j] for j in range(n)] for i in range(n)]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(value_of(work[r][col])))
-        if abs(value_of(work[pivot_row][col])) < 1e-300:
-            raise SingularMetric("zero pivot while inverting metric")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        piv = work[col][col]
-        for j in range(n):
-            work[col][j] = work[col][j] / piv
-            inv[col][j] = inv[col][j] / piv
-        for r in range(n):
-            if r == col:
-                continue
-            f = work[r][col]
-            if isinstance(f, _NUMBER) and f == 0.0:
-                continue
-            for j in range(n):
-                work[r][j] = work[r][j] - f * work[col][j]
-                inv[r][j] = inv[r][j] - f * inv[col][j]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = inv[i][j]
-    return out
-
-
-def values(arr) -> np.ndarray:
-    """Value parts of an object array of jets/floats."""
+def stack(arr, m: int) -> Dense:
+    """Dense data of a jet, a number or an object array of them, over m
+    variables. The order is the lowest over the entries; numbers are
+    exact constants and count as second order with zero derivatives."""
     arr = np.asarray(arr, dtype=object)
-    out = np.empty(arr.shape, dtype=float)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = value_of(arr[idx])
-    return out
-
-
-def stack(arr, m: int):
-    """Dense data of an object array of jets over m variables:
-    (order, val[S], grad[S, m] or None, hess[S, m, m] or None).
-
-    The order is the lowest over the entries; plain floats are exact
-    constants and count as second order with zero derivatives."""
-    entries = np.asarray(arr, dtype=object).ravel()
-    shape = np.shape(arr)
+    entries, shape = arr.ravel(), arr.shape
     order = min((u.order for u in entries if isinstance(u, Jet)), default=2)
     val = np.array([value_of(u) for u in entries]).reshape(shape)
     grad = hess = None
@@ -314,18 +269,95 @@ def stack(arr, m: int):
         zero = np.zeros((m, m))
         hess = np.array([u.hess if isinstance(u, Jet) else zero
                          for u in entries]).reshape(shape + (m, m))
-    return order, val, grad, hess
+    return Dense(order, val, grad, hess)
 
 
-def from_dense(val, grad=None, hess=None) -> np.ndarray:
-    """Object array of jets from dense data; the inverse of stack.
-    A missing gradient gives order-zero jets."""
-    out = np.empty(val.shape, dtype=object)
-    for idx in np.ndindex(val.shape):
-        out[idx] = Jet(val[idx],
-                       None if grad is None else grad[idx],
-                       None if grad is None or hess is None else hess[idx])
-    return out
+def derivative(u: Dense, i) -> Dense:
+    """Peel the first derivatives along i (an index or a slice) off
+    dense data, one order lower; a slice appends its derivative axis to
+    the array's own axes. Second order -> first order -> order zero;
+    below that the data does not exist and MissingJets is raised."""
+    if u.order == 0:
+        raise MissingJets("value carries no derivative data")
+    return Dense(u.order - 1, u.grad[..., i],
+                 None if u.hess is None else u.hess[..., i, :])
+
+
+def einsum(spec: str, *operands) -> Dense:
+    """np.einsum over dense data and float arrays, with derivatives by
+    the product rule. Float arrays are exact constants; the result has
+    the lowest order of the dense operands. spec is explicit ("...->...")
+    and uses lower-case index letters."""
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    vals = [a.val if isinstance(a, Dense) else a for a in operands]
+    dense = [k for k, a in enumerate(operands) if isinstance(a, Dense)]
+    order = min(operands[k].order for k in dense)
+    val = np.einsum(spec, *vals)
+    if order == 0:
+        return Dense(0, val)
+
+    def contract(swaps, letters):
+        # operand k replaced by a derivative array with extra axes
+        ops, s = list(vals), list(subs)
+        for k, (arr, extra) in swaps.items():
+            ops[k] = arr
+            s[k] += extra
+        return np.einsum(f"{','.join(s)}->{output}{letters}", *ops)
+
+    grad = sum(contract({k: (operands[k].grad, "Y")}, "Y") for k in dense)
+    if order == 1:
+        return Dense(1, val, grad)
+    hess = sum(contract({k: (operands[k].hess, "YZ")}, "YZ") for k in dense)
+    for a, k in enumerate(dense):
+        for l in dense[a + 1:]:
+            cross = contract({k: (operands[k].grad, "Y"),
+                              l: (operands[l].grad, "Z")}, "YZ")
+            hess = hess + cross + np.swapaxes(cross, -1, -2)
+    return Dense(2, val, grad, hess)
+
+
+def compose(h, transform):
+    """Chain rule: push derivative data over inner variables through a
+    point map.
+
+    `transform` is the map as dense data of shape (m_inner,) over the
+    outer variables, with Jacobian J and second derivatives T. h is a
+    number, a jet or dense data over the inner variables, and the result
+    is of the same kind, of the lower of the two orders:
+    grad = J^T g and hess = J^T H J + sum_a g_a T_a, batched over the
+    entries of dense h."""
+    if isinstance(h, _NUMBER):
+        return float(h)
+    if isinstance(h, Jet):
+        out = compose(Dense(h.order, np.asarray(h.value), h.grad, h.hess),
+                      transform)
+        return Jet(float(out.val), out.grad, out.hess)
+    order = min(h.order, transform.order)
+    _, _, J, T = transform
+    if order == 0:
+        return Dense(0, h.val)
+    grad = h.grad @ J
+    if order == 1:
+        return Dense(1, h.val, grad)
+    return Dense(2, h.val, grad, J.T @ h.hess @ J + np.tensordot(h.grad, T, axes=1))
+
+
+def invert_matrix(A):
+    """Inverse of a square matrix given as dense data, with its first
+    derivatives d(A^-1) = -A^-1 dA A^-1; first order at most, since no
+    caller needs more. Raises SingularMetric when the value part cannot
+    be inverted."""
+    order, val, grad, _ = A
+    try:
+        inv = np.linalg.inv(val)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric("singular matrix while inverting metric") from exc
+    if not np.all(np.isfinite(inv)):
+        raise SingularMetric("non-finite inverse of the metric")
+    if order == 0:
+        return Dense(0, inv)
+    return Dense(1, inv, -np.einsum("ij,jkz,kl->ilz", inv, grad, inv))
 
 
 # elementary functions, dispatching on float / float array / Jet / Dual.

@@ -106,64 +106,45 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
         raise DimensionError("normality fields need n >= 2")
     v = ctx.v
     gi = ctx.g_inv_values
-    g_jets = ctx.g_jets
-    Lv = np.array([j.value for j in ctx.L])
+    L = ctx.L_dense
+    Lv = L.val
+    fiber = jets.stack(ctx.seeds[n:], ctx.m)
 
-    # dual vector of the fiber map, kept as jets for its derivatives
-    Lup = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = ctx.L[0] * ctx.g_inv_jets[0, i]
-        for q in range(1, n):
-            acc = acc + ctx.L[q] * ctx.g_inv_jets[q, i]
-        Lup[i] = acc
-    W = jets.values(Lup)
+    # dual vector of the fiber map, kept dense for its derivatives
+    Lup_d = jets.einsum("q,qi->i", L, ctx.g_inv_jets)
+    W = Lup_d.val
 
     Om = _guard_omega(float(Lv @ W), float(Lv @ Lv),
                       f"x={ctx.x.tolist()}, v={v.tolist()}")
     P = np.eye(n) - np.outer(W, Lv) / Om
 
-    # force vector with its connection completion, then lowered
-    Fup = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = ctx.phi[i]
-        for j in range(n):
-            for k in range(n):
-                acc = acc + ctx.gamma[i, j, k] * ctx.seeds[n + j] * ctx.seeds[n + k]
-        Fup[i] = acc
-    Flow_jets = np.empty(n, dtype=object)
-    for q in range(n):
-        acc = g_jets[q, 0] * Fup[0]
-        for i in range(1, n):
-            acc = acc + g_jets[q, i] * Fup[i]
-        Flow_jets[q] = acc
-    Fup_v = jets.values(Fup)
-    Flow = jets.values(Flow_jets)
+    # force vector with its connection completion, then lowered; the
+    # lowered vector is first order (g is), so Fup needs no more
+    Fup_d = (ctx.phi.truncated(1)
+             + jets.einsum("ijk,j,k->i", ctx.gamma.truncated(1), fiber, fiber))
+    Flow_d = jets.einsum("qi,i->q", ctx.g_jets, Fup_d)
+    Fup_v = Fup_d.val
+    Flow = Flow_d.val
 
     # covariant derivative ladders; entry [i, m] reads as the
     # m-derivative of component i, extra axes append to the right
-    L_field = FieldValue(ctx, np.array(ctx.L, dtype=object), (LOWER,))
-    gradL_field = horizontal_derivative(L_field)
-    gradL = gradL_field.values()
+    gradL_field = horizontal_derivative(FieldValue(ctx, L, (LOWER,)))
+    gradL_d = gradL_field.data
+    gradL = gradL_d.val
     gradgradL = horizontal_derivative(gradL_field).values()
-    gradLup = horizontal_derivative(FieldValue(ctx, Lup, (UPPER,))).values()
-    gradF = horizontal_derivative(FieldValue(ctx, Flow_jets, (LOWER,))).values()
+    gradLup = horizontal_derivative(FieldValue(ctx, Lup_d, (UPPER,))).values()
+    gradF = horizontal_derivative(FieldValue(ctx, Flow_d, (LOWER,))).values()
 
-    U_jets = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = Flow_jets[i]
-        for q in range(n):
-            acc = acc + ctx.seeds[n + q] * gradL_field.data[i, q]
-            acc = acc - Lup[q] * gradL_field.data[q, i]
-        U_jets[i] = acc
-    U = jets.values(U_jets)
-    gradU = horizontal_derivative(FieldValue(ctx, U_jets, (LOWER,))).values()
+    U_d = (Flow_d + jets.einsum("q,iq->i", fiber, gradL_d)
+           - jets.einsum("q,qi->i", Lup_d, gradL_d))
+    U = U_d.val
+    gradU = horizontal_derivative(FieldValue(ctx, U_d, (LOWER,))).values()
 
     # plain fiber derivatives of the first-order pieces
-    tLup = np.array([[Lup[k].grad[n + q] for k in range(n)] for q in range(n)])
-    tU = np.array([[U_jets[k].grad[n + q] for k in range(n)] for q in range(n)])
-    tF = np.array([[Flow_jets[r].grad[n + s] for r in range(n)] for s in range(n)])
-    tgg = np.array([[[gradL_field.data[r, s].grad[n + q] for q in range(n)]
-                     for s in range(n)] for r in range(n)])
+    tLup = Lup_d.grad[:, n:].T
+    tU = U_d.grad[:, n:].T
+    tF = Flow_d.grad[:, n:].T
+    tgg = gradL_d.grad[..., n:]
 
     Dv = dynamic_curvature(ctx)
     Rv = curvature(ctx)
@@ -229,45 +210,32 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
     if n < 2:
         raise DimensionError("normality fields need n >= 2")
     p = ctx.p
-    Vv = np.array([j.value for j in ctx.V])
-    Qv = np.array([j.value for j in ctx.Q])
+    V = ctx.V
+    Vv = V.val
+    Qv = ctx.Q.val
+    fiber = jets.stack(ctx.seeds[n:], ctx.m)
 
-    W_jets = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = ctx.seeds[n] * ctx.dfiber(ctx.V[0], i)
-        for s in range(1, n):
-            acc = acc + ctx.seeds[n + s] * ctx.dfiber(ctx.V[s], i)
-        W_jets[i] = acc
-    W = jets.values(W_jets)
+    W_d = jets.einsum("s,si->i", fiber, jets.derivative(V, slice(n, None)))
+    W = W_d.val
 
-    om = 0.0
-    for s in range(n):
-        om += p[s] * W[s]
-    Om = _guard_omega(float(om), float(p @ p),
+    Om = _guard_omega(float(p @ W), float(p @ p),
                       f"x={ctx.x.tolist()}, p={p.tolist()}")
     P = np.eye(n) - np.outer(W, p) / Om
 
-    V_field = FieldValue(ctx, np.array(ctx.V, dtype=object), (UPPER,))
-    gradV_field = horizontal_derivative(V_field)
+    gradV_field = horizontal_derivative(FieldValue(ctx, V, (UPPER,)))
     gradV = gradV_field.values()
 
-    U_jets = np.empty(n, dtype=object)
-    for i in range(n):
-        acc = ctx.Q[i]
-        for s in range(n):
-            acc = acc + gradV_field.data[s, i] * ctx.seeds[n + s]
-        U_jets[i] = acc
-    U = jets.values(U_jets)
+    U_d = ctx.Q + jets.einsum("si,s->i", gradV_field.data, fiber)
+    U = U_d.val
 
-    gradW = horizontal_derivative(FieldValue(ctx, W_jets, (UPPER,))).values()
-    gradQ = horizontal_derivative(
-        FieldValue(ctx, np.array(ctx.Q, dtype=object), (LOWER,))).values()
-    gradU = horizontal_derivative(FieldValue(ctx, U_jets, (LOWER,))).values()
+    gradW = horizontal_derivative(FieldValue(ctx, W_d, (UPPER,))).values()
+    gradQ = horizontal_derivative(FieldValue(ctx, ctx.Q, (LOWER,))).values()
+    gradU = horizontal_derivative(FieldValue(ctx, U_d, (LOWER,))).values()
 
-    tV = np.array([[ctx.V[r].grad[n + k] for r in range(n)] for k in range(n)])
-    tW = np.array([[W_jets[s].grad[n + r] for s in range(n)] for r in range(n)])
-    tQ = np.array([[ctx.Q[r].grad[n + k] for r in range(n)] for k in range(n)])
-    tU = np.array([[U_jets[k].grad[n + r] for k in range(n)] for r in range(n)])
+    tV = V.grad[:, n:].T
+    tW = W_d.grad[:, n:].T
+    tQ = ctx.Q.grad[:, n:].T
+    tU = U_d.grad[:, n:].T
 
     Dp = dynamic_curvature(ctx)
     Rp = curvature(ctx)

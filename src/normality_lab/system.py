@@ -6,10 +6,11 @@ connection Gamma^k_ij(x, v), and optionally the inverse map components
 V^i(x, p) in closed form plus a gauge tensor T^k_ij(x, v).
 
 Two evaluation contexts do the real work. VContext seeds second-order
-jets at a velocity point. PContext inverts the fiber map at a momentum
-point (closed form when given, Newton plus implicit differentiation
-otherwise), keeps an inner VContext at the preimage, and pushes any
-velocity-native jet through the inverse map by the chain rule.
+jets at a velocity point and stacks what it evaluates into dense data
+(jets.Dense). PContext inverts the fiber map at a momentum point
+(closed form when given, Newton plus implicit differentiation
+otherwise), keeps an inner VContext at the preimage, and pushes its
+dense data through the inverse map by the chain rule.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, jets
-from .errors import (MixedRepresentationError, NonConvergence, SingularMetric,
-                     ValidationError)
+from .errors import (EvalError, MixedRepresentationError, NonConvergence,
+                     SingularMetric, ValidationError)
 from .phase import PhasePoint, Rep
 
 COND_LIMIT = 1e12
@@ -211,8 +212,54 @@ def _values(funcs, env, nodes=()):
     return out
 
 
+def _component_name(what, idx):
+    """A component's name as system files write it (L1, Gamma_1_12),
+    or, with what=None, its index in an evaluated field."""
+    if what is None:
+        return f"field component {[int(i) for i in idx]}"
+    digits = [str(i + 1) for i in idx]
+    if len(digits) == 3:
+        return f"{what}_{digits[0]}_{digits[1]}{digits[2]}"
+    return what + "".join(digits)
+
+
+def _evaluate(components, env):
+    """Object array of the jets (or constants) of components, one or
+    nested sequences of them. numpy warnings are silenced: overflow is
+    caught by _checked on the stacked result."""
+    funcs = np.asarray(components, dtype=object)
+    out = np.empty(funcs.shape, dtype=object)
+    with np.errstate(all="ignore"):
+        for k, f in enumerate(funcs.flat):
+            out.flat[k] = f.evaluate(env)
+    return out
+
+
+def _checked(dense, what, **point):
+    """Return dense if its values and derivatives are all finite, else
+    raise EvalError naming the first bad component and the point."""
+    ok = np.isfinite(dense.val)
+    if dense.grad is not None:
+        ok = ok & np.isfinite(dense.grad).all(axis=-1)
+    if dense.hess is not None:
+        ok = ok & np.isfinite(dense.hess).all(axis=(-2, -1))
+    if not ok.all():
+        idx = np.unravel_index(np.argmin(ok), ok.shape)
+        raise EvalError(f"non-finite value or derivatives of "
+                        f"{_component_name(what, idx)} at {_at(None, **point)}")
+    return dense
+
+
+def _dense(components, env, m, what, **point):
+    """Checked dense data over m variables of components evaluated in
+    env; `what` and `point` name a failing component."""
+    return _checked(jets.stack(_evaluate(components, env), m), what, **point)
+
+
 class VContext:
-    """Jet data for one system at one velocity point."""
+    """Derivative data for one system at one velocity point, as dense
+    data over (x, v). The fiber map is also kept as the evaluator's
+    jets, because it binds p in eval_momentum_native."""
 
     def __init__(self, sysdef: SystemDef, x, v):
         self.sys = sysdef
@@ -227,46 +274,42 @@ class VContext:
     def point(self) -> PhasePoint:
         return PhasePoint.velocity(self.x, self.v)
 
-    def dfiber(self, jet, k: int):
-        return jets.derivative(jet, self.n + k)
+    def eval_native(self, components):
+        """Dense data over (x, v) of velocity-native components: one, or
+        nested sequences of them."""
+        return _dense(components, self.env, self.m, None, x=self.x, v=self.v)
 
-    def eval_native(self, func):
-        """Jet of a velocity-native component over (x, v)."""
-        return _as_jet(func.evaluate(self.env), self.m)
-
-    def eval_momentum_native(self, func):
-        """Jet of (momentum-native func) composed with the fiber map,
-        i.e. func(x, L(x, v)), over (x, v)."""
+    def eval_momentum_native(self, components):
+        """Dense data over (x, v) of momentum-native components composed
+        with the fiber map, i.e. func(x, L(x, v))."""
         env = _env(self.seeds[:self.n], self.L, "p")
-        return _as_jet(func.evaluate(env), self.m)
+        return _dense(components, env, self.m, None, x=self.x, v=self.v)
 
     @cached_property
     def L(self):
-        return tuple(self.eval_native(f) for f in self.sys.legendre)
+        return tuple(_evaluate(self.sys.legendre, self.env))
+
+    @cached_property
+    def L_dense(self):
+        return _checked(jets.stack(self.L, self.m), "L", x=self.x, v=self.v)
 
     @cached_property
     def phi(self):
-        return tuple(self.eval_native(f) for f in self.sys.force)
+        return _dense(self.sys.force, self.env, self.m, "Phi", x=self.x, v=self.v)
 
     @cached_property
     def gamma(self):
-        n = self.n
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = self.eval_native(self.sys.connection[k, i, j])
-        return out
+        return _dense(self.sys.connection, self.env, self.m, "Gamma",
+                      x=self.x, v=self.v)
 
     @cached_property
-    def connection_dense(self):
-        """The connection as dense data (order, val, grad, hess)."""
-        return jets.stack(self.gamma, self.m)
+    def g_jets(self):
+        """The fiber Jacobian g[q, k] = dL_q/dv^k, first order."""
+        return jets.derivative(self.L_dense, slice(self.n, None))
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        n = self.n
-        return np.array([[self.L[q].grad[n + k] for k in range(n)] for q in range(n)])
+        return self.g_jets.val
 
     @cached_property
     def g_inv_values(self) -> np.ndarray:
@@ -275,15 +318,6 @@ class VContext:
             raise SingularMetric(
                 f"fiber Jacobian is singular at x={self.x.tolist()}, v={self.v.tolist()}")
         return np.linalg.inv(g)
-
-    @cached_property
-    def g_jets(self):
-        n = self.n
-        out = np.empty((n, n), dtype=object)
-        for q in range(n):
-            for k in range(n):
-                out[q, k] = self.dfiber(self.L[q], k)
-        return out
 
     @cached_property
     def g_inv_jets(self):
@@ -375,11 +409,12 @@ def _newton_solve(sysdef: SystemDef, x, p, guess=None):
 
 
 class PContext:
-    """Jet data at a momentum point, built on the inverse fiber map.
+    """Derivative data at a momentum point, built on the inverse fiber
+    map.
 
-    V holds second-order jets of the inverse components over (x, p).
-    Any velocity-native jet from the inner context is transported here
-    with compose(), which applies the chain rule through the map
+    V is the dense data of the inverse components over (x, p). The
+    inner VContext sits at the preimage, and its dense data is pushed
+    here by jets.compose through `transform`, the map
     (x, p) -> (x, V(x, p))."""
 
     def __init__(self, sysdef: SystemDef, x, p):
@@ -389,17 +424,17 @@ class PContext:
         self.p = np.asarray(p, dtype=float)
         self.m = 2 * n
         self.seeds = jets.seeds(list(self.x) + list(self.p), order=2)
+        self.env = _env(self.seeds[:n], self.seeds[n:], "p")
 
         if sysdef.v_inverse is not None:
-            env = _env(self.seeds[:n], self.seeds[n:], "p")
-            self.V = tuple(_as_jet(f.evaluate(env), self.m) for f in sysdef.v_inverse)
-            v_star = np.array([j.value for j in self.V])
-            self.inner = VContext(sysdef, self.x, v_star)
+            self.V = _dense(sysdef.v_inverse, self.env, self.m, "V",
+                            x=self.x, p=self.p)
+            self.inner = VContext(sysdef, self.x, self.V.val)
         else:
-            v_star = _newton_solve(sysdef, self.x, p)
+            with np.errstate(all="ignore"):    # Newton checks its own steps
+                v_star = _newton_solve(sysdef, self.x, p)
             self.inner = VContext(sysdef, self.x, v_star)
             self.V = self._implicit_jets()
-        self.transform = list(self.seeds[:n]) + list(self.V)
 
     def _implicit_jets(self):
         # differentiate L(x, V(x,p)) = p twice; second derivatives come
@@ -407,82 +442,61 @@ class PContext:
         n = self.n
         inner = self.inner
         G_inv = inner.g_inv_values
-        dLdx = np.array([[inner.L[q].grad[m] for m in range(n)] for q in range(n)])
-        J_x = -G_inv @ dLdx
+        L = inner.L_dense
         J_full = np.zeros((2 * n, 2 * n))
         J_full[:n, :n] = np.eye(n)
-        J_full[n:, :n] = J_x
+        J_full[n:, :n] = -G_inv @ L.grad[:, :n]
         J_full[n:, n:] = G_inv
-        M = np.stack([J_full.T @ inner.L[q].hess @ J_full for q in range(n)])
-        H = -np.einsum("sq,qab->sab", G_inv, M)
-        return tuple(
-            jets.Jet(inner.v[s], J_full[n + s].copy(), H[s]) for s in range(n))
+        H = -np.einsum("sq,qab->sab", G_inv, J_full.T @ L.hess @ J_full)
+        return jets.Dense(2, inner.v.copy(), J_full[n:], H)
 
     @property
     def point(self) -> PhasePoint:
         return PhasePoint.momentum(self.x, self.p)
 
-    def dfiber(self, jet, k: int):
-        return jets.derivative(jet, self.n + k)
-
-    def compose(self, h):
-        return jets.compose(h, self.transform)
-
-    def eval_native(self, func):
-        """Jet of a momentum-native component over (x, p)."""
-        env = _env(self.seeds[:self.n], self.seeds[self.n:], "p")
-        return _as_jet(func.evaluate(env), self.m)
-
-    def eval_velocity_native(self, func):
-        """Jet over (x, p) of a velocity-native component composed with
-        the inverse fiber map."""
-        return self.compose(self.inner.eval_native(func))
-
     @cached_property
-    def connection_dense(self):
-        """The connection pushed through the inverse map as dense data
-        (order, val, grad, hess), every entry in one batched chain rule:
-        grad = J^T g, hess = J^T H J + sum_a g_a T_a."""
-        order, val, g, h = self.inner.connection_dense
-        t_order, _, J, T = jets.stack(self.transform, self.m)
-        if min(order, t_order) == 0:
-            return 0, val, None, None
-        if h is None or T is None:
-            return 1, val, g @ J, None
-        return 2, val, g @ J, J.T @ h @ J + np.tensordot(g, T, axes=1)
+    def transform(self):
+        n, m = self.n, self.m
+        return jets.Dense(2, np.concatenate([self.x, self.V.val]),
+                          np.concatenate([np.eye(n, m), self.V.grad]),
+                          np.concatenate([np.zeros((n, m, m)), self.V.hess]))
+
+    def eval_native(self, components):
+        """Dense data over (x, p) of momentum-native components."""
+        return _dense(components, self.env, self.m, None, x=self.x, p=self.p)
+
+    def eval_velocity_native(self, components):
+        """Dense data over (x, p) of velocity-native components composed
+        with the inverse fiber map."""
+        return jets.compose(self.inner.eval_native(components), self.transform)
 
     @cached_property
     def gamma_p(self):
-        return jets.from_dense(*self.connection_dense[1:])
+        """The connection pushed through the inverse map."""
+        return jets.compose(self.inner.gamma, self.transform)
 
     @cached_property
     def theta(self):
-        """Force covector of the free system, transported: first-order
-        jets over (x, p)."""
+        """Force covector of the free system, theta_i = dL_i/dx . v +
+        dL_i/dv . Phi at the preimage, transported: first order over
+        (x, p)."""
         n = self.n
         inner = self.inner
-        out = []
-        for i in range(n):
-            acc = None
-            for s in range(n):
-                term = (jets.derivative(inner.L[i], s) * inner.seeds[n + s]
-                        + inner.dfiber(inner.L[i], s) * inner.phi[s])
-                acc = term if acc is None else acc + term
-            out.append(self.compose(acc))
-        return tuple(out)
+        fiber = jets.stack(inner.seeds[n:], inner.m)
+        theta = (jets.einsum("is,s->i", jets.derivative(inner.L_dense, slice(n)),
+                             fiber)
+                 + jets.einsum("is,s->i",
+                               jets.derivative(inner.L_dense, slice(n, None)),
+                               inner.phi))
+        return jets.compose(theta, self.transform)
 
     @cached_property
     def Q(self):
-        """Full force covector: theta minus the connection correction."""
-        n = self.n
-        out = []
-        for i in range(n):
-            acc = self.theta[i]
-            for j in range(n):
-                for k in range(n):
-                    acc = acc - self.gamma_p[k, i, j] * self.V[j] * self.seeds[n + k]
-            out.append(acc)
-        return tuple(out)
+        """Full force covector: theta minus the connection correction,
+        first order like theta."""
+        fiber = jets.stack(self.seeds[self.n:], self.m)
+        return self.theta - jets.einsum("kij,j,k->i", self.gamma_p.truncated(1),
+                                        self.V, fiber)
 
 
 @dataclass(frozen=True)
@@ -519,9 +533,7 @@ def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
         raise MixedRepresentationError("inverse map expects a momentum point")
     ctx = PContext(sysdef, pt.x, pt.fiber)
     n = sysdef.n
-    dv_dp = np.array([[ctx.V[s].grad[n + k] for k in range(n)] for s in range(n)])
-    dv_dx = np.array([[ctx.V[s].grad[m] for m in range(n)] for s in range(n)])
-    return LegendreInverse(ctx.inner.point, dv_dp, dv_dx)
+    return LegendreInverse(ctx.inner.point, ctx.V.grad[:, n:], ctx.V.grad[:, :n])
 
 
 def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
@@ -591,8 +603,7 @@ def force_covector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     """Q_i = theta_i - sum_jk Gamma^k_ij V^j p_k at a momentum point."""
     if pt.rep is not Rep.MOMENTUM:
         raise MixedRepresentationError("force_covector expects a momentum point")
-    ctx = PContext(sysdef, pt.x, pt.fiber)
-    return np.array([q.value for q in ctx.Q])
+    return PContext(sysdef, pt.x, pt.fiber).Q.val
 
 
 def dual_legendre_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
@@ -600,8 +611,7 @@ def dual_legendre_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("dual raising expects a velocity point")
     ctx = VContext(sysdef, pt.x, pt.fiber)
-    Lvals = np.array([j.value for j in ctx.L])
-    return Lvals @ ctx.g_inv_values
+    return ctx.L_dense.val @ ctx.g_inv_values
 
 
 def dual_force_covector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
@@ -612,12 +622,34 @@ def dual_force_covector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     return ctx.g_values @ force_vector(sysdef, pt)
 
 
+def _check_symmetric(tensor, what, error=ValidationError, rng=None,
+                     samples: int = 8):
+    """Raise `error` unless tensor[k][i][j] and tensor[k][j][i] agree
+    within 1e-10 at sampled points of the box x in [-1, 1],
+    v in [0.5, 1.5]."""
+    rng = rng or np.random.default_rng(0)
+    n = tensor.shape[0]
+    for _ in range(samples):
+        x = rng.uniform(-1.0, 1.0, n)
+        v = rng.uniform(0.5, 1.5, n)
+        env = _env(x.tolist(), v.tolist(), "v")
+        vals = _values(tensor.ravel(), env).reshape(tensor.shape)
+        gap = np.abs(vals - vals.transpose(0, 2, 1))
+        if gap.max() > 1e-10:
+            k, i, j = np.unravel_index(np.argmax(gap), gap.shape)
+            raise error(f"{what} is asymmetric in its lower pair at "
+                        f"[{k}][{i}][{j}]: {vals[k, i, j]} vs {vals[k, j, i]}")
+
+
 def validate_system(sysdef: SystemDef, rng=None, samples: int = 8):
     """Numeric spot checks of the structural requirements: the fiber
     map sends zero to zero, the connection (and gauge, if any) is
     symmetric, and a closed-form inverse actually inverts the map."""
     rng = rng or np.random.default_rng(0)
     n = sysdef.n
+    _check_symmetric(sysdef.connection, "connection", rng=rng, samples=samples)
+    if sysdef.gauge is not None:
+        _check_symmetric(sysdef.gauge, "gauge tensor", rng=rng, samples=samples)
     for _ in range(samples):
         x = rng.uniform(-1.0, 1.0, n)
         env = _env(x.tolist(), [0.0] * n, "v")
@@ -625,24 +657,6 @@ def validate_system(sysdef: SystemDef, rng=None, samples: int = 8):
         if np.max(np.abs(at_zero)) > 1e-9:
             raise ValidationError(
                 f"fiber map does not send v=0 to p=0 at x={x.tolist()}: {at_zero}")
-
-        v = rng.uniform(0.5, 1.5, n)
-        env = _env(x.tolist(), v.tolist(), "v")
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a = float(sysdef.connection[k, i, j].evaluate(env))
-                    b = float(sysdef.connection[k, j, i].evaluate(env))
-                    if abs(a - b) > 1e-10:
-                        raise ValidationError(
-                            f"connection is asymmetric in its lower pair at "
-                            f"[{k}][{i}][{j}]: {a} vs {b}")
-                    if sysdef.gauge is not None:
-                        ta = float(sysdef.gauge[k, i, j].evaluate(env))
-                        tb = float(sysdef.gauge[k, j, i].evaluate(env))
-                        if abs(ta - tb) > 1e-10:
-                            raise ValidationError(
-                                f"gauge tensor is asymmetric at [{k}][{i}][{j}]")
 
         if sysdef.v_inverse is not None:
             p = rng.uniform(0.5, 1.5, n)

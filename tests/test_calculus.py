@@ -142,9 +142,9 @@ def test_repeated_horizontal_derivative_demotes_to_order_zero():
     vctx = VContext(sysdef, np.array([0.1, 0.2]), np.array([1.0, 1.1]))
     L_field = FieldValue(vctx, np.array(vctx.L, dtype=object), (LOWER,))
     once = horizontal_derivative(L_field)
-    assert all(j.order == 1 for j in once.data.flat)
+    assert once.data.order == 1
     twice = horizontal_derivative(once)
-    assert all(j.order == 0 for j in twice.data.flat)
+    assert twice.data.order == 0 and twice.data.grad is None
     assert np.all(np.isfinite(twice.values()))
     with pytest.raises(MissingJets):
         vertical_derivative(twice)
@@ -158,7 +158,7 @@ def test_dynamic_curvature_against_finite_differences():
     n = 2
     h = helpers.FD_STEP
 
-    got_v = jets.values(dynamic_curvature(vctx))
+    got_v = dynamic_curvature(vctx)
     for k in range(n):
         for r in range(n):
             for i in range(n):
@@ -171,7 +171,7 @@ def test_dynamic_curvature_against_finite_differences():
     # symmetric in the pair coming from the connection's lower indices
     assert np.allclose(got_v, np.transpose(got_v, (0, 2, 1, 3)), atol=1e-13)
 
-    got_p = jets.values(dynamic_curvature(pctx))
+    got_p = dynamic_curvature(pctx)
     p = pctx.p
     for k in range(n):
         for r in range(n):
@@ -193,13 +193,13 @@ def test_curvature_structure():
     v = np.array([0.8, 1.2])
     vctx, pctx = paired(sysdef, x, v)
     for ctx in (vctx, pctx):
-        R = jets.values(curvature(ctx))
+        R = curvature(ctx)
         assert np.allclose(R, -np.transpose(R, (0, 1, 3, 2)), atol=1e-12)
 
     flat = helpers.sys_identity(2)
     fctx = VContext(flat, x, v)
-    assert np.allclose(jets.values(curvature(fctx)), 0.0)
-    assert np.allclose(jets.values(dynamic_curvature(fctx)), 0.0)
+    assert np.allclose(curvature(fctx), 0.0)
+    assert np.allclose(dynamic_curvature(fctx), 0.0)
 
 
 def test_curvature_velocity_form_against_finite_differences():
@@ -237,7 +237,7 @@ def test_curvature_velocity_form_against_finite_differences():
                             acc -= v[s] * G[m, i, s] * dG[k, j, r, n + m]
                             acc += v[s] * G[m, j, s] * dG[k, i, r, n + m]
                     want[k, r, i, j] = acc
-    got = jets.values(curvature(vctx))
+    got = curvature(vctx)
     assert helpers.rel_err(got, want) < 1e-8
 
 
@@ -413,9 +413,8 @@ def test_horizontal_derivative_gradient_against_finite_differences(
                                 kinds=kinds)
 
     got = horizontal_derivative(field_of(ctx, components, variance))
-    assert all(j.order == 1 for j in got.data.flat)
-    grad = np.array([j.grad for j in got.data.flat]).reshape(
-        got.data.shape + (2 * n,))
+    assert got.data.order == 1
+    grad = got.data.grad
 
     z0 = np.concatenate([ctx.x, ctx.p if fiber_kind == "p" else ctx.v])
     assert helpers.rel_err(

@@ -320,6 +320,27 @@ L1 = "v1 + 0.1*sin(x1*x1)*v1"
     assert report["checks"][0]["error"]["type"] == "EvalError"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_in_jet_arithmetic_is_an_eval_error(tmp_path):
+    # x1^3 overflows in the jets of L1, and 0*inf turns its derivatives
+    # into nan; this once printed numpy warnings and ended as a
+    # SingularMetric record
+    path = write_system(tmp_path, """
+[system]
+n = 2
+
+[legendre]
+L1 = "v1 + x1*x1*x1*v1"
+L2 = "v2"
+""")
+    report, status = run_checks(RunConfig(path, checks=("metric",),
+                                          samples=2, x_box=(1e150, 2e150)))
+    assert status == 1
+    error = report["checks"][0]["error"]
+    assert error["type"] == "EvalError"
+    assert "of L1 at x=" in error["message"]
+
+
 def test_module_entry_point_runs_the_shift_check():
     root = Path(__file__).parent.parent
     env = dict(os.environ)

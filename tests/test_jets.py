@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from normality_lab import expr, jets
-from normality_lab.errors import EvalError, MissingJets
+from normality_lab.errors import EvalError, MissingJets, SingularMetric
 from normality_lab.phase import PhasePoint
 
 from helpers import fd_gradient, fd_hessian, random_source, rel_err
@@ -47,24 +47,26 @@ def test_division_and_power_edges():
 
 def test_order_demotion_and_extraction():
     v, w = jets.seeds([1.0, 2.0])
-    d = jets.derivative(v * w * w, 1)      # d/dw (v w^2) = 2 v w, first order
-    assert isinstance(d, jets.Jet)
-    assert d.order == 1
-    assert d.value == 4.0
-    assert np.allclose(d.grad, [4.0, 2.0])  # grad of 2vw
-    dd = jets.derivative(d, 0)
-    assert dd.order == 0 and dd.value == 4.0
+    # d/dw (v w^2) = 2 v w, first order
+    dense = jets.derivative(jets.stack(v * w * w, 2), 1)
+    assert dense.order == 1 and dense.hess is None
+    assert dense.val == 4.0
+    assert np.allclose(dense.grad, [4.0, 2.0])  # grad of 2vw
+    ddense = jets.derivative(dense, 0)
+    assert ddense.order == 0 and ddense.val == 4.0 and ddense.grad is None
     with pytest.raises(MissingJets):
-        jets.derivative(dd, 0)
+        jets.derivative(ddense, 0)
     # mixing a lower-order jet into arithmetic demotes the result, but
     # plain numbers are constants and do not
+    d = jets.Jet(4.0, np.array([4.0, 2.0]))
+    dd = jets.Jet(4.0, None)
     assert (d * v).order == 1
     assert (d + 1.0).order == 1
     assert (dd * v).order == 0
     assert (v * w + dd).order == 0
     assert jets.value_of(dd * v + 3.0) == pytest.approx(7.0)
     with pytest.raises(MissingJets):
-        jets.derivative(dd * v, 0)
+        jets.derivative(jets.stack(dd * v, 2), 0)
 
 
 def test_hessian_exact_symmetry():
@@ -106,14 +108,14 @@ def test_compose_equals_direct_substitution():
     t2 = outer[0] + outer[1]                # y2 = x1 + x2
     inner = jets.seeds([a * a, a + b])
     h = jets.sin(inner[0]) * inner[1]       # f(y1,y2) = sin(y1) y2
-    composed = jets.compose(h, [t1, t2])
+    composed = jets.compose(h, jets.stack([t1, t2], 2))
     direct = jets.sin(t1) * t2
     assert composed.value == pytest.approx(direct.value, rel=1e-14)
     assert np.allclose(composed.grad, direct.grad, rtol=1e-13, atol=1e-13)
     assert np.allclose(composed.hess, direct.hess, rtol=1e-13, atol=1e-13)
 
 
-def test_stack_orders_constants_and_round_trip():
+def test_stack_orders_and_constants():
     x = jets.seeds([0.4, -1.2])
     arr = np.array([[x[0] * x[1], 2.5], [jets.sin(x[0]), x[1]]], dtype=object)
     order, val, grad, hess = jets.stack(arr, 2)
@@ -121,18 +123,46 @@ def test_stack_orders_constants_and_round_trip():
     assert grad.shape == (2, 2, 2) and hess.shape == (2, 2, 2, 2)
     # a plain float is an exact constant
     assert val[0, 1] == 2.5 and not grad[0, 1].any() and not hess[0, 1].any()
-    back = jets.from_dense(val, grad, hess)
-    for u, w in zip(arr.flat, back.flat):
-        assert w.order == 2 and w.value == jets.value_of(u)
-    assert np.array_equal(back[0, 0].hess, arr[0, 0].hess)
+    for idx in ((0, 0), (1, 0), (1, 1)):
+        u = arr[idx]
+        assert val[idx] == u.value
+        assert np.array_equal(grad[idx], u.grad)
+        assert np.array_equal(hess[idx], u.hess)
 
     # the lowest order over the entries wins
-    arr[1, 1] = jets.derivative(arr[1, 1], 0)
+    arr[1, 1] = jets.Jet(x[1].value, x[1].grad)
     assert jets.stack(arr, 2)[0] == 1 and jets.stack(arr, 2)[3] is None
-    arr[1, 1] = jets.derivative(arr[1, 1], 0)
+    arr[1, 1] = jets.Jet(x[1].value, None)
     order, val, grad, hess = jets.stack(arr, 2)
     assert order == 0 and grad is None and hess is None
-    assert all(w.order == 0 for w in jets.from_dense(val).flat)
+    assert val[1, 1] == arr[1, 1].value
+
+
+def test_einsum_follows_the_product_rule():
+    # entrywise jet arithmetic is the oracle for the dense contraction
+    x = jets.seeds([0.4, -1.2, 0.7])
+    A = np.array([[x[0] * x[1], jets.sin(x[2])], [x[1], 2.5]], dtype=object)
+    b = np.array([x[2] * x[2], jets.cos(x[0])], dtype=object)
+    C = np.array([[0.3, -1.1], [2.0, 0.5]])
+    got = jets.einsum("ij,j,jk->ik", jets.stack(A, 3), jets.stack(b, 3), C)
+    want = np.empty((2, 2), dtype=object)
+    for i in range(2):
+        for k in range(2):
+            want[i, k] = A[i, 0] * b[0] * C[0, k] + A[i, 1] * b[1] * C[1, k]
+    want = jets.stack(want, 3)
+    assert got.order == 2
+    for a, w in zip(got[1:], want[1:]):
+        assert np.allclose(a, w, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(got.hess, np.swapaxes(got.hess, -1, -2))
+
+    # a first-order operand demotes the result, sums take the lower order
+    first = jets.derivative(jets.stack(b, 3), 0)
+    assert jets.einsum("ij,i->j", jets.stack(A, 3), first).order == 1
+    assert (jets.stack(b, 3) - first).order == 1
+    assert (-jets.derivative(first, 0)).grad is None
+    cut = jets.stack(b, 3).truncated(1)
+    assert cut.order == 1 and cut.hess is None
+    assert jets.einsum("ij,j->i", jets.stack(A, 3), cut).order == 1
 
 
 def test_matrix_inverse_values_and_derivative():
@@ -142,17 +172,21 @@ def test_matrix_inverse_values_and_derivative():
     A[0, 1] = t
     A[1, 0] = 0.5 * t
     A[1, 1] = jets.constant(2.0, 1)
-    Ainv = jets.invert_matrix(A)
+    Ainv = jets.invert_matrix(jets.stack(A, 1))
+    assert Ainv.order == 1 and Ainv.hess is None
 
     def inv_at(tv):
         M = np.array([[1.0 + tv * tv, tv], [0.5 * tv, 2.0]])
         return np.linalg.inv(M)
 
-    assert np.allclose(jets.values(Ainv), inv_at(0.4), rtol=1e-12)
+    assert np.allclose(Ainv.val, inv_at(0.4), rtol=1e-12)
     step = 1e-6
     d_fd = (inv_at(0.4 + step) - inv_at(0.4 - step)) / (2 * step)
-    d_jet = np.array([[Ainv[i, j].grad[0] for j in range(2)] for i in range(2)])
-    assert np.allclose(d_jet, d_fd, atol=1e-8)
+    assert np.allclose(Ainv.grad[..., 0], d_fd, atol=1e-8)
+
+    singular = np.array([[t, 2.0 * t], [2.0 * t, 4.0 * t]], dtype=object)
+    with pytest.raises(SingularMetric):
+        jets.invert_matrix(jets.stack(singular, 1))
 
 
 def test_dual_lift_gives_exact_gradient_jets():

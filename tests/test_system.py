@@ -64,7 +64,7 @@ def test_lagrangian_components_match_hand_gradient():
         for built, expected in zip(sysdef.legendre, by_hand):
             a = ctx.eval_native(built)
             b = ctx.eval_native(expected)
-            assert a.value == pytest.approx(b.value, abs=1e-13)
+            assert a.val == pytest.approx(b.val, abs=1e-13)
             assert np.allclose(a.grad, b.grad, atol=1e-13)
             assert np.allclose(a.hess, b.hess, atol=1e-13)
 
@@ -95,11 +95,11 @@ def test_inverse_jets_match_finite_differences():
     xi0 = np.concatenate([x, p])
     for s in range(2):
         grad_fd = helpers.fd_gradient(lambda z: newton_at(z)[s], xi0)
-        assert helpers.rel_err(grad_fd, ctx.V[s].grad) < 1e-6
+        assert helpers.rel_err(grad_fd, ctx.V.grad[s]) < 1e-6
 
     def grad_at(xi):
         c = PContext(sysdef, xi[:2], xi[2:])
-        return np.stack([c.V[s].grad for s in range(2)])
+        return c.V.grad
 
     h = helpers.FD_STEP
     for mu in range(4):
@@ -107,7 +107,7 @@ def test_inverse_jets_match_finite_differences():
         e[mu] = h
         column = (grad_at(xi0 + e) - grad_at(xi0 - e)) / (2 * h)
         for s in range(2):
-            assert helpers.rel_err(column[s], ctx.V[s].hess[mu]) < 1e-5
+            assert helpers.rel_err(column[s], ctx.V.hess[s, mu]) < 1e-5
 
 
 def test_closed_form_inverse_matches_newton_jets():
@@ -120,9 +120,9 @@ def test_closed_form_inverse_matches_newton_jets():
         a = PContext(with_inv, x, p)
         b = PContext(without, x, p)
         for s in range(2):
-            assert a.V[s].value == pytest.approx(b.V[s].value, abs=1e-11)
-            assert np.allclose(a.V[s].grad, b.V[s].grad, atol=1e-9)
-            assert np.allclose(a.V[s].hess, b.V[s].hess, atol=1e-8)
+            assert a.V.val[s] == pytest.approx(b.V.val[s], abs=1e-11)
+            assert np.allclose(a.V.grad[s], b.V.grad[s], atol=1e-9)
+            assert np.allclose(a.V.hess[s], b.V.hess[s], atol=1e-8)
 
 
 def test_theta_values_against_finite_differences():
@@ -162,10 +162,10 @@ def test_theta_and_q_jets_against_finite_differences():
 
     for i in range(2):
         fd = helpers.fd_gradient(lambda z: theta_at(z)[i], xi0)
-        assert helpers.rel_err(fd, ctx.theta[i].grad) < 1e-6
-        assert ctx.theta[i].value == pytest.approx(theta_at(xi0)[i], abs=1e-10)
+        assert helpers.rel_err(fd, ctx.theta.grad[i]) < 1e-6
+        assert ctx.theta.val[i] == pytest.approx(theta_at(xi0)[i], abs=1e-10)
         fd = helpers.fd_gradient(lambda z: q_at(z)[i], xi0)
-        assert helpers.rel_err(fd, ctx.Q[i].grad) < 1e-6
+        assert helpers.rel_err(fd, ctx.Q.grad[i]) < 1e-6
 
 
 def test_q_reduces_to_theta_without_connection():
@@ -175,7 +175,7 @@ def test_q_reduces_to_theta_without_connection():
     p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
     ctx = PContext(sysdef, x, p)
     for i in range(2):
-        assert ctx.Q[i].value == pytest.approx(ctx.theta[i].value, abs=1e-14)
+        assert ctx.Q.val[i] == pytest.approx(ctx.theta.val[i], abs=1e-14)
     got = force_covector(sysdef, PhasePoint.momentum(x, p))
     want = theta_from_phi(sysdef, PhasePoint.velocity(x, v))
     assert helpers.rel_err(got, want) < 1e-10
@@ -224,7 +224,7 @@ def test_momentum_native_composition():
     func = expr.parse("p1^2 + 0.5*p2", 2, kinds=("x", "p"))
     composed = ctx.eval_momentum_native(func)
     direct = ctx.L[0] * ctx.L[0] + 0.5 * ctx.L[1]
-    assert composed.value == pytest.approx(direct.value, abs=1e-13)
+    assert composed.val == pytest.approx(direct.value, abs=1e-13)
     assert np.allclose(composed.grad, direct.grad, atol=1e-13)
     assert np.allclose(composed.hess, direct.hess, atol=1e-13)
 
@@ -237,12 +237,13 @@ def test_momentum_connection_matches_entrywise_composition():
         x, v = helpers.random_box_point(rng, sysdef.n)
         image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
         ctx = PContext(sysdef, image.x, image.fiber)
-        for idx in np.ndindex(ctx.gamma_p.shape):
-            want = jets.compose(ctx.inner.gamma[idx], ctx.transform)
-            got = ctx.gamma_p[idx]
-            assert got.value == want.value
-            assert np.allclose(got.grad, want.grad, rtol=1e-13, atol=1e-14)
-            assert np.allclose(got.hess, want.hess, rtol=1e-13, atol=1e-14)
+        inner, got = ctx.inner.gamma, ctx.gamma_p
+        for idx in np.ndindex(got.val.shape):
+            entry = jets.Jet(inner.val[idx], inner.grad[idx], inner.hess[idx])
+            want = jets.compose(entry, ctx.transform)
+            assert got.val[idx] == want.value
+            assert np.allclose(got.grad[idx], want.grad, rtol=1e-13, atol=1e-14)
+            assert np.allclose(got.hess[idx], want.hess, rtol=1e-13, atol=1e-14)
 
 
 def test_newton_cycle_raises_and_guess_recovers():

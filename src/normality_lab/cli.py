@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -85,41 +84,35 @@ def _selected_checks(cfg: RunConfig, doc) -> tuple:
     return tuple(picked)
 
 
-def _validate_config(cfg: RunConfig, checks, tolerances):
+def _validate_config(cfg: RunConfig, n, checks, tolerances):
     if not checks:
         raise ValidationError("no checks selected")
     if cfg.samples < 1:
         raise ValidationError("samples must be at least 1")
     if cfg.seed < 0:
         raise ValidationError("seed must be non-negative")
+    unknown = sorted(set(cfg.tolerances) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ValidationError(
+            f"unknown tolerances: {', '.join(unknown)}; "
+            f"known: {', '.join(DEFAULT_TOLERANCES)}")
     for name, value in tolerances.items():
         if not value > 0.0:
             raise ValidationError(f"tolerance {name!r} must be positive")
-    for name, (lo, hi) in (("x", cfg.x_box), ("fiber", cfg.fiber_box)):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    fiber_sensitive = {"cross", "normality", "gauge"} & set(checks)
+    for name, box in (("x", cfg.x_box), ("fiber", cfg.fiber_box)):
+        lo, hi = (np.asarray(bound, dtype=float) for bound in box)
+        if lo.shape not in ((), (n,)) or hi.shape not in ((), (n,)):
+            raise ValidationError(
+                f"{name} sampling box bounds must be scalars or have "
+                f"{n} entries")
         if np.any(lo >= hi):
             raise ValidationError(f"{name} sampling box is empty")
-    fiber_sensitive = {"cross", "normality", "gauge"} & set(checks)
-    if fiber_sensitive:
-        lo = np.atleast_1d(np.asarray(cfg.fiber_box[0], dtype=float))
-        hi = np.atleast_1d(np.asarray(cfg.fiber_box[1], dtype=float))
-        if np.any((lo <= 0.0) & (hi >= 0.0)):
+        if (name == "fiber" and fiber_sensitive
+                and np.any((lo <= 0.0) & (hi >= 0.0))):
             raise ValidationError(
                 "fiber sampling box must exclude zero for the "
                 + "/".join(sorted(fiber_sensitive)) + " checks")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("NORMALITY_LAB_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"NORMALITY_LAB_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ValidationError("NORMALITY_LAB_THREADS must be at least 1")
-    return threads
 
 
 def _row(equation, residual, tolerance, **flags):
@@ -208,47 +201,37 @@ _BUILDERS = {
 }
 
 
-def _sweep(check_id, cfg, sysdef, doc, tolerances, threads):
+def _sweep(check_id, cfg, sysdef, doc, tolerances):
     """Seeded point sweep. Each point gets its own substream keyed by
-    (seed, check, index), so resampling and thread scheduling cannot
-    shift any other point's draws."""
+    (seed, check, index), so resampling one point cannot shift any
+    other point's draws."""
     builder = _BUILDERS[check_id]
     check_index = CHECK_IDS.index(check_id)
     n = sysdef.n
     x_lo, x_hi = cfg.x_box
     f_lo, f_hi = cfg.fiber_box
-
-    def work(index):
+    rows, resampled = [], 0
+    for index in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, check_index, index])
         for attempt in range(RESAMPLE_LIMIT + 1):
             x = rng.uniform(x_lo, x_hi, n)
             v = rng.uniform(f_lo, f_hi, n)
             try:
-                rows = builder(sysdef, doc, PhasePoint.velocity(x, v),
-                               rng, tolerances)
+                from_point = builder(sysdef, doc, PhasePoint.velocity(x, v),
+                                     rng, tolerances)
             except (DegeneratePoint, SingularMetric):
                 if attempt == RESAMPLE_LIMIT:
                     raise
                 continue
-            point = {"rep": "v", "x": [float(c) for c in x],
-                     "fiber": [float(c) for c in v]}
-            for row in rows:
-                row["check"] = check_id
-                row["index"] = index
-                row["point"] = point
-            return rows, attempt
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, range(cfg.samples)))
-    else:
-        outcomes = [work(index) for index in range(cfg.samples)]
-
-    rows, resampled = [], 0
-    for from_point, attempts in outcomes:
+            break
+        point = {"rep": "v", "x": [float(c) for c in x],
+                 "fiber": [float(c) for c in v]}
+        for row in from_point:
+            row["check"] = check_id
+            row["index"] = index
+            row["point"] = point
         rows.extend(from_point)
-        resampled += attempts
+        resampled += attempt
     return rows, resampled
 
 
@@ -286,18 +269,16 @@ def _summarize(rows, resampled):
     }
 
 
-def _run_one(check_id, cfg, doc, sysdef, tolerances, threads):
+def _run_one(check_id, cfg, doc, sysdef, tolerances):
     try:
         if check_id == "shift":
             rows, resampled = _shift_rows(doc, sysdef, tolerances), 0
         else:
-            rows, resampled = _sweep(check_id, cfg, sysdef, doc,
-                                     tolerances, threads)
+            rows, resampled = _sweep(check_id, cfg, sysdef, doc, tolerances)
     except NormalityLabError as e:
         return {"id": check_id, "rows": [],
                 "error": {"type": type(e).__name__, "message": str(e)},
-                "summary": {"max": 0.0, "mean": 0.0, "pass_count": 0,
-                            "rows": 0, "resampled": 0, "passed": False}}
+                "summary": _summarize([], 0)}
     return {"id": check_id, "rows": rows,
             "summary": _summarize(rows, resampled)}
 
@@ -314,10 +295,9 @@ def run_checks(cfg: RunConfig):
         sysdef = connection_free_mode(sysdef)
     checks = _selected_checks(cfg, doc)
     tolerances = {**DEFAULT_TOLERANCES, **cfg.tolerances}
-    _validate_config(cfg, checks, tolerances)
-    threads = _thread_count()
+    _validate_config(cfg, sysdef.n, checks, tolerances)
 
-    records = [_run_one(check_id, cfg, doc, sysdef, tolerances, threads)
+    records = [_run_one(check_id, cfg, doc, sysdef, tolerances)
                for check_id in checks]
     report = {
         "schema": 1,

@@ -65,7 +65,10 @@ def apply_gauge(sysdef: SystemDef, gauge=None) -> SystemDef:
     force components. The full force vector picks up the matching
     quadratic fiber term on its own, so the trajectories of the
     returned system are the same curves."""
-    tensor = _gauge_tensor(sysdef, gauge)
+    return _shift_connection(sysdef, _gauge_tensor(sysdef, gauge))
+
+
+def _shift_connection(sysdef, tensor):
     n = sysdef.n
     conn = [[[SumFunc(sysdef.connection[k, i, j], tensor[k, i, j])
               for j in range(n)] for i in range(n)] for k in range(n)]
@@ -189,7 +192,7 @@ def gauge_invariance_report(sysdef: SystemDef, points,
     normality residual norms; the conditional ones list the residuals
     whose vanishing they rely on."""
     tensor = _gauge_tensor(sysdef, gauge)
-    gauged = apply_gauge(sysdef, tensor)
+    gauged = _shift_connection(sysdef, tensor)
     worst = {}
     count = 0
     for pt in points:

@@ -163,15 +163,6 @@ def test_reports_are_byte_deterministic():
     assert render_csv(first) == render_csv(second)
 
 
-def test_threads_do_not_change_bytes(monkeypatch):
-    cfg = RunConfig(fixture("cubic"), checks=("metric", "cross"),
-                    samples=6, seed=4)
-    serial, _ = run_checks(cfg)
-    monkeypatch.setenv("NORMALITY_LAB_THREADS", "4")
-    threaded, _ = run_checks(cfg)
-    assert render_json(serial) == render_json(threaded)
-
-
 def test_mutation_fixture_fails_cross():
     report, status = run_checks(RunConfig(fixture("mutated"),
                                           checks=("cross",),
@@ -237,6 +228,18 @@ def test_config_validation():
                              fiber_box=(-0.5, 1.5)))
     with pytest.raises(ValidationError, match="box is empty"):
         run_checks(RunConfig(good, samples=1, x_box=(1.0, -1.0)))
+    with pytest.raises(ValidationError, match="scalars or have 2 entries"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2,
+                             x_box=([-1, -1, -1], [1, 1, 1])))
+    with pytest.raises(ValidationError, match="fiber sampling box bounds"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2,
+                             fiber_box=(0.5, [1.5])))
+    with pytest.raises(ValidationError, match="unknown tolerances: Cross"):
+        run_checks(RunConfig(good, samples=1, tolerances={"Cross": 1e9}))
+    # one bound per variable is accepted
+    _, status = run_checks(RunConfig(good, checks=("metric",), samples=2,
+                                     x_box=([-1, -2], [1, 2])))
+    assert status == 0
     # the metric check alone has no fiber-origin hazard
     _, status = run_checks(RunConfig(good, checks=("metric",), samples=2,
                                      fiber_box=(-0.5, 1.5)))

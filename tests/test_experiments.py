@@ -56,6 +56,24 @@ def test_apply_gauge_validation():
         apply_gauge(sysdef, lopsided)
 
 
+def test_gauge_tensor_is_validated_once_per_report(monkeypatch):
+    calls = []
+    real = experiments._check_symmetric
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_check_symmetric", counting)
+    rng = np.random.default_rng(2)
+    gauge_invariance_report(helpers.sys_cubic(), velocity_points(rng, 2, 2),
+                            gauge=gauge_2d())
+    assert calls == ["gauge tensor"]
+    # a direct call still validates its tensor
+    apply_gauge(helpers.sys_cubic(), gauge_2d())
+    assert len(calls) == 2
+
+
 def test_apply_gauge_shifts_force_quadratically():
     # constant tensor on a flat system: the full force vector gains
     # exactly the quadratic fiber term, the plain components stay

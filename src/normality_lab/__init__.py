@@ -26,7 +26,7 @@ from .experiments import (GaugeReport, GaugeRow, ShiftResult, ShiftRun,
                           gauge_invariance_report, hypersurface_normal,
                           shift_integrate)
 from .expr import Expression, eval_jet, eval_scalar, parse
-from .jets import Jet
+from .jets import Dense
 from .normality import (CROSS_FIELDS, RESIDUAL_IDS, CrossCheck,
                         NormalityBundle, Residual, bundle_at, cross_check,
                         cross_check_all, lambda_scalar, momentum_bundle,

@@ -43,7 +43,8 @@ def _is_momentum(ctx) -> bool:
 
 class FieldValue:
     """Tensor field evaluated at one context. `data` is its jets.Dense;
-    a jet, a number or an object array of them is stacked once here."""
+    scalar Dense data, a number, or an array of them is stacked once
+    here."""
 
     __slots__ = ("ctx", "data", "variance")
 
@@ -51,11 +52,11 @@ class FieldValue:
         self.ctx = ctx
         self.variance = tuple(variance)
         if not isinstance(data, jets.Dense):
-            data = jets.stack(data, ctx.m)
+            data = jets.stack(np.ravel(data), ctx.m).reshape(np.shape(data))
         shape = (ctx.n,) * len(self.variance)
-        if data.val.shape != shape:
+        if np.shape(data.val) != shape:
             raise DimensionError(
-                f"field data shape {data.val.shape} does not match rank "
+                f"field data shape {np.shape(data.val)} does not match rank "
                 f"{len(self.variance)} at n={ctx.n}")
         self.data = data
 

@@ -70,6 +70,10 @@ class RunConfig:
 
 def _selected_checks(cfg: RunConfig, doc) -> tuple:
     if cfg.checks is not None:
+        if isinstance(cfg.checks, str):
+            raise ValidationError(
+                f"checks must be a sequence of check names, not the "
+                f"string {cfg.checks!r}")
         unknown = sorted(set(cfg.checks) - set(CHECK_IDS))
         if unknown:
             raise ValidationError(
@@ -87,6 +91,10 @@ def _selected_checks(cfg: RunConfig, doc) -> tuple:
 def _validate_config(cfg: RunConfig, n, checks, tolerances):
     if not checks:
         raise ValidationError("no checks selected")
+    for name in ("samples", "seed"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if cfg.samples < 1:
         raise ValidationError("samples must be at least 1")
     if cfg.seed < 0:
@@ -101,7 +109,12 @@ def _validate_config(cfg: RunConfig, n, checks, tolerances):
             raise ValidationError(f"tolerance {name!r} must be positive")
     fiber_sensitive = {"cross", "normality", "gauge"} & set(checks)
     for name, box in (("x", cfg.x_box), ("fiber", cfg.fiber_box)):
-        lo, hi = (np.asarray(bound, dtype=float) for bound in box)
+        try:
+            lo, hi = (np.asarray(bound, dtype=float) for bound in box)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{name} sampling box must be a (low, high) pair of numbers "
+                f"or of {n}-entry arrays, got {box!r}") from None
         if lo.shape not in ((), (n,)) or hi.shape not in ((), (n,)):
             raise ValidationError(
                 f"{name} sampling box bounds must be scalars or have "

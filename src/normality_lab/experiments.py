@@ -28,7 +28,7 @@ from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
                      ValidationError)
 from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
 from .phase import Rep
-from .system import (ConstFunc, SystemDef, SumFunc, VContext, _as_jet,
+from .system import (ConstFunc, SystemDef, SumFunc, VContext,
                      _check_symmetric, _component_array, _phase_flow,
                      zero_connection)
 
@@ -289,17 +289,14 @@ def _axes(run: ShiftRun, m):
 
 
 def _surface_frame(run: ShiftRun, u):
-    n, m = _run_dims(run)
+    _, m = _run_dims(run)
     u = np.asarray(u, dtype=float).reshape(-1)
     if len(u) != m:
         raise DimensionError(f"expected {m} surface parameters, got {len(u)}")
-    seeded = jets.seeds(list(u), order=1)
+    seeded = jets.seeds(u, order=1)
     env = {f"u{d + 1}": seeded[d] for d in range(m)}
-    comps = [_as_jet(f.evaluate(env), m, order=1) for f in run.surface]
-    x = np.array([c.value for c in comps])
-    tangents = np.array([[comps[i].grad[d] for i in range(n)]
-                         for d in range(m)])
-    return x, tangents
+    frame = jets.stack([f.evaluate(env) for f in run.surface], m)
+    return frame.val, frame.grad.T
 
 
 def _normal_of(tangents):

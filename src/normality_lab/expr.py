@@ -6,13 +6,16 @@ precedence (^ binds tighter than unary minus and is right
 associative). Functions: sin cos exp ln sqrt tanh. No implicit
 multiplication.
 
-Evaluation is generic over the scalar algebra: plain floats, jets, or
-dual-over-jet numbers all work, which is what lets one AST serve both
-fast value sweeps and second-order derivative extraction.
+Evaluation is generic over the scalar algebra: plain floats, float
+arrays over a batch, jets.Dense derivative data, or duals over them all
+work, which is what lets one AST serve both fast value sweeps and
+second-order derivative extraction.
 """
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .errors import (DimensionError, EvalError, ExprSyntaxError,
@@ -296,8 +299,9 @@ def eval_scalar(e: Expression, point: PhasePoint) -> float:
     return float(_eval(e.root, env))
 
 
-def eval_jet(e: Expression, point: PhasePoint) -> jets.Jet:
-    """Second-order jet over the 2n variables (x..., fiber...)."""
+def eval_jet(e: Expression, point: PhasePoint) -> jets.Dense:
+    """Scalar second-order Dense data over the 2n variables
+    (x..., fiber...)."""
     env, fiber_kind = _point_env(e, point)
     n = point.n
     seeded = jets.seeds(list(point.x) + list(point.fiber), order=2)
@@ -305,8 +309,9 @@ def eval_jet(e: Expression, point: PhasePoint) -> jets.Jet:
         env[f"x{i + 1}"] = seeded[i]
         env[f"{fiber_kind}{i + 1}"] = seeded[n + i]
     result = _eval(e.root, env)
-    if not isinstance(result, jets.Jet):
-        result = jets.constant(float(result), 2 * n, order=2)
+    if result.__class__ is not jets.Dense:
+        m = 2 * n
+        result = jets.Dense(2, float(result), np.zeros(m), np.zeros((m, m)))
     return result
 
 

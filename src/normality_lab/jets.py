@@ -1,53 +1,50 @@
-"""Fixed-order forward-mode jets.
+"""Fixed-order forward-mode derivative data.
 
-A Jet carries a value, a gradient over m ambient variables, and
-optionally a symmetric Hessian. With the Hessian present the jet is
-second order; with hess=None it is first order; with grad=None as well
-it is order zero, a bare value whose derivatives are unknown. Binary
-operations demote to the lowest order of their operands, so derivative
-data can never be read past the order at which it is actually valid.
-Plain floats are exact constants and do not demote anything.
+Dense carries the derivative data of an array of quantities of shape S
+over m variables: val of shape S, grad of shape S + (m,) and hess of
+shape S + (m, m). Its order says which of them are valid: grad is None
+at order zero and hess is None below order two. One layout serves a
+single point (S = ()), a stacked tensor field (S = the tensor's shape)
+and a batch of N points (S = (N,), vector forward mode over a leading
+batch axis).
 
-A first-order jet may also be array-valued: a value of shape (N,) and a
-gradient of shape (m, N) carry N independent points at once (vector
-forward mode over a trailing node axis). Float arrays of shape (N,) are
-then the constants, every domain check covers all N entries, and a
-failing entry is named in the EvalError. Array values never reach the
-scalar branches: those keep using math.* on plain floats.
+Dense is the algebra the expression evaluator computes in. + - * / and
+powers follow the product and quotient rules, and the elementary
+functions go through one chain-rule helper. Operations demote to the
+lowest order of their Dense operands, so derivative data can never be
+read past the order at which it is valid. Numbers, and float arrays of
+shape S, are exact constants and demote nothing. Every domain check
+covers every entry, and a failing entry of a batch is named in the
+EvalError. Scalar values are plain floats and go through math.*.
 
-Jets are what the expression evaluator computes. Everything above it
-carries derivative data as Dense: one value, gradient and Hessian array
-for a whole array of quantities, with one order for all of them.
-`stack` turns evaluated jets into Dense once, under the same order
-rules; `einsum` contracts Dense data by the product rule, `derivative`
+Above the evaluator, `stack` lays evaluated entries along a new leading
+axis, `einsum` contracts dense data by the product rule, `derivative`
 slices one order off (and raises MissingJets below order zero),
 `compose` applies the chain rule through a point map, and
-`invert_matrix` inverts a matrix with its first derivatives. There is
-no way back from Dense to jets.
+`invert_matrix` inverts a matrix with its first derivatives.
 
 The Dual class at the bottom is a one-direction dual number whose
-components live in the jet ring. Evaluating a scalar expression over
-Duals yields the directional derivative of the expression as a full
-jet, which is how gradient-of-a-Lagrangian maps get exact second-order
-jets without a third-order kernel.
+components are Dense data or constants. Evaluating a scalar expression
+over Duals yields the directional derivative of the expression as full
+second-order data, which is how gradient-of-a-Lagrangian maps get exact
+second derivatives without a third-order kernel.
 """
 
 import math
 import sys
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import EvalError, MissingJets, SingularMetric
 
 _NUMBER = (int, float, np.integer, np.floating)
-# constants a jet combines with: numbers, and float arrays over nodes
+# constants Dense data combines with: numbers, and float arrays over S
 _CONST = _NUMBER + (np.ndarray,)
 
 
 def _check(ok, v, message):
     """Raise EvalError unless ok holds; ok and v are a bool and a float,
-    or arrays over nodes, and the first failing node is named."""
+    or arrays over a batch, and the first failing entry is named."""
     if v.__class__ is np.ndarray:
         if not ok.all():
             k = int(np.argmin(np.broadcast_to(ok, v.shape)))
@@ -56,124 +53,149 @@ def _check(ok, v, message):
         raise EvalError(f"{message} {v}")
 
 
-class Jet:
-    __slots__ = ("value", "grad", "hess")
+def _finite(f, v, message):
+    """_check that f, a float or an array over a batch, is finite."""
+    if f.__class__ is np.ndarray:
+        _check(np.isfinite(f), v, message)
+    elif not math.isfinite(f):
+        raise EvalError(f"{message} {v}")
 
-    # numpy must hand mixed operations to the jet instead of building
-    # object arrays of jets
+
+# a value or constant against one or two trailing derivative axes
+def _col(a):
+    return a[..., None] if a.__class__ is np.ndarray else a
+
+
+def _sq(a):
+    return a[..., None, None] if a.__class__ is np.ndarray else a
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+class Dense:
+    """Derivative data of an array of quantities of shape S over m
+    variables: val[S], grad[S, m] and hess[S, m, m], valid up to
+    `order`. Unpacks as (order, val, grad, hess)."""
+
+    __slots__ = ("order", "val", "grad", "hess")
+
+    # numpy must hand mixed operations to Dense instead of building
+    # object arrays of it
     __array_ufunc__ = None
 
-    def __init__(self, value, grad, hess=None):
-        kind = value.__class__
-        self.value = value if kind is float or kind is np.ndarray else float(value)
+    def __init__(self, order, val, grad=None, hess=None):
+        self.order = order
+        self.val = val
         self.grad = grad
         self.hess = hess
 
-    @property
-    def order(self) -> int:
-        if self.grad is None:
-            return 0
-        return 1 if self.hess is None else 2
-
-    @property
-    def m(self) -> int:
-        return self.grad.shape[0]
+    # unpacking only: without __len__ and __getitem__ numpy does not
+    # take Dense for a sequence
+    def __iter__(self):
+        return iter((self.order, self.val, self.grad, self.hess))
 
     def __repr__(self):
-        g = None if self.grad is None else self.grad.tolist()
-        return f"Jet({self.value!r}, grad={g}, order={self.order})"
+        return f"Dense(order={self.order}, val={self.val!r})"
 
-    # chain rule for a smooth f with f(v)=f0, f'(v)=f1, f''(v)=f2
+    def truncated(self, order: int):
+        """The same data without the derivatives above order, for a
+        caller that will not read them."""
+        order = min(order, self.order)
+        return Dense(order, self.val, self.grad if order >= 1 else None,
+                     self.hess if order == 2 else None)
+
+    def reshape(self, shape):
+        """Stacked data (an array val) with its quantities laid out in
+        shape."""
+        k = self.val.ndim
+        return Dense(self.order, self.val.reshape(shape),
+                     *(None if a is None else a.reshape(shape + a.shape[k:])
+                       for a in (self.grad, self.hess)))
+
     def _chain(self, f0, f1, f2):
-        if f0.__class__ is np.ndarray:
-            _check(np.isfinite(f0), self.value, "non-finite value at argument")
-            if self.grad is None:
-                return Jet(f0, None, None)
-            _check(np.isfinite(f1), self.value,
-                   "non-finite derivative data at argument")
-            return Jet(f0, f1 * self.grad, None)
-        if not math.isfinite(f0):
-            raise EvalError(f"non-finite value (argument {self.value})")
-        if self.grad is None:
-            return Jet(f0, None, None)
-        if not math.isfinite(f1):
-            raise EvalError(f"non-finite derivative data (value {self.value})")
-        hess = None
-        if self.hess is not None:
-            if not math.isfinite(f2):
-                raise EvalError(f"non-finite second derivative (value {self.value})")
-            hess = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
-        return Jet(f0, f1 * self.grad, hess)
+        """f(self) for a smooth f with f(val) = f0, f'(val) = f1 and
+        f''(val) = f2; each must be finite where it is needed."""
+        v = self.val
+        _finite(f0, v, "non-finite value at argument")
+        if self.order == 0:
+            return Dense(0, f0)
+        _finite(f1, v, "non-finite derivative data at argument")
+        grad = _col(f1) * self.grad
+        if self.order == 1:
+            return Dense(1, f0, grad)
+        _finite(f2, v, "non-finite second derivative at argument")
+        return Dense(2, f0, grad,
+                     _sq(f1) * self.hess + _sq(f2) * _outer(self.grad, self.grad))
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            if self.grad is None or other.grad is None:
-                return Jet(self.value + other.value, None, None)
-            hess = None
-            if self.hess is not None and other.hess is not None:
-                hess = self.hess + other.hess
-            return Jet(self.value + other.value, self.grad + other.grad, hess)
+        if other.__class__ is Dense:
+            order = min(self.order, other.order)
+            return Dense(order, self.val + other.val,
+                         self.grad + other.grad if order else None,
+                         self.hess + other.hess if order == 2 else None)
         if isinstance(other, _CONST):
-            return Jet(self.value + other, self.grad, self.hess)
+            return Dense(self.order, self.val + other, self.grad, self.hess)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value,
-                   None if self.grad is None else -self.grad,
-                   None if self.hess is None else -self.hess)
+        return Dense(self.order, -self.val,
+                     None if self.grad is None else -self.grad,
+                     None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            if self.grad is None or other.grad is None:
-                return Jet(self.value - other.value, None, None)
-            hess = None
-            if self.hess is not None and other.hess is not None:
-                hess = self.hess - other.hess
-            return Jet(self.value - other.value, self.grad - other.grad, hess)
+        if other.__class__ is Dense:
+            order = min(self.order, other.order)
+            return Dense(order, self.val - other.val,
+                         self.grad - other.grad if order else None,
+                         self.hess - other.hess if order == 2 else None)
         if isinstance(other, _CONST):
-            return Jet(self.value - other, self.grad, self.hess)
+            return Dense(self.order, self.val - other, self.grad, self.hess)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _CONST):
-            return Jet(other - self.value,
-                       None if self.grad is None else -self.grad,
-                       None if self.hess is None else -self.hess)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            if self.grad is None or other.grad is None:
-                return Jet(self.value * other.value, None, None)
-            grad = self.grad * other.value + other.grad * self.value
-            hess = None
-            if self.hess is not None and other.hess is not None:
-                cross = np.outer(self.grad, other.grad)
-                hess = (self.hess * other.value + other.hess * self.value
-                        + cross + cross.T)
-            return Jet(self.value * other.value, grad, hess)
+        if other.__class__ is Dense:
+            a, b = self.val, other.val
+            order = min(self.order, other.order)
+            if order == 0:
+                return Dense(0, a * b)
+            grad = self.grad * _col(b) + other.grad * _col(a)
+            if order == 1:
+                return Dense(1, a * b, grad)
+            cross = _outer(self.grad, other.grad)
+            return Dense(2, a * b, grad,
+                         self.hess * _sq(b) + other.hess * _sq(a)
+                         + cross + cross.swapaxes(-1, -2))
         if isinstance(other, _CONST):
-            return Jet(self.value * other,
-                       None if self.grad is None else self.grad * other,
-                       None if self.hess is None else self.hess * other)
+            return Dense(self.order, self.val * other,
+                         None if self.grad is None else self.grad * _col(other),
+                         None if self.hess is None else self.hess * _sq(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            _check(other.value != 0.0, other.value, "division by zero, divisor")
-            if self.grad is None or other.grad is None:
-                return Jet(self.value / other.value, None, None)
-            w = self.value / other.value
-            grad = (self.grad - w * other.grad) / other.value
-            hess = None
-            if self.hess is not None and other.hess is not None:
-                cross = np.outer(grad, other.grad)
-                hess = (self.hess - cross - cross.T - w * other.hess) / other.value
-            return Jet(w, grad, hess)
+        if other.__class__ is Dense:
+            b = other.val
+            _check(b != 0.0, b, "division by zero, divisor")
+            w = self.val / b
+            order = min(self.order, other.order)
+            if order == 0:
+                return Dense(0, w)
+            grad = (self.grad - _col(w) * other.grad) / _col(b)
+            if order == 1:
+                return Dense(1, w, grad)
+            cross = _outer(grad, other.grad)
+            return Dense(2, w, grad, (self.hess - cross - cross.swapaxes(-1, -2)
+                                      - _sq(w) * other.hess) / _sq(b))
         if isinstance(other, _CONST):
             _check(other != 0.0, other, "division by zero, divisor")
             return self * (1.0 / other)
@@ -181,8 +203,8 @@ class Jet:
 
     def __rtruediv__(self, other):
         if isinstance(other, _CONST):
-            _check(self.value != 0.0, self.value, "division by zero, divisor")
-            v = self.value
+            v = self.val
+            _check(v != 0.0, v, "division by zero, divisor")
             return self._chain(other / v, -other / (v * v), 2.0 * other / (v * v * v))
         return NotImplemented
 
@@ -194,81 +216,44 @@ class Jet:
 
 
 def seeds(values, order: int = 2):
-    """Identity-seeded jets for a coordinate vector. Values of shape
-    (m, N) give first-order array-valued jets over N nodes."""
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    nodes = values.shape[1:]
-    if nodes and order != 1:
-        raise ValueError("array-valued jets are first order")
+    """Identity-seeded Dense data for a coordinate vector, one entry per
+    coordinate. Values of shape (m,) + S give entries over a batch of
+    shape S."""
+    values = np.array(values, dtype=float)
+    m, batch = values.shape[0], values.shape[1:]
     out = []
     for i in range(m):
-        grad = np.zeros((m,) + nodes)
-        grad[i] = 1.0
-        hess = np.zeros((m, m)) if order == 2 else None
-        out.append(Jet(values[i], grad, hess))
+        grad = np.zeros(batch + (m,))
+        grad[..., i] = 1.0
+        hess = np.zeros(batch + (m, m)) if order == 2 else None
+        out.append(Dense(order, values[i] if batch else float(values[i]),
+                         grad, hess))
     return out
 
 
-def constant(value, m: int, order: int = 2) -> Jet:
-    hess = np.zeros((m, m)) if order == 2 else None
-    return Jet(value, np.zeros(m), hess)
-
-
-def value_of(u) -> float:
-    if isinstance(u, Jet):
-        return u.value
-    if isinstance(u, Dual):
-        return value_of(u.re)
-    return float(u)
-
-
-class Dense(NamedTuple):
-    """Derivative data of an array of quantities over m variables:
-    val[S], grad[S, m] and hess[S, m, m] for an array of shape S. The
-    order says which of them are valid: grad is None at order zero and
-    hess is None below order two. Sums take the lower order."""
-
-    order: int
-    val: np.ndarray
-    grad: Optional[np.ndarray] = None
-    hess: Optional[np.ndarray] = None
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        return Dense(order, *(a + b for a, b in zip(self[1:order + 2],
-                                                    other[1:order + 2])))
-
-    def __neg__(self):
-        return Dense(self.order, *(None if a is None else -a for a in self[1:]))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def truncated(self, order: int):
-        """The same data without the derivatives above order, for a
-        caller that will not read them."""
-        order = min(order, self.order)
-        return Dense(order, *self[1:order + 2])
-
-
-def stack(arr, m: int) -> Dense:
-    """Dense data of a jet, a number or an object array of them, over m
-    variables. The order is the lowest over the entries; numbers are
-    exact constants and count as second order with zero derivatives."""
-    arr = np.asarray(arr, dtype=object)
-    entries, shape = arr.ravel(), arr.shape
-    order = min((u.order for u in entries if isinstance(u, Jet)), default=2)
-    val = np.array([value_of(u) for u in entries]).reshape(shape)
+def stack(entries, m: int, batch=()) -> Dense:
+    """Dense data over m variables of a sequence of entries, laid along
+    a new leading axis. Entries are Dense data of shape `batch`, and
+    numbers or float arrays of that shape, which are exact constants:
+    second order with zero derivatives. The order is the lowest over
+    the Dense entries."""
+    order = min((u.order for u in entries if u.__class__ is Dense), default=2)
+    vals = [u.val if u.__class__ is Dense else u for u in entries]
+    if batch:       # constants broadcast over the batch on assignment
+        val = np.empty((len(vals),) + batch)
+        for k, v in enumerate(vals):
+            val[k] = v
+    else:
+        val = np.array(vals, dtype=float)
     grad = hess = None
     if order >= 1:
-        zero = np.zeros(m)
-        grad = np.array([u.grad if isinstance(u, Jet) else zero
-                         for u in entries]).reshape(shape + (m,))
+        zero = np.zeros(batch + (m,))
+        grad = np.array([u.grad if u.__class__ is Dense else zero
+                         for u in entries])
     if order == 2:
-        zero = np.zeros((m, m))
-        hess = np.array([u.hess if isinstance(u, Jet) else zero
-                         for u in entries]).reshape(shape + (m, m))
+        zero = np.zeros(batch + (m, m))
+        hess = np.array([u.hess if u.__class__ is Dense else zero
+                         for u in entries])
     return Dense(order, val, grad, hess)
 
 
@@ -323,16 +308,12 @@ def compose(h, transform):
 
     `transform` is the map as dense data of shape (m_inner,) over the
     outer variables, with Jacobian J and second derivatives T. h is a
-    number, a jet or dense data over the inner variables, and the result
-    is of the same kind, of the lower of the two orders:
+    number or dense data over the inner variables, and the result is of
+    the same kind, of the lower of the two orders:
     grad = J^T g and hess = J^T H J + sum_a g_a T_a, batched over the
-    entries of dense h."""
+    entries of h."""
     if isinstance(h, _NUMBER):
         return float(h)
-    if isinstance(h, Jet):
-        out = compose(Dense(h.order, np.asarray(h.value), h.grad, h.hess),
-                      transform)
-        return Jet(float(out.val), out.grad, out.hess)
     order = min(h.order, transform.order)
     _, _, J, T = transform
     if order == 0:
@@ -360,16 +341,16 @@ def invert_matrix(A):
     return Dense(1, inv, -np.einsum("ij,jkz,kl->ilz", inv, grad, inv))
 
 
-# elementary functions, dispatching on float / float array / Jet / Dual.
-# Floats go through math.*, float arrays through numpy, after the same
-# finiteness and domain checks, so neither path returns inf or nan.
+# elementary functions, dispatching on float / float array / Dense /
+# Dual. Floats go through math.*, float arrays through numpy, after the
+# same finiteness and domain checks, so neither path returns inf or nan.
 
 _EXP_MAX = math.log(sys.float_info.max)   # exp is finite up to here
 
 
 def _arg(u, what):
-    """(math or numpy, finite value) for a float, float array or Jet."""
-    v = u.value if isinstance(u, Jet) else u
+    """(math or numpy, finite value) for a float, float array or Dense."""
+    v = u.val if u.__class__ is Dense else u
     if v.__class__ is np.ndarray:
         _check(np.isfinite(v), v, f"{what} of non-finite value")
         return np, v
@@ -382,10 +363,10 @@ def _arg(u, what):
 def sin(u):
     if u.__class__ is float and math.isfinite(u):
         return math.sin(u)
-    if isinstance(u, Dual):
+    if u.__class__ is Dual:
         return Dual(sin(u.re), cos(u.re) * u.du)
     lib, v = _arg(u, "sin")
-    if isinstance(u, Jet):
+    if u.__class__ is Dense:
         s, c = lib.sin(v), lib.cos(v)
         return u._chain(s, c, -s)
     return lib.sin(v)
@@ -394,10 +375,10 @@ def sin(u):
 def cos(u):
     if u.__class__ is float and math.isfinite(u):
         return math.cos(u)
-    if isinstance(u, Dual):
+    if u.__class__ is Dual:
         return Dual(cos(u.re), -sin(u.re) * u.du)
     lib, v = _arg(u, "cos")
-    if isinstance(u, Jet):
+    if u.__class__ is Dense:
         s, c = lib.sin(v), lib.cos(v)
         return u._chain(c, -s, -c)
     return lib.cos(v)
@@ -406,13 +387,13 @@ def cos(u):
 def exp(u):
     if u.__class__ is float and u <= _EXP_MAX:     # also false for nan
         return math.exp(u)
-    if isinstance(u, Dual):
+    if u.__class__ is Dual:
         e = exp(u.re)
         return Dual(e, e * u.du)
     lib, v = _arg(u, "exp")
     _check(v <= _EXP_MAX, v, "exp overflow at")
     e = lib.exp(v)
-    if isinstance(u, Jet):
+    if u.__class__ is Dense:
         return u._chain(e, e, e)
     return e
 
@@ -420,11 +401,11 @@ def exp(u):
 def ln(u):
     if u.__class__ is float and 0.0 < u < math.inf:
         return math.log(u)
-    if isinstance(u, Dual):
+    if u.__class__ is Dual:
         return Dual(ln(u.re), u.du / u.re)
     lib, v = _arg(u, "ln")
     _check(v > 0.0, v, "ln of non-positive value")
-    if isinstance(u, Jet):
+    if u.__class__ is Dense:
         return u._chain(lib.log(v), 1.0 / v, -1.0 / (v * v))
     return lib.log(v)
 
@@ -432,12 +413,12 @@ def ln(u):
 def sqrt(u):
     if u.__class__ is float and 0.0 <= u < math.inf:
         return math.sqrt(u)
-    if isinstance(u, Dual):
+    if u.__class__ is Dual:
         s = sqrt(u.re)
         return Dual(s, true_div(u.du, 2.0 * s))
     lib, v = _arg(u, "sqrt")
     _check(v >= 0.0, v, "sqrt of negative value")
-    if isinstance(u, Jet):
+    if u.__class__ is Dense:
         _check(v != 0.0, v, "sqrt derivative is singular at")
         s = lib.sqrt(v)
         return u._chain(s, 0.5 / s, -0.25 / (s * v))
@@ -447,19 +428,19 @@ def sqrt(u):
 def tanh(u):
     if u.__class__ is float and math.isfinite(u):
         return math.tanh(u)
-    if isinstance(u, Dual):
+    if u.__class__ is Dual:
         t = tanh(u.re)
         return Dual(t, (1.0 - t * t) * u.du)
     lib, v = _arg(u, "tanh")
     t = lib.tanh(v)
-    if isinstance(u, Jet):
+    if u.__class__ is Dense:
         sech2 = 1.0 - t * t
         return u._chain(t, sech2, -2.0 * t * sech2)
     return t
 
 
 def _array_pow(base, e):
-    """base**e where base or e is a float array over nodes, under the
+    """base**e where base or e is a float array over a batch, under the
     domain rules of _float_pow. A positive integer power needs only the
     result check: it is finite exactly where the base is."""
     if e.__class__ is np.ndarray or not (e > 0.0 and float(e).is_integer()):
@@ -491,9 +472,9 @@ def _float_pow(base: float, e: float) -> float:
 
 
 def power(u, e):
-    """u**e for any mix of float, float array, Jet and Dual operands.
+    """u**e for any mix of float, float array, Dense and Dual operands.
 
-    A non-constant (jet or dual) exponent routes through exp(e*ln u)
+    A non-constant (Dense or Dual) exponent routes through exp(e*ln u)
     and therefore requires a positive base.
     """
     if isinstance(e, _NUMBER):
@@ -506,14 +487,14 @@ def power(u, e):
             return 1.0
         if e == 1.0:
             return u
-        if isinstance(u, Dual):
+        if u.__class__ is Dual:
             return Dual(power(u.re, e), e * power(u.re, e - 1.0) * u.du)
-        v = u.value
-        pow_ = _float_pow if v.__class__ is float else _array_pow
+        v = u.val
+        pow_ = _array_pow if v.__class__ is np.ndarray else _float_pow
         f0 = pow_(v, e)
         f1 = e * pow_(v, e - 1.0)
         f2 = 0.0
-        if u.hess is not None:
+        if u.order == 2:
             f2 = e * (e - 1.0) * pow_(v, e - 2.0) if e != 2.0 else 2.0
         return u._chain(f0, f1, f2)
     if e.__class__ is np.ndarray and isinstance(u, _CONST):
@@ -539,7 +520,7 @@ def true_div(a, b):
 
 
 class Dual:
-    """Dual number a + eps*b with components in the jet ring."""
+    """Dual number a + eps*b with components in the Dense ring."""
 
     __slots__ = ("re", "du")
     __array_ufunc__ = None

@@ -204,7 +204,7 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
 
 def momentum_bundle(ctx: PContext) -> NormalityBundle:
     """Field assembly in the momentum representation, from the inverse
-    map's jets at (x, p). Shares no formula route with velocity_bundle
+    map's derivative data at (x, p). Shares no formula route with velocity_bundle
     beyond the connection transport."""
     n = ctx.n
     if n < 2:

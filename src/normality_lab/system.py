@@ -6,11 +6,12 @@ connection Gamma^k_ij(x, v), and optionally the inverse map components
 V^i(x, p) in closed form plus a gauge tensor T^k_ij(x, v).
 
 Two evaluation contexts do the real work. VContext seeds second-order
-jets at a velocity point and stacks what it evaluates into dense data
-(jets.Dense). PContext inverts the fiber map at a momentum point
-(closed form when given, Newton plus implicit differentiation
-otherwise), keeps an inner VContext at the preimage, and pushes its
-dense data through the inverse map by the chain rule.
+derivative data (jets.Dense) at a velocity point, evaluates components
+over it and stacks them into one Dense per field. PContext inverts the
+fiber map at a momentum point (closed form when given, Newton plus
+implicit differentiation otherwise), keeps an inner VContext at the
+preimage, and pushes its dense data through the inverse map by the
+chain rule.
 """
 
 from dataclasses import dataclass
@@ -77,7 +78,7 @@ class VelocityGradient:
 
     Evaluation lifts the environment into dual numbers over whatever
     algebra the caller supplied, so these components deliver exact
-    second-order jets even though they are one derivative deep."""
+    second-order Dense data even though they are one derivative deep."""
 
     __slots__ = ("scalar", "index")
     fiber_kind = "v"
@@ -185,23 +186,12 @@ class SystemDef:
 
 def _env(x, fiber, kind):
     """Evaluation environment binding x1.. and <kind>1.. to the entries
-    of x and fiber: floats, jets, or float arrays over nodes."""
+    of x and fiber: floats, Dense data, or float arrays over nodes."""
     env = {}
     for i in range(len(x)):
         env[f"x{i + 1}"] = x[i]
         env[f"{kind}{i + 1}"] = fiber[i]
     return env
-
-
-def _as_jet(value, m, order=2, nodes=()):
-    """A component's value as a jet; constants get zero derivatives, and
-    with a node shape they are first order and array-valued."""
-    if isinstance(value, jets.Jet):
-        return value
-    if nodes:
-        return jets.Jet(np.full(nodes, value, dtype=float),
-                        np.zeros((m,) + nodes))
-    return jets.constant(float(value), m, order=order)
 
 
 def _values(funcs, env, nodes=()):
@@ -223,16 +213,23 @@ def _component_name(what, idx):
     return what + "".join(digits)
 
 
-def _evaluate(components, env):
-    """Object array of the jets (or constants) of components, one or
-    nested sequences of them. numpy warnings are silenced: overflow is
-    caught by _checked on the stacked result."""
-    funcs = np.asarray(components, dtype=object)
-    out = np.empty(funcs.shape, dtype=object)
+def _flat(components):
+    """Layout and flat list of one component or nested sequences of
+    them."""
+    if isinstance(components, np.ndarray):
+        return components.shape, list(components.flat)
+    if hasattr(components, "evaluate"):
+        return (), [components]
+    parts = [_flat(c) for c in components]
+    return (len(parts),) + parts[0][0], [f for _, fs in parts for f in fs]
+
+
+def _evaluate(funcs, env):
+    """Values of components in env: Dense data or constants. numpy
+    warnings are silenced: overflow is caught by _checked on the
+    stacked result."""
     with np.errstate(all="ignore"):
-        for k, f in enumerate(funcs.flat):
-            out.flat[k] = f.evaluate(env)
-    return out
+        return [f.evaluate(env) for f in funcs]
 
 
 def _checked(dense, what, **point):
@@ -253,13 +250,17 @@ def _checked(dense, what, **point):
 def _dense(components, env, m, what, **point):
     """Checked dense data over m variables of components evaluated in
     env; `what` and `point` name a failing component."""
-    return _checked(jets.stack(_evaluate(components, env), m), what, **point)
+    shape, funcs = _flat(components)
+    dense = jets.stack(_evaluate(funcs, env), m)
+    if len(shape) != 1:
+        dense = dense.reshape(shape)
+    return _checked(dense, what, **point)
 
 
 class VContext:
     """Derivative data for one system at one velocity point, as dense
-    data over (x, v). The fiber map is also kept as the evaluator's
-    jets, because it binds p in eval_momentum_native."""
+    data over (x, v). The fiber map is also kept per component, as the
+    evaluator computes it, because it binds p in eval_momentum_native."""
 
     def __init__(self, sysdef: SystemDef, x, v):
         self.sys = sysdef
@@ -326,9 +327,9 @@ class VContext:
 
 
 def _fiber_jets(sysdef: SystemDef, x, v, wrt_x=True):
-    """First-order jets of the fiber map components over (x, v), or over
-    v alone. x and v are (n,), or (n, N) for array-valued jets over N
-    nodes."""
+    """First-order Dense data of the fiber map over (x, v), or over v
+    alone. x and v are (n,), or (n, N) over N nodes; the data then has
+    shape (n, N), the node axis leading its derivative axis."""
     n = sysdef.n
     nodes = v.shape[1:]
     if wrt_x:
@@ -336,8 +337,8 @@ def _fiber_jets(sysdef: SystemDef, x, v, wrt_x=True):
         env = _env(seeded[:n], seeded[n:], "v")
     else:
         env = _env(x if nodes else x.tolist(), jets.seeds(v, order=1), "v")
-    m = 2 * n if wrt_x else n
-    return [_as_jet(f.evaluate(env), m, 1, nodes) for f in sysdef.legendre]
+    return jets.stack([f.evaluate(env) for f in sysdef.legendre],
+                      2 * n if wrt_x else n, nodes)
 
 
 def _at(k, **arrays):
@@ -353,8 +354,8 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
     x, p and guess are (n,), or (n, N) with a trailing node axis. Every
     node iterates until its own residual meets NEWTON_TOL, under its own
     condition check; converged nodes are not updated any more. Returns v
-    and the first-order jets of L at v, over (x, v) with wrt_x (what
-    theta needs) and over v alone otherwise (cheaper on scalar jets)."""
+    and the first-order Dense data of L at v, over (x, v) with wrt_x
+    (what theta needs) and over v alone otherwise (cheaper)."""
     n = sysdef.n
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -366,7 +367,7 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
         v = np.repeat(v[:, None], p.shape[1], axis=1)
     for iteration in range(NEWTON_MAX_ITER + 1):
         Lj = _fiber_jets(sysdef, x, v, wrt_x)
-        residual = np.array([j.value for j in Lj]) - p
+        residual = Lj.val - p
         err = np.max(np.abs(residual), axis=0)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
         if not (todo.any() if batched else todo):
@@ -378,8 +379,8 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
             raise NonConvergence(
                 f"Newton stalled at residual {worst:.3e} solving the inverse "
                 f"fiber map at {_at(k, x=x, p=p)}")
-        G = np.stack([j.grad for j in Lj])[:, -n:]
         if not batched:
+            G = Lj.grad[:, -n:]
             if not np.all(np.isfinite(G)) or np.linalg.cond(G) > COND_LIMIT:
                 raise SingularMetric(
                     f"fiber Jacobian singular during inversion at "
@@ -388,7 +389,7 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
             continue
         # node-major systems of the nodes still iterating
         nodes = np.flatnonzero(todo)
-        G = G.transpose(2, 0, 1)[nodes]
+        G = Lj.grad[:, nodes, -n:].transpose(1, 0, 2)
         cond = np.full(len(nodes), np.inf)
         finite = np.isfinite(G).all(axis=(1, 2))
         if finite.any():
@@ -551,13 +552,12 @@ def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
 
 def _theta(sysdef: SystemDef, x, v, Lj):
     """theta_i = dL_i/dx . v + dL_i/dv . Phi, the derivative of L_i along
-    (v, Phi), from the jets Lj of the fiber map over (x, v) and Phi
-    evaluated on floats; x and v are (n,) or (n, N)."""
+    (v, Phi), from the Dense data Lj of the fiber map over (x, v) and
+    Phi evaluated on floats; x and v are (n,) or (n, N)."""
     nodes = v.shape[1:]
     env = _env(x, v, "v") if nodes else _env(x.tolist(), v.tolist(), "v")
     direction = np.concatenate([v, _values(sysdef.force, env, nodes)])
-    return np.einsum("im...,m...->i...", np.stack([j.grad for j in Lj]),
-                     direction)
+    return np.einsum("i...m,m...->i...", Lj.grad, direction)
 
 
 def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
@@ -572,7 +572,7 @@ def _phase_flow(sysdef: SystemDef, x, p, guess=None):
     """Velocity v and free force covector theta at momentum points, the
     right-hand side dx/dt = v, dp/dt = theta of a trajectory. x, p and
     the Newton guess are (n,) or (n, N) over N nodes. theta reuses the
-    fiber map jets of the last Newton step, so the map is evaluated once
+    fiber map data of the last Newton step, so the map is evaluated once
     more only after a closed-form inverse."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -588,15 +588,10 @@ def force_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     """F^i = Phi^i + sum_jk Gamma^i_jk v^j v^k at a velocity point."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("force_vector expects a velocity point")
-    n = sysdef.n
     env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
-    out = _values(sysdef.force, env)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i] += (float(sysdef.connection[i, j, k].evaluate(env))
-                           * pt.fiber[j] * pt.fiber[k])
-    return out
+    gamma = _values(sysdef.connection.ravel(), env)
+    return _values(sysdef.force, env) + np.einsum(
+        "ijk,j,k->i", gamma.reshape(sysdef.connection.shape), pt.fiber, pt.fiber)
 
 
 def force_covector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Array-valued jets, the batched Newton solve and the batched shift,
+"""Batched Dense data, the batched Newton solve and the batched shift,
 each against its scalar counterpart evaluated node by node."""
 
 import numpy as np
@@ -15,7 +15,7 @@ from normality_lab.system import (NEWTON_TOL, SystemDef, _newton_solve,
                                   legendre_forward, theta_from_phi)
 
 # every operator and function of the expression language; a and b are
-# jets, c a constant (a float, or a float array over nodes)
+# Dense data, c a constant (a float, or a float array over nodes)
 OPERATIONS = {
     "a+b": lambda a, b, c: a + b,
     "a-b": lambda a, b, c: a - b,
@@ -44,29 +44,42 @@ OPERATIONS = {
 
 
 def _parts(u):
-    if isinstance(u, jets.Jet):
-        return np.asarray(u.value), u.grad
-    return np.asarray(u), None
+    """(val, grad, hess) of Dense data; a constant has no derivatives."""
+    if isinstance(u, jets.Dense):
+        return np.asarray(u.val), u.grad, u.hess
+    return np.asarray(u), None, None
+
+
+def _assert_node_matches(got, want, k, nodes, what, tol):
+    """Node k of batched parts against the parts of a single point; a
+    constant result may come back unbatched."""
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None, what
+        else:
+            g = np.broadcast_to(g, (nodes,) + w.shape)[k]
+            assert helpers.rel_err(g, w) < tol, what
 
 
 def test_array_jets_match_scalar_jets_elementwise():
+    # one batched Dense against the same operation node by node, at
+    # both orders: the batch axis leads the derivative axes
     rng = np.random.default_rng(31)
     nodes = 7
     values = rng.uniform(0.5, 1.5, (2, nodes))
     const = rng.uniform(0.5, 1.5, nodes)
-    a, b = jets.seeds(values, order=1)
-    assert a.value.shape == (nodes,) and a.grad.shape == (2, nodes)
-    for name, op in OPERATIONS.items():
-        got_val, got_grad = _parts(op(a, b, const))
-        assert got_val.shape == (nodes,), name
-        for k in range(nodes):
-            sa, sb = jets.seeds(values[:, k], order=1)
-            want_val, want_grad = _parts(op(sa, sb, float(const[k])))
-            assert helpers.rel_err(got_val[k], want_val) < 1e-15, name
-            if want_grad is None:
-                assert got_grad is None, name
-            else:
-                assert helpers.rel_err(got_grad[:, k], want_grad) < 1e-15, name
+    for order in (1, 2):
+        a, b = jets.seeds(values, order=order)
+        assert a.val.shape == (nodes,) and a.grad.shape == (nodes, 2)
+        assert order == 1 or a.hess.shape == (nodes, 2, 2)
+        for name, op in OPERATIONS.items():
+            got = _parts(op(a, b, const))
+            assert got[0].shape == (nodes,), name
+            for k in range(nodes):
+                sa, sb = jets.seeds(values[:, k], order=order)
+                want = _parts(op(sa, sb, float(const[k])))
+                _assert_node_matches(got, want, k, nodes,
+                                     f"{name}, order {order}", 1e-15)
 
 
 def test_expressions_over_array_jets_match_scalar_evaluation():
@@ -77,27 +90,30 @@ def test_expressions_over_array_jets_match_scalar_evaluation():
         e = expr.parse(source, 2, kinds=("x", "v"))
         x = rng.uniform(-1.0, 1.0, (2, nodes))
         v = rng.uniform(0.5, 1.5, (2, nodes))
-        seeded = jets.seeds(np.concatenate([x, v]), order=1)
-        env = {"x1": seeded[0], "x2": seeded[1],
-               "v1": seeded[2], "v2": seeded[3]}
-        got_val, got_grad = _parts(e.evaluate(env))
-        for k in range(nodes):
-            s = jets.seeds(np.concatenate([x[:, k], v[:, k]]), order=1)
-            want_val, want_grad = _parts(e.evaluate(
-                {"x1": s[0], "x2": s[1], "v1": s[2], "v2": s[3]}))
-            assert helpers.rel_err(np.broadcast_to(got_val, (nodes,))[k],
-                                   want_val) < 1e-14, source
-            if want_grad is not None:
-                assert helpers.rel_err(got_grad[:, k], want_grad) < 1e-14, source
+        for order in (1, 2):
+            seeded = jets.seeds(np.concatenate([x, v]), order=order)
+            env = {"x1": seeded[0], "x2": seeded[1],
+                   "v1": seeded[2], "v2": seeded[3]}
+            got = _parts(e.evaluate(env))
+            for k in range(nodes):
+                s = jets.seeds(np.concatenate([x[:, k], v[:, k]]), order=order)
+                want = _parts(e.evaluate(
+                    {"x1": s[0], "x2": s[1], "v1": s[2], "v2": s[3]}))
+                _assert_node_matches(got, want, k, nodes, source, 1e-14)
 
 
 def test_numpy_never_builds_object_arrays_of_jets():
     (a,) = jets.seeds(np.array([[0.5, 1.0, 2.0]]), order=1)
     const = np.array([1.0, 2.0, 3.0])
     for out in (const + a, const * a, const - a, const / a,
-                np.float64(2.0) * a):
-        assert isinstance(out, jets.Jet)
-        assert out.value.dtype == float and out.grad.dtype == float
+                np.float64(2.0) * a, np.float64(2.0) - a):
+        assert isinstance(out, jets.Dense)
+        assert out.val.dtype == float and out.grad.dtype == float
+        assert out.grad.shape == (3, 1)
+    # nor takes Dense for a sequence: an object array keeps it whole
+    (s,) = jets.seeds([0.5])
+    assert isinstance(np.float64(2.0) * s, jets.Dense)
+    assert np.array((s, s, s), dtype=object).shape == (3,)
 
 
 def test_batch_with_one_bad_entry_raises():
@@ -119,7 +135,7 @@ def test_batch_with_one_bad_entry_raises():
         with pytest.raises(EvalError, match="node 2"):
             fn(bad)
         with pytest.raises(EvalError, match="node 2"):
-            fn(jets.Jet(bad, np.ones((1, 4))))
+            fn(jets.Dense(1, bad, np.ones((4, 1))))
     with pytest.raises(EvalError, match="node 2"):
         jets.power(bad, 2.0)
     with pytest.raises(EvalError, match="node 1"):

@@ -348,7 +348,7 @@ def test_curvature_momentum_form_against_finite_differences(make):
 
 def _covariant_at(sysdef, fiber_kind, components, variance, z):
     # D_m X at the phase point z = (x, fiber) from floats: first
-    # derivatives of the components from order-1 jets at z, connection
+    # derivatives of the components from order-1 Dense data at z, connection
     # values by plain evaluation (through Newton for momenta)
     n = sysdef.n
     momentum = fiber_kind == "p"
@@ -366,8 +366,8 @@ def _covariant_at(sysdef, fiber_kind, components, variance, z):
         comp = components
         for t in idx:
             comp = comp[t]
-        jet = comp.evaluate(env)
-        X[idx], dX[idx] = jet.value, jet.grad
+        dense = comp.evaluate(env)
+        X[idx], dX[idx] = dense.val, dense.grad
     out = np.zeros(shape + (n,))
     for idx in np.ndindex(shape):
         for m in range(n):

@@ -236,6 +236,20 @@ def test_config_validation():
                              fiber_box=(0.5, [1.5])))
     with pytest.raises(ValidationError, match="unknown tolerances: Cross"):
         run_checks(RunConfig(good, samples=1, tolerances={"Cross": 1e9}))
+    # wrong types are configuration errors, not bare Python errors
+    for box in ((1.0,), ([0, [1]], [1, 2]), 1.0):
+        with pytest.raises(ValidationError, match="x sampling box must be"):
+            run_checks(RunConfig(good, checks=("metric",), samples=2,
+                                 x_box=box))
+    with pytest.raises(ValidationError, match="fiber sampling box must be"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2,
+                             fiber_box=(0.5,)))
+    with pytest.raises(ValidationError, match="samples must be an integer"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2.5))
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2, seed=1.5))
+    with pytest.raises(ValidationError, match="string 'metric'"):
+        run_checks(RunConfig(good, checks="metric", samples=2))
     # one bound per variable is accepted
     _, status = run_checks(RunConfig(good, checks=("metric",), samples=2,
                                      x_box=([-1, -2], [1, 2])))

@@ -1,4 +1,4 @@
-"""Jet kernel against the finite-difference oracle."""
+"""Dense derivative data against the finite-difference oracle."""
 
 import numpy as np
 import pytest
@@ -13,17 +13,17 @@ from helpers import fd_gradient, fd_hessian, random_source, rel_err
 def test_seed_and_basic_arithmetic():
     v, w = jets.seeds([3.0, 4.0])
     q = v * v
-    assert q.value == 9.0
+    assert q.val == 9.0
     assert np.allclose(q.grad, [6.0, 0.0])
     assert np.allclose(q.hess, [[2.0, 0.0], [0.0, 0.0]])
 
     s = v * w + 2.0 * v
-    assert s.value == 18.0
+    assert s.val == 18.0
     assert np.allclose(s.grad, [6.0, 3.0])
     assert np.allclose(s.hess, [[0.0, 1.0], [1.0, 0.0]])
 
     r = 1.0 / w
-    assert r.value == 0.25
+    assert r.val == 0.25
     assert np.allclose(r.grad, [0.0, -1.0 / 16.0])
     assert np.allclose(r.hess, [[0.0, 0.0], [0.0, 2.0 / 64.0]])
 
@@ -36,19 +36,19 @@ def test_division_and_power_edges():
         jets.power(v - 3.0, 0.5)       # negative base, fractional power
     neg = v - 3.0
     cube = jets.power(neg, 3)          # integer powers of negatives are fine
-    assert cube.value == -1.0
+    assert cube.val == -1.0
     assert np.allclose(cube.grad, [3.0])
     with pytest.raises(EvalError):
-        jets.power(v - 3.0, v)         # jet exponent needs positive base
+        jets.power(v - 3.0, v)         # a Dense exponent needs a positive base
     pw = jets.power(v, v)              # 2^2 with full derivative structure
-    assert pw.value == pytest.approx(4.0)
+    assert pw.val == pytest.approx(4.0)
     assert np.allclose(pw.grad, [4.0 * (np.log(2.0) + 1.0)])
 
 
 def test_order_demotion_and_extraction():
     v, w = jets.seeds([1.0, 2.0])
     # d/dw (v w^2) = 2 v w, first order
-    dense = jets.derivative(jets.stack(v * w * w, 2), 1)
+    dense = jets.derivative(v * w * w, 1)
     assert dense.order == 1 and dense.hess is None
     assert dense.val == 4.0
     assert np.allclose(dense.grad, [4.0, 2.0])  # grad of 2vw
@@ -56,17 +56,18 @@ def test_order_demotion_and_extraction():
     assert ddense.order == 0 and ddense.val == 4.0 and ddense.grad is None
     with pytest.raises(MissingJets):
         jets.derivative(ddense, 0)
-    # mixing a lower-order jet into arithmetic demotes the result, but
+    # mixing lower-order data into arithmetic demotes the result, but
     # plain numbers are constants and do not
-    d = jets.Jet(4.0, np.array([4.0, 2.0]))
-    dd = jets.Jet(4.0, None)
-    assert (d * v).order == 1
+    d = jets.Dense(1, 4.0, np.array([4.0, 2.0]))
+    dd = jets.Dense(0, 4.0)
+    assert (d * v).order == 1 and (d * v).hess is None
     assert (d + 1.0).order == 1
-    assert (dd * v).order == 0
+    assert (dd * v).order == 0 and (dd * v).grad is None
     assert (v * w + dd).order == 0
-    assert jets.value_of(dd * v + 3.0) == pytest.approx(7.0)
+    assert (jets.sin(d).order, jets.sin(dd).order) == (1, 0)
+    assert (dd * v + 3.0).val == pytest.approx(7.0)
     with pytest.raises(MissingJets):
-        jets.derivative(jets.stack(dd * v, 2), 0)
+        jets.derivative(dd * v, 0)
 
 
 def test_hessian_exact_symmetry():
@@ -110,32 +111,48 @@ def test_compose_equals_direct_substitution():
     h = jets.sin(inner[0]) * inner[1]       # f(y1,y2) = sin(y1) y2
     composed = jets.compose(h, jets.stack([t1, t2], 2))
     direct = jets.sin(t1) * t2
-    assert composed.value == pytest.approx(direct.value, rel=1e-14)
+    assert composed.val == pytest.approx(direct.val, rel=1e-14)
     assert np.allclose(composed.grad, direct.grad, rtol=1e-13, atol=1e-13)
     assert np.allclose(composed.hess, direct.hess, rtol=1e-13, atol=1e-13)
+
+
+def _stacked(arr, m):
+    """Dense data of an object array of scalar Dense entries and numbers."""
+    return jets.stack(list(arr.flat), m).reshape(arr.shape)
 
 
 def test_stack_orders_and_constants():
     x = jets.seeds([0.4, -1.2])
     arr = np.array([[x[0] * x[1], 2.5], [jets.sin(x[0]), x[1]]], dtype=object)
-    order, val, grad, hess = jets.stack(arr, 2)
+    assert arr.shape == (2, 2)          # numpy keeps Dense whole
+    order, val, grad, hess = _stacked(arr, 2)
     assert order == 2 and val.shape == (2, 2)
     assert grad.shape == (2, 2, 2) and hess.shape == (2, 2, 2, 2)
     # a plain float is an exact constant
     assert val[0, 1] == 2.5 and not grad[0, 1].any() and not hess[0, 1].any()
     for idx in ((0, 0), (1, 0), (1, 1)):
         u = arr[idx]
-        assert val[idx] == u.value
+        assert val[idx] == u.val
         assert np.array_equal(grad[idx], u.grad)
         assert np.array_equal(hess[idx], u.hess)
 
     # the lowest order over the entries wins
-    arr[1, 1] = jets.Jet(x[1].value, x[1].grad)
-    assert jets.stack(arr, 2)[0] == 1 and jets.stack(arr, 2)[3] is None
-    arr[1, 1] = jets.Jet(x[1].value, None)
-    order, val, grad, hess = jets.stack(arr, 2)
+    arr[1, 1] = jets.Dense(1, x[1].val, x[1].grad)
+    cut = _stacked(arr, 2)
+    assert cut.order == 1 and cut.hess is None
+    arr[1, 1] = jets.Dense(0, x[1].val)
+    order, val, grad, hess = _stacked(arr, 2)
     assert order == 0 and grad is None and hess is None
-    assert val[1, 1] == arr[1, 1].value
+    assert val[1, 1] == arr[1, 1].val
+
+    # entries over a batch lead their derivative axes; constants are
+    # broadcast over the batch
+    a, b = jets.seeds([[0.5, 1.0, 2.0], [1.5, -1.0, 0.2]], order=1)
+    order, val, grad, hess = jets.stack([a * b, 3.0, np.ones(3), b], 2, (3,))
+    assert order == 1 and hess is None
+    assert val.shape == (4, 3) and grad.shape == (4, 3, 2)
+    assert np.array_equal(val[1], [3.0] * 3) and not grad[1:3].any()
+    assert np.array_equal(grad[3], np.tile([0.0, 1.0], (3, 1)))
 
 
 def test_einsum_follows_the_product_rule():
@@ -144,25 +161,26 @@ def test_einsum_follows_the_product_rule():
     A = np.array([[x[0] * x[1], jets.sin(x[2])], [x[1], 2.5]], dtype=object)
     b = np.array([x[2] * x[2], jets.cos(x[0])], dtype=object)
     C = np.array([[0.3, -1.1], [2.0, 0.5]])
-    got = jets.einsum("ij,j,jk->ik", jets.stack(A, 3), jets.stack(b, 3), C)
+    got = jets.einsum("ij,j,jk->ik", _stacked(A, 3), _stacked(b, 3), C)
     want = np.empty((2, 2), dtype=object)
     for i in range(2):
         for k in range(2):
             want[i, k] = A[i, 0] * b[0] * C[0, k] + A[i, 1] * b[1] * C[1, k]
-    want = jets.stack(want, 3)
+    want = _stacked(want, 3)
     assert got.order == 2
-    for a, w in zip(got[1:], want[1:]):
+    for a, w in zip((got.val, got.grad, got.hess),
+                    (want.val, want.grad, want.hess)):
         assert np.allclose(a, w, rtol=1e-14, atol=1e-14)
     assert np.array_equal(got.hess, np.swapaxes(got.hess, -1, -2))
 
     # a first-order operand demotes the result, sums take the lower order
-    first = jets.derivative(jets.stack(b, 3), 0)
-    assert jets.einsum("ij,i->j", jets.stack(A, 3), first).order == 1
-    assert (jets.stack(b, 3) - first).order == 1
+    first = jets.derivative(_stacked(b, 3), 0)
+    assert jets.einsum("ij,i->j", _stacked(A, 3), first).order == 1
+    assert (_stacked(b, 3) - first).order == 1
     assert (-jets.derivative(first, 0)).grad is None
-    cut = jets.stack(b, 3).truncated(1)
+    cut = _stacked(b, 3).truncated(1)
     assert cut.order == 1 and cut.hess is None
-    assert jets.einsum("ij,j->i", jets.stack(A, 3), cut).order == 1
+    assert jets.einsum("ij,j->i", _stacked(A, 3), cut).order == 1
 
 
 def test_matrix_inverse_values_and_derivative():
@@ -171,8 +189,8 @@ def test_matrix_inverse_values_and_derivative():
     A[0, 0] = 1.0 + t * t
     A[0, 1] = t
     A[1, 0] = 0.5 * t
-    A[1, 1] = jets.constant(2.0, 1)
-    Ainv = jets.invert_matrix(jets.stack(A, 1))
+    A[1, 1] = 2.0
+    Ainv = jets.invert_matrix(_stacked(A, 1))
     assert Ainv.order == 1 and Ainv.hess is None
 
     def inv_at(tv):
@@ -186,7 +204,7 @@ def test_matrix_inverse_values_and_derivative():
 
     singular = np.array([[t, 2.0 * t], [2.0 * t, 4.0 * t]], dtype=object)
     with pytest.raises(SingularMetric):
-        jets.invert_matrix(jets.stack(singular, 1))
+        jets.invert_matrix(_stacked(singular, 1))
 
 
 def test_dual_lift_gives_exact_gradient_jets():
@@ -199,6 +217,6 @@ def test_dual_lift_gives_exact_gradient_jets():
     env = {"x1": jets.Dual(seeded[0], 0.0), "v1": jets.Dual(seeded[1], 1.0)}
     lifted = lag.evaluate(env).du
     want = expr.eval_jet(hand, pt)
-    assert lifted.value == pytest.approx(want.value, rel=1e-14)
+    assert lifted.val == pytest.approx(want.val, rel=1e-14)
     assert np.allclose(lifted.grad, want.grad, rtol=1e-13, atol=1e-13)
     assert np.allclose(lifted.hess, want.hess, rtol=1e-13, atol=1e-13)

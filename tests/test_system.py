@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from normality_lab import expr, jets
+from normality_lab import calculus, expr, jets
 from normality_lab.errors import NonConvergence, SingularMetric, ValidationError
 from normality_lab.phase import PhasePoint
 from normality_lab.system import (ConstFunc, PContext, SystemDef, VContext,
@@ -224,7 +224,7 @@ def test_momentum_native_composition():
     func = expr.parse("p1^2 + 0.5*p2", 2, kinds=("x", "p"))
     composed = ctx.eval_momentum_native(func)
     direct = ctx.L[0] * ctx.L[0] + 0.5 * ctx.L[1]
-    assert composed.val == pytest.approx(direct.value, abs=1e-13)
+    assert composed.val == pytest.approx(direct.val, abs=1e-13)
     assert np.allclose(composed.grad, direct.grad, atol=1e-13)
     assert np.allclose(composed.hess, direct.hess, atol=1e-13)
 
@@ -239,9 +239,10 @@ def test_momentum_connection_matches_entrywise_composition():
         ctx = PContext(sysdef, image.x, image.fiber)
         inner, got = ctx.inner.gamma, ctx.gamma_p
         for idx in np.ndindex(got.val.shape):
-            entry = jets.Jet(inner.val[idx], inner.grad[idx], inner.hess[idx])
+            entry = jets.Dense(2, inner.val[idx], inner.grad[idx],
+                               inner.hess[idx])
             want = jets.compose(entry, ctx.transform)
-            assert got.val[idx] == want.value
+            assert got.val[idx] == want.val
             assert np.allclose(got.grad[idx], want.grad, rtol=1e-13, atol=1e-14)
             assert np.allclose(got.hess[idx], want.hess, rtol=1e-13, atol=1e-14)
 
@@ -303,3 +304,46 @@ def test_generated_fiber_map_round_trips_under_newton():
         p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
         w = _newton_solve(sysdef, x, p)
         assert np.max(np.abs(w - v)) < 1e-10
+
+
+def test_the_calls_of_the_benchmark_probes():
+    # the per-layer probes of bench/layers.py reach into the package
+    # through exactly these calls
+    sysdef = helpers.sys_cubic3()
+    n = sysdef.n
+    x, v = np.array([0.3, -0.4, 0.1]), np.array([0.9, 1.2, 0.7])
+    ctx = VContext(sysdef, x, v)
+    assert len(ctx.L) == n
+    assert all(isinstance(u, jets.Dense) for u in ctx.L)
+    product = ctx.L[0] * ctx.L[1]
+    assert isinstance(product, jets.Dense)
+    assert product.val == pytest.approx(ctx.L_dense.val[0] * ctx.L_dense.val[1])
+
+    image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
+    pctx = PContext(sysdef, image.x, image.fiber)
+    composed = jets.compose(pctx.inner.L[0], pctx.transform)
+    want = pctx.eval_velocity_native(sysdef.legendre[0])
+    assert np.allclose(composed.grad, want.grad, rtol=1e-13, atol=1e-14)
+    assert np.allclose(composed.hess, want.hess, rtol=1e-13, atol=1e-14)
+    inverse = jets.invert_matrix(ctx.g_jets)
+    assert np.allclose(inverse.val, ctx.g_inv_values, rtol=1e-13, atol=1e-14)
+
+    scalar = calculus.FieldValue(ctx, ctx.L[0], ())
+    vector = calculus.FieldValue(ctx, np.array(ctx.L, dtype=object),
+                                 (calculus.LOWER,))
+    assert np.shape(scalar.values()) == ()
+    assert vector.values().shape == (n,)
+    assert np.array_equal(vector.data.grad, ctx.L_dense.grad)
+    assert np.array_equal(vector.data.hess, ctx.L_dense.hess)
+    native = calculus.FieldValue(ctx, ctx.eval_native(sysdef.legendre[0]))
+    assert np.array_equal(calculus.horizontal_derivative(scalar).values(),
+                          calculus.horizontal_derivative(native).values())
+    assert calculus.horizontal_derivative(vector).values().shape == (n, n)
+    tensor = calculus.field_of(ctx, sysdef.connection[0],
+                               (calculus.LOWER, calculus.LOWER))
+    assert calculus.horizontal_derivative(tensor).values().shape == (n, n, n)
+
+    parsed = [f for f in sysdef.connection.flat if not isinstance(f, ConstFunc)]
+    assert parsed
+    for f in list(sysdef.legendre) + list(sysdef.force) + parsed:
+        assert isinstance(f.evaluate(ctx.env), jets.Dense)

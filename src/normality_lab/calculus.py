@@ -214,6 +214,12 @@ def relative_deviation(a, b) -> float:
 
 
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
+    """The velocity context at pt and the momentum context at its image
+    under the fiber map. The momentum context builds its own inner
+    velocity context at the preimage, by the closed-form inverse or one
+    Newton solve, so the two routes stay independent. The transport
+    check builds one such pair per point and evaluates all six
+    relations on it; the public relation functions build their own."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
     vctx = VContext(sysdef, pt.x, pt.fiber)
@@ -226,19 +232,19 @@ def _fiber_map_field(vctx) -> FieldValue:
     return FieldValue(vctx, vctx.L_dense, (LOWER,))
 
 
-def dynamic_curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
-    """Momentum-representation dynamic curvature at the image point
-    against the metric-contracted velocity-representation one."""
-    vctx, pctx = _paired_contexts(sysdef, pt)
+def _dynamic_curvature_relation(vctx, pctx) -> RelationCheck:
     lhs = dynamic_curvature(pctx)
     rhs = np.einsum("sr,kijs->krij", vctx.g_inv_values, dynamic_curvature(vctx))
     return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs))
 
 
-def curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
-    """Momentum-representation curvature at the image point against the
-    velocity-representation curvature plus its fiber-map correction."""
-    vctx, pctx = _paired_contexts(sysdef, pt)
+def dynamic_curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
+    """Momentum-representation dynamic curvature at the image point
+    against the metric-contracted velocity-representation one."""
+    return _dynamic_curvature_relation(*_paired_contexts(sysdef, pt))
+
+
+def _curvature_relation(vctx, pctx) -> RelationCheck:
     lhs = curvature(pctx)
     dv = dynamic_curvature(vctx)
     grad_L = horizontal_derivative(_fiber_map_field(vctx)).values()   # [q, m]
@@ -249,26 +255,38 @@ def curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
     return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs))
 
 
+def curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
+    """Momentum-representation curvature at the image point against the
+    velocity-representation curvature plus its fiber-map correction."""
+    return _curvature_relation(*_paired_contexts(sysdef, pt))
+
+
 # --- transport of derivatives through the fiber map ---------------------
 
-def vertical_transport_velocity(sysdef, pt, func) -> float:
-    """For a velocity-native scalar X: fiber derivative taken directly
-    versus through the inverse map, dX/dv^k = sum_q g_qk d(X o inv)/dp_q."""
-    vctx, pctx = _paired_contexts(sysdef, pt)
-    n = sysdef.n
+def _vertical_transport_velocity(vctx, pctx, func) -> float:
+    n = vctx.n
     direct = vctx.eval_native(func)
     composed = pctx.eval_velocity_native(func)
     return relative_deviation(direct.grad[n:], vctx.g_values.T @ composed.grad[n:])
 
 
-def vertical_transport_momentum(sysdef, pt, func) -> float:
-    """For a momentum-native scalar X: dX/dp_k = sum_q g^{qk} d(X o map)/dv^q."""
-    vctx, pctx = _paired_contexts(sysdef, pt)
-    n = sysdef.n
+def vertical_transport_velocity(sysdef, pt, func) -> float:
+    """For a velocity-native scalar X: fiber derivative taken directly
+    versus through the inverse map, dX/dv^k = sum_q g_qk d(X o inv)/dp_q."""
+    return _vertical_transport_velocity(*_paired_contexts(sysdef, pt), func)
+
+
+def _vertical_transport_momentum(vctx, pctx, func) -> float:
+    n = vctx.n
     direct = pctx.eval_native(func)
     composed = vctx.eval_momentum_native(func)
     return relative_deviation(direct.grad[n:],
                               vctx.g_inv_values.T @ composed.grad[n:])
+
+
+def vertical_transport_momentum(sysdef, pt, func) -> float:
+    """For a momentum-native scalar X: dX/dp_k = sum_q g^{qk} d(X o map)/dv^q."""
+    return _vertical_transport_momentum(*_paired_contexts(sysdef, pt), func)
 
 
 def _horizontal_transport(native_ctx, other_ctx, evaluate, fiber_map,
@@ -283,20 +301,28 @@ def _horizontal_transport(native_ctx, other_ctx, evaluate, fiber_map,
     return relative_deviation(lhs, rhs)
 
 
+def _horizontal_transport_momentum(vctx, pctx, components, variance=()) -> float:
+    v_field = FieldValue(pctx, pctx.V, (UPPER,))
+    return _horizontal_transport(pctx, vctx, vctx.eval_momentum_native,
+                                 v_field, components, variance)
+
+
 def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
     """For a momentum-native field X: covariant base derivative taken
     natively versus through the fiber map,
     D_m X = D_m(X o map) + sum_q D_m V^q d(X o map)/dv^q."""
-    vctx, pctx = _paired_contexts(sysdef, pt)
-    v_field = FieldValue(pctx, pctx.V, (UPPER,))
-    return _horizontal_transport(pctx, vctx, vctx.eval_momentum_native,
-                                 v_field, components, variance)
+    return _horizontal_transport_momentum(*_paired_contexts(sysdef, pt),
+                                          components, variance)
+
+
+def _horizontal_transport_velocity(vctx, pctx, components, variance=()) -> float:
+    return _horizontal_transport(vctx, pctx, pctx.eval_velocity_native,
+                                 _fiber_map_field(vctx), components, variance)
 
 
 def horizontal_transport_velocity(sysdef, pt, components, variance=()) -> float:
     """For a velocity-native field X: covariant base derivative taken
     natively versus through the inverse map,
     D_m X = D_m(X o inv) + sum_q D_m L_q d(X o inv)/dp_q."""
-    vctx, pctx = _paired_contexts(sysdef, pt)
-    return _horizontal_transport(vctx, pctx, pctx.eval_velocity_native,
-                                 _fiber_map_field(vctx), components, variance)
+    return _horizontal_transport_velocity(*_paired_contexts(sysdef, pt),
+                                          components, variance)

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr
-from .calculus import (LOWER, curvature_relation, dynamic_curvature_relation,
-                       horizontal_transport_momentum,
-                       horizontal_transport_velocity,
-                       vertical_transport_momentum,
-                       vertical_transport_velocity)
+from .calculus import (LOWER, _curvature_relation,
+                       _dynamic_curvature_relation,
+                       _horizontal_transport_momentum,
+                       _horizontal_transport_velocity, _paired_contexts,
+                       _vertical_transport_momentum,
+                       _vertical_transport_velocity)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
 from .experiments import (ShiftRun, connection_free_mode,
@@ -136,14 +137,31 @@ def _row(equation, residual, tolerance, **flags):
     return row
 
 
+def _coefficient(w):
+    """The node `({w:.6f})` parses to: the rounded magnitude, negated
+    by a Unary when the text carries a minus sign (also for -0.000000)."""
+    text = f"{w:.6f}"
+    if text.startswith("-"):
+        return expr.Unary(expr.Num(float(text[1:])))
+    return expr.Num(float(text))
+
+
 def _random_scalar(rng, n, kind):
-    """Low-degree polynomial with one trig term, deterministic in rng.
-    Negative coefficients are parenthesized so the source stays valid."""
+    """Low-degree polynomial with one trig term, deterministic in rng:
+    c0 + c1*x{a}*{kind}{b} + c2*{kind}{a}^2 + c3*sin(x{b}), with the
+    coefficients rounded to six decimals. The tree is the one
+    expr.parse gives for that source, built without parsing."""
     a, b = (int(i) + 1 for i in rng.integers(0, n, size=2))
-    c = [f"({w:.6f})" for w in rng.uniform(-1.0, 1.0, size=4)]
-    source = (f"{c[0]} + {c[1]}*x{a}*{kind}{b} + {c[2]}*{kind}{a}^2"
-              f" + {c[3]}*sin(x{b})")
-    return expr.parse(source, n)
+    c = [_coefficient(w) for w in rng.uniform(-1.0, 1.0, size=4)]
+    x_a, x_b = expr.Var("x", a), expr.Var("x", b)
+    f_a, f_b = expr.Var(kind, a), expr.Var(kind, b)
+    terms = (expr.Binary("*", expr.Binary("*", c[1], x_a), f_b),
+             expr.Binary("*", c[2], expr.Binary("^", f_a, expr.Num(2.0))),
+             expr.Binary("*", c[3], expr.Call("sin", x_b)))
+    root = c[0]
+    for term in terms:
+        root = expr.Binary("+", root, term)
+    return expr.Expression(root, n, ("x", "v", "p"), kind)
 
 
 def _metric_rows(sysdef, doc, pt, rng, tol):
@@ -162,19 +180,22 @@ def _transport_rows(sysdef, doc, pt, rng, tol):
     scalar_p = _random_scalar(rng, n, "p")
     cov_v = [_random_scalar(rng, n, "v") for _ in range(n)]
     cov_p = [_random_scalar(rng, n, "p") for _ in range(n)]
+    # one context pair for all six relations, built after every draw so
+    # that a point resampled for a singular metric redraws from the rng
+    # state its scalars left
+    pair = _paired_contexts(sysdef, pt)
     return [
         _row("vertical-transport-v",
-             vertical_transport_velocity(sysdef, pt, scalar_v), t),
+             _vertical_transport_velocity(*pair, scalar_v), t),
         _row("vertical-transport-p",
-             vertical_transport_momentum(sysdef, pt, scalar_p), t),
+             _vertical_transport_momentum(*pair, scalar_p), t),
         _row("horizontal-transport-v",
-             horizontal_transport_velocity(sysdef, pt, cov_v, (LOWER,)), t),
+             _horizontal_transport_velocity(*pair, cov_v, (LOWER,)), t),
         _row("horizontal-transport-p",
-             horizontal_transport_momentum(sysdef, pt, cov_p, (LOWER,)), t),
+             _horizontal_transport_momentum(*pair, cov_p, (LOWER,)), t),
         _row("dynamic-curvature-relation",
-             dynamic_curvature_relation(sysdef, pt).deviation, t),
-        _row("curvature-relation",
-             curvature_relation(sysdef, pt).deviation, t),
+             _dynamic_curvature_relation(*pair).deviation, t),
+        _row("curvature-relation", _curvature_relation(*pair).deviation, t),
     ]
 
 

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import helpers
-from normality_lab import expr, jets
+from normality_lab import calculus, cli, expr, jets
 from normality_lab.calculus import (LOWER, UPPER, FieldValue, curvature,
                                     curvature_relation, dynamic_curvature,
                                     dynamic_curvature_relation, field_of,
@@ -14,7 +16,10 @@ from normality_lab.calculus import (LOWER, UPPER, FieldValue, curvature,
                                     vertical_transport_velocity)
 from normality_lab.errors import MissingJets
 from normality_lab.phase import PhasePoint
+from normality_lab.sysfile import load_system_file
 from normality_lab.system import PContext, VContext, legendre_forward, _newton_solve
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def paired(sysdef, x, v):
@@ -295,6 +300,65 @@ def test_horizontal_transport_both_directions():
                              kinds=("x", "p")) for _ in range(2)]
         for variance in ((UPPER,), (LOWER,)):
             assert horizontal_transport_momentum(sysdef, pt, pfield, variance) < 1e-7
+
+
+def _cached_arrays(vctx, pctx):
+    """Copies of every array the context pair caches and the relations
+    read, by name."""
+    cached = {"L_dense": vctx.L_dense, "g_values": vctx.g_values,
+              "g_inv_values": vctx.g_inv_values, "gamma": vctx.gamma,
+              "gamma_p": pctx.gamma_p, "V": pctx.V}
+    return {name: [np.array(a) for a in
+                   (list(value)[1:] if isinstance(value, jets.Dense) else [value])
+                   if a is not None]
+            for name, value in cached.items()}
+
+
+@pytest.mark.parametrize("name", ["cubic", "cubic3", "lagrangian",
+                                  "linear_mode_a"])
+def test_one_pair_gives_the_bits_of_separate_pairs(name):
+    """The transport check evaluates its six relations on one context
+    pair; each must give exactly what the public function gives on a
+    pair of its own, and none may change the pair's cached data."""
+    sysdef = load_system_file(str(FIXTURES / f"{name}.system"))
+    n = sysdef.n
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        x, v = helpers.random_box_point(rng, n)
+        pt = PhasePoint.velocity(x, v)
+        scalar_v = cli._random_scalar(rng, n, "v")
+        scalar_p = cli._random_scalar(rng, n, "p")
+        cov_v = [cli._random_scalar(rng, n, "v") for _ in range(n)]
+        cov_p = [cli._random_scalar(rng, n, "p") for _ in range(n)]
+
+        pair = calculus._paired_contexts(sysdef, pt)
+        before = _cached_arrays(*pair)
+        dyn = calculus._dynamic_curvature_relation(*pair)
+        curv = calculus._curvature_relation(*pair)
+        shared = [
+            calculus._vertical_transport_velocity(*pair, scalar_v),
+            calculus._vertical_transport_momentum(*pair, scalar_p),
+            calculus._horizontal_transport_velocity(*pair, cov_v, (LOWER,)),
+            calculus._horizontal_transport_momentum(*pair, cov_p, (LOWER,)),
+            dyn.deviation, curv.deviation]
+        separate_dyn = dynamic_curvature_relation(sysdef, pt)
+        separate_curv = curvature_relation(sysdef, pt)
+        separate = [
+            vertical_transport_velocity(sysdef, pt, scalar_v),
+            vertical_transport_momentum(sysdef, pt, scalar_p),
+            horizontal_transport_velocity(sysdef, pt, cov_v, (LOWER,)),
+            horizontal_transport_momentum(sysdef, pt, cov_p, (LOWER,)),
+            separate_dyn.deviation, separate_curv.deviation]
+        assert shared == separate
+        for got, want in ((dyn, separate_dyn), (curv, separate_curv)):
+            assert np.array_equal(got.lhs, want.lhs)
+            assert np.array_equal(got.rhs, want.rhs)
+
+        after = _cached_arrays(*pair)
+        for key, arrays in before.items():
+            assert len(after[key]) == len(arrays)
+            for old, new in zip(arrays, after[key]):
+                assert np.array_equal(old, new), key
 
 
 def _connection_values(sysdef, x, v):

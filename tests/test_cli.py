@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normality_lab import cli
+from normality_lab import calculus, cli, expr
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
 from normality_lab.errors import (DegeneratePoint, ExprSyntaxError,
-                                  SystemFileError, ValidationError)
+                                  SingularMetric, SystemFileError,
+                                  ValidationError)
 from normality_lab.sysfile import load_system_file, read_system_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -382,9 +383,81 @@ def test_csv_shape():
     assert len(lines) == 1 + 4    # header + 2 points x 2 equations
 
 
-def test_random_scalar_sources_parse():
-    rng = np.random.default_rng(0)
-    for n in (2, 3):
-        for kind in ("v", "p"):
-            scalar = cli._random_scalar(rng, n, kind)
-            assert scalar.fiber_kind == kind
+def _parsed_scalar(rng, n, kind):
+    """The transport draw as source text, parsed: the reference that
+    cli._random_scalar builds without the parser."""
+    a, b = (int(i) + 1 for i in rng.integers(0, n, size=2))
+    c = [f"({w:.6f})" for w in rng.uniform(-1.0, 1.0, size=4)]
+    source = (f"{c[0]} + {c[1]}*x{a}*{kind}{b} + {c[2]}*{kind}{a}^2"
+              f" + {c[3]}*sin(x{b})")
+    return expr.parse(source, n)
+
+
+def _assert_same_draw(built, parsed, kind):
+    assert built == parsed
+    assert built.fiber_kind == parsed.fiber_kind == kind
+    assert built.kinds == parsed.kinds
+
+
+def test_random_scalars_are_the_parsed_sources():
+    for seed in range(500):
+        built_rng = np.random.default_rng(seed)
+        parsed_rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 5):
+            for kind in ("v", "p"):
+                _assert_same_draw(cli._random_scalar(built_rng, n, kind),
+                                  _parsed_scalar(parsed_rng, n, kind), kind)
+                assert (built_rng.bit_generator.state
+                        == parsed_rng.bit_generator.state)
+
+
+def test_random_scalar_keeps_the_sign_of_a_negative_zero():
+    class Fixed:
+        """Fixed draws: the first coefficient rounds to -0.000000."""
+
+        def integers(self, low, high, size):
+            return np.array([1, 0])
+
+        def uniform(self, low, high, size):
+            return np.array([-1e-7, 0.25, -0.5, 4e-7])
+
+    built = cli._random_scalar(Fixed(), 2, "p")
+    _assert_same_draw(built, _parsed_scalar(Fixed(), 2, "p"), "p")
+    assert built.root.left.left.left == expr.Unary(expr.Num(0.0))
+
+
+def test_transport_resample_draws_the_next_point_after_the_scalars(monkeypatch):
+    """A singular metric found while building the transport contexts
+    resamples the point from where the draws of its random scalars
+    left the point's substream."""
+    calls = []
+
+    class SingularOnce(calculus.PContext):
+        def __init__(self, *args):
+            calls.append(args)
+            if len(calls) == 2:       # the first attempt at point 1
+                raise SingularMetric("synthetic")
+            super().__init__(*args)
+
+    monkeypatch.setattr(calculus, "PContext", SingularOnce)
+    seed, n = 5, 2
+    report, status = run_checks(RunConfig(fixture("cubic"),
+                                          checks=("transport",),
+                                          samples=2, seed=seed))
+    assert status == 0
+    assert len(calls) == 3
+    record = report["checks"][0]
+    assert record["summary"]["resampled"] == 1
+
+    check_index = cli.CHECK_IDS.index("transport")
+    replay = np.random.default_rng([seed, check_index, 1])
+    replay.uniform(-1.0, 1.0, n)
+    replay.uniform(0.5, 1.5, n)
+    for _ in range(2 + 2 * n):
+        replay.integers(0, n, size=2)
+        replay.uniform(-1.0, 1.0, size=4)
+    x, v = replay.uniform(-1.0, 1.0, n), replay.uniform(0.5, 1.5, n)
+    points = [row["point"] for row in record["rows"] if row["index"] == 1]
+    assert len(points) == 6
+    for point in points:
+        assert point == {"rep": "v", "x": x.tolist(), "fiber": v.tolist()}

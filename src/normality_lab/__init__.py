@@ -12,8 +12,7 @@ shift), sysfile/cli (definition files, check sweeps, reports).
 
 from .calculus import (FieldValue, curvature, curvature_relation,
                        dynamic_curvature, dynamic_curvature_relation,
-                       field_of, horizontal_derivative, tensor_product,
-                       vertical_derivative)
+                       field_of, horizontal_derivative, vertical_derivative)
 from .cli import CHECK_IDS, RunConfig, run_checks
 from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
                      DimensionError, EvalError, ExprSyntaxError,

@@ -67,19 +67,6 @@ class FieldValue:
     def values(self) -> np.ndarray:
         return self.data.val
 
-    def _compatible(self, other):
-        return self.ctx is other.ctx and self.variance == other.variance
-
-    def __add__(self, other):
-        if not isinstance(other, FieldValue) or not self._compatible(other):
-            return NotImplemented
-        return FieldValue(self.ctx, self.data + other.data, self.variance)
-
-    def __sub__(self, other):
-        if not isinstance(other, FieldValue) or not self._compatible(other):
-            return NotImplemented
-        return FieldValue(self.ctx, self.data - other.data, self.variance)
-
 
 def field_of(ctx, components, variance=(), evaluate=None):
     """Build a FieldValue by evaluating expression-like components.
@@ -90,14 +77,6 @@ def field_of(ctx, components, variance=(), evaluate=None):
     ctx.eval_velocity_native to compose through the fiber map instead."""
     evaluate = evaluate or ctx.eval_native
     return FieldValue(ctx, evaluate(components), variance)
-
-
-def tensor_product(a: FieldValue, b: FieldValue) -> FieldValue:
-    if a.ctx is not b.ctx:
-        raise DimensionError("tensor product needs fields on a single context")
-    sa, sb = "abcdefgh"[:a.rank], "ijklmnop"[:b.rank]
-    return FieldValue(a.ctx, jets.einsum(f"{sa},{sb}->{sa}{sb}", a.data, b.data),
-                      a.variance + b.variance)
 
 
 def _connection(ctx):

@@ -318,7 +318,8 @@ def _run_one(check_id, cfg, doc, sysdef, tolerances):
 
 
 def _box_list(box):
-    return np.asarray(box, dtype=float).tolist()
+    # bound by bound: a scalar and an n-entry bound may be mixed
+    return [np.asarray(bound, dtype=float).tolist() for bound in box]
 
 
 def run_checks(cfg: RunConfig):
@@ -345,8 +346,8 @@ def run_checks(cfg: RunConfig):
         },
         "config": {
             "checks": list(checks),
-            "samples": cfg.samples,
-            "seed": cfg.seed,
+            "samples": int(cfg.samples),
+            "seed": int(cfg.seed),
             "tolerances": {k: float(v) for k, v in sorted(tolerances.items())},
             "x_box": _box_list(cfg.x_box),
             "fiber_box": _box_list(cfg.fiber_box),

@@ -21,7 +21,8 @@ Above the evaluator, `stack` lays evaluated entries along a new leading
 axis, `einsum` contracts dense data by the product rule, `derivative`
 slices one order off (and raises MissingJets below order zero),
 `compose` applies the chain rule through a point map, and
-`invert_matrix` inverts a matrix with its first derivatives.
+`invert_matrix` inverts a matrix with its first derivatives; `einsum`
+and `invert_matrix` are first order at most.
 
 The Dual class at the bottom is a one-direction dual number whose
 components are Dense data or constants. Evaluating a scalar expression
@@ -269,37 +270,26 @@ def derivative(u: Dense, i) -> Dense:
 
 
 def einsum(spec: str, *operands) -> Dense:
-    """np.einsum over dense data and float arrays, with derivatives by
-    the product rule. Float arrays are exact constants; the result has
-    the lowest order of the dense operands. spec is explicit ("...->...")
-    and uses lower-case index letters."""
+    """np.einsum over dense data and float arrays, with first
+    derivatives by the product rule; first order at most, since no
+    caller needs more. Float arrays are exact constants; the result has
+    the lower of order one and the lowest order of the dense operands.
+    spec is explicit ("...->...") and uses lower-case index letters."""
     inputs, output = spec.split("->")
     subs = inputs.split(",")
     vals = [a.val if isinstance(a, Dense) else a for a in operands]
     dense = [k for k, a in enumerate(operands) if isinstance(a, Dense)]
-    order = min(operands[k].order for k in dense)
     val = np.einsum(spec, *vals)
-    if order == 0:
+    if min(operands[k].order for k in dense) == 0:
         return Dense(0, val)
 
-    def contract(swaps, letters):
-        # operand k replaced by a derivative array with extra axes
+    def through(k):
+        # operand k replaced by its gradient, with a trailing axis
         ops, s = list(vals), list(subs)
-        for k, (arr, extra) in swaps.items():
-            ops[k] = arr
-            s[k] += extra
-        return np.einsum(f"{','.join(s)}->{output}{letters}", *ops)
+        ops[k], s[k] = operands[k].grad, s[k] + "Y"
+        return np.einsum(f"{','.join(s)}->{output}Y", *ops)
 
-    grad = sum(contract({k: (operands[k].grad, "Y")}, "Y") for k in dense)
-    if order == 1:
-        return Dense(1, val, grad)
-    hess = sum(contract({k: (operands[k].hess, "YZ")}, "YZ") for k in dense)
-    for a, k in enumerate(dense):
-        for l in dense[a + 1:]:
-            cross = contract({k: (operands[k].grad, "Y"),
-                              l: (operands[l].grad, "Z")}, "YZ")
-            hess = hess + cross + np.swapaxes(cross, -1, -2)
-    return Dense(2, val, grad, hess)
+    return Dense(1, val, sum(through(k) for k in dense))
 
 
 def compose(h, transform):
@@ -307,13 +297,11 @@ def compose(h, transform):
     point map.
 
     `transform` is the map as dense data of shape (m_inner,) over the
-    outer variables, with Jacobian J and second derivatives T. h is a
-    number or dense data over the inner variables, and the result is of
-    the same kind, of the lower of the two orders:
+    outer variables, with Jacobian J and second derivatives T. h is
+    dense data over the inner variables, and the result is dense data
+    of the lower of the two orders:
     grad = J^T g and hess = J^T H J + sum_a g_a T_a, batched over the
     entries of h."""
-    if isinstance(h, _NUMBER):
-        return float(h)
     order = min(h.order, transform.order)
     _, _, J, T = transform
     if order == 0:
@@ -325,19 +313,17 @@ def compose(h, transform):
 
 
 def invert_matrix(A):
-    """Inverse of a square matrix given as dense data, with its first
-    derivatives d(A^-1) = -A^-1 dA A^-1; first order at most, since no
-    caller needs more. Raises SingularMetric when the value part cannot
-    be inverted."""
-    order, val, grad, _ = A
+    """Inverse of a square matrix given as dense data of order one or
+    more, with its first derivatives d(A^-1) = -A^-1 dA A^-1; first
+    order at most, since no caller needs more. Raises SingularMetric
+    when the value part cannot be inverted."""
+    _, val, grad, _ = A
     try:
         inv = np.linalg.inv(val)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("singular matrix while inverting metric") from exc
     if not np.all(np.isfinite(inv)):
         raise SingularMetric("non-finite inverse of the metric")
-    if order == 0:
-        return Dense(0, inv)
     return Dense(1, inv, -np.einsum("ij,jkz,kl->ilz", inv, grad, inv))
 
 

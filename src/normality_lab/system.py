@@ -42,9 +42,6 @@ class ConstFunc:
     def evaluate(self, env):
         return self.value
 
-    def variables(self):
-        return set()
-
 
 class SumFunc:
     __slots__ = ("first", "second")
@@ -68,9 +65,6 @@ class SumFunc:
 
     def evaluate(self, env):
         return self.first.evaluate(env) + self.second.evaluate(env)
-
-    def variables(self):
-        return self.first.variables() | self.second.variables()
 
 
 class VelocityGradient:
@@ -99,9 +93,6 @@ class VelocityGradient:
                   for name, value in env.items()}
         out = self.scalar.evaluate(lifted)
         return out.du if isinstance(out, jets.Dual) else 0.0
-
-    def variables(self):
-        return self.scalar.variables()
 
 
 def lagrangian_to_legendre(lagrangian: expr.Expression):
@@ -401,7 +392,6 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
                 f"{_at(k, x=x, v=v)}")
         step = np.linalg.solve(G, -residual.T[nodes][:, :, None])[:, :, 0]
         v[:, nodes] += step.T
-    raise AssertionError("unreachable")
 
 
 def _newton_solve(sysdef: SystemDef, x, p, guess=None):

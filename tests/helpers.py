@@ -150,9 +150,6 @@ class NegFunc:
     def evaluate(self, env):
         return -self.inner.evaluate(env)
 
-    def variables(self):
-        return self.inner.variables()
-
 
 def parse_all(sources, n, kinds=("x", "v")):
     from normality_lab import expr

@@ -261,6 +261,25 @@ def test_config_validation():
     assert status == 0
 
 
+def test_a_box_mixing_a_scalar_and_a_per_variable_bound_is_reported():
+    report, status = run_checks(RunConfig(fixture("identity2"),
+                                          checks=("metric",), samples=2,
+                                          x_box=(-1.0, [1.0, 2.0])))
+    assert status == 0
+    assert json.loads(render_json(report))["config"]["x_box"] == [-1.0, [1.0, 2.0]]
+    assert report["config"]["fiber_box"] == [0.5, 1.5]
+
+
+def test_numpy_integer_samples_and_seed_render_like_plain_ints():
+    def rendered(samples, seed):
+        report, _ = run_checks(RunConfig(fixture("identity2"),
+                                         checks=("metric",), samples=samples,
+                                         seed=seed))
+        return render_json(report), render_csv(report)
+
+    assert rendered(np.int64(3), np.int64(4)) == rendered(3, 4)
+
+
 def test_degenerate_points_are_resampled(monkeypatch):
     real = cli._BUILDERS["metric"]
     calls = iter(range(10 ** 6))

@@ -6,7 +6,9 @@ closed-form inverse, so the momentum route runs through Newton and
 implicit differentiation. A change that lets one route borrow the
 other's formulas, or that breaks one of them, shows up as a
 disagreement on some draw, and the flip-beta-term mutation must keep
-failing the beta cross check wherever it changes beta at all.
+failing the beta cross check wherever it changes beta at all. The
+transport check's six relations and the gauge report's invariant and
+rule rows must hold on every draw at the CLI's tolerances.
 """
 
 import numpy as np
@@ -14,20 +16,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from normality_lab import cli
 from normality_lab.calculus import relative_deviation
 from normality_lab.errors import (DegeneratePoint, NonConvergence,
                                   SingularMetric)
+from normality_lab.experiments import gauge_invariance_report
 from normality_lab.normality import CROSS_FIELDS, cross_check_all
 from normality_lab.phase import PhasePoint
 from normality_lab.system import SystemDef
 
 CROSS_TOLERANCE = 1e-6
+SKIPPED = (DegeneratePoint, SingularMetric, NonConvergence)
 # the mutation counts as visible once it moves the velocity-route beta
 # by this much, far above the route disagreement allowed above
 VISIBLE_SHIFT = 1e-4
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
                              database=None)
+
+
+def _symmetric_connection(rng, n):
+    entries = {}
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    source = helpers.random_source(rng, n, depth=1)
+                    entries[(k, i, j)] = f"0.2*({source})"
+    return helpers.make_connection(n, entries)
 
 
 @st.composite
@@ -40,14 +56,7 @@ def systems_at_points(draw):
          for i in range(n)], n)
     force = helpers.parse_all(
         [f"0.3*({helpers.random_source(rng, n, depth=2)})" for _ in range(n)], n)
-    entries = {}
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                if rng.random() < 0.5:
-                    source = helpers.random_source(rng, n, depth=1)
-                    entries[(k, i, j)] = f"0.2*({source})"
-    connection = helpers.make_connection(n, entries)
+    connection = _symmetric_connection(rng, n)
     sysdef = SystemDef(n, legendre, force=force, connection=connection)
     x, v = helpers.random_box_point(rng, n)
     return sysdef, PhasePoint.velocity(x, v)
@@ -56,7 +65,7 @@ def systems_at_points(draw):
 def _cross(sysdef, pt, mutate=None):
     try:
         return cross_check_all(sysdef, pt, mutate=mutate)
-    except (DegeneratePoint, SingularMetric, NonConvergence):
+    except SKIPPED:
         assume(False)
 
 
@@ -84,3 +93,37 @@ def test_flipped_beta_term_fails_beta_when_it_matters(case):
         if field not in ("beta", "eta"):
             assert np.array_equal(clean[field].velocity,
                                   mutated[field].velocity), field
+
+
+@PROPERTY_SETTINGS
+@given(systems_at_points(), st.integers(0, 2**32 - 1))
+def test_transport_relations_hold(case, seed):
+    # the transport check's own rows: its random scalars, one context
+    # pair, the four transport identities and two curvature relations
+    sysdef, pt = case
+    try:
+        rows = cli._transport_rows(sysdef, None, pt,
+                                   np.random.default_rng(seed),
+                                   cli.DEFAULT_TOLERANCES)
+    except SKIPPED:
+        assume(False)
+    assert len(rows) == 6
+    for row in rows:
+        assert row["pass"], row
+
+
+@PROPERTY_SETTINGS
+@given(systems_at_points(), st.integers(0, 2**32 - 1))
+def test_gauge_invariants_and_rules_hold(case, seed):
+    sysdef, pt = case
+    tensor = _symmetric_connection(np.random.default_rng(seed), sysdef.n)
+    try:
+        report = gauge_invariance_report(sysdef, [pt], gauge=tensor)
+    except SKIPPED:
+        assume(False)
+    tol = cli.DEFAULT_TOLERANCES
+    for row in report.rows:
+        if row.kind == "invariant":
+            assert row.deviation <= tol["gauge-exact"], row
+        elif row.kind == "rule":
+            assert row.deviation <= tol["gauge"], row

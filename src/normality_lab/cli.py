@@ -11,6 +11,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -106,8 +108,10 @@ def _validate_config(cfg: RunConfig, n, checks, tolerances):
             f"unknown tolerances: {', '.join(unknown)}; "
             f"known: {', '.join(DEFAULT_TOLERANCES)}")
     for name, value in tolerances.items():
-        if not value > 0.0:
-            raise ValidationError(f"tolerance {name!r} must be positive")
+        if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+            raise ValidationError(
+                f"tolerance {name!r} must be a positive finite number, "
+                f"got {value!r}")
     fiber_sensitive = {"cross", "normality", "gauge"} & set(checks)
     for name, box in (("x", cfg.x_box), ("fiber", cfg.fiber_box)):
         try:
@@ -120,6 +124,8 @@ def _validate_config(cfg: RunConfig, n, checks, tolerances):
             raise ValidationError(
                 f"{name} sampling box bounds must be scalars or have "
                 f"{n} entries")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValidationError(f"{name} sampling box bounds must be finite")
         if np.any(lo >= hi):
             raise ValidationError(f"{name} sampling box is empty")
         if (name == "fiber" and fiber_sensitive
@@ -261,9 +267,7 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
         point = {"rep": "v", "x": [float(c) for c in x],
                  "fiber": [float(c) for c in v]}
         for row in from_point:
-            row["check"] = check_id
-            row["index"] = index
-            row["point"] = point
+            row.update(check=check_id, index=index, point=point)
         rows.extend(from_point)
         resampled += attempt
     return rows, resampled
@@ -280,12 +284,9 @@ def _shift_rows(doc, sysdef, tolerances):
     rows = []
     for index, t in enumerate(result.times):
         key = "shift-start" if index == 0 else "shift"
-        row = _row(key if index == 0 else "shift-collinearity",
-                   result.deviations[index], tolerances[key])
-        row["check"] = "shift"
-        row["index"] = index
-        row["point"] = {"t": float(t)}
-        rows.append(row)
+        rows.append(_row(key if index == 0 else "shift-collinearity",
+                         result.deviations[index], tolerances[key],
+                         check="shift", index=index, point={"t": float(t)}))
     return rows
 
 

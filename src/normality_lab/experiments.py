@@ -279,6 +279,8 @@ def _axes(run: ShiftRun, m):
         if count < 3:
             raise ValidationError("tangent stencils need u_samples >= 3")
         lo, hi = float(starts[d]), float(stops[d])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValidationError("u_start and u_stop must be finite")
         if not hi > lo:
             raise ValidationError("u_stop must exceed u_start")
         if wraps[d]:
@@ -368,6 +370,10 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
         raise ValidationError(
             f"surface is for ambient dimension {n}, system has {sysdef.n}")
     axes, wraps = _axes(run, m)
+    for name in ("time_steps", "t_final", "rtol"):
+        if not 0.0 < getattr(run, name) < np.inf:
+            raise ValidationError(
+                f"{name} must be positive and finite, got {getattr(run, name)}")
     shape = tuple(len(a) for a in axes)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     nodes = mesh.reshape(-1, m)

@@ -7,9 +7,10 @@ associative). Functions: sin cos exp ln sqrt tanh. No implicit
 multiplication.
 
 Evaluation is generic over the scalar algebra: plain floats, float
-arrays over a batch, jets.Dense derivative data, or duals over them all
-work, which is what lets one AST serve both fast value sweeps and
-second-order derivative extraction.
+arrays over a batch and jets.Dense derivative data all work, which is
+what lets one AST serve both fast value sweeps and second-order
+derivative extraction. `derivative` differentiates a tree into another
+tree, which is how a Lagrangian's fiber map is built once, at load.
 """
 
 import re
@@ -277,7 +278,92 @@ def _eval(node, env):
     return jets.FUNCTIONS[node.fn](_eval(node.arg, env))
 
 
-def _point_env(e: Expression, point: PhasePoint):
+# Derivative trees, where None is an exact zero. Dropping zero terms
+# and factors of exactly 1 is exact in IEEE arithmetic.
+
+_ONE = Num(1.0)
+
+
+def _num(c: float):
+    """c in the parser's normal form: a negative constant is negated."""
+    return Unary(Num(-c)) if c < 0.0 else Num(c)
+
+
+def _add(a, b):
+    return a if b is None else b if a is None else Binary("+", a, b)
+
+
+def _sub(a, b):
+    return a if b is None else Unary(b) if a is None else Binary("-", a, b)
+
+
+def _mul(a, b):
+    if a is None or b is None:
+        return None
+    return b if a == _ONE else a if b == _ONE else Binary("*", a, b)
+
+
+def _div(a, b):
+    return None if a is None else Binary("/", a, b)
+
+
+def _d(node, name):
+    if isinstance(node, Num):
+        return None
+    if isinstance(node, Var):
+        return _ONE if node.name == name else None
+    if isinstance(node, Unary):
+        return _sub(None, _d(node.operand, name))
+    if isinstance(node, Call):
+        a, da = node.arg, _d(node.arg, name)
+        if node.fn in ("ln", "sqrt"):
+            return _div(da, a if node.fn == "ln" else Binary("*", Num(2.0), node))
+        return _mul({"sin": Call("cos", a), "cos": Unary(Call("sin", a)),
+                     "exp": node, "tanh": Binary("-", _ONE, Binary("*", node, node)),
+                     }[node.fn], da)
+    a, b = node.left, node.right
+    da, db = _d(a, name), _d(b, name)
+    if node.op == "+":
+        return _add(da, db)
+    if node.op == "-":
+        return _sub(da, db)
+    if node.op == "*":
+        return _add(_mul(a, db), _mul(da, b))
+    if node.op == "/":
+        return _div(_sub(da, _mul(Binary("/", a, b), db)), b)
+    exponent_vars = set()
+    _collect_vars(b, exponent_vars)
+    if exponent_vars:       # a^b = exp(b*ln a)
+        ln_a = Call("ln", a)
+        return _mul(Call("exp", Binary("*", b, ln_a)),
+                    _add(_mul(b, _div(da, a)), _mul(db, ln_a)))
+    if da is None:
+        return None
+    e = float(_eval(b, {}))
+    if e == 0.0:
+        return None
+    if e == 1.0:
+        return da
+    return _mul(Binary("*", _num(e), Binary("^", a, _num(e - 1.0))), da)
+
+
+def derivative(e: Expression, name: str) -> Expression:
+    """The partial derivative of e by the variable `name`, as a tree
+    that reparses from its source. Its rules are the steps of a forward
+    sweep over dual numbers, in their order, so it evaluates to that
+    sweep's floats in every algebra the evaluator takes: a*db + da*b,
+    (da - (a/b)*db)/b, (c*a^(c-1))*da for an exponent c without
+    variables, exp(b*ln a)*(b*(da/a) + db*ln a) for any other, and
+    cos(a)*da, (-sin a)*da, exp(a)*da, da/a, da/(2*sqrt a) and
+    (1 - t*t)*da with t = tanh a."""
+    root = _d(e.root, name)
+    return Expression(Num(0.0) if root is None else root, e.dimension,
+                      e.kinds, e.fiber_kind)
+
+
+def _point_env(e: Expression, point: PhasePoint, values):
+    """Environment binding x1.. and then the point's fiber variables to
+    the 2n values."""
     if point.n != e.dimension:
         raise DimensionError(
             f"point dimension {point.n} != expression dimension {e.dimension}")
@@ -285,32 +371,24 @@ def _point_env(e: Expression, point: PhasePoint):
     if e.fiber_kind is not None and e.fiber_kind != fiber_kind:
         raise MixedRepresentationError(
             f"expression uses {e.fiber_kind}-variables, point is {fiber_kind}-typed")
-    env = {}
-    x, fiber = point.x.tolist(), point.fiber.tolist()
-    for i in range(point.n):
-        env[f"x{i + 1}"] = x[i]
-        env[f"{fiber_kind}{i + 1}"] = fiber[i]
-    return env, fiber_kind
+    names = [f"{kind}{i + 1}" for kind in ("x", fiber_kind)
+             for i in range(point.n)]
+    return dict(zip(names, values))
 
 
 def eval_scalar(e: Expression, point: PhasePoint) -> float:
     """Plain float evaluation at a phase point."""
-    env, _ = _point_env(e, point)
-    return float(_eval(e.root, env))
+    values = point.x.tolist() + point.fiber.tolist()
+    return float(_eval(e.root, _point_env(e, point, values)))
 
 
 def eval_jet(e: Expression, point: PhasePoint) -> jets.Dense:
     """Scalar second-order Dense data over the 2n variables
     (x..., fiber...)."""
-    env, fiber_kind = _point_env(e, point)
-    n = point.n
-    seeded = jets.seeds(list(point.x) + list(point.fiber), order=2)
-    for i in range(n):
-        env[f"x{i + 1}"] = seeded[i]
-        env[f"{fiber_kind}{i + 1}"] = seeded[n + i]
-    result = _eval(e.root, env)
+    seeded = jets.seeds(point.x.tolist() + point.fiber.tolist(), order=2)
+    result = _eval(e.root, _point_env(e, point, seeded))
     if result.__class__ is not jets.Dense:
-        m = 2 * n
+        m = 2 * point.n
         result = jets.Dense(2, float(result), np.zeros(m), np.zeros((m, m)))
     return result
 

@@ -8,8 +8,8 @@ single point (S = ()), a stacked tensor field (S = the tensor's shape)
 and a batch of N points (S = (N,), vector forward mode over a leading
 batch axis).
 
-Dense is the algebra the expression evaluator computes in. + - * / and
-powers follow the product and quotient rules, and the elementary
+Dense is the one derivative algebra, the expression evaluator's. + - * /
+and powers follow the product and quotient rules, and the elementary
 functions go through one chain-rule helper. Operations demote to the
 lowest order of their Dense operands, so derivative data can never be
 read past the order at which it is valid. Numbers, and float arrays of
@@ -23,12 +23,6 @@ slices one order off (and raises MissingJets below order zero),
 `compose` applies the chain rule through a point map, and
 `invert_matrix` inverts a matrix with its first derivatives; `einsum`
 and `invert_matrix` are first order at most.
-
-The Dual class at the bottom is a one-direction dual number whose
-components are Dense data or constants. Evaluating a scalar expression
-over Duals yields the directional derivative of the expression as full
-second-order data, which is how gradient-of-a-Lagrangian maps get exact
-second derivatives without a third-order kernel.
 """
 
 import math
@@ -209,12 +203,6 @@ class Dense:
             return self._chain(other / v, -other / (v * v), 2.0 * other / (v * v * v))
         return NotImplemented
 
-    def __pow__(self, other):
-        return power(self, other)
-
-    def __rpow__(self, other):
-        return power(other, self)
-
 
 def seeds(values, order: int = 2):
     """Identity-seeded Dense data for a coordinate vector, one entry per
@@ -327,8 +315,8 @@ def invert_matrix(A):
     return Dense(1, inv, -np.einsum("ij,jkz,kl->ilz", inv, grad, inv))
 
 
-# elementary functions, dispatching on float / float array / Dense /
-# Dual. Floats go through math.*, float arrays through numpy, after the
+# elementary functions, dispatching on float / float array / Dense.
+# Floats go through math.*, float arrays through numpy, after the
 # same finiteness and domain checks, so neither path returns inf or nan.
 
 _EXP_MAX = math.log(sys.float_info.max)   # exp is finite up to here
@@ -349,8 +337,6 @@ def _arg(u, what):
 def sin(u):
     if u.__class__ is float and math.isfinite(u):
         return math.sin(u)
-    if u.__class__ is Dual:
-        return Dual(sin(u.re), cos(u.re) * u.du)
     lib, v = _arg(u, "sin")
     if u.__class__ is Dense:
         s, c = lib.sin(v), lib.cos(v)
@@ -361,8 +347,6 @@ def sin(u):
 def cos(u):
     if u.__class__ is float and math.isfinite(u):
         return math.cos(u)
-    if u.__class__ is Dual:
-        return Dual(cos(u.re), -sin(u.re) * u.du)
     lib, v = _arg(u, "cos")
     if u.__class__ is Dense:
         s, c = lib.sin(v), lib.cos(v)
@@ -373,9 +357,6 @@ def cos(u):
 def exp(u):
     if u.__class__ is float and u <= _EXP_MAX:     # also false for nan
         return math.exp(u)
-    if u.__class__ is Dual:
-        e = exp(u.re)
-        return Dual(e, e * u.du)
     lib, v = _arg(u, "exp")
     _check(v <= _EXP_MAX, v, "exp overflow at")
     e = lib.exp(v)
@@ -387,8 +368,6 @@ def exp(u):
 def ln(u):
     if u.__class__ is float and 0.0 < u < math.inf:
         return math.log(u)
-    if u.__class__ is Dual:
-        return Dual(ln(u.re), u.du / u.re)
     lib, v = _arg(u, "ln")
     _check(v > 0.0, v, "ln of non-positive value")
     if u.__class__ is Dense:
@@ -399,9 +378,6 @@ def ln(u):
 def sqrt(u):
     if u.__class__ is float and 0.0 <= u < math.inf:
         return math.sqrt(u)
-    if u.__class__ is Dual:
-        s = sqrt(u.re)
-        return Dual(s, true_div(u.du, 2.0 * s))
     lib, v = _arg(u, "sqrt")
     _check(v >= 0.0, v, "sqrt of negative value")
     if u.__class__ is Dense:
@@ -414,9 +390,6 @@ def sqrt(u):
 def tanh(u):
     if u.__class__ is float and math.isfinite(u):
         return math.tanh(u)
-    if u.__class__ is Dual:
-        t = tanh(u.re)
-        return Dual(t, (1.0 - t * t) * u.du)
     lib, v = _arg(u, "tanh")
     t = lib.tanh(v)
     if u.__class__ is Dense:
@@ -458,10 +431,10 @@ def _float_pow(base: float, e: float) -> float:
 
 
 def power(u, e):
-    """u**e for any mix of float, float array, Dense and Dual operands.
+    """u**e for any mix of float, float array and Dense operands.
 
-    A non-constant (Dense or Dual) exponent routes through exp(e*ln u)
-    and therefore requires a positive base.
+    A Dense exponent routes through exp(e*ln u) and therefore requires
+    a positive base.
     """
     if isinstance(e, _NUMBER):
         e = float(e)
@@ -473,8 +446,6 @@ def power(u, e):
             return 1.0
         if e == 1.0:
             return u
-        if u.__class__ is Dual:
-            return Dual(power(u.re, e), e * power(u.re, e - 1.0) * u.du)
         v = u.val
         pow_ = _array_pow if v.__class__ is np.ndarray else _float_pow
         f0 = pow_(v, e)
@@ -504,56 +475,3 @@ def true_div(a, b):
         _check(b != 0.0, b, "division by zero, divisor")
     return a / b
 
-
-class Dual:
-    """Dual number a + eps*b with components in the Dense ring."""
-
-    __slots__ = ("re", "du")
-    __array_ufunc__ = None
-
-    def __init__(self, re, du):
-        self.re = re
-        self.du = du
-
-    @staticmethod
-    def _lift(w):
-        if isinstance(w, Dual):
-            return w
-        return Dual(w, 0.0)
-
-    def __add__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.re + o.re, self.du + o.du)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.re, -self.du)
-
-    def __sub__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.re - o.re, self.du - o.du)
-
-    def __rsub__(self, other):
-        o = Dual._lift(other)
-        return Dual(o.re - self.re, o.du - self.du)
-
-    def __mul__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.re * o.re, self.re * o.du + self.du * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Dual._lift(other)
-        q = true_div(self.re, o.re)
-        return Dual(q, true_div(self.du - q * o.du, o.re))
-
-    def __rtruediv__(self, other):
-        return Dual._lift(other) / self
-
-    def __pow__(self, other):
-        return power(self, other)
-
-    def __rpow__(self, other):
-        return power(other, self)

@@ -47,7 +47,7 @@ from . import expr
 from .errors import ExprSyntaxError, SystemFileError, ValidationError
 from .normality import MUTATIONS
 from .system import (ConstFunc, SystemDef, lagrangian_to_legendre,
-                     validate_system)
+                     validate_system, zero_connection)
 
 SECTIONS = ("system", "legendre", "force", "connection", "inverse",
             "gauge", "surface", "nu", "options")
@@ -161,8 +161,7 @@ def _tensor_section(path, entries, prefix, n):
     """(n,n,n) nested list from Gamma_k_ij / T_k_ij keys, zeros elsewhere."""
     if n > 9:
         raise SystemFileError(f"{path}: {prefix} keys support n <= 9 only")
-    zero = ConstFunc(0.0, n)
-    out = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    out = zero_connection(n)
     for lineno, key, value in entries:
         m = _TENSOR_KEY.match(key)
         if not m or m.group(1) != prefix:

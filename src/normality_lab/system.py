@@ -1,9 +1,9 @@
 """Newtonian systems under a generalized fiber map.
 
 A system is defined by n components L_i(x, v) of the fiber map taking
-velocities to momenta, n force components Phi^i(x, v), a symmetric
-connection Gamma^k_ij(x, v), and optionally the inverse map components
-V^i(x, p) in closed form plus a gauge tensor T^k_ij(x, v).
+velocities to momenta (or the expressions dLag/dv_i of a Lagrangian),
+n force components Phi^i(x, v), a symmetric connection Gamma^k_ij(x, v),
+and optionally the closed-form inverse V^i(x, p) and a gauge T^k_ij(x, v).
 
 Two evaluation contexts do the real work. VContext seeds second-order
 derivative data (jets.Dense) at a velocity point, evaluates components
@@ -67,48 +67,35 @@ class SumFunc:
         return self.first.evaluate(env) + self.second.evaluate(env)
 
 
-class VelocityGradient:
-    """Component d(scalar)/dv_i of a velocity-space gradient.
-
-    Evaluation lifts the environment into dual numbers over whatever
-    algebra the caller supplied, so these components deliver exact
-    second-order Dense data even though they are one derivative deep."""
-
-    __slots__ = ("scalar", "index")
-    fiber_kind = "v"
-
-    def __init__(self, scalar: expr.Expression, index: int):
-        if scalar.fiber_kind == "p":
-            raise MixedRepresentationError("generating scalar must be velocity-native")
-        self.scalar = scalar
-        self.index = index  # 1-based
-
-    @property
-    def dimension(self):
-        return self.scalar.dimension
-
-    def evaluate(self, env):
-        direction = f"v{self.index}"
-        lifted = {name: jets.Dual(value, 1.0 if name == direction else 0.0)
-                  for name, value in env.items()}
-        out = self.scalar.evaluate(lifted)
-        return out.du if isinstance(out, jets.Dual) else 0.0
-
-
 def lagrangian_to_legendre(lagrangian: expr.Expression):
-    """Fiber map whose i-th component evaluates d(lagrangian)/dv_i."""
-    n = lagrangian.dimension
-    return tuple(VelocityGradient(lagrangian, i + 1) for i in range(n))
+    """Fiber map of a Lagrangian: the expressions L_i = d(lagrangian)/dv_i,
+    differentiated once here."""
+    if lagrangian.fiber_kind == "p":
+        raise MixedRepresentationError("generating scalar must be velocity-native")
+    return tuple(expr.derivative(lagrangian, f"v{i + 1}")
+                 for i in range(lagrangian.dimension))
+
+
+def _vector(funcs, n, what, native="velocity"):
+    """The n components of a vector field, all of one fiber kind."""
+    if len(funcs) != n:
+        raise ValidationError(f"need {n} {what} components, got {len(funcs)}")
+    for f in funcs:
+        if f.fiber_kind == ("p" if native == "velocity" else "v") or f.dimension != n:
+            raise ValidationError(f"{what} components must be {native}-native")
+    return tuple(funcs)
 
 
 def _component_array(entries, n, what):
+    """The components of a velocity-native (1, 2) tensor field as an
+    (n, n, n) object array."""
     arr = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                arr[k, i, j] = entries[k][i][j]
-                if arr[k, i, j].dimension != n:
-                    raise ValidationError(f"{what}[{k}][{i}][{j}] has wrong dimension")
+    for k, i, j in np.ndindex(n, n, n):
+        f = arr[k, i, j] = entries[k][i][j]
+        if f.dimension != n:
+            raise ValidationError(f"{what}[{k}][{i}][{j}] has wrong dimension")
+        if f.fiber_kind == "p":
+            raise ValidationError(f"{what} components must be velocity-native")
     return arr
 
 
@@ -129,44 +116,15 @@ class SystemDef:
         if n < 1:
             raise ValidationError(f"dimension must be positive, got {n}")
         self.n = n
-        if len(legendre) != n:
-            raise ValidationError(f"need {n} fiber map components, got {len(legendre)}")
-        for f in legendre:
-            if f.fiber_kind == "p" or f.dimension != n:
-                raise ValidationError("fiber map components must be velocity-native")
-        self.legendre = tuple(legendre)
-
-        if force is None:
-            force = [ConstFunc(0.0, n) for _ in range(n)]
-        if len(force) != n:
-            raise ValidationError(f"need {n} force components, got {len(force)}")
-        for f in force:
-            if f.fiber_kind == "p" or f.dimension != n:
-                raise ValidationError("force components must be velocity-native")
-        self.force = tuple(force)
-
-        if connection is None:
-            connection = zero_connection(n)
-        self.connection = _component_array(connection, n, "connection")
-        for f in self.connection.flat:
-            if f.fiber_kind == "p":
-                raise ValidationError("connection components must be velocity-native")
-
-        if v_inverse is not None:
-            if len(v_inverse) != n:
-                raise ValidationError(f"need {n} inverse components, got {len(v_inverse)}")
-            for f in v_inverse:
-                if f.fiber_kind == "v" or f.dimension != n:
-                    raise ValidationError("inverse components must be momentum-native")
-            v_inverse = tuple(v_inverse)
-        self.v_inverse = v_inverse
-
-        if gauge is not None:
-            gauge = _component_array(gauge, n, "gauge")
-            for f in gauge.flat:
-                if f.fiber_kind == "p":
-                    raise ValidationError("gauge components must be velocity-native")
-        self.gauge = gauge
+        self.legendre = _vector(legendre, n, "fiber map")
+        self.force = _vector([ConstFunc(0.0, n) for _ in range(n)]
+                             if force is None else force, n, "force")
+        self.connection = _component_array(
+            zero_connection(n) if connection is None else connection, n,
+            "connection")
+        self.v_inverse = (None if v_inverse is None
+                          else _vector(v_inverse, n, "inverse", "momentum"))
+        self.gauge = None if gauge is None else _component_array(gauge, n, "gauge")
 
         if newton_guess is not None:
             newton_guess = np.asarray(newton_guess, dtype=float)

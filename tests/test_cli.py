@@ -251,6 +251,18 @@ def test_config_validation():
         run_checks(RunConfig(good, checks=("metric",), samples=2, seed=1.5))
     with pytest.raises(ValidationError, match="string 'metric'"):
         run_checks(RunConfig(good, checks="metric", samples=2))
+    # non-finite or non-numeric settings are rejected before sampling
+    for tol in (float("inf"), float("nan"), "1e-9", None, [1e-9]):
+        with pytest.raises(ValidationError, match="'metric' must be a positive"):
+            run_checks(RunConfig(good, checks=("metric",), samples=2,
+                                 tolerances={"metric": tol}))
+    for box in ((-np.inf, 1.0), (np.nan, 1.0), ([-1.0, np.inf], 1.0)):
+        with pytest.raises(ValidationError, match="x sampling box bounds must be finite"):
+            run_checks(RunConfig(good, checks=("metric",), samples=2,
+                                 x_box=box))
+    with pytest.raises(ValidationError, match="fiber sampling box bounds must be finite"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2,
+                             fiber_box=(0.5, np.inf)))
     # one bound per variable is accepted
     _, status = run_checks(RunConfig(good, checks=("metric",), samples=2,
                                      x_box=([-1, -2], [1, 2])))
@@ -339,6 +351,33 @@ def test_main_tolerance_override(tmp_path):
     assert status == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["config"]["tolerances"]["metric"] == 1e-3
+
+
+def test_main_rejects_a_non_finite_tolerance(tmp_path):
+    # an infinite tolerance once passed every row and was written as
+    # Infinity, which is not JSON
+    out = tmp_path / "error.json"
+    status = cli.main(["check", fixture("identity2"), "--checks", "metric",
+                       "--samples", "2", "--tol-metric", "inf",
+                       "--out", str(out)])
+    assert status == 2
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["error"]["type"] == "ValidationError"
+
+
+def test_lagrangian_with_terms_free_of_v_loads_and_passes(tmp_path):
+    # ln(x1) is undefined on half the x box, but it does not enter the
+    # fiber map v1, v2: only the derivatives by v are evaluated
+    path = write_system(tmp_path, """
+[system]
+n = 2
+
+[legendre]
+lagrangian = "0.5*v1^2 + 0.5*v2^2 - ln(x1)"
+""")
+    report, status = run_checks(RunConfig(path, samples=3))
+    assert status == 0
+    assert all(record["summary"]["passed"] for record in report["checks"])
 
 
 def test_overflow_in_a_component_is_a_structured_error(tmp_path):

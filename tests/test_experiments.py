@@ -340,6 +340,13 @@ def test_shift_run_validation():
         shift_integrate(ident, circle_run(nu=zero_nu))
     with pytest.raises(DimensionError):
         hypersurface_normal(run, [0.1, 0.2])
+    # bad time grid and integrator settings name their option
+    for option, value in (("time_steps", -3), ("time_steps", 0),
+                          ("t_final", 0.0), ("t_final", np.inf),
+                          ("rtol", 0.0), ("rtol", -1e-8), ("rtol", np.nan),
+                          ("u_start", -np.inf), ("u_stop", np.nan)):
+        with pytest.raises(ValidationError, match=option):
+            shift_integrate(ident, circle_run(**{option: value}))
 
 
 def test_shift_tolerance_refinement():

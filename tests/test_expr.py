@@ -148,3 +148,40 @@ def test_round_trip_fuzz_and_eval_fuzz():
 def test_variables_listing():
     e = expr.parse("x1*v2 + sin(v1)", 2)
     assert e.variables() == {"x1", "v1", "v2"}
+
+
+def test_derivative_gives_exact_gradient_jets():
+    # d/dv1 of (0.25 v1^4 + x1 v1^2) is v1^3 + 2 x1 v1; the derivative
+    # tree must reproduce the hand-written gradient's full jet.
+    lag = expr.parse("0.25*v1^4 + x1*v1^2", 1)
+    hand = expr.parse("v1^3 + 2*x1*v1", 1)
+    pt = PhasePoint.velocity([0.8], [1.3])
+    got = expr.eval_jet(expr.derivative(lag, "v1"), pt)
+    want = expr.eval_jet(hand, pt)
+    assert got.val == pytest.approx(want.val, rel=1e-14)
+    assert np.allclose(got.grad, want.grad, rtol=1e-13, atol=1e-13)
+    assert np.allclose(got.hess, want.hess, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("source", [
+    "2.5",                          # Num
+    "v1", "x1",                     # Var, the variable and another
+    "-(v1*v2)",                     # Unary
+    "v1 + x1*v2", "x1 - v1*v2", "v1*v2*x2", "v2/v1", "(x1 + v1)/(2 - v2)",
+    "v1^3", "v1^(1+1)", "v1^-2", "v1^0.5", "v1^0", "v1^1",
+    "v1^x1", "2^v2", "v1^v2",
+    "sin(v1*v2)", "cos(v1 - x2)", "exp(v1*v2)", "ln(v1 + v2)",
+    "sqrt(v1 + x1)", "tanh(v1*x1)",
+])
+def test_derivative_matches_central_differences(source):
+    x, v = np.array([0.4, -0.3]), np.array([1.2, 0.7])
+    e = expr.parse(source, 2)
+    h = 1e-6
+    for k, name in enumerate(("v1", "v2")):
+        d = expr.derivative(e, name)
+        assert expr.parse(expr.to_source(d), 2) == d, expr.to_source(d)
+        step = h * np.eye(2)[k]
+        fd = (expr.eval_scalar(e, PhasePoint.velocity(x, v + step))
+              - expr.eval_scalar(e, PhasePoint.velocity(x, v - step))) / (2 * h)
+        got = expr.eval_scalar(d, PhasePoint.velocity(x, v))
+        assert got == pytest.approx(fd, rel=1e-8, abs=1e-8), (name, expr.to_source(d))

@@ -7,10 +7,10 @@ amount and leaves the normality content untouched. The report built
 here certifies those transformation rules numerically, row by row.
 
 The second half drives the shift itself. A parametric hypersurface is
-seeded with covectors along its normals, every sample point travels
-along a trajectory of the system, and the per-time trace records how
-far the momentum drifts from the normal direction of the moving
-surface.
+seeded with covectors along its normals, turned into velocities once;
+every sample point travels along x' = v, v' = Phi(x, v), and at each
+output time the trace compares the momentum p = L(x, v) with the normal
+direction of the moving surface.
 """
 
 from dataclasses import dataclass
@@ -25,12 +25,12 @@ from .calculus import (LOWER, UPPER, curvature, dynamic_curvature, field_of,
 from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
                      DimensionError, EvalError, IntegrationFailure,
                      MissingGaugeTensor, MixedRepresentationError,
-                     ValidationError)
+                     SingularMetric, ValidationError)
 from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
 from .phase import Rep
-from .system import (ConstFunc, SystemDef, SumFunc, VContext,
-                     _check_symmetric, _component_array, _phase_flow,
-                     zero_connection)
+from .system import (COND_LIMIT, ConstFunc, SystemDef, SumFunc, VContext,
+                     _check_symmetric, _component_array, _conditions, _env,
+                     _fiber_jets, _newton, _values, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
 
@@ -222,10 +222,10 @@ class ShiftRun:
     axis or a single value broadcast to all of them. A periodic axis
     omits its endpoint and wraps the tangent stencil.
 
-    The whole front is integrated as one state of N nodes, under rtol
-    and atol = 1e-12 divided by sqrt(N). The integrator's RMS error
-    norm then still bounds each node's own error by rtol/atol at every
-    accepted step, as it would for a node integrated alone."""
+    The whole front is integrated as one (x, v) state of N nodes, under
+    rtol and atol = 1e-12 divided by sqrt(N). The integrator's RMS error
+    norm over (x, v) then still bounds each node's own error by
+    rtol/atol at every accepted step, as it would for a node alone."""
 
     surface: tuple
     nu: object = 1.0
@@ -268,6 +268,12 @@ def _run_dims(run: ShiftRun):
     return n, m
 
 
+def _count(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _axes(run: ShiftRun, m):
     starts = _per_axis(run.u_start, m, "u_start")
     stops = _per_axis(run.u_stop, m, "u_stop")
@@ -275,7 +281,7 @@ def _axes(run: ShiftRun, m):
     wraps = [bool(w) for w in _per_axis(run.periodic, m, "periodic")]
     axes = []
     for d in range(m):
-        count = int(counts[d])
+        count = _count(counts[d], "u_samples")
         if count < 3:
             raise ValidationError("tangent stencils need u_samples >= 3")
         lo, hi = float(starts[d]), float(stops[d])
@@ -370,6 +376,7 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
         raise ValidationError(
             f"surface is for ambient dimension {n}, system has {sysdef.n}")
     axes, wraps = _axes(run, m)
+    _count(run.time_steps, "time_steps")
     for name in ("time_steps", "t_final", "rtol"):
         if not 0.0 < getattr(run, name) < np.inf:
             raise ValidationError(
@@ -378,53 +385,67 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     nodes = mesh.reshape(-1, m)
     times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
-
-    start = []
-    for u in nodes:
-        x0, tangents = _surface_frame(run, u)
-        normal = _normal_of(tangents)
-        scale = _nu_value(run, u, m)
-        if abs(scale) < 1e-14:
-            raise ValidationError(
-                f"normal scale vanishes at u={u.tolist()}")
-        start.append(np.concatenate([x0, scale * normal]))
-
-    # The front is one state of (node, 2n) entries. The integrator's
-    # error norm is the RMS over the state, so tolerances scaled by
-    # 1/sqrt(N) bound every node's own RMS error as rtol/atol would bound
-    # a lone trajectory; a one-node front integrates exactly as alone.
     count = len(nodes)
-    guess = [None]
 
+    x0, p0 = np.empty((n, count)), np.empty((n, count))
+    for k, u in enumerate(nodes):
+        x0[:, k], tangents = _surface_frame(run, u)
+        scale = _nu_value(run, u, m)
+        if not 1e-14 <= abs(scale) < np.inf:
+            raise ValidationError(f"normal scale nu must be finite and "
+                                  f"nonzero, got {scale} at u={u.tolist()}")
+        p0[:, k] = scale * _normal_of(tangents)
+    with np.errstate(all="ignore"):     # Newton checks its steps, rhs v0
+        v0 = (_values(sysdef.v_inverse, _env(x0, p0, "p"), (count,))
+              if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
+
+    def at(t, x, v, k):
+        return (f"t={t}, x={x.tolist()}, v={v.tolist()} "
+                f"(node {k}, u={nodes[k].tolist()})")
+
+    # The front is one state of (node, 2n) entries following
+    # dx/dt = v, dv/dt = Phi(x, v). The integrator's error norm is the RMS
+    # over the state, so tolerances scaled by 1/sqrt(N) bound every node's
+    # own RMS error as rtol/atol would bound a lone trajectory; a one-node
+    # front integrates exactly as alone.
     def rhs(t, y):
-        state = y.reshape(count, 2 * n).T
+        x, v = y.reshape(count, 2, n).transpose(1, 2, 0)
         with np.errstate(all="ignore"):
-            v, theta = _phase_flow(sysdef, state[:n], state[n:], guess[0])
-        guess[0] = v
-        flow = np.concatenate([v, theta])
-        bad = ~np.isfinite(flow).all(axis=0)
+            flow = np.concatenate(
+                [v, _values(sysdef.force, _env(x, v, "v"), (count,))])
+        bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(flow).all(axis=0))
         if bad.any():
             k = int(np.argmax(bad))
-            raise EvalError(
-                f"non-finite trajectory velocity or force at t={t}, "
-                f"x={state[:n, k].tolist()}, p={state[n:, k].tolist()} "
-                f"(node {k}, u={nodes[k].tolist()})")
+            raise EvalError(f"non-finite trajectory position, velocity or "
+                            f"force at {at(t, x[:, k], v[:, k], k)}")
         return flow.T.ravel()
 
     shrink = 1.0 / np.sqrt(count)
-    sol = solve_ivp(rhs, (0.0, float(run.t_final)), np.concatenate(start),
-                    method="RK45", rtol=run.rtol * shrink, atol=1e-12 * shrink,
-                    t_eval=times)
+    sol = solve_ivp(rhs, (0.0, float(run.t_final)),
+                    np.concatenate([x0, v0]).T.ravel(), method="RK45",
+                    rtol=run.rtol * shrink, atol=1e-12 * shrink, t_eval=times)
     if not sol.success:
         raise IntegrationFailure(
             f"front of {count} nodes (u from {nodes[0].tolist()} to "
             f"{nodes[-1].tolist()}) aborted: {sol.message}")
-    raw = sol.y.reshape(count, 2 * n, len(times))
 
-    # (nodes, 2n, T) -> time-major grids of positions and momenta
-    per_time = raw.transpose(2, 0, 1)
-    points = per_time[:, :, :n].reshape((len(times),) + shape + (n,))
-    covectors = per_time[:, :, n:].reshape((len(times),) + shape + (n,))
+    # (nodes, 2n, T) -> time-major (T * nodes) pairs, then the momenta
+    # p = L(x, v) and the fiber Jacobian of every pair in one evaluation
+    pairs = sol.y.reshape(count, 2 * n, len(times)).transpose(2, 0, 1)
+    x, v = pairs.reshape(-1, 2, n).transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        Lj = _fiber_jets(sysdef, x, v, wrt_x=False)
+    cond = np.where(np.isfinite(Lj.val).all(axis=0),
+                    _conditions(Lj.grad.transpose(1, 0, 2)), np.inf)
+    if not np.all(cond <= COND_LIMIT):
+        j = int(np.argmax(~(cond <= COND_LIMIT)))
+        raise SingularMetric("fiber Jacobian singular on the shift at " + at(
+            times[j // count], x[:, j], v[:, j], j % count))
+    momenta = Lj.val.T.reshape(len(times), count, n)
+    momenta[0] = p0.T                   # the seeded covectors, exactly
+
+    points = pairs[:, :, :n].reshape((len(times),) + shape + (n,))
+    covectors = momenta.reshape((len(times),) + shape + (n,))
     deviations = np.array([_collinearity(points[t], covectors[t], axes, wraps)
                            for t in range(len(times))])
     return ShiftResult(times, points, covectors, deviations)

@@ -297,30 +297,38 @@ def _at(k, **arrays):
     return text if k is None else f"{text} (node {k})"
 
 
-def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
-    """Newton iteration for the inverse fiber map L(x, v) = p.
+def _conditions(G):
+    """Condition numbers of a stack of matrices, inf where one has a
+    non-finite entry."""
+    cond = np.full(len(G), np.inf)
+    finite = np.isfinite(G).all(axis=(1, 2))
+    if finite.any():
+        cond[finite] = np.linalg.cond(G[finite])
+    return cond
 
-    x, p and guess are (n,), or (n, N) with a trailing node axis. Every
-    node iterates until its own residual meets NEWTON_TOL, under its own
-    condition check; converged nodes are not updated any more. Returns v
-    and the first-order Dense data of L at v, over (x, v) with wrt_x
-    (what theta needs) and over v alone otherwise (cheaper)."""
+
+def _newton(sysdef: SystemDef, x, p):
+    """Preimage v of the momentum p at x: Newton iteration for the
+    inverse fiber map L(x, v) = p from the system's guess, or from p.
+
+    x and p are (n,), or (n, N) with a trailing node axis. Every node
+    iterates until its own residual meets NEWTON_TOL, under its own
+    condition check; converged nodes are not updated any more."""
     n = sysdef.n
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if guess is None:
-        guess = sysdef.newton_guess if sysdef.newton_guess is not None else p
-    v = np.array(guess, dtype=float)
+    v = np.array(sysdef.newton_guess if sysdef.newton_guess is not None
+                 else p, dtype=float)
     batched = p.ndim > 1
     if batched and v.ndim == 1:
         v = np.repeat(v[:, None], p.shape[1], axis=1)
     for iteration in range(NEWTON_MAX_ITER + 1):
-        Lj = _fiber_jets(sysdef, x, v, wrt_x)
+        Lj = _fiber_jets(sysdef, x, v, wrt_x=False)
         residual = Lj.val - p
         err = np.max(np.abs(residual), axis=0)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
         if not (todo.any() if batched else todo):
-            return v, Lj
+            return v
         if iteration == NEWTON_MAX_ITER:
             k = int(np.argmax(np.where(todo, np.nan_to_num(err, nan=np.inf),
                                        -1.0))) if batched else None
@@ -339,10 +347,7 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
         # node-major systems of the nodes still iterating
         nodes = np.flatnonzero(todo)
         G = Lj.grad[:, nodes, -n:].transpose(1, 0, 2)
-        cond = np.full(len(nodes), np.inf)
-        finite = np.isfinite(G).all(axis=(1, 2))
-        if finite.any():
-            cond[finite] = np.linalg.cond(G[finite])
+        cond = _conditions(G)
         if not np.all(cond <= COND_LIMIT):
             k = int(nodes[np.argmax(cond)])
             raise SingularMetric(
@@ -350,11 +355,6 @@ def _newton(sysdef: SystemDef, x, p, guess=None, wrt_x=False):
                 f"{_at(k, x=x, v=v)}")
         step = np.linalg.solve(G, -residual.T[nodes][:, :, None])[:, :, 0]
         v[:, nodes] += step.T
-
-
-def _newton_solve(sysdef: SystemDef, x, p, guess=None):
-    """Preimage v of the momentum p at x; see _newton."""
-    return _newton(sysdef, x, p, guess)[0]
 
 
 class PContext:
@@ -381,7 +381,7 @@ class PContext:
             self.inner = VContext(sysdef, self.x, self.V.val)
         else:
             with np.errstate(all="ignore"):    # Newton checks its own steps
-                v_star = _newton_solve(sysdef, self.x, p)
+                v_star = _newton(sysdef, self.x, p)
             self.inner = VContext(sysdef, self.x, v_star)
             self.V = self._implicit_jets()
 
@@ -498,38 +498,16 @@ def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
     return MetricPair(lower, upper, float(dev))
 
 
-def _theta(sysdef: SystemDef, x, v, Lj):
-    """theta_i = dL_i/dx . v + dL_i/dv . Phi, the derivative of L_i along
-    (v, Phi), from the Dense data Lj of the fiber map over (x, v) and
-    Phi evaluated on floats; x and v are (n,) or (n, N)."""
-    nodes = v.shape[1:]
-    env = _env(x, v, "v") if nodes else _env(x.tolist(), v.tolist(), "v")
-    direction = np.concatenate([v, _values(sysdef.force, env, nodes)])
-    return np.einsum("i...m,m...->i...", Lj.grad, direction)
-
-
 def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     """Values of the free force covector at a velocity point:
-    theta_i = sum_s dL_i/dx^s v^s + sum_s dL_i/dv^s Phi^s."""
+    theta_i = sum_s dL_i/dx^s v^s + sum_s dL_i/dv^s Phi^s, the
+    derivative of L_i along (v, Phi)."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("theta_from_phi expects a velocity point")
-    return _theta(sysdef, pt.x, pt.fiber, _fiber_jets(sysdef, pt.x, pt.fiber))
-
-
-def _phase_flow(sysdef: SystemDef, x, p, guess=None):
-    """Velocity v and free force covector theta at momentum points, the
-    right-hand side dx/dt = v, dp/dt = theta of a trajectory. x, p and
-    the Newton guess are (n,) or (n, N) over N nodes. theta reuses the
-    fiber map data of the last Newton step, so the map is evaluated once
-    more only after a closed-form inverse."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if sysdef.v_inverse is not None:
-        v = _values(sysdef.v_inverse, _env(x, p, "p"), p.shape[1:])
-        Lj = _fiber_jets(sysdef, x, v)
-    else:
-        v, Lj = _newton(sysdef, x, p, guess, wrt_x=True)
-    return v, _theta(sysdef, x, v, Lj)
+    env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
+    direction = np.concatenate([pt.fiber, _values(sysdef.force, env)])
+    return np.einsum("im,m->i", _fiber_jets(sysdef, pt.x, pt.fiber).grad,
+                     direction)
 
 
 def force_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:

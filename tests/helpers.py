@@ -262,14 +262,15 @@ def sys_parallel(c=0.7, n=2):
 
 def shift_per_node(sysdef, run):
     """Reference shift of run's front: every surface node integrated on
-    its own by solve_ivp, with a scalar right-hand side from
-    _newton_solve (or the closed-form inverse) and theta_from_phi.
+    its own by solve_ivp in the momentum form dx/dt = v, dp/dt = theta,
+    with a scalar right-hand side from _newton (or the closed-form
+    inverse) and theta_from_phi at every call.
     Returns (points, covectors, deviations) laid out as in ShiftResult."""
     from scipy.integrate import solve_ivp
 
     from normality_lab import experiments
     from normality_lab.phase import PhasePoint
-    from normality_lab.system import _newton_solve, theta_from_phi
+    from normality_lab.system import _newton, theta_from_phi
 
     n, m = experiments._run_dims(run)
     axes, wraps = experiments._axes(run, m)
@@ -284,7 +285,7 @@ def shift_per_node(sysdef, run):
             env.update({f"p{i + 1}": float(p[i]) for i in range(n)})
             v = np.array([float(f.evaluate(env)) for f in sysdef.v_inverse])
         else:
-            v = _newton_solve(sysdef, x, p)
+            v = _newton(sysdef, x, p)
         theta = theta_from_phi(sysdef, PhasePoint.velocity(x, v))
         return np.concatenate([v, theta])
 

@@ -1,18 +1,21 @@
 """Batched Dense data, the batched Newton solve and the batched shift,
 each against its scalar counterpart evaluated node by node."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import helpers
-from normality_lab import expr, jets
+from normality_lab import experiments, expr, jets
+from normality_lab import system as system_module
 from normality_lab.errors import (EvalError, IntegrationFailure,
                                   NonConvergence, SingularMetric)
 from normality_lab.experiments import ShiftRun, shift_integrate
 from normality_lab.phase import PhasePoint
-from normality_lab.system import (NEWTON_TOL, SystemDef, _newton_solve,
-                                  _phase_flow, lagrangian_to_legendre,
-                                  legendre_forward, theta_from_phi)
+from normality_lab.system import (NEWTON_TOL, SystemDef, _newton,
+                                  lagrangian_to_legendre, legendre_forward)
 
 # every operator and function of the expression language; a and b are
 # Dense data, c a constant (a float, or a float array over nodes)
@@ -157,19 +160,13 @@ def test_batched_newton_agrees_with_scalar_solves(make):
     v = rng.uniform(0.5, 1.5, (n, nodes))
     v[:, 0] = 1e-3        # near the default guess p: converges first
     p = _momenta(sysdef, x, v)
-    batched = _newton_solve(sysdef, x, p)
+    batched = _newton(sysdef, x, p)
     assert batched.shape == (n, nodes)
     residual = np.abs(_momenta(sysdef, x, batched) - p)
     assert np.max(residual) <= NEWTON_TOL
     for k in range(nodes):
-        alone = _newton_solve(sysdef, x[:, k], p[:, k])
+        alone = _newton(sysdef, x[:, k], p[:, k])
         assert np.max(np.abs(batched[:, k] - alone)) < 1e-12
-
-    v_flow, theta = _phase_flow(sysdef, x, p)
-    assert np.max(np.abs(v_flow - batched)) < 1e-12
-    for k in range(nodes):
-        want = theta_from_phi(sysdef, PhasePoint.velocity(x[:, k], v[:, k]))
-        assert helpers.rel_err(theta[:, k], want) < 1e-10
 
 
 def test_batched_newton_names_the_failing_node():
@@ -179,14 +176,14 @@ def test_batched_newton_names_the_failing_node():
     x = np.array([[0.3, 0.7, -0.1]])
     p = np.array([[4.0, -2.0, 5.0]])
     with pytest.raises(NonConvergence, match=r"x=\[0\.7\], p=\[-2\.0\] \(node 1\)"):
-        _newton_solve(cycling, x, p)
+        _newton(cycling, x, p)
 
     degenerate = SystemDef(2, helpers.parse_all(
         ["v1 + v2*x1", "v1*x2 + v2"], 2))
     x = np.array([[0.5, 1.0, 0.2], [0.3, 1.0, 0.4]])    # node 1: x1*x2 = 1
     p = np.ones((2, 3))
     with pytest.raises(SingularMetric, match=r"x=\[1\.0, 1\.0\].*\(node 1\)"):
-        _newton_solve(degenerate, x, p)
+        _newton(degenerate, x, p)
 
 
 def test_shift_failure_names_the_front():
@@ -208,8 +205,62 @@ def test_non_finite_flow_names_the_node():
                        helpers.parse_all(["0", "x1*x1*v2"], 2))
     run = ShiftRun(surface=helpers.parse_surface(["1e200*u1", "0"]),
                    nu=1.0, u_samples=3, t_final=1.0, time_steps=2)
-    with pytest.raises(EvalError, match=r"\(node 1, u=\[0\.5\]\)"):
+    with pytest.raises(EvalError, match=r"x=\[5e\+199, 0\.0\], v=\[0\.0, 1\.0\]"
+                                        r" \(node 1, u=\[0\.5\]\)"):
         shift_integrate(system, run)
+
+
+def test_overflowing_position_names_the_node():
+    # a velocity of 1e308 overflows the integrator's step estimates and
+    # the positions turn non-finite while the velocity and the force stay
+    # finite; the front once passed with nan positions and zero deviations
+    system = SystemDef(2, helpers.parse_all(["v1", "v2"], 2))
+    run = ShiftRun(surface=helpers.parse_surface(["u1", "0"]), nu=1e308,
+                   u_samples=3, t_final=2.0, time_steps=4)
+    with warnings.catch_warnings():
+        # scipy's own step estimates overflow on this scale
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(EvalError, match=r"position, velocity or force"
+                                            r" at t=.*x=\[0\.0, (inf|nan)\].*"
+                                            r"\(node 0, u=\[0\.0\]\)"):
+            shift_integrate(system, run)
+
+
+def test_singular_fiber_map_at_an_output_time_names_the_node():
+    # L1 = (1 - x1)*v1 degenerates on x1 = 1. Under Phi = 0 the velocity
+    # is constant, and node 2 (nu = -1 at u = 1, p1 = 1 = v1) travels
+    # from x1 = 0 to x1 = 1 exactly at t_final; nodes 0 and 1 stop short.
+    system = SystemDef(2, helpers.parse_all(["(1 - x1)*v1", "v2"], 2))
+    run = ShiftRun(surface=helpers.parse_surface(["0*u1", "u1"]),
+                   nu=expr.parse("-0.5 - 0.5*u1", 1, kinds=("u",)),
+                   u_samples=3, t_final=1.0, time_steps=2)
+    with pytest.raises(SingularMetric,
+                       match=r"at t=1\.0, x=\[1\.0\d*, 1\.0\], v=\[1\.0, 0\.0\]"
+                             r" \(node 2, u=\[1\.0\]\)"):
+        shift_integrate(system, run)
+    # the same front stopped at t = 0.9 stays regular
+    shift_integrate(system, dataclasses.replace(run, t_final=0.9))
+
+
+@pytest.mark.parametrize("closed, solves", [(False, 1), (True, 0)])
+def test_shift_inverts_the_fiber_map_once_per_front(monkeypatch, closed,
+                                                    solves):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+
+    newton = system_module._newton
+    for module in (system_module, experiments):
+        monkeypatch.setattr(module, "_newton", counted)
+    run = ShiftRun(surface=helpers.parse_surface(["cos(u1)", "sin(u1)"]),
+                   nu=-1.0, u_stop=2 * np.pi, u_samples=8, periodic=True,
+                   t_final=0.5, time_steps=5)
+    shift_integrate(helpers.sys_linear_mode_a(closed), run)
+    assert len(calls) == solves
+    for _, x, p in calls:
+        assert x.shape == p.shape == (2, 8)     # the whole front at once
 
 
 def _sphere_run(**overrides):

@@ -17,7 +17,7 @@ from normality_lab.calculus import (LOWER, UPPER, FieldValue, curvature,
 from normality_lab.errors import MissingJets
 from normality_lab.phase import PhasePoint
 from normality_lab.sysfile import load_system_file
-from normality_lab.system import PContext, VContext, legendre_forward, _newton_solve
+from normality_lab.system import PContext, VContext, legendre_forward, _newton
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,7 +184,7 @@ def test_dynamic_curvature_against_finite_differences():
             for i in range(n):
                 for j in range(n):
                     def gamma_p_at(q, k=k, i=i, j=j):
-                        w = _newton_solve(sysdef, x, q)
+                        w = _newton(sysdef, x, q)
                         env = {"x1": x[0], "x2": x[1], "v1": w[0], "v2": w[1]}
                         return sysdef.connection[k, i, j].evaluate(env)
                     e = np.zeros(n)
@@ -377,7 +377,7 @@ def _momentum_connection_at(sysdef, z):
     # the inverse map solved by Newton on the float fiber map
     n = sysdef.n
     x, p = z[:n], z[n:]
-    return _connection_values(sysdef, x, _newton_solve(sysdef, x, p))
+    return _connection_values(sysdef, x, _newton(sysdef, x, p))
 
 
 @pytest.mark.parametrize("make", [helpers.sys_cubic, helpers.sys_cubic3])

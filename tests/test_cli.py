@@ -183,6 +183,28 @@ def test_shear_fixture_fails_normality_and_shift():
     assert not any(c["summary"]["passed"] for c in report["checks"])
 
 
+def test_cubic_shift_fixture_fails_the_shift_after_newton():
+    # the coupled cubic map needs several Newton steps at the start, and
+    # its generic force bends the momenta off the moving normals
+    report, status = run_checks(RunConfig(fixture("cubic_shift"),
+                                          checks=("shift",)))
+    assert status == 1
+    shift = report["checks"][0]
+    assert "error" not in shift and not shift["summary"]["passed"]
+    assert shift["rows"][0]["pass"] and len(shift["rows"]) == 6
+
+
+@pytest.mark.parametrize("nu", ["inf", "nan", "-1e300*1e300*(1 + u1)"])
+def test_non_finite_shift_scale_is_a_validation_error(tmp_path, nu):
+    text = Path(fixture("identity_full")).read_text(encoding="utf-8")
+    path = write_system(tmp_path, text.replace('[nu] = "-1"', f'[nu] = "{nu}"'))
+    report, status = run_checks(RunConfig(path, checks=("shift",)))
+    assert status == 1
+    error = report["checks"][0]["error"]
+    assert error["type"] == "ValidationError"
+    assert "nu" in error["message"] and "u=[0.0]" in error["message"]
+
+
 def test_connection_free_flag():
     cfg = RunConfig(fixture("cubic"), checks=("cross",), samples=3,
                     seed=2, connection_free=True)

@@ -342,11 +342,24 @@ def test_shift_run_validation():
         hypersurface_normal(run, [0.1, 0.2])
     # bad time grid and integrator settings name their option
     for option, value in (("time_steps", -3), ("time_steps", 0),
+                          ("time_steps", 2.5), ("time_steps", True),
+                          ("time_steps", 10.0), ("u_samples", 8.7),
+                          ("u_samples", [8.0]), ("u_samples", True),
                           ("t_final", 0.0), ("t_final", np.inf),
                           ("rtol", 0.0), ("rtol", -1e-8), ("rtol", np.nan),
                           ("u_start", -np.inf), ("u_stop", np.nan)):
         with pytest.raises(ValidationError, match=option):
             shift_integrate(ident, circle_run(**{option: value}))
+    # numpy integers are integers
+    assert len(shift_integrate(ident, circle_run(
+        u_samples=np.int64(8), time_steps=np.int32(2))).times) == 3
+    # a scale that is, or evaluates to, inf or nan names nu and the node;
+    # the expression overflows from the second node on
+    overflow = helpers.parse_surface(["-1 - 1e300*u1*u1*1e300", "0*u1"])[0]
+    for nu, where in ((np.inf, r"u=\[0\.0\]"), (np.nan, r"u=\[0\.0\]"),
+                      (overflow, r"-inf at u=\[0\.196")):
+        with pytest.raises(ValidationError, match=r"nu .*" + where):
+            shift_integrate(ident, circle_run(nu=nu))
 
 
 def test_shift_tolerance_refinement():

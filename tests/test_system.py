@@ -10,7 +10,7 @@ from normality_lab.system import (ConstFunc, PContext, SystemDef, VContext,
                                   force_covector, force_vector,
                                   lagrangian_to_legendre, legendre_forward,
                                   legendre_inverse, metric, theta_from_phi,
-                                  validate_system, _newton_solve)
+                                  validate_system, _newton)
 
 
 def fixtures():
@@ -90,7 +90,7 @@ def test_inverse_jets_match_finite_differences():
     assert np.max(np.abs(ctx.inner.v - v)) < 1e-10
 
     def newton_at(xi):
-        return _newton_solve(sysdef, xi[:2], xi[2:])
+        return _newton(sysdef, xi[:2], xi[2:])
 
     xi0 = np.concatenate([x, p])
     for s in range(2):
@@ -154,7 +154,7 @@ def test_theta_and_q_jets_against_finite_differences():
     xi0 = np.concatenate([x, p])
 
     def theta_at(xi):
-        w = _newton_solve(sysdef, xi[:2], xi[2:])
+        w = _newton(sysdef, xi[:2], xi[2:])
         return theta_from_phi(sysdef, PhasePoint.velocity(xi[:2], w))
 
     def q_at(xi):
@@ -302,7 +302,7 @@ def test_generated_fiber_map_round_trips_under_newton():
     for _ in range(10):
         x, v = helpers.random_box_point(rng, 2)
         p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
-        w = _newton_solve(sysdef, x, p)
+        w = _newton(sysdef, x, p)
         assert np.max(np.abs(w - v)) < 1e-10
 
 

@@ -27,17 +27,15 @@ from .experiments import (GaugeReport, GaugeRow, ShiftResult, ShiftRun,
 from .expr import Expression, eval_jet, eval_scalar, parse
 from .jets import Dense
 from .normality import (CROSS_FIELDS, RESIDUAL_IDS, CrossCheck,
-                        NormalityBundle, Residual, bundle_at, cross_check,
-                        cross_check_all, lambda_scalar, momentum_bundle,
-                        normality_residuals, residual_arrays,
-                        velocity_bundle)
+                        NormalityBundle, Residual, bundle_at, cross_check_all,
+                        lambda_scalar, momentum_bundle, normality_residuals,
+                        residual_arrays, velocity_bundle)
 from .phase import PhasePoint, Rep
 from .sysfile import SystemFile, load_system_file, read_system_file
 from .system import (LegendreInverse, MetricPair, PContext, SystemDef,
-                     VContext, dual_force_covector, dual_legendre_vector,
-                     force_covector, force_vector, lagrangian_to_legendre,
-                     legendre_forward, legendre_inverse, metric,
-                     theta_from_phi, validate_system)
+                     VContext, lagrangian_to_legendre, legendre_forward,
+                     legendre_inverse, metric, theta_from_phi,
+                     validate_system)
 
 __version__ = "0.1.0"
 

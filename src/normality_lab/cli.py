@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .calculus import (LOWER, _curvature_relation,
                        _vertical_transport_velocity)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
-from .experiments import (ShiftRun, connection_free_mode,
-                          gauge_invariance_report, shift_integrate)
+from .experiments import (ShiftRun, _gauge_report, _gauged,
+                          connection_free_mode, shift_integrate)
 from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
 from .phase import PhasePoint
 from .system import legendre_forward, legendre_inverse, metric
@@ -217,8 +218,8 @@ def _normality_rows(sysdef, doc, pt, rng, tol):
                                            tolerance=tol["normality"])]
 
 
-def _gauge_rows(sysdef, doc, pt, rng, tol):
-    report = gauge_invariance_report(sysdef, [pt])
+def _gauge_rows(pair, sysdef, doc, pt, rng, tol):
+    report = _gauge_report(sysdef, pair, [pt])
     rows = []
     for entry in report.rows:
         tolerance = tol["gauge"] if entry.kind == "rule" else tol["gauge-exact"]
@@ -246,6 +247,9 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
     (seed, check, index), so resampling one point cannot shift any
     other point's draws."""
     builder = _BUILDERS[check_id]
+    if check_id == "gauge":
+        # validate and apply the gauge once for every point of the check
+        builder = partial(builder, _gauged(sysdef, None))
     check_index = CHECK_IDS.index(check_id)
     n = sysdef.n
     x_lo, x_hi = cfg.x_box

@@ -4,7 +4,9 @@ The connection entering the covariant machinery is a bookkeeping
 choice: shifting it by a symmetric tensor, with the plain force
 components held fixed, changes each derived field by a closed-form
 amount and leaves the normality content untouched. The report built
-here certifies those transformation rules numerically, row by row.
+here certifies those transformation rules numerically, row by row. The
+gauge tensor is validated once per report, at the points where
+validate_system checks it at load.
 
 The second half drives the shift itself. A parametric hypersurface is
 seeded with covectors along its normals, turned into velocities once;
@@ -16,7 +18,6 @@ direction of the moving surface.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import jets
 from .calculus import (LOWER, UPPER, curvature, dynamic_curvature, field_of,
@@ -30,7 +31,7 @@ from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
 from .phase import Rep
 from .system import (COND_LIMIT, ConstFunc, SystemDef, SumFunc, VContext,
                      _check_symmetric, _component_array, _conditions, _env,
-                     _fiber_jets, _newton, _values, zero_connection)
+                     _fiber_jets, _newton, _samples, _values, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
 
@@ -49,15 +50,26 @@ RESIDUAL_NEEDS = {
 }
 
 
-def _gauge_tensor(sysdef, gauge):
+def _gauged(sysdef, gauge):
+    """The gauge tensor, supplied or the system's, and the system whose
+    connection it shifts. The tensor is checked for symmetry on the
+    block of the validation plan that validate_system gives it: the
+    second draw from default_rng(0)."""
     tensor = gauge if gauge is not None else sysdef.gauge
     if tensor is None:
         raise MissingGaugeTensor(
             "system carries no gauge tensor and none was supplied")
-    tensor = _component_array(tensor, sysdef.n, "gauge")
+    n = sysdef.n
+    tensor = _component_array(tensor, n, "gauge")
+    rng = np.random.default_rng(0)
+    _samples(rng, n, 2)             # the connection's block
     _check_symmetric(tensor, "gauge tensor", AsymmetricGauge,
-                     np.random.default_rng(11), samples=6)
-    return tensor
+                     *_samples(rng, n, 2))
+    conn = [[[SumFunc(sysdef.connection[k, i, j], tensor[k, i, j])
+              for j in range(n)] for i in range(n)] for k in range(n)]
+    return tensor, SystemDef(n, sysdef.legendre, sysdef.force, conn,
+                             v_inverse=sysdef.v_inverse,
+                             newton_guess=sysdef.newton_guess)
 
 
 def apply_gauge(sysdef: SystemDef, gauge=None) -> SystemDef:
@@ -65,16 +77,7 @@ def apply_gauge(sysdef: SystemDef, gauge=None) -> SystemDef:
     force components. The full force vector picks up the matching
     quadratic fiber term on its own, so the trajectories of the
     returned system are the same curves."""
-    return _shift_connection(sysdef, _gauge_tensor(sysdef, gauge))
-
-
-def _shift_connection(sysdef, tensor):
-    n = sysdef.n
-    conn = [[[SumFunc(sysdef.connection[k, i, j], tensor[k, i, j])
-              for j in range(n)] for i in range(n)] for k in range(n)]
-    return SystemDef(n, sysdef.legendre, sysdef.force, conn,
-                     v_inverse=sysdef.v_inverse,
-                     newton_guess=sysdef.newton_guess)
+    return _gauged(sysdef, gauge)[1]
 
 
 def connection_free_mode(sysdef: SystemDef) -> SystemDef:
@@ -190,9 +193,14 @@ def gauge_invariance_report(sysdef: SystemDef, points,
     against the transformation rule applied to un-gauged values, which
     exercises the cancellations behind each rule. Residual rows compare
     normality residual norms; the conditional ones list the residuals
-    whose vanishing they rely on."""
-    tensor = _gauge_tensor(sysdef, gauge)
-    gauged = _shift_connection(sysdef, tensor)
+    whose vanishing they rely on. The gauge tensor is validated once
+    per call."""
+    return _gauge_report(sysdef, _gauged(sysdef, gauge), points)
+
+
+def _gauge_report(sysdef, pair, points):
+    """gauge_invariance_report on a (tensor, gauged) pair from _gauged."""
+    tensor, gauged = pair
     worst = {}
     count = 0
     for pt in points:
@@ -225,7 +233,9 @@ class ShiftRun:
     The whole front is integrated as one (x, v) state of N nodes, under
     rtol and atol = 1e-12 divided by sqrt(N). The integrator's RMS error
     norm over (x, v) then still bounds each node's own error by
-    rtol/atol at every accepted step, as it would for a node alone."""
+    rtol/atol at every accepted step, as it would for a node alone.
+    rtol/sqrt(N) may not fall below the integrator's floor of 100 eps,
+    so rtol must be at least 100 eps sqrt(N)."""
 
     surface: tuple
     nu: object = 1.0
@@ -371,6 +381,8 @@ def _collinearity(x_grid, p_grid, axes, wraps):
 def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     """Integrate the shift of the run's hypersurface and trace the
     collinearity between momenta and moving-surface normals."""
+    from scipy.integrate import solve_ivp     # only the shift needs scipy
+
     n, m = _run_dims(run)
     if n != sysdef.n:
         raise ValidationError(
@@ -386,6 +398,13 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     nodes = mesh.reshape(-1, m)
     times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
     count = len(nodes)
+    # the integrator would raise a smaller per-node rtol to 100 eps with
+    # only a warning, loosening the run silently
+    shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
+    if run.rtol * shrink < floor:
+        raise ValidationError(
+            f"rtol {run.rtol} is below {floor / shrink:.3e}, the smallest "
+            f"allowed for {count} nodes (100 eps sqrt(nodes))")
 
     x0, p0 = np.empty((n, count)), np.empty((n, count))
     for k, u in enumerate(nodes):
@@ -410,9 +429,8 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     # front integrates exactly as alone.
     def rhs(t, y):
         x, v = y.reshape(count, 2, n).transpose(1, 2, 0)
-        with np.errstate(all="ignore"):
-            flow = np.concatenate(
-                [v, _values(sysdef.force, _env(x, v, "v"), (count,))])
+        flow = np.concatenate(
+            [v, _values(sysdef.force, _env(x, v, "v"), (count,))])
         bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(flow).all(axis=0))
         if bad.any():
             k = int(np.argmax(bad))
@@ -420,7 +438,6 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
                             f"force at {at(t, x[:, k], v[:, k], k)}")
         return flow.T.ravel()
 
-    shrink = 1.0 / np.sqrt(count)
     sol = solve_ivp(rhs, (0.0, float(run.t_final)),
                     np.concatenate([x0, v0]).T.ravel(), method="RK45",
                     rtol=run.rtol * shrink, atol=1e-12 * shrink, t_eval=times)

@@ -334,8 +334,3 @@ def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
         out[field] = CrossCheck(field, a, b, relative_deviation(a, b))
     return out
 
-
-def cross_check(sysdef: SystemDef, pt: PhasePoint, field: str) -> CrossCheck:
-    if field not in CROSS_FIELDS:
-        raise ValidationError(f"unknown cross-check field {field!r}")
-    return cross_check_all(sysdef, pt)[field]

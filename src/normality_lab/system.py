@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, jets
-from .errors import (EvalError, MixedRepresentationError, NonConvergence,
-                     SingularMetric, ValidationError)
+from .errors import (AsymmetricGauge, EvalError, MixedRepresentationError,
+                     NonConvergence, SingularMetric, ValidationError)
 from .phase import PhasePoint, Rep
 
 COND_LIMIT = 1e12
@@ -144,10 +144,13 @@ def _env(x, fiber, kind):
 
 
 def _values(funcs, env, nodes=()):
-    """Float values of components, shape (len(funcs),) + nodes."""
+    """Float values of components, shape (len(funcs),) + nodes. numpy
+    warnings over float arrays are silenced, as floats raise none:
+    callers compare or check the values."""
     out = np.empty((len(funcs),) + nodes)
-    for i, f in enumerate(funcs):
-        out[i] = f.evaluate(env)
+    with np.errstate(all="ignore"):
+        for i, f in enumerate(funcs):
+            out[i] = f.evaluate(env)
     return out
 
 
@@ -510,82 +513,64 @@ def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
                      direction)
 
 
-def force_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
-    """F^i = Phi^i + sum_jk Gamma^i_jk v^j v^k at a velocity point."""
-    if pt.rep is not Rep.VELOCITY:
-        raise MixedRepresentationError("force_vector expects a velocity point")
-    env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
-    gamma = _values(sysdef.connection.ravel(), env)
-    return _values(sysdef.force, env) + np.einsum(
-        "ijk,j,k->i", gamma.reshape(sysdef.connection.shape), pt.fiber, pt.fiber)
+def _samples(rng, n, parts):
+    """One block of the validation plan: `parts` n-vectors at each of 8
+    samples, drawn sample by sample, x in [-1, 1] first and then fibers
+    in [0.5, 1.5]. Returns the parts as (n, 8) arrays, equal bit for
+    bit to rng.uniform(lo, hi, n) calls, which scale rng.random()."""
+    x, *fibers = rng.random((8, parts, n)).transpose(1, 2, 0)
+    return [2.0 * x - 1.0] + [f + 0.5 for f in fibers]
 
 
-def force_covector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
-    """Q_i = theta_i - sum_jk Gamma^k_ij V^j p_k at a momentum point."""
-    if pt.rep is not Rep.MOMENTUM:
-        raise MixedRepresentationError("force_covector expects a momentum point")
-    return PContext(sysdef, pt.x, pt.fiber).Q.val
-
-
-def dual_legendre_vector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
-    """Vector dual to the fiber map covector: L^i = sum_q L_q g^{qi}."""
-    if pt.rep is not Rep.VELOCITY:
-        raise MixedRepresentationError("dual raising expects a velocity point")
-    ctx = VContext(sysdef, pt.x, pt.fiber)
-    return ctx.L_dense.val @ ctx.g_inv_values
-
-
-def dual_force_covector(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
-    """Covector dual to the force vector: F_q = sum_i g_qi F^i."""
-    if pt.rep is not Rep.VELOCITY:
-        raise MixedRepresentationError("dual lowering expects a velocity point")
-    ctx = VContext(sysdef, pt.x, pt.fiber)
-    return ctx.g_values @ force_vector(sysdef, pt)
-
-
-def _check_symmetric(tensor, what, error=ValidationError, rng=None,
-                     samples: int = 8):
+def _check_symmetric(tensor, what, error, x, v):
     """Raise `error` unless tensor[k][i][j] and tensor[k][j][i] agree
-    within 1e-10 at sampled points of the box x in [-1, 1],
-    v in [0.5, 1.5]."""
-    rng = rng or np.random.default_rng(0)
-    n = tensor.shape[0]
-    for _ in range(samples):
-        x = rng.uniform(-1.0, 1.0, n)
-        v = rng.uniform(0.5, 1.5, n)
-        env = _env(x.tolist(), v.tolist(), "v")
-        vals = _values(tensor.ravel(), env).reshape(tensor.shape)
-        gap = np.abs(vals - vals.transpose(0, 2, 1))
-        if gap.max() > 1e-10:
-            k, i, j = np.unravel_index(np.argmax(gap), gap.shape)
-            raise error(f"{what} is asymmetric in its lower pair at "
-                        f"[{k}][{i}][{j}]: {vals[k, i, j]} vs {vals[k, j, i]}")
+    within 1e-10 at the samples (x, v), (n, 8) arrays. The message
+    names the first failing sample and its largest gap."""
+    vals = _values(tensor.ravel(), _env(x, v, "v"), (8,)).reshape(
+        tensor.shape + (8,))
+    gap = np.abs(vals - vals.transpose(0, 2, 1, 3))
+    bad = gap.max(axis=(0, 1, 2)) > 1e-10
+    if bad.any():
+        s = int(np.argmax(bad))
+        k, i, j = np.unravel_index(np.argmax(gap[..., s]), tensor.shape)
+        raise error(f"{what} is asymmetric in its lower pair at "
+                    f"[{k}][{i}][{j}]: {vals[k, i, j, s]} vs {vals[k, j, i, s]}")
 
 
-def validate_system(sysdef: SystemDef, rng=None, samples: int = 8):
+def validate_system(sysdef: SystemDef):
     """Numeric spot checks of the structural requirements: the fiber
     map sends zero to zero, the connection (and gauge, if any) is
-    symmetric, and a closed-form inverse actually inverts the map."""
-    rng = rng or np.random.default_rng(0)
-    n = sysdef.n
-    _check_symmetric(sysdef.connection, "connection", rng=rng, samples=samples)
-    if sysdef.gauge is not None:
-        _check_symmetric(sysdef.gauge, "gauge tensor", rng=rng, samples=samples)
-    for _ in range(samples):
-        x = rng.uniform(-1.0, 1.0, n)
-        env = _env(x.tolist(), [0.0] * n, "v")
-        at_zero = [float(f.evaluate(env)) for f in sysdef.legendre]
-        if np.max(np.abs(at_zero)) > 1e-9:
-            raise ValidationError(
-                f"fiber map does not send v=0 to p=0 at x={x.tolist()}: {at_zero}")
+    symmetric, and a closed-form inverse actually inverts the map.
 
-        if sysdef.v_inverse is not None:
-            p = rng.uniform(0.5, 1.5, n)
-            penv = _env(x.tolist(), p.tolist(), "p")
-            v_closed = [float(f.evaluate(penv)) for f in sysdef.v_inverse]
-            env = _env(x.tolist(), v_closed, "v")
-            back = np.array([float(f.evaluate(env)) for f in sysdef.legendre])
-            if np.max(np.abs(back - p)) > 1e-8:
-                raise ValidationError(
-                    f"closed-form inverse disagrees with the fiber map at "
-                    f"x={x.tolist()}, p={p.tolist()} (residual {np.max(np.abs(back - p)):.2e})")
+    Each check evaluates its components once over its block of the
+    plan (_samples), drawn from default_rng(0) in this order: the
+    connection's, the gauge tensor's, then x (and p with an inverse).
+    A failure names the first failing sample."""
+    n = sysdef.n
+    rng = np.random.default_rng(0)
+    _check_symmetric(sysdef.connection, "connection", ValidationError,
+                     *_samples(rng, n, 2))
+    if sysdef.gauge is not None:
+        _check_symmetric(sysdef.gauge, "gauge tensor", AsymmetricGauge,
+                         *_samples(rng, n, 2))
+    if sysdef.v_inverse is None:
+        x, = _samples(rng, n, 1)
+    else:
+        x, p = _samples(rng, n, 2)
+    at_zero = _values(sysdef.legendre, _env(x, np.zeros_like(x), "v"), (8,))
+    bad = np.max(np.abs(at_zero), axis=0) > 1e-9
+    if sysdef.v_inverse is not None:
+        v_closed = _values(sysdef.v_inverse, _env(x, p, "p"), (8,))
+        back = _values(sysdef.legendre, _env(x, v_closed, "v"), (8,))
+        residual = np.max(np.abs(back - p), axis=0)
+        bad |= residual > 1e-8
+    if not bad.any():
+        return
+    s = int(np.argmax(bad))
+    if np.max(np.abs(at_zero[:, s])) > 1e-9:
+        raise ValidationError(
+            f"fiber map does not send v=0 to p=0 at x={x[:, s].tolist()}: "
+            f"{at_zero[:, s].tolist()}")
+    raise ValidationError(
+        f"closed-form inverse disagrees with the fiber map at "
+        f"x={x[:, s].tolist()}, p={p[:, s].tolist()} (residual {residual[s]:.2e})")

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normality_lab import calculus, cli, expr
+from normality_lab import calculus, cli, experiments, expr
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
-from normality_lab.errors import (DegeneratePoint, ExprSyntaxError,
-                                  SingularMetric, SystemFileError,
-                                  ValidationError)
+from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
+                                  ExprSyntaxError, SingularMetric,
+                                  SystemFileError, ValidationError)
 from normality_lab.sysfile import load_system_file, read_system_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -82,6 +82,62 @@ V2 = "p2"
 """)
     with pytest.raises(ValidationError, match="inverse disagrees"):
         load_system_file(path)
+
+
+IDENTITY = '[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
+
+
+# One file per kind of structural fault, with exact-valued components
+# so that every evaluation path gives the same bits. The messages name
+# the first failing sample of the validation plan and, for symmetry,
+# its largest gap; the zero and inverse faults first fail past sample 0.
+@pytest.mark.parametrize("body, error, message", [
+    (IDENTITY + '[connection]\nGamma_1_12 = "v1"\nGamma_2_12 = "3*v2"\n'
+     'Gamma_2_21 = "x1"\n', ValidationError,
+     "connection is asymmetric in its lower pair at [1][0][1]: "
+     "1.5495829065855873 vs 0.2739233746429086"),
+    (IDENTITY + '[gauge]\nT_1_12 = "x1 + x2"\nT_1_21 = "x1"\n',
+     AsymmetricGauge,
+     "gauge tensor is asymmetric in its lower pair at [0][0][1]: "
+     "-0.28683030956701416 vs -0.7298069899551776"),
+    ('[system]\nn = 2\n[legendre]\nL1 = "v1 + 1e-9*(x1 + 1)"\nL2 = "v2"\n',
+     ValidationError,
+     "fiber map does not send v=0 to p=0 at "
+     "x=[0.050708644951451776, -0.3795162488820887]: "
+     "[1.0507086449514518e-09, 0.0]"),
+    (IDENTITY + '[inverse]\nV1 = "p1"\nV2 = "p2 + 1e-8*(x1 + 1)"\n',
+     ValidationError,
+     "closed-form inverse disagrees with the fiber map at "
+     "x=[0.14305966145952187, -0.3562612178481157], "
+     "p=[1.0943000301996968, 0.8379112255071333] (residual 1.14e-08)"),
+])
+def test_structural_fault_messages(tmp_path, body, error, message):
+    with pytest.raises(error) as info:
+        load_system_file(write_system(tmp_path, body))
+    assert str(info.value) == message
+
+
+def test_asymmetric_gauge_file_exits_2(tmp_path, capsys):
+    path = write_system(tmp_path, IDENTITY + '[gauge]\nT_1_12 = "0.1*v1"\n')
+    assert cli.main(["check", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "AsymmetricGauge"
+    assert error["message"].startswith("gauge tensor is asymmetric")
+
+
+def test_cli_gauge_check_validates_its_tensor_once(monkeypatch, tmp_path):
+    calls = []
+    real = experiments._check_symmetric
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_check_symmetric", counting)
+    status = cli.main(["check", fixture("identity_full"), "--checks", "gauge",
+                       "--samples", "5", "--out", str(tmp_path / "r.json")])
+    assert status == 0
+    assert calls == ["gauge tensor"]
 
 
 def test_syntax_error_carries_location(tmp_path):
@@ -203,6 +259,39 @@ def test_non_finite_shift_scale_is_a_validation_error(tmp_path, nu):
     error = report["checks"][0]["error"]
     assert error["type"] == "ValidationError"
     assert "nu" in error["message"] and "u=[0.0]" in error["message"]
+
+
+def test_shift_rtol_below_the_integrator_floor_is_rejected(tmp_path, capsys):
+    # 32 nodes: the per-node rtol 1e-13/sqrt(32) is below 100 eps, which
+    # the integrator would clamp with a warning
+    text = Path(fixture("identity_full")).read_text(encoding="utf-8")
+    path = write_system(tmp_path, text + "rtol = 1e-13\n")
+    status = cli.main(["check", path, "--checks", "shift",
+                       "--out", str(tmp_path / "r.json")])
+    assert status == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    error = report["checks"][0]["error"]
+    assert error["type"] == "ValidationError"
+    assert "rtol" in error["message"] and "32 nodes" in error["message"]
+
+
+def test_point_checks_do_not_import_scipy():
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = (
+        "import sys\n"
+        "from normality_lab import cli\n"
+        f"status = cli.main(['check', {fixture('cubic')!r}, '--checks',\n"
+        "    'metric,transport,cross,normality,gauge', '--samples', '2',\n"
+        f"    '--out', {os.devnull!r}])\n"
+        "assert status in (0, 1), status\n"
+        "assert 'scipy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_connection_free_flag():

@@ -13,7 +13,7 @@ from normality_lab.experiments import (GaugeReport, ShiftRun, apply_gauge,
                                        hypersurface_normal, shift_integrate)
 from normality_lab.normality import normality_residuals
 from normality_lab.phase import PhasePoint
-from normality_lab.system import SystemDef, force_vector
+from normality_lab.system import SystemDef, VContext
 
 
 def flat_system():
@@ -83,7 +83,8 @@ def test_apply_gauge_shifts_force_quadratically():
     rng = np.random.default_rng(2)
     for _ in range(5):
         x, v = helpers.random_box_point(rng, 2)
-        got = force_vector(gauged, PhasePoint.velocity(x, v))
+        ctx = VContext(gauged, x, v)
+        got = ctx.phi.val + np.einsum("ijk,j,k->i", ctx.gamma.val, v, v)
         want = np.array([0.2 * x[0] + 0.8 * v[0] * v[1],
                          x[1] - 0.3 * v[0] * v[0]])
         assert np.max(np.abs(got - want)) < 1e-12
@@ -347,9 +348,14 @@ def test_shift_run_validation():
                           ("u_samples", [8.0]), ("u_samples", True),
                           ("t_final", 0.0), ("t_final", np.inf),
                           ("rtol", 0.0), ("rtol", -1e-8), ("rtol", np.nan),
+                          ("rtol", 1.2e-13),
                           ("u_start", -np.inf), ("u_stop", np.nan)):
         with pytest.raises(ValidationError, match=option):
             shift_integrate(ident, circle_run(**{option: value}))
+    # the floor 100 eps sqrt(32) is 1.256e-13: just above it, the
+    # integrator takes rtol as given, with no warning
+    shift_integrate(ident, circle_run(rtol=1.3e-13, t_final=0.1,
+                                      time_steps=1))
     # numpy integers are integers
     assert len(shift_integrate(ident, circle_run(
         u_samples=np.int64(8), time_steps=np.int32(2))).times) == 3

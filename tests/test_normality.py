@@ -6,7 +6,7 @@ from normality_lab import normality
 from normality_lab.errors import DegeneratePoint, DimensionError, \
     MixedRepresentationError, ValidationError
 from normality_lab.normality import (CROSS_FIELDS, RESIDUAL_IDS, bundle_at,
-                                     cross_check, cross_check_all,
+                                     cross_check_all,
                                      lambda_scalar, momentum_bundle,
                                      normality_residuals, velocity_bundle)
 from normality_lab.phase import PhasePoint
@@ -26,17 +26,9 @@ def test_cross_representation_agreement():
             assert set(checks) == set(CROSS_FIELDS)
             for c in checks.values():
                 assert c.deviation < 1e-6, (c.field, c.deviation)
-
-
-def test_single_field_cross_check():
-    sysdef = helpers.sys_cubic()
-    pt = PhasePoint.velocity([0.2, -0.3], [1.1, 0.8])
-    c = cross_check(sysdef, pt, "alpha")
-    assert c.field == "alpha" and c.deviation < 1e-8
-    with pytest.raises(ValidationError):
-        cross_check(sysdef, pt, "nonsense")
     with pytest.raises(MixedRepresentationError):
-        cross_check_all(sysdef, PhasePoint.momentum([0.0, 0.0], [1.0, 1.0]))
+        cross_check_all(fixtures[0],
+                        PhasePoint.momentum([0.0, 0.0], [1.0, 1.0]))
 
 
 def test_projector_laws():

@@ -6,11 +6,9 @@ from normality_lab import calculus, expr, jets
 from normality_lab.errors import NonConvergence, SingularMetric, ValidationError
 from normality_lab.phase import PhasePoint
 from normality_lab.system import (ConstFunc, PContext, SystemDef, VContext,
-                                  dual_force_covector, dual_legendre_vector,
-                                  force_covector, force_vector,
                                   lagrangian_to_legendre, legendre_forward,
                                   legendre_inverse, metric, theta_from_phi,
-                                  validate_system, _newton)
+                                  validate_system, _newton, _samples)
 
 
 def fixtures():
@@ -158,7 +156,7 @@ def test_theta_and_q_jets_against_finite_differences():
         return theta_from_phi(sysdef, PhasePoint.velocity(xi[:2], w))
 
     def q_at(xi):
-        return force_covector(sysdef, PhasePoint.momentum(xi[:2], xi[2:]))
+        return PContext(sysdef, xi[:2], xi[2:]).Q.val
 
     for i in range(2):
         fd = helpers.fd_gradient(lambda z: theta_at(z)[i], xi0)
@@ -176,7 +174,7 @@ def test_q_reduces_to_theta_without_connection():
     ctx = PContext(sysdef, x, p)
     for i in range(2):
         assert ctx.Q.val[i] == pytest.approx(ctx.theta.val[i], abs=1e-14)
-    got = force_covector(sysdef, PhasePoint.momentum(x, p))
+    got = ctx.Q.val
     want = theta_from_phi(sysdef, PhasePoint.velocity(x, v))
     assert helpers.rel_err(got, want) < 1e-10
 
@@ -195,27 +193,8 @@ def test_connection_correction_in_q():
             for k in range(2):
                 expected[i] -= (sysdef.connection[k, i, j].evaluate(env)
                                 * v[j] * p[k])
-    got = force_covector(sysdef, PhasePoint.momentum(x, p))
+    got = PContext(sysdef, x, p).Q.val
     assert helpers.rel_err(got, expected) < 1e-10
-
-
-def test_dual_vectors():
-    rng = np.random.default_rng(13)
-    sysdef = helpers.sys_linear_mode_a()
-    for _ in range(10):
-        x, v = helpers.random_box_point(rng, 2)
-        vpt = PhasePoint.velocity(x, v)
-        g = np.array([[2 + x[0] ** 2, 0.0], [0.3 * x[1], 1.5]])
-        L = g @ v
-        assert helpers.rel_err(dual_legendre_vector(sysdef, vpt),
-                               L @ np.linalg.inv(g)) < 1e-12
-        F = force_vector(sysdef, vpt)
-        assert helpers.rel_err(F, np.array([0.1 * v[1], 0.0])) < 1e-14
-        assert helpers.rel_err(dual_force_covector(sysdef, vpt), g @ F) < 1e-12
-
-    ident = helpers.sys_identity(3)
-    x, v = helpers.random_box_point(rng, 3)
-    assert np.allclose(dual_legendre_vector(ident, PhasePoint.velocity(x, v)), v)
 
 
 def test_momentum_native_composition():
@@ -266,6 +245,19 @@ def test_singular_fiber_jacobian():
         VContext(degenerate, np.zeros(2), np.array([0.5, 0.5])).g_inv_values
     with pytest.raises(SingularMetric):
         PContext(degenerate, np.zeros(2), np.array([1.0, 1.0]))
+
+
+def test_validation_blocks_match_per_sample_draws():
+    # the reference: one rng.uniform call per vector, sample by sample
+    for n in range(1, 6):
+        for parts in ((2, 2, 1), (2, 2, 2), (2, 1), (2, 2)):
+            rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+            for width in parts:
+                box = ((-1.0, 1.0), (0.5, 1.5))[:width]
+                want = np.array([[ref.uniform(lo, hi, n) for lo, hi in box]
+                                 for _ in range(8)])
+                got = np.array(_samples(rng, n, width))
+                assert got.tobytes() == want.transpose(1, 2, 0).tobytes()
 
 
 def test_validation_catches_structural_faults():

@@ -9,10 +9,11 @@ gauge tensor is validated once per report, at the points where
 validate_system checks it at load.
 
 The second half drives the shift itself. A parametric hypersurface is
-seeded with covectors along its normals, turned into velocities once;
-every sample point travels along x' = v, v' = Phi(x, v), and at each
-output time the trace compares the momentum p = L(x, v) with the normal
-direction of the moving surface.
+seeded with covectors along its normals, found for all nodes at once,
+and turned into velocities once. The front travels as one state along
+x' = v, v' = Phi(x, v) under the Dormand-Prince 8(5,3) pair, DOP853,
+and one pass over all output times compares the momentum p = L(x, v)
+with the normal direction of the moving surface.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
                      SingularMetric, ValidationError)
 from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
 from .phase import Rep
+from .expr import Expression
 from .system import (COND_LIMIT, ConstFunc, SystemDef, SumFunc, VContext,
                      _check_symmetric, _component_array, _conditions, _env,
                      _fiber_jets, _newton, _samples, _values, zero_connection)
@@ -230,12 +232,15 @@ class ShiftRun:
     axis or a single value broadcast to all of them. A periodic axis
     omits its endpoint and wraps the tangent stencil.
 
-    The whole front is integrated as one (x, v) state of N nodes, under
-    rtol and atol = 1e-12 divided by sqrt(N). The integrator's RMS error
-    norm over (x, v) then still bounds each node's own error by
-    rtol/atol at every accepted step, as it would for a node alone.
-    rtol/sqrt(N) may not fall below the integrator's floor of 100 eps,
-    so rtol must be at least 100 eps sqrt(N)."""
+    The whole front is one (x, v) state of N nodes, integrated by
+    DOP853 with rtol and atol = 1e-12 divided by sqrt(N). Its error
+    estimate, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len) over the
+    scaled state, is not an RMS norm: a one-node front integrates
+    exactly as the node alone and N identical nodes see sqrt(N) times
+    the lone estimate, but one node's large e3 can lower the front's
+    estimate below another node's own. That fronts match nodes
+    integrated alone is tested, not implied by this norm. rtol must be
+    at least 100 eps sqrt(N), the integrator's floor."""
 
     surface: tuple
     nu: object = 1.0
@@ -306,83 +311,90 @@ def _axes(run: ShiftRun, m):
     return axes, wraps
 
 
-def _surface_frame(run: ShiftRun, u):
-    _, m = _run_dims(run)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if len(u) != m:
-        raise DimensionError(f"expected {m} surface parameters, got {len(u)}")
-    seeded = jets.seeds(u, order=1)
-    env = {f"u{d + 1}": seeded[d] for d in range(m)}
-    frame = jets.stack([f.evaluate(env) for f in run.surface], m)
-    return frame.val, frame.grad.T
-
-
-def _normal_of(tangents):
+def _front_geometry(run: ShiftRun, nodes):
+    """Positions and unit normal covectors, each (n, N), at nodes (N, m),
+    from one evaluation, SVD and determinant over all nodes. The tangent
+    rows followed by the normal make a positively oriented frame."""
+    count, m = nodes.shape
+    env = {f"u{d + 1}": u for d, u in enumerate(jets.seeds(nodes.T, order=1))}
+    frame = jets.stack([f.evaluate(env) for f in run.surface], m, (count,))
+    tangents = frame.grad.transpose(1, 2, 0)           # (N, m, n)
     _, sing, vt = np.linalg.svd(tangents)
-    if sing.size and sing[-1] < SURFACE_RANK_FLOOR:
+    collapsed = sing[:, -1] < SURFACE_RANK_FLOOR
+    if collapsed.any():
+        k = int(np.argmax(collapsed))
         raise DegenerateSurface(
-            f"tangent directions collapse (smallest singular value "
-            f"{sing[-1]:.3e})")
-    normal = vt[-1]
-    # orientation: tangent rows followed by the normal make a
-    # positively oriented frame
-    if np.linalg.det(np.vstack([tangents, normal])) < 0.0:
-        normal = -normal
-    return normal
+            f"tangent directions collapse at u={nodes[k].tolist()} "
+            f"(smallest singular value {sing[k, -1]:.3e})")
+    normals = vt[:, -1]
+    det = np.linalg.det(np.concatenate([tangents, normals[:, None]], axis=1))
+    return frame.val, np.where(det[:, None] < 0.0, -normals, normals).T
 
 
 def hypersurface_normal(run: ShiftRun, u) -> np.ndarray:
     """Unit covector annihilating the surface tangents at u."""
-    _, tangents = _surface_frame(run, u)
-    return _normal_of(tangents)
+    _, m = _run_dims(run)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if len(u) != m:
+        raise DimensionError(f"expected {m} surface parameters, got {len(u)}")
+    return _front_geometry(run, u[None])[1][:, 0]
 
 
-def _nu_value(run: ShiftRun, u, m):
-    if isinstance(run.nu, (int, float)):
-        return float(run.nu)
-    env = {f"u{d + 1}": float(u[d]) for d in range(m)}
-    return float(run.nu.evaluate(env))
+def _nu_values(run: ShiftRun, nodes, m):
+    """nu, a number (not a bool) or an expression in u1..um, at each node;
+    it must be finite and nonzero at every one."""
+    nu = run.nu
+    if isinstance(nu, Expression) and (nu.kinds, nu.dimension) == (("u",), m):
+        nu = _values([nu], {f"u{d + 1}": u for d, u in enumerate(nodes.T)},
+                     (len(nodes),))[0]
+    elif isinstance(nu, bool) or not isinstance(
+            nu, (int, float, np.integer, np.floating)):
+        raise ValidationError(
+            f"nu must be a number or an expression in u1..u{m}, got {nu!r}")
+    scale = np.full(len(nodes), nu, dtype=float)
+    ok = (1e-14 <= np.abs(scale)) & (np.abs(scale) < np.inf)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValidationError(f"normal scale nu must be finite and nonzero, "
+                              f"got {float(scale[k])} at u={nodes[k].tolist()}")
+    return scale
 
 
-def _collinearity(x_grid, p_grid, axes, wraps):
-    """Worst normalized pairing between the momentum and any estimated
-    tangent direction of the moved surface. Tangents come from central
-    differences along each grid axis; a non-periodic axis contributes
-    only its interior nodes."""
-    m = len(axes)
-    worst = 0.0
+def _collinearity(points, covectors, axes, wraps, times):
+    """Worst normalized pairing at each output time between the momentum
+    and central-difference tangents of the moved surface, from points
+    and covectors (T, grid..., n); a non-periodic axis gives only its
+    interior nodes. The earliest failing time raises, naming its first
+    failing axis, a rank loss before a vanishing momentum."""
+    (steps, *_, n), m = points.shape, len(axes)
+    worst, fault = np.zeros(steps), np.zeros((steps, m), int)
     for d in range(m):
-        h = axes[d][1] - axes[d][0]
-        if wraps[d]:
-            tau = (np.roll(x_grid, -1, axis=d)
-                   - np.roll(x_grid, 1, axis=d)) / (2.0 * h)
-            p_part, x_part = p_grid, x_grid
-        else:
-            inner = [slice(None)] * m
-            lead, trail = list(inner), list(inner)
-            lead[d] = slice(2, None)
-            trail[d] = slice(None, -2)
-            inner[d] = slice(1, -1)
-            tau = (x_grid[tuple(lead)] - x_grid[tuple(trail)]) / (2.0 * h)
-            p_part, x_part = p_grid[tuple(inner)], x_grid[tuple(inner)]
-        tau_norm = np.linalg.norm(tau, axis=-1)
-        p_norm = np.linalg.norm(p_part, axis=-1)
-        floor = 1e-12 * max(1.0, float(np.max(np.abs(x_part))))
-        if np.any(tau_norm <= floor):
-            raise DegenerateSurface(
-                "moved surface loses rank along a parameter axis")
-        if np.any(p_norm <= 1e-12):
-            raise DegeneratePoint("momentum vanishes on a shift trajectory")
-        pairing = np.abs(np.sum(p_part * tau, axis=-1)) / (p_norm * tau_norm)
-        worst = max(worst, float(np.max(pairing)))
+        span, h = points.shape[d + 1], axes[d][1] - axes[d][0]
+        idx = np.arange(span) if wraps[d] else np.arange(1, span - 1)
+        ahead, behind, x_part, p_part = (
+            np.take(a, i % span, axis=d + 1).reshape(steps, -1, n) for a, i in
+            ((points, idx + 1), (points, idx - 1), (points, idx), (covectors, idx)))
+        tau = (ahead - behind) / (2.0 * h)
+        tau_norm, p_norm = (np.linalg.norm(a, axis=-1) for a in (tau, p_part))
+        floor = 1e-12 * np.maximum(1.0, np.max(np.abs(x_part), axis=(1, 2)))
+        # fault 1: the tangents lose rank, 2: a momentum vanishes
+        fault[:, d] = np.where(np.any(tau_norm <= floor[:, None], axis=1), 1,
+                               2 * np.any(p_norm <= 1e-12, axis=1))
+        with np.errstate(all="ignore"):     # a failing time raises below
+            pairing = np.abs(np.sum(p_part * tau, axis=-1)) / (p_norm * tau_norm)
+        worst = np.maximum(worst, np.max(pairing, axis=1))
+    if fault.any():
+        j, d = divmod(int(np.argmax(fault > 0)), m)
+        where = f"at t={float(times[j])}, along parameter axis u{d + 1}"
+        if fault[j, d] == 1:
+            raise DegenerateSurface(f"moved surface loses rank {where}")
+        raise DegeneratePoint(f"momentum vanishes on a shift trajectory {where}")
     return worst
 
 
 def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     """Integrate the shift of the run's hypersurface and trace the
     collinearity between momenta and moving-surface normals."""
-    from scipy.integrate import solve_ivp     # only the shift needs scipy
-
     n, m = _run_dims(run)
     if n != sysdef.n:
         raise ValidationError(
@@ -393,27 +405,29 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
         if not 0.0 < getattr(run, name) < np.inf:
             raise ValidationError(
                 f"{name} must be positive and finite, got {getattr(run, name)}")
-    shape = tuple(len(a) for a in axes)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    nodes = mesh.reshape(-1, m)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
     times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
-    count = len(nodes)
+    x0, normals = _front_geometry(run, nodes)
+    points, covectors = (a.reshape(len(times), *map(len, axes), n) for a in _flow(
+        sysdef, x0, _nu_values(run, nodes, m) * normals, times, run.rtol, nodes))
+    return ShiftResult(times, points, covectors,
+                       _collinearity(points, covectors, axes, wraps, times))
+
+
+def _flow(sysdef, x0, p0, times, rtol, nodes):
+    """Positions and momenta (T, N, n) at the output times of the N
+    trajectories from x0, p0 (n, N), integrated as one ShiftRun front;
+    nodes (N, m) name a failing node."""
+    from scipy.integrate import solve_ivp     # only the shift needs scipy
+
+    n, count = x0.shape
     # the integrator would raise a smaller per-node rtol to 100 eps with
     # only a warning, loosening the run silently
     shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
-    if run.rtol * shrink < floor:
+    if rtol * shrink < floor:
         raise ValidationError(
-            f"rtol {run.rtol} is below {floor / shrink:.3e}, the smallest "
+            f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
-
-    x0, p0 = np.empty((n, count)), np.empty((n, count))
-    for k, u in enumerate(nodes):
-        x0[:, k], tangents = _surface_frame(run, u)
-        scale = _nu_value(run, u, m)
-        if not 1e-14 <= abs(scale) < np.inf:
-            raise ValidationError(f"normal scale nu must be finite and "
-                                  f"nonzero, got {scale} at u={u.tolist()}")
-        p0[:, k] = scale * _normal_of(tangents)
     with np.errstate(all="ignore"):     # Newton checks its steps, rhs v0
         v0 = (_values(sysdef.v_inverse, _env(x0, p0, "p"), (count,))
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
@@ -422,25 +436,24 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
         return (f"t={t}, x={x.tolist()}, v={v.tolist()} "
                 f"(node {k}, u={nodes[k].tolist()})")
 
-    # The front is one state of (node, 2n) entries following
-    # dx/dt = v, dv/dt = Phi(x, v). The integrator's error norm is the RMS
-    # over the state, so tolerances scaled by 1/sqrt(N) bound every node's
-    # own RMS error as rtol/atol would bound a lone trajectory; a one-node
-    # front integrates exactly as alone.
+    # the state is (node, x or v, n); a bad node is searched for only
+    # once the whole state or Phi is found non-finite
     def rhs(t, y):
-        x, v = y.reshape(count, 2, n).transpose(1, 2, 0)
-        flow = np.concatenate(
-            [v, _values(sysdef.force, _env(x, v, "v"), (count,))])
-        bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(flow).all(axis=0))
-        if bad.any():
-            k = int(np.argmax(bad))
+        state = y.reshape(count, 2, n)
+        x, v = state.transpose(1, 2, 0)
+        flow = np.empty((count, 2, n))
+        flow[:, 0] = state[:, 1]
+        flow[:, 1] = _values(sysdef.force, _env(x, v, "v"), (count,)).T
+        if not (np.isfinite(y).all() and np.isfinite(flow).all()):
+            k = int(np.argmin(np.isfinite(state).all(axis=(1, 2))
+                              & np.isfinite(flow).all(axis=(1, 2))))
             raise EvalError(f"non-finite trajectory position, velocity or "
                             f"force at {at(t, x[:, k], v[:, k], k)}")
-        return flow.T.ravel()
+        return flow.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, float(run.t_final)),
-                    np.concatenate([x0, v0]).T.ravel(), method="RK45",
-                    rtol=run.rtol * shrink, atol=1e-12 * shrink, t_eval=times)
+    sol = solve_ivp(rhs, (0.0, float(times[-1])),
+                    np.concatenate([x0, v0]).T.ravel(), method="DOP853",
+                    rtol=rtol * shrink, atol=1e-12 * shrink, t_eval=times)
     if not sol.success:
         raise IntegrationFailure(
             f"front of {count} nodes (u from {nodes[0].tolist()} to "
@@ -460,9 +473,4 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
             times[j // count], x[:, j], v[:, j], j % count))
     momenta = Lj.val.T.reshape(len(times), count, n)
     momenta[0] = p0.T                   # the seeded covectors, exactly
-
-    points = pairs[:, :, :n].reshape((len(times),) + shape + (n,))
-    covectors = momenta.reshape((len(times),) + shape + (n,))
-    deviations = np.array([_collinearity(points[t], covectors[t], axes, wraps)
-                           for t in range(len(times))])
-    return ShiftResult(times, points, covectors, deviations)
+    return pairs[:, :, :n], momenta

@@ -28,6 +28,7 @@ _TOKEN_RE = re.compile(
       | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>[-+*/^()])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -35,34 +36,21 @@ _TOKEN_RE = re.compile(
 _FUNCTION_NAMES = frozenset(jets.FUNCTIONS)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _position(source, offset):
+    """1-based (line, column) of an offset into source, for errors only."""
+    return (source.count("\n", 0, offset) + 1,
+            offset - source.rfind("\n", 0, offset))
 
 
 def _tokenize(source: str):
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}",
-                                  line, pos - line_start + 1)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "ws":
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + text.rindex("\n") + 1
-        else:
-            tokens.append(Token(kind, text, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("end", "", line, pos - line_start + 1))
+    """(kind, text, offset) of every token, then ("end", "", len)."""
+    tokens = [(m.lastgroup, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(source) if m.lastgroup != "ws"]
+    for kind, text, offset in tokens:
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}",
+                                  *_position(source, offset))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -104,99 +92,103 @@ class Call:
 
 
 class _Parser:
-    def __init__(self, tokens, dimension, kinds):
-        self.tokens = tokens
+    """Recursive descent over (kind, text, offset) tokens."""
+
+    def __init__(self, source, dimension, kinds):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.dimension = dimension
         self.kinds = kinds
         self.fiber_kinds_seen = set()
 
-    def peek(self) -> Token:
+    def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def where(self, offset):
+        return "(line {}, column {})".format(*_position(self.source, offset))
+
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise ExprSyntaxError(message, tok.line, tok.column)
+        raise ExprSyntaxError(message, *_position(self.source, tok[2]))
 
     def parse(self):
         node = self.expression()
-        if self.peek().kind != "end":
-            self.error(f"unexpected {self.peek().text!r}")
+        if self.peek()[0] != "end":
+            self.error(f"unexpected {self.peek()[1]!r}")
         return node
 
     def expression(self):
         node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.term())
+        while self.peek()[1] in ("+", "-"):
+            node = Binary(self.advance()[1], node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
+        while self.peek()[1] in ("*", "/"):
+            node = Binary(self.advance()[1], node, self.factor())
         return node
 
     def factor(self):
-        if self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.advance()
             return Unary(self.factor())
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek().text == "^":
+        if self.peek()[1] == "^":
             self.advance()
             return Binary("^", base, self.factor())
         return base
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "number":
+        kind, text, _ = tok
+        if kind == "number":
             self.advance()
-            return Num(float(tok.text))
-        if tok.text == "(":
+            return Num(float(text))
+        if text == "(":
             self.advance()
             node = self.expression()
-            if self.peek().text != ")":
+            if self.peek()[1] != ")":
                 self.error("expected ')'")
             self.advance()
             return node
-        if tok.kind == "ident":
+        if kind == "ident":
             self.advance()
-            if tok.text in _FUNCTION_NAMES:
-                if self.peek().text != "(":
-                    self.error(f"function {tok.text} needs an argument list", tok)
+            if text in _FUNCTION_NAMES:
+                if self.peek()[1] != "(":
+                    self.error(f"function {text} needs an argument list", tok)
                 self.advance()
                 arg = self.expression()
-                if self.peek().text != ")":
+                if self.peek()[1] != ")":
                     self.error("expected ')'")
                 self.advance()
-                return Call(tok.text, arg)
+                return Call(text, arg)
             return self.variable(tok)
-        self.error(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok)
+        self.error(f"unexpected {text!r}" if text else "unexpected end of input", tok)
 
-    def variable(self, tok: Token):
-        m = re.fullmatch(r"([A-Za-z])(\d+)", tok.text)
+    def variable(self, tok):
+        _, text, offset = tok
+        m = re.fullmatch(r"([A-Za-z])(\d+)", text)
         if m is None or m.group(1) not in self.kinds:
-            self.error(f"unknown identifier {tok.text!r}", tok)
+            self.error(f"unknown identifier {text!r}", tok)
         kind, index = m.group(1), int(m.group(2))
         if not 1 <= index <= self.dimension:
-            raise DimensionError(
-                f"variable {tok.text} out of range for dimension {self.dimension} "
-                f"(line {tok.line}, column {tok.column})")
+            raise DimensionError(f"variable {text} out of range for dimension "
+                                 f"{self.dimension} {self.where(offset)}")
         if kind in ("v", "p"):
             self.fiber_kinds_seen.add(kind)
             if len(self.fiber_kinds_seen) > 1:
                 raise MixedRepresentationError(
-                    f"expression mixes v and p variables (line {tok.line}, "
-                    f"column {tok.column})")
+                    f"expression mixes v and p variables {self.where(offset)}")
         return Var(kind, index)
 
 
@@ -234,7 +226,7 @@ class Expression:
 def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
     if dimension < 1:
         raise DimensionError(f"dimension must be positive, got {dimension}")
-    parser = _Parser(_tokenize(source), dimension, tuple(kinds))
+    parser = _Parser(source, dimension, tuple(kinds))
     root = parser.parse()
     seen = parser.fiber_kinds_seen
     fiber_kind = next(iter(seen)) if len(seen) == 1 else None

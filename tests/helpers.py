@@ -7,6 +7,8 @@
   of ln/sqrt/division on the standard sampling box
 - a per-node shift integration, one solve_ivp per surface node, as the
   oracle for the batched integration of whole fronts
+- the per-node surface geometry and the per-time collinearity trace, as
+  the oracles of their batched forms
 """
 
 import math
@@ -289,19 +291,71 @@ def shift_per_node(sysdef, run):
         theta = theta_from_phi(sysdef, PhasePoint.velocity(x, v))
         return np.concatenate([v, theta])
 
+    x0, normals = experiments._front_geometry(run, nodes)
+    p0 = experiments._nu_values(run, nodes, m) * normals
     paths = []
-    for u in nodes:
-        x0, tangents = experiments._surface_frame(run, u)
-        p0 = experiments._nu_value(run, u, m) * experiments._normal_of(tangents)
+    for k in range(len(nodes)):
         sol = solve_ivp(rhs, (0.0, float(run.t_final)),
-                        np.concatenate([x0, p0]), method="RK45",
+                        np.concatenate([x0[:, k], p0[:, k]]), method="RK45",
                         rtol=run.rtol, atol=1e-12, t_eval=times)
         assert sol.success, sol.message
         paths.append(sol.y.T)                       # (T+1, 2n)
     paths = np.stack(paths, axis=1)                 # (T+1, nodes, 2n)
     points = paths[..., :n].reshape((len(times),) + shape + (n,))
     covectors = paths[..., n:].reshape((len(times),) + shape + (n,))
-    deviations = np.array([
-        experiments._collinearity(points[t], covectors[t], axes, wraps)
-        for t in range(len(times))])
+    deviations = experiments._collinearity(points, covectors, axes, wraps,
+                                           times)
     return points, covectors, deviations
+
+
+def surface_frame(run, u):
+    """Position (n,) and tangent rows (m, n) of run's surface at one
+    node u, from scalar Dense seeds."""
+    from normality_lab import jets
+    seeded = jets.seeds(np.asarray(u, dtype=float), order=1)
+    env = {f"u{d + 1}": s for d, s in enumerate(seeded)}
+    frame = jets.stack([f.evaluate(env) for f in run.surface], len(seeded))
+    return frame.val, frame.grad.T
+
+
+def normal_of(tangents):
+    """Unit normal of one node's tangent rows (m, n): the last right
+    singular vector, turned so that the tangents followed by it have a
+    positive determinant."""
+    _, _, vt = np.linalg.svd(tangents)
+    normal = vt[-1]
+    if np.linalg.det(np.vstack([tangents, normal])) < 0.0:
+        normal = -normal
+    return normal
+
+
+def collinearity_at(x_grid, p_grid, axes, wraps):
+    """Collinearity trace at one output time, from grids (grid..., n):
+    the worst normalized pairing of the momentum with the central
+    differences along each axis, interior nodes only on an open axis.
+    Raises DegenerateSurface or DegeneratePoint as soon as an axis has
+    a collapsed tangent or a vanishing momentum."""
+    from normality_lab.errors import DegeneratePoint, DegenerateSurface
+    worst = 0.0
+    for d in range(len(axes)):
+        h = axes[d][1] - axes[d][0]
+        if wraps[d]:
+            tau = (np.roll(x_grid, -1, axis=d)
+                   - np.roll(x_grid, 1, axis=d)) / (2.0 * h)
+            p_part, x_part = p_grid, x_grid
+        else:
+            inner = [slice(None)] * len(axes)
+            lead, trail = list(inner), list(inner)
+            lead[d], trail[d], inner[d] = (slice(2, None), slice(None, -2),
+                                           slice(1, -1))
+            tau = (x_grid[tuple(lead)] - x_grid[tuple(trail)]) / (2.0 * h)
+            p_part, x_part = p_grid[tuple(inner)], x_grid[tuple(inner)]
+        tau_norm = np.linalg.norm(tau, axis=-1)
+        p_norm = np.linalg.norm(p_part, axis=-1)
+        if np.any(tau_norm <= 1e-12 * max(1.0, float(np.max(np.abs(x_part))))):
+            raise DegenerateSurface("moved surface loses rank")
+        if np.any(p_norm <= 1e-12):
+            raise DegeneratePoint("momentum vanishes")
+        pairing = np.abs(np.sum(p_part * tau, axis=-1)) / (p_norm * tau_norm)
+        worst = max(worst, float(np.max(pairing)))
+    return worst

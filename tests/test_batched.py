@@ -10,7 +10,8 @@ import pytest
 import helpers
 from normality_lab import experiments, expr, jets
 from normality_lab import system as system_module
-from normality_lab.errors import (EvalError, IntegrationFailure,
+from normality_lab.errors import (DegeneratePoint, DegenerateSurface,
+                                  EvalError, IntegrationFailure,
                                   NonConvergence, SingularMetric)
 from normality_lab.experiments import ShiftRun, shift_integrate
 from normality_lab.phase import PhasePoint
@@ -310,3 +311,169 @@ def test_lagrangian_generator_shift_matches_explicit_map():
     assert np.max(np.abs(a.points - b.points)) < 1e-12
     assert np.max(np.abs(a.covectors - b.covectors)) < 1e-12
     assert np.max(np.abs(a.deviations - b.deviations)) < 1e-12
+
+
+def _grid(run):
+    """Nodes (N, m) and output times of a run, as shift_integrate lays
+    them out."""
+    n, m = experiments._run_dims(run)
+    axes, wraps = experiments._axes(run, m)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
+    return nodes, times, axes, wraps
+
+
+CIRCLE = ShiftRun(surface=helpers.parse_surface(["0.1 + cos(u1)", "sin(u1)"]),
+                  nu=-1.0, u_stop=2 * np.pi, u_samples=12, periodic=True,
+                  t_final=0.5, time_steps=5)
+CYLINDER = ShiftRun(surface=helpers.parse_surface(
+    ["cos(u1)", "sin(u1)", "u2 + 0.2*cos(u1)*u2^2"]), nu=1.0,
+    u_start=(0.0, -0.5), u_stop=(2 * np.pi, 0.5), u_samples=(8, 5),
+    periodic=(True, False), t_final=0.5, time_steps=4)
+
+
+@pytest.mark.parametrize("run", [
+    CIRCLE,
+    dataclasses.replace(CIRCLE, nu=expr.parse("-1 - 0.25*u1*u1 + 0.1*u1", 1,
+                                              kinds=("u",))),
+    dataclasses.replace(CIRCLE, periodic=False, u_stop=3.0),
+    _sphere_run(),
+    _sphere_run(nu=expr.parse("1 + 0.3*sin(u1)*cos(u2)", 2, kinds=("u",))),
+    CYLINDER,
+])
+def test_front_geometry_matches_per_node_reference(run):
+    # one evaluation, SVD and determinant over all nodes give, bit for
+    # bit, what scalar seeds, one SVD and one det per node give
+    nodes, _, _, _ = _grid(run)
+    m = nodes.shape[1]
+    x0, normals = experiments._front_geometry(run, nodes)
+    scale = experiments._nu_values(run, nodes, m)
+    for k, u in enumerate(nodes):
+        position, tangents = helpers.surface_frame(run, u)
+        normal = helpers.normal_of(tangents)
+        nu = (run.nu.evaluate({f"u{d + 1}": float(u[d]) for d in range(m)})
+              if isinstance(run.nu, expr.Expression) else run.nu)
+        assert np.array_equal(x0[:, k], position)
+        assert np.array_equal(normals[:, k], normal)
+        assert np.array_equal(experiments.hypersurface_normal(run, u), normal)
+        assert scale[k] == float(nu)
+
+
+def _per_time(points, covectors, axes, wraps):
+    return np.array([helpers.collinearity_at(points[t], covectors[t], axes,
+                                             wraps)
+                     for t in range(len(points))])
+
+
+@pytest.mark.parametrize("make, run", [
+    (helpers.sys_cubic, CIRCLE),
+    (helpers.sys_cubic3, _sphere_run()),
+    (lambda: helpers.sys_identity(3), CYLINDER),
+])
+def test_trace_over_all_times_matches_per_time(make, run):
+    result = shift_integrate(make(), run)
+    _, _, axes, wraps = _grid(run)
+    assert np.array_equal(result.deviations, _per_time(
+        result.points, result.covectors, axes, wraps))
+    # and on random grids, where every pairing is far from zero
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal(result.points.shape)
+    covectors = rng.standard_normal(result.points.shape)
+    assert np.array_equal(
+        experiments._collinearity(points, covectors, axes, wraps,
+                                  result.times),
+        _per_time(points, covectors, axes, wraps))
+
+
+def _crafted(faults):
+    """A 3 x 3 open grid over 4 output times with the given faults,
+    (time, "rank" | "p", axis): a rank loss makes the positions constant
+    along the axis, a vanishing momentum zeroes the momentum of a node
+    interior to that axis only."""
+    axes = [np.linspace(0.0, 1.0, 3)] * 2
+    u1, u2 = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([u1, u2, 0.3 * u1 * u2], axis=-1)
+    points = np.repeat(grid[None], 4, axis=0) * np.arange(1.0, 5.0)[:, None,
+                                                                    None, None]
+    covectors = np.repeat(np.array([-0.3, -0.3, 1.0])[None, None, None], 4,
+                          axis=0) * np.ones_like(points)
+    for t, kind, axis in faults:
+        if kind == "rank":
+            points[t] = np.repeat(points[t].take([0], axis=axis), 3, axis=axis)
+        else:
+            covectors[t][(1, 0) if axis == 0 else (0, 1)] = 0.0
+    return points, covectors, axes, [False, False]
+
+
+@pytest.mark.parametrize("faults, error, where", [
+    ([(1, "p", 0), (2, "rank", 0)], DegeneratePoint, r"t=0\.5, .* u1"),
+    ([(1, "rank", 1), (2, "p", 0)], DegenerateSurface, r"t=0\.5, .* u2"),
+    ([(2, "p", 0), (3, "rank", 1)], DegeneratePoint, r"t=1\.0, .* u1"),
+    ([(2, "p", 1)], DegeneratePoint, r"t=1\.0, .* u2"),
+    ([(3, "rank", 0)], DegenerateSurface, r"t=1\.5, .* u1"),
+    # one time, one axis: the rank check comes first
+    ([(1, "rank", 0), (1, "p", 0)], DegenerateSurface, r"t=0\.5, .* u1"),
+    # one time: the first axis comes first
+    ([(1, "rank", 1), (1, "p", 0)], DegeneratePoint, r"t=0\.5, .* u1"),
+])
+def test_trace_raises_what_the_per_time_loop_raises(faults, error, where):
+    points, covectors, axes, wraps = _crafted(faults)
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    with pytest.raises(error):
+        _per_time(points, covectors, axes, wraps)
+    with pytest.raises(error, match=where):
+        experiments._collinearity(points, covectors, axes, wraps, times)
+
+
+@pytest.mark.parametrize("make, run", [
+    (helpers.sys_cubic, CIRCLE),
+    (helpers.sys_cubic3, _sphere_run()),
+])
+def test_one_node_front_integrates_as_the_node_alone(make, run):
+    from scipy.integrate import solve_ivp
+
+    sysdef = make()
+    n = sysdef.n
+    nodes, times, _, _ = _grid(run)
+    x0, normals = experiments._front_geometry(run, nodes)
+    p0 = experiments._nu_values(run, nodes, nodes.shape[1]) * normals
+    k = 3
+    x, p = experiments._flow(sysdef, x0[:, [k]], p0[:, [k]], times, run.rtol,
+                             nodes[[k]])
+
+    # the node alone, in (x, v), under the unscaled tolerances
+    def rhs(t, y):
+        phi = [f.evaluate({**{f"x{i + 1}": y[i] for i in range(n)},
+                           **{f"v{i + 1}": y[n + i] for i in range(n)}})
+               for f in sysdef.force]
+        return np.concatenate([y[n:], phi])
+
+    v0 = _newton(sysdef, x0[:, k], p0[:, k])
+    alone = solve_ivp(rhs, (0.0, run.t_final), np.concatenate([x0[:, k], v0]),
+                      method="DOP853", rtol=run.rtol, atol=1e-12, t_eval=times)
+    assert np.max(np.abs(x[:, 0] - alone.y[:n].T)) < 1e-12
+    # and the momentum-form RK45 oracle, under its bound
+    points, covectors, _ = helpers.shift_per_node(sysdef, run)
+    assert np.max(np.abs(x[:, 0] - points.reshape(len(times), -1, n)[:, k])) \
+        < 1e-9
+    assert np.max(np.abs(
+        p[:, 0] - covectors.reshape(len(times), -1, n)[:, k])) < 1e-9
+
+
+@pytest.mark.parametrize("copies", [2, 3, 5])
+def test_front_of_copies_gives_equal_paths(copies):
+    # the accepted steps are the same for every copy; the interpolation
+    # at the output times may round copies a few ulps apart
+    sysdef = helpers.sys_cubic()
+    x0 = np.repeat([[1.1], [0.2]], copies, axis=1)
+    p0 = np.repeat([[-1.0], [0.1]], copies, axis=1)
+    times = np.linspace(0.0, 0.5, 6)
+    x, p = experiments._flow(sysdef, x0, p0, times, 1e-10,
+                             np.zeros((copies, 1)))
+    one_x, one_p = experiments._flow(sysdef, x0[:, :1], p0[:, :1], times,
+                                     1e-10, np.zeros((1, 1)))
+    assert np.max(np.abs(x - x[:, :1])) < 1e-15
+    assert np.max(np.abs(p - p[:, :1])) < 1e-15
+    # N copies take finer steps than one node, so they agree with it to
+    # the integrator's tolerance only
+    assert np.max(np.abs(x - one_x)) < 1e-9

@@ -261,11 +261,27 @@ def test_patch_normal_orthogonality():
     for _ in range(10):
         u = rng.uniform(-1.0, 1.0, 2)
         normal = hypersurface_normal(run, u)
-        _, tangents = experiments._surface_frame(run, u)
+        _, tangents = helpers.surface_frame(run, u)
         for tau in tangents:
             assert abs(normal @ tau) < 1e-10
         assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
         assert np.linalg.det(np.vstack([tangents, normal])) > 0.0
+
+
+def test_shift_degeneracies_name_where_they_happen():
+    # the tangent of (u1^2, u1^3) vanishes at the middle node
+    cusp = ShiftRun(surface=helpers.parse_surface(["u1^2", "u1^3"]),
+                    u_start=-1.0, u_stop=1.0, u_samples=5, time_steps=2)
+    with pytest.raises(DegenerateSurface,
+                       match=r"^tangent directions collapse at u=\[0\.0\] "
+                             r"\(smallest singular value 0\.000e\+00\)$"):
+        shift_integrate(helpers.sys_identity(2), cusp)
+    # the circle moving inward collapses to its center at t = 1
+    with pytest.raises(DegenerateSurface,
+                       match=r"^moved surface loses rank at t=1\.0, along "
+                             r"parameter axis u1$"):
+        shift_integrate(helpers.sys_identity(2),
+                        circle_run(nu=1.0, time_steps=4))
 
 
 def test_degenerate_surface_rejected():
@@ -366,6 +382,20 @@ def test_shift_run_validation():
                       (overflow, r"-inf at u=\[0\.196")):
         with pytest.raises(ValidationError, match=r"nu .*" + where):
             shift_integrate(ident, circle_run(nu=nu))
+    # numpy numbers are numbers; a bool, a string or an expression in
+    # other variables is neither a number nor an expression in u
+    short = dict(u_samples=8, t_final=0.2, time_steps=2)
+    plain = shift_integrate(ident, circle_run(nu=-2.0, **short))
+    for nu in (np.int64(-2), np.float32(-2.0), -2):
+        got = shift_integrate(ident, circle_run(nu=nu, **short))
+        assert np.array_equal(got.points, plain.points)
+        assert np.array_equal(got.deviations, plain.deviations)
+    for nu in (True, np.bool_(True), "2", None, 2j, [1.0],
+               helpers.parse_all(["x1"], 1)[0],
+               helpers.parse_surface(["u1", "u2", "0"])[0]):
+        with pytest.raises(ValidationError, match=r"^nu must be a number or "
+                                                  r"an expression in u1\.\.u1"):
+            shift_integrate(ident, circle_run(nu=nu, **short))
 
 
 def test_shift_tolerance_refinement():

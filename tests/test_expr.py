@@ -1,5 +1,7 @@
 """Parser and evaluator behavior, checked against Python's own eval."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,56 @@ def test_syntax_errors_carry_position():
         expr.parse("v1 @ v2", 2)
     with pytest.raises(ExprSyntaxError):
         expr.parse("bogus(v1)", 2)
+
+
+# every message keeps its text, line and column; positions count from
+# 1, and a column restarts after each newline
+BAD_SOURCES = [
+    ("v1 + + v2", ExprSyntaxError, "unexpected '+' (line 1, column 6)"),
+    ("sin v1", ExprSyntaxError,
+     "function sin needs an argument list (line 1, column 1)"),
+    ("(v1", ExprSyntaxError, "expected ')' (line 1, column 4)"),
+    ("v1 @ v2", ExprSyntaxError, "unexpected character '@' (line 1, column 4)"),
+    ("bogus(v1)", ExprSyntaxError,
+     "unknown identifier 'bogus' (line 1, column 1)"),
+    ("", ExprSyntaxError, "unexpected end of input (line 1, column 1)"),
+    ("   ", ExprSyntaxError, "unexpected end of input (line 1, column 4)"),
+    ("v1 v2", ExprSyntaxError, "unexpected 'v2' (line 1, column 4)"),
+    ("1.5.2", ExprSyntaxError, "unexpected '.2' (line 1, column 4)"),
+    (")", ExprSyntaxError, "unexpected ')' (line 1, column 1)"),
+    ("v1 +", ExprSyntaxError, "unexpected end of input (line 1, column 5)"),
+    ("2 ^ ^ 3", ExprSyntaxError, "unexpected '^' (line 1, column 5)"),
+    ("v1 + é", ExprSyntaxError, "unexpected character 'é' (line 1, column 6)"),
+    # a bad character is reported before any parse error
+    ("v1 + + @", ExprSyntaxError,
+     "unexpected character '@' (line 1, column 8)"),
+    ("v1 +\n  * v2", ExprSyntaxError, "unexpected '*' (line 2, column 3)"),
+    ("v1\n+ v2\n+ $", ExprSyntaxError,
+     "unexpected character '$' (line 3, column 3)"),
+    ("v1\t+\r\n\tsin(v2", ExprSyntaxError, "expected ')' (line 2, column 8)"),
+    ("v1 +\n\n  (v2 * )", ExprSyntaxError, "unexpected ')' (line 3, column 9)"),
+    ("v1\n\n\n#", ExprSyntaxError, "unexpected character '#' (line 4, column 1)"),
+    ("x1 * \n  2 @ (", ExprSyntaxError,
+     "unexpected character '@' (line 2, column 5)"),
+    ("\n\nexp", ExprSyntaxError,
+     "function exp needs an argument list (line 3, column 1)"),
+    ("x0", DimensionError,
+     "variable x0 out of range for dimension 2 (line 1, column 1)"),
+    ("x1 +\n v3", DimensionError,
+     "variable v3 out of range for dimension 2 (line 2, column 2)"),
+    ("v1 +\n p2", MixedRepresentationError,
+     "expression mixes v and p variables (line 2, column 2)"),
+]
+
+
+@pytest.mark.parametrize("source, error, message", BAD_SOURCES)
+def test_bad_source_messages(source, error, message):
+    with pytest.raises(error) as err:
+        expr.parse(source, 2)
+    assert str(err.value) == message
+    if error is ExprSyntaxError:
+        line, column = map(int, re.findall(r"\d+", message)[-2:])
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_dimension_error():

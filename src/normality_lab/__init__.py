@@ -21,9 +21,8 @@ from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
                      NormalityLabError, SingularMetric, SystemFileError,
                      ValidationError)
 from .experiments import (GaugeReport, GaugeRow, ShiftResult, ShiftRun,
-                          apply_gauge, connection_free_mode,
-                          gauge_invariance_report, hypersurface_normal,
-                          shift_integrate)
+                          connection_free_mode, gauge_invariance_report,
+                          hypersurface_normal, shift_integrate)
 from .expr import Expression, eval_jet, eval_scalar, parse
 from .jets import Dense
 from .normality import (CROSS_FIELDS, RESIDUAL_IDS, CrossCheck,

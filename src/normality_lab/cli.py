@@ -28,12 +28,12 @@ from .calculus import (LOWER, _curvature_relation,
                        _vertical_transport_velocity)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
-from .experiments import (ShiftRun, _gauge_report, _gauged,
+from .experiments import (ShiftRun, _gauge_report, _gauge_tensor,
                           connection_free_mode, shift_integrate)
 from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
 from .phase import PhasePoint
 from .system import legendre_forward, legendre_inverse, metric
-from .sysfile import read_system_file
+from .sysfile import SHIFT_OPTIONS, read_system_file
 
 CHECK_IDS = ("metric", "transport", "cross", "normality", "gauge", "shift")
 
@@ -50,9 +50,6 @@ DEFAULT_TOLERANCES = {
 }
 
 RESAMPLE_LIMIT = 10
-
-_SHIFT_OPTIONS = ("u_start", "u_stop", "u_samples", "periodic",
-                  "t_final", "time_steps", "rtol")
 
 
 @dataclass(frozen=True)
@@ -218,8 +215,8 @@ def _normality_rows(sysdef, doc, pt, rng, tol):
                                            tolerance=tol["normality"])]
 
 
-def _gauge_rows(pair, sysdef, doc, pt, rng, tol):
-    report = _gauge_report(sysdef, pair, [pt])
+def _gauge_rows(tensor, sysdef, doc, pt, rng, tol):
+    report = _gauge_report(sysdef, tensor, [pt])
     rows = []
     for entry in report.rows:
         tolerance = tol["gauge"] if entry.kind == "rule" else tol["gauge-exact"]
@@ -248,8 +245,8 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
     other point's draws."""
     builder = _BUILDERS[check_id]
     if check_id == "gauge":
-        # validate and apply the gauge once for every point of the check
-        builder = partial(builder, _gauged(sysdef, None))
+        # validate the gauge tensor once for every point of the check
+        builder = partial(builder, _gauge_tensor(sysdef, None))
     check_index = CHECK_IDS.index(check_id)
     n = sysdef.n
     x_lo, x_hi = cfg.x_box
@@ -281,9 +278,10 @@ def _shift_rows(doc, sysdef, tolerances):
     if doc.surface is None:
         raise ValidationError(
             "the shift check needs a [surface] section in the file")
-    kwargs = {k: doc.options[k] for k in _SHIFT_OPTIONS if k in doc.options}
-    run = ShiftRun(surface=doc.surface,
-                   nu=doc.nu if doc.nu is not None else 1.0, **kwargs)
+    kwargs = {k: doc.options[k] for k in SHIFT_OPTIONS if k in doc.options}
+    if doc.nu is not None:
+        kwargs["nu"] = doc.nu
+    run = ShiftRun(surface=doc.surface, **kwargs)
     result = shift_integrate(sysdef, run)
     rows = []
     for index, t in enumerate(result.times):

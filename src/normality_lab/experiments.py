@@ -4,9 +4,9 @@ The connection entering the covariant machinery is a bookkeeping
 choice: shifting it by a symmetric tensor, with the plain force
 components held fixed, changes each derived field by a closed-form
 amount and leaves the normality content untouched. The report built
-here certifies those transformation rules numerically, row by row. The
-gauge tensor is validated once per report, at the points where
-validate_system checks it at load.
+here certifies those rules row by row on a point and its copy with a
+shifted connection (VContext.gauged); the gauge tensor is validated
+once per report, where validate_system checks it at load.
 
 The second half drives the shift itself. A parametric hypersurface is
 seeded with covectors along its normals, found for all nodes at once,
@@ -21,21 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .calculus import (LOWER, UPPER, curvature, dynamic_curvature, field_of,
-                       horizontal_derivative, relative_deviation,
-                       vertical_derivative)
-from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
-                     DimensionError, EvalError, IntegrationFailure,
-                     MissingGaugeTensor, MixedRepresentationError,
-                     SingularMetric, ValidationError)
+from .calculus import (LOWER, UPPER, FieldValue, curvature,
+                       dynamic_curvature, horizontal_derivative,
+                       relative_deviation, vertical_derivative)
+from .errors import (DegeneratePoint, DegenerateSurface, DimensionError,
+                     EvalError, IntegrationFailure, MissingGaugeTensor,
+                     MixedRepresentationError, SingularMetric,
+                     ValidationError)
 from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
 from .phase import Rep
 from .expr import Expression
-from .system import (COND_LIMIT, ConstFunc, SystemDef, SumFunc, VContext,
-                     _check_symmetric, _component_array, _conditions, _env,
-                     _fiber_jets, _newton, _samples, _values, zero_connection)
+from .system import (COND_LIMIT, ConstFunc, SystemDef, VContext, _check_gauge,
+                     _component_array, _conditions, _dense, _env, _fiber_jets,
+                     _newton, _values, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
+# a momentum of at most this norm vanishes; seeded momenta have norm |nu|
+MOMENTUM_FLOOR = 1e-12
 
 INVARIANT_ROWS = ("metric", "legendre", "legendre-dual", "Omega", "P", "A",
                   "alpha")
@@ -52,34 +54,16 @@ RESIDUAL_NEEDS = {
 }
 
 
-def _gauged(sysdef, gauge):
-    """The gauge tensor, supplied or the system's, and the system whose
-    connection it shifts. The tensor is checked for symmetry on the
-    block of the validation plan that validate_system gives it: the
-    second draw from default_rng(0)."""
+def _gauge_tensor(sysdef, gauge):
+    """The gauge tensor, supplied or the system's, as a component array
+    checked for symmetry where validate_system checks it."""
     tensor = gauge if gauge is not None else sysdef.gauge
     if tensor is None:
         raise MissingGaugeTensor(
             "system carries no gauge tensor and none was supplied")
-    n = sysdef.n
-    tensor = _component_array(tensor, n, "gauge")
-    rng = np.random.default_rng(0)
-    _samples(rng, n, 2)             # the connection's block
-    _check_symmetric(tensor, "gauge tensor", AsymmetricGauge,
-                     *_samples(rng, n, 2))
-    conn = [[[SumFunc(sysdef.connection[k, i, j], tensor[k, i, j])
-              for j in range(n)] for i in range(n)] for k in range(n)]
-    return tensor, SystemDef(n, sysdef.legendre, sysdef.force, conn,
-                             v_inverse=sysdef.v_inverse,
-                             newton_guess=sysdef.newton_guess)
-
-
-def apply_gauge(sysdef: SystemDef, gauge=None) -> SystemDef:
-    """Shift the connection by the gauge tensor, keeping the plain
-    force components. The full force vector picks up the matching
-    quadratic fiber term on its own, so the trajectories of the
-    returned system are the same curves."""
-    return _gauged(sysdef, gauge)[1]
+    tensor = _component_array(tensor, sysdef.n, "gauge")
+    _check_gauge(tensor)
+    return tensor
 
 
 def connection_free_mode(sysdef: SystemDef) -> SystemDef:
@@ -118,22 +102,22 @@ class GaugeReport:
         return max(picked) if picked else 0.0
 
 
-def _point_deviations(sysdef, gauged, tensor, pt):
-    n = sysdef.n
+def _point_deviations(sysdef, tensor, pt):
     ctx = VContext(sysdef, pt.x, pt.fiber)
-    ctx2 = VContext(gauged, pt.x, pt.fiber)
     vb = velocity_bundle(ctx)
+    Tfield = FieldValue(ctx, _dense(tensor, ctx.env, ctx.m, "T", x=ctx.x,
+                                    v=ctx.v), (UPPER, LOWER, LOWER))
+    ctx2 = ctx.gauged(Tfield.data)
     vb2 = velocity_bundle(ctx2)
     v = np.asarray(pt.fiber, dtype=float)
 
     Lv = ctx.L_dense.val
-    Lv2 = ctx2.L_dense.val
     W, P, A, B, alpha = vb.W, vb.P, vb.A, vb.B, vb.alpha
 
     out = {
         "metric": max(relative_deviation(ctx.g_values, ctx2.g_values),
                       relative_deviation(ctx.g_inv_values, ctx2.g_inv_values)),
-        "legendre": relative_deviation(Lv, Lv2),
+        "legendre": relative_deviation(Lv, ctx2.L_dense.val),
         "legendre-dual": relative_deviation(W, vb2.W),
         "Omega": relative_deviation(np.array([vb.Omega]),
                                      np.array([vb2.Omega])),
@@ -142,7 +126,6 @@ def _point_deviations(sysdef, gauged, tensor, pt):
         "alpha": relative_deviation(alpha, vb2.alpha),
     }
 
-    Tfield = field_of(ctx, tensor, (UPPER, LOWER, LOWER))
     Tvals = Tfield.values()
     vertT = vertical_derivative(Tfield).values()    # [k,i,r,j] = dT^k_ir/dv^j
     gradT = horizontal_derivative(Tfield).values()  # [k,i,r,m] = grad_m T^k_ir
@@ -190,26 +173,25 @@ def gauge_invariance_report(sysdef: SystemDef, points,
                             gauge=None) -> GaugeReport:
     """Deviation table for one gauge change, aggregated over points.
 
-    Invariant rows compare a quantity before and after the change.
-    Rule rows recompute a quantity on the gauged system and compare it
+    Invariant rows compare a quantity before and after the change; the
+    rows of L alone (metric to A) compare one evaluation with itself.
+    Rule rows recompute a quantity at the gauged point and compare it
     against the transformation rule applied to un-gauged values, which
     exercises the cancellations behind each rule. Residual rows compare
     normality residual norms; the conditional ones list the residuals
-    whose vanishing they rely on. The gauge tensor is validated once
-    per call."""
-    return _gauge_report(sysdef, _gauged(sysdef, gauge), points)
+    whose vanishing they rely on. The tensor is validated once a call."""
+    return _gauge_report(sysdef, _gauge_tensor(sysdef, gauge), points)
 
 
-def _gauge_report(sysdef, pair, points):
-    """gauge_invariance_report on a (tensor, gauged) pair from _gauged."""
-    tensor, gauged = pair
+def _gauge_report(sysdef, tensor, points):
+    """gauge_invariance_report on a tensor from _gauge_tensor."""
     worst = {}
     count = 0
     for pt in points:
         if pt.rep is not Rep.VELOCITY:
             raise MixedRepresentationError(
                 "gauge report evaluates at velocity points")
-        for name, dev in _point_deviations(sysdef, gauged, tensor, pt).items():
+        for name, dev in _point_deviations(sysdef, tensor, pt).items():
             worst[name] = max(worst.get(name, 0.0), dev)
         count += 1
     if count == 0:
@@ -262,7 +244,7 @@ class ShiftResult:
 
 
 def _per_axis(value, m, name):
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)) or np.ndim(value) > 0:
         if len(value) != m:
             raise ValidationError(
                 f"{name} needs one entry per parameter axis ({m}), "
@@ -289,17 +271,27 @@ def _count(value, name):
     return int(value)
 
 
+def _real(value, name, what="a real number"):
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return float(value)
+
+
 def _axes(run: ShiftRun, m):
     starts = _per_axis(run.u_start, m, "u_start")
     stops = _per_axis(run.u_stop, m, "u_stop")
     counts = _per_axis(run.u_samples, m, "u_samples")
-    wraps = [bool(w) for w in _per_axis(run.periodic, m, "periodic")]
+    wraps = _per_axis(run.periodic, m, "periodic")
+    if not all(isinstance(w, (bool, np.bool_)) for w in wraps):
+        raise ValidationError(
+            f"periodic must be a bool per axis, got {run.periodic!r}")
     axes = []
     for d in range(m):
         count = _count(counts[d], "u_samples")
         if count < 3:
             raise ValidationError("tangent stencils need u_samples >= 3")
-        lo, hi = float(starts[d]), float(stops[d])
+        lo, hi = _real(starts[d], "u_start"), _real(stops[d], "u_stop")
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("u_start and u_stop must be finite")
         if not hi > lo:
@@ -342,21 +334,21 @@ def hypersurface_normal(run: ShiftRun, u) -> np.ndarray:
 
 def _nu_values(run: ShiftRun, nodes, m):
     """nu, a number (not a bool) or an expression in u1..um, at each node;
-    it must be finite and nonzero at every one."""
+    it must be finite and above MOMENTUM_FLOOR in magnitude at every one,
+    as the unit normals it scales make momenta of norm |nu|."""
     nu = run.nu
     if isinstance(nu, Expression) and (nu.kinds, nu.dimension) == (("u",), m):
         nu = _values([nu], {f"u{d + 1}": u for d, u in enumerate(nodes.T)},
                      (len(nodes),))[0]
-    elif isinstance(nu, bool) or not isinstance(
-            nu, (int, float, np.integer, np.floating)):
-        raise ValidationError(
-            f"nu must be a number or an expression in u1..u{m}, got {nu!r}")
+    else:
+        nu = _real(nu, "nu", f"a number or an expression in u1..u{m}")
     scale = np.full(len(nodes), nu, dtype=float)
-    ok = (1e-14 <= np.abs(scale)) & (np.abs(scale) < np.inf)
+    ok = (MOMENTUM_FLOOR < np.abs(scale)) & (np.abs(scale) < np.inf)
     if not ok.all():
         k = int(np.argmin(ok))
-        raise ValidationError(f"normal scale nu must be finite and nonzero, "
-                              f"got {float(scale[k])} at u={nodes[k].tolist()}")
+        raise ValidationError(
+            f"normal scale nu must be finite and above {MOMENTUM_FLOOR} in "
+            f"magnitude, got {float(scale[k])} at u={nodes[k].tolist()}")
     return scale
 
 
@@ -379,7 +371,7 @@ def _collinearity(points, covectors, axes, wraps, times):
         floor = 1e-12 * np.maximum(1.0, np.max(np.abs(x_part), axis=(1, 2)))
         # fault 1: the tangents lose rank, 2: a momentum vanishes
         fault[:, d] = np.where(np.any(tau_norm <= floor[:, None], axis=1), 1,
-                               2 * np.any(p_norm <= 1e-12, axis=1))
+                               2 * np.any(p_norm <= MOMENTUM_FLOOR, axis=1))
         with np.errstate(all="ignore"):     # a failing time raises below
             pairing = np.abs(np.sum(p_part * tau, axis=-1)) / (p_norm * tau_norm)
         worst = np.maximum(worst, np.max(pairing, axis=1))
@@ -400,16 +392,18 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
         raise ValidationError(
             f"surface is for ambient dimension {n}, system has {sysdef.n}")
     axes, wraps = _axes(run, m)
-    _count(run.time_steps, "time_steps")
-    for name in ("time_steps", "t_final", "rtol"):
-        if not 0.0 < getattr(run, name) < np.inf:
+    steps = _count(run.time_steps, "time_steps")
+    t_final, rtol = _real(run.t_final, "t_final"), _real(run.rtol, "rtol")
+    for name, value in (("time_steps", steps), ("t_final", t_final),
+                        ("rtol", rtol)):
+        if not 0.0 < value < np.inf:
             raise ValidationError(
-                f"{name} must be positive and finite, got {getattr(run, name)}")
+                f"{name} must be positive and finite, got {value}")
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
+    times = np.linspace(0.0, t_final, steps + 1)
     x0, normals = _front_geometry(run, nodes)
     points, covectors = (a.reshape(len(times), *map(len, axes), n) for a in _flow(
-        sysdef, x0, _nu_values(run, nodes, m) * normals, times, run.rtol, nodes))
+        sysdef, x0, _nu_values(run, nodes, m) * normals, times, rtol, nodes))
     return ShiftResult(times, points, covectors,
                        _collinearity(points, covectors, axes, wraps, times))
 

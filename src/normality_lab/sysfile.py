@@ -57,6 +57,8 @@ _VECTOR_KEY = re.compile(r"^(l|phi|v|x)(\d+)$")
 
 _FLOAT_OPTIONS = ("u_start", "u_stop", "t_final", "rtol")
 _INT_OPTIONS = ("u_samples", "time_steps")
+# the [options] keys that set ShiftRun fields of the same names
+SHIFT_OPTIONS = _FLOAT_OPTIONS + _INT_OPTIONS + ("periodic",)
 
 
 @dataclass(frozen=True)

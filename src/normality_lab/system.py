@@ -14,6 +14,7 @@ preimage, and pushes its dense data through the inverse map by the
 chain rule.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,30 +42,6 @@ class ConstFunc:
 
     def evaluate(self, env):
         return self.value
-
-
-class SumFunc:
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        if first.dimension != second.dimension:
-            raise ValidationError("summed components disagree on dimension")
-        self.first = first
-        self.second = second
-
-    @property
-    def dimension(self):
-        return self.first.dimension
-
-    @property
-    def fiber_kind(self):
-        kinds = {self.first.fiber_kind, self.second.fiber_kind} - {None}
-        if len(kinds) > 1:
-            raise MixedRepresentationError("sum mixes fiber kinds")
-        return next(iter(kinds)) if kinds else None
-
-    def evaluate(self, env):
-        return self.first.evaluate(env) + self.second.evaluate(env)
 
 
 def lagrangian_to_legendre(lagrangian: expr.Expression):
@@ -254,6 +231,16 @@ class VContext:
     def gamma(self):
         return _dense(self.sys.connection, self.env, self.m, "Gamma",
                       x=self.x, v=self.v)
+
+    def gauged(self, shift):
+        """This point after a gauge change, which moves the connection
+        alone: a copy with gamma + shift that shares every field already
+        evaluated here. Its `sys` names the ungauged system still."""
+        other = copy.copy(self)
+        with np.errstate(all="ignore"):     # _checked catches overflow
+            other.gamma = _checked(self.gamma + shift, "Gamma", x=self.x,
+                                   v=self.v)
+        return other
 
     @cached_property
     def g_jets(self):
@@ -537,6 +524,17 @@ def _check_symmetric(tensor, what, error, x, v):
                     f"[{k}][{i}][{j}]: {vals[k, i, j, s]} vs {vals[k, j, i, s]}")
 
 
+def _check_gauge(tensor, rng=None):
+    """Check a gauge tensor's symmetry on its block of the validation
+    plan: rng is the plan past the connection's block, or None."""
+    n = len(tensor)
+    if rng is None:
+        rng = np.random.default_rng(0)
+        _samples(rng, n, 2)
+    _check_symmetric(tensor, "gauge tensor", AsymmetricGauge,
+                     *_samples(rng, n, 2))
+
+
 def validate_system(sysdef: SystemDef):
     """Numeric spot checks of the structural requirements: the fiber
     map sends zero to zero, the connection (and gauge, if any) is
@@ -551,8 +549,7 @@ def validate_system(sysdef: SystemDef):
     _check_symmetric(sysdef.connection, "connection", ValidationError,
                      *_samples(rng, n, 2))
     if sysdef.gauge is not None:
-        _check_symmetric(sysdef.gauge, "gauge tensor", AsymmetricGauge,
-                         *_samples(rng, n, 2))
+        _check_gauge(sysdef.gauge, rng)
     if sysdef.v_inverse is None:
         x, = _samples(rng, n, 1)
     else:

@@ -133,26 +133,6 @@ def random_box_point(rng, n, x_lo=-1.0, x_hi=1.0, f_lo=0.5, f_hi=1.5):
 # ---------------------------------------------------------------------------
 # shared system fixtures
 
-class NegFunc:
-    """Negated component, for undoing a gauge shift."""
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def dimension(self):
-        return self.inner.dimension
-
-    @property
-    def fiber_kind(self):
-        return self.inner.fiber_kind
-
-    def evaluate(self, env):
-        return -self.inner.evaluate(env)
-
-
 def parse_all(sources, n, kinds=("x", "v")):
     from normality_lab import expr
     return [expr.parse(s, n, kinds=kinds) for s in sources]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normality_lab import calculus, cli, experiments, expr
+from normality_lab import calculus, cli, expr, system
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
                                   ExprSyntaxError, SingularMetric,
@@ -127,17 +127,18 @@ def test_asymmetric_gauge_file_exits_2(tmp_path, capsys):
 
 def test_cli_gauge_check_validates_its_tensor_once(monkeypatch, tmp_path):
     calls = []
-    real = experiments._check_symmetric
+    real = system._check_symmetric
 
     def counting(*args):
         calls.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(experiments, "_check_symmetric", counting)
+    monkeypatch.setattr(system, "_check_symmetric", counting)
     status = cli.main(["check", fixture("identity_full"), "--checks", "gauge",
                        "--samples", "5", "--out", str(tmp_path / "r.json")])
     assert status == 0
-    assert calls == ["gauge tensor"]
+    # loading checks both tensors, the gauge check its tensor once more
+    assert calls == ["connection", "gauge tensor", "gauge tensor"]
 
 
 def test_syntax_error_carries_location(tmp_path):

@@ -7,13 +7,15 @@ from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
                                   DegenerateSurface, DimensionError,
                                   IntegrationFailure, MissingGaugeTensor,
                                   MixedRepresentationError, ValidationError)
-from normality_lab.experiments import (GaugeReport, ShiftRun, apply_gauge,
+from normality_lab import expr, system
+from normality_lab.calculus import curvature, dynamic_curvature
+from normality_lab.experiments import (GaugeReport, ShiftRun,
                                        connection_free_mode,
                                        gauge_invariance_report,
                                        hypersurface_normal, shift_integrate)
-from normality_lab.normality import normality_residuals
+from normality_lab.normality import residual_arrays, velocity_bundle
 from normality_lab.phase import PhasePoint
-from normality_lab.system import SystemDef, VContext
+from normality_lab.system import ConstFunc, SystemDef, VContext
 
 
 def flat_system():
@@ -41,68 +43,166 @@ def circle_run(**overrides):
     return ShiftRun(**kw)
 
 
+def gauge_3d():
+    return helpers.make_connection(3, {
+        (0, 0, 1): "0.2 + 0.05*x1",
+        (1, 1, 2): "0.1*v3",
+        (2, 0, 0): "0.12*x2",
+    })
+
+
 def velocity_points(rng, n, count):
     return [PhasePoint.velocity(*helpers.random_box_point(rng, n))
             for _ in range(count)]
 
 
-def test_apply_gauge_validation():
+def summed_system(sysdef, tensor):
+    """The gauged system built independently of VContext.gauged: each
+    connection entry parsed from "(Gamma source) + (T source)"."""
+    def source(f):
+        return "0" if isinstance(f, ConstFunc) else expr.to_source(f)
+
+    n = sysdef.n
+    conn = [[[expr.parse(f"({source(sysdef.connection[k, i, j])}) + "
+                         f"({source(tensor[k][i][j])})", n, kinds=("x", "v"))
+              for j in range(n)] for i in range(n)] for k in range(n)]
+    return SystemDef(n, sysdef.legendre, sysdef.force, conn)
+
+
+class Counted:
+    """A component that counts its evaluations under a name."""
+
+    __slots__ = ("inner", "name", "calls")
+
+    def __init__(self, inner, name, calls):
+        self.inner, self.name, self.calls = inner, name, calls
+
+    @property
+    def dimension(self):
+        return self.inner.dimension
+
+    @property
+    def fiber_kind(self):
+        return self.inner.fiber_kind
+
+    def evaluate(self, env):
+        self.calls[self.name] = self.calls.get(self.name, 0) + 1
+        return self.inner.evaluate(env)
+
+
+def test_gauge_tensor_validation():
     sysdef = flat_system()
+    pts = [PhasePoint.velocity([0.1, 0.2], [1.0, 0.5])]
     with pytest.raises(MissingGaugeTensor):
-        apply_gauge(sysdef)
+        gauge_invariance_report(sysdef, pts)
     lopsided = helpers.make_connection(2)
     lopsided[0][0][1] = helpers.parse_all(["v1"], 2)[0]
     with pytest.raises(AsymmetricGauge):
-        apply_gauge(sysdef, lopsided)
+        gauge_invariance_report(sysdef, pts, gauge=lopsided)
 
 
 def test_gauge_tensor_is_validated_once_per_report(monkeypatch):
     calls = []
-    real = experiments._check_symmetric
+    real = system._check_symmetric
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_check_symmetric", counting)
+    monkeypatch.setattr(system, "_check_symmetric", counting)
     rng = np.random.default_rng(2)
     gauge_invariance_report(helpers.sys_cubic(), velocity_points(rng, 2, 2),
                             gauge=gauge_2d())
     assert calls == ["gauge tensor"]
-    # a direct call still validates its tensor
-    apply_gauge(helpers.sys_cubic(), gauge_2d())
+    # the next report validates its tensor again
+    gauge_invariance_report(helpers.sys_cubic(), velocity_points(rng, 2, 1),
+                            gauge=gauge_2d())
     assert len(calls) == 2
 
 
-def test_apply_gauge_shifts_force_quadratically():
+def test_gauged_context_shifts_force_quadratically():
     # constant tensor on a flat system: the full force vector gains
     # exactly the quadratic fiber term, the plain components stay
     sysdef = flat_system()
     tensor = helpers.make_connection(2, {(0, 0, 1): "0.4", (1, 0, 0): "-0.3"})
-    gauged = apply_gauge(sysdef, tensor)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x, v = helpers.random_box_point(rng, 2)
-        ctx = VContext(gauged, x, v)
-        got = ctx.phi.val + np.einsum("ijk,j,k->i", ctx.gamma.val, v, v)
+        ctx = VContext(sysdef, x, v)
+        gauged = ctx.gauged(ctx.eval_native(tensor))
+        got = gauged.phi.val + np.einsum("ijk,j,k->i", gauged.gamma.val, v, v)
         want = np.array([0.2 * x[0] + 0.8 * v[0] * v[1],
                          x[1] - 0.3 * v[0] * v[0]])
         assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_apply_gauge_round_trip():
-    sysdef = flat_system()
-    tensor = gauge_2d()
-    undo = [[[helpers.NegFunc(tensor[k][i][j]) for j in range(2)]
-             for i in range(2)] for k in range(2)]
-    back = apply_gauge(apply_gauge(sysdef, tensor), undo)
-    env = {"x1": 0.3, "x2": -0.7, "v1": 1.1, "v2": 0.4}
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                a = back.connection[k, i, j].evaluate(env)
-                b = sysdef.connection[k, i, j].evaluate(env)
-                assert abs(a - b) < 1e-15
+def test_gauged_context_round_trip():
+    sysdef = helpers.sys_cubic()
+    ctx = VContext(sysdef, [0.3, -0.7], [1.1, 0.4])
+    shift = ctx.eval_native(gauge_2d())
+    back = ctx.gauged(shift).gauged(-shift)
+    for part in ("val", "grad", "hess"):
+        gap = getattr(back.gamma, part) - getattr(ctx.gamma, part)
+        assert np.max(np.abs(gap)) < 1e-15, part
+
+
+@pytest.mark.parametrize("sysdef, tensor", [
+    (helpers.sys_cubic(), gauge_2d()),
+    (helpers.sys_cubic3(), gauge_3d()),
+], ids=["cubic", "cubic3"])
+def test_gauged_context_matches_summed_system(sysdef, tensor):
+    # shifting the evaluated connection gives, bit for bit, what a
+    # system with the summed connection entries gives
+    reference = summed_system(sysdef, tensor)
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        x, v = helpers.random_box_point(rng, sysdef.n)
+        ctx = VContext(sysdef, x, v)
+        velocity_bundle(ctx)
+        gauged = ctx.gauged(ctx.eval_native(tensor))
+        want = VContext(reference, x, v)
+        got_b, want_b = velocity_bundle(gauged), velocity_bundle(want)
+        for name in ("W", "Omega", "P", "U", "alpha", "beta", "eta", "A",
+                     "B", "C", "lam"):
+            assert np.array_equal(getattr(got_b, name),
+                                  getattr(want_b, name)), name
+        for a, b in ((gauged.gamma, want.gamma), (gauged.phi, want.phi)):
+            for part in ("val", "grad", "hess"):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+        assert np.array_equal(curvature(gauged), curvature(want))
+        assert np.array_equal(dynamic_curvature(gauged),
+                              dynamic_curvature(want))
+
+
+def test_gauge_point_evaluates_each_component_once():
+    # L, Phi and Gamma are evaluated for the plain point alone, the
+    # gauged one shares them, and T is evaluated once per point plus
+    # once for the report's symmetry check
+    calls = {}
+    plain = helpers.sys_cubic()
+    n = plain.n
+
+    def wrap(f, name):
+        return f if isinstance(f, ConstFunc) else Counted(f, name, calls)
+
+    def tensor(arr, what):
+        return [[[wrap(arr[k][i][j], f"{what}{k}{i}{j}") for j in range(n)]
+                 for i in range(n)] for k in range(n)]
+
+    sysdef = SystemDef(
+        n, [wrap(f, f"L{i}") for i, f in enumerate(plain.legendre)],
+        [wrap(f, f"Phi{i}") for i, f in enumerate(plain.force)],
+        tensor(plain.connection, "Gamma"))
+    gauge = tensor(gauge_2d(), "T")
+    rng = np.random.default_rng(4)
+    points = 3
+    gauge_invariance_report(sysdef, velocity_points(rng, n, points),
+                            gauge=gauge)
+    # every parsed slot: 2 of L, 2 of Phi, 4 of Gamma and 8 of T
+    assert len(calls) == 16
+    assert (sum(calls.values()) - 8) / points == 16
+    for name, count in calls.items():
+        assert count == points + name.startswith("T"), (name, count)
 
 
 def test_gauge_rows_conform():
@@ -126,11 +226,7 @@ def test_gauge_rows_conform():
 
 def test_gauge_rules_at_n3():
     rng = np.random.default_rng(9)
-    tensor = helpers.make_connection(3, {
-        (0, 0, 1): "0.2 + 0.05*x1",
-        (1, 1, 2): "0.1*v3",
-        (2, 0, 0): "0.12*x2",
-    })
+    tensor = gauge_3d()
     report = gauge_invariance_report(helpers.sys_cubic3(),
                                      velocity_points(rng, 3, 4),
                                      gauge=tensor)
@@ -145,11 +241,7 @@ def test_residual_rows_move_only_with_their_conditions():
     # leans on the skew one, so the conditional rows shift while the
     # unconditional rows stay pinned
     rng = np.random.default_rng(9)
-    tensor = helpers.make_connection(3, {
-        (0, 0, 1): "0.2 + 0.05*x1",
-        (1, 1, 2): "0.1*v3",
-        (2, 0, 0): "0.12*x2",
-    })
+    tensor = gauge_3d()
     report = gauge_invariance_report(helpers.sys_cubic3(),
                                      velocity_points(rng, 3, 4),
                                      gauge=tensor)
@@ -211,23 +303,22 @@ def test_gauge_report_validation():
 
 def test_connection_free_matches_gauging_to_zero():
     # dropping the connection is reachable as a gauge change, so both
-    # routes must report the same residual norms; the weak-alpha norm
-    # is invariant outright and has to match the original as well
+    # routes must give the same residuals; the weak-alpha norm is
+    # invariant outright and has to match the original as well
     sysdef = helpers.sys_cubic()
     n = sysdef.n
-    undo = [[[helpers.NegFunc(sysdef.connection[k, i, j]) for j in range(n)]
-             for i in range(n)] for k in range(n)]
     free = connection_free_mode(sysdef)
-    gauged = apply_gauge(sysdef, undo)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x, v = helpers.random_box_point(rng, n)
-        pt = PhasePoint.velocity(x, v)
-        orig = {r.check_id: r.norm for r in normality_residuals(sysdef, pt)}
-        a = {r.check_id: r.norm for r in normality_residuals(free, pt)}
-        b = {r.check_id: r.norm for r in normality_residuals(gauged, pt)}
-        assert max(abs(a[k] - b[k]) for k in a) < 1e-12
-        assert abs(a["weak-alpha"] - orig["weak-alpha"]) < 1e-9
+        ctx = VContext(sysdef, x, v)
+        orig = residual_arrays(velocity_bundle(ctx))
+        a = residual_arrays(velocity_bundle(VContext(free, x, v)))
+        b = residual_arrays(velocity_bundle(ctx.gauged(-ctx.gamma)))
+        for rid in a:
+            assert np.max(np.abs(a[rid] - b[rid])) < 1e-12, rid
+        assert abs(np.max(np.abs(a["weak-alpha"]))
+                   - np.max(np.abs(orig["weak-alpha"]))) < 1e-9
 
 
 def test_connection_free_is_noop_without_connection():
@@ -365,9 +456,30 @@ def test_shift_run_validation():
                           ("t_final", 0.0), ("t_final", np.inf),
                           ("rtol", 0.0), ("rtol", -1e-8), ("rtol", np.nan),
                           ("rtol", 1.2e-13),
-                          ("u_start", -np.inf), ("u_stop", np.nan)):
+                          ("u_start", -np.inf), ("u_stop", np.nan),
+                          ("periodic", "no"), ("periodic", 2),
+                          ("periodic", None),
+                          ("u_start", "0.5"), ("u_start", [0.0j]),
+                          ("u_start", np.array(0.0)),
+                          ("u_stop", True), ("u_stop", None),
+                          ("t_final", True), ("t_final", "1"),
+                          ("rtol", True), ("rtol", np.bool_(True))):
         with pytest.raises(ValidationError, match=option):
             shift_integrate(ident, circle_run(**{option: value}))
+    # numpy bools are bools, numpy numbers and per-axis lists are numbers
+    short = dict(u_samples=8, t_final=0.2, time_steps=2)
+    plain = shift_integrate(ident, circle_run(**short))
+    for option, value in (("periodic", np.bool_(True)), ("periodic", [True]),
+                          ("u_start", np.float32(0.0)), ("u_start", [0]),
+                          ("t_final", np.float64(0.2))):
+        got = shift_integrate(ident, circle_run(**{**short, option: value}))
+        assert np.array_equal(got.deviations, plain.deviations), option
+    # the seeded momenta have norm |nu|, so a |nu| the trace would call
+    # a vanishing momentum is rejected up front, naming nu and the node
+    with pytest.raises(ValidationError, match=r"nu .* -1e-13 at u=\[0\.0\]"):
+        shift_integrate(ident, circle_run(nu=-1e-13, u_samples=8))
+    tiny = shift_integrate(ident, circle_run(nu=-2e-12, u_samples=8))
+    assert tiny.deviations[0] < 1e-10
     # the floor 100 eps sqrt(32) is 1.256e-13: just above it, the
     # integrator takes rtol as given, with no warning
     shift_integrate(ident, circle_run(rtol=1.3e-13, t_final=0.1,
@@ -384,7 +496,6 @@ def test_shift_run_validation():
             shift_integrate(ident, circle_run(nu=nu))
     # numpy numbers are numbers; a bool, a string or an expression in
     # other variables is neither a number nor an expression in u
-    short = dict(u_samples=8, t_final=0.2, time_steps=2)
     plain = shift_integrate(ident, circle_run(nu=-2.0, **short))
     for nu in (np.int64(-2), np.float32(-2.0), -2):
         got = shift_integrate(ident, circle_run(nu=nu, **short))

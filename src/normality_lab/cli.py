@@ -28,7 +28,7 @@ from .calculus import (LOWER, _curvature_relation,
                        _vertical_transport_velocity)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
-from .experiments import (ShiftRun, _gauge_report, _gauge_tensor,
+from .experiments import (ShiftRun, _gauge_tensor, _point_rows,
                           connection_free_mode, shift_integrate)
 from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
 from .phase import PhasePoint
@@ -134,9 +134,13 @@ def _validate_config(cfg: RunConfig, n, checks, tolerances):
 
 
 def _row(equation, residual, tolerance, **flags):
-    row = {"equation": equation, "residual": float(residual),
+    """One report row; a non-finite residual fails and is written as
+    null, and _summarize lets it decide its check whatever its flags."""
+    residual = float(residual)
+    finite = math.isfinite(residual)
+    row = {"equation": equation, "residual": residual if finite else None,
            "tolerance": float(tolerance),
-           "pass": bool(float(residual) <= tolerance)}
+           "pass": finite and residual <= tolerance}
     row.update(flags)
     return row
 
@@ -216,14 +220,14 @@ def _normality_rows(sysdef, doc, pt, rng, tol):
 
 
 def _gauge_rows(tensor, sysdef, doc, pt, rng, tol):
-    report = _gauge_report(sysdef, tensor, [pt])
     rows = []
-    for entry in report.rows:
+    for entry in _point_rows(sysdef, tensor, pt):
         tolerance = tol["gauge"] if entry.kind == "rule" else tol["gauge-exact"]
         flags = {}
         if entry.requires:
             # invariance of this residual norm is only promised while
-            # the listed equations hold, so it never decides the check
+            # the listed equations hold, so it decides the check only
+            # when non-finite (_summarize)
             flags = {"conditional": True, "requires": list(entry.requires)}
         rows.append(_row(f"{entry.kind}-{entry.quantity}", entry.deviation,
                          tolerance, **flags))
@@ -258,8 +262,11 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
             x = rng.uniform(x_lo, x_hi, n)
             v = rng.uniform(f_lo, f_hi, n)
             try:
-                from_point = builder(sysdef, doc, PhasePoint.velocity(x, v),
-                                     rng, tolerances)
+                # a row fails a non-finite residual, so numpy need not warn
+                with np.errstate(all="ignore"):
+                    from_point = builder(sysdef, doc,
+                                         PhasePoint.velocity(x, v), rng,
+                                         tolerances)
             except (DegeneratePoint, SingularMetric):
                 if attempt == RESAMPLE_LIMIT:
                     raise
@@ -294,11 +301,13 @@ def _shift_rows(doc, sysdef, tolerances):
 
 def _summarize(rows, resampled):
     residuals = [row["residual"] for row in rows]
-    decisive = [row for row in rows
-                if not row.get("conditional") and row.get("decisive", True)]
+    decisive = [row for row in rows if row["residual"] is None or (
+        not row.get("conditional") and row.get("decisive", True))]
+    finite = None not in residuals
     return {
-        "max": max(residuals) if residuals else 0.0,
-        "mean": sum(residuals) / len(residuals) if residuals else 0.0,
+        "max": max(residuals, default=0.0) if finite else None,
+        "mean": ((sum(residuals) / len(residuals) if residuals else 0.0)
+                 if finite else None),
         "pass_count": sum(1 for row in rows if row["pass"]),
         "rows": len(rows),
         "resampled": resampled,
@@ -364,7 +373,7 @@ def run_checks(cfg: RunConfig):
 
 
 def render_json(report) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 CSV_COLUMNS = ("check", "equation", "index", "rep", "x", "fiber", "t",
@@ -386,7 +395,8 @@ def render_csv(report) -> str:
                 " ".join(repr(c) for c in point.get("x", ())),
                 " ".join(repr(c) for c in point.get("fiber", ())),
                 repr(point["t"]) if "t" in point else "",
-                repr(row["residual"]), repr(row["tolerance"]),
+                "" if row["residual"] is None else repr(row["residual"]),
+                repr(row["tolerance"]),
                 "pass" if row["pass"] else "fail",
                 "" if "decisive" not in row else str(row["decisive"]).lower(),
                 "true" if row.get("conditional") else "",
@@ -448,9 +458,8 @@ def main(argv=None) -> int:
     try:
         report, status = run_checks(cfg)
     except NormalityLabError as e:
-        record = {"schema": 1,
-                  "error": {"type": type(e).__name__, "message": str(e)}}
-        _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(render_json({"schema": 1, "error": {
+            "type": type(e).__name__, "message": str(e)}}), args.out)
         return 2
     _emit(render_json(report) if cfg.fmt == "json" else render_csv(report),
           args.out)

@@ -16,13 +16,12 @@ and one pass over all output times compares the momentum p = L(x, v)
 with the normal direction of the moving surface.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import jets
-from .calculus import (LOWER, UPPER, FieldValue, curvature,
-                       dynamic_curvature, horizontal_derivative,
+from .calculus import (LOWER, UPPER, FieldValue, horizontal_derivative,
                        relative_deviation, vertical_derivative)
 from .errors import (DegeneratePoint, DegenerateSurface, DimensionError,
                      EvalError, IntegrationFailure, MissingGaugeTensor,
@@ -39,8 +38,7 @@ SURFACE_RANK_FLOOR = 1e-10
 # a momentum of at most this norm vanishes; seeded momenta have norm |nu|
 MOMENTUM_FLOOR = 1e-12
 
-INVARIANT_ROWS = ("metric", "legendre", "legendre-dual", "Omega", "P", "A",
-                  "alpha")
+INVARIANT_ROWS = ("alpha",)
 RULE_ROWS = ("U", "D", "R", "B", "C", "beta", "eta")
 
 # Residual norms stay put under a gauge change only while the listed
@@ -99,45 +97,33 @@ class GaugeReport:
     def worst(self, kind: str = None) -> float:
         picked = [r.deviation for r in self.rows
                   if kind is None or r.kind == kind]
-        return max(picked) if picked else 0.0
+        return float(np.max(picked)) if picked else 0.0
 
 
-def _point_deviations(sysdef, tensor, pt):
+def _point_rows(sysdef, tensor, pt):
+    """The gauge rows at one velocity point, in report order, for a
+    tensor from _gauge_tensor."""
+    if pt.rep is not Rep.VELOCITY:
+        raise MixedRepresentationError(
+            "gauge report evaluates at velocity points")
     ctx = VContext(sysdef, pt.x, pt.fiber)
     vb = velocity_bundle(ctx)
     Tfield = FieldValue(ctx, _dense(tensor, ctx.env, ctx.m, "T", x=ctx.x,
                                     v=ctx.v), (UPPER, LOWER, LOWER))
-    ctx2 = ctx.gauged(Tfield.data)
-    vb2 = velocity_bundle(ctx2)
-    v = np.asarray(pt.fiber, dtype=float)
+    vb2 = velocity_bundle(ctx.gauged(Tfield.data))
 
-    Lv = ctx.L_dense.val
-    W, P, A, B, alpha = vb.W, vb.P, vb.A, vb.B, vb.alpha
-
-    out = {
-        "metric": max(relative_deviation(ctx.g_values, ctx2.g_values),
-                      relative_deviation(ctx.g_inv_values, ctx2.g_inv_values)),
-        "legendre": relative_deviation(Lv, ctx2.L_dense.val),
-        "legendre-dual": relative_deviation(W, vb2.W),
-        "Omega": relative_deviation(np.array([vb.Omega]),
-                                     np.array([vb2.Omega])),
-        "P": relative_deviation(P, vb2.P),
-        "A": relative_deviation(A, vb2.A),
-        "alpha": relative_deviation(alpha, vb2.alpha),
-    }
+    v, Lv = ctx.v, ctx.L_dense.val
+    W, P, A, B, alpha, D1 = vb.W, vb.P, vb.A, vb.B, vb.alpha, vb.D
 
     Tvals = Tfield.values()
     vertT = vertical_derivative(Tfield).values()    # [k,i,r,j] = dT^k_ir/dv^j
     gradT = horizontal_derivative(Tfield).values()  # [k,i,r,m] = grad_m T^k_ir
-    D1 = dynamic_curvature(ctx)
-    D2 = dynamic_curvature(ctx2)
-    R1 = curvature(ctx)
-    R2 = curvature(ctx2)
 
+    out = {"alpha": relative_deviation(alpha, vb2.alpha)}
     out["U"] = relative_deviation(
         vb2.U, vb.U + np.einsum("q,riq,r->i", W, Tvals, Lv))
-    out["D"] = relative_deviation(D2, D1 - vertT.transpose(0, 2, 1, 3))
-    rule_r = (R1
+    out["D"] = relative_deviation(vb2.D, D1 - vertT.transpose(0, 2, 1, 3))
+    rule_r = (vb.R
               + np.einsum("kjri->krij", gradT)
               - np.einsum("kirj->krij", gradT)
               - np.einsum("m,sjm,kirs->krij", v, Tvals, D1)
@@ -146,7 +132,7 @@ def _point_deviations(sysdef, tensor, pt):
               - np.einsum("kjm,mir->krij", Tvals, Tvals)
               + np.einsum("m,sjm,kirs->krij", v, Tvals, vertT)
               - np.einsum("m,sim,kjrs->krij", v, Tvals, vertT))
-    out["R"] = relative_deviation(R2, rule_r)
+    out["R"] = relative_deviation(vb2.R, rule_r)
     out["B"] = relative_deviation(
         vb2.B, B + np.einsum("m,msq,qk,rk->rs", Lv, Tvals, P, A - A.T))
     # the C rule pins down the skew part only; its symmetric remainder
@@ -166,42 +152,31 @@ def _point_deviations(sysdef, tensor, pt):
     for rid in RESIDUAL_IDS:
         out[rid] = abs(float(np.max(np.abs(res1[rid])))
                        - float(np.max(np.abs(res2[rid]))))
-    return out
+    rows = [GaugeRow(name, "invariant", out[name]) for name in INVARIANT_ROWS]
+    rows += [GaugeRow(name, "rule", out[name]) for name in RULE_ROWS]
+    rows += [GaugeRow(rid, "residual", out[rid], requires=RESIDUAL_NEEDS[rid])
+             for rid in RESIDUAL_IDS]
+    return rows
 
 
 def gauge_invariance_report(sysdef: SystemDef, points,
                             gauge=None) -> GaugeReport:
-    """Deviation table for one gauge change, aggregated over points.
+    """Deviation table for one gauge change, worst over the points.
 
-    Invariant rows compare a quantity before and after the change; the
-    rows of L alone (metric to A) compare one evaluation with itself.
-    Rule rows recompute a quantity at the gauged point and compare it
+    The invariant row compares alpha before and after the change. Rule
+    rows recompute a quantity at the gauged point and compare it
     against the transformation rule applied to un-gauged values, which
     exercises the cancellations behind each rule. Residual rows compare
     normality residual norms; the conditional ones list the residuals
-    whose vanishing they rely on. The tensor is validated once a call."""
-    return _gauge_report(sysdef, _gauge_tensor(sysdef, gauge), points)
-
-
-def _gauge_report(sysdef, tensor, points):
-    """gauge_invariance_report on a tensor from _gauge_tensor."""
-    worst = {}
-    count = 0
-    for pt in points:
-        if pt.rep is not Rep.VELOCITY:
-            raise MixedRepresentationError(
-                "gauge report evaluates at velocity points")
-        for name, dev in _point_deviations(sysdef, tensor, pt).items():
-            worst[name] = max(worst.get(name, 0.0), dev)
-        count += 1
-    if count == 0:
+    whose vanishing they rely on. The tensor is validated once a call,
+    and a nan deviation at any point is the row's worst."""
+    tensor = _gauge_tensor(sysdef, gauge)
+    table = [_point_rows(sysdef, tensor, pt) for pt in points]
+    if not table:
         raise ValidationError("gauge report needs at least one point")
-    rows = [GaugeRow(name, "invariant", worst[name])
-            for name in INVARIANT_ROWS]
-    rows += [GaugeRow(name, "rule", worst[name]) for name in RULE_ROWS]
-    rows += [GaugeRow(rid, "residual", worst[rid],
-                      requires=RESIDUAL_NEEDS[rid]) for rid in RESIDUAL_IDS]
-    return GaugeReport(tuple(rows), count)
+    worst = np.max([[row.deviation for row in rows] for rows in table], axis=0)
+    return GaugeReport(tuple(replace(row, deviation=float(dev))
+                             for row, dev in zip(table[0], worst)), len(table))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ class NormalityBundle:
     B: np.ndarray
     C: np.ndarray
     lam: float
+    D: np.ndarray       # dynamic curvature and curvature, (n, n, n, n)
+    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,8 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
          + 0.5 * np.einsum("ms,qrka,am,k,q->rs", gradL, Dv, gi, W, Lv))
 
     return NormalityBundle(Rep.VELOCITY, ctx.x.copy(), v.copy(), W, Om, P, U,
-                           alpha, beta, eta, A, B, C, lambda_scalar(B, P, n))
+                           alpha, beta, eta, A, B, C, lambda_scalar(B, P, n),
+                           Dv, Rv)
 
 
 def momentum_bundle(ctx: PContext) -> NormalityBundle:
@@ -269,7 +272,8 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
          - 0.5 * np.einsum("qkrs,k,q->rs", Rp, W, p))
 
     return NormalityBundle(Rep.MOMENTUM, ctx.x.copy(), p.copy(), W, Om, P, U,
-                           alpha, beta, eta, A, B, C, lambda_scalar(B, P, n))
+                           alpha, beta, eta, A, B, C, lambda_scalar(B, P, n),
+                           Dp, Rp)
 
 
 def bundle_at(sysdef: SystemDef, pt: PhasePoint) -> NormalityBundle:

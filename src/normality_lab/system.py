@@ -511,17 +511,23 @@ def _samples(rng, n, parts):
 
 def _check_symmetric(tensor, what, error, x, v):
     """Raise `error` unless tensor[k][i][j] and tensor[k][j][i] agree
-    within 1e-10 at the samples (x, v), (n, 8) arrays. The message
-    names the first failing sample and its largest gap."""
+    within 1e-10 at the samples (x, v), (n, 8) arrays; a non-finite
+    gap fails. The message names the first failing sample and its
+    largest gap, a non-finite one first."""
     vals = _values(tensor.ravel(), _env(x, v, "v"), (8,)).reshape(
         tensor.shape + (8,))
-    gap = np.abs(vals - vals.transpose(0, 2, 1, 3))
-    bad = gap.max(axis=(0, 1, 2)) > 1e-10
+    with np.errstate(all="ignore"):
+        gap = np.abs(vals - vals.transpose(0, 2, 1, 3))
+    bad = ~(gap.max(axis=(0, 1, 2)) <= 1e-10)
     if bad.any():
         s = int(np.argmax(bad))
         k, i, j = np.unravel_index(np.argmax(gap[..., s]), tensor.shape)
-        raise error(f"{what} is asymmetric in its lower pair at "
-                    f"[{k}][{i}][{j}]: {vals[k, i, j, s]} vs {vals[k, j, i, s]}")
+        a, b = vals[k, i, j, s], vals[k, j, i, s]
+        if np.isfinite(a) and np.isfinite(b):
+            raise error(f"{what} is asymmetric in its lower pair at "
+                        f"[{k}][{i}][{j}]: {a} vs {b}")
+        raise error(f"{what} is not finite at [{k}][{i}][{j}], "
+                    f"x={x[:, s].tolist()}, v={v[:, s].tolist()}: {a} vs {b}")
 
 
 def _check_gauge(tensor, rng=None):
@@ -537,8 +543,8 @@ def _check_gauge(tensor, rng=None):
 
 def validate_system(sysdef: SystemDef):
     """Numeric spot checks of the structural requirements: the fiber
-    map sends zero to zero, the connection (and gauge, if any) is
-    symmetric, and a closed-form inverse actually inverts the map.
+    map sends zero to zero, the connection (and gauge, if any) is finite
+    and symmetric, and a closed-form inverse actually inverts the map.
 
     Each check evaluates its components once over its block of the
     plan (_samples), drawn from default_rng(0) in this order: the

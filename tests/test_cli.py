@@ -141,6 +141,93 @@ def test_cli_gauge_check_validates_its_tensor_once(monkeypatch, tmp_path):
     assert calls == ["connection", "gauge tensor", "gauge tensor"]
 
 
+@pytest.mark.parametrize("section, entries, error, what", [
+    ("gauge", 'T_1_11 = "1e200*x1*x1*1e200"\n', AsymmetricGauge,
+     "gauge tensor"),
+    ("connection", 'Gamma_1_11 = "1e200*x1*x1*1e200"\n', ValidationError,
+     "connection"),
+], ids=["gauge", "connection"])
+def test_non_finite_tensor_fails_at_load(tmp_path, section, entries, error,
+                                         what):
+    # inf - inf is a nan gap, which once passed the symmetry check
+    path = write_system(tmp_path, IDENTITY + f"[{section}]\n" + entries)
+    with pytest.raises(error) as info:
+        load_system_file(path)
+    assert str(info.value).startswith(f"{what} is not finite at [0][0][0], x=")
+    assert str(info.value).endswith(": inf vs inf")
+
+
+def cubic_with(tmp_path, old, new):
+    """The cubic fixture with one line replaced, or with its [gauge]
+    section replaced when old is "[gauge]"."""
+    text = (FIXTURES / "cubic.system").read_text(encoding="utf-8")
+    if old == "[gauge]":
+        text = text[:text.index(old)] + new
+    else:
+        assert old in text
+        text = text.replace(old, new)
+    return write_system(tmp_path, text)
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_rows_fail_and_are_written_as_null():
+    for kwargs in ({}, {"conditional": True}, {"decisive": False}):
+        row = cli._row("eq", float("nan"), 1.0, **kwargs)
+        assert row["residual"] is None and row["pass"] is False
+        summary = cli._summarize([cli._row("ok", 0.5, 1.0), row], 0)
+        assert summary["max"] is None and summary["mean"] is None
+        assert summary["pass_count"] == 1 and not summary["passed"]
+    with pytest.raises(ValueError):
+        render_json({"residual": float("inf")})
+
+
+def test_overflowing_gauge_rows_fail(tmp_path):
+    # at T = 1e200 these six deviations are nan; a one-point aggregator
+    # once turned each into a passing 0.0
+    path = cubic_with(tmp_path, "[gauge]", '[gauge]\nT_1_11 = "1e200"\n')
+    report, status = run_checks(RunConfig(path, checks=("gauge",), samples=2))
+    assert status == 1
+    record = strict_json(render_json(report))["checks"][0]
+    assert record["summary"]["max"] is None
+    assert not record["summary"]["passed"]
+    for index in range(2):
+        rows = {r["equation"]: r for r in record["rows"]
+                if r["index"] == index}
+        assert len(rows) == 13
+        for name in ("rule-R", "rule-C", "rule-beta", "rule-eta",
+                     "residual-weak-eta", "residual-skew-C"):
+            assert rows[name]["residual"] is None, name
+            assert rows[name]["pass"] is False, name
+
+
+def test_overflowing_connection_writes_strict_json_without_warnings(
+        tmp_path):
+    path = cubic_with(tmp_path, 'Gamma_2_11 = "0.15*x1"',
+                      'Gamma_2_11 = "1e200*x1"')
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "normality_lab", "check", path,
+         "--checks", "cross,normality,gauge", "--samples", "2"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (1, "")
+    records = strict_json(done.stdout)["checks"]
+    assert [r["id"] for r in records] == ["cross", "normality", "gauge"]
+    for record in records:
+        assert "error" not in record
+        assert record["summary"]["max"] is None, record["id"]
+        assert not record["summary"]["passed"]
+        assert any(row["residual"] is None and not row["pass"]
+                   for row in record["rows"])
+
+
 def test_syntax_error_carries_location(tmp_path):
     path = write_system(tmp_path, """
 [system]

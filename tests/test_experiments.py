@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import helpers
-from normality_lab import experiments
+from normality_lab import calculus, experiments, normality
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
                                   DegenerateSurface, DimensionError,
                                   IntegrationFailure, MissingGaugeTensor,
                                   MixedRepresentationError, ValidationError)
 from normality_lab import expr, system
-from normality_lab.calculus import curvature, dynamic_curvature
 from normality_lab.experiments import (GaugeReport, ShiftRun,
                                        connection_free_mode,
                                        gauge_invariance_report,
@@ -163,15 +162,12 @@ def test_gauged_context_matches_summed_system(sysdef, tensor):
         want = VContext(reference, x, v)
         got_b, want_b = velocity_bundle(gauged), velocity_bundle(want)
         for name in ("W", "Omega", "P", "U", "alpha", "beta", "eta", "A",
-                     "B", "C", "lam"):
+                     "B", "C", "lam", "D", "R"):
             assert np.array_equal(getattr(got_b, name),
                                   getattr(want_b, name)), name
         for a, b in ((gauged.gamma, want.gamma), (gauged.phi, want.phi)):
             for part in ("val", "grad", "hess"):
                 assert np.array_equal(getattr(a, part), getattr(b, part))
-        assert np.array_equal(curvature(gauged), curvature(want))
-        assert np.array_equal(dynamic_curvature(gauged),
-                              dynamic_curvature(want))
 
 
 def test_gauge_point_evaluates_each_component_once():
@@ -203,6 +199,43 @@ def test_gauge_point_evaluates_each_component_once():
     assert (sum(calls.values()) - 8) / points == 16
     for name, count in calls.items():
         assert count == points + name.startswith("T"), (name, count)
+
+
+def test_gauge_point_computes_each_curvature_once_per_context(monkeypatch):
+    # the D and R rules read the curvatures the two bundles keep, so a
+    # point computes each for the plain and the gauged context alone
+    calls = {"curvature": 0, "dynamic_curvature": 0}
+
+    def counting(name):
+        real = getattr(calculus, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for module in (normality, experiments):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name), raising=False)
+    points = 3
+    gauge_invariance_report(helpers.sys_cubic(),
+                            velocity_points(np.random.default_rng(6), 2,
+                                            points), gauge=gauge_2d())
+    assert calls == {"curvature": 2 * points, "dynamic_curvature": 2 * points}
+
+
+def test_non_finite_gauge_rows_reach_the_report():
+    # T = 1e200 overflows the rules and residuals that multiply T by
+    # itself or by the fiber map; their deviations are nan and stay nan
+    # as the worst over the points
+    tensor = helpers.make_connection(2, {(0, 0, 0): "1e200"})
+    with np.errstate(all="ignore"):
+        report = gauge_invariance_report(
+            helpers.sys_cubic(),
+            velocity_points(np.random.default_rng(8), 2, 2), gauge=tensor)
+    for name in ("R", "C", "beta", "eta", "weak-eta", "skew-C"):
+        assert np.isnan(report.row(name).deviation), name
+    assert np.isnan(report.worst()) and np.isnan(report.worst("rule"))
 
 
 def test_gauge_rows_conform():
@@ -273,8 +306,10 @@ def test_gauge_on_flat_identity_system():
     report = gauge_invariance_report(helpers.sys_identity(3),
                                      velocity_points(rng, 3, 4),
                                      gauge=tensor)
+    assert report.row("alpha").kind == "invariant"
     assert report.row("alpha").deviation < 1e-10
-    assert report.row("A").deviation < 1e-10
+    for name in experiments.RULE_ROWS:
+        assert report.row(name).deviation < 1e-10, name
 
 
 def test_eta_invariance_on_weakly_normal_system():

@@ -12,6 +12,11 @@ is a few einsum contractions of the field with the context's stacked
 connection, and its result is dense data again. Curvature and dynamic
 curvature come back as plain float arrays.
 
+A context over a batch of points puts the batch axis first in every
+array; every contraction carries it as a leading "..." and every
+per-point reduction (relative_deviation) keeps it, so a point gives
+the same bits alone and in a batch.
+
 The fiber derivative lowers an index in the velocity representation
 and raises one in the momentum representation. The horizontal
 derivative is covariant: a base-coordinate derivative, a fiber
@@ -31,7 +36,7 @@ import numpy as np
 from . import jets
 from .errors import DimensionError, MissingJets, MixedRepresentationError
 from .phase import PhasePoint, Rep
-from .system import PContext, SystemDef, VContext, legendre_forward
+from .system import PContext, SystemDef, VContext, _env, _values
 
 UPPER = "u"
 LOWER = "l"
@@ -42,9 +47,9 @@ def _is_momentum(ctx) -> bool:
 
 
 class FieldValue:
-    """Tensor field evaluated at one context. `data` is its jets.Dense;
-    scalar Dense data, a number, or an array of them is stacked once
-    here."""
+    """Tensor field evaluated at one context. `data` is its jets.Dense,
+    of shape ctx.batch + (n,) * rank; scalar Dense data, a number, or an
+    array of them is stacked once here."""
 
     __slots__ = ("ctx", "data", "variance")
 
@@ -52,8 +57,9 @@ class FieldValue:
         self.ctx = ctx
         self.variance = tuple(variance)
         if not isinstance(data, jets.Dense):
-            data = jets.stack(np.ravel(data), ctx.m).reshape(np.shape(data))
-        shape = (ctx.n,) * len(self.variance)
+            data = jets.stack(np.ravel(data), ctx.m, ctx.batch).reshape(
+                ctx.batch + np.shape(data))
+        shape = ctx.batch + (ctx.n,) * len(self.variance)
         if np.shape(data.val) != shape:
             raise DimensionError(
                 f"field data shape {np.shape(data.val)} does not match rank "
@@ -118,28 +124,34 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
     # fiber correction N[b, m], the coefficient of dX/dfiber_b in D_m X,
     # and its gradient dN[b, m, z]
     if _is_momentum(ctx):
-        N = np.einsum("a,amb->bm", fiber, G)
-        dN = np.einsum("a,ambz->bmz", fiber, dG)
-        dN[:, :, n:] += np.einsum("amb->bma", G)
+        N = np.einsum("...a,...amb->...bm", fiber, G)
+        dN = np.einsum("...a,...ambz->...bmz", fiber, dG)
+        dN[..., n:] += np.einsum("...amb->...bma", G)
     else:
-        N = -np.einsum("a,bam->bm", fiber, G)
-        dN = -np.einsum("a,bamz->bmz", fiber, dG)
-        dN[:, :, n:] -= np.einsum("bam->bma", G)
+        N = -np.einsum("...a,...bam->...bm", fiber, G)
+        dN = -np.einsum("...a,...bamz->...bmz", fiber, dG)
+        dN[..., n:] -= np.einsum("...bam->...bma", G)
 
-    val = dX[..., :n] + dX[..., n:] @ N
+    # the field's own slots are spelled out, "..." is the batch
+    slots = "acdefghi"[:field.rank]
+    val = dX[..., :n] + np.einsum(f"...{slots}b,...bm->...{slots}m",
+                                  dX[..., n:], N)
     grad = None
     if ddX is not None:
-        grad = (ddX[..., :n, :] + np.einsum("...bz,bm->...mz", ddX[..., n:, :], N)
-                + np.einsum("...b,bmz->...mz", dX[..., n:], dN))
-    slots = "abcdefgh"[:field.rank]
+        grad = (ddX[..., :n, :]
+                + np.einsum(f"...{slots}bz,...bm->...{slots}mz",
+                            ddX[..., n:, :], N)
+                + np.einsum(f"...{slots}b,...bmz->...{slots}mz",
+                            dX[..., n:], dN))
     for t, mark in enumerate(field.variance):
         src = slots[:t] + "y" + slots[t + 1:]
         conn, sign = ((f"{slots[t]}my", 1.0) if mark == UPPER
                       else (f"ym{slots[t]}", -1.0))
-        val += sign * np.einsum(f"{conn},{src}->{slots}m", G, X)
+        val += sign * np.einsum(f"...{conn},...{src}->...{slots}m", G, X)
         if grad is not None:
-            grad += sign * (np.einsum(f"{conn}z,{src}->{slots}mz", dG, X)
-                            + np.einsum(f"{conn},{src}z->{slots}mz", G, dX))
+            grad += sign * (
+                np.einsum(f"...{conn}z,...{src}->...{slots}mz", dG, X)
+                + np.einsum(f"...{conn},...{src}z->...{slots}mz", G, dX))
     return FieldValue(ctx, jets.Dense(0 if grad is None else 1, val, grad),
                       field.variance + (LOWER,))
 
@@ -153,8 +165,8 @@ def dynamic_curvature(ctx) -> np.ndarray:
     _, dG, _ = _connection(ctx)
     dfiber = dG[..., ctx.n:]
     if _is_momentum(ctx):
-        return -np.einsum("kijr->krij", dfiber)
-    return -np.einsum("kirj->krij", dfiber)
+        return -np.einsum("...kijr->...krij", dfiber)
+    return -np.einsum("...kirj->...krij", dfiber)
 
 
 def curvature(ctx) -> np.ndarray:
@@ -166,12 +178,13 @@ def curvature(ctx) -> np.ndarray:
     G, dG, fiber = _connection(ctx)
     # lead[m, i]: coefficient of dG/dfiber_m in the base derivative D_i
     if _is_momentum(ctx):
-        lead = np.einsum("s,smi->mi", fiber, G)
+        lead = np.einsum("...s,...smi->...mi", fiber, G)
     else:
-        lead = -np.einsum("s,mis->mi", fiber, G)
-    base = dG[..., :n] + np.einsum("kjrm,mi->kjri", dG[..., n:], lead)
-    half = np.einsum("kjri->krij", base) + np.einsum("kim,mjr->krij", G, G)
-    return half - np.einsum("krij->krji", half)
+        lead = -np.einsum("...s,...mis->...mi", fiber, G)
+    base = dG[..., :n] + np.einsum("...kjrm,...mi->...kjri", dG[..., n:], lead)
+    half = (np.einsum("...kjri->...krij", base)
+            + np.einsum("...kim,...mjr->...krij", G, G))
+    return half - np.einsum("...krij->...krji", half)
 
 
 @dataclass(frozen=True)
@@ -180,16 +193,33 @@ class RelationCheck:
 
     lhs: np.ndarray
     rhs: np.ndarray
-    deviation: float
+    deviation: float        # an array over the batch of a batched pair
 
 
-def relative_deviation(a, b) -> float:
+def sup_norm(a, batch=()):
+    """max |a| per point: over every axis of a but the batch axes."""
+    return np.max(np.abs(a), axis=tuple(range(len(batch), np.ndim(a))))
+
+
+def relative_deviation(a, b, batch=()):
     """Sup-norm distance of two arrays, relative to their larger entry
-    and never to a scale below one."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b))) / scale
+    and never to a scale below one: a float, or an array of shape batch
+    with one distance per point when the arrays lead with those batch
+    axes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = np.maximum(np.maximum(1.0, sup_norm(a, batch)), sup_norm(b, batch))
+    out = sup_norm(a - b, batch) / scale
+    return out if batch else float(out)
+
+
+def _image(sysdef: SystemDef, x, v):
+    """The momenta p = L(x, v) at a point or a batch of points, (n,) or
+    (N, n) float arrays."""
+    batch = x.shape[:-1]
+    if batch:
+        return _values(sysdef.legendre, _env(x.T, v.T, "v"), batch)
+    return _values(sysdef.legendre, _env(x.tolist(), v.tolist(), "v"))
 
 
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
@@ -197,14 +227,18 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
     under the fiber map. The momentum context builds its own inner
     velocity context at the preimage, by the closed-form inverse or one
     Newton solve, so the two routes stay independent. The transport
-    check builds one such pair per point and evaluates all six
-    relations on it; the public relation functions build their own."""
+    check builds one such pair per point, or per batch of points
+    (_pair_at), and evaluates all six relations on it; the public
+    relation functions build their own."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
-    vctx = VContext(sysdef, pt.x, pt.fiber)
-    image = legendre_forward(sysdef, pt)
-    pctx = PContext(sysdef, image.x, image.fiber)
-    return vctx, pctx
+    return _pair_at(sysdef, pt.x, pt.fiber)
+
+
+def _pair_at(sysdef: SystemDef, x, v):
+    """_paired_contexts at velocity points x, v of shape (n,) or (N, n)."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    return VContext(sysdef, x, v), PContext(sysdef, x, _image(sysdef, x, v))
 
 
 def _fiber_map_field(vctx) -> FieldValue:
@@ -213,8 +247,9 @@ def _fiber_map_field(vctx) -> FieldValue:
 
 def _dynamic_curvature_relation(vctx, pctx) -> RelationCheck:
     lhs = dynamic_curvature(pctx)
-    rhs = np.einsum("sr,kijs->krij", vctx.g_inv_values, dynamic_curvature(vctx))
-    return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs))
+    rhs = np.einsum("...sr,...kijs->...krij", vctx.g_inv_values,
+                    dynamic_curvature(vctx))
+    return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs, vctx.batch))
 
 
 def dynamic_curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
@@ -228,10 +263,10 @@ def _curvature_relation(vctx, pctx) -> RelationCheck:
     dv = dynamic_curvature(vctx)
     grad_L = horizontal_derivative(_fiber_map_field(vctx)).values()   # [q, m]
     g_inv = vctx.g_inv_values
-    corr = (np.einsum("qi,sq,kjrs->krij", grad_L, g_inv, dv)
-            - np.einsum("qj,sq,kirs->krij", grad_L, g_inv, dv))
+    corr = (np.einsum("...qi,...sq,...kjrs->...krij", grad_L, g_inv, dv)
+            - np.einsum("...qj,...sq,...kirs->...krij", grad_L, g_inv, dv))
     rhs = curvature(vctx) + corr
-    return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs))
+    return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs, vctx.batch))
 
 
 def curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
@@ -246,7 +281,10 @@ def _vertical_transport_velocity(vctx, pctx, func) -> float:
     n = vctx.n
     direct = vctx.eval_native(func)
     composed = pctx.eval_velocity_native(func)
-    return relative_deviation(direct.grad[n:], vctx.g_values.T @ composed.grad[n:])
+    return relative_deviation(
+        direct.grad[..., n:],
+        np.einsum("...qk,...q->...k", vctx.g_values, composed.grad[..., n:]),
+        vctx.batch)
 
 
 def vertical_transport_velocity(sysdef, pt, func) -> float:
@@ -259,8 +297,10 @@ def _vertical_transport_momentum(vctx, pctx, func) -> float:
     n = vctx.n
     direct = pctx.eval_native(func)
     composed = vctx.eval_momentum_native(func)
-    return relative_deviation(direct.grad[n:],
-                              vctx.g_inv_values.T @ composed.grad[n:])
+    return relative_deviation(
+        direct.grad[..., n:],
+        np.einsum("...qk,...q->...k", vctx.g_inv_values, composed.grad[..., n:]),
+        vctx.batch)
 
 
 def vertical_transport_momentum(sysdef, pt, func) -> float:
@@ -274,10 +314,12 @@ def _horizontal_transport(native_ctx, other_ctx, evaluate, fiber_map,
     # right side taken on the other context
     lhs = horizontal_derivative(field_of(native_ctx, components, variance)).values()
     composed = field_of(other_ctx, components, variance, evaluate=evaluate)
+    slots = "acdefghi"[:len(variance)]
     rhs = (horizontal_derivative(composed).values()
-           + np.einsum("...q,qm->...m", vertical_derivative(composed).values(),
+           + np.einsum(f"...{slots}q,...qm->...{slots}m",
+                       vertical_derivative(composed).values(),
                        horizontal_derivative(fiber_map).values()))
-    return relative_deviation(lhs, rhs)
+    return relative_deviation(lhs, rhs, native_ctx.batch)
 
 
 def _horizontal_transport_momentum(vctx, pctx, components, variance=()) -> float:

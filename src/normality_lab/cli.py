@@ -19,20 +19,20 @@ from functools import partial
 
 import numpy as np
 
-from . import expr
+from . import jets
 from .calculus import (LOWER, _curvature_relation,
                        _dynamic_curvature_relation,
                        _horizontal_transport_momentum,
-                       _horizontal_transport_velocity, _paired_contexts,
+                       _horizontal_transport_velocity, _image, _pair_at,
                        _vertical_transport_momentum,
-                       _vertical_transport_velocity)
+                       _vertical_transport_velocity, sup_norm)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
-from .experiments import (ShiftRun, _gauge_tensor, _point_rows,
+from .experiments import (ShiftRun, _gauge_deviations, _gauge_tensor,
                           connection_free_mode, shift_integrate)
-from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
-from .phase import PhasePoint
-from .system import legendre_forward, legendre_inverse, metric
+from .normality import (CROSS_FIELDS, _cross_deviations, _decisive,
+                        mutation_flip, residual_norms, velocity_bundle)
+from .system import PContext, VContext
 from .sysfile import SHIFT_OPTIONS, read_system_file
 
 CHECK_IDS = ("metric", "transport", "cross", "normality", "gauge", "shift")
@@ -145,83 +145,122 @@ def _row(equation, residual, tolerance, **flags):
     return row
 
 
-def _coefficient(w):
-    """The node `({w:.6f})` parses to: the rounded magnitude, negated
-    by a Unary when the text carries a minus sign (also for -0.000000)."""
-    text = f"{w:.6f}"
-    if text.startswith("-"):
-        return expr.Unary(expr.Num(float(text[1:])))
-    return expr.Num(float(text))
+def _per_point(x, columns):
+    """The row lists of the points x, (n,) or (N, n), from columns
+    (equation, residuals, tolerance[, flags]) with one residual a
+    point."""
+    count = len(x) if x.ndim > 1 else 1
+    columns = [(eq, np.reshape(res, -1), tol, *flags)
+               for eq, res, tol, *flags in columns]
+    return [[_row(eq, res[k], tol, **(flags[0] if flags else {}))
+             for eq, res, tol, *flags in columns] for k in range(count)]
 
 
-def _random_scalar(rng, n, kind):
-    """Low-degree polynomial with one trig term, deterministic in rng:
-    c0 + c1*x{a}*{kind}{b} + c2*{kind}{a}^2 + c3*sin(x{b}), with the
-    coefficients rounded to six decimals. The tree is the one
-    expr.parse gives for that source, built without parsing."""
+def _scalar_draw(rng, n, kind):
+    """One random scalar of the transport check, as (kind, a, b, c):
+    1-based indices a and b and four coefficients rounded to six
+    decimals, negative when the rounded text carries a minus sign (also
+    for -0.000000)."""
     a, b = (int(i) + 1 for i in rng.integers(0, n, size=2))
-    c = [_coefficient(w) for w in rng.uniform(-1.0, 1.0, size=4)]
-    x_a, x_b = expr.Var("x", a), expr.Var("x", b)
-    f_a, f_b = expr.Var(kind, a), expr.Var(kind, b)
-    terms = (expr.Binary("*", expr.Binary("*", c[1], x_a), f_b),
-             expr.Binary("*", c[2], expr.Binary("^", f_a, expr.Num(2.0))),
-             expr.Binary("*", c[3], expr.Call("sin", x_b)))
-    root = c[0]
-    for term in terms:
-        root = expr.Binary("+", root, term)
-    return expr.Expression(root, n, ("x", "v", "p"), kind)
+    texts = [f"{w:.6f}" for w in rng.uniform(-1.0, 1.0, size=4)]
+    return kind, a, b, [-float(t[1:]) if t[0] == "-" else float(t)
+                        for t in texts]
 
 
-def _metric_rows(sysdef, doc, pt, rng, tol):
-    pair = metric(sysdef, pt)
-    image = legendre_forward(sysdef, pt)
-    back = legendre_inverse(sysdef, image).point
-    roundtrip = float(np.max(np.abs(back.fiber - pt.fiber)))
-    return [_row("metric-product", pair.product_deviation, tol["metric"]),
-            _row("fiber-roundtrip", roundtrip, tol["roundtrip"])]
+class _Scalar:
+    """The random scalars c0 + c1*x{a}*{kind}{b} + c2*{kind}{a}^2 +
+    c3*sin(x{b}) of one slot of the transport check (_scalar_draw) at a
+    point or a batch. They are evaluated step by step as the expression
+    tree of their source is, so each point gets that tree's bits. At a
+    lone point a and b are indices and c four floats; over a batch, a
+    and b are index arrays and c a (4, N) array, and the variables of
+    each point are gathered from the batch."""
+
+    def __init__(self, draws):
+        (self.kind, a, b, c), *rest = draws
+        self.batched = bool(rest)
+        if rest:
+            a, b = (np.array([d[i] for d in draws]) - 1 for i in (1, 2))
+            c = np.array([d[3] for d in draws]).T
+        self.a, self.b, self.c = a, b, c
+
+    def _pick(self, env, kind):
+        if not self.batched:
+            return env[f"{kind}{self.a}"], env[f"{kind}{self.b}"]
+        u = jets.stack([env[f"{kind}{i + 1}"] for i in range(len(env) // 2)],
+                       env["x1"].grad.shape[-1], self.a.shape)
+        rows = np.arange(len(self.a))
+        return tuple(jets.Dense(u.order, u.val[rows, i], u.grad[rows, i],
+                                None if u.hess is None else u.hess[rows, i])
+                     for i in (self.a, self.b))
+
+    def evaluate(self, env):
+        (x_a, x_b), (f_a, f_b) = self._pick(env, "x"), self._pick(env, self.kind)
+        c0, c1, c2, c3 = self.c
+        root = c0 + c1 * x_a * f_b
+        root = root + c2 * jets.power(f_a, 2.0)
+        return root + c3 * jets.sin(x_b)
 
 
-def _transport_rows(sysdef, doc, pt, rng, tol):
+def _transport_draws(rng, n):
+    """The random scalars of a transport point, in the order the check
+    draws them: one velocity-native and one momentum-native scalar, then
+    the n components of a covector field of each kind."""
+    return [_scalar_draw(rng, n, kind)
+            for kind in ("v", "p") + ("v",) * n + ("p",) * n]
+
+
+def _metric_rows(sysdef, doc, x, v, draws, tol):
+    ctx = VContext(sysdef, x, v)
+    lower, upper = ctx.g_values, ctx.g_inv_values
+    eye = np.eye(sysdef.n)
+    product = np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
+                         sup_norm(upper @ lower - eye, ctx.batch))
+    back = PContext(sysdef, x, _image(sysdef, ctx.x, ctx.v)).inner.v
+    return _per_point(x, [
+        ("metric-product", product, tol["metric"]),
+        ("fiber-roundtrip", sup_norm(back - ctx.v, ctx.batch), tol["roundtrip"])])
+
+
+def _transport_rows(sysdef, doc, x, v, draws, tol):
     n = sysdef.n
     t = tol["transport"]
-    scalar_v = _random_scalar(rng, n, "v")
-    scalar_p = _random_scalar(rng, n, "p")
-    cov_v = [_random_scalar(rng, n, "v") for _ in range(n)]
-    cov_p = [_random_scalar(rng, n, "p") for _ in range(n)]
-    # one context pair for all six relations, built after every draw so
-    # that a point resampled for a singular metric redraws from the rng
-    # state its scalars left
-    pair = _paired_contexts(sysdef, pt)
-    return [
-        _row("vertical-transport-v",
-             _vertical_transport_velocity(*pair, scalar_v), t),
-        _row("vertical-transport-p",
-             _vertical_transport_momentum(*pair, scalar_p), t),
-        _row("horizontal-transport-v",
-             _horizontal_transport_velocity(*pair, cov_v, (LOWER,)), t),
-        _row("horizontal-transport-p",
-             _horizontal_transport_momentum(*pair, cov_p, (LOWER,)), t),
-        _row("dynamic-curvature-relation",
-             _dynamic_curvature_relation(*pair).deviation, t),
-        _row("curvature-relation", _curvature_relation(*pair).deviation, t),
-    ]
+    s = [_Scalar(slot) for slot in zip(*draws)]
+    # one context pair for all six relations
+    vctx, pctx = _pair_at(sysdef, x, v)
+    return _per_point(x, [
+        ("vertical-transport-v",
+         _vertical_transport_velocity(vctx, pctx, s[0]), t),
+        ("vertical-transport-p",
+         _vertical_transport_momentum(vctx, pctx, s[1]), t),
+        ("horizontal-transport-v",
+         _horizontal_transport_velocity(vctx, pctx, s[2:2 + n], (LOWER,)), t),
+        ("horizontal-transport-p",
+         _horizontal_transport_momentum(vctx, pctx, s[2 + n:], (LOWER,)), t),
+        ("dynamic-curvature-relation",
+         _dynamic_curvature_relation(vctx, pctx).deviation, t),
+        ("curvature-relation", _curvature_relation(vctx, pctx).deviation, t),
+    ])
 
 
-def _cross_rows(sysdef, doc, pt, rng, tol):
-    out = cross_check_all(sysdef, pt, mutate=doc.options.get("mutate"))
-    return [_row(f"cross-{name}", out[name].deviation, tol["cross"])
-            for name in CROSS_FIELDS]
+def _cross_rows(sysdef, doc, x, v, draws, tol):
+    out = _cross_deviations(sysdef, x, v,
+                            mutation_flip(doc.options.get("mutate")))
+    return _per_point(x, [(f"cross-{name}", out[name][2], tol["cross"])
+                          for name in CROSS_FIELDS])
 
 
-def _normality_rows(sysdef, doc, pt, rng, tol):
-    return [_row(res.check_id, res.norm, res.tolerance, decisive=res.decisive)
-            for res in normality_residuals(sysdef, pt,
-                                           tolerance=tol["normality"])]
+def _normality_rows(sysdef, doc, x, v, draws, tol):
+    ctx = VContext(sysdef, x, v)
+    norms = residual_norms(velocity_bundle(ctx), ctx.batch)
+    return _per_point(x, [
+        (rid, norm, tol["normality"], {"decisive": _decisive(rid, sysdef.n)})
+        for rid, norm in norms.items()])
 
 
-def _gauge_rows(tensor, sysdef, doc, pt, rng, tol):
-    rows = []
-    for entry in _point_rows(sysdef, tensor, pt):
+def _gauge_rows(tensor, sysdef, doc, x, v, draws, tol):
+    columns = []
+    for entry in _gauge_deviations(sysdef, tensor, x, v):
         tolerance = tol["gauge"] if entry.kind == "rule" else tol["gauge-exact"]
         flags = {}
         if entry.requires:
@@ -229,11 +268,13 @@ def _gauge_rows(tensor, sysdef, doc, pt, rng, tol):
             # the listed equations hold, so it decides the check only
             # when non-finite (_summarize)
             flags = {"conditional": True, "requires": list(entry.requires)}
-        rows.append(_row(f"{entry.kind}-{entry.quantity}", entry.deviation,
-                         tolerance, **flags))
-    return rows
+        columns.append((f"{entry.kind}-{entry.quantity}", entry.deviation,
+                        tolerance, flags))
+    return _per_point(x, columns)
 
 
+# Each builder takes the points x, v, of shape (n,) or (N, n), and the
+# extra draws of each point (_DRAWS), and returns one row list a point.
 _BUILDERS = {
     "metric": _metric_rows,
     "transport": _transport_rows,
@@ -242,42 +283,80 @@ _BUILDERS = {
     "gauge": _gauge_rows,
 }
 
+_DRAWS = {"transport": _transport_draws}
+
+# The points of a check are evaluated this many at a time. It bounds
+# the memory of a large sweep and changes no result.
+CHUNK = 64
+
+
+def _evaluate(build, draw, points, rngs):
+    """(rows, resampled, x, v) of each point, in index order, from their
+    first draws `points` and their substreams. A batch that raises is
+    split in halves; a lone point resamples from its substream."""
+    if len(points) > 1:
+        try:
+            with np.errstate(all="ignore"):
+                out = build(np.array([p[0] for p in points]),
+                            np.array([p[1] for p in points]),
+                            [p[2] for p in points])
+        except NormalityLabError:
+            half = len(points) // 2
+            return (_evaluate(build, draw, points[:half], rngs[:half])
+                    + _evaluate(build, draw, points[half:], rngs[half:]))
+        return [(rows, 0, x, v) for rows, (x, v, _) in zip(out, points)]
+    (x, v, extra), = points
+    for attempt in range(RESAMPLE_LIMIT + 1):
+        if attempt:
+            x, v, extra = draw(rngs[0])
+        try:
+            # a row fails a non-finite residual, so numpy need not warn
+            with np.errstate(all="ignore"):
+                rows, = build(x, v, [extra])
+        except (DegeneratePoint, SingularMetric):
+            if attempt == RESAMPLE_LIMIT:
+                raise
+            continue
+        return [(rows, attempt, x, v)]
+
 
 def _sweep(check_id, cfg, sysdef, doc, tolerances):
     """Seeded point sweep. Each point gets its own substream keyed by
     (seed, check, index), so resampling one point cannot shift any
-    other point's draws."""
+    other point's draws. The first draws of CHUNK points are evaluated
+    as one batch, which gives each point the rows it gets alone; a
+    batch that raises is split down to lone points, which resample a
+    degenerate point or raise the first failing point's error."""
     builder = _BUILDERS[check_id]
     if check_id == "gauge":
         # validate the gauge tensor once for every point of the check
         builder = partial(builder, _gauge_tensor(sysdef, None))
+    extra = _DRAWS.get(check_id)
     check_index = CHECK_IDS.index(check_id)
     n = sysdef.n
     x_lo, x_hi = cfg.x_box
     f_lo, f_hi = cfg.fiber_box
+
+    def build(x, v, draws):
+        return builder(sysdef, doc, x, v, draws, tolerances)
+
+    def draw(rng):
+        x = rng.uniform(x_lo, x_hi, n)
+        v = rng.uniform(f_lo, f_hi, n)
+        return x, v, extra(rng, n) if extra else None
+
     rows, resampled = [], 0
-    for index in range(cfg.samples):
-        rng = np.random.default_rng([cfg.seed, check_index, index])
-        for attempt in range(RESAMPLE_LIMIT + 1):
-            x = rng.uniform(x_lo, x_hi, n)
-            v = rng.uniform(f_lo, f_hi, n)
-            try:
-                # a row fails a non-finite residual, so numpy need not warn
-                with np.errstate(all="ignore"):
-                    from_point = builder(sysdef, doc,
-                                         PhasePoint.velocity(x, v), rng,
-                                         tolerances)
-            except (DegeneratePoint, SingularMetric):
-                if attempt == RESAMPLE_LIMIT:
-                    raise
-                continue
-            break
-        point = {"rep": "v", "x": [float(c) for c in x],
-                 "fiber": [float(c) for c in v]}
-        for row in from_point:
-            row.update(check=check_id, index=index, point=point)
-        rows.extend(from_point)
-        resampled += attempt
+    for start in range(0, cfg.samples, CHUNK):
+        rngs = [np.random.default_rng([cfg.seed, check_index, index])
+                for index in range(start, min(start + CHUNK, cfg.samples))]
+        done = _evaluate(build, draw, [draw(rng) for rng in rngs], rngs)
+        for index, (from_point, attempts, x, v) in enumerate(done, start):
+            point = {"rep": "v", "x": [float(c) for c in x],
+                     "fiber": [float(c) for c in v]}
+            for row in from_point:
+                row.update(check=check_id, index=index, point=point)
+            rows.extend(from_point)
+            resampled += attempts
     return rows, resampled
 
 
@@ -372,8 +451,72 @@ def run_checks(cfg: RunConfig):
     return report, status
 
 
+class _Unsupported(Exception):
+    """A value _json leaves to the json module."""
+
+
+_STRING = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json(o, level, memo):
+    """The dict or list o as json.dumps(o, indent=2, sort_keys=True)
+    writes it at nesting level `level`, for str, int, float, bool and
+    None leaves with finite floats, in lists and in dicts with str keys;
+    anything else raises _Unsupported. A container that holds no dict,
+    such as the point dict that every row of a point shares, is written
+    once a level and kept in memo; larger texts are not kept."""
+    key = (id(o), level)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    kind = o.__class__
+    if kind is dict:
+        try:
+            items = [(_STRING(k) + ": ", o[k]) for k in sorted(o)]
+        except TypeError:       # a key that is not a str
+            raise _Unsupported from None
+    elif kind is list:
+        items = [("", item) for item in o]
+    else:
+        raise _Unsupported
+    parts, flat = [], True
+    for head, value in items:
+        leaf = value.__class__
+        if leaf is float:
+            if not math.isfinite(value):
+                raise _Unsupported
+            parts.append(head + float.__repr__(value))
+        elif leaf is str:
+            parts.append(head + _STRING(value))
+        elif leaf is bool or value is None:
+            parts.append(head + _LITERALS[value])
+        elif leaf is int:
+            parts.append(head + int.__repr__(value))
+        else:
+            parts.append(head + _json(value, level + 1, memo))
+            flat = flat and leaf is not dict and (id(value), level + 1) in memo
+    open_, close = "{}" if kind is dict else "[]"
+    if parts:
+        inner = "\n" + "  " * (level + 1)
+        text = (open_ + inner + ("," + inner).join(parts) + "\n"
+                + "  " * level + close)
+    else:
+        text = open_ + close
+    if flat:
+        memo[key] = text
+    return text
+
+
 def render_json(report) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    plus a newline, byte for byte; the json module itself writes (or
+    rejects) a report holding anything _json does not take."""
+    try:
+        return _json(report, 0, {}) + "\n"
+    except _Unsupported:
+        return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                + "\n")
 
 
 CSV_COLUMNS = ("check", "equation", "index", "rep", "x", "fiber", "t",

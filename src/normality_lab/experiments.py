@@ -27,11 +27,11 @@ from .errors import (DegeneratePoint, DegenerateSurface, DimensionError,
                      EvalError, IntegrationFailure, MissingGaugeTensor,
                      MixedRepresentationError, SingularMetric,
                      ValidationError)
-from .normality import RESIDUAL_IDS, residual_arrays, velocity_bundle
+from .normality import RESIDUAL_IDS, residual_norms, velocity_bundle
 from .phase import Rep
 from .expr import Expression
 from .system import (COND_LIMIT, ConstFunc, SystemDef, VContext, _check_gauge,
-                     _component_array, _conditions, _dense, _env, _fiber_jets,
+                     _component_array, _conditions, _env, _fiber_jets,
                      _newton, _values, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
@@ -106,11 +106,21 @@ def _point_rows(sysdef, tensor, pt):
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError(
             "gauge report evaluates at velocity points")
-    ctx = VContext(sysdef, pt.x, pt.fiber)
+    return _gauge_deviations(sysdef, tensor, pt.x, pt.fiber)
+
+
+def _gauge_deviations(sysdef, tensor, x, v):
+    """The gauge rows at velocity points x, v, (n,) or (N, n), in report
+    order; over a batch each row's deviation has one entry per point."""
+    ctx = VContext(sysdef, x, v)
+    batch = ctx.batch
     vb = velocity_bundle(ctx)
-    Tfield = FieldValue(ctx, _dense(tensor, ctx.env, ctx.m, "T", x=ctx.x,
-                                    v=ctx.v), (UPPER, LOWER, LOWER))
+    Tfield = FieldValue(ctx, ctx._dense(tensor, ctx.env, "T"),
+                        (UPPER, LOWER, LOWER))
     vb2 = velocity_bundle(ctx.gauged(Tfield.data))
+
+    def dev(a, b):
+        return relative_deviation(a, b, batch)
 
     v, Lv = ctx.v, ctx.L_dense.val
     W, P, A, B, alpha, D1 = vb.W, vb.P, vb.A, vb.B, vb.alpha, vb.D
@@ -119,39 +129,40 @@ def _point_rows(sysdef, tensor, pt):
     vertT = vertical_derivative(Tfield).values()    # [k,i,r,j] = dT^k_ir/dv^j
     gradT = horizontal_derivative(Tfield).values()  # [k,i,r,m] = grad_m T^k_ir
 
-    out = {"alpha": relative_deviation(alpha, vb2.alpha)}
-    out["U"] = relative_deviation(
-        vb2.U, vb.U + np.einsum("q,riq,r->i", W, Tvals, Lv))
-    out["D"] = relative_deviation(vb2.D, D1 - vertT.transpose(0, 2, 1, 3))
+    out = {"alpha": dev(alpha, vb2.alpha)}
+    out["U"] = dev(vb2.U, vb.U + np.einsum("...q,...riq,...r->...i",
+                                           W, Tvals, Lv))
+    out["D"] = dev(vb2.D, D1 - np.swapaxes(vertT, -3, -2))
     rule_r = (vb.R
-              + np.einsum("kjri->krij", gradT)
-              - np.einsum("kirj->krij", gradT)
-              - np.einsum("m,sjm,kirs->krij", v, Tvals, D1)
-              + np.einsum("m,sim,kjrs->krij", v, Tvals, D1)
-              + np.einsum("kim,mjr->krij", Tvals, Tvals)
-              - np.einsum("kjm,mir->krij", Tvals, Tvals)
-              + np.einsum("m,sjm,kirs->krij", v, Tvals, vertT)
-              - np.einsum("m,sim,kjrs->krij", v, Tvals, vertT))
-    out["R"] = relative_deviation(vb2.R, rule_r)
-    out["B"] = relative_deviation(
-        vb2.B, B + np.einsum("m,msq,qk,rk->rs", Lv, Tvals, P, A - A.T))
+              + np.einsum("...kjri->...krij", gradT)
+              - np.einsum("...kirj->...krij", gradT)
+              - np.einsum("...m,...sjm,...kirs->...krij", v, Tvals, D1)
+              + np.einsum("...m,...sim,...kjrs->...krij", v, Tvals, D1)
+              + np.einsum("...kim,...mjr->...krij", Tvals, Tvals)
+              - np.einsum("...kjm,...mir->...krij", Tvals, Tvals)
+              + np.einsum("...m,...sjm,...kirs->...krij", v, Tvals, vertT)
+              - np.einsum("...m,...sim,...kjrs->...krij", v, Tvals, vertT))
+    out["R"] = dev(vb2.R, rule_r)
+    out["B"] = dev(vb2.B, B + np.einsum("...m,...msq,...qk,...rk->...rs",
+                                        Lv, Tvals, P, A - np.swapaxes(A, -1, -2)))
     # the C rule pins down the skew part only; its symmetric remainder
     # is not reproduced here, so compare after antisymmetrizing
-    shift_c = (np.einsum("brq,b,qm,ms->rs", Tvals, Lv, P, B)
-               + np.einsum("brq,b,qm,ma,ca,esc,e->rs",
+    shift_c = (np.einsum("...brq,...b,...qm,...ms->...rs", Tvals, Lv, P, B)
+               + np.einsum("...brq,...b,...qm,...ma,...ca,...esc,...e->...rs",
                            Tvals, Lv, P, A, P, Tvals, Lv))
-    lhs_c = (vb2.C - vb.C) - (vb2.C - vb.C).T
-    out["C"] = relative_deviation(lhs_c, shift_c - shift_c.T)
-    out["beta"] = relative_deviation(
-        vb2.beta, vb.beta + np.einsum("ekq,e,q->k", Tvals, Lv, alpha))
-    out["eta"] = relative_deviation(
-        vb2.eta, vb.eta + np.einsum("ekq,e,qs,s->k", Tvals, Lv, P, alpha))
+    moved_c = vb2.C - vb.C
+    out["C"] = dev(moved_c - np.swapaxes(moved_c, -1, -2),
+                   shift_c - np.swapaxes(shift_c, -1, -2))
+    out["beta"] = dev(vb2.beta, vb.beta + np.einsum(
+        "...ekq,...e,...q->...k", Tvals, Lv, alpha))
+    out["eta"] = dev(vb2.eta, vb.eta + np.einsum(
+        "...ekq,...e,...qs,...s->...k", Tvals, Lv, P, alpha))
 
-    res1 = residual_arrays(vb)
-    res2 = residual_arrays(vb2)
+    res1 = residual_norms(vb, batch)
+    res2 = residual_norms(vb2, batch)
     for rid in RESIDUAL_IDS:
-        out[rid] = abs(float(np.max(np.abs(res1[rid])))
-                       - float(np.max(np.abs(res2[rid]))))
+        gap = np.abs(res1[rid] - res2[rid])
+        out[rid] = gap if batch else float(gap)
     rows = [GaugeRow(name, "invariant", out[name]) for name in INVARIANT_ROWS]
     rows += [GaugeRow(name, "rule", out[name]) for name in RULE_ROWS]
     rows += [GaugeRow(rid, "residual", out[rid], requires=RESIDUAL_NEEDS[rid])
@@ -279,13 +290,13 @@ def _axes(run: ShiftRun, m):
 
 
 def _front_geometry(run: ShiftRun, nodes):
-    """Positions and unit normal covectors, each (n, N), at nodes (N, m),
+    """Positions and unit normal covectors, each (N, n), at nodes (N, m),
     from one evaluation, SVD and determinant over all nodes. The tangent
     rows followed by the normal make a positively oriented frame."""
     count, m = nodes.shape
     env = {f"u{d + 1}": u for d, u in enumerate(jets.seeds(nodes.T, order=1))}
     frame = jets.stack([f.evaluate(env) for f in run.surface], m, (count,))
-    tangents = frame.grad.transpose(1, 2, 0)           # (N, m, n)
+    tangents = frame.grad.transpose(0, 2, 1)           # (N, m, n)
     _, sing, vt = np.linalg.svd(tangents)
     collapsed = sing[:, -1] < SURFACE_RANK_FLOOR
     if collapsed.any():
@@ -295,7 +306,7 @@ def _front_geometry(run: ShiftRun, nodes):
             f"(smallest singular value {sing[k, -1]:.3e})")
     normals = vt[:, -1]
     det = np.linalg.det(np.concatenate([tangents, normals[:, None]], axis=1))
-    return frame.val, np.where(det[:, None] < 0.0, -normals, normals).T
+    return frame.val, np.where(det[:, None] < 0.0, -normals, normals)
 
 
 def hypersurface_normal(run: ShiftRun, u) -> np.ndarray:
@@ -304,7 +315,7 @@ def hypersurface_normal(run: ShiftRun, u) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
     if len(u) != m:
         raise DimensionError(f"expected {m} surface parameters, got {len(u)}")
-    return _front_geometry(run, u[None])[1][:, 0]
+    return _front_geometry(run, u[None])[1][0]
 
 
 def _nu_values(run: ShiftRun, nodes, m):
@@ -314,7 +325,7 @@ def _nu_values(run: ShiftRun, nodes, m):
     nu = run.nu
     if isinstance(nu, Expression) and (nu.kinds, nu.dimension) == (("u",), m):
         nu = _values([nu], {f"u{d + 1}": u for d, u in enumerate(nodes.T)},
-                     (len(nodes),))[0]
+                     (len(nodes),))[:, 0]
     else:
         nu = _real(nu, "nu", f"a number or an expression in u1..u{m}")
     scale = np.full(len(nodes), nu, dtype=float)
@@ -378,18 +389,19 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     times = np.linspace(0.0, t_final, steps + 1)
     x0, normals = _front_geometry(run, nodes)
     points, covectors = (a.reshape(len(times), *map(len, axes), n) for a in _flow(
-        sysdef, x0, _nu_values(run, nodes, m) * normals, times, rtol, nodes))
+        sysdef, x0, _nu_values(run, nodes, m)[:, None] * normals, times, rtol,
+        nodes))
     return ShiftResult(times, points, covectors,
                        _collinearity(points, covectors, axes, wraps, times))
 
 
 def _flow(sysdef, x0, p0, times, rtol, nodes):
     """Positions and momenta (T, N, n) at the output times of the N
-    trajectories from x0, p0 (n, N), integrated as one ShiftRun front;
+    trajectories from x0, p0 (N, n), integrated as one ShiftRun front;
     nodes (N, m) name a failing node."""
     from scipy.integrate import solve_ivp     # only the shift needs scipy
 
-    n, count = x0.shape
+    count, n = x0.shape
     # the integrator would raise a smaller per-node rtol to 100 eps with
     # only a warning, loosening the run silently
     shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
@@ -398,7 +410,7 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
             f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
     with np.errstate(all="ignore"):     # Newton checks its steps, rhs v0
-        v0 = (_values(sysdef.v_inverse, _env(x0, p0, "p"), (count,))
+        v0 = (_values(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,))
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
 
     def at(t, x, v, k):
@@ -412,7 +424,7 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
         x, v = state.transpose(1, 2, 0)
         flow = np.empty((count, 2, n))
         flow[:, 0] = state[:, 1]
-        flow[:, 1] = _values(sysdef.force, _env(x, v, "v"), (count,)).T
+        flow[:, 1] = _values(sysdef.force, _env(x, v, "v"), (count,))
         if not (np.isfinite(y).all() and np.isfinite(flow).all()):
             k = int(np.argmin(np.isfinite(state).all(axis=(1, 2))
                               & np.isfinite(flow).all(axis=(1, 2))))
@@ -421,7 +433,7 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
         return flow.reshape(-1)
 
     sol = solve_ivp(rhs, (0.0, float(times[-1])),
-                    np.concatenate([x0, v0]).T.ravel(), method="DOP853",
+                    np.concatenate([x0, v0], axis=1).ravel(), method="DOP853",
                     rtol=rtol * shrink, atol=1e-12 * shrink, t_eval=times)
     if not sol.success:
         raise IntegrationFailure(
@@ -431,15 +443,15 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
     # (nodes, 2n, T) -> time-major (T * nodes) pairs, then the momenta
     # p = L(x, v) and the fiber Jacobian of every pair in one evaluation
     pairs = sol.y.reshape(count, 2 * n, len(times)).transpose(2, 0, 1)
-    x, v = pairs.reshape(-1, 2, n).transpose(1, 2, 0)
+    x, v = pairs.reshape(-1, 2, n).transpose(1, 0, 2)
     with np.errstate(all="ignore"):
         Lj = _fiber_jets(sysdef, x, v, wrt_x=False)
-    cond = np.where(np.isfinite(Lj.val).all(axis=0),
-                    _conditions(Lj.grad.transpose(1, 0, 2)), np.inf)
+    cond = np.where(np.isfinite(Lj.val).all(axis=1), _conditions(Lj.grad),
+                    np.inf)
     if not np.all(cond <= COND_LIMIT):
         j = int(np.argmax(~(cond <= COND_LIMIT)))
         raise SingularMetric("fiber Jacobian singular on the shift at " + at(
-            times[j // count], x[:, j], v[:, j], j % count))
-    momenta = Lj.val.T.reshape(len(times), count, n)
-    momenta[0] = p0.T                   # the seeded covectors, exactly
+            times[j // count], x[j], v[j], j % count))
+    momenta = Lj.val.reshape(len(times), count, n)
+    momenta[0] = p0                     # the seeded covectors, exactly
     return pairs[:, :, :n], momenta

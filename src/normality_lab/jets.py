@@ -15,14 +15,17 @@ lowest order of their Dense operands, so derivative data can never be
 read past the order at which it is valid. Numbers, and float arrays of
 shape S, are exact constants and demote nothing. Every domain check
 covers every entry, and a failing entry of a batch is named in the
-EvalError. Scalar values are plain floats and go through math.*.
+EvalError. Elementary functions and powers go through the numpy ufuncs
+for floats and arrays alike, so an entry of a batch gets the bits it
+gets alone.
 
-Above the evaluator, `stack` lays evaluated entries along a new leading
-axis, `einsum` contracts dense data by the product rule, `derivative`
-slices one order off (and raises MissingJets below order zero),
-`compose` applies the chain rule through a point map, and
+Above the evaluator, `stack` lays evaluated entries along a new axis
+after the batch axes, `einsum` contracts dense data by the product
+rule, `derivative` slices one order off (and raises MissingJets below
+order zero), `compose` applies the chain rule through a point map, and
 `invert_matrix` inverts a matrix with its first derivatives; `einsum`
-and `invert_matrix` are first order at most.
+and `invert_matrix` are first order at most. Each takes leading batch
+axes: a batch of points is the same data with one more leading axis.
 """
 
 import math
@@ -222,27 +225,36 @@ def seeds(values, order: int = 2):
 
 def stack(entries, m: int, batch=()) -> Dense:
     """Dense data over m variables of a sequence of entries, laid along
-    a new leading axis. Entries are Dense data of shape `batch`, and
-    numbers or float arrays of that shape, which are exact constants:
-    second order with zero derivatives. The order is the lowest over
-    the Dense entries."""
+    a new axis after the batch axes: val has shape batch + (len,).
+    Entries are Dense data of shape `batch`, and numbers or float arrays
+    of that shape, which are exact constants: second order with zero
+    derivatives. The order is the lowest over the Dense entries."""
     order = min((u.order for u in entries if u.__class__ is Dense), default=2)
     vals = [u.val if u.__class__ is Dense else u for u in entries]
-    if batch:       # constants broadcast over the batch on assignment
-        val = np.empty((len(vals),) + batch)
-        for k, v in enumerate(vals):
-            val[k] = v
-    else:
+    if not batch:
         val = np.array(vals, dtype=float)
-    grad = hess = None
-    if order >= 1:
-        zero = np.zeros(batch + (m,))
-        grad = np.array([u.grad if u.__class__ is Dense else zero
-                         for u in entries])
-    if order == 2:
-        zero = np.zeros(batch + (m, m))
-        hess = np.array([u.hess if u.__class__ is Dense else zero
-                         for u in entries])
+        grad = hess = None
+        if order >= 1:
+            zero = np.zeros(m)
+            grad = np.array([u.grad if u.__class__ is Dense else zero
+                             for u in entries])
+        if order == 2:
+            zero = np.zeros((m, m))
+            hess = np.array([u.hess if u.__class__ is Dense else zero
+                             for u in entries])
+        return Dense(order, val, grad, hess)
+    # constants broadcast over the batch on assignment
+    k = len(entries)
+    val = np.empty(batch + (k,))
+    grad = np.zeros(batch + (k, m)) if order >= 1 else None
+    hess = np.zeros(batch + (k, m, m)) if order == 2 else None
+    for i, u in enumerate(entries):
+        val[..., i] = vals[i]
+        if u.__class__ is Dense:
+            if grad is not None:
+                grad[..., i, :] = u.grad
+            if hess is not None:
+                hess[..., i, :, :] = u.hess
     return Dense(order, val, grad, hess)
 
 
@@ -262,7 +274,8 @@ def einsum(spec: str, *operands) -> Dense:
     derivatives by the product rule; first order at most, since no
     caller needs more. Float arrays are exact constants; the result has
     the lower of order one and the lowest order of the dense operands.
-    spec is explicit ("...->...") and uses lower-case index letters."""
+    spec is explicit ("...->...") and uses lower-case index letters; a
+    leading "..." carries batch axes."""
     inputs, output = spec.split("->")
     subs = inputs.split(",")
     vals = [a.val if isinstance(a, Dense) else a for a in operands]
@@ -284,25 +297,33 @@ def compose(h, transform):
     """Chain rule: push derivative data over inner variables through a
     point map.
 
-    `transform` is the map as dense data of shape (m_inner,) over the
-    outer variables, with Jacobian J and second derivatives T. h is
-    dense data over the inner variables, and the result is dense data
-    of the lower of the two orders:
-    grad = J^T g and hess = J^T H J + sum_a g_a T_a, batched over the
-    entries of h."""
+    `transform` is the map as dense data of shape batch + (m_inner,)
+    over the outer variables, with Jacobian J and second derivatives T.
+    h is dense data over the inner variables with the same batch axes,
+    and the result is dense data of the lower of the two orders:
+    grad = J^T g and hess = J^T H J + sum_a g_a T_a, for every entry of
+    h. Each point's entries go through one matrix product, alone or in
+    a batch."""
     order = min(h.order, transform.order)
-    _, _, J, T = transform
+    _, y, J, T = transform
     if order == 0:
         return Dense(0, h.val)
-    grad = h.grad @ J
+    batch, (k, m) = y.shape[:-1], J.shape[-2:]
+    shape = np.shape(h.val)
+    g = h.grad.reshape(batch + (-1, k))
+    grad = (g @ J).reshape(shape + (m,))
     if order == 1:
         return Dense(1, h.val, grad)
-    return Dense(2, h.val, grad, J.T @ h.hess @ J + np.tensordot(h.grad, T, axes=1))
+    J_ = J[..., None, :, :]
+    hess = (np.swapaxes(J_, -1, -2) @ h.hess.reshape(batch + (-1, k, k)) @ J_
+            + (g @ T.reshape(batch + (k, m * m))).reshape(batch + (-1, m, m)))
+    return Dense(2, h.val, grad, hess.reshape(shape + (m, m)))
 
 
 def invert_matrix(A):
-    """Inverse of a square matrix given as dense data of order one or
-    more, with its first derivatives d(A^-1) = -A^-1 dA A^-1; first
+    """Inverse of a square matrix (or a batch of them) given as dense
+    data of order one or more, with its first derivatives
+    d(A^-1) = -A^-1 dA A^-1; first
     order at most, since no caller needs more. Raises SingularMetric
     when the value part cannot be inverted."""
     _, val, grad, _ = A
@@ -312,98 +333,85 @@ def invert_matrix(A):
         raise SingularMetric("singular matrix while inverting metric") from exc
     if not np.all(np.isfinite(inv)):
         raise SingularMetric("non-finite inverse of the metric")
-    return Dense(1, inv, -np.einsum("ij,jkz,kl->ilz", inv, grad, inv))
+    return Dense(1, inv, -np.einsum("...ij,...jkz,...kl->...ilz", inv, grad, inv))
 
 
 # elementary functions, dispatching on float / float array / Dense.
-# Floats go through math.*, float arrays through numpy, after the
-# same finiteness and domain checks, so neither path returns inf or nan.
+# Floats and float arrays both go through the numpy ufuncs, after the
+# same finiteness and domain checks, so no path returns inf or nan.
 
 _EXP_MAX = math.log(sys.float_info.max)   # exp is finite up to here
 
 
 def _arg(u, what):
-    """(math or numpy, finite value) for a float, float array or Dense."""
+    """The finite value of a float, float array or Dense."""
     v = u.val if u.__class__ is Dense else u
-    if v.__class__ is np.ndarray:
-        _check(np.isfinite(v), v, f"{what} of non-finite value")
-        return np, v
-    v = float(v)
-    if not math.isfinite(v):
-        raise EvalError(f"{what} of non-finite value {v}")
-    return math, v
+    _finite(v, v, f"{what} of non-finite value")
+    return v
 
 
 def sin(u):
-    if u.__class__ is float and math.isfinite(u):
-        return math.sin(u)
-    lib, v = _arg(u, "sin")
+    v = _arg(u, "sin")
     if u.__class__ is Dense:
-        s, c = lib.sin(v), lib.cos(v)
+        s, c = np.sin(v), np.cos(v)
         return u._chain(s, c, -s)
-    return lib.sin(v)
+    return np.sin(v)
 
 
 def cos(u):
-    if u.__class__ is float and math.isfinite(u):
-        return math.cos(u)
-    lib, v = _arg(u, "cos")
+    v = _arg(u, "cos")
     if u.__class__ is Dense:
-        s, c = lib.sin(v), lib.cos(v)
+        s, c = np.sin(v), np.cos(v)
         return u._chain(c, -s, -c)
-    return lib.cos(v)
+    return np.cos(v)
 
 
 def exp(u):
-    if u.__class__ is float and u <= _EXP_MAX:     # also false for nan
-        return math.exp(u)
-    lib, v = _arg(u, "exp")
+    v = _arg(u, "exp")
     _check(v <= _EXP_MAX, v, "exp overflow at")
-    e = lib.exp(v)
+    e = np.exp(v)
     if u.__class__ is Dense:
         return u._chain(e, e, e)
     return e
 
 
 def ln(u):
-    if u.__class__ is float and 0.0 < u < math.inf:
-        return math.log(u)
-    lib, v = _arg(u, "ln")
+    v = _arg(u, "ln")
     _check(v > 0.0, v, "ln of non-positive value")
     if u.__class__ is Dense:
-        return u._chain(lib.log(v), 1.0 / v, -1.0 / (v * v))
-    return lib.log(v)
+        return u._chain(np.log(v), 1.0 / v, -1.0 / (v * v))
+    return np.log(v)
 
 
 def sqrt(u):
-    if u.__class__ is float and 0.0 <= u < math.inf:
-        return math.sqrt(u)
-    lib, v = _arg(u, "sqrt")
+    v = _arg(u, "sqrt")
     _check(v >= 0.0, v, "sqrt of negative value")
     if u.__class__ is Dense:
         _check(v != 0.0, v, "sqrt derivative is singular at")
-        s = lib.sqrt(v)
+        s = np.sqrt(v)
         return u._chain(s, 0.5 / s, -0.25 / (s * v))
-    return lib.sqrt(v)
+    return np.sqrt(v)
 
 
 def tanh(u):
-    if u.__class__ is float and math.isfinite(u):
-        return math.tanh(u)
-    lib, v = _arg(u, "tanh")
-    t = lib.tanh(v)
+    v = _arg(u, "tanh")
+    t = np.tanh(v)
     if u.__class__ is Dense:
         sech2 = 1.0 - t * t
         return u._chain(t, sech2, -2.0 * t * sech2)
     return t
 
 
-def _array_pow(base, e):
-    """base**e where base or e is a float array over a batch, under the
-    domain rules of _float_pow. A positive integer power needs only the
-    result check: it is finite exactly where the base is."""
+def _pow(base, e):
+    """base**e for a float or float array base and exponent. A power of
+    a non-finite or negative base, a non-integer power of a negative
+    base and a negative power of zero raise EvalError; a positive
+    integer power needs only the result check, as it is finite exactly
+    where the base is."""
     if e.__class__ is np.ndarray or not (e > 0.0 and float(e).is_integer()):
-        b, e_b = np.broadcast_arrays(base, e)
+        b, e_b = base, e
+        if np.ndarray in (base.__class__, e.__class__):
+            b, e_b = np.broadcast_arrays(base, e)
         _check(np.isfinite(b), b, "power of non-finite base")
         _check((b >= 0.0) | (e_b == np.floor(e_b)), b,
                "non-integer power of negative base")
@@ -411,22 +419,6 @@ def _array_pow(base, e):
     r = np.power(base, e)
     _check(np.isfinite(r), base if base.__class__ is np.ndarray else r,
            "non-finite power result for base")
-    return r
-
-
-def _float_pow(base: float, e: float) -> float:
-    if base < 0.0 and not float(e).is_integer():
-        raise EvalError(f"non-integer power {e} of negative base {base}")
-    # a nan or infinite result is caught below; an infinite base is not
-    # when the power is negative
-    if e < 0.0 and not 0.0 < abs(base) < math.inf:
-        raise EvalError(f"negative power {e} of base {base}")
-    try:
-        r = math.pow(base, e)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"power failure: {base}^{e}") from exc
-    if not math.isfinite(r):
-        raise EvalError(f"non-finite power result: {base}^{e}")
     return r
 
 
@@ -439,23 +431,20 @@ def power(u, e):
     if isinstance(e, _NUMBER):
         e = float(e)
         if isinstance(u, _CONST):
-            if u.__class__ is np.ndarray:
-                return _array_pow(u, e)
-            return _float_pow(float(u), e)
+            return _pow(u, e)
         if e == 0.0:
             return 1.0
         if e == 1.0:
             return u
         v = u.val
-        pow_ = _array_pow if v.__class__ is np.ndarray else _float_pow
-        f0 = pow_(v, e)
-        f1 = e * pow_(v, e - 1.0)
+        f0 = _pow(v, e)
+        f1 = e * _pow(v, e - 1.0)
         f2 = 0.0
         if u.order == 2:
-            f2 = e * (e - 1.0) * pow_(v, e - 2.0) if e != 2.0 else 2.0
+            f2 = e * (e - 1.0) * _pow(v, e - 2.0) if e != 2.0 else 2.0
         return u._chain(f0, f1, f2)
     if e.__class__ is np.ndarray and isinstance(u, _CONST):
-        return _array_pow(u, e)
+        return _pow(u, e)
     # exponent carries derivative structure
     return exp(e * ln(u))
 

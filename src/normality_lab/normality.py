@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .calculus import (LOWER, UPPER, FieldValue, curvature,
+from .calculus import (LOWER, UPPER, FieldValue, _image, curvature,
                        dynamic_curvature, horizontal_derivative,
-                       relative_deviation)
+                       relative_deviation, sup_norm)
 from .errors import (DegeneratePoint, DimensionError,
                      MixedRepresentationError, ValidationError)
 from .phase import PhasePoint, Rep
-from .system import PContext, SystemDef, VContext, legendre_forward
+from .system import PContext, SystemDef, VContext, _at
 
 OMEGA_FLOOR = 1e-12
 
@@ -43,7 +43,8 @@ MUTATIONS = {"flip-beta-term": 4}
 
 @dataclass(frozen=True)
 class NormalityBundle:
-    """All derived fields evaluated at one point, as float arrays."""
+    """All derived fields evaluated at one point, or at a batch of points
+    (the batch axis leading), as float arrays."""
 
     rep: Rep
     x: np.ndarray
@@ -81,20 +82,46 @@ class CrossCheck:
 
 
 def lambda_scalar(B: np.ndarray, P: np.ndarray, n: int = None) -> float:
-    """Trace factor of the projected shape tensor, tr(B P)/(n-1)."""
+    """Trace factor of the projected shape tensor, tr(B P)/(n-1), per
+    point of a batch."""
     if n is None:
-        n = P.shape[0]
+        n = P.shape[-1]
     if n < 2:
         raise DimensionError("the trace factor needs n >= 2")
-    return float(np.einsum("rs,sr", B, P)) / (n - 1)
+    return np.einsum("...rs,...sr->...", B, P) / (n - 1)
 
 
-def _guard_omega(omega: float, fiber_scale: float, where: str) -> float:
-    if abs(omega) < OMEGA_FLOOR * (1.0 + fiber_scale):
+def _guard_omega(omega, fiber_scale, where, batch=()):
+    """omega, unless it vanishes against the fiber scale at a point; a
+    batch names its first such point."""
+    small = np.abs(omega) < OMEGA_FLOOR * (1.0 + fiber_scale)
+    if np.any(small):
+        k = int(np.argmax(small)) if batch else None
         raise DegeneratePoint(
-            f"fiber norm {omega:.3e} vanishes at {where}; "
-            "normality fields are undefined here")
+            f"fiber norm {(omega if k is None else omega[k]):.3e} vanishes "
+            f"at {where(k)}; normality fields are undefined here")
     return omega
+
+
+def _dot(a, b):
+    """a . b over the last axis, per point."""
+    return np.einsum("...q,...q->...", a, b)
+
+
+def _lifted(s):
+    """A per-point scalar (or array over the batch) against the field
+    axes of a vector or matrix."""
+    return np.asarray(s)[..., None]
+
+
+def _projector(W, fiber, Om):
+    n = W.shape[-1]
+    return (np.eye(n) - W[..., :, None] * fiber[..., None, :]
+            / _lifted(_lifted(Om)))
+
+
+def _T(a):
+    return np.swapaxes(a, -1, -2)
 
 
 def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundle:
@@ -110,21 +137,22 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     gi = ctx.g_inv_values
     L = ctx.L_dense
     Lv = L.val
-    fiber = jets.stack(ctx.seeds[n:], ctx.m)
+    fiber = jets.stack(ctx.seeds[n:], ctx.m, ctx.batch)
 
     # dual vector of the fiber map, kept dense for its derivatives
-    Lup_d = jets.einsum("q,qi->i", L, ctx.g_inv_jets)
+    Lup_d = jets.einsum("...q,...qi->...i", L, ctx.g_inv_jets)
     W = Lup_d.val
 
-    Om = _guard_omega(float(Lv @ W), float(Lv @ Lv),
-                      f"x={ctx.x.tolist()}, v={v.tolist()}")
-    P = np.eye(n) - np.outer(W, Lv) / Om
+    Om = _guard_omega(_dot(Lv, W), _dot(Lv, Lv),
+                      lambda k: _at(k, x=ctx.x, v=v), ctx.batch)
+    P = _projector(W, Lv, Om)
 
     # force vector with its connection completion, then lowered; the
     # lowered vector is first order (g is), so Fup needs no more
     Fup_d = (ctx.phi.truncated(1)
-             + jets.einsum("ijk,j,k->i", ctx.gamma.truncated(1), fiber, fiber))
-    Flow_d = jets.einsum("qi,i->q", ctx.g_jets, Fup_d)
+             + jets.einsum("...ijk,...j,...k->...i", ctx.gamma.truncated(1),
+                           fiber, fiber))
+    Flow_d = jets.einsum("...qi,...i->...q", ctx.g_jets, Fup_d)
     Fup_v = Fup_d.val
     Flow = Flow_d.val
 
@@ -137,68 +165,69 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     gradLup = horizontal_derivative(FieldValue(ctx, Lup_d, (UPPER,))).values()
     gradF = horizontal_derivative(FieldValue(ctx, Flow_d, (LOWER,))).values()
 
-    U_d = (Flow_d + jets.einsum("q,iq->i", fiber, gradL_d)
-           - jets.einsum("q,qi->i", Lup_d, gradL_d))
+    U_d = (Flow_d + jets.einsum("...q,...iq->...i", fiber, gradL_d)
+           - jets.einsum("...q,...qi->...i", Lup_d, gradL_d))
     U = U_d.val
     gradU = horizontal_derivative(FieldValue(ctx, U_d, (LOWER,))).values()
 
     # plain fiber derivatives of the first-order pieces
-    tLup = Lup_d.grad[:, n:].T
-    tU = U_d.grad[:, n:].T
-    tF = Flow_d.grad[:, n:].T
+    tLup = _T(Lup_d.grad[..., n:])
+    tU = _T(U_d.grad[..., n:])
+    tF = _T(Flow_d.grad[..., n:])
     tgg = gradL_d.grad[..., n:]
 
     Dv = dynamic_curvature(ctx)
     Rv = curvature(ctx)
 
-    alpha = (np.einsum("rk,r->k", gi, U)
-             + np.einsum("r,kr->k", v, gradLup)
-             + np.einsum("q,qk->k", Fup_v, tLup)
-             + np.einsum("r,qk,s,rsq->k", W, gi, v, tgg)
-             + np.einsum("r,qk,qr->k", W, gi, tF)
-             + np.einsum("r,qk,rq->k", W, gi, gradL)
-             - np.einsum("mk,s,srqm,r,q->k", gi, Lv, Dv, W, v))
+    alpha = (np.einsum("...rk,...r->...k", gi, U)
+             + np.einsum("...r,...kr->...k", v, gradLup)
+             + np.einsum("...q,...qk->...k", Fup_v, tLup)
+             + np.einsum("...r,...qk,...s,...rsq->...k", W, gi, v, tgg)
+             + np.einsum("...r,...qk,...qr->...k", W, gi, tF)
+             + np.einsum("...r,...qk,...rq->...k", W, gi, gradL)
+             - np.einsum("...mk,...s,...srqm,...r,...q->...k", gi, Lv, Dv, W, v))
 
     beta_terms = [
-        np.einsum("r,kr->k", v, gradU),
-        np.einsum("q,qk->k", Fup_v, tU),
-        -np.einsum("qk,rq,s,rs->k", gradL, gi, v, gradL),
-        -np.einsum("qk,rq,r->k", gradL, gi, Flow),
-        np.einsum("r,rk->k", W, gradF),
-        np.einsum("r,m,rmk->k", W, v, gradgradL),
-        -np.einsum("r,qk,sq,sr->k", W, gradL, gi, tF),
-        -np.einsum("r,qk,sq,m,rms->k", W, gradL, gi, v, tgg),
-        -np.einsum("srmk,m,r,s->k", Rv, v, W, Lv),
-        np.einsum("aq,qk,smra,m,r,s->k", gi, gradL, Dv, v, W, Lv),
-        np.einsum("am,srka,m,r,s->k", gi, Dv, Flow, W, Lv),
+        np.einsum("...r,...kr->...k", v, gradU),
+        np.einsum("...q,...qk->...k", Fup_v, tU),
+        -np.einsum("...qk,...rq,...s,...rs->...k", gradL, gi, v, gradL),
+        -np.einsum("...qk,...rq,...r->...k", gradL, gi, Flow),
+        np.einsum("...r,...rk->...k", W, gradF),
+        np.einsum("...r,...m,...rmk->...k", W, v, gradgradL),
+        -np.einsum("...r,...qk,...sq,...sr->...k", W, gradL, gi, tF),
+        -np.einsum("...r,...qk,...sq,...m,...rms->...k", W, gradL, gi, v, tgg),
+        -np.einsum("...srmk,...m,...r,...s->...k", Rv, v, W, Lv),
+        np.einsum("...aq,...qk,...smra,...m,...r,...s->...k", gi, gradL, Dv, v, W, Lv),
+        np.einsum("...am,...srka,...m,...r,...s->...k", gi, Dv, Flow, W, Lv),
     ]
     if flip_beta_term is not None:
         beta_terms[flip_beta_term] = -beta_terms[flip_beta_term]
-    beta = np.sum(beta_terms, axis=0)
+    beta = sum(beta_terms[1:], beta_terms[0])
 
-    eta = beta - U * float(alpha @ Lv) / Om
+    eta = beta - U * _lifted(_dot(alpha, Lv)) / _lifted(Om)
 
-    A = np.einsum("qr,qs->rs", gi, tLup)
+    A = np.einsum("...qr,...qs->...rs", gi, tLup)
 
-    skew = np.einsum("qm,qr->rm", gi, tLup) - np.einsum("qr,qm->rm", gi, tLup)
-    B = (np.einsum("qr,qs->rs", gi, tU)
-         + np.einsum("qr,k,m,mksq->rs", gi, W, Lv, Dv)
+    skew = np.einsum("...qm,...qr->...rm", gi, tLup) - np.einsum("...qr,...qm->...rm", gi, tLup)
+    Om2 = _lifted(_lifted(Om))
+    B = (np.einsum("...qr,...qs->...rs", gi, tU)
+         + np.einsum("...qr,...k,...m,...mksq->...rs", gi, W, Lv, Dv)
          - gradLup
-         + np.einsum("ks,qk,qr->rs", gradL, gi, tLup)
-         + np.einsum("rm,s,m->rs", skew, U, Lv) / Om)
+         + np.einsum("...ks,...qk,...qr->...rs", gradL, gi, tLup)
+         + np.einsum("...rm,...s,...m->...rs", skew, U, Lv) / Om2)
 
-    C = (gradU.T
-         - np.einsum("qr,kq,ks->rs", gradL, gi, tU)
-         - np.einsum("s,mr,m->rs", U, gradLup, Lv) / Om
-         - np.einsum("r,qm,qs,m->rs", U, gi, tU, Lv) / Om
-         + np.einsum("s,kr,qk,qm,m->rs", U, gradL, gi, tLup, Lv) / Om
-         - np.einsum("aq,mksa,r,m,k,q->rs", gi, Dv, U, Lv, W, Lv) / Om
-         - 0.5 * np.einsum("qkrs,k,q->rs", Rv, W, Lv)
+    C = (_T(gradU)
+         - np.einsum("...qr,...kq,...ks->...rs", gradL, gi, tU)
+         - np.einsum("...s,...mr,...m->...rs", U, gradLup, Lv) / Om2
+         - np.einsum("...r,...qm,...qs,...m->...rs", U, gi, tU, Lv) / Om2
+         + np.einsum("...s,...kr,...qk,...qm,...m->...rs", U, gradL, gi, tLup, Lv) / Om2
+         - np.einsum("...aq,...mksa,...r,...m,...k,...q->...rs", gi, Dv, U, Lv, W, Lv) / Om2
+         - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rv, W, Lv)
          # the curvature transport correction splits over both index
          # slots with half weight each; a one-sided full-weight term
          # would shift the symmetric part and break route agreement
-         - 0.5 * np.einsum("mr,qksa,am,k,q->rs", gradL, Dv, gi, W, Lv)
-         + 0.5 * np.einsum("ms,qrka,am,k,q->rs", gradL, Dv, gi, W, Lv))
+         - 0.5 * np.einsum("...mr,...qksa,...am,...k,...q->...rs", gradL, Dv, gi, W, Lv)
+         + 0.5 * np.einsum("...ms,...qrka,...am,...k,...q->...rs", gradL, Dv, gi, W, Lv))
 
     return NormalityBundle(Rep.VELOCITY, ctx.x.copy(), v.copy(), W, Om, P, U,
                            alpha, beta, eta, A, B, C, lambda_scalar(B, P, n),
@@ -216,60 +245,62 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
     V = ctx.V
     Vv = V.val
     Qv = ctx.Q.val
-    fiber = jets.stack(ctx.seeds[n:], ctx.m)
+    fiber = jets.stack(ctx.seeds[n:], ctx.m, ctx.batch)
 
-    W_d = jets.einsum("s,si->i", fiber, jets.derivative(V, slice(n, None)))
+    W_d = jets.einsum("...s,...si->...i", fiber,
+                      jets.derivative(V, slice(n, None)))
     W = W_d.val
 
-    Om = _guard_omega(float(p @ W), float(p @ p),
-                      f"x={ctx.x.tolist()}, p={p.tolist()}")
-    P = np.eye(n) - np.outer(W, p) / Om
+    Om = _guard_omega(_dot(p, W), _dot(p, p),
+                      lambda k: _at(k, x=ctx.x, p=p), ctx.batch)
+    P = _projector(W, p, Om)
 
     gradV_field = horizontal_derivative(FieldValue(ctx, V, (UPPER,)))
     gradV = gradV_field.values()
 
-    U_d = ctx.Q + jets.einsum("si,s->i", gradV_field.data, fiber)
+    U_d = ctx.Q + jets.einsum("...si,...s->...i", gradV_field.data, fiber)
     U = U_d.val
 
     gradW = horizontal_derivative(FieldValue(ctx, W_d, (UPPER,))).values()
     gradQ = horizontal_derivative(FieldValue(ctx, ctx.Q, (LOWER,))).values()
     gradU = horizontal_derivative(FieldValue(ctx, U_d, (LOWER,))).values()
 
-    tV = V.grad[:, n:].T
-    tW = W_d.grad[:, n:].T
-    tQ = ctx.Q.grad[:, n:].T
-    tU = U_d.grad[:, n:].T
+    tV = _T(V.grad[..., n:])
+    tW = _T(W_d.grad[..., n:])
+    tQ = _T(ctx.Q.grad[..., n:])
+    tU = _T(U_d.grad[..., n:])
 
     Dp = dynamic_curvature(ctx)
     Rp = curvature(ctx)
 
-    alpha = (np.einsum("kr,r->k", tV, U)
-             + np.einsum("kr,r->k", gradW, Vv)
-             + np.einsum("rk,r->k", tW, Qv)
-             + np.einsum("r,kr->k", W, tQ)
-             - np.einsum("s,skrq,r,q->k", p, Dp, W, Vv))
+    alpha = (np.einsum("...kr,...r->...k", tV, U)
+             + np.einsum("...kr,...r->...k", gradW, Vv)
+             + np.einsum("...rk,...r->...k", tW, Qv)
+             + np.einsum("...r,...kr->...k", W, tQ)
+             - np.einsum("...s,...skrq,...r,...q->...k", p, Dp, W, Vv))
 
-    beta = (np.einsum("kr,r->k", gradU, Vv)
-            + np.einsum("rk,r->k", tU, Qv)
-            + np.einsum("rk,r->k", gradV, U)
-            + np.einsum("rk,r->k", gradQ, W)
-            - np.einsum("srmk,m,r,s->k", Rp, Vv, W, p)
-            + np.einsum("smrk,m,r,s->k", Dp, Qv, W, p))
+    beta = (np.einsum("...kr,...r->...k", gradU, Vv)
+            + np.einsum("...rk,...r->...k", tU, Qv)
+            + np.einsum("...rk,...r->...k", gradV, U)
+            + np.einsum("...rk,...r->...k", gradQ, W)
+            - np.einsum("...srmk,...m,...r,...s->...k", Rp, Vv, W, p)
+            + np.einsum("...smrk,...m,...r,...s->...k", Dp, Qv, W, p))
 
-    eta = beta - U * float(alpha @ p) / Om
+    eta = beta - U * _lifted(_dot(alpha, p)) / _lifted(Om)
 
     A = tW
 
+    Om2 = _lifted(_lifted(Om))
     B = (tU
-         + np.einsum("k,m,mrks->rs", W, p, Dp)
+         + np.einsum("...k,...m,...mrks->...rs", W, p, Dp)
          - gradW
-         + np.einsum("mr,s,m->rs", tW - tW.T, U, p) / Om)
+         + np.einsum("...mr,...s,...m->...rs", tW - _T(tW), U, p) / Om2)
 
-    C = (gradU.T
-         - np.einsum("r,ms,m->rs", U, tU, p) / Om
-         - np.einsum("s,mr,m->rs", U, gradW, p) / Om
-         - np.einsum("mqks,r,m,k,q->rs", Dp, U, p, W, p) / Om
-         - 0.5 * np.einsum("qkrs,k,q->rs", Rp, W, p))
+    C = (_T(gradU)
+         - np.einsum("...r,...ms,...m->...rs", U, tU, p) / Om2
+         - np.einsum("...s,...mr,...m->...rs", U, gradW, p) / Om2
+         - np.einsum("...mqks,...r,...m,...k,...q->...rs", Dp, U, p, W, p) / Om2
+         - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rp, W, p))
 
     return NormalityBundle(Rep.MOMENTUM, ctx.x.copy(), p.copy(), W, Om, P, U,
                            alpha, beta, eta, A, B, C, lambda_scalar(B, P, n),
@@ -287,12 +318,27 @@ def residual_arrays(bundle: NormalityBundle) -> dict:
     """The five normality equations as raw residual arrays."""
     P = bundle.P
     return {
-        "weak-alpha": np.einsum("r,kr->k", bundle.alpha, P),
-        "weak-eta": np.einsum("r,rk->k", bundle.eta, P),
-        "skew-A": np.einsum("rs,ir,js->ij", bundle.A - bundle.A.T, P, P),
-        "trace-B": np.einsum("ir,rs,sj->ij", P, bundle.B, P) - bundle.lam * P,
-        "skew-C": np.einsum("rs,ri,sj->ij", bundle.C - bundle.C.T, P, P),
+        "weak-alpha": np.einsum("...r,...kr->...k", bundle.alpha, P),
+        "weak-eta": np.einsum("...r,...rk->...k", bundle.eta, P),
+        "skew-A": np.einsum("...rs,...ir,...js->...ij",
+                            bundle.A - _T(bundle.A), P, P),
+        "trace-B": (np.einsum("...ir,...rs,...sj->...ij", P, bundle.B, P)
+                    - _lifted(_lifted(bundle.lam)) * P),
+        "skew-C": np.einsum("...rs,...ri,...sj->...ij",
+                            bundle.C - _T(bundle.C), P, P),
     }
+
+
+def residual_norms(bundle: NormalityBundle, batch=()) -> dict:
+    """The sup-norm of each normality residual, per point of a batch."""
+    return {check_id: sup_norm(arr, batch)
+            for check_id, arr in residual_arrays(bundle).items()}
+
+
+def _decisive(check_id, n):
+    # the three additional equations vanish identically for n = 2 (the
+    # projector has rank one)
+    return check_id.startswith("weak") or n >= 3
 
 
 def normality_residuals(sysdef: SystemDef, pt: PhasePoint,
@@ -302,14 +348,27 @@ def normality_residuals(sysdef: SystemDef, pt: PhasePoint,
     Returns one Residual per equation with its sup-norm. The three
     additional equations vanish identically for n = 2 (the projector
     has rank one), so they are flagged non-decisive there."""
-    bundle = bundle_at(sysdef, pt)
-    n = sysdef.n
     out = []
-    for check_id, arr in residual_arrays(bundle).items():
-        norm = float(np.max(np.abs(arr)))
-        decisive = check_id.startswith("weak") or n >= 3
+    for check_id, norm in residual_norms(bundle_at(sysdef, pt)).items():
+        norm = float(norm)
         out.append(Residual(check_id, norm, tolerance, norm <= tolerance,
-                            decisive))
+                            _decisive(check_id, sysdef.n)))
+    return out
+
+
+def _cross_deviations(sysdef: SystemDef, x, v, flip=None) -> dict:
+    """Both routes at velocity points x, v, (n,) or (N, n), and the
+    momentum image: {field: (velocity, momentum, deviation)}, the
+    deviation per point of a batch."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    vctx = VContext(sysdef, x, v)
+    vb = velocity_bundle(vctx, flip)
+    pb = momentum_bundle(PContext(sysdef, x, _image(sysdef, x, v)))
+    out = {}
+    for field in CROSS_FIELDS:
+        a = getattr(vb, field)
+        b = getattr(pb, field)
+        out[field] = (a, b, relative_deviation(a, b, vctx.batch))
     return out
 
 
@@ -323,18 +382,15 @@ def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError(
             "cross checks start from a velocity point")
-    flip = None
-    if mutate is not None:
-        if mutate not in MUTATIONS:
-            raise ValidationError(f"unknown mutation {mutate!r}")
-        flip = MUTATIONS[mutate]
-    vb = velocity_bundle(VContext(sysdef, pt.x, pt.fiber), flip)
-    image = legendre_forward(sysdef, pt)
-    pb = momentum_bundle(PContext(sysdef, image.x, image.fiber))
-    out = {}
-    for field in CROSS_FIELDS:
-        a = getattr(vb, field)
-        b = getattr(pb, field)
-        out[field] = CrossCheck(field, a, b, relative_deviation(a, b))
-    return out
+    return {field: CrossCheck(field, *parts) for field, parts in
+            _cross_deviations(sysdef, pt.x, pt.fiber,
+                              mutation_flip(mutate)).items()}
 
+
+def mutation_flip(mutate):
+    """The beta term a named entry of MUTATIONS flips, or None."""
+    if mutate is None:
+        return None
+    if mutate not in MUTATIONS:
+        raise ValidationError(f"unknown mutation {mutate!r}")
+    return MUTATIONS[mutate]

@@ -12,6 +12,11 @@ fiber map at a momentum point (closed form when given, Newton plus
 implicit differentiation otherwise), keeps an inner VContext at the
 preimage, and pushes its dense data through the inverse map by the
 chain rule.
+
+Both take one point, x and fiber of shape (n,), or a batch of N
+points, of shape (N, n). The batch axis then leads every field and its
+derivative data, and each component is evaluated once for the whole
+batch; every entry of a batch has the bits it has alone.
 """
 
 import copy
@@ -112,7 +117,8 @@ class SystemDef:
 
 def _env(x, fiber, kind):
     """Evaluation environment binding x1.. and <kind>1.. to the entries
-    of x and fiber: floats, Dense data, or float arrays over nodes."""
+    of x and fiber, sequences indexed by coordinate: floats, Dense data,
+    or float arrays over nodes (rows of a transposed (N, n) array)."""
     env = {}
     for i in range(len(x)):
         env[f"x{i + 1}"] = x[i]
@@ -121,13 +127,13 @@ def _env(x, fiber, kind):
 
 
 def _values(funcs, env, nodes=()):
-    """Float values of components, shape (len(funcs),) + nodes. numpy
-    warnings over float arrays are silenced, as floats raise none:
-    callers compare or check the values."""
-    out = np.empty((len(funcs),) + nodes)
+    """Float values of components, shape nodes + (len(funcs),). numpy
+    warnings over float arrays are silenced: callers compare or check
+    the values."""
+    out = np.empty(nodes + (len(funcs),))
     with np.errstate(all="ignore"):
         for i, f in enumerate(funcs):
-            out[i] = f.evaluate(env)
+            out[..., i] = f.evaluate(env)
     return out
 
 
@@ -161,9 +167,10 @@ def _evaluate(funcs, env):
         return [f.evaluate(env) for f in funcs]
 
 
-def _checked(dense, what, **point):
+def _checked(dense, what, batch=(), **point):
     """Return dense if its values and derivatives are all finite, else
-    raise EvalError naming the first bad component and the point."""
+    raise EvalError naming the first bad component and the point, or
+    the first bad point of a batch."""
     ok = np.isfinite(dense.val)
     if dense.grad is not None:
         ok = ok & np.isfinite(dense.grad).all(axis=-1)
@@ -171,25 +178,47 @@ def _checked(dense, what, **point):
         ok = ok & np.isfinite(dense.hess).all(axis=(-2, -1))
     if not ok.all():
         idx = np.unravel_index(np.argmin(ok), ok.shape)
+        k = idx[0] if batch else None
         raise EvalError(f"non-finite value or derivatives of "
-                        f"{_component_name(what, idx)} at {_at(None, **point)}")
+                        f"{_component_name(what, idx[len(batch):])} at "
+                        f"{_at(k, **point)}")
     return dense
 
 
-def _dense(components, env, m, what, **point):
+def _dense(components, env, m, what, batch=(), **point):
     """Checked dense data over m variables of components evaluated in
-    env; `what` and `point` name a failing component."""
+    env, of shape batch + the components' layout; `what` and `point`
+    name a failing component."""
     shape, funcs = _flat(components)
-    dense = jets.stack(_evaluate(funcs, env), m)
+    dense = jets.stack(_evaluate(funcs, env), m, batch)
     if len(shape) != 1:
-        dense = dense.reshape(shape)
-    return _checked(dense, what, **point)
+        dense = dense.reshape(batch + shape)
+    return _checked(dense, what, batch, **point)
+
+
+def _seeded(x, fiber):
+    """Second-order seeds over (x, fiber) at a point or a batch, and the
+    batch shape."""
+    return (jets.seeds(np.concatenate([x, fiber], axis=-1).T, order=2),
+            x.shape[:-1])
+
+
+def _singular(g):
+    """None when the matrix g, or every matrix of a batch, is finite and
+    conditioned within COND_LIMIT; else 0 for a lone matrix, or the
+    index of the worst conditioned matrix of the batch."""
+    if g.ndim == 2:
+        ok = np.all(np.isfinite(g)) and np.linalg.cond(g) <= COND_LIMIT
+        return None if ok else 0
+    cond = _conditions(g)
+    return None if np.all(cond <= COND_LIMIT) else int(np.argmax(cond))
 
 
 class VContext:
-    """Derivative data for one system at one velocity point, as dense
-    data over (x, v). The fiber map is also kept per component, as the
-    evaluator computes it, because it binds p in eval_momentum_native."""
+    """Derivative data for one system at one velocity point, or at a
+    batch of them, as dense data over (x, v). The fiber map is also
+    kept per component, as the evaluator computes it, because it binds
+    p in eval_momentum_native."""
 
     def __init__(self, sysdef: SystemDef, x, v):
         self.sys = sysdef
@@ -197,23 +226,26 @@ class VContext:
         self.x = np.asarray(x, dtype=float)
         self.v = np.asarray(v, dtype=float)
         self.m = 2 * self.n
-        self.seeds = jets.seeds(list(self.x) + list(self.v), order=2)
+        self.seeds, self.batch = _seeded(self.x, self.v)
         self.env = _env(self.seeds[:self.n], self.seeds[self.n:], "v")
 
     @property
     def point(self) -> PhasePoint:
         return PhasePoint.velocity(self.x, self.v)
 
+    def _dense(self, components, env, what=None):
+        return _dense(components, env, self.m, what, self.batch,
+                      x=self.x, v=self.v)
+
     def eval_native(self, components):
         """Dense data over (x, v) of velocity-native components: one, or
         nested sequences of them."""
-        return _dense(components, self.env, self.m, None, x=self.x, v=self.v)
+        return self._dense(components, self.env)
 
     def eval_momentum_native(self, components):
         """Dense data over (x, v) of momentum-native components composed
         with the fiber map, i.e. func(x, L(x, v))."""
-        env = _env(self.seeds[:self.n], self.L, "p")
-        return _dense(components, env, self.m, None, x=self.x, v=self.v)
+        return self._dense(components, _env(self.seeds[:self.n], self.L, "p"))
 
     @cached_property
     def L(self):
@@ -221,16 +253,16 @@ class VContext:
 
     @cached_property
     def L_dense(self):
-        return _checked(jets.stack(self.L, self.m), "L", x=self.x, v=self.v)
+        return _checked(jets.stack(self.L, self.m, self.batch), "L",
+                        self.batch, x=self.x, v=self.v)
 
     @cached_property
     def phi(self):
-        return _dense(self.sys.force, self.env, self.m, "Phi", x=self.x, v=self.v)
+        return self._dense(self.sys.force, self.env, "Phi")
 
     @cached_property
     def gamma(self):
-        return _dense(self.sys.connection, self.env, self.m, "Gamma",
-                      x=self.x, v=self.v)
+        return self._dense(self.sys.connection, self.env, "Gamma")
 
     def gauged(self, shift):
         """This point after a gauge change, which moves the connection
@@ -238,8 +270,8 @@ class VContext:
         evaluated here. Its `sys` names the ungauged system still."""
         other = copy.copy(self)
         with np.errstate(all="ignore"):     # _checked catches overflow
-            other.gamma = _checked(self.gamma + shift, "Gamma", x=self.x,
-                                   v=self.v)
+            other.gamma = _checked(self.gamma + shift, "Gamma", self.batch,
+                                   x=self.x, v=self.v)
         return other
 
     @cached_property
@@ -253,11 +285,12 @@ class VContext:
 
     @cached_property
     def g_inv_values(self) -> np.ndarray:
-        g = self.g_values
-        if not np.all(np.isfinite(g)) or np.linalg.cond(g) > COND_LIMIT:
+        k = _singular(self.g_values)
+        if k is not None:
             raise SingularMetric(
-                f"fiber Jacobian is singular at x={self.x.tolist()}, v={self.v.tolist()}")
-        return np.linalg.inv(g)
+                f"fiber Jacobian is singular at "
+                f"{_at(k if self.batch else None, x=self.x, v=self.v)}")
+        return np.linalg.inv(self.g_values)
 
     @cached_property
     def g_inv_jets(self):
@@ -267,22 +300,22 @@ class VContext:
 
 def _fiber_jets(sysdef: SystemDef, x, v, wrt_x=True):
     """First-order Dense data of the fiber map over (x, v), or over v
-    alone. x and v are (n,), or (n, N) over N nodes; the data then has
-    shape (n, N), the node axis leading its derivative axis."""
+    alone. x and v are (n,), or (N, n) over N nodes; the data then has
+    shape (N, n), the node axis leading."""
     n = sysdef.n
-    nodes = v.shape[1:]
+    nodes = v.shape[:-1]
     if wrt_x:
-        seeded = jets.seeds(np.concatenate([x, v]), order=1)
+        seeded = jets.seeds(np.concatenate([x, v], axis=-1).T, order=1)
         env = _env(seeded[:n], seeded[n:], "v")
     else:
-        env = _env(x if nodes else x.tolist(), jets.seeds(v, order=1), "v")
+        env = _env(x.T if nodes else x.tolist(), jets.seeds(v.T, order=1), "v")
     return jets.stack([f.evaluate(env) for f in sysdef.legendre],
                       2 * n if wrt_x else n, nodes)
 
 
 def _at(k, **arrays):
     """Where an error happened: the point, or node k of a batch."""
-    text = ", ".join(f"{name}={(a if k is None else a[:, k]).tolist()}"
+    text = ", ".join(f"{name}={(a if k is None else a[k]).tolist()}"
                      for name, a in arrays.items())
     return text if k is None else f"{text} (node {k})"
 
@@ -301,9 +334,10 @@ def _newton(sysdef: SystemDef, x, p):
     """Preimage v of the momentum p at x: Newton iteration for the
     inverse fiber map L(x, v) = p from the system's guess, or from p.
 
-    x and p are (n,), or (n, N) with a trailing node axis. Every node
+    x and p are (n,), or (N, n) with a leading node axis. Every node
     iterates until its own residual meets NEWTON_TOL, under its own
-    condition check; converged nodes are not updated any more."""
+    condition check; converged nodes are not updated any more. A node
+    takes the steps it takes alone."""
     n = sysdef.n
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -311,11 +345,11 @@ def _newton(sysdef: SystemDef, x, p):
                  else p, dtype=float)
     batched = p.ndim > 1
     if batched and v.ndim == 1:
-        v = np.repeat(v[:, None], p.shape[1], axis=1)
+        v = np.repeat(v[None], p.shape[0], axis=0)
     for iteration in range(NEWTON_MAX_ITER + 1):
         Lj = _fiber_jets(sysdef, x, v, wrt_x=False)
         residual = Lj.val - p
-        err = np.max(np.abs(residual), axis=0)
+        err = np.max(np.abs(residual), axis=-1)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
         if not (todo.any() if batched else todo):
             return v
@@ -328,28 +362,27 @@ def _newton(sysdef: SystemDef, x, p):
                 f"fiber map at {_at(k, x=x, p=p)}")
         if not batched:
             G = Lj.grad[:, -n:]
-            if not np.all(np.isfinite(G)) or np.linalg.cond(G) > COND_LIMIT:
+            if _singular(G) is not None:
                 raise SingularMetric(
                     f"fiber Jacobian singular during inversion at "
                     f"{_at(None, x=x, v=v)}")
             v = v + np.linalg.solve(G, -residual)
             continue
-        # node-major systems of the nodes still iterating
+        # the systems of the nodes still iterating
         nodes = np.flatnonzero(todo)
-        G = Lj.grad[:, nodes, -n:].transpose(1, 0, 2)
-        cond = _conditions(G)
-        if not np.all(cond <= COND_LIMIT):
-            k = int(nodes[np.argmax(cond)])
+        G = Lj.grad[nodes][:, :, -n:]
+        k = _singular(G)
+        if k is not None:
             raise SingularMetric(
                 f"fiber Jacobian singular during inversion at "
-                f"{_at(k, x=x, v=v)}")
-        step = np.linalg.solve(G, -residual.T[nodes][:, :, None])[:, :, 0]
-        v[:, nodes] += step.T
+                f"{_at(int(nodes[k]), x=x, v=v)}")
+        step = np.linalg.solve(G, -residual[nodes][:, :, None])[:, :, 0]
+        v[nodes] += step
 
 
 class PContext:
-    """Derivative data at a momentum point, built on the inverse fiber
-    map.
+    """Derivative data at a momentum point, or a batch of them, built on
+    the inverse fiber map.
 
     V is the dense data of the inverse components over (x, p). The
     inner VContext sits at the preimage, and its dense data is pushed
@@ -362,18 +395,21 @@ class PContext:
         self.x = np.asarray(x, dtype=float)
         self.p = np.asarray(p, dtype=float)
         self.m = 2 * n
-        self.seeds = jets.seeds(list(self.x) + list(self.p), order=2)
+        self.seeds, self.batch = _seeded(self.x, self.p)
         self.env = _env(self.seeds[:n], self.seeds[n:], "p")
 
         if sysdef.v_inverse is not None:
-            self.V = _dense(sysdef.v_inverse, self.env, self.m, "V",
-                            x=self.x, p=self.p)
+            self.V = self._dense(sysdef.v_inverse, "V")
             self.inner = VContext(sysdef, self.x, self.V.val)
         else:
             with np.errstate(all="ignore"):    # Newton checks its own steps
                 v_star = _newton(sysdef, self.x, p)
             self.inner = VContext(sysdef, self.x, v_star)
             self.V = self._implicit_jets()
+
+    def _dense(self, components, what=None):
+        return _dense(components, self.env, self.m, what, self.batch,
+                      x=self.x, p=self.p)
 
     def _implicit_jets(self):
         # differentiate L(x, V(x,p)) = p twice; second derivatives come
@@ -382,12 +418,14 @@ class PContext:
         inner = self.inner
         G_inv = inner.g_inv_values
         L = inner.L_dense
-        J_full = np.zeros((2 * n, 2 * n))
-        J_full[:n, :n] = np.eye(n)
-        J_full[n:, :n] = -G_inv @ L.grad[:, :n]
-        J_full[n:, n:] = G_inv
-        H = -np.einsum("sq,qab->sab", G_inv, J_full.T @ L.hess @ J_full)
-        return jets.Dense(2, inner.v.copy(), J_full[n:], H)
+        J_full = np.zeros(self.batch + (2 * n, 2 * n))
+        J_full[..., :n, :n] = np.eye(n)
+        J_full[..., n:, :n] = -G_inv @ L.grad[..., :n]
+        J_full[..., n:, n:] = G_inv
+        J_ = J_full[..., None, :, :]
+        H = -np.einsum("...sq,...qab->...sab", G_inv,
+                       np.swapaxes(J_, -1, -2) @ L.hess @ J_)
+        return jets.Dense(2, inner.v.copy(), J_full[..., n:, :], H)
 
     @property
     def point(self) -> PhasePoint:
@@ -395,14 +433,17 @@ class PContext:
 
     @cached_property
     def transform(self):
-        n, m = self.n, self.m
-        return jets.Dense(2, np.concatenate([self.x, self.V.val]),
-                          np.concatenate([np.eye(n, m), self.V.grad]),
-                          np.concatenate([np.zeros((n, m, m)), self.V.hess]))
+        n, m, batch = self.n, self.m, self.batch
+        return jets.Dense(
+            2, np.concatenate([self.x, self.V.val], axis=-1),
+            np.concatenate([np.broadcast_to(np.eye(n, m), batch + (n, m)),
+                            self.V.grad], axis=-2),
+            np.concatenate([np.zeros(batch + (n, m, m)), self.V.hess],
+                           axis=-3))
 
     def eval_native(self, components):
         """Dense data over (x, p) of momentum-native components."""
-        return _dense(components, self.env, self.m, None, x=self.x, p=self.p)
+        return self._dense(components)
 
     def eval_velocity_native(self, components):
         """Dense data over (x, p) of velocity-native components composed
@@ -421,10 +462,10 @@ class PContext:
         (x, p)."""
         n = self.n
         inner = self.inner
-        fiber = jets.stack(inner.seeds[n:], inner.m)
-        theta = (jets.einsum("is,s->i", jets.derivative(inner.L_dense, slice(n)),
-                             fiber)
-                 + jets.einsum("is,s->i",
+        fiber = jets.stack(inner.seeds[n:], inner.m, self.batch)
+        theta = (jets.einsum("...is,...s->...i",
+                             jets.derivative(inner.L_dense, slice(n)), fiber)
+                 + jets.einsum("...is,...s->...i",
                                jets.derivative(inner.L_dense, slice(n, None)),
                                inner.phi))
         return jets.compose(theta, self.transform)
@@ -433,9 +474,10 @@ class PContext:
     def Q(self):
         """Full force covector: theta minus the connection correction,
         first order like theta."""
-        fiber = jets.stack(self.seeds[self.n:], self.m)
-        return self.theta - jets.einsum("kij,j,k->i", self.gamma_p.truncated(1),
-                                        self.V, fiber)
+        fiber = jets.stack(self.seeds[self.n:], self.m, self.batch)
+        return self.theta - jets.einsum("...kij,...j,...k->...i",
+                                        self.gamma_p.truncated(1), self.V,
+                                        fiber)
 
 
 @dataclass(frozen=True)
@@ -515,14 +557,14 @@ def _check_symmetric(tensor, what, error, x, v):
     gap fails. The message names the first failing sample and its
     largest gap, a non-finite one first."""
     vals = _values(tensor.ravel(), _env(x, v, "v"), (8,)).reshape(
-        tensor.shape + (8,))
+        (8,) + tensor.shape)
     with np.errstate(all="ignore"):
-        gap = np.abs(vals - vals.transpose(0, 2, 1, 3))
-    bad = ~(gap.max(axis=(0, 1, 2)) <= 1e-10)
+        gap = np.abs(vals - vals.transpose(0, 1, 3, 2))
+    bad = ~(gap.max(axis=(1, 2, 3)) <= 1e-10)
     if bad.any():
         s = int(np.argmax(bad))
-        k, i, j = np.unravel_index(np.argmax(gap[..., s]), tensor.shape)
-        a, b = vals[k, i, j, s], vals[k, j, i, s]
+        k, i, j = np.unravel_index(np.argmax(gap[s]), tensor.shape)
+        a, b = vals[s, k, i, j], vals[s, k, j, i]
         if np.isfinite(a) and np.isfinite(b):
             raise error(f"{what} is asymmetric in its lower pair at "
                         f"[{k}][{i}][{j}]: {a} vs {b}")
@@ -561,19 +603,19 @@ def validate_system(sysdef: SystemDef):
     else:
         x, p = _samples(rng, n, 2)
     at_zero = _values(sysdef.legendre, _env(x, np.zeros_like(x), "v"), (8,))
-    bad = np.max(np.abs(at_zero), axis=0) > 1e-9
+    bad = np.max(np.abs(at_zero), axis=1) > 1e-9
     if sysdef.v_inverse is not None:
         v_closed = _values(sysdef.v_inverse, _env(x, p, "p"), (8,))
-        back = _values(sysdef.legendre, _env(x, v_closed, "v"), (8,))
-        residual = np.max(np.abs(back - p), axis=0)
+        back = _values(sysdef.legendre, _env(x, v_closed.T, "v"), (8,))
+        residual = np.max(np.abs(back - p.T), axis=1)
         bad |= residual > 1e-8
     if not bad.any():
         return
     s = int(np.argmax(bad))
-    if np.max(np.abs(at_zero[:, s])) > 1e-9:
+    if np.max(np.abs(at_zero[s])) > 1e-9:
         raise ValidationError(
             f"fiber map does not send v=0 to p=0 at x={x[:, s].tolist()}: "
-            f"{at_zero[:, s].tolist()}")
+            f"{at_zero[s].tolist()}")
     raise ValidationError(
         f"closed-form inverse disagrees with the fiber map at "
         f"x={x[:, s].tolist()}, p={p[:, s].tolist()} (residual {residual[s]:.2e})")

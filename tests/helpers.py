@@ -272,11 +272,11 @@ def shift_per_node(sysdef, run):
         return np.concatenate([v, theta])
 
     x0, normals = experiments._front_geometry(run, nodes)
-    p0 = experiments._nu_values(run, nodes, m) * normals
+    p0 = experiments._nu_values(run, nodes, m)[:, None] * normals
     paths = []
     for k in range(len(nodes)):
         sol = solve_ivp(rhs, (0.0, float(run.t_final)),
-                        np.concatenate([x0[:, k], p0[:, k]]), method="RK45",
+                        np.concatenate([x0[k], p0[k]]), method="RK45",
                         rtol=run.rtol, atol=1e-12, t_eval=times)
         assert sol.success, sol.message
         paths.append(sol.y.T)                       # (T+1, 2n)
@@ -339,3 +339,30 @@ def collinearity_at(x_grid, p_grid, axes, wraps):
         pairing = np.abs(np.sum(p_part * tau, axis=-1)) / (p_norm * tau_norm)
         worst = max(worst, float(np.max(pairing)))
     return worst
+
+
+def random_scalar(rng, n, kind):
+    """The random scalar of the transport check as an expression tree,
+    drawn by cli._scalar_draw (scalar_tree)."""
+    from normality_lab import cli
+    return scalar_tree(cli._scalar_draw(rng, n, kind), n)
+
+
+def scalar_tree(draw, n):
+    """c0 + c1*x{a}*{kind}{b} + c2*{kind}{a}^2 + c3*sin(x{b}) for a draw
+    (kind, a, b, c) of cli._scalar_draw: the tree expr.parse gives for
+    that source, built without parsing. The check evaluates the same
+    draw as a cli._Scalar."""
+    from normality_lab import expr
+    kind, a, b, c = draw
+    c = [expr.Unary(expr.Num(-w)) if math.copysign(1.0, w) < 0.0
+         else expr.Num(w) for w in c]
+    x_a, x_b = expr.Var("x", a), expr.Var("x", b)
+    f_a, f_b = expr.Var(kind, a), expr.Var(kind, b)
+    terms = (expr.Binary("*", expr.Binary("*", c[1], x_a), f_b),
+             expr.Binary("*", c[2], expr.Binary("^", f_a, expr.Num(2.0))),
+             expr.Binary("*", c[3], expr.Call("sin", x_b)))
+    root = c[0]
+    for term in terms:
+        root = expr.Binary("+", root, term)
+    return expr.Expression(root, n, ("x", "v", "p"), kind)

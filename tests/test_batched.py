@@ -148,7 +148,7 @@ def test_batch_with_one_bad_entry_raises():
 
 def _momenta(sysdef, x, v):
     return np.stack([legendre_forward(sysdef, PhasePoint.velocity(
-        x[:, k], v[:, k])).fiber for k in range(x.shape[1])], axis=1)
+        x[k], v[k])).fiber for k in range(x.shape[0])])
 
 
 @pytest.mark.parametrize("make", [helpers.sys_cubic, helpers.sys_lagrangian,
@@ -157,32 +157,32 @@ def test_batched_newton_agrees_with_scalar_solves(make):
     sysdef = make()
     n, nodes = sysdef.n, 9
     rng = np.random.default_rng(33)
-    x = rng.uniform(-1.0, 1.0, (n, nodes))
-    v = rng.uniform(0.5, 1.5, (n, nodes))
-    v[:, 0] = 1e-3        # near the default guess p: converges first
+    x = rng.uniform(-1.0, 1.0, (n, nodes)).T      # (nodes, n)
+    v = rng.uniform(0.5, 1.5, (n, nodes)).T
+    v[0] = 1e-3           # near the default guess p: converges first
     p = _momenta(sysdef, x, v)
     batched = _newton(sysdef, x, p)
-    assert batched.shape == (n, nodes)
+    assert batched.shape == (nodes, n)
     residual = np.abs(_momenta(sysdef, x, batched) - p)
     assert np.max(residual) <= NEWTON_TOL
     for k in range(nodes):
-        alone = _newton(sysdef, x[:, k], p[:, k])
-        assert np.max(np.abs(batched[:, k] - alone)) < 1e-12
+        alone = _newton(sysdef, x[k], p[k])
+        assert np.max(np.abs(batched[k] - alone)) < 1e-12
 
 
 def test_batched_newton_names_the_failing_node():
     # node 1 sits on the classic two-cycle of v^3 - 2v from guess 0
     L = [expr.parse("v1^3 - 2*v1", 1, kinds=("x", "v"))]
     cycling = SystemDef(1, L, newton_guess=[0.0])
-    x = np.array([[0.3, 0.7, -0.1]])
-    p = np.array([[4.0, -2.0, 5.0]])
+    x = np.array([[0.3], [0.7], [-0.1]])
+    p = np.array([[4.0], [-2.0], [5.0]])
     with pytest.raises(NonConvergence, match=r"x=\[0\.7\], p=\[-2\.0\] \(node 1\)"):
         _newton(cycling, x, p)
 
     degenerate = SystemDef(2, helpers.parse_all(
         ["v1 + v2*x1", "v1*x2 + v2"], 2))
-    x = np.array([[0.5, 1.0, 0.2], [0.3, 1.0, 0.4]])    # node 1: x1*x2 = 1
-    p = np.ones((2, 3))
+    x = np.array([[0.5, 0.3], [1.0, 1.0], [0.2, 0.4]])  # node 1: x1*x2 = 1
+    p = np.ones((3, 2))
     with pytest.raises(SingularMetric, match=r"x=\[1\.0, 1\.0\].*\(node 1\)"):
         _newton(degenerate, x, p)
 
@@ -261,7 +261,7 @@ def test_shift_inverts_the_fiber_map_once_per_front(monkeypatch, closed,
     shift_integrate(helpers.sys_linear_mode_a(closed), run)
     assert len(calls) == solves
     for _, x, p in calls:
-        assert x.shape == p.shape == (2, 8)     # the whole front at once
+        assert x.shape == p.shape == (8, 2)     # the whole front at once
 
 
 def _sphere_run(**overrides):
@@ -353,8 +353,8 @@ def test_front_geometry_matches_per_node_reference(run):
         normal = helpers.normal_of(tangents)
         nu = (run.nu.evaluate({f"u{d + 1}": float(u[d]) for d in range(m)})
               if isinstance(run.nu, expr.Expression) else run.nu)
-        assert np.array_equal(x0[:, k], position)
-        assert np.array_equal(normals[:, k], normal)
+        assert np.array_equal(x0[k], position)
+        assert np.array_equal(normals[k], normal)
         assert np.array_equal(experiments.hypersurface_normal(run, u), normal)
         assert scale[k] == float(nu)
 
@@ -436,9 +436,9 @@ def test_one_node_front_integrates_as_the_node_alone(make, run):
     n = sysdef.n
     nodes, times, _, _ = _grid(run)
     x0, normals = experiments._front_geometry(run, nodes)
-    p0 = experiments._nu_values(run, nodes, nodes.shape[1]) * normals
+    p0 = experiments._nu_values(run, nodes, nodes.shape[1])[:, None] * normals
     k = 3
-    x, p = experiments._flow(sysdef, x0[:, [k]], p0[:, [k]], times, run.rtol,
+    x, p = experiments._flow(sysdef, x0[[k]], p0[[k]], times, run.rtol,
                              nodes[[k]])
 
     # the node alone, in (x, v), under the unscaled tolerances
@@ -448,8 +448,8 @@ def test_one_node_front_integrates_as_the_node_alone(make, run):
                for f in sysdef.force]
         return np.concatenate([y[n:], phi])
 
-    v0 = _newton(sysdef, x0[:, k], p0[:, k])
-    alone = solve_ivp(rhs, (0.0, run.t_final), np.concatenate([x0[:, k], v0]),
+    v0 = _newton(sysdef, x0[k], p0[k])
+    alone = solve_ivp(rhs, (0.0, run.t_final), np.concatenate([x0[k], v0]),
                       method="DOP853", rtol=run.rtol, atol=1e-12, t_eval=times)
     assert np.max(np.abs(x[:, 0] - alone.y[:n].T)) < 1e-12
     # and the momentum-form RK45 oracle, under its bound
@@ -465,12 +465,12 @@ def test_front_of_copies_gives_equal_paths(copies):
     # the accepted steps are the same for every copy; the interpolation
     # at the output times may round copies a few ulps apart
     sysdef = helpers.sys_cubic()
-    x0 = np.repeat([[1.1], [0.2]], copies, axis=1)
-    p0 = np.repeat([[-1.0], [0.1]], copies, axis=1)
+    x0 = np.repeat([[1.1, 0.2]], copies, axis=0)
+    p0 = np.repeat([[-1.0, 0.1]], copies, axis=0)
     times = np.linspace(0.0, 0.5, 6)
     x, p = experiments._flow(sysdef, x0, p0, times, 1e-10,
                              np.zeros((copies, 1)))
-    one_x, one_p = experiments._flow(sysdef, x0[:, :1], p0[:, :1], times,
+    one_x, one_p = experiments._flow(sysdef, x0[:1], p0[:1], times,
                                      1e-10, np.zeros((1, 1)))
     assert np.max(np.abs(x - x[:, :1])) < 1e-15
     assert np.max(np.abs(p - p[:, :1])) < 1e-15

@@ -327,10 +327,10 @@ def test_one_pair_gives_the_bits_of_separate_pairs(name):
     for _ in range(4):
         x, v = helpers.random_box_point(rng, n)
         pt = PhasePoint.velocity(x, v)
-        scalar_v = cli._random_scalar(rng, n, "v")
-        scalar_p = cli._random_scalar(rng, n, "p")
-        cov_v = [cli._random_scalar(rng, n, "v") for _ in range(n)]
-        cov_p = [cli._random_scalar(rng, n, "p") for _ in range(n)]
+        scalar_v = helpers.random_scalar(rng, n, "v")
+        scalar_p = helpers.random_scalar(rng, n, "p")
+        cov_v = [helpers.random_scalar(rng, n, "v") for _ in range(n)]
+        cov_p = [helpers.random_scalar(rng, n, "p") for _ in range(n)]
 
         pair = calculus._paired_contexts(sysdef, pt)
         before = _cached_arrays(*pair)

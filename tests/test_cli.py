@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from normality_lab import calculus, cli, expr, system
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
@@ -493,14 +494,18 @@ def test_numpy_integer_samples_and_seed_render_like_plain_ints():
 
 def test_degenerate_points_are_resampled(monkeypatch):
     real = cli._BUILDERS["metric"]
-    calls = iter(range(10 ** 6))
+    first = set()
 
-    def flaky(sysdef, doc, pt, rng, tol):
-        # serial sweep: odd calls are the retries, so every index
-        # degenerates exactly once and then succeeds
-        if next(calls) % 2 == 0:
+    def flaky(sysdef, doc, x, v, draws, tol):
+        # every first draw degenerates, so the batch splits down to lone
+        # points, and each point degenerates exactly once and then
+        # succeeds on its next draw
+        if x.ndim > 1:
+            first.update(p.tobytes() for p in x)
             raise DegeneratePoint("synthetic")
-        return real(sysdef, doc, pt, rng, tol)
+        if x.tobytes() in first:
+            raise DegeneratePoint("synthetic")
+        return real(sysdef, doc, x, v, draws, tol)
 
     monkeypatch.setitem(cli._BUILDERS, "metric", flaky)
     report, status = run_checks(RunConfig(fixture("identity2"),
@@ -513,7 +518,7 @@ def test_degenerate_points_are_resampled(monkeypatch):
 
 
 def test_resample_budget_exhaustion_is_structured(monkeypatch):
-    def hopeless(sysdef, doc, pt, rng, tol):
+    def hopeless(sysdef, doc, x, v, draws, tol):
         raise DegeneratePoint("synthetic")
 
     monkeypatch.setitem(cli._BUILDERS, "metric", hopeless)
@@ -642,7 +647,7 @@ def test_csv_shape():
 
 def _parsed_scalar(rng, n, kind):
     """The transport draw as source text, parsed: the reference that
-    cli._random_scalar builds without the parser."""
+    helpers.random_scalar builds without the parser."""
     a, b = (int(i) + 1 for i in rng.integers(0, n, size=2))
     c = [f"({w:.6f})" for w in rng.uniform(-1.0, 1.0, size=4)]
     source = (f"{c[0]} + {c[1]}*x{a}*{kind}{b} + {c[2]}*{kind}{a}^2"
@@ -662,7 +667,7 @@ def test_random_scalars_are_the_parsed_sources():
         parsed_rng = np.random.default_rng(seed)
         for n in (2, 3, 4, 5):
             for kind in ("v", "p"):
-                _assert_same_draw(cli._random_scalar(built_rng, n, kind),
+                _assert_same_draw(helpers.random_scalar(built_rng, n, kind),
                                   _parsed_scalar(parsed_rng, n, kind), kind)
                 assert (built_rng.bit_generator.state
                         == parsed_rng.bit_generator.state)
@@ -678,7 +683,7 @@ def test_random_scalar_keeps_the_sign_of_a_negative_zero():
         def uniform(self, low, high, size):
             return np.array([-1e-7, 0.25, -0.5, 4e-7])
 
-    built = cli._random_scalar(Fixed(), 2, "p")
+    built = helpers.random_scalar(Fixed(), 2, "p")
     _assert_same_draw(built, _parsed_scalar(Fixed(), 2, "p"), "p")
     assert built.root.left.left.left == expr.Unary(expr.Num(0.0))
 
@@ -687,28 +692,33 @@ def test_transport_resample_draws_the_next_point_after_the_scalars(monkeypatch):
     """A singular metric found while building the transport contexts
     resamples the point from where the draws of its random scalars
     left the point's substream."""
+    seed, n = 5, 2
+    check_index = cli.CHECK_IDS.index("transport")
+    replay = np.random.default_rng([seed, check_index, 1])
+    first_x = replay.uniform(-1.0, 1.0, n)
     calls = []
 
-    class SingularOnce(calculus.PContext):
-        def __init__(self, *args):
-            calls.append(args)
-            if len(calls) == 2:       # the first attempt at point 1
-                raise SingularMetric("synthetic")
-            super().__init__(*args)
+    class SingularAtFirstDraw(calculus.PContext):
+        """Singular wherever point 1's first draw is, alone or in a
+        batch."""
 
-    monkeypatch.setattr(calculus, "PContext", SingularOnce)
-    seed, n = 5, 2
+        def __init__(self, sysdef, x, p):
+            calls.append(np.shape(x))
+            if any(np.array_equal(row, first_x) for row in np.atleast_2d(x)):
+                raise SingularMetric("synthetic")
+            super().__init__(sysdef, x, p)
+
+    monkeypatch.setattr(calculus, "PContext", SingularAtFirstDraw)
     report, status = run_checks(RunConfig(fixture("cubic"),
                                           checks=("transport",),
                                           samples=2, seed=seed))
     assert status == 0
-    assert len(calls) == 3
+    # the batch of both points, then point 0 alone, then point 1 alone,
+    # once at its first draw and once at its second
+    assert calls == [(2, n), (n,), (n,), (n,)]
     record = report["checks"][0]
     assert record["summary"]["resampled"] == 1
 
-    check_index = cli.CHECK_IDS.index("transport")
-    replay = np.random.default_rng([seed, check_index, 1])
-    replay.uniform(-1.0, 1.0, n)
     replay.uniform(0.5, 1.5, n)
     for _ in range(2 + 2 * n):
         replay.integers(0, n, size=2)

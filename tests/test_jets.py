@@ -145,14 +145,14 @@ def test_stack_orders_and_constants():
     assert order == 0 and grad is None and hess is None
     assert val[1, 1] == arr[1, 1].val
 
-    # entries over a batch lead their derivative axes; constants are
-    # broadcast over the batch
+    # the batch axis leads the stacked entries and their derivative
+    # axes; constants are broadcast over the batch
     a, b = jets.seeds([[0.5, 1.0, 2.0], [1.5, -1.0, 0.2]], order=1)
     order, val, grad, hess = jets.stack([a * b, 3.0, np.ones(3), b], 2, (3,))
     assert order == 1 and hess is None
-    assert val.shape == (4, 3) and grad.shape == (4, 3, 2)
-    assert np.array_equal(val[1], [3.0] * 3) and not grad[1:3].any()
-    assert np.array_equal(grad[3], np.tile([0.0, 1.0], (3, 1)))
+    assert val.shape == (3, 4) and grad.shape == (3, 4, 2)
+    assert np.array_equal(val[:, 1], [3.0] * 3) and not grad[:, 1:3].any()
+    assert np.array_equal(grad[:, 3], np.tile([0.0, 1.0], (3, 1)))
 
 
 def test_einsum_follows_the_product_rule():

@@ -101,10 +101,10 @@ def test_transport_relations_hold(case, seed):
     # the transport check's own rows: its random scalars, one context
     # pair, the four transport identities and two curvature relations
     sysdef, pt = case
+    draws = cli._transport_draws(np.random.default_rng(seed), sysdef.n)
     try:
-        rows = cli._transport_rows(sysdef, None, pt,
-                                   np.random.default_rng(seed),
-                                   cli.DEFAULT_TOLERANCES)
+        rows, = cli._transport_rows(sysdef, None, pt.x, pt.fiber, [draws],
+                                    cli.DEFAULT_TOLERANCES)
     except SKIPPED:
         assume(False)
     assert len(rows) == 6

@@ -36,7 +36,7 @@ import numpy as np
 from . import jets
 from .errors import DimensionError, MissingJets, MixedRepresentationError
 from .phase import PhasePoint, Rep
-from .system import PContext, SystemDef, VContext, _env, _values
+from .system import PContext, SystemDef, VContext, _image, sup_norm
 
 UPPER = "u"
 LOWER = "l"
@@ -196,11 +196,6 @@ class RelationCheck:
     deviation: float        # an array over the batch of a batched pair
 
 
-def sup_norm(a, batch=()):
-    """max |a| per point: over every axis of a but the batch axes."""
-    return np.max(np.abs(a), axis=tuple(range(len(batch), np.ndim(a))))
-
-
 def relative_deviation(a, b, batch=()):
     """Sup-norm distance of two arrays, relative to their larger entry
     and never to a scale below one: a float, or an array of shape batch
@@ -211,15 +206,6 @@ def relative_deviation(a, b, batch=()):
     scale = np.maximum(np.maximum(1.0, sup_norm(a, batch)), sup_norm(b, batch))
     out = sup_norm(a - b, batch) / scale
     return out if batch else float(out)
-
-
-def _image(sysdef: SystemDef, x, v):
-    """The momenta p = L(x, v) at a point or a batch of points, (n,) or
-    (N, n) float arrays."""
-    batch = x.shape[:-1]
-    if batch:
-        return _values(sysdef.legendre, _env(x.T, v.T, "v"), batch)
-    return _values(sysdef.legendre, _env(x.tolist(), v.tolist(), "v"))
 
 
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):

@@ -23,16 +23,16 @@ from . import jets
 from .calculus import (LOWER, _curvature_relation,
                        _dynamic_curvature_relation,
                        _horizontal_transport_momentum,
-                       _horizontal_transport_velocity, _image, _pair_at,
+                       _horizontal_transport_velocity, _pair_at,
                        _vertical_transport_momentum,
-                       _vertical_transport_velocity, sup_norm)
+                       _vertical_transport_velocity)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
 from .experiments import (ShiftRun, _gauge_deviations, _gauge_tensor,
                           connection_free_mode, shift_integrate)
 from .normality import (CROSS_FIELDS, _cross_deviations, _decisive,
                         mutation_flip, residual_norms, velocity_bundle)
-from .system import PContext, VContext
+from .system import PContext, VContext, _image, _metric_product, sup_norm
 from .sysfile import SHIFT_OPTIONS, read_system_file
 
 CHECK_IDS = ("metric", "transport", "cross", "normality", "gauge", "shift")
@@ -212,10 +212,7 @@ def _transport_draws(rng, n):
 
 def _metric_rows(sysdef, doc, x, v, draws, tol):
     ctx = VContext(sysdef, x, v)
-    lower, upper = ctx.g_values, ctx.g_inv_values
-    eye = np.eye(sysdef.n)
-    product = np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
-                         sup_norm(upper @ lower - eye, ctx.batch))
+    product = _metric_product(ctx)
     back = PContext(sysdef, x, _image(sysdef, ctx.x, ctx.v)).inner.v
     return _per_point(x, [
         ("metric-product", product, tol["metric"]),

@@ -331,7 +331,8 @@ def _d(node, name):
                     _add(_mul(b, _div(da, a)), _mul(db, ln_a)))
     if da is None:
         return None
-    e = float(_eval(b, {}))
+    with np.errstate(all="ignore"):     # _pow raises on an overflow
+        e = float(_eval(b, {}))
     if e == 0.0:
         return None
     if e == 1.0:
@@ -368,17 +369,30 @@ def _point_env(e: Expression, point: PhasePoint, values):
     return dict(zip(names, values))
 
 
+def _finite_at(e: Expression, point: PhasePoint, values):
+    """e evaluated with the point's variables bound to values. numpy
+    need not warn on the way: a result that is not finite, in its
+    value or its derivative data, raises EvalError."""
+    with np.errstate(all="ignore"):
+        result = _eval(e.root, _point_env(e, point, values))
+    parts = ((result.val, result.grad, result.hess)
+             if result.__class__ is jets.Dense else (result,))
+    if not all(np.isfinite(a).all() for a in parts if a is not None):
+        raise EvalError(f"non-finite value or derivatives of {to_source(e)} "
+                        f"at x={point.x.tolist()}, fiber={point.fiber.tolist()}")
+    return result
+
+
 def eval_scalar(e: Expression, point: PhasePoint) -> float:
     """Plain float evaluation at a phase point."""
-    values = point.x.tolist() + point.fiber.tolist()
-    return float(_eval(e.root, _point_env(e, point, values)))
+    return float(_finite_at(e, point, point.x.tolist() + point.fiber.tolist()))
 
 
 def eval_jet(e: Expression, point: PhasePoint) -> jets.Dense:
     """Scalar second-order Dense data over the 2n variables
     (x..., fiber...)."""
     seeded = jets.seeds(point.x.tolist() + point.fiber.tolist(), order=2)
-    result = _eval(e.root, _point_env(e, point, seeded))
+    result = _finite_at(e, point, seeded)
     if result.__class__ is not jets.Dense:
         m = 2 * point.n
         result = jets.Dense(2, float(result), np.zeros(m), np.zeros((m, m)))

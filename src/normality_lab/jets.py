@@ -417,8 +417,10 @@ def _pow(base, e):
                "non-integer power of negative base")
         _check((b != 0.0) | (e_b >= 0.0), b, "negative power of zero base")
     r = np.power(base, e)
-    _check(np.isfinite(r), base if base.__class__ is np.ndarray else r,
-           "non-finite power result for base")
+    b = base
+    if r.__class__ is np.ndarray and b.__class__ is not np.ndarray:
+        b = np.broadcast_to(b, r.shape)     # a float base, array exponent
+    _check(np.isfinite(r), b, "non-finite power result for base")
     return r
 
 

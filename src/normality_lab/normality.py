@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .calculus import (LOWER, UPPER, FieldValue, _image, curvature,
+from .calculus import (LOWER, UPPER, FieldValue, curvature,
                        dynamic_curvature, horizontal_derivative,
-                       relative_deviation, sup_norm)
+                       relative_deviation)
 from .errors import (DegeneratePoint, DimensionError,
                      MixedRepresentationError, ValidationError)
 from .phase import PhasePoint, Rep
-from .system import PContext, SystemDef, VContext, _at
+from .system import PContext, SystemDef, VContext, _at, _image, sup_norm
 
 OMEGA_FLOOR = 1e-12
 

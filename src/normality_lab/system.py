@@ -137,6 +137,11 @@ def _values(funcs, env, nodes=()):
     return out
 
 
+def sup_norm(a, batch=()):
+    """max |a| per point: over every axis of a but the batch axes."""
+    return np.max(np.abs(a), axis=tuple(range(len(batch), np.ndim(a))))
+
+
 def _component_name(what, idx):
     """A component's name as system files write it (L1, Gamma_1_12),
     or, with what=None, its index in an evaluated field."""
@@ -205,12 +210,9 @@ def _seeded(x, fiber):
 
 def _singular(g):
     """None when the matrix g, or every matrix of a batch, is finite and
-    conditioned within COND_LIMIT; else 0 for a lone matrix, or the
-    index of the worst conditioned matrix of the batch."""
-    if g.ndim == 2:
-        ok = np.all(np.isfinite(g)) and np.linalg.cond(g) <= COND_LIMIT
-        return None if ok else 0
-    cond = _conditions(g)
+    conditioned within COND_LIMIT; else the index of the worst
+    conditioned matrix, 0 for a lone one."""
+    cond = _conditions(g.reshape((-1,) + g.shape[-2:]))
     return None if np.all(cond <= COND_LIMIT) else int(np.argmax(cond))
 
 
@@ -323,8 +325,10 @@ def _at(k, **arrays):
 def _conditions(G):
     """Condition numbers of a stack of matrices, inf where one has a
     non-finite entry."""
-    cond = np.full(len(G), np.inf)
     finite = np.isfinite(G).all(axis=(1, 2))
+    if finite.all():
+        return np.linalg.cond(G)
+    cond = np.full(len(G), np.inf)
     if finite.any():
         cond[finite] = np.linalg.cond(G[finite])
     return cond
@@ -500,12 +504,20 @@ class LegendreInverse:
     dv_dx: np.ndarray       # dV^s/dx^m
 
 
+def _image(sysdef: SystemDef, x, v):
+    """The momenta p = L(x, v) at a point or a batch of points, (n,) or
+    (N, n) float arrays."""
+    batch = x.shape[:-1]
+    if batch:
+        return _values(sysdef.legendre, _env(x.T, v.T, "v"), batch)
+    return _values(sysdef.legendre, _env(x.tolist(), v.tolist(), "v"))
+
+
 def legendre_forward(sysdef: SystemDef, pt: PhasePoint) -> PhasePoint:
     """Map a velocity point to its momentum image p_i = L_i(x, v)."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("forward map expects a velocity point")
-    env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
-    return PhasePoint.momentum(pt.x, _values(sysdef.legendre, env))
+    return PhasePoint.momentum(pt.x, _image(sysdef, pt.x, pt.fiber))
 
 
 def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
@@ -522,12 +534,18 @@ def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
     if pt.rep is Rep.MOMENTUM:
         pt = legendre_inverse(sysdef, pt).point
     ctx = VContext(sysdef, pt.x, pt.fiber)
-    lower = ctx.g_values
-    upper = ctx.g_inv_values
-    n = sysdef.n
-    dev = max(np.max(np.abs(lower @ upper - np.eye(n))),
-              np.max(np.abs(upper @ lower - np.eye(n))))
-    return MetricPair(lower, upper, float(dev))
+    dev = _metric_product(ctx)
+    return MetricPair(ctx.g_values, ctx.g_inv_values, float(dev))
+
+
+def _metric_product(ctx: VContext):
+    """How far the metric pair of a velocity context is from inverse:
+    the larger sup-norm deviation of g g^-1 and g^-1 g from the
+    identity, per point of a batch."""
+    lower, upper = ctx.g_values, ctx.g_inv_values
+    eye = np.eye(ctx.n)
+    return np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
+                      sup_norm(upper @ lower - eye, ctx.batch))
 
 
 def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:

@@ -153,6 +153,30 @@ def test_overflowed_arguments_raise_eval_error(source):
         expr.eval_jet(e, pt)
 
 
+@pytest.mark.parametrize("source, x1", [
+    ("x1^2", 1e200), ("x1^3.5", 1e100), ("exp(x1)*exp(x1)", 400.0),
+    ("exp(x1)+exp(x1)", 709.7), ("sin(x1)*1e308*10", 1.0)])
+def test_overflow_inside_an_expression_raises_eval_error(source, x1):
+    # the arguments are finite and the overflow happens in a power or
+    # in arithmetic on function values, which numpy evaluates for
+    # floats too; it must be an EvalError and no RuntimeWarning
+    pt = PhasePoint.velocity([x1], [1.0])
+    e = expr.parse(source, 1)
+    with pytest.raises(EvalError):
+        expr.eval_scalar(e, pt)
+    with pytest.raises(EvalError):
+        expr.eval_jet(e, pt)
+
+
+def test_constant_exponent_folds_without_warnings():
+    # derivative folds a constant exponent to a float, as load does for
+    # a Lagrangian's fiber map
+    d = expr.derivative(expr.parse("x1^(exp(400)*exp(400))", 1), "x1")
+    assert expr.to_source(d) == "inf*x1^inf"
+    with pytest.raises(EvalError, match="power result"):
+        expr.derivative(expr.parse("x1^(2^2000)", 1), "x1")
+
+
 def test_u_kind_for_surface_parameters():
     e = expr.parse("cos(u1)", 1, kinds=("u",))
     assert e.evaluate({"u1": 0.0}) == 1.0

@@ -22,15 +22,15 @@ from .errors import (AsymmetricGauge, DegeneratePoint, DegenerateSurface,
                      ValidationError)
 from .experiments import (GaugeReport, GaugeRow, ShiftResult, ShiftRun,
                           connection_free_mode, gauge_invariance_report,
-                          hypersurface_normal, shift_integrate)
-from .expr import Expression, eval_jet, eval_scalar, parse
+                          shift_integrate)
+from .expr import Expression, parse
 from .jets import Dense
 from .normality import (CROSS_FIELDS, RESIDUAL_IDS, CrossCheck,
                         NormalityBundle, Residual, bundle_at, cross_check_all,
                         lambda_scalar, momentum_bundle, normality_residuals,
                         residual_arrays, velocity_bundle)
 from .phase import PhasePoint, Rep
-from .sysfile import SystemFile, load_system_file, read_system_file
+from .sysfile import SystemFile, read_system_file
 from .system import (LegendreInverse, MetricPair, PContext, SystemDef,
                      VContext, lagrangian_to_legendre, legendre_forward,
                      legendre_inverse, metric, theta_from_phi,

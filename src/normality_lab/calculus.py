@@ -36,7 +36,8 @@ import numpy as np
 from . import jets
 from .errors import DimensionError, MissingJets, MixedRepresentationError
 from .phase import PhasePoint, Rep
-from .system import PContext, SystemDef, VContext, _image, sup_norm
+from .system import (PContext, SystemDef, VContext, legendre_forward,
+                     sup_norm)
 
 UPPER = "u"
 LOWER = "l"
@@ -209,22 +210,17 @@ def relative_deviation(a, b, batch=()):
 
 
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
-    """The velocity context at pt and the momentum context at its image
-    under the fiber map. The momentum context builds its own inner
-    velocity context at the preimage, by the closed-form inverse or one
-    Newton solve, so the two routes stay independent. The transport
-    check builds one such pair per point, or per batch of points
-    (_pair_at), and evaluates all six relations on it; the public
-    relation functions build their own."""
+    """The velocity context at pt, a velocity point or a batch, and the
+    momentum context at its image under the fiber map. The momentum
+    context builds its own inner velocity context at the preimage, by
+    the closed-form inverse or one Newton solve, so the two routes stay
+    independent. The transport check builds one such pair per batch and
+    evaluates all six relations on it; the public relation functions
+    build their own."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
-    return _pair_at(sysdef, pt.x, pt.fiber)
-
-
-def _pair_at(sysdef: SystemDef, x, v):
-    """_paired_contexts at velocity points x, v of shape (n,) or (N, n)."""
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    return VContext(sysdef, x, v), PContext(sysdef, x, _image(sysdef, x, v))
+    return (VContext(sysdef, pt.x, pt.fiber),
+            PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber))
 
 
 def _fiber_map_field(vctx) -> FieldValue:

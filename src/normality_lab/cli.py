@@ -23,16 +23,16 @@ from . import jets
 from .calculus import (LOWER, _curvature_relation,
                        _dynamic_curvature_relation,
                        _horizontal_transport_momentum,
-                       _horizontal_transport_velocity, _pair_at,
+                       _horizontal_transport_velocity, _paired_contexts,
                        _vertical_transport_momentum,
                        _vertical_transport_velocity)
 from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
                      ValidationError)
 from .experiments import (ShiftRun, _gauge_deviations, _gauge_tensor,
                           connection_free_mode, shift_integrate)
-from .normality import (CROSS_FIELDS, _cross_deviations, _decisive,
-                        mutation_flip, residual_norms, velocity_bundle)
-from .system import PContext, VContext, _image, _metric_product, sup_norm
+from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
+from .phase import PhasePoint
+from .system import legendre_forward, legendre_inverse, metric, sup_norm
 from .sysfile import SHIFT_OPTIONS, read_system_file
 
 CHECK_IDS = ("metric", "transport", "cross", "normality", "gauge", "shift")
@@ -211,12 +211,13 @@ def _transport_draws(rng, n):
 
 
 def _metric_rows(sysdef, doc, x, v, draws, tol):
-    ctx = VContext(sysdef, x, v)
-    product = _metric_product(ctx)
-    back = PContext(sysdef, x, _image(sysdef, ctx.x, ctx.v)).inner.v
+    pt = PhasePoint.velocity(x, v)
+    product = metric(sysdef, pt).product_deviation
+    back = legendre_inverse(sysdef, legendre_forward(sysdef, pt)).point.fiber
     return _per_point(x, [
         ("metric-product", product, tol["metric"]),
-        ("fiber-roundtrip", sup_norm(back - ctx.v, ctx.batch), tol["roundtrip"])])
+        ("fiber-roundtrip", sup_norm(back - pt.fiber, x.shape[:-1]),
+         tol["roundtrip"])])
 
 
 def _transport_rows(sysdef, doc, x, v, draws, tol):
@@ -224,7 +225,7 @@ def _transport_rows(sysdef, doc, x, v, draws, tol):
     t = tol["transport"]
     s = [_Scalar(slot) for slot in zip(*draws)]
     # one context pair for all six relations
-    vctx, pctx = _pair_at(sysdef, x, v)
+    vctx, pctx = _paired_contexts(sysdef, PhasePoint.velocity(x, v))
     return _per_point(x, [
         ("vertical-transport-v",
          _vertical_transport_velocity(vctx, pctx, s[0]), t),
@@ -241,18 +242,17 @@ def _transport_rows(sysdef, doc, x, v, draws, tol):
 
 
 def _cross_rows(sysdef, doc, x, v, draws, tol):
-    out = _cross_deviations(sysdef, x, v,
-                            mutation_flip(doc.options.get("mutate")))
-    return _per_point(x, [(f"cross-{name}", out[name][2], tol["cross"])
+    out = cross_check_all(sysdef, PhasePoint.velocity(x, v),
+                          doc.options.get("mutate"))
+    return _per_point(x, [(f"cross-{name}", out[name].deviation, tol["cross"])
                           for name in CROSS_FIELDS])
 
 
 def _normality_rows(sysdef, doc, x, v, draws, tol):
-    ctx = VContext(sysdef, x, v)
-    norms = residual_norms(velocity_bundle(ctx), ctx.batch)
     return _per_point(x, [
-        (rid, norm, tol["normality"], {"decisive": _decisive(rid, sysdef.n)})
-        for rid, norm in norms.items()])
+        (r.check_id, r.norm, tol["normality"], {"decisive": r.decisive})
+        for r in normality_residuals(sysdef, PhasePoint.velocity(x, v),
+                                     tol["normality"])])
 
 
 def _gauge_rows(tensor, sysdef, doc, x, v, draws, tol):

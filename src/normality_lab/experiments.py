@@ -23,10 +23,9 @@ import numpy as np
 from . import jets
 from .calculus import (LOWER, UPPER, FieldValue, horizontal_derivative,
                        relative_deviation, vertical_derivative)
-from .errors import (DegeneratePoint, DegenerateSurface, DimensionError,
-                     EvalError, IntegrationFailure, MissingGaugeTensor,
-                     MixedRepresentationError, SingularMetric,
-                     ValidationError)
+from .errors import (DegeneratePoint, DegenerateSurface, EvalError,
+                     IntegrationFailure, MissingGaugeTensor,
+                     MixedRepresentationError, SingularMetric, ValidationError)
 from .normality import RESIDUAL_IDS, residual_norms, velocity_bundle
 from .phase import Rep
 from .expr import Expression
@@ -100,15 +99,6 @@ class GaugeReport:
         return float(np.max(picked)) if picked else 0.0
 
 
-def _point_rows(sysdef, tensor, pt):
-    """The gauge rows at one velocity point, in report order, for a
-    tensor from _gauge_tensor."""
-    if pt.rep is not Rep.VELOCITY:
-        raise MixedRepresentationError(
-            "gauge report evaluates at velocity points")
-    return _gauge_deviations(sysdef, tensor, pt.x, pt.fiber)
-
-
 def _gauge_deviations(sysdef, tensor, x, v):
     """The gauge rows at velocity points x, v, (n,) or (N, n), in report
     order; over a batch each row's deviation has one entry per point."""
@@ -158,8 +148,8 @@ def _gauge_deviations(sysdef, tensor, x, v):
     out["eta"] = dev(vb2.eta, vb.eta + np.einsum(
         "...ekq,...e,...qs,...s->...k", Tvals, Lv, P, alpha))
 
-    res1 = residual_norms(vb, batch)
-    res2 = residual_norms(vb2, batch)
+    res1 = residual_norms(vb)
+    res2 = residual_norms(vb2)
     for rid in RESIDUAL_IDS:
         gap = np.abs(res1[rid] - res2[rid])
         out[rid] = gap if batch else float(gap)
@@ -180,14 +170,20 @@ def gauge_invariance_report(sysdef: SystemDef, points,
     exercises the cancellations behind each rule. Residual rows compare
     normality residual norms; the conditional ones list the residuals
     whose vanishing they rely on. The tensor is validated once a call,
-    and a nan deviation at any point is the row's worst."""
+    the points are evaluated as one batch, and a nan deviation at any
+    point is the row's worst."""
     tensor = _gauge_tensor(sysdef, gauge)
-    table = [_point_rows(sysdef, tensor, pt) for pt in points]
-    if not table:
+    points = list(points)
+    if not points:
         raise ValidationError("gauge report needs at least one point")
-    worst = np.max([[row.deviation for row in rows] for rows in table], axis=0)
-    return GaugeReport(tuple(replace(row, deviation=float(dev))
-                             for row, dev in zip(table[0], worst)), len(table))
+    if any(pt.rep is not Rep.VELOCITY for pt in points):
+        raise MixedRepresentationError(
+            "gauge report evaluates at velocity points")
+    rows = _gauge_deviations(sysdef, tensor, np.array([pt.x for pt in points]),
+                             np.array([pt.fiber for pt in points]))
+    worst = [replace(row, deviation=float(np.max(row.deviation)))
+             for row in rows]
+    return GaugeReport(tuple(worst), len(points))
 
 
 @dataclass(frozen=True)
@@ -307,15 +303,6 @@ def _front_geometry(run: ShiftRun, nodes):
     normals = vt[:, -1]
     det = np.linalg.det(np.concatenate([tangents, normals[:, None]], axis=1))
     return frame.val, np.where(det[:, None] < 0.0, -normals, normals)
-
-
-def hypersurface_normal(run: ShiftRun, u) -> np.ndarray:
-    """Unit covector annihilating the surface tangents at u."""
-    _, m = _run_dims(run)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if len(u) != m:
-        raise DimensionError(f"expected {m} surface parameters, got {len(u)}")
-    return _front_geometry(run, u[None])[1][0]
 
 
 def _nu_values(run: ShiftRun, nodes, m):

@@ -21,7 +21,6 @@ import numpy as np
 from . import jets
 from .errors import (DimensionError, EvalError, ExprSyntaxError,
                      MixedRepresentationError)
-from .phase import PhasePoint, Rep
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -352,51 +351,6 @@ def derivative(e: Expression, name: str) -> Expression:
     root = _d(e.root, name)
     return Expression(Num(0.0) if root is None else root, e.dimension,
                       e.kinds, e.fiber_kind)
-
-
-def _point_env(e: Expression, point: PhasePoint, values):
-    """Environment binding x1.. and then the point's fiber variables to
-    the 2n values."""
-    if point.n != e.dimension:
-        raise DimensionError(
-            f"point dimension {point.n} != expression dimension {e.dimension}")
-    fiber_kind = "v" if point.rep is Rep.VELOCITY else "p"
-    if e.fiber_kind is not None and e.fiber_kind != fiber_kind:
-        raise MixedRepresentationError(
-            f"expression uses {e.fiber_kind}-variables, point is {fiber_kind}-typed")
-    names = [f"{kind}{i + 1}" for kind in ("x", fiber_kind)
-             for i in range(point.n)]
-    return dict(zip(names, values))
-
-
-def _finite_at(e: Expression, point: PhasePoint, values):
-    """e evaluated with the point's variables bound to values. numpy
-    need not warn on the way: a result that is not finite, in its
-    value or its derivative data, raises EvalError."""
-    with np.errstate(all="ignore"):
-        result = _eval(e.root, _point_env(e, point, values))
-    parts = ((result.val, result.grad, result.hess)
-             if result.__class__ is jets.Dense else (result,))
-    if not all(np.isfinite(a).all() for a in parts if a is not None):
-        raise EvalError(f"non-finite value or derivatives of {to_source(e)} "
-                        f"at x={point.x.tolist()}, fiber={point.fiber.tolist()}")
-    return result
-
-
-def eval_scalar(e: Expression, point: PhasePoint) -> float:
-    """Plain float evaluation at a phase point."""
-    return float(_finite_at(e, point, point.x.tolist() + point.fiber.tolist()))
-
-
-def eval_jet(e: Expression, point: PhasePoint) -> jets.Dense:
-    """Scalar second-order Dense data over the 2n variables
-    (x..., fiber...)."""
-    seeded = jets.seeds(point.x.tolist() + point.fiber.tolist(), order=2)
-    result = _finite_at(e, point, seeded)
-    if result.__class__ is not jets.Dense:
-        m = 2 * point.n
-        result = jets.Dense(2, float(result), np.zeros(m), np.zeros((m, m)))
-    return result
 
 
 _PREC_ATOM = 6

@@ -28,7 +28,8 @@ from .calculus import (LOWER, UPPER, FieldValue, curvature,
 from .errors import (DegeneratePoint, DimensionError,
                      MixedRepresentationError, ValidationError)
 from .phase import PhasePoint, Rep
-from .system import PContext, SystemDef, VContext, _at, _image, sup_norm
+from .system import (PContext, SystemDef, VContext, _at, legendre_forward,
+                     sup_norm)
 
 OMEGA_FLOOR = 1e-12
 
@@ -329,68 +330,48 @@ def residual_arrays(bundle: NormalityBundle) -> dict:
     }
 
 
-def residual_norms(bundle: NormalityBundle, batch=()) -> dict:
+def residual_norms(bundle: NormalityBundle) -> dict:
     """The sup-norm of each normality residual, per point of a batch."""
-    return {check_id: sup_norm(arr, batch)
+    return {check_id: sup_norm(arr, bundle.x.shape[:-1])
             for check_id, arr in residual_arrays(bundle).items()}
-
-
-def _decisive(check_id, n):
-    # the three additional equations vanish identically for n = 2 (the
-    # projector has rank one)
-    return check_id.startswith("weak") or n >= 3
 
 
 def normality_residuals(sysdef: SystemDef, pt: PhasePoint,
                         tolerance: float = 1e-8) -> list:
-    """Evaluate the five normality equations at one point.
+    """Evaluate the five normality equations at a point, or a batch.
 
-    Returns one Residual per equation with its sup-norm. The three
-    additional equations vanish identically for n = 2 (the projector
-    has rank one), so they are flagged non-decisive there."""
+    Returns one Residual per equation with its sup-norm, an array of one
+    norm a point over a batch. The three additional equations vanish
+    identically for n = 2 (the projector has rank one), so they are
+    flagged non-decisive there."""
     out = []
     for check_id, norm in residual_norms(bundle_at(sysdef, pt)).items():
-        norm = float(norm)
+        norm = norm if pt.x.ndim > 1 else float(norm)
         out.append(Residual(check_id, norm, tolerance, norm <= tolerance,
-                            _decisive(check_id, sysdef.n)))
-    return out
-
-
-def _cross_deviations(sysdef: SystemDef, x, v, flip=None) -> dict:
-    """Both routes at velocity points x, v, (n,) or (N, n), and the
-    momentum image: {field: (velocity, momentum, deviation)}, the
-    deviation per point of a batch."""
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    vctx = VContext(sysdef, x, v)
-    vb = velocity_bundle(vctx, flip)
-    pb = momentum_bundle(PContext(sysdef, x, _image(sysdef, x, v)))
-    out = {}
-    for field in CROSS_FIELDS:
-        a = getattr(vb, field)
-        b = getattr(pb, field)
-        out[field] = (a, b, relative_deviation(a, b, vctx.batch))
+                            check_id.startswith("weak") or sysdef.n >= 3))
     return out
 
 
 def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
                     mutate: str = None) -> dict:
-    """Both computation routes for every field at one paired point.
+    """Both computation routes for every field at paired points.
 
-    pt is a velocity point; the momentum route runs at its image under
-    the fiber map. Returns {field: CrossCheck}. mutate names an entry
-    of MUTATIONS to corrupt the velocity route deliberately."""
+    pt is a velocity point, or a batch; the momentum route runs at its
+    image under the fiber map. Returns {field: CrossCheck}, over a batch
+    with one deviation a point. mutate names an entry of MUTATIONS to
+    corrupt the velocity route deliberately."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError(
             "cross checks start from a velocity point")
-    return {field: CrossCheck(field, *parts) for field, parts in
-            _cross_deviations(sysdef, pt.x, pt.fiber,
-                              mutation_flip(mutate)).items()}
-
-
-def mutation_flip(mutate):
-    """The beta term a named entry of MUTATIONS flips, or None."""
-    if mutate is None:
-        return None
-    if mutate not in MUTATIONS:
+    if mutate is not None and mutate not in MUTATIONS:
         raise ValidationError(f"unknown mutation {mutate!r}")
-    return MUTATIONS[mutate]
+    vctx = VContext(sysdef, pt.x, pt.fiber)
+    vb = velocity_bundle(vctx, MUTATIONS.get(mutate))
+    pb = momentum_bundle(PContext(sysdef, pt.x,
+                                  legendre_forward(sysdef, pt).fiber))
+    out = {}
+    for field in CROSS_FIELDS:
+        a, b = getattr(vb, field), getattr(pb, field)
+        out[field] = CrossCheck(field, a, b,
+                                relative_deviation(a, b, vctx.batch))
+    return out

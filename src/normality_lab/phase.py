@@ -2,7 +2,8 @@
 
 A point is a base position x together with a fiber coordinate vector,
 tagged by which chart the fiber lives in: VELOCITY (upper-index fiber)
-or MOMENTUM (lower-index fiber).
+or MOMENTUM (lower-index fiber). A PhasePoint holds one point, x and
+fiber of shape (n,), or a batch of N points, both of shape (N, n).
 """
 
 import enum
@@ -18,16 +19,18 @@ class Rep(enum.Enum):
 
 
 class PhasePoint:
-    """Immutable (x, fiber) pair with a representation tag."""
+    """Immutable (x, fiber) pair with a representation tag: one point or
+    a batch."""
 
     __slots__ = ("x", "fiber", "rep")
 
     def __init__(self, x, fiber, rep: Rep):
         x = np.asarray(x, dtype=float)
         fiber = np.asarray(fiber, dtype=float)
-        if x.ndim != 1 or fiber.ndim != 1 or x.shape != fiber.shape:
+        if x.ndim not in (1, 2) or x.shape != fiber.shape:
             raise ValidationError(
-                f"phase point needs matching 1-d coordinates, got x{x.shape} fiber{fiber.shape}")
+                f"phase point needs coordinates of one shape, (n,) or (N, n), "
+                f"got x{x.shape} fiber{fiber.shape}")
         x.setflags(write=False)
         fiber.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -39,7 +42,7 @@ class PhasePoint:
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     @classmethod
     def velocity(cls, x, v) -> "PhasePoint":

@@ -293,8 +293,3 @@ def read_system_file(path) -> SystemFile:
                        newton_guess=options.get("newton_guess"))
     validate_system(sysdef)
     return SystemFile(sysdef, surface, nu, options, path)
-
-
-def load_system_file(path) -> SystemDef:
-    """The validated system alone; see read_system_file for the rest."""
-    return read_system_file(path).sysdef

@@ -486,15 +486,12 @@ class PContext:
 
 @dataclass(frozen=True)
 class MetricPair:
-    """Fiber Jacobian of the map and its inverse at one point."""
+    """Fiber Jacobian of the map and its inverse at one point, or at a
+    batch of points with one product deviation a point."""
 
     lower: np.ndarray       # g[q][k] = dL_q/dv^k
     upper: np.ndarray       # matrix inverse
     product_deviation: float
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
 
 
 @dataclass(frozen=True)
@@ -504,48 +501,40 @@ class LegendreInverse:
     dv_dx: np.ndarray       # dV^s/dx^m
 
 
-def _image(sysdef: SystemDef, x, v):
-    """The momenta p = L(x, v) at a point or a batch of points, (n,) or
-    (N, n) float arrays."""
-    batch = x.shape[:-1]
-    if batch:
-        return _values(sysdef.legendre, _env(x.T, v.T, "v"), batch)
-    return _values(sysdef.legendre, _env(x.tolist(), v.tolist(), "v"))
-
-
 def legendre_forward(sysdef: SystemDef, pt: PhasePoint) -> PhasePoint:
-    """Map a velocity point to its momentum image p_i = L_i(x, v)."""
+    """Map a velocity point, or a batch, to its momentum image
+    p_i = L_i(x, v)."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("forward map expects a velocity point")
-    return PhasePoint.momentum(pt.x, _image(sysdef, pt.x, pt.fiber))
+    x, v = pt.x, pt.fiber
+    batch = x.shape[:-1]
+    env = _env(x.T, v.T, "v") if batch else _env(x.tolist(), v.tolist(), "v")
+    return PhasePoint.momentum(x, _values(sysdef.legendre, env, batch))
 
 
 def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
-    """Invert the fiber map at a momentum point, with fiber Jacobians."""
+    """Invert the fiber map at a momentum point, or a batch, with fiber
+    Jacobians."""
     if pt.rep is not Rep.MOMENTUM:
         raise MixedRepresentationError("inverse map expects a momentum point")
     ctx = PContext(sysdef, pt.x, pt.fiber)
     n = sysdef.n
-    return LegendreInverse(ctx.inner.point, ctx.V.grad[:, n:], ctx.V.grad[:, :n])
+    return LegendreInverse(ctx.inner.point, ctx.V.grad[..., n:],
+                           ctx.V.grad[..., :n])
 
 
 def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
-    """Metric pair at a point of either representation."""
+    """Metric pair at a point of either representation, or a batch. The
+    product deviation is the larger sup-norm deviation of g g^-1 and
+    g^-1 g from the identity."""
     if pt.rep is Rep.MOMENTUM:
         pt = legendre_inverse(sysdef, pt).point
     ctx = VContext(sysdef, pt.x, pt.fiber)
-    dev = _metric_product(ctx)
-    return MetricPair(ctx.g_values, ctx.g_inv_values, float(dev))
-
-
-def _metric_product(ctx: VContext):
-    """How far the metric pair of a velocity context is from inverse:
-    the larger sup-norm deviation of g g^-1 and g^-1 g from the
-    identity, per point of a batch."""
     lower, upper = ctx.g_values, ctx.g_inv_values
     eye = np.eye(ctx.n)
-    return np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
-                      sup_norm(upper @ lower - eye, ctx.batch))
+    dev = np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
+                     sup_norm(upper @ lower - eye, ctx.batch))
+    return MetricPair(lower, upper, dev if ctx.batch else float(dev))
 
 
 def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:

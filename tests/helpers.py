@@ -130,6 +130,20 @@ def random_box_point(rng, n, x_lo=-1.0, x_hi=1.0, f_lo=0.5, f_hi=1.5):
     return x, fiber
 
 
+def float_env(x, fiber, kind="v"):
+    """Float bindings of x1.. and <kind>1.. for Expression.evaluate."""
+    env = {f"x{i + 1}": float(c) for i, c in enumerate(x)}
+    env.update({f"{kind}{i + 1}": float(c) for i, c in enumerate(fiber)})
+    return env
+
+
+def jet_at(e, x, v):
+    """Scalar second-order Dense data of a velocity-native expression
+    over (x, v), as a VContext at that point evaluates it."""
+    from normality_lab.system import VContext
+    return VContext(sys_identity(len(x)), x, v).eval_native(e)
+
+
 # ---------------------------------------------------------------------------
 # shared system fixtures
 
@@ -222,6 +236,22 @@ def sys_cubic3():
                                (1, 0, 0): "0.15*x1",
                                (2, 1, 2): "0.05*v3"})
     return SystemDef(n, L, force=phi, connection=conn)
+
+
+def sys_cylindrical():
+    """Flat R^3 in cylindrical coordinates, radius r = 2 + x1, with its
+    Levi-Civita connection, a force of geodesic spray plus damping and a
+    gauge tensor: the cylindrical3 fixture. It is normal, and at n = 3
+    its additional normality equations decide the check."""
+    from normality_lab.system import SystemDef
+    n = 3
+    L = parse_all(["v1", "(2 + x1)^2*v2", "v3"], n)
+    phi = parse_all(["0.7*v1 + (2 + x1)*v2^2",
+                     "0.7*v2 - 2*v1*v2/(2 + x1)", "0.7*v3"], n)
+    conn = make_connection(n, {(0, 1, 1): "-(2 + x1)",
+                               (1, 0, 1): "1/(2 + x1)"})
+    gauge = make_connection(n, {(0, 0, 0): "0.3*x1", (1, 0, 2): "0.1*v1"})
+    return SystemDef(n, L, force=phi, connection=conn, gauge=gauge)
 
 
 def sys_shear():

@@ -1,8 +1,10 @@
-"""Batched Dense data, the batched Newton solve and the batched shift,
-each against its scalar counterpart evaluated node by node."""
+"""Batched Dense data, the batched Newton solve, the point functions
+over a batched PhasePoint and the batched shift, each against its
+scalar counterpart evaluated node by node."""
 
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,16 @@ from normality_lab import experiments, expr, jets
 from normality_lab import system as system_module
 from normality_lab.errors import (DegeneratePoint, DegenerateSurface,
                                   EvalError, IntegrationFailure,
-                                  NonConvergence, SingularMetric)
-from normality_lab.experiments import ShiftRun, shift_integrate
+                                  NonConvergence, SingularMetric,
+                                  ValidationError)
+from normality_lab.experiments import (ShiftRun, gauge_invariance_report,
+                                       shift_integrate)
+from normality_lab.normality import cross_check_all, normality_residuals
 from normality_lab.phase import PhasePoint
+from normality_lab.sysfile import read_system_file
 from normality_lab.system import (NEWTON_TOL, SystemDef, _newton,
-                                  lagrangian_to_legendre, legendre_forward)
+                                  lagrangian_to_legendre, legendre_forward,
+                                  legendre_inverse, metric)
 
 # every operator and function of the expression language; a and b are
 # Dense data, c a constant (a float, or a float array over nodes)
@@ -187,6 +194,76 @@ def test_batched_newton_names_the_failing_node():
         _newton(degenerate, x, p)
 
 
+def _fixture(name):
+    path = Path(__file__).parent / "fixtures" / f"{name}.system"
+    return read_system_file(str(path)).sysdef
+
+
+def _equal(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["cubic", "cubic3", "lagrangian",
+                                  "linear_mode_a", "identity_full"])
+def test_point_functions_give_a_batch_the_bits_of_its_points(name):
+    sysdef = _fixture(name)
+    n, count = sysdef.n, 5
+    rng = np.random.default_rng(41)
+    batch = PhasePoint.velocity(rng.uniform(-1.0, 1.0, (count, n)),
+                                rng.uniform(0.5, 1.5, (count, n)))
+    alone = [PhasePoint.velocity(x, v) for x, v in zip(batch.x, batch.fiber)]
+
+    image = legendre_forward(sysdef, batch)
+    images = [legendre_forward(sysdef, pt) for pt in alone]
+    assert _equal(image.x, batch.x)
+    assert _equal(image.fiber, [p.fiber for p in images])
+
+    inverse = legendre_inverse(sysdef, image)
+    for k, p in enumerate(images):
+        lone = legendre_inverse(sysdef, p)
+        assert _equal(inverse.point.x[k], lone.point.x)
+        assert _equal(inverse.point.fiber[k], lone.point.fiber)
+        assert _equal(inverse.dv_dp[k], lone.dv_dp)
+        assert _equal(inverse.dv_dx[k], lone.dv_dx)
+
+    for points, singles in ((batch, alone), (image, images)):
+        pair = metric(sysdef, points)
+        for k, pt in enumerate(singles):
+            lone = metric(sysdef, pt)
+            assert _equal(pair.lower[k], lone.lower)
+            assert _equal(pair.upper[k], lone.upper)
+            assert pair.product_deviation[k] == lone.product_deviation
+
+    cross = cross_check_all(sysdef, batch)
+    residuals = normality_residuals(sysdef, batch)
+    for k, pt in enumerate(alone):
+        for field, lone in cross_check_all(sysdef, pt).items():
+            assert _equal(cross[field].velocity[k], lone.velocity), field
+            assert _equal(cross[field].momentum[k], lone.momentum), field
+            assert cross[field].deviation[k] == lone.deviation, field
+        for got, lone in zip(residuals, normality_residuals(sysdef, pt)):
+            assert got.check_id == lone.check_id
+            assert got.norm[k] == lone.norm and got.passed[k] == lone.passed
+            assert got.decisive == lone.decisive
+
+    gauge = sysdef.gauge
+    if gauge is None:
+        gauge = helpers.make_connection(n, {(0, 0, 0): "0.3*x1",
+                                            (n - 1, 0, 1): "0.1*v1"})
+    report = gauge_invariance_report(sysdef, alone, gauge)
+    singles = [gauge_invariance_report(sysdef, [pt], gauge) for pt in alone]
+    assert report.points == count
+    for row in report.rows:
+        assert row.deviation == max(s.row(row.quantity).deviation
+                                    for s in singles), row.quantity
+
+    # a point and a batch do not mix in one PhasePoint
+    with pytest.raises(ValidationError):
+        PhasePoint.velocity(batch.x, batch.fiber[0])
+    with pytest.raises(ValidationError):
+        PhasePoint.momentum(batch.x[0], batch.fiber)
+
+
 def test_shift_failure_names_the_front():
     blow = SystemDef(2, helpers.parse_all(["v1", "v2"], 2),
                      helpers.parse_all(["0", "v2^3"], 2),
@@ -355,7 +432,8 @@ def test_front_geometry_matches_per_node_reference(run):
               if isinstance(run.nu, expr.Expression) else run.nu)
         assert np.array_equal(x0[k], position)
         assert np.array_equal(normals[k], normal)
-        assert np.array_equal(experiments.hypersurface_normal(run, u), normal)
+        assert np.array_equal(experiments._front_geometry(run, u[None])[1][0],
+                              normal)
         assert scale[k] == float(nu)
 
 

@@ -16,7 +16,7 @@ from normality_lab.calculus import (LOWER, UPPER, FieldValue, curvature,
                                     vertical_transport_velocity)
 from normality_lab.errors import MissingJets
 from normality_lab.phase import PhasePoint
-from normality_lab.sysfile import load_system_file
+from normality_lab.sysfile import read_system_file
 from normality_lab.system import PContext, VContext, legendre_forward, _newton
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -321,7 +321,7 @@ def test_one_pair_gives_the_bits_of_separate_pairs(name):
     """The transport check evaluates its six relations on one context
     pair; each must give exactly what the public function gives on a
     pair of its own, and none may change the pair's cached data."""
-    sysdef = load_system_file(str(FIXTURES / f"{name}.system"))
+    sysdef = read_system_file(str(FIXTURES / f"{name}.system")).sysdef
     n = sysdef.n
     rng = np.random.default_rng(31)
     for _ in range(4):

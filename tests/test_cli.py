@@ -13,7 +13,7 @@ from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
                                   ExprSyntaxError, SingularMetric,
                                   SystemFileError, ValidationError)
-from normality_lab.sysfile import load_system_file, read_system_file
+from normality_lab.sysfile import read_system_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,7 +29,7 @@ def write_system(tmp_path, body):
 
 
 def test_load_identity():
-    sysdef = load_system_file(fixture("identity2"))
+    sysdef = read_system_file(fixture("identity2")).sysdef
     assert sysdef.n == 2
     assert sysdef.v_inverse is None and sysdef.gauge is None
 
@@ -44,7 +44,7 @@ def test_load_full_sections():
 
 
 def test_load_lagrangian_generator():
-    sysdef = load_system_file(fixture("lagrangian"))
+    sysdef = read_system_file(fixture("lagrangian")).sysdef
     env = {"x1": 0.3, "x2": -0.2, "v1": 1.1, "v2": 0.8}
     # d/dv1 of the generating scalar
     want = env["v1"] + 0.2 * env["v1"] * env["v2"] ** 2
@@ -52,7 +52,7 @@ def test_load_lagrangian_generator():
 
 
 def test_load_closed_form_inverse():
-    sysdef = load_system_file(fixture("linear_mode_a"))
+    sysdef = read_system_file(fixture("linear_mode_a")).sysdef
     assert sysdef.v_inverse is not None
 
 
@@ -67,7 +67,7 @@ L2 = "v2"
 Gamma_1_12 = "0.1*v1"
 """)
     with pytest.raises(ValidationError, match="asymmetric"):
-        load_system_file(path)
+        read_system_file(path).sysdef
 
 
 def test_inconsistent_inverse_rejected(tmp_path):
@@ -82,7 +82,7 @@ V1 = "p1 + 0.3"
 V2 = "p2"
 """)
     with pytest.raises(ValidationError, match="inverse disagrees"):
-        load_system_file(path)
+        read_system_file(path).sysdef
 
 
 IDENTITY = '[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
@@ -114,7 +114,7 @@ IDENTITY = '[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
 ])
 def test_structural_fault_messages(tmp_path, body, error, message):
     with pytest.raises(error) as info:
-        load_system_file(write_system(tmp_path, body))
+        read_system_file(write_system(tmp_path, body)).sysdef
     assert str(info.value) == message
 
 
@@ -153,7 +153,7 @@ def test_non_finite_tensor_fails_at_load(tmp_path, section, entries, error,
     # inf - inf is a nan gap, which once passed the symmetry check
     path = write_system(tmp_path, IDENTITY + f"[{section}]\n" + entries)
     with pytest.raises(error) as info:
-        load_system_file(path)
+        read_system_file(path).sysdef
     assert str(info.value).startswith(f"{what} is not finite at [0][0][0], x=")
     assert str(info.value).endswith(": inf vs inf")
 
@@ -238,7 +238,7 @@ L1 = "v1 +"
 L2 = "v2"
 """)
     with pytest.raises(ExprSyntaxError, match=r":5: in l1"):
-        load_system_file(path)
+        read_system_file(path).sysdef
 
 
 @pytest.mark.parametrize("body, match", [
@@ -266,7 +266,7 @@ L2 = "v2"
 def test_malformed_files_rejected(tmp_path, body, match):
     path = write_system(tmp_path, body)
     with pytest.raises(SystemFileError, match=match):
-        load_system_file(path)
+        read_system_file(path).sysdef
 
 
 def test_nu_forms(tmp_path):

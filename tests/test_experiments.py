@@ -4,14 +4,14 @@ import pytest
 import helpers
 from normality_lab import calculus, experiments, normality
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
-                                  DegenerateSurface, DimensionError,
-                                  IntegrationFailure, MissingGaugeTensor,
-                                  MixedRepresentationError, ValidationError)
+                                  DegenerateSurface, IntegrationFailure,
+                                  MissingGaugeTensor, MixedRepresentationError,
+                                  ValidationError)
 from normality_lab import expr, system
 from normality_lab.experiments import (GaugeReport, ShiftRun,
                                        connection_free_mode,
                                        gauge_invariance_report,
-                                       hypersurface_normal, shift_integrate)
+                                       shift_integrate)
 from normality_lab.normality import residual_arrays, velocity_bundle
 from normality_lab.phase import PhasePoint
 from normality_lab.system import ConstFunc, SystemDef, VContext
@@ -171,9 +171,10 @@ def test_gauged_context_matches_summed_system(sysdef, tensor):
 
 
 def test_gauge_point_evaluates_each_component_once():
-    # L, Phi and Gamma are evaluated for the plain point alone, the
-    # gauged one shares them, and T is evaluated once per point plus
-    # once for the report's symmetry check
+    # the report evaluates its points as one batch: L, Phi and Gamma
+    # are evaluated once for the plain batch, the gauged one shares
+    # them, and T is evaluated once for the batch plus once for the
+    # report's symmetry check
     calls = {}
     plain = helpers.sys_cubic()
     n = plain.n
@@ -196,14 +197,15 @@ def test_gauge_point_evaluates_each_component_once():
                             gauge=gauge)
     # every parsed slot: 2 of L, 2 of Phi, 4 of Gamma and 8 of T
     assert len(calls) == 16
-    assert (sum(calls.values()) - 8) / points == 16
+    assert sum(calls.values()) - 8 == 16
     for name, count in calls.items():
-        assert count == points + name.startswith("T"), (name, count)
+        assert count == 1 + name.startswith("T"), (name, count)
 
 
 def test_gauge_point_computes_each_curvature_once_per_context(monkeypatch):
-    # the D and R rules read the curvatures the two bundles keep, so a
-    # point computes each for the plain and the gauged context alone
+    # the D and R rules read the curvatures the two bundles keep, so
+    # the report's batch of points computes each for the plain and the
+    # gauged context alone
     calls = {"curvature": 0, "dynamic_curvature": 0}
 
     def counting(name):
@@ -221,7 +223,7 @@ def test_gauge_point_computes_each_curvature_once_per_context(monkeypatch):
     gauge_invariance_report(helpers.sys_cubic(),
                             velocity_points(np.random.default_rng(6), 2,
                                             points), gauge=gauge_2d())
-    assert calls == {"curvature": 2 * points, "dynamic_curvature": 2 * points}
+    assert calls == {"curvature": 2, "dynamic_curvature": 2}
 
 
 def test_non_finite_gauge_rows_reach_the_report():
@@ -361,16 +363,22 @@ def test_connection_free_is_noop_without_connection():
     assert connection_free_mode(sysdef) is sysdef
 
 
+def normal_at(run, u):
+    """The unit normal covector at the surface parameters u: the one
+    node of a front_geometry call."""
+    return experiments._front_geometry(run, np.array([u], dtype=float))[1][0]
+
+
 def test_plane_normal():
     run = ShiftRun(surface=helpers.parse_surface(["u1", "0"]))
-    normal = hypersurface_normal(run, [0.3])
+    normal = normal_at(run, [0.3])
     assert np.allclose(normal, [0.0, 1.0], atol=1e-14)
 
 
 def test_circle_normal_orientation():
     run = circle_run()
     for u in (0.0, 0.7, 2.1, 4.4):
-        normal = hypersurface_normal(run, [u])
+        normal = normal_at(run, [u])
         tangent = np.array([-np.sin(u), np.cos(u)])
         # tangent row followed by the normal is positively oriented,
         # which points the covector toward the circle's center
@@ -386,7 +394,7 @@ def test_patch_normal_orthogonality():
     rng = np.random.default_rng(23)
     for _ in range(10):
         u = rng.uniform(-1.0, 1.0, 2)
-        normal = hypersurface_normal(run, u)
+        normal = normal_at(run, u)
         _, tangents = helpers.surface_frame(run, u)
         for tau in tangents:
             assert abs(normal @ tau) < 1e-10
@@ -414,7 +422,7 @@ def test_degenerate_surface_rejected():
     run = ShiftRun(surface=helpers.parse_surface(
         ["u1 + u2", "u1 + u2", "0"]))
     with pytest.raises(DegenerateSurface):
-        hypersurface_normal(run, [0.2, 0.5])
+        normal_at(run, [0.2, 0.5])
 
 
 def test_shift_plane_under_geodesic_flow():
@@ -472,7 +480,6 @@ def test_shift_integration_failure():
 
 def test_shift_run_validation():
     ident = helpers.sys_identity(2)
-    run = circle_run()
     with pytest.raises(ValidationError):
         shift_integrate(ident, ShiftRun(
             surface=helpers.parse_surface(["u1", "u2", "0"])))
@@ -481,8 +488,9 @@ def test_shift_run_validation():
     zero_nu = helpers.parse_surface(["0*u1", "0*u1"])[0]
     with pytest.raises(ValidationError):
         shift_integrate(ident, circle_run(nu=zero_nu))
-    with pytest.raises(DimensionError):
-        hypersurface_normal(run, [0.1, 0.2])
+    # a parameter count that is not the surface's
+    with pytest.raises(ValidationError, match="one entry per parameter axis"):
+        shift_integrate(ident, circle_run(u_start=[0.1, 0.2]))
     # bad time grid and integrator settings name their option
     for option, value in (("time_steps", -3), ("time_steps", 0),
                           ("time_steps", 2.5), ("time_steps", True),

@@ -1,0 +1,113 @@
+"""The verdict of every check on every fixture, and the n = 3 fixture
+whose additional normality equations decide its check."""
+
+from pathlib import Path
+
+import numpy as np
+
+import helpers
+from normality_lab import calculus
+from normality_lab.cli import RunConfig, run_checks
+from normality_lab.experiments import gauge_invariance_report
+from normality_lab.normality import cross_check_all, normality_residuals
+from normality_lab.phase import PhasePoint
+from normality_lab.sysfile import read_system_file
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# run_checks(RunConfig(fixture, samples=5)), seed 0: the checks each
+# fixture selects and whether each passed
+VERDICTS = {
+    "cubic": dict(metric=True, transport=True, cross=True, normality=False,
+                  gauge=True),
+    "cubic3": dict(metric=True, transport=True, cross=True, normality=False),
+    "cubic_shift": dict(metric=True, transport=True, cross=True,
+                        normality=False, shift=False),
+    "cylindrical3": dict(metric=True, transport=True, cross=True,
+                         normality=True, gauge=True),
+    "identity2": dict(metric=True, transport=True, cross=True, normality=True),
+    "identity_full": dict(metric=True, transport=True, cross=True,
+                          normality=True, gauge=True, shift=True),
+    "lagrangian": dict(metric=True, transport=True, cross=True,
+                       normality=False),
+    "linear_mode_a": dict(metric=True, transport=True, cross=True,
+                          normality=False),
+    "mutated": dict(metric=True, transport=True, cross=False, normality=False),
+    "parallel": dict(metric=True, transport=True, cross=True, normality=True),
+    "shear": dict(metric=True, transport=True, cross=True, normality=False,
+                  shift=False),
+}
+
+EXTRA_EQUATIONS = ("skew-A", "trace-B", "skew-C")
+
+
+def fixture(name):
+    return str(FIXTURES / f"{name}.system")
+
+
+def _passed(report):
+    return {record["id"]: record["summary"]["passed"]
+            for record in report["checks"]}
+
+
+def test_every_fixture_gives_its_verdicts():
+    assert sorted(p.stem for p in FIXTURES.glob("*.system")) == sorted(VERDICTS)
+    for name, verdicts in VERDICTS.items():
+        report, status = run_checks(RunConfig(fixture(name), samples=5))
+        assert _passed(report) == verdicts, name
+        assert status == (0 if all(verdicts.values()) else 1), name
+
+
+def test_the_n3_normality_rows_of_the_cylindrical_fixture_decide_and_pass():
+    report, status = run_checks(RunConfig(fixture("cylindrical3"), samples=12))
+    assert status == 0
+    rows, = (r["rows"] for r in report["checks"] if r["id"] == "normality")
+    extra = [row for row in rows if row["equation"] in EXTRA_EQUATIONS]
+    assert len(extra) == 3 * 12
+    assert all(row["decisive"] and row["pass"] for row in extra)
+
+
+class _FlippedConnectionSquare:
+    """numpy, with the G.G term of calculus.curvature negated."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def einsum(spec, *operands, **kwargs):
+        out = np.einsum(spec, *operands, **kwargs)
+        return -out if spec == "...kim,...mjr->...krij" else out
+
+
+def test_a_flipped_curvature_term_fails_the_cylindrical_normality(monkeypatch):
+    # both routes of the transport and cross checks read the same
+    # flipped curvature, so only the normality equations can see it
+    monkeypatch.setattr(calculus, "np", _FlippedConnectionSquare())
+    report, status = run_checks(RunConfig(
+        fixture("cylindrical3"), checks=("transport", "cross", "normality"),
+        samples=12))
+    assert status == 1
+    assert _passed(report) == dict(transport=True, cross=True, normality=False)
+
+
+def test_the_cylindrical_helper_is_the_fixture():
+    # the same components give the same bits at a batch of points, and
+    # the system is normal there with every n = 3 equation decisive; the
+    # gauge tensors give the same report
+    from_file = read_system_file(fixture("cylindrical3")).sysdef
+    built = helpers.sys_cylindrical()
+    rng = np.random.default_rng(17)
+    pt = PhasePoint.velocity(rng.uniform(-1.0, 1.0, (6, 3)),
+                             rng.uniform(0.5, 1.5, (6, 3)))
+    a, b = cross_check_all(from_file, pt), cross_check_all(built, pt)
+    for field, check in a.items():
+        assert np.array_equal(check.velocity, b[field].velocity), field
+        assert np.array_equal(check.momentum, b[field].momentum), field
+        assert np.all(check.deviation < 1e-12), field
+    for r, s in zip(normality_residuals(from_file, pt),
+                    normality_residuals(built, pt)):
+        assert r.check_id == s.check_id and np.array_equal(r.norm, s.norm)
+        assert r.decisive and np.all(r.passed), r.check_id
+    points = [PhasePoint.velocity(x, v) for x, v in zip(pt.x, pt.fiber)]
+    assert (gauge_invariance_report(from_file, points)
+            == gauge_invariance_report(built, points))

@@ -199,14 +199,13 @@ class RelationCheck:
 
 def relative_deviation(a, b, batch=()):
     """Sup-norm distance of two arrays, relative to their larger entry
-    and never to a scale below one: a float, or an array of shape batch
-    with one distance per point when the arrays lead with those batch
-    axes."""
+    and never to a scale below one: a numpy float, or an array of shape
+    batch with one distance per point when the arrays lead with those
+    batch axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(1.0, sup_norm(a, batch)), sup_norm(b, batch))
-    out = sup_norm(a - b, batch) / scale
-    return out if batch else float(out)
+    return sup_norm(a - b, batch) / scale
 
 
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
@@ -216,7 +215,7 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
     the closed-form inverse or one Newton solve, so the two routes stay
     independent. The transport check builds one such pair per batch and
     evaluates all six relations on it; the public relation functions
-    build their own."""
+    and cross_check_all build their own."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
     return (VContext(sysdef, pt.x, pt.fiber),

@@ -149,11 +149,11 @@ def _per_point(x, columns):
     """The row lists of the points x, (n,) or (N, n), from columns
     (equation, residuals, tolerance[, flags]) with one residual a
     point."""
-    count = len(x) if x.ndim > 1 else 1
     columns = [(eq, np.reshape(res, -1), tol, *flags)
                for eq, res, tol, *flags in columns]
     return [[_row(eq, res[k], tol, **(flags[0] if flags else {}))
-             for eq, res, tol, *flags in columns] for k in range(count)]
+             for eq, res, tol, *flags in columns]
+            for k in range(len(np.atleast_2d(x)))]
 
 
 def _scalar_draw(rng, n, kind):
@@ -448,10 +448,6 @@ def run_checks(cfg: RunConfig):
     return report, status
 
 
-class _Unsupported(Exception):
-    """A value _json leaves to the json module."""
-
-
 _STRING = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
 
@@ -459,30 +455,29 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 def _json(o, level, memo):
     """The dict or list o as json.dumps(o, indent=2, sort_keys=True)
     writes it at nesting level `level`, for str, int, float, bool and
-    None leaves with finite floats, in lists and in dicts with str keys;
-    anything else raises _Unsupported. A container that holds no dict,
-    such as the point dict that every row of a point shares, is written
-    once a level and kept in memo; larger texts are not kept."""
+    None leaves in lists and in dicts with str keys. A non-finite float
+    raises ValueError, any other leaf or key TypeError. A container that
+    holds no dict, such as the point dict that every row of a point
+    shares, is written once a level and kept in memo; larger texts are
+    not kept."""
     key = (id(o), level)
     text = memo.get(key)
     if text is not None:
         return text
     kind = o.__class__
     if kind is dict:
-        try:
-            items = [(_STRING(k) + ": ", o[k]) for k in sorted(o)]
-        except TypeError:       # a key that is not a str
-            raise _Unsupported from None
+        # a key that is not a str raises TypeError, in sorted or _STRING
+        items = [(_STRING(k) + ": ", o[k]) for k in sorted(o)]
     elif kind is list:
         items = [("", item) for item in o]
     else:
-        raise _Unsupported
+        raise TypeError(f"{kind.__name__} is not a report value: {o!r}")
     parts, flat = [], True
     for head, value in items:
         leaf = value.__class__
         if leaf is float:
             if not math.isfinite(value):
-                raise _Unsupported
+                raise ValueError(f"non-finite float {value!r} in a report")
             parts.append(head + float.__repr__(value))
         elif leaf is str:
             parts.append(head + _STRING(value))
@@ -507,13 +502,9 @@ def _json(o, level, memo):
 
 def render_json(report) -> str:
     """json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    plus a newline, byte for byte; the json module itself writes (or
-    rejects) a report holding anything _json does not take."""
-    try:
-        return _json(report, 0, {}) + "\n"
-    except _Unsupported:
-        return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-                + "\n")
+    plus a newline, byte for byte, for a report of str, int, float,
+    bool and None leaves in dicts with str keys and lists."""
+    return _json(report, 0, {}) + "\n"
 
 
 CSV_COLUMNS = ("check", "equation", "index", "rep", "x", "fiber", "t",

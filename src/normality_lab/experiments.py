@@ -103,14 +103,13 @@ def _gauge_deviations(sysdef, tensor, x, v):
     """The gauge rows at velocity points x, v, (n,) or (N, n), in report
     order; over a batch each row's deviation has one entry per point."""
     ctx = VContext(sysdef, x, v)
-    batch = ctx.batch
     vb = velocity_bundle(ctx)
     Tfield = FieldValue(ctx, ctx._dense(tensor, ctx.env, "T"),
                         (UPPER, LOWER, LOWER))
     vb2 = velocity_bundle(ctx.gauged(Tfield.data))
 
     def dev(a, b):
-        return relative_deviation(a, b, batch)
+        return relative_deviation(a, b, ctx.batch)
 
     v, Lv = ctx.v, ctx.L_dense.val
     W, P, A, B, alpha, D1 = vb.W, vb.P, vb.A, vb.B, vb.alpha, vb.D
@@ -151,8 +150,7 @@ def _gauge_deviations(sysdef, tensor, x, v):
     res1 = residual_norms(vb)
     res2 = residual_norms(vb2)
     for rid in RESIDUAL_IDS:
-        gap = np.abs(res1[rid] - res2[rid])
-        out[rid] = gap if batch else float(gap)
+        out[rid] = np.abs(res1[rid] - res2[rid])
     rows = [GaugeRow(name, "invariant", out[name]) for name in INVARIANT_ROWS]
     rows += [GaugeRow(name, "rule", out[name]) for name in RULE_ROWS]
     rows += [GaugeRow(rid, "residual", out[rid], requires=RESIDUAL_NEEDS[rid])
@@ -432,7 +430,7 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
     pairs = sol.y.reshape(count, 2 * n, len(times)).transpose(2, 0, 1)
     x, v = pairs.reshape(-1, 2, n).transpose(1, 0, 2)
     with np.errstate(all="ignore"):
-        Lj = _fiber_jets(sysdef, x, v, wrt_x=False)
+        Lj = _fiber_jets(sysdef, x, v)
     cond = np.where(np.isfinite(Lj.val).all(axis=1), _conditions(Lj.grad),
                     np.inf)
     if not np.all(cond <= COND_LIMIT):

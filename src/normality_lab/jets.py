@@ -343,63 +343,43 @@ def invert_matrix(A):
 _EXP_MAX = math.log(sys.float_info.max)   # exp is finite up to here
 
 
-def _arg(u, what):
-    """The finite value of a float, float array or Dense."""
-    v = u.val if u.__class__ is Dense else u
-    _finite(v, v, f"{what} of non-finite value")
-    return v
+def _elementary(name, f, derivatives, *domain):
+    """The elementary function `name` over floats, float arrays and
+    Dense data. f is its ufunc and derivatives(v, f(v)) gives f' and f''
+    at the argument's value v; domain is an optional (test, message)
+    pair that v must pass, after its finiteness check."""
+    def apply(u):
+        v = u.val if u.__class__ is Dense else u
+        _finite(v, v, f"{name} of non-finite value")
+        if domain:
+            _check(domain[0](v), v, domain[1])
+        y = f(v)
+        if u.__class__ is Dense:
+            return u._chain(y, *derivatives(v, y))
+        return y
+    apply.__name__ = name
+    return apply
 
 
-def sin(u):
-    v = _arg(u, "sin")
-    if u.__class__ is Dense:
-        s, c = np.sin(v), np.cos(v)
-        return u._chain(s, c, -s)
-    return np.sin(v)
+def _sqrt_derivatives(v, s):
+    _check(v != 0.0, v, "sqrt derivative is singular at")
+    return 0.5 / s, -0.25 / (s * v)
 
 
-def cos(u):
-    v = _arg(u, "cos")
-    if u.__class__ is Dense:
-        s, c = np.sin(v), np.cos(v)
-        return u._chain(c, -s, -c)
-    return np.cos(v)
+def _tanh_derivatives(v, t):
+    sech2 = 1.0 - t * t
+    return sech2, -2.0 * t * sech2
 
 
-def exp(u):
-    v = _arg(u, "exp")
-    _check(v <= _EXP_MAX, v, "exp overflow at")
-    e = np.exp(v)
-    if u.__class__ is Dense:
-        return u._chain(e, e, e)
-    return e
-
-
-def ln(u):
-    v = _arg(u, "ln")
-    _check(v > 0.0, v, "ln of non-positive value")
-    if u.__class__ is Dense:
-        return u._chain(np.log(v), 1.0 / v, -1.0 / (v * v))
-    return np.log(v)
-
-
-def sqrt(u):
-    v = _arg(u, "sqrt")
-    _check(v >= 0.0, v, "sqrt of negative value")
-    if u.__class__ is Dense:
-        _check(v != 0.0, v, "sqrt derivative is singular at")
-        s = np.sqrt(v)
-        return u._chain(s, 0.5 / s, -0.25 / (s * v))
-    return np.sqrt(v)
-
-
-def tanh(u):
-    v = _arg(u, "tanh")
-    t = np.tanh(v)
-    if u.__class__ is Dense:
-        sech2 = 1.0 - t * t
-        return u._chain(t, sech2, -2.0 * t * sech2)
-    return t
+sin = _elementary("sin", np.sin, lambda v, s: (np.cos(v), -s))
+cos = _elementary("cos", np.cos, lambda v, c: (-np.sin(v), -c))
+exp = _elementary("exp", np.exp, lambda v, e: (e, e),
+                  lambda v: v <= _EXP_MAX, "exp overflow at")
+ln = _elementary("ln", np.log, lambda v, y: (1.0 / v, -1.0 / (v * v)),
+                 lambda v: v > 0.0, "ln of non-positive value")
+sqrt = _elementary("sqrt", np.sqrt, _sqrt_derivatives,
+                   lambda v: v >= 0.0, "sqrt of negative value")
+tanh = _elementary("tanh", np.tanh, _tanh_derivatives)
 
 
 def _pow(base, e):

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .calculus import (LOWER, UPPER, FieldValue, curvature,
+from .calculus import (LOWER, UPPER, FieldValue, _paired_contexts, curvature,
                        dynamic_curvature, horizontal_derivative,
                        relative_deviation)
-from .errors import (DegeneratePoint, DimensionError,
-                     MixedRepresentationError, ValidationError)
+from .errors import DegeneratePoint, DimensionError, ValidationError
 from .phase import PhasePoint, Rep
-from .system import (PContext, SystemDef, VContext, _at, legendre_forward,
-                     sup_norm)
+from .system import PContext, SystemDef, VContext, _at, sup_norm
 
 OMEGA_FLOOR = 1e-12
 
@@ -82,25 +80,24 @@ class CrossCheck:
     deviation: float
 
 
-def lambda_scalar(B: np.ndarray, P: np.ndarray, n: int = None) -> float:
+def lambda_scalar(B: np.ndarray, P: np.ndarray) -> float:
     """Trace factor of the projected shape tensor, tr(B P)/(n-1), per
     point of a batch."""
-    if n is None:
-        n = P.shape[-1]
+    n = P.shape[-1]
     if n < 2:
         raise DimensionError("the trace factor needs n >= 2")
     return np.einsum("...rs,...sr->...", B, P) / (n - 1)
 
 
-def _guard_omega(omega, fiber_scale, where, batch=()):
-    """omega, unless it vanishes against the fiber scale at a point; a
+def _guard_omega(omega, fiber_scale, **point):
+    """omega, unless it vanishes against the fiber scale at the point; a
     batch names its first such point."""
     small = np.abs(omega) < OMEGA_FLOOR * (1.0 + fiber_scale)
     if np.any(small):
-        k = int(np.argmax(small)) if batch else None
+        k = int(np.argmax(small))
         raise DegeneratePoint(
-            f"fiber norm {(omega if k is None else omega[k]):.3e} vanishes "
-            f"at {where(k)}; normality fields are undefined here")
+            f"fiber norm {np.reshape(omega, -1)[k]:.3e} vanishes at "
+            f"{_at(k, **point)}; normality fields are undefined here")
     return omega
 
 
@@ -144,8 +141,7 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     Lup_d = jets.einsum("...q,...qi->...i", L, ctx.g_inv_jets)
     W = Lup_d.val
 
-    Om = _guard_omega(_dot(Lv, W), _dot(Lv, Lv),
-                      lambda k: _at(k, x=ctx.x, v=v), ctx.batch)
+    Om = _guard_omega(_dot(Lv, W), _dot(Lv, Lv), x=ctx.x, v=v)
     P = _projector(W, Lv, Om)
 
     # force vector with its connection completion, then lowered; the
@@ -231,7 +227,7 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
          + 0.5 * np.einsum("...ms,...qrka,...am,...k,...q->...rs", gradL, Dv, gi, W, Lv))
 
     return NormalityBundle(Rep.VELOCITY, ctx.x.copy(), v.copy(), W, Om, P, U,
-                           alpha, beta, eta, A, B, C, lambda_scalar(B, P, n),
+                           alpha, beta, eta, A, B, C, lambda_scalar(B, P),
                            Dv, Rv)
 
 
@@ -252,8 +248,7 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
                       jets.derivative(V, slice(n, None)))
     W = W_d.val
 
-    Om = _guard_omega(_dot(p, W), _dot(p, p),
-                      lambda k: _at(k, x=ctx.x, p=p), ctx.batch)
+    Om = _guard_omega(_dot(p, W), _dot(p, p), x=ctx.x, p=p)
     P = _projector(W, p, Om)
 
     gradV_field = horizontal_derivative(FieldValue(ctx, V, (UPPER,)))
@@ -304,7 +299,7 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
          - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rp, W, p))
 
     return NormalityBundle(Rep.MOMENTUM, ctx.x.copy(), p.copy(), W, Om, P, U,
-                           alpha, beta, eta, A, B, C, lambda_scalar(B, P, n),
+                           alpha, beta, eta, A, B, C, lambda_scalar(B, P),
                            Dp, Rp)
 
 
@@ -346,7 +341,6 @@ def normality_residuals(sysdef: SystemDef, pt: PhasePoint,
     flagged non-decisive there."""
     out = []
     for check_id, norm in residual_norms(bundle_at(sysdef, pt)).items():
-        norm = norm if pt.x.ndim > 1 else float(norm)
         out.append(Residual(check_id, norm, tolerance, norm <= tolerance,
                             check_id.startswith("weak") or sysdef.n >= 3))
     return out
@@ -360,15 +354,11 @@ def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
     image under the fiber map. Returns {field: CrossCheck}, over a batch
     with one deviation a point. mutate names an entry of MUTATIONS to
     corrupt the velocity route deliberately."""
-    if pt.rep is not Rep.VELOCITY:
-        raise MixedRepresentationError(
-            "cross checks start from a velocity point")
     if mutate is not None and mutate not in MUTATIONS:
         raise ValidationError(f"unknown mutation {mutate!r}")
-    vctx = VContext(sysdef, pt.x, pt.fiber)
+    vctx, pctx = _paired_contexts(sysdef, pt)
     vb = velocity_bundle(vctx, MUTATIONS.get(mutate))
-    pb = momentum_bundle(PContext(sysdef, pt.x,
-                                  legendre_forward(sysdef, pt).fiber))
+    pb = momentum_bundle(pctx)
     out = {}
     for field in CROSS_FIELDS:
         a, b = getattr(vb, field), getattr(pb, field)

@@ -20,13 +20,13 @@ class Rep(enum.Enum):
 
 class PhasePoint:
     """Immutable (x, fiber) pair with a representation tag: one point or
-    a batch."""
+    a batch. It holds read-only copies of the caller's arrays."""
 
     __slots__ = ("x", "fiber", "rep")
 
     def __init__(self, x, fiber, rep: Rep):
-        x = np.asarray(x, dtype=float)
-        fiber = np.asarray(fiber, dtype=float)
+        x = np.array(x, dtype=float)
+        fiber = np.array(fiber, dtype=float)
         if x.ndim not in (1, 2) or x.shape != fiber.shape:
             raise ValidationError(
                 f"phase point needs coordinates of one shape, (n,) or (N, n), "
@@ -40,10 +40,6 @@ class PhasePoint:
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoint is immutable")
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[-1]
-
     @classmethod
     def velocity(cls, x, v) -> "PhasePoint":
         return cls(x, v, Rep.VELOCITY)
@@ -55,13 +51,3 @@ class PhasePoint:
     def __repr__(self):
         which = "v" if self.rep is Rep.VELOCITY else "p"
         return f"PhasePoint(x={self.x.tolist()}, {which}={self.fiber.tolist()})"
-
-    def __eq__(self, other):
-        if not isinstance(other, PhasePoint):
-            return NotImplemented
-        return (self.rep is other.rep
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.fiber, other.fiber))
-
-    def __hash__(self):
-        return hash((self.rep, self.x.tobytes(), self.fiber.tobytes()))

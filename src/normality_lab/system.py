@@ -183,10 +183,9 @@ def _checked(dense, what, batch=(), **point):
         ok = ok & np.isfinite(dense.hess).all(axis=(-2, -1))
     if not ok.all():
         idx = np.unravel_index(np.argmin(ok), ok.shape)
-        k = idx[0] if batch else None
         raise EvalError(f"non-finite value or derivatives of "
                         f"{_component_name(what, idx[len(batch):])} at "
-                        f"{_at(k, **point)}")
+                        f"{_at(*idx[:len(batch)], **point)}")
     return dense
 
 
@@ -289,9 +288,8 @@ class VContext:
     def g_inv_values(self) -> np.ndarray:
         k = _singular(self.g_values)
         if k is not None:
-            raise SingularMetric(
-                f"fiber Jacobian is singular at "
-                f"{_at(k if self.batch else None, x=self.x, v=self.v)}")
+            raise SingularMetric(f"fiber Jacobian is singular at "
+                                 f"{_at(k, x=self.x, v=self.v)}")
         return np.linalg.inv(self.g_values)
 
     @cached_property
@@ -300,26 +298,22 @@ class VContext:
         return jets.invert_matrix(self.g_jets)
 
 
-def _fiber_jets(sysdef: SystemDef, x, v, wrt_x=True):
-    """First-order Dense data of the fiber map over (x, v), or over v
-    alone. x and v are (n,), or (N, n) over N nodes; the data then has
-    shape (N, n), the node axis leading."""
-    n = sysdef.n
-    nodes = v.shape[:-1]
-    if wrt_x:
-        seeded = jets.seeds(np.concatenate([x, v], axis=-1).T, order=1)
-        env = _env(seeded[:n], seeded[n:], "v")
-    else:
-        env = _env(x.T if nodes else x.tolist(), jets.seeds(v.T, order=1), "v")
-    return jets.stack([f.evaluate(env) for f in sysdef.legendre],
-                      2 * n if wrt_x else n, nodes)
+def _fiber_jets(sysdef: SystemDef, x, v):
+    """First-order Dense data of the fiber map over v. x and v are (n,),
+    or (N, n) over N nodes; the data then has shape (N, n), the node
+    axis leading."""
+    env = _env(x.T, jets.seeds(v.T, order=1), "v")
+    return jets.stack([f.evaluate(env) for f in sysdef.legendre], sysdef.n,
+                      v.shape[:-1])
 
 
-def _at(k, **arrays):
-    """Where an error happened: the point, or node k of a batch."""
-    text = ", ".join(f"{name}={(a if k is None else a[k]).tolist()}"
-                     for name, a in arrays.items())
-    return text if k is None else f"{text} (node {k})"
+def _at(k=0, **arrays):
+    """Where an error happened: the point, arrays of shape (n,), or node
+    k of a batch, arrays of shape (N, n)."""
+    if next(iter(arrays.values())).ndim == 1:
+        return ", ".join(f"{name}={a.tolist()}" for name, a in arrays.items())
+    return ", ".join(f"{name}={a[k].tolist()}"
+                     for name, a in arrays.items()) + f" (node {k})"
 
 
 def _conditions(G):
@@ -342,7 +336,6 @@ def _newton(sysdef: SystemDef, x, p):
     iterates until its own residual meets NEWTON_TOL, under its own
     condition check; converged nodes are not updated any more. A node
     takes the steps it takes alone."""
-    n = sysdef.n
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     v = np.array(sysdef.newton_guess if sysdef.newton_guess is not None
@@ -351,37 +344,31 @@ def _newton(sysdef: SystemDef, x, p):
     if batched and v.ndim == 1:
         v = np.repeat(v[None], p.shape[0], axis=0)
     for iteration in range(NEWTON_MAX_ITER + 1):
-        Lj = _fiber_jets(sysdef, x, v, wrt_x=False)
+        Lj = _fiber_jets(sysdef, x, v)
         residual = Lj.val - p
         err = np.max(np.abs(residual), axis=-1)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
-        if not (todo.any() if batched else todo):
+        if not todo.any():
             return v
         if iteration == NEWTON_MAX_ITER:
             k = int(np.argmax(np.where(todo, np.nan_to_num(err, nan=np.inf),
-                                       -1.0))) if batched else None
-            worst = err if k is None else err[k]
+                                       -1.0)))
             raise NonConvergence(
-                f"Newton stalled at residual {worst:.3e} solving the inverse "
-                f"fiber map at {_at(k, x=x, p=p)}")
-        if not batched:
-            G = Lj.grad[:, -n:]
-            if _singular(G) is not None:
-                raise SingularMetric(
-                    f"fiber Jacobian singular during inversion at "
-                    f"{_at(None, x=x, v=v)}")
-            v = v + np.linalg.solve(G, -residual)
-            continue
-        # the systems of the nodes still iterating
+                f"Newton stalled at residual {np.reshape(err, -1)[k]:.3e} "
+                f"solving the inverse fiber map at {_at(k, x=x, p=p)}")
+        # the systems of the nodes still iterating; a lone point's one
+        # system is solved as it is, without a node axis
         nodes = np.flatnonzero(todo)
-        G = Lj.grad[nodes][:, :, -n:]
+        G = Lj.grad[nodes] if batched else Lj.grad
         k = _singular(G)
         if k is not None:
             raise SingularMetric(
                 f"fiber Jacobian singular during inversion at "
                 f"{_at(int(nodes[k]), x=x, v=v)}")
-        step = np.linalg.solve(G, -residual[nodes][:, :, None])[:, :, 0]
-        v[nodes] += step
+        if batched:
+            v[nodes] += np.linalg.solve(G, -residual[nodes][..., None])[..., 0]
+        else:
+            v += np.linalg.solve(G, -residual)
 
 
 class PContext:
@@ -508,8 +495,9 @@ def legendre_forward(sysdef: SystemDef, pt: PhasePoint) -> PhasePoint:
         raise MixedRepresentationError("forward map expects a velocity point")
     x, v = pt.x, pt.fiber
     batch = x.shape[:-1]
-    env = _env(x.T, v.T, "v") if batch else _env(x.tolist(), v.tolist(), "v")
-    return PhasePoint.momentum(x, _values(sysdef.legendre, env, batch))
+    p = _values(sysdef.legendre, _env(x.T, v.T, "v"), batch)
+    _checked(jets.Dense(0, p), "L", batch, x=x, v=v)
+    return PhasePoint.momentum(x, p)
 
 
 def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
@@ -534,19 +522,18 @@ def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
     eye = np.eye(ctx.n)
     dev = np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
                      sup_norm(upper @ lower - eye, ctx.batch))
-    return MetricPair(lower, upper, dev if ctx.batch else float(dev))
+    return MetricPair(lower, upper, dev)
 
 
 def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
-    """Values of the free force covector at a velocity point:
-    theta_i = sum_s dL_i/dx^s v^s + sum_s dL_i/dv^s Phi^s, the
+    """Values of the free force covector at a velocity point, or a
+    batch: theta_i = sum_s dL_i/dx^s v^s + sum_s dL_i/dv^s Phi^s, the
     derivative of L_i along (v, Phi)."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("theta_from_phi expects a velocity point")
-    env = _env(pt.x.tolist(), pt.fiber.tolist(), "v")
-    direction = np.concatenate([pt.fiber, _values(sysdef.force, env)])
-    return np.einsum("im,m->i", _fiber_jets(sysdef, pt.x, pt.fiber).grad,
-                     direction)
+    ctx = VContext(sysdef, pt.x, pt.fiber)
+    return np.einsum("...im,...m->...i", ctx.L_dense.grad,
+                     np.concatenate([pt.fiber, ctx.phi.val], axis=-1))
 
 
 def _samples(rng, n, parts):

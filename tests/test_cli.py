@@ -187,6 +187,39 @@ def test_non_finite_rows_fail_and_are_written_as_null():
         render_json({"residual": float("inf")})
 
 
+def _dumps(document):
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_render_json_writes_what_json_dumps_writes(tmp_path):
+    for path in sorted(FIXTURES.glob("*.system")):
+        for free in (False, True):
+            report, _ = run_checks(RunConfig(str(path), samples=5,
+                                              connection_free=free))
+            assert render_json(report) == _dumps(report), (path.name, free)
+    out = tmp_path / "error.json"
+    assert cli.main(["check", fixture("cubic"), "--samples", "0",
+                     "--out", str(out)]) == 2
+    error = out.read_text(encoding="utf-8")
+    assert error == _dumps(json.loads(error))
+    shared = {"k": [1, 2.5, "s"]}
+    crafted = {
+        "shared": shared, "deeper": [shared, {"again": shared}],
+        "empty": [{}, [], "", {"e": []}],
+        "escaped": 'tab\t "quote" back\\slash \x01 line\n',
+        "non-ascii \u00e9": "\u2202 \u00e9 \U0001f600",
+        "numbers": [-0.0, 5e-324, 1e308, 0.1, -7, 0, 10**20],
+        "literals": [True, False, None],
+    }
+    assert render_json(crafted) == _dumps(crafted)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            render_json({"x": [bad]})
+    for bad in ({"x": (1.0, 2.0)}, {"x": np.float64(1.0)}, {1: "one"}):
+        with pytest.raises(TypeError):
+            render_json(bad)
+
+
 def test_overflowing_gauge_rows_fail(tmp_path):
     # at T = 1e200 these six deviations are nan; a one-point aggregator
     # once turned each into a passing 0.0

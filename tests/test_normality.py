@@ -145,7 +145,6 @@ def test_lambda_scalar_contract():
     sysdef = helpers.sys_cubic()
     b = bundle_at(sysdef, PhasePoint.velocity([0.1, 0.4], [0.9, 1.2]))
     assert lambda_scalar(b.B, b.P) == pytest.approx(b.lam)
-    assert lambda_scalar(b.B, b.P, 2) == pytest.approx(b.lam)
     with pytest.raises(DimensionError):
         lambda_scalar(np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(DimensionError):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import helpers
 from normality_lab import calculus, expr, jets
-from normality_lab.errors import NonConvergence, SingularMetric, ValidationError
+from normality_lab.errors import (EvalError, NonConvergence, SingularMetric,
+                                  ValidationError)
 from normality_lab.phase import PhasePoint
 from normality_lab.system import (ConstFunc, PContext, SystemDef, VContext,
                                   lagrangian_to_legendre, legendre_forward,
@@ -339,3 +342,30 @@ def test_the_calls_of_the_benchmark_probes():
     assert parsed
     for f in list(sysdef.legendre) + list(sysdef.force) + parsed:
         assert isinstance(f.evaluate(ctx.env), jets.Dense)
+
+
+def test_an_overflowing_fiber_map_raises_eval_error_without_a_warning():
+    # each factor of L1 is finite at x1 = 400, their product is not
+    n = 2
+    sysdef = SystemDef(n, helpers.parse_all(["v1*exp(x1)*exp(x1)", "v2"], n))
+    lone = PhasePoint.velocity([400.0, 0.1], [1.0, 1.0])
+    batch = PhasePoint.velocity([[0.0, 0.1], [400.0, 0.1], [0.2, 0.3]],
+                                np.ones((3, 2)))
+    where = r"of L1 at x=\[400.0, 0.1\], v=\[1.0, 1.0\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (legendre_forward, theta_from_phi):
+            with pytest.raises(EvalError, match=where + "$"):
+                f(sysdef, lone)
+            with pytest.raises(EvalError, match=where + r" \(node 1\)$"):
+                f(sysdef, batch)
+
+
+def test_a_phase_point_copies_its_callers_arrays():
+    x, v = np.zeros(2), np.ones(2)
+    pt = PhasePoint.velocity(x, v)
+    x[0], v[1] = 1.0, 2.0           # the caller's arrays stay writable
+    assert pt.x.tolist() == [0.0, 0.0] and pt.fiber.tolist() == [1.0, 1.0]
+    for own in (pt.x, pt.fiber):
+        with pytest.raises(ValueError):
+            own[0] = 3.0

@@ -1,9 +1,11 @@
-"""The verdict of every check on every fixture, and the n = 3 fixture
-whose additional normality equations decide its check."""
+"""The verdict of every check on every fixture, and the n = 3 and
+n = 4 fixtures whose additional normality equations decide their
+check."""
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import helpers
 from normality_lab import calculus
@@ -34,11 +36,18 @@ VERDICTS = {
                           normality=False),
     "mutated": dict(metric=True, transport=True, cross=False, normality=False),
     "parallel": dict(metric=True, transport=True, cross=True, normality=True),
+    "pullback4": dict(metric=True, transport=True, cross=True, normality=True,
+                      gauge=True),
+    "pullback4_newton": dict(metric=True, transport=True, cross=True,
+                             normality=True, gauge=True),
     "shear": dict(metric=True, transport=True, cross=True, normality=False,
                   shift=False),
 }
 
 EXTRA_EQUATIONS = ("skew-A", "trace-B", "skew-C")
+
+# normal fixtures at n >= 3, where every normality row is decisive
+DECISIVE = ("cylindrical3", "pullback4", "pullback4_newton")
 
 
 def fixture(name):
@@ -58,8 +67,9 @@ def test_every_fixture_gives_its_verdicts():
         assert status == (0 if all(verdicts.values()) else 1), name
 
 
-def test_the_n3_normality_rows_of_the_cylindrical_fixture_decide_and_pass():
-    report, status = run_checks(RunConfig(fixture("cylindrical3"), samples=12))
+@pytest.mark.parametrize("name", DECISIVE)
+def test_the_additional_normality_rows_decide_and_pass(name):
+    report, status = run_checks(RunConfig(fixture(name), samples=12))
     assert status == 0
     rows, = (r["rows"] for r in report["checks"] if r["id"] == "normality")
     extra = [row for row in rows if row["equation"] in EXTRA_EQUATIONS]
@@ -79,12 +89,13 @@ class _FlippedConnectionSquare:
         return -out if spec == "...kim,...mjr->...krij" else out
 
 
-def test_a_flipped_curvature_term_fails_the_cylindrical_normality(monkeypatch):
+@pytest.mark.parametrize("name", DECISIVE)
+def test_a_flipped_curvature_term_fails_the_normality(monkeypatch, name):
     # both routes of the transport and cross checks read the same
     # flipped curvature, so only the normality equations can see it
     monkeypatch.setattr(calculus, "np", _FlippedConnectionSquare())
     report, status = run_checks(RunConfig(
-        fixture("cylindrical3"), checks=("transport", "cross", "normality"),
+        fixture(name), checks=("transport", "cross", "normality"),
         samples=12))
     assert status == 1
     assert _passed(report) == dict(transport=True, cross=True, normality=False)

@@ -394,32 +394,14 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
         raise ValidationError(
             f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
-    with np.errstate(all="ignore"):     # Newton checks its steps, rhs v0
+    # Newton checks its steps, and rhs every value it is given or returns
+    with np.errstate(all="ignore"):
         v0 = (_values(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,))
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
-
-    def at(t, x, v, k):
-        return (f"t={t}, x={x.tolist()}, v={v.tolist()} "
-                f"(node {k}, u={nodes[k].tolist()})")
-
-    # the state is (node, x or v, n); a bad node is searched for only
-    # once the whole state or Phi is found non-finite
-    def rhs(t, y):
-        state = y.reshape(count, 2, n)
-        x, v = state.transpose(1, 2, 0)
-        flow = np.empty((count, 2, n))
-        flow[:, 0] = state[:, 1]
-        flow[:, 1] = _values(sysdef.force, _env(x, v, "v"), (count,))
-        if not (np.isfinite(y).all() and np.isfinite(flow).all()):
-            k = int(np.argmin(np.isfinite(state).all(axis=(1, 2))
-                              & np.isfinite(flow).all(axis=(1, 2))))
-            raise EvalError(f"non-finite trajectory position, velocity or "
-                            f"force at {at(t, x[:, k], v[:, k], k)}")
-        return flow.reshape(-1)
-
-    sol = solve_ivp(rhs, (0.0, float(times[-1])),
-                    np.concatenate([x0, v0], axis=1).ravel(), method="DOP853",
-                    rtol=rtol * shrink, atol=1e-12 * shrink, t_eval=times)
+        sol = solve_ivp(_rhs(sysdef.force, nodes), (0.0, float(times[-1])),
+                        np.concatenate([x0, v0], axis=1).ravel(),
+                        method="DOP853", rtol=rtol * shrink,
+                        atol=1e-12 * shrink, t_eval=times)
     if not sol.success:
         raise IntegrationFailure(
             f"front of {count} nodes (u from {nodes[0].tolist()} to "
@@ -435,8 +417,40 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
                     np.inf)
     if not np.all(cond <= COND_LIMIT):
         j = int(np.argmax(~(cond <= COND_LIMIT)))
-        raise SingularMetric("fiber Jacobian singular on the shift at " + at(
-            times[j // count], x[j], v[j], j % count))
+        raise SingularMetric("fiber Jacobian singular on the shift at "
+                             + _at_node(times[j // count], x[j], v[j],
+                                        j % count, nodes))
     momenta = Lj.val.reshape(len(times), count, n)
     momenta[0] = p0                     # the seeded covectors, exactly
     return pairs[:, :, :n], momenta
+
+
+def _at_node(t, x, v, k, nodes):
+    return (f"t={t}, x={x.tolist()}, v={v.tolist()} "
+            f"(node {k}, u={nodes[k].tolist()})")
+
+
+def _rhs(force, nodes):
+    """The right-hand side x' = v, v' = Phi(x, v) of the front of
+    len(nodes) trajectories, over the state (node, x or v, n) flattened.
+    The names x1.., v1.. are bound once a front, and numpy's warnings
+    are left to the caller: every value it returns is checked, and a bad
+    node is searched for only once the state or Phi is non-finite."""
+    count, n = len(nodes), len(force)
+    names = [f"{kind}{i + 1}" for kind in "xv" for i in range(n)]
+
+    def rhs(t, y):
+        state = y.reshape(count, 2 * n)
+        env = dict(zip(names, state.T))
+        flow = np.empty((count, 2 * n))
+        flow[:, :n] = state[:, n:]
+        for i, f in enumerate(force, n):
+            flow[:, i] = f.evaluate(env)
+        if not (np.isfinite(y).all() and np.isfinite(flow).all()):
+            k = int(np.argmin(np.isfinite(state).all(axis=1)
+                              & np.isfinite(flow).all(axis=1)))
+            where = _at_node(t, state[k, :n], state[k, n:], k, nodes)
+            raise EvalError(f"non-finite trajectory position, velocity or "
+                            f"force at {where}")
+        return flow.reshape(-1)
+    return rhs

@@ -14,7 +14,6 @@ tree, which is how a Lagrangian's fiber map is built once, at load.
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,40 +53,69 @@ def _tokenize(source: str):
 
 
 # AST nodes. The parser only ever produces Unary for minus, and numbers
-# are always non-negative literals, so printing and reparsing gives back
-# the identical tree.
+# are always finite, non-negative literals, so printing and reparsing
+# gives back the identical tree.
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """An AST node, equal, hashed and printed by its fields in order."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Var:
-    kind: str
-    index: int  # 1-based
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
 
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.index}"
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
+    def __hash__(self):
+        return hash(self._key())
 
-@dataclass(frozen=True)
-class Unary:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+    def __repr__(self):
+        return "{}({})".format(self.__class__.__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
+class Num(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+
+
+class Var(_Node):
+    __slots__ = ("kind", "index", "name")
+    _fields = ("kind", "index")
+
+    def __init__(self, kind: str, index: int):
+        self.kind = kind
+        self.index = index  # 1-based
+        self.name = f"{kind}{index}"
+
+
+class Unary(_Node):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+
+class Binary(_Node):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
+
+
+class Call(_Node):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg):
+        self.fn = fn
+        self.arg = arg
 
 
 class _Parser:
@@ -152,7 +180,10 @@ class _Parser:
         kind, text, _ = tok
         if kind == "number":
             self.advance()
-            return Num(float(text))
+            value = float(text)
+            if value == np.inf:
+                self.error(f"number {text} overflows", tok)
+            return Num(value)
         if text == "(":
             self.advance()
             node = self.expression()
@@ -192,9 +223,11 @@ class _Parser:
 
 
 class Expression:
-    """Parsed scalar expression bound to a dimension."""
+    """Parsed scalar expression bound to a dimension. It compiles on its
+    first evaluation and keeps the compiled form, which stays out of
+    ==, hash, repr, pickling and copies."""
 
-    __slots__ = ("root", "dimension", "kinds", "fiber_kind")
+    __slots__ = ("root", "dimension", "kinds", "fiber_kind", "_run")
 
     def __init__(self, root, dimension: int, kinds, fiber_kind):
         self.root = root
@@ -213,8 +246,16 @@ class Expression:
     def __repr__(self):
         return f"Expression({to_source(self)!r}, dimension={self.dimension})"
 
+    def __reduce__(self):
+        return Expression, (self.root, self.dimension, self.kinds,
+                            self.fiber_kind)
+
     def evaluate(self, env):
-        return _eval(self.root, env)
+        try:
+            run = self._run
+        except AttributeError:
+            run = self._run = _compile(self.root)
+        return run(env)
 
     def variables(self):
         out = set()
@@ -244,29 +285,40 @@ def _collect_vars(node, out):
         _collect_vars(node.arg, out)
 
 
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name}") from None
-    if isinstance(node, Unary):
-        return -_eval(node.operand, env)
-    if isinstance(node, Binary):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return jets.true_div(a, b)
-        return jets.power(a, b)
-    return jets.FUNCTIONS[node.fn](_eval(node.arg, env))
+def _compile(node):
+    """node as a closure over an environment. Each closure holds its
+    node's constant, variable name or jets function and its children's
+    closures, evaluates the left operand first and applies the
+    operation, so a value comes out with the bits of a recursive walk
+    in every algebra: floats, float arrays and jets.Dense data."""
+    kind = node.__class__
+    if kind is Num:
+        value = node.value
+        return lambda env: value
+    if kind is Var:
+        name = node.name
+
+        def variable(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name}") from None
+        return variable
+    if kind is Unary:
+        operand = _compile(node.operand)
+        return lambda env: -operand(env)
+    if kind is Call:
+        fn, arg = jets.FUNCTIONS[node.fn], _compile(node.arg)
+        return lambda env: fn(arg(env))
+    a, b = _compile(node.left), _compile(node.right)
+    if node.op == "+":
+        return lambda env: a(env) + b(env)
+    if node.op == "-":
+        return lambda env: a(env) - b(env)
+    if node.op == "*":
+        return lambda env: a(env) * b(env)
+    fn = jets.true_div if node.op == "/" else jets.power
+    return lambda env: fn(a(env), b(env))
 
 
 # Derivative trees, where None is an exact zero. Dropping zero terms
@@ -331,7 +383,7 @@ def _d(node, name):
     if da is None:
         return None
     with np.errstate(all="ignore"):     # _pow raises on an overflow
-        e = float(_eval(b, {}))
+        e = float(_compile(b)({}))
     if e == 0.0:
         return None
     if e == 1.0:

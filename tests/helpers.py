@@ -3,6 +3,8 @@
 - central finite differences (the derivative oracle for the jet kernel)
 - a reference interpreter that round-trips expression source through
   Python's own eval(), independent of the package evaluator
+- a recursive walk of the expression tree, the reference for the bits
+  and errors of the compiled evaluator
 - a seeded random expression generator that stays inside the domains
   of ln/sqrt/division on the standard sampling box
 - a per-node shift integration, one solve_ivp per surface node, as the
@@ -14,6 +16,9 @@
 import math
 
 import numpy as np
+
+from normality_lab import expr, jets
+from normality_lab.errors import EvalError
 
 FD_STEP = 1e-5
 
@@ -124,6 +129,34 @@ def random_source(rng, dimension, kinds=("x", "v"), depth=3) -> str:
     return build(depth)
 
 
+def walk_eval(node, env):
+    """Evaluate an expression tree by recursion, node by node: the
+    reference whose bits and errors the compiled closures of
+    Expression.evaluate reproduce."""
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {node.name}") from None
+    if isinstance(node, expr.Unary):
+        return -walk_eval(node.operand, env)
+    if isinstance(node, expr.Binary):
+        a = walk_eval(node.left, env)
+        b = walk_eval(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return jets.true_div(a, b)
+        return jets.power(a, b)
+    return jets.FUNCTIONS[node.fn](walk_eval(node.arg, env))
+
+
 def random_box_point(rng, n, x_lo=-1.0, x_hi=1.0, f_lo=0.5, f_hi=1.5):
     x = rng.uniform(x_lo, x_hi, n)
     fiber = rng.uniform(f_lo, f_hi, n)
@@ -148,13 +181,11 @@ def jet_at(e, x, v):
 # shared system fixtures
 
 def parse_all(sources, n, kinds=("x", "v")):
-    from normality_lab import expr
     return [expr.parse(s, n, kinds=kinds) for s in sources]
 
 
 def parse_surface(sources):
     """Parametric map sources over u1..u(n-1), n = len(sources)."""
-    from normality_lab import expr
     m = len(sources) - 1
     return tuple(expr.parse(s, m, kinds=("u",)) for s in sources)
 
@@ -162,7 +193,6 @@ def parse_surface(sources):
 def make_connection(n, entries=None):
     """Nested component list from a sparse {(k, i, j): source} dict.
     Entries are mirrored in the lower index pair; the rest are zero."""
-    from normality_lab import expr
     from normality_lab.system import ConstFunc
 
     zero = ConstFunc(0.0, n)
@@ -197,7 +227,6 @@ def sys_cubic():
 def sys_lagrangian():
     """Fiber map generated as the velocity gradient of a scalar, so the
     lower metric is automatically symmetric."""
-    from normality_lab import expr
     from normality_lab.system import SystemDef, lagrangian_to_legendre
     n = 2
     lag = expr.parse(
@@ -383,7 +412,6 @@ def scalar_tree(draw, n):
     (kind, a, b, c) of cli._scalar_draw: the tree expr.parse gives for
     that source, built without parsing. The check evaluates the same
     draw as a cli._Scalar."""
-    from normality_lab import expr
     kind, a, b, c = draw
     c = [expr.Unary(expr.Num(-w)) if math.copysign(1.0, w) < 0.0
          else expr.Num(w) for w in c]

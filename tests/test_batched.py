@@ -3,7 +3,7 @@ over a batched PhasePoint and the batched shift, each against its
 scalar counterpart evaluated node by node."""
 
 import dataclasses
-import warnings
+import re
 from pathlib import Path
 
 import numpy as np
@@ -291,17 +291,52 @@ def test_non_finite_flow_names_the_node():
 def test_overflowing_position_names_the_node():
     # a velocity of 1e308 overflows the integrator's step estimates and
     # the positions turn non-finite while the velocity and the force stay
-    # finite; the front once passed with nan positions and zero deviations
+    # finite; the front once passed with nan positions and zero deviations.
+    # The integration runs under one errstate, so scipy's overflowing step
+    # estimates give no numpy warning either
     system = SystemDef(2, helpers.parse_all(["v1", "v2"], 2))
     run = ShiftRun(surface=helpers.parse_surface(["u1", "0"]), nu=1e308,
                    u_samples=3, t_final=2.0, time_steps=4)
-    with warnings.catch_warnings():
-        # scipy's own step estimates overflow on this scale
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(EvalError, match=r"position, velocity or force"
-                                            r" at t=.*x=\[0\.0, (inf|nan)\].*"
-                                            r"\(node 0, u=\[0\.0\]\)"):
-            shift_integrate(system, run)
+    with pytest.raises(EvalError, match=r"position, velocity or force"
+                                        r" at t=.*x=\[0\.0, (inf|nan)\].*"
+                                        r"\(node 0, u=\[0\.0\]\)"):
+        shift_integrate(system, run)
+
+
+# a force with a ConstFunc component, over a front of five nodes
+RHS_FORCE = [expr.parse("0.5*v2^2*(1 + x1)", 2),
+             system_module.ConstFunc(0.25, 2)]
+RHS_NODES = np.linspace(0.0, 1.0, 5)[:, None]
+
+
+def test_shift_rhs_is_the_velocity_and_the_force():
+    y = np.random.default_rng(11).uniform(-1.0, 1.0, 5 * 2 * 2)
+    flow = experiments._rhs(RHS_FORCE, RHS_NODES)(0.3, y)
+    x, v = y.reshape(5, 2, 2).transpose(1, 2, 0)
+    force = system_module._values(RHS_FORCE, system_module._env(x, v, "v"),
+                                  (5,))
+    assert flow.tobytes() == np.stack([v.T, force], axis=1).tobytes()
+
+
+def test_shift_rhs_names_a_non_finite_node():
+    y = np.ones((5, 2, 2))
+    y[3, 0, 0] = np.nan
+    with pytest.raises(EvalError, match=re.escape(
+            "non-finite trajectory position, velocity or force at t=0.3, "
+            "x=[nan, 1.0], v=[1.0, 1.0] (node 3, u=[0.75])")):
+        experiments._rhs(RHS_FORCE, RHS_NODES)(0.3, y.ravel())
+
+
+def test_overflowing_force_raises_without_a_warning():
+    # 1e300*x1 overflows at nodes 1 and 2; pytest turns a numpy warning
+    # into an error
+    system = SystemDef(2, helpers.parse_all(["v1", "v2"], 2),
+                       [expr.parse("1e300*x1*x1", 2), RHS_FORCE[1]])
+    run = ShiftRun(surface=helpers.parse_surface(["1e10*u1", "1"]),
+                   nu=1.0, u_samples=3, t_final=1.0, time_steps=2)
+    with pytest.raises(EvalError, match=r"force at t=0\.0, x=\[5000000000\.0,"
+                                        r" 1\.0\], .* \(node 1, u=\[0\.5\]\)"):
+        shift_integrate(system, run)
 
 
 def test_singular_fiber_map_at_an_output_time_names_the_node():

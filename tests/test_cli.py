@@ -274,6 +274,22 @@ L2 = "v2"
         read_system_file(path).sysdef
 
 
+def test_overflowing_literal_fails_at_load(tmp_path):
+    path = write_system(tmp_path, """[system]
+n = 2
+[legendre]
+L1 = "v1"
+L2 = "v2"
+[force]
+Phi1 = "0.5*v2 + 1e400*v1"
+""")
+    with pytest.raises(ExprSyntaxError) as err:
+        read_system_file(path)
+    assert str(err.value) == (f"{path}:7: in phi1: number 1e400 overflows "
+                              f"(line 1, column 10)")
+    assert (err.value.line, err.value.column) == (1, 10)
+
+
 @pytest.mark.parametrize("body, match", [
     ('[legendre]\nL1 = "v1"', r"missing \[system\]"),
     ('[system]\nn = 2', r"missing \[legendre\]"),

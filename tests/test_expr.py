@@ -1,15 +1,21 @@
 """Parser and evaluator behavior, checked against Python's own eval."""
 
+import copy
+import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normality_lab import expr
+from normality_lab import expr, jets
 from normality_lab.errors import (DimensionError, EvalError, ExprSyntaxError,
                                   MixedRepresentationError)
+from normality_lab.sysfile import read_system_file
 
-from helpers import float_env, jet_at, python_eval, random_source
+from helpers import float_env, jet_at, python_eval, random_source, walk_eval
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_number_and_variable():
@@ -95,6 +101,8 @@ BAD_SOURCES = [
      "variable v3 out of range for dimension 2 (line 2, column 2)"),
     ("v1 +\n p2", MixedRepresentationError,
      "expression mixes v and p variables (line 2, column 2)"),
+    # a literal that overflows would print as inf, which does not reparse
+    ("1e400*v1", ExprSyntaxError, "number 1e400 overflows (line 1, column 1)"),
 ]
 
 
@@ -263,3 +271,110 @@ def test_derivative_matches_central_differences(source):
               - e.evaluate(float_env(x, v - step))) / (2 * h)
         got = d.evaluate(float_env(x, v))
         assert got == pytest.approx(fd, rel=1e-8, abs=1e-8), (name, expr.to_source(d))
+
+
+# The compiled closures against the tree walk they replaced: the same
+# bits, or the same error, in every algebra the evaluator takes
+
+def _bits(value):
+    if value.__class__ is jets.Dense:
+        return ("Dense", value.order) + tuple(
+            None if a is None else _bits(a)
+            for a in (value.val, value.grad, value.hess))
+    return (value.__class__.__name__, np.shape(value),
+            np.asarray(value).tobytes())
+
+
+def _outcome(evaluate, env):
+    try:
+        with np.errstate(all="ignore"):     # float callers check the values
+            return _bits(evaluate(env))
+    except EvalError as e:
+        return type(e), str(e)
+
+
+def _envs(e, rng, **fixed):
+    """Bindings of every variable e may read, x in [-1, 1] and the rest
+    in [0.5, 1.5] (`fixed` overrides a variable at every node): floats,
+    float arrays over 8 nodes, and jets.seeds data at orders 0, 1 and 2,
+    for a lone point and for a batch of 8."""
+    names = [f"{k}{i + 1}" for k in e.kinds for i in range(e.dimension)]
+    lo = np.array([[-1.0] if name[0] == "x" else [0.5] for name in names])
+    batch = lo + rng.random((len(names), 8)) * np.where(lo < 0.0, 2.0, 1.0)
+    for name, value in fixed.items():
+        batch[names.index(name)] = value
+    point = batch[:, 3]
+    envs = [dict(zip(names, map(float, point))), dict(zip(names, batch))]
+    for order in (0, 1, 2):
+        for values in (point, batch):
+            envs.append(dict(zip(names, jets.seeds(values, order))))
+    return envs
+
+
+def _assert_same_as_walk(e, envs):
+    for env in envs:
+        assert _outcome(e.evaluate, env) == _outcome(
+            lambda env: walk_eval(e.root, env), env), expr.to_source(e)
+
+
+def _fixture_components():
+    for path in sorted(FIXTURES.glob("*.system")):
+        doc = read_system_file(str(path))
+        sd = doc.sysdef
+        yield from (f for f in (*sd.legendre, *sd.force, *sd.connection.flat,
+                                *(sd.v_inverse or ()),
+                                *(() if sd.gauge is None else sd.gauge.flat),
+                                *(doc.surface or ()), doc.nu)
+                    if isinstance(f, expr.Expression))
+
+
+def test_compiled_evaluation_has_the_bits_of_the_tree_walk():
+    rng = np.random.default_rng(20261019)
+    for _ in range(150):
+        e = expr.parse(random_source(rng, 3, kinds=("x", "v"), depth=3), 3)
+        _assert_same_as_walk(e, _envs(e, rng))
+    components = list(_fixture_components())
+    assert len(components) > 100
+    for e in components:
+        _assert_same_as_walk(e, _envs(e, rng))
+
+
+@pytest.mark.parametrize("source, fixed, message", [
+    ("x1 + v2*v3", {}, "unbound variable v3"),
+    ("v1 + ln(x1)", {"x1": -0.5}, "ln of non-positive"),
+    ("v1/(x1 - x1)", {}, "division by zero"),
+    ("v2*x1^400", {"x1": 10.0}, "non-finite power result"),
+])
+def test_compiled_evaluation_raises_what_the_tree_walk_raises(source, fixed,
+                                                              message):
+    e = expr.parse(source, 3)
+    # no environment binds v3
+    envs = [{name: value for name, value in env.items() if name != "v3"}
+            for env in _envs(e, np.random.default_rng(7), **fixed)]
+    _assert_same_as_walk(e, envs)
+    for env in envs:
+        with pytest.raises(EvalError, match=message):
+            with np.errstate(all="ignore"):
+                e.evaluate(env)
+
+
+def test_the_compiled_form_stays_out_of_equality_repr_pickles_and_copies():
+    source = "sin(x1)*v2 - 0.5*v1^2/(1 + x2*x2)"
+    env = float_env([0.3, -0.2], [1.1, 0.9])
+    e = expr.parse(source, 2)
+    value = e.evaluate(env)
+    fresh = expr.parse(source, 2)
+    for other in (e, pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert other == fresh and fresh == other
+        assert hash(other) == hash(fresh)
+        assert repr(other) == repr(fresh)
+        assert other.evaluate(env) == value
+    # nodes compare, hash and print by their fields, as frozen
+    # dataclasses did
+    root = expr.parse("-x1^2 + sin(v1)", 1).root
+    assert repr(root) == (
+        "Binary(op='+', left=Unary(operand=Binary(op='^', left=Var(kind='x',"
+        " index=1), right=Num(value=2.0))), right=Call(fn='sin',"
+        " arg=Var(kind='v', index=1)))")
+    assert hash(root.right.arg) == hash(("v", 1))
+    assert root.right == expr.Call("sin", expr.Var("v", 1)) != root.left

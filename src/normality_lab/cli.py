@@ -159,12 +159,10 @@ def _per_point(x, columns):
 def _scalar_draw(rng, n, kind):
     """One random scalar of the transport check, as (kind, a, b, c):
     1-based indices a and b and four coefficients rounded to six
-    decimals, negative when the rounded text carries a minus sign (also
-    for -0.000000)."""
+    decimals (-0.000000 reads as -0.0)."""
     a, b = (int(i) + 1 for i in rng.integers(0, n, size=2))
-    texts = [f"{w:.6f}" for w in rng.uniform(-1.0, 1.0, size=4)]
-    return kind, a, b, [-float(t[1:]) if t[0] == "-" else float(t)
-                        for t in texts]
+    return kind, a, b, [float(f"{w:.6f}")
+                        for w in rng.uniform(-1.0, 1.0, size=4)]
 
 
 class _Scalar:

@@ -14,6 +14,7 @@ tree, which is how a Lagrangian's fiber map is built once, at load.
 """
 
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,70 +53,45 @@ def _tokenize(source: str):
     return tokens
 
 
-# AST nodes. The parser only ever produces Unary for minus, and numbers
-# are always finite, non-negative literals, so printing and reparsing
-# gives back the identical tree.
+# AST nodes, equal, hashed and printed by their fields in order. The
+# parser only ever produces Unary for minus, and numbers are always
+# finite, non-negative literals, so printing and reparsing gives back
+# the identical tree.
 
-class _Node:
-    """An AST node, equal, hashed and printed by its fields in order."""
-
-    __slots__ = ()
-
-    def _key(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "{}({})".format(self.__class__.__name__, ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._fields))
+_node = dataclass(slots=True, unsafe_hash=True)
 
 
-class Num(_Node):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: float):
-        self.value = value
+@_node
+class Num:
+    value: float
 
 
-class Var(_Node):
-    __slots__ = ("kind", "index", "name")
-    _fields = ("kind", "index")
+@_node
+class Var:
+    kind: str
+    index: int      # 1-based
 
-    def __init__(self, kind: str, index: int):
-        self.kind = kind
-        self.index = index  # 1-based
-        self.name = f"{kind}{index}"
-
-
-class Unary(_Node):
-    __slots__ = _fields = ("operand",)
-
-    def __init__(self, operand):
-        self.operand = operand
+    @property
+    def name(self):
+        return f"{self.kind}{self.index}"
 
 
-class Binary(_Node):
-    __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, op: str, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
+@_node
+class Unary:
+    operand: object
 
 
-class Call(_Node):
-    __slots__ = _fields = ("fn", "arg")
+@_node
+class Binary:
+    op: str
+    left: object
+    right: object
 
-    def __init__(self, fn: str, arg):
-        self.fn = fn
-        self.arg = arg
+
+@_node
+class Call:
+    fn: str
+    arg: object
 
 
 class _Parser:
@@ -222,26 +198,17 @@ class _Parser:
         return Var(kind, index)
 
 
+@_node
 class Expression:
     """Parsed scalar expression bound to a dimension. It compiles on its
     first evaluation and keeps the compiled form, which stays out of
     ==, hash, repr, pickling and copies."""
 
-    __slots__ = ("root", "dimension", "kinds", "fiber_kind", "_run")
-
-    def __init__(self, root, dimension: int, kinds, fiber_kind):
-        self.root = root
-        self.dimension = dimension
-        self.kinds = kinds
-        self.fiber_kind = fiber_kind  # "v", "p" or None
-
-    def __eq__(self, other):
-        if not isinstance(other, Expression):
-            return NotImplemented
-        return self.root == other.root and self.dimension == other.dimension
-
-    def __hash__(self):
-        return hash((self.root, self.dimension))
+    root: object
+    dimension: int
+    kinds: tuple = field(compare=False)
+    fiber_kind: str = field(compare=False)     # "v", "p" or None
+    _run: object = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Expression({to_source(self)!r}, dimension={self.dimension})"
@@ -251,11 +218,9 @@ class Expression:
                             self.fiber_kind)
 
     def evaluate(self, env):
-        try:
-            run = self._run
-        except AttributeError:
-            run = self._run = _compile(self.root)
-        return run(env)
+        if self._run is None:
+            self._run = _compile(self.root)
+        return self._run(env)
 
     def variables(self):
         out = set()
@@ -384,6 +349,8 @@ def _d(node, name):
         return None
     with np.errstate(all="ignore"):     # _pow raises on an overflow
         e = float(_compile(b)({}))
+    if not np.isfinite(e):
+        raise EvalError(f"non-finite constant exponent {_fmt(b)}")
     if e == 0.0:
         return None
     if e == 1.0:
@@ -393,10 +360,11 @@ def _d(node, name):
 
 def derivative(e: Expression, name: str) -> Expression:
     """The partial derivative of e by the variable `name`, as a tree
-    that reparses from its source. Its rules are the steps of a forward
-    sweep over dual numbers, in their order, so it evaluates to that
-    sweep's floats in every algebra the evaluator takes: a*db + da*b,
-    (da - (a/b)*db)/b, (c*a^(c-1))*da for an exponent c without
+    that reparses from its source; a constant exponent that folds to a
+    non-finite value raises EvalError. Its rules are the steps of a
+    forward sweep over dual numbers, in their order, so it evaluates to
+    that sweep's floats in every algebra the evaluator takes: a*db +
+    da*b, (da - (a/b)*db)/b, (c*a^(c-1))*da for an exponent c without
     variables, exp(b*ln a)*(b*(da/a) + db*ln a) for any other, and
     cos(a)*da, (-sin a)*da, exp(a)*da, da/a, da/(2*sqrt a) and
     (1 - t*t)*da with t = tanh a."""

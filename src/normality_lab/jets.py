@@ -230,26 +230,13 @@ def stack(entries, m: int, batch=()) -> Dense:
     of that shape, which are exact constants: second order with zero
     derivatives. The order is the lowest over the Dense entries."""
     order = min((u.order for u in entries if u.__class__ is Dense), default=2)
-    vals = [u.val if u.__class__ is Dense else u for u in entries]
-    if not batch:
-        val = np.array(vals, dtype=float)
-        grad = hess = None
-        if order >= 1:
-            zero = np.zeros(m)
-            grad = np.array([u.grad if u.__class__ is Dense else zero
-                             for u in entries])
-        if order == 2:
-            zero = np.zeros((m, m))
-            hess = np.array([u.hess if u.__class__ is Dense else zero
-                             for u in entries])
-        return Dense(order, val, grad, hess)
-    # constants broadcast over the batch on assignment
     k = len(entries)
     val = np.empty(batch + (k,))
     grad = np.zeros(batch + (k, m)) if order >= 1 else None
     hess = np.zeros(batch + (k, m, m)) if order == 2 else None
     for i, u in enumerate(entries):
-        val[..., i] = vals[i]
+        # constants broadcast over the batch on assignment
+        val[..., i] = u.val if u.__class__ is Dense else u
         if u.__class__ is Dense:
             if grad is not None:
                 grad[..., i, :] = u.grad

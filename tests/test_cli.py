@@ -633,6 +633,24 @@ lagrangian = "0.5*v1^2 + 0.5*v2^2 - ln(x1)"
     assert all(record["summary"]["passed"] for record in report["checks"])
 
 
+def test_lagrangian_with_an_infinite_constant_exponent_exits_2(tmp_path,
+                                                               capsys):
+    # the exponent once folded to inf: the fiber map printed as
+    # inf*v1^inf, which does not reparse, and the file loaded and ended
+    # in error records
+    path = write_system(tmp_path, """
+[system]
+n = 1
+
+[legendre]
+lagrangian = "0.5*v1^2 + v1^(exp(400)*exp(400))"
+""")
+    assert cli.main(["check", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "EvalError", "message":
+                     "non-finite constant exponent exp(400)*exp(400)"}
+
+
 def test_overflow_in_a_component_is_a_structured_error(tmp_path):
     # sin of an overflowed argument once escaped as a bare ValueError
     path = write_system(tmp_path, """

@@ -152,6 +152,30 @@ def test_stack_orders_and_constants():
     assert np.array_equal(val[:, 1], [3.0] * 3) and not grad[:, 1:3].any()
     assert np.array_equal(grad[:, 3], np.tile([0.0, 1.0], (3, 1)))
 
+    # a lone point stacks into row k of the batch, bit for bit
+    a, b = jets.seeds([[0.5, 1.0, 2.0], [1.5, -1.0, 0.2]])
+    for order in (0, 1, 2):
+        entries = [(a * b).truncated(order), 3.0,
+                   np.array([0.25, -3.0, 7.5]), jets.sin(b)]
+        batched = jets.stack(entries, 2, (3,))
+        for k in range(3):
+            lone = jets.stack([_row(u, k) for u in entries], 2)
+            assert lone.order == batched.order == order
+            for got, want in zip(list(lone)[1:], list(batched)[1:]):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape == want[k].shape
+                    assert got.tobytes() == want[k].tobytes()
+
+
+def _row(u, k):
+    """Entry u at point k of its batch."""
+    if u.__class__ is not jets.Dense:
+        return u[k] if isinstance(u, np.ndarray) else u
+    return jets.Dense(u.order, *(None if d is None else d[k]
+                                 for d in (u.val, u.grad, u.hess)))
+
 
 def test_einsum_follows_the_product_rule():
     # entrywise jet arithmetic is the oracle for the dense contraction

@@ -12,10 +12,8 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -26,13 +24,14 @@ from .calculus import (LOWER, _curvature_relation,
                        _horizontal_transport_velocity, _paired_contexts,
                        _vertical_transport_momentum,
                        _vertical_transport_velocity)
-from .errors import (DegeneratePoint, NormalityLabError, SingularMetric,
-                     ValidationError)
-from .experiments import (ShiftRun, _gauge_deviations, _gauge_tensor,
+from .errors import (DegeneratePoint, MissingGaugeTensor, NormalityLabError,
+                     SingularMetric, ValidationError)
+from .experiments import (ShiftRun, _count, _gauge_deviations, _real,
                           connection_free_mode, shift_integrate)
 from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
 from .phase import PhasePoint
-from .system import legendre_forward, legendre_inverse, metric, sup_norm
+from .system import (FIBER_BOX, X_BOX, legendre_forward, legendre_inverse,
+                     metric, sup_norm)
 from .sysfile import SHIFT_OPTIONS, read_system_file
 
 CHECK_IDS = ("metric", "transport", "cross", "normality", "gauge", "shift")
@@ -56,15 +55,14 @@ RESAMPLE_LIMIT = 10
 class RunConfig:
     """One check run. checks=None selects everything the file supports:
     the four point checks, plus gauge and shift when the file carries
-    the sections they need. Boxes accept scalars or per-variable arrays."""
+    the sections they need. Points are drawn from system.X_BOX and
+    system.FIBER_BOX."""
 
     path: str
     checks: tuple = None
     samples: int = 100
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    x_box: tuple = (-1.0, 1.0)
-    fiber_box: tuple = (0.5, 1.5)
     fmt: str = "json"
     connection_free: bool = False
 
@@ -89,48 +87,24 @@ def _selected_checks(cfg: RunConfig, doc) -> tuple:
     return tuple(picked)
 
 
-def _validate_config(cfg: RunConfig, n, checks, tolerances):
+def _validate_config(cfg: RunConfig, checks, tolerances):
     if not checks:
         raise ValidationError("no checks selected")
-    for name in ("samples", "seed"):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if cfg.samples < 1:
+    samples, seed = _count(cfg.samples, "samples"), _count(cfg.seed, "seed")
+    if samples < 1:
         raise ValidationError("samples must be at least 1")
-    if cfg.seed < 0:
+    if seed < 0:
         raise ValidationError("seed must be non-negative")
     unknown = sorted(set(cfg.tolerances) - set(DEFAULT_TOLERANCES))
     if unknown:
         raise ValidationError(
             f"unknown tolerances: {', '.join(unknown)}; "
             f"known: {', '.join(DEFAULT_TOLERANCES)}")
+    what = "a positive finite number"
     for name, value in tolerances.items():
-        if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        if not 0.0 < _real(value, f"tolerance {name!r}", what) < math.inf:
             raise ValidationError(
-                f"tolerance {name!r} must be a positive finite number, "
-                f"got {value!r}")
-    fiber_sensitive = {"cross", "normality", "gauge"} & set(checks)
-    for name, box in (("x", cfg.x_box), ("fiber", cfg.fiber_box)):
-        try:
-            lo, hi = (np.asarray(bound, dtype=float) for bound in box)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{name} sampling box must be a (low, high) pair of numbers "
-                f"or of {n}-entry arrays, got {box!r}") from None
-        if lo.shape not in ((), (n,)) or hi.shape not in ((), (n,)):
-            raise ValidationError(
-                f"{name} sampling box bounds must be scalars or have "
-                f"{n} entries")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValidationError(f"{name} sampling box bounds must be finite")
-        if np.any(lo >= hi):
-            raise ValidationError(f"{name} sampling box is empty")
-        if (name == "fiber" and fiber_sensitive
-                and np.any((lo <= 0.0) & (hi >= 0.0))):
-            raise ValidationError(
-                "fiber sampling box must exclude zero for the "
-                + "/".join(sorted(fiber_sensitive)) + " checks")
+                f"tolerance {name!r} must be {what}, got {value!r}")
 
 
 def _row(equation, residual, tolerance, **flags):
@@ -253,9 +227,10 @@ def _normality_rows(sysdef, doc, x, v, draws, tol):
                                      tol["normality"])])
 
 
-def _gauge_rows(tensor, sysdef, doc, x, v, draws, tol):
+def _gauge_rows(sysdef, doc, x, v, draws, tol):
     columns = []
-    for entry in _gauge_deviations(sysdef, tensor, x, v):
+    # the tensor was validated when the file was read
+    for entry in _gauge_deviations(sysdef, sysdef.gauge, x, v):
         tolerance = tol["gauge"] if entry.kind == "rule" else tol["gauge-exact"]
         flags = {}
         if entry.requires:
@@ -322,22 +297,20 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
     as one batch, which gives each point the rows it gets alone; a
     batch that raises is split down to lone points, which resample a
     degenerate point or raise the first failing point's error."""
+    if check_id == "gauge" and sysdef.gauge is None:
+        raise MissingGaugeTensor(
+            "system carries no gauge tensor and none was supplied")
     builder = _BUILDERS[check_id]
-    if check_id == "gauge":
-        # validate the gauge tensor once for every point of the check
-        builder = partial(builder, _gauge_tensor(sysdef, None))
     extra = _DRAWS.get(check_id)
     check_index = CHECK_IDS.index(check_id)
     n = sysdef.n
-    x_lo, x_hi = cfg.x_box
-    f_lo, f_hi = cfg.fiber_box
 
     def build(x, v, draws):
         return builder(sysdef, doc, x, v, draws, tolerances)
 
     def draw(rng):
-        x = rng.uniform(x_lo, x_hi, n)
-        v = rng.uniform(f_lo, f_hi, n)
+        x = rng.uniform(*X_BOX, n)
+        v = rng.uniform(*FIBER_BOX, n)
         return x, v, extra(rng, n) if extra else None
 
     rows, resampled = [], 0
@@ -403,11 +376,6 @@ def _run_one(check_id, cfg, doc, sysdef, tolerances):
             "summary": _summarize(rows, resampled)}
 
 
-def _box_list(box):
-    # bound by bound: a scalar and an n-entry bound may be mixed
-    return [np.asarray(bound, dtype=float).tolist() for bound in box]
-
-
 def run_checks(cfg: RunConfig):
     """Load, sweep, report. Returns (report document, exit status)."""
     doc = read_system_file(cfg.path)
@@ -416,7 +384,7 @@ def run_checks(cfg: RunConfig):
         sysdef = connection_free_mode(sysdef)
     checks = _selected_checks(cfg, doc)
     tolerances = {**DEFAULT_TOLERANCES, **cfg.tolerances}
-    _validate_config(cfg, sysdef.n, checks, tolerances)
+    _validate_config(cfg, checks, tolerances)
 
     records = [_run_one(check_id, cfg, doc, sysdef, tolerances)
                for check_id in checks]
@@ -435,8 +403,8 @@ def run_checks(cfg: RunConfig):
             "samples": int(cfg.samples),
             "seed": int(cfg.seed),
             "tolerances": {k: float(v) for k, v in sorted(tolerances.items())},
-            "x_box": _box_list(cfg.x_box),
-            "fiber_box": _box_list(cfg.fiber_box),
+            "x_box": list(X_BOX),
+            "fiber_box": list(FIBER_BOX),
             "format": cfg.fmt,
             "connection_free": cfg.connection_free,
         },

@@ -51,18 +51,6 @@ RESIDUAL_NEEDS = {
 }
 
 
-def _gauge_tensor(sysdef, gauge):
-    """The gauge tensor, supplied or the system's, as a component array
-    checked for symmetry where validate_system checks it."""
-    tensor = gauge if gauge is not None else sysdef.gauge
-    if tensor is None:
-        raise MissingGaugeTensor(
-            "system carries no gauge tensor and none was supplied")
-    tensor = _component_array(tensor, sysdef.n, "gauge")
-    _check_gauge(tensor)
-    return tensor
-
-
 def connection_free_mode(sysdef: SystemDef) -> SystemDef:
     """The same system with the connection dropped entirely, so every
     covariant derivative collapses to a plain coordinate one."""
@@ -167,10 +155,16 @@ def gauge_invariance_report(sysdef: SystemDef, points,
     against the transformation rule applied to un-gauged values, which
     exercises the cancellations behind each rule. Residual rows compare
     normality residual norms; the conditional ones list the residuals
-    whose vanishing they rely on. The tensor is validated once a call,
-    the points are evaluated as one batch, and a nan deviation at any
-    point is the row's worst."""
-    tensor = _gauge_tensor(sysdef, gauge)
+    whose vanishing they rely on. The tensor, supplied or the system's,
+    is checked for symmetry once a call where validate_system checks
+    it, the points are evaluated as one batch, and a nan deviation at
+    any point is the row's worst."""
+    tensor = gauge if gauge is not None else sysdef.gauge
+    if tensor is None:
+        raise MissingGaugeTensor(
+            "system carries no gauge tensor and none was supplied")
+    tensor = _component_array(tensor, sysdef.n, "gauge")
+    _check_gauge(tensor)
     points = list(points)
     if not points:
         raise ValidationError("gauge report needs at least one point")

@@ -222,11 +222,6 @@ class Expression:
             self._run = _compile(self.root)
         return self._run(env)
 
-    def variables(self):
-        out = set()
-        _collect_vars(self.root, out)
-        return out
-
 
 def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
     if dimension < 1:

@@ -44,7 +44,8 @@ import re
 from dataclasses import dataclass, field
 
 from . import expr
-from .errors import ExprSyntaxError, SystemFileError, ValidationError
+from .errors import (EvalError, ExprSyntaxError, SystemFileError,
+                     ValidationError)
 from .normality import MUTATIONS
 from .system import (ConstFunc, SystemDef, lagrangian_to_legendre,
                      validate_system, zero_connection)
@@ -243,7 +244,10 @@ def read_system_file(path) -> SystemFile:
                 f"{path}: lagrangian excludes explicit L components")
         lineno, key, value = scalar[0]
         generator = _parse_expr(path, lineno, key, value, n, ("x", "v"))
-        legendre = lagrangian_to_legendre(generator)
+        try:
+            legendre = lagrangian_to_legendre(generator)
+        except EvalError as e:
+            raise EvalError(f"{path}:{lineno}: in {key}: {e}") from None
     else:
         legendre = _vector_section(path, entries, "l", n, ("x", "v"), True)
 

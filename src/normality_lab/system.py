@@ -33,6 +33,10 @@ from .phase import PhasePoint, Rep
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# the sampling box: configurations x and fibers are drawn uniformly
+# from these bounds, by the load plan and by every sampled check
+X_BOX = (-1.0, 1.0)
+FIBER_BOX = (0.5, 1.5)
 
 
 class ConstFunc:
@@ -538,11 +542,12 @@ def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
 
 def _samples(rng, n, parts):
     """One block of the validation plan: `parts` n-vectors at each of 8
-    samples, drawn sample by sample, x in [-1, 1] first and then fibers
-    in [0.5, 1.5]. Returns the parts as (n, 8) arrays, equal bit for
-    bit to rng.uniform(lo, hi, n) calls, which scale rng.random()."""
-    x, *fibers = rng.random((8, parts, n)).transpose(1, 2, 0)
-    return [2.0 * x - 1.0] + [f + 0.5 for f in fibers]
+    samples, drawn sample by sample, x in X_BOX first and then fibers
+    in FIBER_BOX. Returns the parts as (n, 8) arrays, equal bit for bit
+    to rng.uniform(lo, hi, n) calls, which scale rng.random()."""
+    draws = rng.random((8, parts, n)).transpose(1, 2, 0)
+    return [lo + (hi - lo) * r for r, (lo, hi)
+            in zip(draws, [X_BOX] + [FIBER_BOX] * (parts - 1))]
 
 
 def _check_symmetric(tensor, what, error, x, v):

@@ -234,11 +234,6 @@ def test_round_trip_fuzz_and_eval_fuzz():
         assert mine == pytest.approx(ref, rel=1e-12, abs=1e-12), src
 
 
-def test_variables_listing():
-    e = expr.parse("x1*v2 + sin(v1)", 2)
-    assert e.variables() == {"x1", "v1", "v2"}
-
-
 def test_derivative_gives_exact_gradient_jets():
     # d/dv1 of (0.25 v1^4 + x1 v1^2) is v1^3 + 2 x1 v1; the derivative
     # tree must reproduce the hand-written gradient's full jet.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from normality_lab import cli, jets
+from normality_lab import cli, jets, system
 from normality_lab.cli import RunConfig, run_checks
 from normality_lab.errors import DegeneratePoint, EvalError
 from normality_lab.sysfile import read_system_file
@@ -40,6 +40,19 @@ def _point_checks(path):
     doc = read_system_file(path)
     return tuple(c for c in POINT_CHECKS
                  if c != "gauge" or doc.sysdef.gauge is not None)
+
+
+def test_every_sampled_point_lies_in_the_box():
+    report, _ = run_checks(RunConfig(fixture("cubic"),
+                                     checks=_point_checks(fixture("cubic")),
+                                     samples=12))
+    (x_lo, x_hi), (f_lo, f_hi) = system.X_BOX, system.FIBER_BOX
+    assert [c["id"] for c in report["checks"]] == list(POINT_CHECKS)
+    for record in report["checks"]:
+        assert {row["index"] for row in record["rows"]} == set(range(12))
+        for row in record["rows"]:
+            assert all(x_lo <= c <= x_hi for c in row["point"]["x"])
+            assert all(f_lo <= c <= f_hi for c in row["point"]["fiber"])
 
 
 @pytest.mark.parametrize("name", ["cubic", "cubic3", "lagrangian",

@@ -43,10 +43,6 @@ UPPER = "u"
 LOWER = "l"
 
 
-def _is_momentum(ctx) -> bool:
-    return isinstance(ctx, PContext)
-
-
 class FieldValue:
     """Tensor field evaluated at one context. `data` is its jets.Dense,
     of shape ctx.batch + (n,) * rank; scalar Dense data, a number, or an
@@ -89,17 +85,17 @@ def field_of(ctx, components, variance=(), evaluate=None):
 def _connection(ctx):
     """Stacked connection of the context's representation and the fiber
     coordinates it is contracted with: (G, dG, fiber)."""
-    order, G, dG, _ = ctx.gamma_p if _is_momentum(ctx) else ctx.gamma
+    order, G, dG, _ = ctx.gamma_p if ctx.rep is Rep.MOMENTUM else ctx.gamma
     if order == 0:
         raise MissingJets("connection carries no derivative data")
-    return G, dG, (ctx.p if _is_momentum(ctx) else ctx.v)
+    return G, dG, ctx.fiber
 
 
 def vertical_derivative(field: FieldValue) -> FieldValue:
     """Fiber derivative. Appends an upper index in the momentum
     representation and a lower index in the velocity representation."""
     ctx = field.ctx
-    mark = UPPER if _is_momentum(ctx) else LOWER
+    mark = UPPER if ctx.rep is Rep.MOMENTUM else LOWER
     return FieldValue(ctx, jets.derivative(field.data, slice(ctx.n, None)),
                       field.variance + (mark,))
 
@@ -124,7 +120,7 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
     G, dG, fiber = _connection(ctx)
     # fiber correction N[b, m], the coefficient of dX/dfiber_b in D_m X,
     # and its gradient dN[b, m, z]
-    if _is_momentum(ctx):
+    if ctx.rep is Rep.MOMENTUM:
         N = np.einsum("...a,...amb->...bm", fiber, G)
         dN = np.einsum("...a,...ambz->...bmz", fiber, dG)
         dN[..., n:] += np.einsum("...amb->...bma", G)
@@ -165,7 +161,7 @@ def dynamic_curvature(ctx) -> np.ndarray:
     representation it is -dG^k_ij/dp_r (upper pair k,r; lower pair i,j)."""
     _, dG, _ = _connection(ctx)
     dfiber = dG[..., ctx.n:]
-    if _is_momentum(ctx):
+    if ctx.rep is Rep.MOMENTUM:
         return -np.einsum("...kijr->...krij", dfiber)
     return -np.einsum("...kirj->...krij", dfiber)
 
@@ -178,7 +174,7 @@ def curvature(ctx) -> np.ndarray:
     n = ctx.n
     G, dG, fiber = _connection(ctx)
     # lead[m, i]: coefficient of dG/dfiber_m in the base derivative D_i
-    if _is_momentum(ctx):
+    if ctx.rep is Rep.MOMENTUM:
         lead = np.einsum("...s,...smi->...mi", fiber, G)
     else:
         lead = -np.einsum("...s,...mis->...mi", fiber, G)
@@ -258,14 +254,18 @@ def curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationCheck:
 
 # --- transport of derivatives through the fiber map ---------------------
 
-def _vertical_transport_velocity(vctx, pctx, func) -> float:
-    n = vctx.n
-    direct = vctx.eval_native(func)
-    composed = pctx.eval_velocity_native(func)
+def _vertical_transport(direct, composed, metric, ctx) -> float:
+    # fiber gradients: direct against composed, carried through metric
+    n = ctx.n
     return relative_deviation(
         direct.grad[..., n:],
-        np.einsum("...qk,...q->...k", vctx.g_values, composed.grad[..., n:]),
-        vctx.batch)
+        np.einsum("...qk,...q->...k", metric, composed.grad[..., n:]),
+        ctx.batch)
+
+
+def _vertical_transport_velocity(vctx, pctx, func) -> float:
+    direct, composed = vctx.eval_native(func), pctx.eval_velocity_native(func)
+    return _vertical_transport(direct, composed, vctx.g_values, vctx)
 
 
 def vertical_transport_velocity(sysdef, pt, func) -> float:
@@ -275,13 +275,8 @@ def vertical_transport_velocity(sysdef, pt, func) -> float:
 
 
 def _vertical_transport_momentum(vctx, pctx, func) -> float:
-    n = vctx.n
-    direct = pctx.eval_native(func)
-    composed = vctx.eval_momentum_native(func)
-    return relative_deviation(
-        direct.grad[..., n:],
-        np.einsum("...qk,...q->...k", vctx.g_inv_values, composed.grad[..., n:]),
-        vctx.batch)
+    direct, composed = pctx.eval_native(func), vctx.eval_momentum_native(func)
+    return _vertical_transport(direct, composed, vctx.g_inv_values, vctx)
 
 
 def vertical_transport_momentum(sysdef, pt, func) -> float:

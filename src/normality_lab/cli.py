@@ -299,7 +299,7 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
     degenerate point or raise the first failing point's error."""
     if check_id == "gauge" and sysdef.gauge is None:
         raise MissingGaugeTensor(
-            "system carries no gauge tensor and none was supplied")
+            "the gauge check needs a [gauge] section in the file")
     builder = _BUILDERS[check_id]
     extra = _DRAWS.get(check_id)
     check_index = CHECK_IDS.index(check_id)

@@ -30,8 +30,8 @@ from .normality import RESIDUAL_IDS, residual_norms, velocity_bundle
 from .phase import Rep
 from .expr import Expression
 from .system import (COND_LIMIT, ConstFunc, SystemDef, VContext, _check_gauge,
-                     _component_array, _conditions, _env, _fiber_jets,
-                     _newton, _values, zero_connection)
+                     _checked, _component_array, _conditions, _env, _evaluate,
+                     _fiber_jets, _newton, _values, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
 # a momentum of at most this norm vanishes; seeded momenta have norm |nu|
@@ -92,14 +92,14 @@ def _gauge_deviations(sysdef, tensor, x, v):
     order; over a batch each row's deviation has one entry per point."""
     ctx = VContext(sysdef, x, v)
     vb = velocity_bundle(ctx)
-    Tfield = FieldValue(ctx, ctx._dense(tensor, ctx.env, "T"),
+    Tfield = FieldValue(ctx, ctx._dense(tensor, what="T"),
                         (UPPER, LOWER, LOWER))
     vb2 = velocity_bundle(ctx.gauged(Tfield.data))
 
     def dev(a, b):
         return relative_deviation(a, b, ctx.batch)
 
-    v, Lv = ctx.v, ctx.L_dense.val
+    v, Lv = ctx.fiber, ctx.L_dense.val
     W, P, A, B, alpha, D1 = vb.W, vb.P, vb.A, vb.B, vb.alpha, vb.D
 
     Tvals = Tfield.values()
@@ -283,7 +283,8 @@ def _front_geometry(run: ShiftRun, nodes):
     rows followed by the normal make a positively oriented frame."""
     count, m = nodes.shape
     env = {f"u{d + 1}": u for d, u in enumerate(jets.seeds(nodes.T, order=1))}
-    frame = jets.stack([f.evaluate(env) for f in run.surface], m, (count,))
+    frame = _checked(jets.stack(_evaluate(run.surface, env), m, (count,)), "x",
+                     (count,), u=nodes)
     tangents = frame.grad.transpose(0, 2, 1)           # (N, m, n)
     _, sing, vt = np.linalg.svd(tangents)
     collapsed = sing[:, -1] < SURFACE_RANK_FLOOR
@@ -392,6 +393,7 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
     with np.errstate(all="ignore"):
         v0 = (_values(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,))
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
+        _checked(jets.Dense(0, v0), "V", (count,), x=x0, p=p0)
         sol = solve_ivp(_rhs(sysdef.force, nodes), (0.0, float(times[-1])),
                         np.concatenate([x0, v0], axis=1).ravel(),
                         method="DOP853", rtol=rtol * shrink,

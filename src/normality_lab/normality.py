@@ -131,7 +131,7 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     n = ctx.n
     if n < 2:
         raise DimensionError("normality fields need n >= 2")
-    v = ctx.v
+    v = ctx.fiber
     gi = ctx.g_inv_values
     L = ctx.L_dense
     Lv = L.val
@@ -238,7 +238,7 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
     n = ctx.n
     if n < 2:
         raise DimensionError("normality fields need n >= 2")
-    p = ctx.p
+    p = ctx.fiber
     V = ctx.V
     Vv = V.val
     Qv = ctx.Q.val

@@ -6,38 +6,43 @@ A small sectioned plain-text format, one `key = value` pair per line:
     n = 2
 
     [legendre]
-    L1 = "v1 + 0.1*v1^3"
-    L2 = "v2 + 0.1*v2^3"
-    # or a single generating scalar: lagrangian = "0.5*(v1^2 + v2^2)"
+    L1 = "2*v1"
+    L2 = "v2*exp(x1)"
+    # or a single generating scalar: lagrangian = "v1^2 + 0.5*v2^2"
 
     [force]
-    Phi1 = "0"              # omitted components default to zero
+    Phi1 = "0"
 
     [connection]
-    Gamma_1_12 = "0.1*v1"   # omitted entries default to zero;
-    Gamma_1_21 = "0.1*v1"   # entries are NOT mirrored automatically
+    Gamma_1_12 = "0.1*v1"
+    Gamma_1_21 = "0.1*v1"
 
-    [inverse]               # optional closed-form inverse, all or none
-    V1 = "p1"
+    [inverse]
+    V1 = "p1/2"
+    V2 = "p2*exp(-x1)"
 
-    [gauge]                 # optional symmetric deformation tensor
+    [gauge]
     T_1_11 = "0.3*x1"
 
-    [surface]               # optional shift surface, expressions in u
+    [surface]
     x1(u1) = "cos(u1)"
     x2(u1) = "sin(u1)"
 
-    [nu] = "1"              # normal scale; a number or a u-expression
+    [nu] = "1"
 
     [options]
-    u_samples = 32          # shift grid; also u_start, u_stop,
-    periodic = true         # t_final, time_steps, rtol
-    newton_guess = 0.9, 1.1
-    mutate = flip-beta-term # self-test hook, see the checks module
+    u_stop = 6.283185307179586
+    u_samples = 32
+    periodic = true
+    mutate = flip-beta-term
 
-Values may be quoted or bare. Blank lines and full-line # comments are
-skipped. `[nu] = "1"` carries its value on the header line; a plain
-`[nu]` section with a `nu = ...` line inside works too.
+Omitted force and connection entries are zero; connection entries are
+not mirrored. [inverse] (all or none), [gauge], [surface], [nu] (a
+number or a u-expression) and [options] are optional; options also
+take u_start, t_final, time_steps, rtol and newton_guess. Values may
+be quoted or bare. Blank lines and full-line # comments are skipped; a
+# after a value is part of the value. `[nu] = "1"` carries its value
+on the header line; a `nu = ...` line in a plain [nu] section works too.
 """
 
 import re
@@ -295,5 +300,8 @@ def read_system_file(path) -> SystemFile:
     sysdef = SystemDef(n, legendre, force=force, connection=connection,
                        v_inverse=v_inverse, gauge=gauge,
                        newton_guess=options.get("newton_guess"))
-    validate_system(sysdef)
+    try:
+        validate_system(sysdef)
+    except EvalError as e:
+        raise EvalError(f"{path}: {e}") from None
     return SystemFile(sysdef, surface, nu, options, path)

@@ -5,13 +5,13 @@ velocities to momenta (or the expressions dLag/dv_i of a Lagrangian),
 n force components Phi^i(x, v), a symmetric connection Gamma^k_ij(x, v),
 and optionally the closed-form inverse V^i(x, p) and a gauge T^k_ij(x, v).
 
-Two evaluation contexts do the real work. VContext seeds second-order
-derivative data (jets.Dense) at a velocity point, evaluates components
-over it and stacks them into one Dense per field. PContext inverts the
-fiber map at a momentum point (closed form when given, Newton plus
-implicit differentiation otherwise), keeps an inner VContext at the
-preimage, and pushes its dense data through the inverse map by the
-chain rule.
+Two evaluation contexts do the real work. Their base seeds second-order
+derivative data (jets.Dense) at a point of its representation, ctx.rep,
+and stacks components evaluated over it into one Dense per field.
+VContext adds the fields of a velocity point. PContext inverts the
+fiber map at a momentum point (closed form, or Newton plus implicit
+differentiation), keeps an inner VContext at the preimage, and pushes
+its dense data through the inverse map by the chain rule.
 
 Both take one point, x and fiber of shape (n,), or a batch of N
 points, of shape (N, n). The batch axis then leads every field and its
@@ -130,14 +130,21 @@ def _env(x, fiber, kind):
     return env
 
 
-def _values(funcs, env, nodes=()):
-    """Float values of components, shape nodes + (len(funcs),). numpy
-    warnings over float arrays are silenced: callers compare or check
-    the values."""
+def _values(components, env, nodes=(), what=None):
+    """Float values of one component or nested sequences of them, shape
+    nodes + (count,), numpy's warnings silenced: callers check the
+    values. With `what`, an EvalError names its component."""
+    shape, funcs = _flat(components)
     out = np.empty(nodes + (len(funcs),))
     with np.errstate(all="ignore"):
         for i, f in enumerate(funcs):
-            out[..., i] = f.evaluate(env)
+            try:
+                out[..., i] = f.evaluate(env)
+            except EvalError as e:
+                if what is None:
+                    raise
+                name = _component_name(what, np.unravel_index(i, shape))
+                raise EvalError(f"in {name}: {e}") from None
     return out
 
 
@@ -193,24 +200,6 @@ def _checked(dense, what, batch=(), **point):
     return dense
 
 
-def _dense(components, env, m, what, batch=(), **point):
-    """Checked dense data over m variables of components evaluated in
-    env, of shape batch + the components' layout; `what` and `point`
-    name a failing component."""
-    shape, funcs = _flat(components)
-    dense = jets.stack(_evaluate(funcs, env), m, batch)
-    if len(shape) != 1:
-        dense = dense.reshape(batch + shape)
-    return _checked(dense, what, batch, **point)
-
-
-def _seeded(x, fiber):
-    """Second-order seeds over (x, fiber) at a point or a batch, and the
-    batch shape."""
-    return (jets.seeds(np.concatenate([x, fiber], axis=-1).T, order=2),
-            x.shape[:-1])
-
-
 def _singular(g):
     """None when the matrix g, or every matrix of a batch, is finite and
     conditioned within COND_LIMIT; else the index of the worst
@@ -219,33 +208,51 @@ def _singular(g):
     return None if np.all(cond <= COND_LIMIT) else int(np.argmax(cond))
 
 
-class VContext:
+class _Context:
+    """What both contexts share: the system, a point of the representation
+    `rep` or a batch, its second-order seeds over (x, fiber), and checked
+    evaluation, which names a failing point x=..., v=... or x=..., p=...."""
+
+    def __init__(self, sysdef: SystemDef, x, fiber, rep: Rep):
+        self.sys = sysdef
+        self.n = n = sysdef.n
+        self.m = 2 * n
+        self.rep = rep
+        self.x = x = np.asarray(x, dtype=float)
+        self.fiber = fiber = np.asarray(fiber, dtype=float)
+        self.batch = x.shape[:-1]
+        self.seeds = jets.seeds(np.concatenate([x, fiber], axis=-1).T, order=2)
+        self.env = _env(self.seeds[:n], self.seeds[n:], rep.value)
+
+    @property
+    def point(self) -> PhasePoint:
+        return PhasePoint(self.x, self.fiber, self.rep)
+
+    def _dense(self, components, env=None, what=None):
+        """Checked dense data of components evaluated in env, by default
+        the context's, of shape batch + their layout; `what` names a
+        failing component."""
+        shape, funcs = _flat(components)
+        dense = jets.stack(_evaluate(funcs, self.env if env is None else env),
+                           self.m, self.batch)
+        if len(shape) != 1:
+            dense = dense.reshape(self.batch + shape)
+        return _checked(dense, what, self.batch,
+                        **{"x": self.x, self.rep.value: self.fiber})
+
+    def eval_native(self, components):
+        """Dense data of native components: one, or nested sequences."""
+        return self._dense(components)
+
+
+class VContext(_Context):
     """Derivative data for one system at one velocity point, or at a
     batch of them, as dense data over (x, v). The fiber map is also
     kept per component, as the evaluator computes it, because it binds
     p in eval_momentum_native."""
 
     def __init__(self, sysdef: SystemDef, x, v):
-        self.sys = sysdef
-        self.n = sysdef.n
-        self.x = np.asarray(x, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        self.m = 2 * self.n
-        self.seeds, self.batch = _seeded(self.x, self.v)
-        self.env = _env(self.seeds[:self.n], self.seeds[self.n:], "v")
-
-    @property
-    def point(self) -> PhasePoint:
-        return PhasePoint.velocity(self.x, self.v)
-
-    def _dense(self, components, env, what=None):
-        return _dense(components, env, self.m, what, self.batch,
-                      x=self.x, v=self.v)
-
-    def eval_native(self, components):
-        """Dense data over (x, v) of velocity-native components: one, or
-        nested sequences of them."""
-        return self._dense(components, self.env)
+        super().__init__(sysdef, x, v, Rep.VELOCITY)
 
     def eval_momentum_native(self, components):
         """Dense data over (x, v) of momentum-native components composed
@@ -259,15 +266,15 @@ class VContext:
     @cached_property
     def L_dense(self):
         return _checked(jets.stack(self.L, self.m, self.batch), "L",
-                        self.batch, x=self.x, v=self.v)
+                        self.batch, x=self.x, v=self.fiber)
 
     @cached_property
     def phi(self):
-        return self._dense(self.sys.force, self.env, "Phi")
+        return self._dense(self.sys.force, what="Phi")
 
     @cached_property
     def gamma(self):
-        return self._dense(self.sys.connection, self.env, "Gamma")
+        return self._dense(self.sys.connection, what="Gamma")
 
     def gauged(self, shift):
         """This point after a gauge change, which moves the connection
@@ -276,7 +283,7 @@ class VContext:
         other = copy.copy(self)
         with np.errstate(all="ignore"):     # _checked catches overflow
             other.gamma = _checked(self.gamma + shift, "Gamma", self.batch,
-                                   x=self.x, v=self.v)
+                                   x=self.x, v=self.fiber)
         return other
 
     @cached_property
@@ -293,7 +300,7 @@ class VContext:
         k = _singular(self.g_values)
         if k is not None:
             raise SingularMetric(f"fiber Jacobian is singular at "
-                                 f"{_at(k, x=self.x, v=self.v)}")
+                                 f"{_at(k, x=self.x, v=self.fiber)}")
         return np.linalg.inv(self.g_values)
 
     @cached_property
@@ -375,7 +382,7 @@ def _newton(sysdef: SystemDef, x, p):
             v += np.linalg.solve(G, -residual)
 
 
-class PContext:
+class PContext(_Context):
     """Derivative data at a momentum point, or a batch of them, built on
     the inverse fiber map.
 
@@ -385,26 +392,15 @@ class PContext:
     (x, p) -> (x, V(x, p))."""
 
     def __init__(self, sysdef: SystemDef, x, p):
-        self.sys = sysdef
-        self.n = n = sysdef.n
-        self.x = np.asarray(x, dtype=float)
-        self.p = np.asarray(p, dtype=float)
-        self.m = 2 * n
-        self.seeds, self.batch = _seeded(self.x, self.p)
-        self.env = _env(self.seeds[:n], self.seeds[n:], "p")
-
+        super().__init__(sysdef, x, p, Rep.MOMENTUM)
         if sysdef.v_inverse is not None:
-            self.V = self._dense(sysdef.v_inverse, "V")
+            self.V = self._dense(sysdef.v_inverse, what="V")
             self.inner = VContext(sysdef, self.x, self.V.val)
         else:
             with np.errstate(all="ignore"):    # Newton checks its own steps
-                v_star = _newton(sysdef, self.x, p)
+                v_star = _newton(sysdef, self.x, self.fiber)
             self.inner = VContext(sysdef, self.x, v_star)
             self.V = self._implicit_jets()
-
-    def _dense(self, components, what=None):
-        return _dense(components, self.env, self.m, what, self.batch,
-                      x=self.x, p=self.p)
 
     def _implicit_jets(self):
         # differentiate L(x, V(x,p)) = p twice; second derivatives come
@@ -420,11 +416,7 @@ class PContext:
         J_ = J_full[..., None, :, :]
         H = -np.einsum("...sq,...qab->...sab", G_inv,
                        np.swapaxes(J_, -1, -2) @ L.hess @ J_)
-        return jets.Dense(2, inner.v.copy(), J_full[..., n:, :], H)
-
-    @property
-    def point(self) -> PhasePoint:
-        return PhasePoint.momentum(self.x, self.p)
+        return jets.Dense(2, inner.fiber.copy(), J_full[..., n:, :], H)
 
     @cached_property
     def transform(self):
@@ -435,10 +427,6 @@ class PContext:
                             self.V.grad], axis=-2),
             np.concatenate([np.zeros(batch + (n, m, m)), self.V.hess],
                            axis=-3))
-
-    def eval_native(self, components):
-        """Dense data over (x, p) of momentum-native components."""
-        return self._dense(components)
 
     def eval_velocity_native(self, components):
         """Dense data over (x, p) of velocity-native components composed
@@ -550,12 +538,12 @@ def _samples(rng, n, parts):
             in zip(draws, [X_BOX] + [FIBER_BOX] * (parts - 1))]
 
 
-def _check_symmetric(tensor, what, error, x, v):
+def _check_symmetric(tensor, what, name, error, x, v):
     """Raise `error` unless tensor[k][i][j] and tensor[k][j][i] agree
     within 1e-10 at the samples (x, v), (n, 8) arrays; a non-finite
     gap fails. The message names the first failing sample and its
     largest gap, a non-finite one first."""
-    vals = _values(tensor.ravel(), _env(x, v, "v"), (8,)).reshape(
+    vals = _values(tensor, _env(x, v, "v"), (8,), name).reshape(
         (8,) + tensor.shape)
     with np.errstate(all="ignore"):
         gap = np.abs(vals - vals.transpose(0, 1, 3, 2))
@@ -578,7 +566,7 @@ def _check_gauge(tensor, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
         _samples(rng, n, 2)
-    _check_symmetric(tensor, "gauge tensor", AsymmetricGauge,
+    _check_symmetric(tensor, "gauge tensor", "T", AsymmetricGauge,
                      *_samples(rng, n, 2))
 
 
@@ -593,7 +581,7 @@ def validate_system(sysdef: SystemDef):
     A failure names the first failing sample."""
     n = sysdef.n
     rng = np.random.default_rng(0)
-    _check_symmetric(sysdef.connection, "connection", ValidationError,
+    _check_symmetric(sysdef.connection, "connection", "Gamma", ValidationError,
                      *_samples(rng, n, 2))
     if sysdef.gauge is not None:
         _check_gauge(sysdef.gauge, rng)
@@ -601,11 +589,11 @@ def validate_system(sysdef: SystemDef):
         x, = _samples(rng, n, 1)
     else:
         x, p = _samples(rng, n, 2)
-    at_zero = _values(sysdef.legendre, _env(x, np.zeros_like(x), "v"), (8,))
+    at_zero = _values(sysdef.legendre, _env(x, np.zeros_like(x), "v"), (8,), "L")
     bad = np.max(np.abs(at_zero), axis=1) > 1e-9
     if sysdef.v_inverse is not None:
-        v_closed = _values(sysdef.v_inverse, _env(x, p, "p"), (8,))
-        back = _values(sysdef.legendre, _env(x, v_closed.T, "v"), (8,))
+        v_closed = _values(sysdef.v_inverse, _env(x, p, "p"), (8,), "V")
+        back = _values(sysdef.legendre, _env(x, v_closed.T, "v"), (8,), "L")
         residual = np.max(np.abs(back - p.T), axis=1)
         bad |= residual > 1e-8
     if not bad.any():

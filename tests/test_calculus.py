@@ -42,7 +42,7 @@ def test_vertical_derivative_marks_and_values():
     g = expr.parse("p1*p2", 2, kinds=("x", "p"))
     pd = vertical_derivative(field_of(pctx, g))
     assert pd.variance == (UPPER,)
-    p = pctx.p
+    p = pctx.fiber
     assert np.allclose(pd.values(), [p[1], p[0]], atol=1e-13)
 
 
@@ -74,14 +74,14 @@ def test_horizontal_scalar_against_finite_differences():
 
     psrc = "p1^2*x2 + cos(p2)"
     pf = expr.parse(psrc, n, kinds=("x", "p"))
-    p = pctx.p
+    p = pctx.fiber
 
     def pf_at(xi):
         return helpers.python_eval(psrc, {"x1": xi[0], "x2": xi[1],
                                           "p1": xi[2], "p2": xi[3]})
 
     pgrad = helpers.fd_gradient(pf_at, np.concatenate([x, p]))
-    venv = {"x1": x[0], "x2": x[1], "v1": vctx.v[0], "v2": vctx.v[1]}
+    venv = {"x1": x[0], "x2": x[1], "v1": vctx.fiber[0], "v2": vctx.fiber[1]}
     pexpected = np.zeros(n)
     for m in range(n):
         pexpected[m] = pgrad[m]
@@ -178,7 +178,7 @@ def test_dynamic_curvature_against_finite_differences():
     assert np.allclose(got_v, np.transpose(got_v, (0, 2, 1, 3)), atol=1e-13)
 
     got_p = dynamic_curvature(pctx)
-    p = pctx.p
+    p = pctx.fiber
     for k in range(n):
         for r in range(n):
             for i in range(n):
@@ -390,7 +390,7 @@ def test_curvature_momentum_form_against_finite_differences(make):
     x, v = helpers.random_box_point(rng, n)
     image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
     pctx = PContext(sysdef, image.x, image.fiber)
-    p = pctx.p
+    p = pctx.fiber
     z0 = np.concatenate([pctx.x, p])
 
     G = _momentum_connection_at(sysdef, z0)
@@ -481,7 +481,7 @@ def test_horizontal_derivative_gradient_against_finite_differences(
     assert got.data.order == 1
     grad = got.data.grad
 
-    z0 = np.concatenate([ctx.x, ctx.p if fiber_kind == "p" else ctx.v])
+    z0 = np.concatenate([ctx.x, ctx.fiber])
     assert helpers.rel_err(
         got.values(), _covariant_at(sysdef, f, components, variance, z0)) < 1e-10
     want = helpers.fd_jacobian(

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from normality_lab import calculus, cli, expr, system
+from normality_lab import calculus, cli, expr, sysfile, system
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
                                   ExprSyntaxError, SingularMetric,
@@ -170,6 +171,19 @@ def cubic_with(tmp_path, old, new):
     return write_system(tmp_path, text)
 
 
+def run_module(*args):
+    """The CLI through the module entry point with every warning an
+    error: (exit status, stdout, stderr)."""
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "normality_lab", *args],
+        capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
 def strict_json(text):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -243,16 +257,10 @@ def test_overflowing_connection_writes_strict_json_without_warnings(
         tmp_path):
     path = cubic_with(tmp_path, 'Gamma_2_11 = "0.15*x1"',
                       'Gamma_2_11 = "1e200*x1"')
-    root = Path(__file__).parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "normality_lab", "check", path,
-         "--checks", "cross,normality,gauge", "--samples", "2"],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert (done.returncode, done.stderr) == (1, "")
-    records = strict_json(done.stdout)["checks"]
+    status, out, err = run_module("check", path, "--checks",
+                                  "cross,normality,gauge", "--samples", "2")
+    assert (status, err) == (1, "")
+    records = strict_json(out)["checks"]
     assert [r["id"] for r in records] == ["cross", "normality", "gauge"]
     for record in records:
         assert "error" not in record
@@ -446,7 +454,9 @@ def test_gauge_without_tensor_is_structured_error():
                                           samples=2, seed=0))
     assert status == 1
     record = report["checks"][0]
-    assert record["error"]["type"] == "MissingGaugeTensor"
+    assert record["error"] == {
+        "type": "MissingGaugeTensor",
+        "message": "the gauge check needs a [gauge] section in the file"}
     assert not record["summary"]["passed"]
 
 
@@ -655,6 +665,68 @@ L2 = "v2"
     error = report["checks"][0]["error"]
     assert error["type"] == "EvalError"
     assert "of L1 at x=" in error["message"]
+
+
+@pytest.mark.parametrize("section, entries, name, message", [
+    ("legendre", 'L1 = "v1 + 0*ln(x1 - 5)"\nL2 = "v2"\n', "L1",
+     "ln of non-positive value"),
+    ("connection", 'Gamma_1_11 = "sqrt(x1 - 5)"\n', "Gamma_1_11",
+     "sqrt of negative value"),
+    ("gauge", 'T_1_11 = "ln(x1 - 5)"\n', "T_1_11", "ln of non-positive value"),
+    ("inverse", 'V1 = "p1"\nV2 = "p2 + 0*sqrt(x2 - 5)"\n', "V2",
+     "sqrt of negative value"),
+], ids=["legendre", "connection", "gauge", "inverse"])
+def test_component_raising_at_load_names_file_and_component(
+        tmp_path, capsys, section, entries, name, message):
+    # the evaluator raises on the first sample of the validation plan
+    body = (IDENTITY if section != "legendre"
+            else '[system]\nn = 2\n') + f"[{section}]\n" + entries
+    path = write_system(tmp_path, body)
+    assert cli.main(["check", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "EvalError"
+    assert error["message"].startswith(f"{path}: in {name}: {message} ")
+    assert error["message"].endswith(" (node 0)")
+
+
+@pytest.mark.parametrize("body, message", [
+    # the surface overflows at its last node
+    (IDENTITY + '[surface]\nx1(u1) = "exp(400*u1)*exp(400*u1)"\n'
+     'x2(u1) = "u1"\n[options]\nu_samples = 5\n',
+     "non-finite value or derivatives of x1 at u=[1.0] (node 4)"),
+    # the closed-form inverse overflows on a front near x1 = 2, outside
+    # the box of the load checks
+    ('[system]\nn = 2\n[legendre]\nL1 = "v1*exp(-200*x1)*exp(-200*x1)"\n'
+     'L2 = "v2"\n[inverse]\nV1 = "p1*exp(200*x1)*exp(200*x1)"\n'
+     'V2 = "p2"\n[surface]\nx1(u1) = "2 + 0.1*cos(u1)"\n'
+     'x2(u1) = "0.1*sin(u1)"\n[options]\nu_stop = 6.283185307179586\n'
+     'u_samples = 16\nperiodic = true\n',
+     "non-finite value or derivatives of V1 at x=[2.1, 0.0], "
+     "p=[-1.0, -0.0] (node 0)"),
+], ids=["surface", "inverse"])
+def test_non_finite_shift_start_is_an_error_record(tmp_path, body, message):
+    # both once ended in a traceback from the integrator, or from numpy
+    # under -W error, with the exit status of a failed certificate
+    status, out, err = run_module("check", write_system(tmp_path, body),
+                                  "--checks", "shift")
+    assert (status, err) == (1, "")
+    record, = strict_json(out)["checks"]
+    assert record["error"] == {"type": "EvalError", "message": message}
+
+
+def test_format_example_of_the_docstring_loads(tmp_path):
+    # the example block of the module docstring, written out as it reads
+    doc = sysfile.__doc__
+    block = doc[doc.index("    [system]"):doc.index("\nOmitted")]
+    path = tmp_path / "example.system"
+    path.write_text(textwrap.dedent(block), encoding="utf-8")
+    loaded = read_system_file(path)
+    assert loaded.sysdef.n == 2
+    assert loaded.sysdef.v_inverse is not None
+    assert loaded.sysdef.gauge is not None
+    assert len(loaded.surface) == 2 and loaded.nu == 1.0
+    assert loaded.options == {"u_stop": 6.283185307179586, "u_samples": 32,
+                              "periodic": True, "mutate": "flip-beta-term"}
 
 
 def test_module_entry_point_runs_the_shift_check():

@@ -7,7 +7,7 @@ import helpers
 from normality_lab import calculus, expr, jets
 from normality_lab.errors import (EvalError, NonConvergence, SingularMetric,
                                   ValidationError)
-from normality_lab.phase import PhasePoint
+from normality_lab.phase import PhasePoint, Rep
 from normality_lab.system import (ConstFunc, PContext, SystemDef, VContext,
                                   lagrangian_to_legendre, legendre_forward,
                                   legendre_inverse, metric, theta_from_phi,
@@ -88,7 +88,7 @@ def test_inverse_jets_match_finite_differences():
     v = np.array([0.8, 1.2])
     p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
     ctx = PContext(sysdef, x, p)
-    assert np.max(np.abs(ctx.inner.v - v)) < 1e-10
+    assert np.max(np.abs(ctx.inner.fiber - v)) < 1e-10
 
     def newton_at(xi):
         return _newton(sysdef, xi[:2], xi[2:])
@@ -237,7 +237,7 @@ def test_newton_cycle_raises_and_guess_recovers():
         PContext(cycling, np.array([0.0]), np.array([-2.0]))
     recovered = SystemDef(1, L, newton_guess=[-2.0])
     ctx = PContext(recovered, np.array([0.0]), np.array([-2.0]))
-    root = ctx.inner.v[0]
+    root = ctx.inner.fiber[0]
     assert root ** 3 - 2 * root == pytest.approx(-2.0, abs=1e-11)
 
 
@@ -369,3 +369,47 @@ def test_a_phase_point_copies_its_callers_arrays():
     for own in (pt.x, pt.fiber):
         with pytest.raises(ValueError):
             own[0] = 3.0
+
+
+def _overflowing_at_x1_above_one():
+    """Phi1 and the closed-form inverse V1 overflow at x1 = 1.2 and are
+    finite in the load box; L1 is V1's inverse there."""
+    n = 2
+    return SystemDef(
+        n, helpers.parse_all(["v1*exp(-300*x1)*exp(-300*x1)", "v2"], n),
+        force=helpers.parse_all(["exp(300*x1)*exp(300*x1)", "0"], n),
+        v_inverse=helpers.parse_all(["p1*exp(300*x1)*exp(300*x1)", "p2"], n,
+                                    kinds=("x", "p")))
+
+
+def test_both_contexts_name_a_non_finite_component_and_its_point():
+    # one checked evaluation serves both contexts: it names the
+    # component and the point in the context's own fiber coordinates
+    sysdef = _overflowing_at_x1_above_one()
+    validate_system(sysdef)
+    x, fiber = [1.2, 0.0], [1.0, 0.5]
+    batch_x, batch_fiber = [[0.1, 0.0], x], [[1.0, 1.0], fiber]
+    at = r"at x=\[1.2, 0.0\], {}=\[1.0, 0.5\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, tail in (((x, fiber), "$"),
+                           ((batch_x, batch_fiber), r" \(node 1\)$")):
+            with pytest.raises(EvalError, match="of Phi1 " + at.format("v")
+                               + tail):
+                VContext(sysdef, *args).phi
+            with pytest.raises(EvalError, match="of V1 " + at.format("p")
+                               + tail):
+                PContext(sysdef, *args)
+
+
+def test_both_contexts_give_back_their_point():
+    sysdef = helpers.sys_linear_mode_a()
+    for x, fiber in (([0.3, -0.2], [1.1, 0.7]),
+                     ([[0.3, -0.2], [0.1, 0.4]], [[1.1, 0.7], [0.9, 1.3]])):
+        for context, rep in ((VContext, Rep.VELOCITY),
+                             (PContext, Rep.MOMENTUM)):
+            ctx = context(sysdef, x, fiber)
+            pt = ctx.point
+            assert ctx.rep is pt.rep is rep
+            assert np.array_equal(pt.x, x) and np.array_equal(pt.fiber, fiber)
+            assert np.array_equal(ctx.fiber, fiber)

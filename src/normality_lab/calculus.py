@@ -1,8 +1,8 @@
 """Derivative calculus for extended tensor fields.
 
 A field lives on one of the two evaluation contexts and carries its
-derivative data as jets.Dense: value, gradient and Hessian arrays with
-one leading axis per tensor index. Each axis is marked upper ("u") or
+derivative data as jets.Dense: value, gradient and, at second order,
+Hessian arrays with one leading axis per tensor index. Each axis is marked upper ("u") or
 lower ("l"); new axes from differentiation are appended last, so the
 entry order of a derivative array is [field indices..., derivative
 index].
@@ -24,9 +24,12 @@ correction built from the connection, and one connection term per
 tensor index; the product rule gives its gradient.
 
 Every derivative peels one order off, and a field has one order for
-all its entries. A horizontal derivative has order min(field order -
-1, connection order), so applying it twice yields order zero: fine for
-value-level use, while any further derivative raises MissingJets.
+all its entries. The connection is first order in both contexts, as
+only G and dG enter here, so a horizontal derivative has order
+min(field order - 1, 1): applying it twice to a field of a
+second-order context yields order zero, fine for value-level use,
+while any further derivative raises MissingJets. The relations read
+first derivatives only, so their paired contexts are first order.
 """
 
 from dataclasses import dataclass
@@ -204,18 +207,19 @@ def relative_deviation(a, b, batch=()):
     return sup_norm(a - b, batch) / scale
 
 
-def _paired_contexts(sysdef: SystemDef, pt: PhasePoint):
+def _paired_contexts(sysdef: SystemDef, pt: PhasePoint, order: int = 1):
     """The velocity context at pt, a velocity point or a batch, and the
-    momentum context at its image under the fiber map. The momentum
-    context builds its own inner velocity context at the preimage, by
-    the closed-form inverse or one Newton solve, so the two routes stay
-    independent. The transport check builds one such pair per batch and
-    evaluates all six relations on it; the public relation functions
-    and cross_check_all build their own."""
+    momentum context at its image under the fiber map, both at `order`.
+    The momentum context builds its own inner velocity context at the
+    preimage, by the closed-form inverse or one Newton solve, so the two
+    routes stay independent. The transport check builds one such pair
+    per batch and evaluates all six relations on it; the public relation
+    functions build their own. Every relation reads first derivatives
+    only; cross_check_all asks for order 2, for its bundles."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
-    return (VContext(sysdef, pt.x, pt.fiber),
-            PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber))
+    return (VContext(sysdef, pt.x, pt.fiber, order),
+            PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber, order))
 
 
 def _fiber_map_field(vctx) -> FieldValue:

@@ -24,7 +24,13 @@ class MixedRepresentationError(NormalityLabError):
 
 class EvalError(NormalityLabError):
     """Domain failure while evaluating: ln of a non-positive value,
-    sqrt of a negative value, division by zero, bad power."""
+    sqrt of a negative value, division by zero, bad power. `node` is
+    the failing entry of a batch, named after the `reason`, or None."""
+
+    def __init__(self, reason: str, node: int = None):
+        super().__init__(reason if node is None else f"{reason} (node {node})")
+        self.reason = reason
+        self.node = node
 
 
 class MissingJets(NormalityLabError):

@@ -92,7 +92,7 @@ def _gauge_deviations(sysdef, tensor, x, v):
     order; over a batch each row's deviation has one entry per point."""
     ctx = VContext(sysdef, x, v)
     vb = velocity_bundle(ctx)
-    Tfield = FieldValue(ctx, ctx._dense(tensor, what="T"),
+    Tfield = FieldValue(ctx, ctx._dense(tensor, what="T", order=1),
                         (UPPER, LOWER, LOWER))
     vb2 = velocity_bundle(ctx.gauged(Tfield.data))
 
@@ -283,8 +283,8 @@ def _front_geometry(run: ShiftRun, nodes):
     rows followed by the normal make a positively oriented frame."""
     count, m = nodes.shape
     env = {f"u{d + 1}": u for d, u in enumerate(jets.seeds(nodes.T, order=1))}
-    frame = _checked(jets.stack(_evaluate(run.surface, env), m, (count,)), "x",
-                     (count,), u=nodes)
+    _, frame = _evaluate(run.surface, env, "x", u=nodes)
+    frame = _checked(jets.stack(frame, m, (count,)), "x", (count,), u=nodes)
     tangents = frame.grad.transpose(0, 2, 1)           # (N, m, n)
     _, sing, vt = np.linalg.svd(tangents)
     collapsed = sing[:, -1] < SURFACE_RANK_FLOOR

@@ -46,7 +46,7 @@ def _check(ok, v, message):
     if v.__class__ is np.ndarray:
         if not ok.all():
             k = int(np.argmin(np.broadcast_to(ok, v.shape)))
-            raise EvalError(f"{message} {v.flat[k]} (node {k})")
+            raise EvalError(f"{message} {v.flat[k]}", node=k)
     elif not ok:
         raise EvalError(f"{message} {v}")
 
@@ -223,13 +223,13 @@ def seeds(values, order: int = 2):
     return out
 
 
-def stack(entries, m: int, batch=()) -> Dense:
+def stack(entries, m: int, batch=(), order: int = 2) -> Dense:
     """Dense data over m variables of a sequence of entries, laid along
     a new axis after the batch axes: val has shape batch + (len,).
     Entries are Dense data of shape `batch`, and numbers or float arrays
-    of that shape, which are exact constants: second order with zero
-    derivatives. The order is the lowest over the Dense entries."""
-    order = min((u.order for u in entries if u.__class__ is Dense), default=2)
+    of that shape, which are exact constants with zero derivatives. The
+    order is the lowest over `order` and the Dense entries."""
+    order = min([order] + [u.order for u in entries if u.__class__ is Dense])
     k = len(entries)
     val = np.empty(batch + (k,))
     grad = np.zeros(batch + (k, m)) if order >= 1 else None
@@ -310,10 +310,12 @@ def compose(h, transform):
 def invert_matrix(A):
     """Inverse of a square matrix (or a batch of them) given as dense
     data of order one or more, with its first derivatives
-    d(A^-1) = -A^-1 dA A^-1; first
-    order at most, since no caller needs more. Raises SingularMetric
-    when the value part cannot be inverted."""
-    _, val, grad, _ = A
+    d(A^-1) = -A^-1 dA A^-1; first order at most, since no caller needs
+    more. Raises MissingJets at order zero, and SingularMetric when the
+    value part cannot be inverted."""
+    order, val, grad, _ = A
+    if order == 0:
+        raise MissingJets("matrix carries no derivative data")
     try:
         inv = np.linalg.inv(val)
     except np.linalg.LinAlgError as exc:

@@ -145,10 +145,9 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     P = _projector(W, Lv, Om)
 
     # force vector with its connection completion, then lowered; the
-    # lowered vector is first order (g is), so Fup needs no more
-    Fup_d = (ctx.phi.truncated(1)
-             + jets.einsum("...ijk,...j,...k->...i", ctx.gamma.truncated(1),
-                           fiber, fiber))
+    # lowered vector is first order (g is), as Phi and Gamma are
+    Fup_d = (ctx.phi
+             + jets.einsum("...ijk,...j,...k->...i", ctx.gamma, fiber, fiber))
     Flow_d = jets.einsum("...qi,...i->...q", ctx.g_jets, Fup_d)
     Fup_v = Fup_d.val
     Flow = Flow_d.val
@@ -356,7 +355,7 @@ def cross_check_all(sysdef: SystemDef, pt: PhasePoint,
     corrupt the velocity route deliberately."""
     if mutate is not None and mutate not in MUTATIONS:
         raise ValidationError(f"unknown mutation {mutate!r}")
-    vctx, pctx = _paired_contexts(sysdef, pt)
+    vctx, pctx = _paired_contexts(sysdef, pt, order=2)
     vb = velocity_bundle(vctx, MUTATIONS.get(mutate))
     pb = momentum_bundle(pctx)
     out = {}

@@ -5,13 +5,16 @@ velocities to momenta (or the expressions dLag/dv_i of a Lagrangian),
 n force components Phi^i(x, v), a symmetric connection Gamma^k_ij(x, v),
 and optionally the closed-form inverse V^i(x, p) and a gauge T^k_ij(x, v).
 
-Two evaluation contexts do the real work. Their base seeds second-order
-derivative data (jets.Dense) at a point of its representation, ctx.rep,
-and stacks components evaluated over it into one Dense per field.
-VContext adds the fields of a velocity point. PContext inverts the
-fiber map at a momentum point (closed form, or Newton plus implicit
-differentiation), keeps an inner VContext at the preimage, and pushes
-its dense data through the inverse map by the chain rule.
+Two evaluation contexts do the real work. Their base seeds derivative
+data (jets.Dense) of its order, 1 or 2, at a point of its
+representation, ctx.rep, and stacks components evaluated over it into
+one Dense per field. VContext adds the fields of a velocity point.
+PContext inverts the fiber map at a momentum point (closed form, or
+Newton plus implicit differentiation), keeps an inner VContext at the
+preimage, and pushes its dense data through the inverse map by the
+chain rule. Phi, Gamma and the gauge tensor are first order in either,
+since no formula reads their second derivatives; the bundles need a
+second-order context, for the fiber map and its inverse.
 
 Both take one point, x and fiber of shape (n,), or a batch of N
 points, of shape (N, n). The batch axis then leads every field and its
@@ -175,12 +178,22 @@ def _flat(components):
     return (len(parts),) + parts[0][0], [f for _, fs in parts for f in fs]
 
 
-def _evaluate(funcs, env):
-    """Values of components in env: Dense data or constants. numpy
-    warnings are silenced: overflow is caught by _checked on the
-    stacked result."""
+def _evaluate(components, env, what=None, **point):
+    """Layout and values of components in env: Dense data or constants.
+    An EvalError names its component and the point, or the failing
+    node of a batch (_at). numpy warnings are silenced: overflow is
+    caught by _checked on the stacked result."""
+    shape, funcs = _flat(components)
+    out = []
     with np.errstate(all="ignore"):
-        return [f.evaluate(env) for f in funcs]
+        for i, f in enumerate(funcs):
+            try:
+                out.append(f.evaluate(env))
+            except EvalError as e:
+                name = _component_name(what, np.unravel_index(i, shape))
+                raise EvalError(f"in {name}: {e.reason} at "
+                                f"{_at(e.node or 0, **point)}") from None
+    return shape, out
 
 
 def _checked(dense, what, batch=(), **point):
@@ -210,35 +223,48 @@ def _singular(g):
 
 class _Context:
     """What both contexts share: the system, a point of the representation
-    `rep` or a batch, its second-order seeds over (x, fiber), and checked
-    evaluation, which names a failing point x=..., v=... or x=..., p=...."""
+    `rep` or a batch, its seeds over (x, fiber) at `order` (1 or 2), and
+    checked evaluation, which names a failing component and point
+    x=..., v=... or x=..., p=...."""
 
-    def __init__(self, sysdef: SystemDef, x, fiber, rep: Rep):
+    def __init__(self, sysdef: SystemDef, x, fiber, rep: Rep, order: int):
         self.sys = sysdef
         self.n = n = sysdef.n
         self.m = 2 * n
         self.rep = rep
+        self.order = order
         self.x = x = np.asarray(x, dtype=float)
         self.fiber = fiber = np.asarray(fiber, dtype=float)
         self.batch = x.shape[:-1]
-        self.seeds = jets.seeds(np.concatenate([x, fiber], axis=-1).T, order=2)
+        self.seeds = jets.seeds(np.concatenate([x, fiber], axis=-1).T,
+                                order=order)
         self.env = _env(self.seeds[:n], self.seeds[n:], rep.value)
+        # over first-order seeds, for the fields whose second derivatives
+        # no formula reads: Phi, Gamma, T
+        first = [s.truncated(1) for s in self.seeds]
+        self.env1 = _env(first[:n], first[n:], rep.value)
 
     @property
     def point(self) -> PhasePoint:
         return PhasePoint(self.x, self.fiber, self.rep)
 
-    def _dense(self, components, env=None, what=None):
-        """Checked dense data of components evaluated in env, by default
-        the context's, of shape batch + their layout; `what` names a
-        failing component."""
-        shape, funcs = _flat(components)
-        dense = jets.stack(_evaluate(funcs, self.env if env is None else env),
-                           self.m, self.batch)
+    @property
+    def _where(self):
+        return {"x": self.x, self.rep.value: self.fiber}
+
+    def _dense(self, components, env=None, what=None, order=None):
+        """Checked dense data of components of shape batch + their
+        layout, at the context's order or at `order` 1, evaluated in env,
+        by default the context's at that order. `what` names a failing
+        component."""
+        order = order or self.order
+        if env is None:
+            env = self.env1 if order == 1 else self.env
+        shape, entries = _evaluate(components, env, what, **self._where)
+        dense = jets.stack(entries, self.m, self.batch, order)
         if len(shape) != 1:
             dense = dense.reshape(self.batch + shape)
-        return _checked(dense, what, self.batch,
-                        **{"x": self.x, self.rep.value: self.fiber})
+        return _checked(dense, what, self.batch, **self._where)
 
     def eval_native(self, components):
         """Dense data of native components: one, or nested sequences."""
@@ -249,10 +275,11 @@ class VContext(_Context):
     """Derivative data for one system at one velocity point, or at a
     batch of them, as dense data over (x, v). The fiber map is also
     kept per component, as the evaluator computes it, because it binds
-    p in eval_momentum_native."""
+    p in eval_momentum_native. Phi and Gamma are first order at any
+    order of the context."""
 
-    def __init__(self, sysdef: SystemDef, x, v):
-        super().__init__(sysdef, x, v, Rep.VELOCITY)
+    def __init__(self, sysdef: SystemDef, x, v, order: int = 2):
+        super().__init__(sysdef, x, v, Rep.VELOCITY, order)
 
     def eval_momentum_native(self, components):
         """Dense data over (x, v) of momentum-native components composed
@@ -261,20 +288,21 @@ class VContext(_Context):
 
     @cached_property
     def L(self):
-        return tuple(_evaluate(self.sys.legendre, self.env))
+        return tuple(_evaluate(self.sys.legendre, self.env, "L",
+                               **self._where)[1])
 
     @cached_property
     def L_dense(self):
-        return _checked(jets.stack(self.L, self.m, self.batch), "L",
-                        self.batch, x=self.x, v=self.fiber)
+        return _checked(jets.stack(self.L, self.m, self.batch, self.order),
+                        "L", self.batch, x=self.x, v=self.fiber)
 
     @cached_property
     def phi(self):
-        return self._dense(self.sys.force, what="Phi")
+        return self._dense(self.sys.force, what="Phi", order=1)
 
     @cached_property
     def gamma(self):
-        return self._dense(self.sys.connection, what="Gamma")
+        return self._dense(self.sys.connection, what="Gamma", order=1)
 
     def gauged(self, shift):
         """This point after a gauge change, which moves the connection
@@ -346,7 +374,8 @@ def _newton(sysdef: SystemDef, x, p):
     x and p are (n,), or (N, n) with a leading node axis. Every node
     iterates until its own residual meets NEWTON_TOL, under its own
     condition check; converged nodes are not updated any more. A node
-    takes the steps it takes alone."""
+    takes the steps it takes alone, and the fiber map is evaluated at
+    the nodes still iterating only."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     v = np.array(sysdef.newton_guess if sysdef.newton_guess is not None
@@ -354,9 +383,13 @@ def _newton(sysdef: SystemDef, x, p):
     batched = p.ndim > 1
     if batched and v.ndim == 1:
         v = np.repeat(v[None], p.shape[0], axis=0)
+    # indices of the nodes still iterating, or None while all of them
+    # do, which are then evaluated without a gather
+    live = None
     for iteration in range(NEWTON_MAX_ITER + 1):
-        Lj = _fiber_jets(sysdef, x, v)
-        residual = Lj.val - p
+        at = slice(None) if live is None else live
+        Lj = _fiber_jets(sysdef, x[at], v[at])
+        residual = Lj.val - p[at]
         err = np.max(np.abs(residual), axis=-1)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
         if not todo.any():
@@ -366,18 +399,22 @@ def _newton(sysdef: SystemDef, x, p):
                                        -1.0)))
             raise NonConvergence(
                 f"Newton stalled at residual {np.reshape(err, -1)[k]:.3e} "
-                f"solving the inverse fiber map at {_at(k, x=x, p=p)}")
+                f"solving the inverse fiber map at "
+                f"{_at(k if live is None else int(live[k]), x=x, p=p)}")
         # the systems of the nodes still iterating; a lone point's one
         # system is solved as it is, without a node axis
-        nodes = np.flatnonzero(todo)
-        G = Lj.grad[nodes] if batched else Lj.grad
+        if batched:
+            live = np.flatnonzero(todo) if live is None else live[todo]
+        G = Lj.grad[todo] if batched else Lj.grad
         k = _singular(G)
         if k is not None:
             raise SingularMetric(
                 f"fiber Jacobian singular during inversion at "
-                f"{_at(int(nodes[k]), x=x, v=v)}")
+                f"{_at(int(live[k]) if batched else k, x=x, v=v)}")
         if batched:
-            v[nodes] += np.linalg.solve(G, -residual[nodes][..., None])[..., 0]
+            v[live] += np.linalg.solve(G, -residual[todo][..., None])[..., 0]
+            if len(live) == len(v):
+                live = None
         else:
             v += np.linalg.solve(G, -residual)
 
@@ -386,25 +423,26 @@ class PContext(_Context):
     """Derivative data at a momentum point, or a batch of them, built on
     the inverse fiber map.
 
-    V is the dense data of the inverse components over (x, p). The
-    inner VContext sits at the preimage, and its dense data is pushed
-    here by jets.compose through `transform`, the map
-    (x, p) -> (x, V(x, p))."""
+    V is the dense data of the inverse components over (x, p), at the
+    context's order, as are the inner VContext at the preimage and
+    `transform`, the map (x, p) -> (x, V(x, p)), through which
+    jets.compose pushes the inner context's dense data here."""
 
-    def __init__(self, sysdef: SystemDef, x, p):
-        super().__init__(sysdef, x, p, Rep.MOMENTUM)
+    def __init__(self, sysdef: SystemDef, x, p, order: int = 2):
+        super().__init__(sysdef, x, p, Rep.MOMENTUM, order)
         if sysdef.v_inverse is not None:
             self.V = self._dense(sysdef.v_inverse, what="V")
-            self.inner = VContext(sysdef, self.x, self.V.val)
+            self.inner = VContext(sysdef, self.x, self.V.val, order)
         else:
             with np.errstate(all="ignore"):    # Newton checks its own steps
                 v_star = _newton(sysdef, self.x, self.fiber)
-            self.inner = VContext(sysdef, self.x, v_star)
+            self.inner = VContext(sysdef, self.x, v_star, order)
             self.V = self._implicit_jets()
 
     def _implicit_jets(self):
-        # differentiate L(x, V(x,p)) = p twice; second derivatives come
-        # from linear solves against the fiber Jacobian
+        # differentiate L(x, V(x,p)) = p once, or twice in a second-order
+        # context; second derivatives come from linear solves against
+        # the fiber Jacobian
         n = self.n
         inner = self.inner
         G_inv = inner.g_inv_values
@@ -413,6 +451,8 @@ class PContext(_Context):
         J_full[..., :n, :n] = np.eye(n)
         J_full[..., n:, :n] = -G_inv @ L.grad[..., :n]
         J_full[..., n:, n:] = G_inv
+        if self.order == 1:
+            return jets.Dense(1, inner.fiber.copy(), J_full[..., n:, :])
         J_ = J_full[..., None, :, :]
         H = -np.einsum("...sq,...qab->...sab", G_inv,
                        np.swapaxes(J_, -1, -2) @ L.hess @ J_)
@@ -420,13 +460,13 @@ class PContext(_Context):
 
     @cached_property
     def transform(self):
-        n, m, batch = self.n, self.m, self.batch
+        n, m, batch, V = self.n, self.m, self.batch, self.V
         return jets.Dense(
-            2, np.concatenate([self.x, self.V.val], axis=-1),
+            V.order, np.concatenate([self.x, V.val], axis=-1),
             np.concatenate([np.broadcast_to(np.eye(n, m), batch + (n, m)),
-                            self.V.grad], axis=-2),
-            np.concatenate([np.zeros(batch + (n, m, m)), self.V.hess],
-                           axis=-3))
+                            V.grad], axis=-2),
+            None if V.hess is None else
+            np.concatenate([np.zeros(batch + (n, m, m)), V.hess], axis=-3))
 
     def eval_velocity_native(self, components):
         """Dense data over (x, p) of velocity-native components composed
@@ -435,14 +475,14 @@ class PContext(_Context):
 
     @cached_property
     def gamma_p(self):
-        """The connection pushed through the inverse map."""
+        """The connection pushed through the inverse map, first order."""
         return jets.compose(self.inner.gamma, self.transform)
 
     @cached_property
     def theta(self):
         """Force covector of the free system, theta_i = dL_i/dx . v +
         dL_i/dv . Phi at the preimage, transported: first order over
-        (x, p)."""
+        (x, p) in a second-order context."""
         n = self.n
         inner = self.inner
         fiber = jets.stack(inner.seeds[n:], inner.m, self.batch)
@@ -459,8 +499,7 @@ class PContext(_Context):
         first order like theta."""
         fiber = jets.stack(self.seeds[self.n:], self.m, self.batch)
         return self.theta - jets.einsum("...kij,...j,...k->...i",
-                                        self.gamma_p.truncated(1), self.V,
-                                        fiber)
+                                        self.gamma_p, self.V, fiber)
 
 
 @dataclass(frozen=True)
@@ -494,10 +533,10 @@ def legendre_forward(sysdef: SystemDef, pt: PhasePoint) -> PhasePoint:
 
 def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
     """Invert the fiber map at a momentum point, or a batch, with fiber
-    Jacobians."""
+    Jacobians, from a first-order context."""
     if pt.rep is not Rep.MOMENTUM:
         raise MixedRepresentationError("inverse map expects a momentum point")
-    ctx = PContext(sysdef, pt.x, pt.fiber)
+    ctx = PContext(sysdef, pt.x, pt.fiber, order=1)
     n = sysdef.n
     return LegendreInverse(ctx.inner.point, ctx.V.grad[..., n:],
                            ctx.V.grad[..., :n])
@@ -506,10 +545,10 @@ def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
 def metric(sysdef: SystemDef, pt: PhasePoint) -> MetricPair:
     """Metric pair at a point of either representation, or a batch. The
     product deviation is the larger sup-norm deviation of g g^-1 and
-    g^-1 g from the identity."""
+    g^-1 g from the identity. Its contexts are first order."""
     if pt.rep is Rep.MOMENTUM:
         pt = legendre_inverse(sysdef, pt).point
-    ctx = VContext(sysdef, pt.x, pt.fiber)
+    ctx = VContext(sysdef, pt.x, pt.fiber, order=1)
     lower, upper = ctx.g_values, ctx.g_inv_values
     eye = np.eye(ctx.n)
     dev = np.maximum(sup_norm(lower @ upper - eye, ctx.batch),
@@ -523,7 +562,7 @@ def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     derivative of L_i along (v, Phi)."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("theta_from_phi expects a velocity point")
-    ctx = VContext(sysdef, pt.x, pt.fiber)
+    ctx = VContext(sysdef, pt.x, pt.fiber, order=1)
     return np.einsum("...im,...m->...i", ctx.L_dense.grad,
                      np.concatenate([pt.fiber, ctx.phi.val], axis=-1))
 

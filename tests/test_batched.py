@@ -160,7 +160,9 @@ def _momenta(sysdef, x, v):
 
 @pytest.mark.parametrize("make", [helpers.sys_cubic, helpers.sys_lagrangian,
                                   helpers.sys_cubic3])
-def test_batched_newton_agrees_with_scalar_solves(make):
+def test_batched_newton_agrees_with_scalar_solves(make, monkeypatch):
+    # and evaluates the fiber map at a node exactly as often as the node
+    # alone, the whole batch ungathered while every node iterates
     sysdef = make()
     n, nodes = sysdef.n, 9
     rng = np.random.default_rng(33)
@@ -168,13 +170,25 @@ def test_batched_newton_agrees_with_scalar_solves(make):
     v = rng.uniform(0.5, 1.5, (n, nodes)).T
     v[0] = 1e-3           # near the default guess p: converges first
     p = _momenta(sysdef, x, v)
+    evaluated = []
+    fiber_jets = system_module._fiber_jets
+
+    def counted(sysdef, at, w):
+        evaluated.append((len(np.atleast_2d(w)), np.shares_memory(at, x)))
+        return fiber_jets(sysdef, at, w)
+
+    monkeypatch.setattr(system_module, "_fiber_jets", counted)
     batched = _newton(sysdef, x, p)
+    in_batch, evaluated[:] = list(evaluated), []
     assert batched.shape == (nodes, n)
     residual = np.abs(_momenta(sysdef, x, batched) - p)
     assert np.max(residual) <= NEWTON_TOL
     for k in range(nodes):
         alone = _newton(sysdef, x[k], p[k])
         assert np.max(np.abs(batched[k] - alone)) < 1e-12
+    assert sum(count for count, _ in in_batch) == len(evaluated)
+    assert all(shared == (count == nodes) for count, shared in in_batch)
+    assert in_batch[0] == (nodes, True) and in_batch[-1][0] < nodes
 
 
 def test_batched_newton_names_the_failing_node():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -703,7 +704,11 @@ def test_component_raising_at_load_names_file_and_component(
      'u_samples = 16\nperiodic = true\n',
      "non-finite value or derivatives of V1 at x=[2.1, 0.0], "
      "p=[-1.0, -0.0] (node 0)"),
-], ids=["surface", "inverse"])
+    # the surface raises at its fourth node
+    (IDENTITY + '[surface]\nx1(u1) = "sqrt(0.5 - u1)"\nx2(u1) = "u1"\n'
+     '[options]\nu_samples = 5\n',
+     "in x1: sqrt of negative value -0.25 at u=[0.75] (node 3)"),
+], ids=["surface", "inverse", "raising surface"])
 def test_non_finite_shift_start_is_an_error_record(tmp_path, body, message):
     # both once ended in a traceback from the integrator, or from numpy
     # under -W error, with the exit status of a failed certificate
@@ -712,6 +717,22 @@ def test_non_finite_shift_start_is_an_error_record(tmp_path, body, message):
     assert (status, err) == (1, "")
     record, = strict_json(out)["checks"]
     assert record["error"] == {"type": "EvalError", "message": message}
+
+
+def test_component_raising_in_a_sweep_names_component_and_point(tmp_path):
+    # Phi1 loads, since no load sample has x1 < -0.9, and raises at the
+    # first sampled point of each check that has one
+    path = write_system(tmp_path, IDENTITY + '[force]\nPhi1 = "sqrt(x1 + 0.9)"'
+                                             '\nPhi2 = "0"\n')
+    report, status = run_checks(RunConfig(path, checks=("normality", "cross"),
+                                          samples=20))
+    assert status == 1
+    for record in report["checks"]:
+        error = record["error"]
+        assert error["type"] == "EvalError"
+        assert re.fullmatch(r"in Phi1: sqrt of negative value -\S+ at "
+                            r"x=\[-0\.9\d*, \S+\], v=\[\S+, \S+\]",
+                            error["message"]), error["message"]
 
 
 def test_format_example_of_the_docstring_loads(tmp_path):
@@ -810,11 +831,11 @@ def test_transport_resample_draws_the_next_point_after_the_scalars(monkeypatch):
         """Singular wherever point 1's first draw is, alone or in a
         batch."""
 
-        def __init__(self, sysdef, x, p):
+        def __init__(self, sysdef, x, p, order=2):
             calls.append(np.shape(x))
             if any(np.array_equal(row, first_x) for row in np.atleast_2d(x)):
                 raise SingularMetric("synthetic")
-            super().__init__(sysdef, x, p)
+            super().__init__(sysdef, x, p, order)
 
     monkeypatch.setattr(calculus, "PContext", SingularAtFirstDraw)
     report, status = run_checks(RunConfig(fixture("cubic"),

@@ -136,13 +136,20 @@ def test_gauged_context_shifts_force_quadratically():
 
 
 def test_gauged_context_round_trip():
+    # the connection is first order; the second-order data the bundles
+    # differentiate twice, the fiber map, comes back bit for bit
     sysdef = helpers.sys_cubic()
     ctx = VContext(sysdef, [0.3, -0.7], [1.1, 0.4])
     shift = ctx.eval_native(gauge_2d())
     back = ctx.gauged(shift).gauged(-shift)
-    for part in ("val", "grad", "hess"):
+    assert back.gamma.order == 1
+    for part in ("val", "grad"):
         gap = getattr(back.gamma, part) - getattr(ctx.gamma, part)
         assert np.max(np.abs(gap)) < 1e-15, part
+    assert back.L_dense.order == 2
+    for part in ("val", "grad", "hess"):
+        assert np.array_equal(getattr(back.L_dense, part),
+                              getattr(ctx.L_dense, part)), part
 
 
 @pytest.mark.parametrize("sysdef, tensor", [

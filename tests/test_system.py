@@ -213,20 +213,31 @@ def test_momentum_native_composition():
 
 def test_momentum_connection_matches_entrywise_composition():
     # the batched chain rule behind gamma_p against jets.compose, entry
-    # by entry, with both the closed-form and the Newton inverse
+    # by entry, with both the closed-form and the Newton inverse; the
+    # connection is first order, so the second-order rule is checked on
+    # the fiber map pushed through the second-order transform
     rng = np.random.default_rng(9)
     for sysdef in (helpers.sys_cubic3(), helpers.sys_linear_mode_a()):
         x, v = helpers.random_box_point(rng, sysdef.n)
         image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
         ctx = PContext(sysdef, image.x, image.fiber)
-        inner, got = ctx.inner.gamma, ctx.gamma_p
-        for idx in np.ndindex(got.val.shape):
-            entry = jets.Dense(2, inner.val[idx], inner.grad[idx],
-                               inner.hess[idx])
-            want = jets.compose(entry, ctx.transform)
-            assert got.val[idx] == want.val
-            assert np.allclose(got.grad[idx], want.grad, rtol=1e-13, atol=1e-14)
-            assert np.allclose(got.hess[idx], want.hess, rtol=1e-13, atol=1e-14)
+        L = ctx.inner.L_dense
+        for inner, got in ((ctx.inner.gamma, ctx.gamma_p),
+                           (L, jets.compose(L, ctx.transform))):
+            assert got.order == inner.order
+            for idx in np.ndindex(got.val.shape):
+                entry = jets.Dense(inner.order, inner.val[idx],
+                                   inner.grad[idx],
+                                   None if inner.hess is None
+                                   else inner.hess[idx])
+                want = jets.compose(entry, ctx.transform)
+                assert got.val[idx] == want.val
+                assert np.allclose(got.grad[idx], want.grad, rtol=1e-13,
+                                   atol=1e-14)
+                if got.order == 2:
+                    assert np.allclose(got.hess[idx], want.hess, rtol=1e-13,
+                                       atol=1e-14)
+        assert (ctx.gamma_p.order, L.order) == (1, 2)
 
 
 def test_newton_cycle_raises_and_guess_recovers():
@@ -400,6 +411,28 @@ def test_both_contexts_name_a_non_finite_component_and_its_point():
             with pytest.raises(EvalError, match="of V1 " + at.format("p")
                                + tail):
                 PContext(sysdef, *args)
+
+
+def test_a_component_raising_in_a_context_names_itself_and_its_point():
+    # a domain error of the evaluator is named as a non-finite result
+    # is: the component, and the point or the failing node of a batch
+    n = 2
+    sysdef = SystemDef(
+        n, helpers.parse_all(["v1", "v2"], n),
+        force=helpers.parse_all(["sqrt(x1 + 0.9)", "0"], n),
+        v_inverse=helpers.parse_all(["p1 + 0*ln(x1 + 0.9)", "p2"], n,
+                                    kinds=("x", "p")))
+    x, fiber = [-1.0, 0.0], [1.0, 0.5]
+    batch_x, batch_fiber = [[0.1, 0.0], x], [[1.0, 1.0], fiber]
+    at = r" -0\.09\d* at x=\[-1\.0, 0\.0\], {}=\[1\.0, 0\.5\]"
+    for args, tail in (((x, fiber), "$"),
+                       ((batch_x, batch_fiber), r" \(node 1\)$")):
+        with pytest.raises(EvalError, match="^in Phi1: sqrt of negative value"
+                           + at.format("v") + tail):
+            VContext(sysdef, *args).phi
+        with pytest.raises(EvalError, match="^in V1: ln of non-positive value"
+                           + at.format("p") + tail):
+            PContext(sysdef, *args)
 
 
 def test_both_contexts_give_back_their_point():

@@ -389,7 +389,8 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
         raise ValidationError(
             f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
-    # Newton checks its steps, and rhs every value it is given or returns
+    # Newton checks its steps, and rhs every value it is given or
+    # returns, by its own traps or by the checked evaluation
     with np.errstate(all="ignore"):
         v0 = (_values(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,))
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
@@ -426,22 +427,49 @@ def _at_node(t, x, v, k, nodes):
             f"(node {k}, u={nodes[k].tolist()})")
 
 
+# every floating-point exception that makes a non-finite value from
+# finite operands traps in the right-hand side's raw evaluation
+_TRAPS = dict(over="raise", divide="raise", invalid="raise", under="ignore")
+
+
 def _rhs(force, nodes):
     """The right-hand side x' = v, v' = Phi(x, v) of the front of
     len(nodes) trajectories, over the state (node, x or v, n) flattened.
-    The names x1.., v1.. are bound once a front, and numpy's warnings
-    are left to the caller: every value it returns is checked, and a bad
-    node is searched for only once the state or Phi is non-finite."""
+    The names x1.., v1.. are bound once a front. A finite state gets the
+    flow of Phi's raw form under _TRAPS if nothing traps and the flow is
+    finite, which then has the checked form's bits; otherwise, or if a
+    component has no raw form, the checked form names a raising
+    component or a non-finite node. numpy's warnings are left to the
+    caller."""
     count, n = len(nodes), len(force)
     names = [f"{kind}{i + 1}" for kind in "xv" for i in range(n)]
+    raw = [getattr(f, "evaluate_raw", None) for f in force]
+    if None in raw:
+        raw = None
 
     def rhs(t, y):
         state = y.reshape(count, 2 * n)
         env = dict(zip(names, state.T))
         flow = np.empty((count, 2 * n))
         flow[:, :n] = state[:, n:]
-        for i, f in enumerate(force, n):
-            flow[:, i] = f.evaluate(env)
+        if raw is not None and np.isfinite(y).all():
+            try:
+                with np.errstate(**_TRAPS):
+                    for i, f in enumerate(raw, n):
+                        flow[:, i] = f(env)
+            except FloatingPointError:
+                pass
+            else:
+                if np.isfinite(flow).all():
+                    return flow.reshape(-1)
+        for i, f in enumerate(force):
+            try:
+                flow[:, n + i] = f.evaluate(env)
+            except EvalError as e:
+                k = e.node or 0
+                where = _at_node(t, state[k, :n], state[k, n:], k, nodes)
+                raise EvalError(
+                    f"in Phi{i + 1}: {e.reason} at {where}") from None
         if not (np.isfinite(y).all() and np.isfinite(flow).all()):
             k = int(np.argmin(np.isfinite(state).all(axis=1)
                               & np.isfinite(flow).all(axis=1)))

@@ -11,6 +11,14 @@ arrays over a batch and jets.Dense derivative data all work, which is
 what lets one AST serve both fast value sweeps and second-order
 derivative extraction. `derivative` differentiates a tree into another
 tree, which is how a Lagrangian's fiber map is built once, at load.
+
+`evaluate` checks every operation and raises EvalError. `evaluate_raw`,
+for floats and float arrays, applies the same floating-point operations
+through bare numpy ufuncs on np.float64 constants, so it has the bits of
+`evaluate` wherever that does not raise. Given finite inputs under an
+np.errstate raising on overflow, divide and invalid, each fault of
+`evaluate` traps instead: only a trapping operation makes a non-finite
+value from finite operands.
 """
 
 import re
@@ -200,15 +208,16 @@ class _Parser:
 
 @_node
 class Expression:
-    """Parsed scalar expression bound to a dimension. It compiles on its
-    first evaluation and keeps the compiled form, which stays out of
-    ==, hash, repr, pickling and copies."""
+    """Parsed scalar expression bound to a dimension. Each form compiles
+    on its first evaluation and is kept; compiled forms stay out of ==,
+    hash, repr, pickling and copies."""
 
     root: object
     dimension: int
     kinds: tuple = field(compare=False)
     fiber_kind: str = field(compare=False)     # "v", "p" or None
     _run: object = field(default=None, init=False, repr=False, compare=False)
+    _raw: object = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         return f"Expression({to_source(self)!r}, dimension={self.dimension})"
@@ -221,6 +230,11 @@ class Expression:
         if self._run is None:
             self._run = _compile(self.root)
         return self._run(env)
+
+    def evaluate_raw(self, env):
+        if self._raw is None:
+            self._raw = _compile(self.root, _RAW)
+        return self._raw(env)
 
 
 def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
@@ -245,15 +259,23 @@ def _collect_vars(node, out):
         _collect_vars(node.arg, out)
 
 
-def _compile(node):
-    """node as a closure over an environment. Each closure holds its
-    node's constant, variable name or jets function and its children's
-    closures, evaluates the left operand first and applies the
-    operation, so a value comes out with the bits of a recursive walk
-    in every algebra: floats, float arrays and jets.Dense data."""
+# constant type, functions, / and ^ of the checked and the raw form
+_CHECKED = {"num": float, "/": jets.true_div, "^": jets.power, **jets.FUNCTIONS}
+_RAW = {"num": np.float64, "/": np.true_divide, "^": np.power, "sin": np.sin,
+        "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+        "tanh": np.tanh}
+
+
+def _compile(node, ops=_CHECKED):
+    """node as a closure over an environment, with the operations of
+    ops. Each closure holds its node's constant, variable name or
+    function and its children's closures, evaluates the left operand
+    first and applies the operation, so a value comes out with the bits
+    of a recursive walk in every algebra: floats, float arrays and
+    jets.Dense data."""
     kind = node.__class__
     if kind is Num:
-        value = node.value
+        value = ops["num"](node.value)
         return lambda env: value
     if kind is Var:
         name = node.name
@@ -265,19 +287,19 @@ def _compile(node):
                 raise EvalError(f"unbound variable {name}") from None
         return variable
     if kind is Unary:
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, ops)
         return lambda env: -operand(env)
     if kind is Call:
-        fn, arg = jets.FUNCTIONS[node.fn], _compile(node.arg)
+        fn, arg = ops[node.fn], _compile(node.arg, ops)
         return lambda env: fn(arg(env))
-    a, b = _compile(node.left), _compile(node.right)
+    a, b = _compile(node.left, ops), _compile(node.right, ops)
     if node.op == "+":
         return lambda env: a(env) + b(env)
     if node.op == "-":
         return lambda env: a(env) - b(env)
     if node.op == "*":
         return lambda env: a(env) * b(env)
-    fn = jets.true_div if node.op == "/" else jets.power
+    fn = ops[node.op]
     return lambda env: fn(a(env), b(env))
 
 

@@ -17,7 +17,8 @@ shape S, are exact constants and demote nothing. Every domain check
 covers every entry, and a failing entry of a batch is named in the
 EvalError. Elementary functions and powers go through the numpy ufuncs
 for floats and arrays alike, so an entry of a batch gets the bits it
-gets alone.
+gets alone, and expr's raw form, the same ufuncs under floating-point
+traps instead of these checks, gets them too.
 
 Above the evaluator, `stack` lays evaluated entries along a new axis
 after the batch axes, `einsum` contracts dense data by the product

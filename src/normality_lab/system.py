@@ -55,6 +55,8 @@ class ConstFunc:
     def evaluate(self, env):
         return self.value
 
+    evaluate_raw = evaluate
+
 
 def lagrangian_to_legendre(lagrangian: expr.Expression):
     """Fiber map of a Lagrangian: the expressions L_i = d(lagrangian)/dv_i,
@@ -95,7 +97,9 @@ def zero_connection(n: int):
 
 class SystemDef:
     """Complete system definition. Components are expression-like
-    objects with .evaluate(env)/.dimension/.fiber_kind."""
+    objects with .evaluate(env)/.dimension/.fiber_kind; the shift
+    evaluates force components by .evaluate_raw(env) where they all
+    have it."""
 
     __slots__ = ("n", "legendre", "force", "connection", "v_inverse", "gauge",
                  "newton_guess")
@@ -342,8 +346,8 @@ def _fiber_jets(sysdef: SystemDef, x, v):
     or (N, n) over N nodes; the data then has shape (N, n), the node
     axis leading."""
     env = _env(x.T, jets.seeds(v.T, order=1), "v")
-    return jets.stack([f.evaluate(env) for f in sysdef.legendre], sysdef.n,
-                      v.shape[:-1])
+    _, entries = _evaluate(sysdef.legendre, env, "L", x=x, v=v)
+    return jets.stack(entries, sysdef.n, v.shape[:-1])
 
 
 def _at(k=0, **arrays):

@@ -20,7 +20,7 @@ from normality_lab.experiments import (ShiftRun, gauge_invariance_report,
                                        shift_integrate)
 from normality_lab.normality import cross_check_all, normality_residuals
 from normality_lab.phase import PhasePoint
-from normality_lab.sysfile import read_system_file
+from normality_lab.sysfile import SHIFT_OPTIONS, read_system_file
 from normality_lab.system import (NEWTON_TOL, SystemDef, _newton,
                                   lagrangian_to_legendre, legendre_forward,
                                   legendre_inverse, metric)
@@ -330,6 +330,14 @@ def test_shift_rhs_is_the_velocity_and_the_force():
     force = system_module._values(RHS_FORCE, system_module._env(x, v, "v"),
                                   (5,))
     assert flow.tobytes() == np.stack([v.T, force], axis=1).tobytes()
+    # a component without a raw form, which the benchmark's counting
+    # wrapper is, sends every call through the checked evaluation
+
+    class Plain:
+        def evaluate(self, env):
+            return RHS_FORCE[0].evaluate(env)
+    plain = experiments._rhs([Plain(), RHS_FORCE[1]], RHS_NODES)(0.3, y)
+    assert plain.tobytes() == flow.tobytes()
 
 
 def test_shift_rhs_names_a_non_finite_node():
@@ -339,6 +347,95 @@ def test_shift_rhs_names_a_non_finite_node():
             "non-finite trajectory position, velocity or force at t=0.3, "
             "x=[nan, 1.0], v=[1.0, 1.0] (node 3, u=[0.75])")):
         experiments._rhs(RHS_FORCE, RHS_NODES)(0.3, y.ravel())
+
+
+def _checked_only(monkeypatch):
+    """Make every raw evaluation trap, so that the right-hand side
+    re-runs the checked evaluation on every call."""
+    def trap(self, env):
+        raise FloatingPointError
+    monkeypatch.setattr(expr.Expression, "evaluate_raw", trap)
+    monkeypatch.setattr(system_module.ConstFunc, "evaluate_raw", trap)
+
+
+def _rhs_error(force, y):
+    with pytest.raises(EvalError) as err:
+        with np.errstate(all="ignore"):     # as _flow runs the rhs
+            experiments._rhs(force, RHS_NODES)(0.3, y.ravel())
+    return str(err.value)
+
+
+# x1 falls from 1 to 0 over the five nodes; x2 and v are 1
+RHS_X1 = np.linspace(1.0, 0.0, 5)
+
+
+@pytest.mark.parametrize("source, reason, k", [
+    ("sqrt(x1 - 0.6)", "sqrt of negative value -0.09999999999999998", 2),
+    ("v2 + ln(x1)", "ln of non-positive value 0.0", 4),
+    ("exp(1000*x1)", "exp overflow at 1000.0", 0),
+    ("v1/x1", "division by zero, divisor 0.0", 4),
+    ("x1^-1", "negative power of zero base 0.0", 4),
+    ("(x1 - 0.9)^0.5",
+     "non-integer power of negative base -0.15000000000000002", 1),
+    ("v1*2^1024", "non-finite power result for base 2.0", 0),
+    # exp overflows where tanh would hide it
+    ("tanh(exp(800*x1))", "exp overflow at 800.0", 0),
+])
+def test_shift_rhs_names_a_raising_force(monkeypatch, source, reason, k):
+    y = np.ones((5, 2, 2))
+    y[:, 0, 0] = RHS_X1
+    force = [expr.parse(source, 2), RHS_FORCE[1]]
+    where = (f"t=0.3, x={[float(RHS_X1[k]), 1.0]}, v=[1.0, 1.0] "
+             f"(node {k}, u={RHS_NODES[k].tolist()})")
+    message = _rhs_error(force, y)
+    assert message == f"in Phi1: {reason} at {where}"
+    # the checked evaluation alone raises the same error
+    _checked_only(monkeypatch)
+    assert _rhs_error(force, y) == message
+
+
+NON_FINITE = "non-finite trajectory position, velocity or force"
+
+
+@pytest.mark.parametrize("source, bad, k, reason", [
+    # finite arguments, an overflowing force
+    ("x1*1e308*10", None, 0, NON_FINITE),
+    # a non-finite position, which Phi does not read
+    ("x1", (3, 0, 1, np.inf), 3, NON_FINITE),
+    # a non-finite position, where exp(-inf) = 0 would hide it
+    ("exp(x2)", (1, 0, 1, -np.inf), 1, "in Phi1: exp of non-finite value -inf"),
+])
+def test_shift_rhs_names_a_non_finite_flow(monkeypatch, source, bad, k,
+                                           reason):
+    y = np.ones((5, 2, 2))
+    y[:, 0, 0] = RHS_X1
+    if bad is not None:
+        y[bad[:3]] = bad[3]
+    force = [expr.parse(source, 2), RHS_FORCE[1]]
+    message = _rhs_error(force, y)
+    assert message == (
+        f"{reason} at t=0.3, x={y[k, 0].tolist()}, v={y[k, 1].tolist()} "
+        f"(node {k}, u={RHS_NODES[k].tolist()})")
+    _checked_only(monkeypatch)
+    assert _rhs_error(force, y) == message
+
+
+SURFACE_FIXTURES = [path.stem for path in sorted(
+    (Path(__file__).parent / "fixtures").glob("*.system"))
+    if read_system_file(str(path)).surface is not None]
+
+
+@pytest.mark.parametrize("name", SURFACE_FIXTURES)
+def test_checked_rhs_gives_the_shift_of_the_raw_rhs(monkeypatch, name):
+    doc = read_system_file(
+        str(Path(__file__).parent / "fixtures" / f"{name}.system"))
+    run = ShiftRun(surface=doc.surface, nu=doc.nu, **{
+        key: doc.options[key] for key in SHIFT_OPTIONS if key in doc.options})
+    raw = shift_integrate(doc.sysdef, run)
+    _checked_only(monkeypatch)
+    checked = shift_integrate(doc.sysdef, run)
+    for field in ("times", "points", "covectors", "deviations"):
+        assert np.array_equal(getattr(raw, field), getattr(checked, field))
 
 
 def test_overflowing_force_raises_without_a_warning():

@@ -708,7 +708,22 @@ def test_component_raising_at_load_names_file_and_component(
     (IDENTITY + '[surface]\nx1(u1) = "sqrt(0.5 - u1)"\nx2(u1) = "u1"\n'
      '[options]\nu_samples = 5\n',
      "in x1: sqrt of negative value -0.25 at u=[0.75] (node 3)"),
-], ids=["surface", "inverse", "raising surface"])
+    # the force raises at the fourth node of a circle at the start
+    ('[system]\nn = 2\n[legendre]\nL1 = "exp((0.111448)*x1)*v1"\n'
+     'L2 = "exp((-0.094289)*x2)*v2 + (0.070409)*x1*v1"\n'
+     '[force]\nPhi1 = "sqrt(x1 + 0.3)"\n'
+     'Phi2 = "(-0.289922)*sin(x1)*v2 + (-0.195405)*v1^2"\n'
+     '[inverse]\nV1 = "p1*exp(-(0.111448)*x1)"\n'
+     'V2 = "(p2 - (0.070409)*x1*p1*exp(-(0.111448)*x1))*exp(-(-0.094289)*x2)"'
+     '\n[surface]\nx1(u1) = "(0.040200) + (1.106796)*cos(u1)"\n'
+     'x2(u1) = "(0.089333) + (1.106796)*sin(u1)"\n[nu] = "-1"\n'
+     '[options]\nu_stop = 6.283185307179586\nu_samples = 8\n'
+     'periodic = true\nt_final = 0.5\ntime_steps = 4\n',
+     "in Phi1: sqrt of negative value -0.44242295699014594 at t=0.0, "
+     "x=[-0.7424229569901459, 0.871955956990146], "
+     "v=[-0.7681025419606183, 0.7241070716883361] "
+     "(node 3, u=[2.356194490192345])"),
+], ids=["surface", "inverse", "raising surface", "raising force"])
 def test_non_finite_shift_start_is_an_error_record(tmp_path, body, message):
     # both once ended in a traceback from the integrator, or from numpy
     # under -W error, with the exit status of a failed certificate
@@ -732,6 +747,22 @@ def test_component_raising_in_a_sweep_names_component_and_point(tmp_path):
         assert error["type"] == "EvalError"
         assert re.fullmatch(r"in Phi1: sqrt of negative value -\S+ at "
                             r"x=\[-0\.9\d*, \S+\], v=\[\S+, \S+\]",
+                            error["message"]), error["message"]
+
+
+def test_fiber_map_raising_in_newton_names_component_and_point(tmp_path):
+    # Newton starts at v = (-1, 0), where L1's sqrt argument is -0.5
+    path = write_system(tmp_path, '[system]\nn = 2\n[legendre]\n'
+                        'L1 = "v1 + 0.1*v1^3 + 0*sqrt(v1 + 0.5)"\n'
+                        'L2 = "v2"\n[options]\nnewton_guess = -1, 0\n')
+    report, status = run_checks(RunConfig(path, checks=("metric", "transport"),
+                                          samples=3))
+    assert status == 1
+    for record in report["checks"]:
+        error = record["error"]
+        assert error["type"] == "EvalError"
+        assert re.fullmatch(r"in L1: sqrt of negative value -0\.5 at "
+                            r"x=\[\S+, \S+\], v=\[-1\.0, 0\.0\]",
                             error["message"]), error["message"]
 
 

@@ -359,13 +359,13 @@ def test_the_compiled_form_stays_out_of_equality_repr_pickles_and_copies():
     source = "sin(x1)*v2 - 0.5*v1^2/(1 + x2*x2)"
     env = float_env([0.3, -0.2], [1.1, 0.9])
     e = expr.parse(source, 2)
-    value = e.evaluate(env)
+    value, raw = e.evaluate(env), e.evaluate_raw(env)
     fresh = expr.parse(source, 2)
     for other in (e, pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
         assert other == fresh and fresh == other
         assert hash(other) == hash(fresh)
         assert repr(other) == repr(fresh)
-        assert other.evaluate(env) == value
+        assert other.evaluate(env) == value == raw == other.evaluate_raw(env)
     # nodes compare, hash and print by their fields, as frozen
     # dataclasses did
     root = expr.parse("-x1^2 + sin(v1)", 1).root
@@ -375,3 +375,66 @@ def test_the_compiled_form_stays_out_of_equality_repr_pickles_and_copies():
         " arg=Var(kind='v', index=1)))")
     assert hash(root.right.arg) == hash(("v", 1))
     assert root.right == expr.Call("sin", expr.Var("v", 1)) != root.left
+
+
+# The raw form: bare numpy ufuncs, checked by floating-point traps
+
+TRAPS = dict(over="raise", divide="raise", invalid="raise", under="ignore")
+
+
+def _raw_outcome(e, env):
+    """"trap", or the shape and bits of the raw value under TRAPS."""
+    try:
+        with np.errstate(**TRAPS):
+            value = e.evaluate_raw(env)
+    except FloatingPointError:
+        return "trap"
+    return np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
+def _checked_outcome(e, env):
+    """None where the checked form raises, else its shape and bits."""
+    try:
+        with np.errstate(all="ignore"):
+            value = e.evaluate(env)
+    except EvalError:
+        return None
+    return np.shape(value), np.asarray(value, dtype=float).tobytes()
+
+
+# the last four hide their fault in a finite value without the traps;
+# the constants are np.float64, so that 1e308*1e308 traps too
+@pytest.mark.parametrize("source, hidden", [
+    ("(x1-x1)^-1", False), ("(x1-2)^0.5", False), ("2^1024", False),
+    ("tanh(exp(800*x1))", True), ("exp(-exp(1000*x1))", True),
+    ("1/(1/(x1-x1))", True), ("x1*tanh(1e308*1e308)", True)])
+def test_raw_form_traps_where_the_checked_form_raises(source, hidden):
+    e = expr.parse(source, 1)
+    for x1 in (np.float64(1.0), np.linspace(0.5, 1.0, 8)):
+        env = {"x1": x1}
+        assert _checked_outcome(e, env) is None
+        assert _raw_outcome(e, env) == "trap"
+        with np.errstate(all="ignore"):
+            untrapped = e.evaluate_raw(env)
+        assert np.all(np.isfinite(untrapped)) == hidden
+
+
+def test_raw_form_has_the_bits_of_the_checked_form():
+    # random sources and every fixture component at np.float64 points
+    # and over float arrays, in the box and far outside it
+    rng = np.random.default_rng(20261020)
+    sources = [expr.parse(random_source(rng, 3, depth=3), 3)
+               for _ in range(150)]
+    traps = 0
+    for e in sources + list(_fixture_components()):
+        names = [f"{k}{i + 1}" for k in e.kinds for i in range(e.dimension)]
+        for scale in (1.0, 1e3, 1e200):
+            batch = scale * rng.uniform(-1.0, 1.0, (len(names), 8))
+            for values in (batch[:, 0], batch):
+                env = dict(zip(names, values))
+                raw, checked = _raw_outcome(e, env), _checked_outcome(e, env)
+                if raw == "trap":
+                    traps += 1
+                else:
+                    assert raw == checked, expr.to_source(e)
+    assert traps > 100

@@ -9,6 +9,11 @@ disagreement on some draw, and the flip-beta-term mutation must keep
 failing the beta cross check wherever it changes beta at all. The
 transport check's six relations and the gauge report's invariant and
 rule rows must hold on every draw at the CLI's tolerances.
+
+The raw form of an expression, evaluated under floating-point traps at
+finite np.float64 points or over finite float arrays, must trap, give a
+non-finite value or give the checked form's bits, and never a finite
+value where the checked form raises.
 """
 
 import numpy as np
@@ -16,9 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from normality_lab import cli
+from normality_lab import cli, expr
 from normality_lab.calculus import relative_deviation
-from normality_lab.errors import (DegeneratePoint, NonConvergence,
+from normality_lab.errors import (DegeneratePoint, EvalError, NonConvergence,
                                   SingularMetric)
 from normality_lab.experiments import gauge_invariance_report
 from normality_lab.normality import CROSS_FIELDS, cross_check_all
@@ -127,3 +132,58 @@ def test_gauge_invariants_and_rules_hold(case, seed):
             assert row.deviation <= tol["gauge-exact"], row
         elif row.kind == "rule":
             assert row.deviation <= tol["gauge"], row
+
+
+# Sources in x1, x2, v1, v2: helpers.random_source from a drawn seed, which
+# is finite on the sampling box, or any tree of the language, which
+# takes ln, sqrt, / and ^ of anything
+_NAMES = ("x1", "x2", "v1", "v2")
+_LEAVES = st.sampled_from([*_NAMES, "0", "0.5", "2", "700", "1e308"])
+_ANY_SOURCE = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+        lambda t: f"({t[0]}{t[1]}{t[2]})"),
+    st.tuples(st.sampled_from(sorted(expr._FUNCTION_NAMES)), inner).map(
+        lambda t: f"{t[0]}({t[1]})"),
+    inner.map(lambda a: f"(-{a})")), max_leaves=8)
+_SOURCES = st.one_of(_ANY_SOURCE, st.integers(0, 2**32 - 1).map(
+    lambda seed: helpers.random_source(np.random.default_rng(seed), 2,
+                                       depth=3)))
+_FINITE = st.one_of(st.floats(-3.0, 3.0),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+TRAPS = dict(over="raise", divide="raise", invalid="raise", under="ignore")
+
+
+@st.composite
+def finite_envs(draw):
+    """x1, x2, v1, v2 as np.float64 scalars, or as float arrays of one
+    length."""
+    size = draw(st.sampled_from([None, 1, 3, 6]))
+    if size is None:
+        return {name: np.float64(draw(_FINITE)) for name in _NAMES}
+    return {name: np.array(draw(st.lists(_FINITE, min_size=size,
+                                         max_size=size)))
+            for name in _NAMES}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(_SOURCES, finite_envs())
+def test_raw_form_traps_or_gives_the_checked_bits(source, env):
+    e = expr.parse(source, 2)
+    try:
+        with np.errstate(all="ignore"):
+            want = e.evaluate(env)
+    except EvalError:
+        want = None
+    try:
+        with np.errstate(**TRAPS):
+            got = e.evaluate_raw(env)
+    except FloatingPointError:
+        return
+    if not np.all(np.isfinite(got)):
+        return
+    assert want is not None, source
+    assert np.shape(got) == np.shape(want), source
+    assert np.array_equal(got, want), source
+    assert (np.asarray(got, dtype=float).tobytes()
+            == np.asarray(want, dtype=float).tobytes()), source

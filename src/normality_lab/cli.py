@@ -5,6 +5,12 @@ seeded box, runs the selected verification checks at every point, and
 emits one machine-readable report (JSON or CSV). The same file, config,
 and seed always produce byte-identical output; the exit status is 0
 exactly when every selected check passed its tolerances.
+
+`render_json` writes the bytes of json.dumps(report, indent=2,
+sort_keys=True, allow_nan=False) with its own walker, `_json`. A row of
+one of the three layouts the checks write is formatted from one
+template a layout and nesting level once its values have the layout's
+types and its floats are finite; any other dict goes through the walk.
 """
 
 import argparse
@@ -12,6 +18,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -123,10 +130,10 @@ def _per_point(x, columns):
     """The row lists of the points x, (n,) or (N, n), from columns
     (equation, residuals, tolerance[, flags]) with one residual a
     point."""
-    columns = [(eq, np.reshape(res, -1), tol, *flags)
+    columns = [(eq, np.reshape(res, -1).tolist(), tol,
+                flags[0] if flags else {})
                for eq, res, tol, *flags in columns]
-    return [[_row(eq, res[k], tol, **(flags[0] if flags else {}))
-             for eq, res, tol, *flags in columns]
+    return [[_row(eq, res[k], tol, **flags) for eq, res, tol, flags in columns]
             for k in range(len(np.atleast_2d(x)))]
 
 
@@ -417,15 +424,67 @@ def run_checks(cfg: RunConfig):
 _STRING = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
 
+# The keys of the rows the checks write, by their count: the seven of
+# every row, plus decisive (normality), or conditional and requires (gauge)
+_ROW_KEYS = ("check", "equation", "index", "pass", "point", "residual",
+             "tolerance")
+_ROW_LAYOUTS = {7: frozenset(_ROW_KEYS),
+                8: frozenset(_ROW_KEYS + ("decisive",)),
+                9: frozenset(_ROW_KEYS + ("conditional", "requires"))}
+_ROW_VALUES = operator.itemgetter(*_ROW_KEYS)
+_ROW_TEMPLATES = {}     # (key count, level): the row as a %-template
+
+
+def _row_json(row, level, memo):
+    """A row of one of _ROW_LAYOUTS as _json writes it at `level`, from
+    the layout's template, or None unless every value has the type the
+    layout gives it, with finite floats; _json then walks the row. The
+    text of a tolerance is kept in memo under its id."""
+    size = len(row)
+    if row.keys() != _ROW_LAYOUTS[size]:
+        return None
+    check, equation, index, passed, point, residual, tolerance = (
+        _ROW_VALUES(row))
+    if (check.__class__ is not str or equation.__class__ is not str
+            or index.__class__ is not int or passed.__class__ is not bool
+            or point.__class__ is not dict or tolerance.__class__ is not float
+            or not math.isfinite(tolerance)
+            or residual is not None and (residual.__class__ is not float
+                                         or not math.isfinite(residual))):
+        return None
+    if size > 7:
+        flag = row["decisive"] if size == 8 else row["conditional"]
+        requires = row.get("requires", [])
+        if flag.__class__ is not bool or requires.__class__ is not list:
+            return None
+    # every other value is valid, so the walk would reach point and then
+    # requires too, and raise what they raise
+    values = [_STRING(check), _STRING(equation), int.__repr__(index),
+              _LITERALS[passed],
+              memo.get((id(point), level + 1)) or _json(point, level + 1, memo),
+              "null" if residual is None else float.__repr__(residual),
+              memo.get(id(tolerance)) or memo.setdefault(
+                  id(tolerance), float.__repr__(tolerance))]
+    if size == 9:
+        values.insert(5, _json(requires, level + 1, memo))
+    if size > 7:
+        values.insert(1, _LITERALS[flag])
+    template = _ROW_TEMPLATES.get((size, level))
+    if template is None:    # the walk's text of the row with 0 for each value
+        template = _ROW_TEMPLATES[size, level] = _json(dict.fromkeys(
+            _ROW_LAYOUTS[size], 0), level, {}).replace(": 0", ": %s")
+    return template % tuple(values)
+
 
 def _json(o, level, memo):
     """The dict or list o as json.dumps(o, indent=2, sort_keys=True)
     writes it at nesting level `level`, for str, int, float, bool and
     None leaves in lists and in dicts with str keys. A non-finite float
-    raises ValueError, any other leaf or key TypeError. A container that
-    holds no dict, such as the point dict that every row of a point
-    shares, is written once a level and kept in memo; larger texts are
-    not kept."""
+    raises ValueError, any other leaf or key TypeError. A row of one of
+    the checks' layouts in a container is written from a template
+    (_row_json). A container that holds no dict, such as the point dict
+    that every row of a point shares, is written once a level and kept
+    in memo; larger texts are not kept."""
     key = (id(o), level)
     text = memo.get(key)
     if text is not None:
@@ -452,7 +511,9 @@ def _json(o, level, memo):
         elif leaf is int:
             parts.append(head + int.__repr__(value))
         else:
-            parts.append(head + _json(value, level + 1, memo))
+            row = (leaf is dict and len(value) in _ROW_LAYOUTS
+                   and _row_json(value, level + 1, memo))
+            parts.append(head + (row or _json(value, level + 1, memo)))
             flat = flat and leaf is not dict and (id(value), level + 1) in memo
     open_, close = "{}" if kind is dict else "[]"
     if parts:

@@ -408,15 +408,16 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
     # p = L(x, v) and the fiber Jacobian of every pair in one evaluation
     pairs = sol.y.reshape(count, 2 * n, len(times)).transpose(2, 0, 1)
     x, v = pairs.reshape(-1, 2, n).transpose(1, 0, 2)
+    def where(j):
+        return _at_node(times[j // count], x[j], v[j], j % count, nodes)
+
     with np.errstate(all="ignore"):
-        Lj = _fiber_jets(sysdef, x, v)
+        Lj = _fiber_jets(sysdef, x, v, where)
     cond = np.where(np.isfinite(Lj.val).all(axis=1), _conditions(Lj.grad),
                     np.inf)
     if not np.all(cond <= COND_LIMIT):
-        j = int(np.argmax(~(cond <= COND_LIMIT)))
         raise SingularMetric("fiber Jacobian singular on the shift at "
-                             + _at_node(times[j // count], x[j], v[j],
-                                        j % count, nodes))
+                             + where(int(np.argmax(~(cond <= COND_LIMIT)))))
     momenta = Lj.val.reshape(len(times), count, n)
     momenta[0] = p0                     # the seeded covectors, exactly
     return pairs[:, :, :n], momenta

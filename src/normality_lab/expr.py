@@ -6,6 +6,12 @@ precedence (^ binds tighter than unary minus and is right
 associative). Functions: sin cos exp ln sqrt tanh. No implicit
 multiplication.
 
+`parse` scans the source once, with one regex findall over the token
+texts, and descends it with two loops, for sums and for products, and
+one `factor` for unary minus, an atom and ^. A syntax error carries the
+line and column of its token, recomputed only then; a character that
+starts no token is reported before any other error in the source.
+
 Evaluation is generic over the scalar algebra: plain floats, float
 arrays over a batch and jets.Dense derivative data all work, which is
 what lets one AST serve both fast value sweeps and second-order
@@ -30,15 +36,14 @@ from . import jets
 from .errors import (DimensionError, EvalError, ExprSyntaxError,
                      MixedRepresentationError)
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/^()])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# One findall gives the text of every token: a number, a name, an
+# operator, or any other non-blank character, which starts no token and
+# is an error. Offsets are recomputed only to place an error.
+_TOKEN = (r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+          r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]")
+_TOKEN_RE = re.compile(_TOKEN + r"|\S")
+_VALID_TOKEN = re.compile(_TOKEN)
+_VARIABLE = re.compile(r"([A-Za-z])(\d+)")
 
 _FUNCTION_NAMES = frozenset(jets.FUNCTIONS)
 
@@ -49,16 +54,21 @@ def _position(source, offset):
             offset - source.rfind("\n", 0, offset))
 
 
-def _tokenize(source: str):
-    """(kind, text, offset) of every token, then ("end", "", len)."""
-    tokens = [(m.lastgroup, m.group(), m.start())
-              for m in _TOKEN_RE.finditer(source) if m.lastgroup != "ws"]
-    for kind, text, offset in tokens:
-        if kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {text!r}",
-                                  *_position(source, offset))
-    tokens.append(("end", "", len(source)))
-    return tokens
+def _fail(source, tokens, at, message, error=ExprSyntaxError):
+    """Raise error(message) at token `at`; but a character anywhere in
+    the source that starts no token is reported first, at the first
+    such character."""
+    for i, text in enumerate(tokens):
+        if text and _VALID_TOKEN.fullmatch(text) is None:
+            at, error = i, ExprSyntaxError
+            message = f"unexpected character {text!r}"
+            break
+    offsets = [m.start() for m in _TOKEN_RE.finditer(source)]
+    line, column = _position(source, offsets[at] if at < len(offsets)
+                             else len(source))
+    if error is ExprSyntaxError:
+        raise ExprSyntaxError(message, line, column) from None
+    raise error(f"{message} (line {line}, column {column})") from None
 
 
 # AST nodes, equal, hashed and printed by their fields in order. The
@@ -102,110 +112,6 @@ class Call:
     arg: object
 
 
-class _Parser:
-    """Recursive descent over (kind, text, offset) tokens."""
-
-    def __init__(self, source, dimension, kinds):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.dimension = dimension
-        self.kinds = kinds
-        self.fiber_kinds_seen = set()
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def where(self, offset):
-        return "(line {}, column {})".format(*_position(self.source, offset))
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ExprSyntaxError(message, *_position(self.source, tok[2]))
-
-    def parse(self):
-        node = self.expression()
-        if self.peek()[0] != "end":
-            self.error(f"unexpected {self.peek()[1]!r}")
-        return node
-
-    def expression(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            node = Binary(self.advance()[1], node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            node = Binary(self.advance()[1], node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[1] == "-":
-            self.advance()
-            return Unary(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.advance()
-            return Binary("^", base, self.factor())
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        kind, text, _ = tok
-        if kind == "number":
-            self.advance()
-            value = float(text)
-            if value == np.inf:
-                self.error(f"number {text} overflows", tok)
-            return Num(value)
-        if text == "(":
-            self.advance()
-            node = self.expression()
-            if self.peek()[1] != ")":
-                self.error("expected ')'")
-            self.advance()
-            return node
-        if kind == "ident":
-            self.advance()
-            if text in _FUNCTION_NAMES:
-                if self.peek()[1] != "(":
-                    self.error(f"function {text} needs an argument list", tok)
-                self.advance()
-                arg = self.expression()
-                if self.peek()[1] != ")":
-                    self.error("expected ')'")
-                self.advance()
-                return Call(text, arg)
-            return self.variable(tok)
-        self.error(f"unexpected {text!r}" if text else "unexpected end of input", tok)
-
-    def variable(self, tok):
-        _, text, offset = tok
-        m = re.fullmatch(r"([A-Za-z])(\d+)", text)
-        if m is None or m.group(1) not in self.kinds:
-            self.error(f"unknown identifier {text!r}", tok)
-        kind, index = m.group(1), int(m.group(2))
-        if not 1 <= index <= self.dimension:
-            raise DimensionError(f"variable {text} out of range for dimension "
-                                 f"{self.dimension} {self.where(offset)}")
-        if kind in ("v", "p"):
-            self.fiber_kinds_seen.add(kind)
-            if len(self.fiber_kinds_seen) > 1:
-                raise MixedRepresentationError(
-                    f"expression mixes v and p variables {self.where(offset)}")
-        return Var(kind, index)
-
-
 @_node
 class Expression:
     """Parsed scalar expression bound to a dimension. Each form compiles
@@ -238,13 +144,87 @@ class Expression:
 
 
 def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
+    """The tree of source over the variables of `kinds` with indices
+    1..dimension. Two loops take the sums and the products; `factor`
+    takes unary minus, an atom and ^, which binds tighter than unary
+    minus and is right associative."""
     if dimension < 1:
         raise DimensionError(f"dimension must be positive, got {dimension}")
-    parser = _Parser(source, dimension, tuple(kinds))
-    root = parser.parse()
-    seen = parser.fiber_kinds_seen
-    fiber_kind = next(iter(seen)) if len(seen) == 1 else None
-    return Expression(root, dimension, tuple(kinds), fiber_kind)
+    kinds = tuple(kinds)
+    tokens = _TOKEN_RE.findall(source)
+    tokens.append("")       # the end
+    pos = 0
+    fiber_kind = None
+
+    def expression():
+        nonlocal pos
+        node = term()
+        while tokens[pos] in ("+", "-"):
+            pos += 1
+            node = Binary(tokens[pos - 1], node, term())
+        return node
+
+    def term():
+        nonlocal pos
+        node = factor()
+        while tokens[pos] in ("*", "/"):
+            pos += 1
+            node = Binary(tokens[pos - 1], node, factor())
+        return node
+
+    def factor():
+        nonlocal pos, fiber_kind
+        tok = tokens[pos]
+        pos += 1
+        if tok == "-":
+            return Unary(factor())
+        if tok == "(":
+            node = expression()
+            if tokens[pos] != ")":
+                _fail(source, tokens, pos, "expected ')'")
+            pos += 1
+        elif tok in _FUNCTION_NAMES:
+            if tokens[pos] != "(":
+                _fail(source, tokens, pos - 1,
+                      f"function {tok} needs an argument list")
+            pos += 1
+            node = Call(tok, expression())
+            if tokens[pos] != ")":
+                _fail(source, tokens, pos, "expected ')'")
+            pos += 1
+        elif tok[:1].isidentifier():    # a name, or a bad letter
+            m = _VARIABLE.fullmatch(tok)
+            if m is None or m[1] not in kinds:
+                _fail(source, tokens, pos - 1, f"unknown identifier {tok!r}")
+            kind, index = m[1], int(m[2])
+            if not 1 <= index <= dimension:
+                _fail(source, tokens, pos - 1, f"variable {tok} out of range "
+                      f"for dimension {dimension}", DimensionError)
+            if kind in ("v", "p"):
+                if fiber_kind is None:
+                    fiber_kind = kind
+                elif kind != fiber_kind:
+                    _fail(source, tokens, pos - 1, "expression mixes v and p "
+                          "variables", MixedRepresentationError)
+            node = Var(kind, index)
+        else:
+            try:
+                value = float(tok)
+            except ValueError:      # an operator, the end or a bad character
+                _fail(source, tokens, pos - 1, f"unexpected {tok!r}" if tok
+                      else "unexpected end of input")
+            if value == np.inf:
+                _fail(source, tokens, pos - 1, f"number {tok} overflows")
+            node = Num(value)
+        if tokens[pos] == "^":
+            pos += 1
+            return Binary("^", node, factor())
+        return node
+
+    root = expression()
+    if tokens[pos]:
+        _fail(source, tokens, pos, f"unexpected {tokens[pos]!r}")
+    return Expression(root, dimension, kinds, fiber_kind)
 
 
 def _collect_vars(node, out):

@@ -111,6 +111,7 @@ def _split_sections(path, lines):
             if name in sections:
                 raise SystemFileError(f"{path}:{lineno}: duplicate section [{name}]")
             current = sections[name] = []
+            keys = set()
             rest = line[close + 1:].strip()
             if rest:
                 # header-line value, the `[nu] = "1"` form
@@ -118,33 +119,42 @@ def _split_sections(path, lines):
                     raise SystemFileError(
                         f"{path}:{lineno}: unexpected text after [{name}]")
                 current.append((lineno, name, _unquote(rest[1:])))
+                keys.add(name)
             continue
         if current is None:
             raise SystemFileError(f"{path}:{lineno}: entry before any section")
         key, sep, value = line.partition("=")
         if not sep:
             raise SystemFileError(f"{path}:{lineno}: expected key = value")
-        # tolerate argument lists in keys: x1(u1) means x1
-        key = re.sub(r"\(.*\)$", "", key.strip()).strip().lower()
-        if any(k == key for _, k, _ in current):
+        key = key.strip().lower()
+        if key.endswith(")"):   # tolerate argument lists: x1(u1) means x1
+            key = re.sub(r"\(.*\)$", "", key).strip()
+        if key in keys:
             raise SystemFileError(f"{path}:{lineno}: duplicate key {key!r}")
+        keys.add(key)
         current.append((lineno, key, _unquote(value)))
     return sections
 
 
-def _parse_expr(path, lineno, key, source, n, kinds):
-    try:
-        return expr.parse(source, n, kinds=kinds)
-    except ExprSyntaxError as e:
-        suffix = f" (line {e.line}, column {e.column})"
-        base = str(e)
-        if base.endswith(suffix):
-            base = base[:-len(suffix)]
-        raise ExprSyntaxError(f"{path}:{lineno}: in {key}: {base}",
-                              e.line, e.column) from None
+def _parse_expr(path, lineno, key, source, n, kinds, parsed):
+    """The expression of one entry. parsed maps (source, n, kinds) to
+    the Expression already parsed from them in this file, which entries
+    with the same source then share, so that it compiles once."""
+    e = parsed.get((source, n, kinds))
+    if e is None:
+        try:
+            e = parsed[source, n, kinds] = expr.parse(source, n, kinds=kinds)
+        except ExprSyntaxError as err:
+            suffix = f" (line {err.line}, column {err.column})"
+            base = str(err)
+            if base.endswith(suffix):
+                base = base[:-len(suffix)]
+            raise ExprSyntaxError(f"{path}:{lineno}: in {key}: {base}",
+                                  err.line, err.column) from None
+    return e
 
 
-def _vector_section(path, entries, prefix, n, kinds, required):
+def _vector_section(path, entries, prefix, n, kinds, required, parsed):
     """Component list from L1../Phi1../V1../x1.. style keys."""
     out = [None] * n
     for lineno, key, value in entries:
@@ -156,7 +166,7 @@ def _vector_section(path, entries, prefix, n, kinds, required):
             raise SystemFileError(
                 f"{path}:{lineno}: component index {i} outside 1..{n}")
         dim = n - 1 if kinds == ("u",) else n
-        out[i - 1] = _parse_expr(path, lineno, key, value, dim, kinds)
+        out[i - 1] = _parse_expr(path, lineno, key, value, dim, kinds, parsed)
     if required:
         for i, component in enumerate(out):
             if component is None:
@@ -165,7 +175,7 @@ def _vector_section(path, entries, prefix, n, kinds, required):
     return out
 
 
-def _tensor_section(path, entries, prefix, n):
+def _tensor_section(path, entries, prefix, n, parsed):
     """(n,n,n) nested list from Gamma_k_ij / T_k_ij keys, zeros elsewhere."""
     if n > 9:
         raise SystemFileError(f"{path}: {prefix} keys support n <= 9 only")
@@ -180,7 +190,7 @@ def _tensor_section(path, entries, prefix, n):
                 raise SystemFileError(
                     f"{path}:{lineno}: index {idx} outside 1..{n} in {key!r}")
         out[k - 1][i - 1][j - 1] = _parse_expr(
-            path, lineno, key, value, n, ("x", "v"))
+            path, lineno, key, value, n, ("x", "v"), parsed)
     return out
 
 
@@ -222,6 +232,7 @@ def read_system_file(path) -> SystemFile:
     """Parse and validate one definition file, keeping every section."""
     path = str(path)
     sections = _split_sections(path, _read_lines(path))
+    parsed = {}     # one Expression a distinct (source, n, kinds)
 
     if "system" not in sections:
         raise SystemFileError(f"{path}: missing [system] section")
@@ -248,39 +259,42 @@ def read_system_file(path) -> SystemFile:
             raise SystemFileError(
                 f"{path}: lagrangian excludes explicit L components")
         lineno, key, value = scalar[0]
-        generator = _parse_expr(path, lineno, key, value, n, ("x", "v"))
+        generator = _parse_expr(path, lineno, key, value, n, ("x", "v"),
+                                parsed)
         try:
             legendre = lagrangian_to_legendre(generator)
         except EvalError as e:
             raise EvalError(f"{path}:{lineno}: in {key}: {e}") from None
     else:
-        legendre = _vector_section(path, entries, "l", n, ("x", "v"), True)
+        legendre = _vector_section(path, entries, "l", n, ("x", "v"), True,
+                                   parsed)
 
     force = None
     if "force" in sections:
         force = _vector_section(path, sections["force"], "phi", n,
-                                ("x", "v"), False)
+                                ("x", "v"), False, parsed)
         force = [f if f is not None else ConstFunc(0.0, n) for f in force]
 
     connection = None
     if "connection" in sections:
-        connection = _tensor_section(path, sections["connection"], "gamma", n)
+        connection = _tensor_section(path, sections["connection"], "gamma", n,
+                                     parsed)
 
     v_inverse = None
     if "inverse" in sections:
         v_inverse = _vector_section(path, sections["inverse"], "v", n,
-                                    ("x", "p"), True)
+                                    ("x", "p"), True, parsed)
 
     gauge = None
     if "gauge" in sections:
-        gauge = _tensor_section(path, sections["gauge"], "t", n)
+        gauge = _tensor_section(path, sections["gauge"], "t", n, parsed)
 
     surface = None
     if "surface" in sections:
         if n < 2:
             raise SystemFileError(f"{path}: a surface needs n >= 2")
         surface = tuple(_vector_section(path, sections["surface"], "x", n,
-                                        ("u",), True))
+                                        ("u",), True, parsed))
 
     nu = None
     if "nu" in sections:
@@ -293,7 +307,8 @@ def read_system_file(path) -> SystemFile:
         try:
             nu = float(value)
         except ValueError:
-            nu = _parse_expr(path, lineno, key, value, max(n - 1, 1), ("u",))
+            nu = _parse_expr(path, lineno, key, value, max(n - 1, 1), ("u",),
+                             parsed)
 
     options = _parse_options(path, sections.get("options", ()), n)
 

@@ -182,12 +182,13 @@ def _flat(components):
     return (len(parts),) + parts[0][0], [f for _, fs in parts for f in fs]
 
 
-def _evaluate(components, env, what=None, **point):
+def _evaluate(components, env, what=None, where=None, **point):
     """Layout and values of components in env: Dense data or constants.
     An EvalError names its component and the point, or the failing
-    node of a batch (_at). numpy warnings are silenced: overflow is
-    caught by _checked on the stacked result."""
+    node k of a batch, by where(k) if given, else by _at. numpy warnings
+    are silenced: overflow is caught by _checked on the stacked result."""
     shape, funcs = _flat(components)
+    where = where or (lambda k: _at(k, **point))
     out = []
     with np.errstate(all="ignore"):
         for i, f in enumerate(funcs):
@@ -196,7 +197,7 @@ def _evaluate(components, env, what=None, **point):
             except EvalError as e:
                 name = _component_name(what, np.unravel_index(i, shape))
                 raise EvalError(f"in {name}: {e.reason} at "
-                                f"{_at(e.node or 0, **point)}") from None
+                                f"{where(e.node or 0)}") from None
     return shape, out
 
 
@@ -341,12 +342,12 @@ class VContext(_Context):
         return jets.invert_matrix(self.g_jets)
 
 
-def _fiber_jets(sysdef: SystemDef, x, v):
+def _fiber_jets(sysdef: SystemDef, x, v, where=None):
     """First-order Dense data of the fiber map over v. x and v are (n,),
     or (N, n) over N nodes; the data then has shape (N, n), the node
-    axis leading."""
+    axis leading. where(k) names node k in an error, if given."""
     env = _env(x.T, jets.seeds(v.T, order=1), "v")
-    _, entries = _evaluate(sysdef.legendre, env, "L", x=x, v=v)
+    _, entries = _evaluate(sysdef.legendre, env, "L", where, x=x, v=v)
     return jets.stack(entries, sysdef.n, v.shape[:-1])
 
 
@@ -392,7 +393,8 @@ def _newton(sysdef: SystemDef, x, p):
     live = None
     for iteration in range(NEWTON_MAX_ITER + 1):
         at = slice(None) if live is None else live
-        Lj = _fiber_jets(sysdef, x[at], v[at])
+        Lj = _fiber_jets(sysdef, x[at], v[at], None if live is None else
+                         lambda k: _at(int(live[k]), x=x, v=v))
         residual = Lj.val - p[at]
         err = np.max(np.abs(residual), axis=-1)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged

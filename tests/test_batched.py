@@ -173,9 +173,9 @@ def test_batched_newton_agrees_with_scalar_solves(make, monkeypatch):
     evaluated = []
     fiber_jets = system_module._fiber_jets
 
-    def counted(sysdef, at, w):
+    def counted(sysdef, at, w, where=None):
         evaluated.append((len(np.atleast_2d(w)), np.shares_memory(at, x)))
-        return fiber_jets(sysdef, at, w)
+        return fiber_jets(sysdef, at, w, where)
 
     monkeypatch.setattr(system_module, "_fiber_jets", counted)
     batched = _newton(sysdef, x, p)
@@ -206,6 +206,17 @@ def test_batched_newton_names_the_failing_node():
     p = np.ones((3, 2))
     with pytest.raises(SingularMetric, match=r"x=\[1\.0, 1\.0\].*\(node 1\)"):
         _newton(degenerate, x, p)
+
+
+def test_newton_names_a_raising_node_among_all_nodes():
+    # node 0 converges at once; node 1 steps to v1 < -1, where the sqrt
+    # raises while node 1 iterates alone
+    L = helpers.parse_all(["v1 - 0.3*v1^3 + 0*sqrt(v1 + 1)", "v2"], 2)
+    p = np.array([[0.0, 1.0], [-0.8, 1.0]])
+    with pytest.raises(EvalError, match=r"^in L1: sqrt of negative value .* at "
+                                        r"x=\[0\.0, 0\.0\], v=\[-1\.16\d*, 1\.0\]"
+                                        r" \(node 1\)$"):
+        _newton(SystemDef(2, L), np.zeros((2, 2)), p)
 
 
 def _fixture(name):
@@ -464,6 +475,21 @@ def test_singular_fiber_map_at_an_output_time_names_the_node():
         shift_integrate(system, run)
     # the same front stopped at t = 0.9 stays regular
     shift_integrate(system, dataclasses.replace(run, t_final=0.9))
+
+
+def test_raising_fiber_map_at_an_output_time_names_the_node():
+    # node 0 (u = 0, nu = 1, v1 = -1) reaches x1 = -0.5 at t = 0.5, where
+    # sqrt(x1 + 0.5) takes a rounded -2.2e-16; the error names the output
+    # time, the node of the front and its u, not the (time, node) pair
+    system = SystemDef(2, helpers.parse_all(["v1 + 0*sqrt(x1 + 0.5)", "v2"],
+                                            2))
+    run = ShiftRun(surface=helpers.parse_surface(["0*u1", "u1"]), nu=1.0,
+                   u_samples=3, t_final=1.0, time_steps=4)
+    with pytest.raises(EvalError, match=r"^in L1: sqrt of negative value .* at "
+                                        r"t=0\.5, x=\[-0\.5\d*, 0\.0\], "
+                                        r"v=\[-1\.0, 0\.0\] "
+                                        r"\(node 0, u=\[0\.0\]\)$"):
+        shift_integrate(system, run)
 
 
 @pytest.mark.parametrize("closed, solves", [(False, 1), (True, 0)])

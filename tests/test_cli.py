@@ -206,7 +206,7 @@ def _dumps(document):
     return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def test_render_json_writes_what_json_dumps_writes(tmp_path):
+def test_render_json_writes_what_json_dumps_writes(tmp_path, monkeypatch):
     for path in sorted(FIXTURES.glob("*.system")):
         for free in (False, True):
             report, _ = run_checks(RunConfig(str(path), samples=5,
@@ -226,11 +226,49 @@ def test_render_json_writes_what_json_dumps_writes(tmp_path):
         "numbers": [-0.0, 5e-324, 1e308, 0.1, -7, 0, 10**20],
         "literals": [True, False, None],
     }
+    # every row layout the CLI writes takes its template, at two nesting
+    # levels; a near miss is written by the walk, as json.dumps writes it
+    point = {"rep": "v", "x": [0.25, -1.5], "fiber": [3e-17, -0.0]}
+    core = {"check": "cross", "equation": "cross-beta", "index": 0,
+            "pass": True, "point": point, "residual": 1.5e-16,
+            "tolerance": 1e-06}
+    layouts = [
+        core,
+        {**core, "check": "normality", "decisive": False, "pass": False,
+         "residual": None},
+        {**core, "check": "gauge", "conditional": True,
+         "requires": ["cross-beta", "normality-\u00e9"]},
+        {**core, "check": "shift", "equation": "shift-start", "index": 3,
+         "point": {"t": 0.125}},
+    ]
+    near = [{**core, "residual": 0}, {**core, "index": True},
+            {**core, "extra": [1.0]},
+            {k: v for k, v in core.items() if k != "point"}]
+    crafted["rows"] = layouts + near
+    crafted["deeper"].append([layouts])
+    templated = []
+    row_json = cli._row_json
+
+    def spy(row, level, memo):
+        text = row_json(row, level, memo)
+        templated.append((id(row), text is not None))
+        return text
+
+    monkeypatch.setattr(cli, "_row_json", spy)
     assert render_json(crafted) == _dumps(crafted)
+    assert sorted(templated) == sorted(
+        [(id(row), True) for row in layouts] * 2
+        + [(id(row), False) for row in near[:3]])
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             render_json({"x": [bad]})
-    for bad in ({"x": (1.0, 2.0)}, {"x": np.float64(1.0)}, {1: "one"}):
+    nan_point = {**point, "x": [0.25, float("nan")]}
+    for bad in ({**core, "tolerance": float("inf")},
+                {**core, "point": nan_point}):
+        with pytest.raises(ValueError):
+            render_json({"rows": [bad]})
+    for bad in ({"x": (1.0, 2.0)}, {"x": np.float64(1.0)}, {1: "one"},
+                {"rows": [{**core, "residual": np.float64(1.0)}]}):
         with pytest.raises(TypeError):
             render_json(bad)
 
@@ -325,6 +363,51 @@ def test_malformed_files_rejected(tmp_path, body, match):
     path = write_system(tmp_path, body)
     with pytest.raises(SystemFileError, match=match):
         read_system_file(path).sysdef
+
+
+def test_duplicate_keys_name_the_key(tmp_path):
+    base = '[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
+    for body, line, key in [
+            ('[surface]\nx1(u1) = "u1"\nx2 = "0"\nX1 = "1"', 9, "x1"),
+            ('[surface]\nx1 = "u1"\nx2 = "0"\nx1 (u1, u2) = "1"', 9, "x1"),
+            ('[nu] = "1"\nnu = "2"', 7, "nu")]:
+        path = write_system(tmp_path, base + body)
+        with pytest.raises(SystemFileError,
+                           match=f":{line}: duplicate key '{key}'$"):
+            read_system_file(path)
+
+
+def test_a_file_parses_each_source_once(tmp_path):
+    path = write_system(tmp_path, """
+[system]
+n = 2
+[legendre]
+L1 = "v1 + 0.1*x1*v2"
+L2 = "v2"
+[connection]
+Gamma_1_12 = "0.1*v1"
+Gamma_1_21 = 0.1*v1
+Gamma_2_11 = "x1"
+[force]
+Phi2 = x1
+[inverse]
+V1 = "p1 - 0.1*x1*p2"
+V2 = "p2"
+[gauge]
+T_1_12 = "0.1*v1"
+T_1_21 = "0.1*v1"
+T_2_11 = "x1"
+""")
+    doc = read_system_file(path)
+    gamma, gauge = doc.sysdef.connection, doc.sysdef.gauge
+    # mirrored entries, and equal sources in any section, share one
+    # expression
+    assert gamma[0, 0, 1] is gamma[0, 1, 0] is gauge[0, 0, 1] is gauge[0, 1, 0]
+    assert gamma[1, 0, 0] is gauge[1, 0, 0] is doc.sysdef.force[1]
+    # nothing is kept from one read to the next
+    again = read_system_file(path).sysdef.connection
+    assert again[0, 0, 1] == gamma[0, 0, 1]
+    assert again[0, 0, 1] is not gamma[0, 0, 1]
 
 
 def test_nu_forms(tmp_path):

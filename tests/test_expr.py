@@ -13,6 +13,7 @@ from normality_lab.errors import (DimensionError, EvalError, ExprSyntaxError,
                                   MixedRepresentationError)
 from normality_lab.sysfile import read_system_file
 
+import reference_parser
 from helpers import float_env, jet_at, python_eval, random_source, walk_eval
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,6 +115,30 @@ def test_bad_source_messages(source, error, message):
     if error is ExprSyntaxError:
         line, column = map(int, re.findall(r"\d+", message)[-2:])
         assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parser_gives_the_reference_trees_on_every_file_source(tmp_path,
+                                                               monkeypatch):
+    # every source of every fixture and of the benchmark's workload files
+    # parses to the tree and fiber kind of the reference parser
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import workloads
+    paths = sorted(FIXTURES.glob("*.system"))
+    for workload in workloads.WORKLOADS:
+        workloads.write_workload(workload, 7, str(tmp_path / workload))
+        paths += sorted((tmp_path / workload).glob("*.system"))
+    calls, parse = [], expr.parse
+    monkeypatch.setattr(expr, "parse", lambda source, dimension, kinds: (
+        calls.append((source, dimension, kinds)) or parse(source, dimension,
+                                                          kinds)))
+    for path in paths:
+        read_system_file(str(path))
+    assert len(calls) > 400
+    for source, dimension, kinds in calls:
+        got = parse(source, dimension, kinds)
+        want = reference_parser.parse(source, dimension, kinds)
+        assert (got, got.kinds, got.fiber_kind) == (
+            want, want.kinds, want.fiber_kind), source
 
 
 def test_dimension_error():

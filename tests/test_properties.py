@@ -14,17 +14,25 @@ The raw form of an expression, evaluated under floating-point traps at
 finite np.float64 points or over finite float arrays, must trap, give a
 non-finite value or give the checked form's bits, and never a finite
 value where the checked form raises.
+
+expr.parse must give the trees of the reference parser
+(tests/reference_parser.py) on generated sources, valid or broken, or
+raise its exception with its message, line and column.
 """
+
+import re
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import reference_parser
 from normality_lab import cli, expr
 from normality_lab.calculus import relative_deviation
-from normality_lab.errors import (DegeneratePoint, EvalError, NonConvergence,
-                                  SingularMetric)
+from normality_lab.errors import (DegeneratePoint, DimensionError, EvalError,
+                                  ExprSyntaxError, MixedRepresentationError,
+                                  NonConvergence, SingularMetric)
 from normality_lab.experiments import gauge_invariance_report
 from normality_lab.normality import CROSS_FIELDS, cross_check_all
 from normality_lab.phase import PhasePoint
@@ -187,3 +195,62 @@ def test_raw_form_traps_or_gives_the_checked_bits(source, env):
     assert np.array_equal(got, want), source
     assert (np.asarray(got, dtype=float).tobytes()
             == np.asarray(want, dtype=float).tobytes()), source
+
+
+# Sources over the variables of drawn kinds: a tree of the language,
+# its x and v renamed to the kinds, then up to four edits, each an
+# insertion of blanks, a stray character or a token, a dropped character
+# or parenthesis, a doubled operator, or a second tree in p joined on
+_INSERTS = st.sampled_from([
+    " ", "  ", "\n", "\t", "\r\n", " \n\n  ", "@", "\u00e9", "#", "$", ".",
+    "(", ")", "((", "))", "+", "-", "*", "/", "^", "**", "--", "1.5.2",
+    "1e400", "2.", ".5e3", "1e", "007", "x0", "x3", "v3", "p1", "p2", "v1",
+    "u1", "x", "_1", "sin", "bogus", "2x1"])
+_KINDS = st.sampled_from([("x", "v", "p")] * 3 + [("x", "v"), ("x", "p"),
+                                                  ("u",)])
+
+
+@st.composite
+def sources_and_kinds(draw):
+    kinds = draw(_KINDS)
+    source = draw(_ANY_SOURCE)
+    if "v" not in kinds:
+        source = re.sub(r"[xv](?=\d)",
+                        lambda m: kinds[-1] if m[0] == "v" else kinds[0],
+                        source)
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["insert", "drop", "drop paren",
+                                     "double op", "join p"]))
+        if edit == "insert":
+            at = draw(st.integers(0, len(source)))
+            source = source[:at] + draw(_INSERTS) + source[at:]
+        elif edit == "join p":
+            other = re.sub(r"v(?=\d)", "p", draw(_ANY_SOURCE))
+            source += draw(st.sampled_from("+-*/^")) + other
+        else:
+            chars = {"drop": "", "drop paren": "()",
+                     "double op": "+-*/^"}[edit]
+            spots = [i for i, c in enumerate(source)
+                     if not chars or c in chars]
+            if spots:
+                at = draw(st.sampled_from(spots))
+                put = source[at] * 2 if edit == "double op" else ""
+                source = source[:at] + put + source[at + 1:]
+    return source, draw(st.integers(1, 3)), kinds
+
+
+def _parsed(parse, source, dimension, kinds):
+    """The tree and fields of the parse, or the error it raises."""
+    try:
+        e = parse(source, dimension, kinds)
+    except (ExprSyntaxError, DimensionError, MixedRepresentationError) as err:
+        return (type(err), str(err), getattr(err, "line", None),
+                getattr(err, "column", None))
+    return e.root, e.dimension, e.kinds, e.fiber_kind
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+@given(sources_and_kinds())
+def test_parser_gives_the_reference_trees_and_errors(case):
+    assert (_parsed(expr.parse, *case)
+            == _parsed(reference_parser.parse, *case))

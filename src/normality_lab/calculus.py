@@ -21,7 +21,9 @@ The fiber derivative lowers an index in the velocity representation
 and raises one in the momentum representation. The horizontal
 derivative is covariant: a base-coordinate derivative, a fiber
 correction built from the connection, and one connection term per
-tensor index; the product rule gives its gradient.
+tensor index; the product rule gives its gradient. The fiber correction
+N is the context's, computed once a context (ctx.N), and its gradient
+dN only when a second-order field asks for it (ctx.dN).
 
 Every derivative peels one order off, and a field has one order for
 all its entries. The connection is first order in both contexts, as
@@ -88,7 +90,7 @@ def field_of(ctx, components, variance=(), evaluate=None):
 def _connection(ctx):
     """Stacked connection of the context's representation and the fiber
     coordinates it is contracted with: (G, dG, fiber)."""
-    order, G, dG, _ = ctx.gamma_p if ctx.rep is Rep.MOMENTUM else ctx.gamma
+    order, G, dG, _ = ctx.connection
     if order == 0:
         raise MissingJets("connection carries no derivative data")
     return G, dG, ctx.fiber
@@ -112,25 +114,17 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
         D_m X = dX/dx^m + sum_ab p_a G^a_mb dX/dp_b  (+ index terms)
     where G is the connection in the matching representation; each
     upper index k contributes +sum_a G^k_ma X[..a..] and each lower
-    index k contributes -sum_b G^b_mk X[..b..]. The gradient of the
-    result follows from the product rule; it exists only when the field
-    is second order."""
+    index k contributes -sum_b G^b_mk X[..b..]. The fiber correction,
+    the coefficients of dX/dfiber, is the context's ctx.N. The gradient
+    of the result follows from the product rule, with ctx.dN; it exists
+    only when the field is second order."""
     ctx = field.ctx
     n = ctx.n
     if field.data.order == 0:
         raise MissingJets("field carries no derivative data")
     _, X, dX, ddX = field.data
-    G, dG, fiber = _connection(ctx)
-    # fiber correction N[b, m], the coefficient of dX/dfiber_b in D_m X,
-    # and its gradient dN[b, m, z]
-    if ctx.rep is Rep.MOMENTUM:
-        N = np.einsum("...a,...amb->...bm", fiber, G)
-        dN = np.einsum("...a,...ambz->...bmz", fiber, dG)
-        dN[..., n:] += np.einsum("...amb->...bma", G)
-    else:
-        N = -np.einsum("...a,...bam->...bm", fiber, G)
-        dN = -np.einsum("...a,...bamz->...bmz", fiber, dG)
-        dN[..., n:] -= np.einsum("...bam->...bma", G)
+    G, dG, _ = _connection(ctx)
+    N = ctx.N
 
     # the field's own slots are spelled out, "..." is the batch
     slots = "acdefghi"[:field.rank]
@@ -142,7 +136,7 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
                 + np.einsum(f"...{slots}bz,...bm->...{slots}mz",
                             ddX[..., n:, :], N)
                 + np.einsum(f"...{slots}b,...bmz->...{slots}mz",
-                            dX[..., n:], dN))
+                            dX[..., n:], ctx.dN))
     for t, mark in enumerate(field.variance):
         src = slots[:t] + "y" + slots[t + 1:]
         conn, sign = ((f"{slots[t]}my", 1.0) if mark == UPPER
@@ -222,14 +216,21 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint, order: int = 1):
             PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber, order))
 
 
-def _fiber_map_field(vctx) -> FieldValue:
-    return FieldValue(vctx, vctx.L_dense, (LOWER,))
+def _fiber_map_gradient(vctx) -> np.ndarray:
+    """The horizontal derivative of the fiber map, [q, m]."""
+    return horizontal_derivative(FieldValue(vctx, vctx.L_dense,
+                                            (LOWER,))).values()
 
 
-def _dynamic_curvature_relation(vctx, pctx) -> RelationCheck:
+# The transport check evaluates its relations on one context pair and
+# hands the velocity side's dynamic curvature dv and fiber-map gradient
+# grad_L to the two relations that read each; left out, they are
+# computed here.
+
+def _dynamic_curvature_relation(vctx, pctx, dv=None) -> RelationCheck:
     lhs = dynamic_curvature(pctx)
     rhs = np.einsum("...sr,...kijs->...krij", vctx.g_inv_values,
-                    dynamic_curvature(vctx))
+                    dynamic_curvature(vctx) if dv is None else dv)
     return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs, vctx.batch))
 
 
@@ -239,14 +240,21 @@ def dynamic_curvature_relation(sysdef: SystemDef, pt: PhasePoint) -> RelationChe
     return _dynamic_curvature_relation(*_paired_contexts(sysdef, pt))
 
 
-def _curvature_relation(vctx, pctx) -> RelationCheck:
+def _fiber_map_correction(grad_L, g_inv, dv):
+    """The velocity side's correction in the curvature relation,
+    [k, r, i, j]: (grad_L g^-1)[s, i] dv[k, j, r, s], antisymmetrized in
+    i and j by its own transpose."""
+    half = np.einsum("...si,...kjrs->...krij",
+                     np.einsum("...qi,...sq->...si", grad_L, g_inv), dv)
+    return half - np.swapaxes(half, -1, -2)
+
+
+def _curvature_relation(vctx, pctx, dv=None, grad_L=None) -> RelationCheck:
     lhs = curvature(pctx)
-    dv = dynamic_curvature(vctx)
-    grad_L = horizontal_derivative(_fiber_map_field(vctx)).values()   # [q, m]
-    g_inv = vctx.g_inv_values
-    corr = (np.einsum("...qi,...sq,...kjrs->...krij", grad_L, g_inv, dv)
-            - np.einsum("...qj,...sq,...kirs->...krij", grad_L, g_inv, dv))
-    rhs = curvature(vctx) + corr
+    dv = dynamic_curvature(vctx) if dv is None else dv
+    grad_L = _fiber_map_gradient(vctx) if grad_L is None else grad_L
+    rhs = curvature(vctx) + _fiber_map_correction(grad_L, vctx.g_inv_values,
+                                                  dv)
     return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs, vctx.batch))
 
 
@@ -288,7 +296,7 @@ def vertical_transport_momentum(sysdef, pt, func) -> float:
     return _vertical_transport_momentum(*_paired_contexts(sysdef, pt), func)
 
 
-def _horizontal_transport(native_ctx, other_ctx, evaluate, fiber_map,
+def _horizontal_transport(native_ctx, other_ctx, evaluate, map_gradient,
                           components, variance) -> float:
     # D_m X = D_m(X o map) + sum_q D_m map_q d(X o map)/dfiber_q, with the
     # right side taken on the other context
@@ -297,15 +305,14 @@ def _horizontal_transport(native_ctx, other_ctx, evaluate, fiber_map,
     slots = "acdefghi"[:len(variance)]
     rhs = (horizontal_derivative(composed).values()
            + np.einsum(f"...{slots}q,...qm->...{slots}m",
-                       vertical_derivative(composed).values(),
-                       horizontal_derivative(fiber_map).values()))
+                       vertical_derivative(composed).values(), map_gradient))
     return relative_deviation(lhs, rhs, native_ctx.batch)
 
 
 def _horizontal_transport_momentum(vctx, pctx, components, variance=()) -> float:
-    v_field = FieldValue(pctx, pctx.V, (UPPER,))
+    grad_V = horizontal_derivative(FieldValue(pctx, pctx.V, (UPPER,))).values()
     return _horizontal_transport(pctx, vctx, vctx.eval_momentum_native,
-                                 v_field, components, variance)
+                                 grad_V, components, variance)
 
 
 def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
@@ -316,9 +323,11 @@ def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
                                           components, variance)
 
 
-def _horizontal_transport_velocity(vctx, pctx, components, variance=()) -> float:
+def _horizontal_transport_velocity(vctx, pctx, components, variance=(),
+                                   grad_L=None) -> float:
+    grad_L = _fiber_map_gradient(vctx) if grad_L is None else grad_L
     return _horizontal_transport(vctx, pctx, pctx.eval_velocity_native,
-                                 _fiber_map_field(vctx), components, variance)
+                                 grad_L, components, variance)
 
 
 def horizontal_transport_velocity(sysdef, pt, components, variance=()) -> float:

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import jets
 from .calculus import (LOWER, _curvature_relation,
-                       _dynamic_curvature_relation,
+                       _dynamic_curvature_relation, _fiber_map_gradient,
                        _horizontal_transport_momentum,
                        _horizontal_transport_velocity, _paired_contexts,
                        _vertical_transport_momentum,
-                       _vertical_transport_velocity)
+                       _vertical_transport_velocity, dynamic_curvature)
 from .errors import (DegeneratePoint, MissingGaugeTensor, NormalityLabError,
                      SingularMetric, ValidationError)
 from .experiments import (ShiftRun, _count, _gauge_deviations, _real,
@@ -205,18 +205,24 @@ def _transport_rows(sysdef, doc, x, v, draws, tol):
     s = [_Scalar(slot) for slot in zip(*draws)]
     # one context pair for all six relations
     vctx, pctx = _paired_contexts(sysdef, PhasePoint.velocity(x, v))
-    return _per_point(x, [
+    rows = [
         ("vertical-transport-v",
          _vertical_transport_velocity(vctx, pctx, s[0]), t),
         ("vertical-transport-p",
-         _vertical_transport_momentum(vctx, pctx, s[1]), t),
-        ("horizontal-transport-v",
-         _horizontal_transport_velocity(vctx, pctx, s[2:2 + n], (LOWER,)), t),
+         _vertical_transport_momentum(vctx, pctx, s[1]), t)]
+    # the velocity side's dynamic curvature and fiber-map gradient, once
+    # for the two relations that read each, taken after the vertical
+    # relations so that the fiber map is evaluated before the connection
+    dv, grad_L = dynamic_curvature(vctx), _fiber_map_gradient(vctx)
+    return _per_point(x, rows + [
+        ("horizontal-transport-v", _horizontal_transport_velocity(
+            vctx, pctx, s[2:2 + n], (LOWER,), grad_L), t),
         ("horizontal-transport-p",
          _horizontal_transport_momentum(vctx, pctx, s[2 + n:], (LOWER,)), t),
         ("dynamic-curvature-relation",
-         _dynamic_curvature_relation(vctx, pctx).deviation, t),
-        ("curvature-relation", _curvature_relation(vctx, pctx).deviation, t),
+         _dynamic_curvature_relation(vctx, pctx, dv).deviation, t),
+        ("curvature-relation",
+         _curvature_relation(vctx, pctx, dv, grad_L).deviation, t),
     ])
 
 

@@ -6,7 +6,10 @@ components held fixed, changes each derived field by a closed-form
 amount and leaves the normality content untouched. The report built
 here certifies those rules row by row on a point and its copy with a
 shifted connection (VContext.gauged); the gauge tensor is validated
-once per report, where validate_system checks it at load.
+once per report, where validate_system checks it at load. The rules
+contract T with L once, TL = T^b_rq L_b, and go on from TL and TL P in
+two- and three-operand steps; the C rule's long term is
+(TL P) A P^T TL^T.
 
 The second half drives the shift itself. A parametric hypersurface is
 seeded with covectors along its normals, found for all nodes at once,
@@ -87,6 +90,23 @@ class GaugeReport:
         return float(np.max(picked)) if picked else 0.0
 
 
+def _gauge_contractions(Tvals, Lv, W, P, A, B, alpha):
+    """The rules' contractions of the gauge tensor with L, by rule, as
+    two- and three-operand steps over TL = T^b_rq L_b and TL P; the C
+    rule's long term is (TL P) A P^T TL^T."""
+    TL = np.einsum("...brq,...b->...rq", Tvals, Lv)
+    TLP = np.einsum("...rq,...qm->...rm", TL, P)
+    return {
+        "U": np.einsum("...iq,...q->...i", TL, W),
+        "B": np.einsum("...sk,...rk->...rs", TLP, A - np.swapaxes(A, -1, -2)),
+        "C-B": np.einsum("...rm,...ms->...rs", TLP, B),
+        "C-A": np.einsum("...ra,...ca,...sc->...rs",
+                         np.einsum("...rm,...ma->...ra", TLP, A), P, TL),
+        "beta": np.einsum("...kq,...q->...k", TL, alpha),
+        "eta": np.einsum("...ks,...s->...k", TLP, alpha),
+    }
+
+
 def _gauge_deviations(sysdef, tensor, x, v):
     """The gauge rows at velocity points x, v, (n,) or (N, n), in report
     order; over a batch each row's deviation has one entry per point."""
@@ -106,9 +126,9 @@ def _gauge_deviations(sysdef, tensor, x, v):
     vertT = vertical_derivative(Tfield).values()    # [k,i,r,j] = dT^k_ir/dv^j
     gradT = horizontal_derivative(Tfield).values()  # [k,i,r,m] = grad_m T^k_ir
 
+    c = _gauge_contractions(Tvals, Lv, W, P, A, B, alpha)
     out = {"alpha": dev(alpha, vb2.alpha)}
-    out["U"] = dev(vb2.U, vb.U + np.einsum("...q,...riq,...r->...i",
-                                           W, Tvals, Lv))
+    out["U"] = dev(vb2.U, vb.U + c["U"])
     out["D"] = dev(vb2.D, D1 - np.swapaxes(vertT, -3, -2))
     rule_r = (vb.R
               + np.einsum("...kjri->...krij", gradT)
@@ -120,20 +140,15 @@ def _gauge_deviations(sysdef, tensor, x, v):
               + np.einsum("...m,...sjm,...kirs->...krij", v, Tvals, vertT)
               - np.einsum("...m,...sim,...kjrs->...krij", v, Tvals, vertT))
     out["R"] = dev(vb2.R, rule_r)
-    out["B"] = dev(vb2.B, B + np.einsum("...m,...msq,...qk,...rk->...rs",
-                                        Lv, Tvals, P, A - np.swapaxes(A, -1, -2)))
+    out["B"] = dev(vb2.B, B + c["B"])
     # the C rule pins down the skew part only; its symmetric remainder
     # is not reproduced here, so compare after antisymmetrizing
-    shift_c = (np.einsum("...brq,...b,...qm,...ms->...rs", Tvals, Lv, P, B)
-               + np.einsum("...brq,...b,...qm,...ma,...ca,...esc,...e->...rs",
-                           Tvals, Lv, P, A, P, Tvals, Lv))
+    shift_c = c["C-B"] + c["C-A"]
     moved_c = vb2.C - vb.C
     out["C"] = dev(moved_c - np.swapaxes(moved_c, -1, -2),
                    shift_c - np.swapaxes(shift_c, -1, -2))
-    out["beta"] = dev(vb2.beta, vb.beta + np.einsum(
-        "...ekq,...e,...q->...k", Tvals, Lv, alpha))
-    out["eta"] = dev(vb2.eta, vb.eta + np.einsum(
-        "...ekq,...e,...qs,...s->...k", Tvals, Lv, P, alpha))
+    out["beta"] = dev(vb2.beta, vb.beta + c["beta"])
+    out["eta"] = dev(vb2.eta, vb.eta + c["eta"])
 
     res1 = residual_norms(vb)
     res2 = residual_norms(vb2)

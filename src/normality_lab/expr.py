@@ -47,6 +47,65 @@ _VARIABLE = re.compile(r"([A-Za-z])(\d+)")
 
 _FUNCTION_NAMES = frozenset(jets.FUNCTIONS)
 
+# The deepest tree parse accepts, counting each node on a path and each
+# parenthesized group (a call's parentheses are its node's), so the
+# spine of a sum or a product counts one level an operator. Parsing,
+# compiling, evaluating, printing and differentiating recurse once or
+# twice a level, and a derivative tree is up to three times as deep as
+# its source: a tree at this depth, and a Lagrangian's fiber map derived
+# from one, stays within Python's default recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
+# binding of the operators in _check_depth, "u-" for unary minus
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "u-": 3, "^": 4}
+
+
+def _check_depth(source, tokens):
+    """The depth of the tree of tokens; ExprSyntaxError where it passes
+    MAX_DEPTH. A depth needs as many tokens, so parse runs this on longer
+    sources only: one shunting-yard pass keeping the depth of each
+    operand and the operators and open groups ("(") above the last one.
+    Where the tokens form no expression it returns None and leaves the
+    error to the parser."""
+    depths, ops = [], []
+
+    def reduce(at):
+        # the pending operator or group, over its one or two operands
+        d = depths.pop() + 1
+        if ops.pop() not in ("u-", "("):
+            d = max(d, depths.pop() + 1)
+        if d > MAX_DEPTH:
+            _fail(source, tokens, at, _TOO_DEEP)
+        depths.append(d)
+
+    operand = False         # whether the tokens read end an operand
+    for i, tok in enumerate(tokens):
+        if operand and tok in _BINDING:
+            # pending operators binding as tight or tighter apply first,
+            # but ^ is right associative
+            while ops and ops[-1] != "(" and (
+                    _BINDING[ops[-1]] > _BINDING[tok]
+                    or _BINDING[ops[-1]] == _BINDING[tok] != 4):
+                reduce(i)
+            ops.append(tok)
+            operand = False
+        elif operand and tok == ")" and "(" in ops:
+            while ops[-1] != "(":
+                reduce(i)
+            reduce(i)
+        elif operand or tok == ")":
+            return None
+        elif tok in ("-", "("):
+            ops.append("u-" if tok == "-" else tok)
+        elif tok not in _FUNCTION_NAMES:     # a call's level is its group
+            depths.append(1)
+            operand = True
+        if len(ops) >= MAX_DEPTH:   # each is a level above the next operand
+            _fail(source, tokens, i, _TOO_DEEP)
+    while operand and ops and ops[-1] != "(":
+        reduce(len(tokens) - 1)
+    return depths[0] if operand and not ops else None
+
 
 def _position(source, offset):
     """1-based (line, column) of an offset into source, for errors only."""
@@ -147,11 +206,14 @@ def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
     """The tree of source over the variables of `kinds` with indices
     1..dimension. Two loops take the sums and the products; `factor`
     takes unary minus, an atom and ^, which binds tighter than unary
-    minus and is right associative."""
+    minus and is right associative. A tree deeper than MAX_DEPTH is an
+    ExprSyntaxError."""
     if dimension < 1:
         raise DimensionError(f"dimension must be positive, got {dimension}")
     kinds = tuple(kinds)
     tokens = _TOKEN_RE.findall(source)
+    if len(tokens) > MAX_DEPTH:
+        _check_depth(source, tokens)
     tokens.append("")       # the end
     pos = 0
     fiber_kind = None
@@ -357,14 +419,15 @@ def _d(node, name):
 
 def derivative(e: Expression, name: str) -> Expression:
     """The partial derivative of e by the variable `name`, as a tree
-    that reparses from its source; a constant exponent that folds to a
-    non-finite value raises EvalError. Its rules are the steps of a
-    forward sweep over dual numbers, in their order, so it evaluates to
-    that sweep's floats in every algebra the evaluator takes: a*db +
-    da*b, (da - (a/b)*db)/b, (c*a^(c-1))*da for an exponent c without
-    variables, exp(b*ln a)*(b*(da/a) + db*ln a) for any other, and
-    cos(a)*da, (-sin a)*da, exp(a)*da, da/a, da/(2*sqrt a) and
-    (1 - t*t)*da with t = tanh a."""
+    that reparses from its source while that is within MAX_DEPTH (a
+    derivative can be three times as deep as e); a constant exponent
+    that folds to a non-finite value raises EvalError. Its rules are the
+    steps of a forward sweep over dual numbers, in their order, so it
+    evaluates to that sweep's floats in every algebra the evaluator
+    takes: a*db + da*b, (da - (a/b)*db)/b, (c*a^(c-1))*da for an
+    exponent c without variables, exp(b*ln a)*(b*(da/a) + db*ln a) for
+    any other, and cos(a)*da, (-sin a)*da, exp(a)*da, da/a,
+    da/(2*sqrt a) and (1 - t*t)*da with t = tanh a."""
     root = _d(e.root, name)
     return Expression(Num(0.0) if root is None else root, e.dimension,
                       e.kinds, e.fiber_kind)
@@ -401,7 +464,7 @@ def _fmt(node) -> str:
     if isinstance(node, Call):
         return f"{node.fn}({_fmt(node.arg)})"
     if isinstance(node, Unary):
-        return "-" + _wrap(node.operand, _PREC_POW)
+        return "-" + _wrap(node.operand, _PREC_UNARY)
     if node.op == "^":
         return _wrap(node.left, _PREC_ATOM) + "^" + _wrap(node.right, _PREC_UNARY)
     if node.op in ("*", "/"):
@@ -410,6 +473,7 @@ def _fmt(node) -> str:
 
 
 def to_source(e) -> str:
-    """Render back to parseable source; reparsing gives the same tree."""
+    """Render back to parseable source; reparsing gives the same tree,
+    which for a tree parse built is within MAX_DEPTH again."""
     node = e.root if isinstance(e, Expression) else e
     return _fmt(node)

@@ -10,7 +10,11 @@ Every field has two independent computation routes, one per
 representation. The velocity route works in closed form from the
 fiber map components; the momentum route works from the inverse map.
 Agreement of the two routes at paired points is the main correctness
-certificate, and cross_check_all drives it. normality_residuals
+certificate, and cross_check_all drives it. No contraction takes more
+than three operands: each route's many-operand terms are fixed
+sequences of two- and three-operand einsums over intermediates of its
+own (_velocity_contractions, _momentum_contractions), so the routes
+share no formula through them. normality_residuals
 evaluates the five equations the fields must satisfy on a normality
 system: weak-alpha and weak-eta (the weak equations), and the
 additional skew/trace conditions on A, B and C that carry content
@@ -122,6 +126,63 @@ def _T(a):
     return np.swapaxes(a, -1, -2)
 
 
+def _outer(a, b):
+    """a_r b_s per point."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _velocity_contractions(gi, v, Lv, W, U, Flow, gradL, tLup, tU, tF, tgg,
+                           Dv):
+    """The velocity route's contractions of four or more operands, and
+    the three-operand ones that reduce to one step on their
+    intermediates, by field and term. Each is a fixed sequence of two-
+    and three-operand steps over intermediates of this route alone: Z
+    and Z2, Dv with L in its first slot and W in its second or third,
+    M = g^-1 gradL, gL = g^-1 L, and tgg and tF against W (and v)."""
+    Z = np.einsum("...s,...r,...srqm->...qm", Lv, W, Dv)
+    Z2 = np.einsum("...s,...r,...sqrm->...qm", Lv, W, Dv)
+    M = np.einsum("...aq,...qk->...ak", gi, gradL)
+    gL = np.einsum("...aq,...q->...a", gi, Lv)
+    WvT = np.einsum("...r,...m,...rms->...s", W, v, tgg)
+    FW = np.einsum("...sr,...r->...s", tF, W)
+    return {
+        "alpha-tgg": np.einsum("...qk,...q->...k", gi, WvT),
+        "alpha-tF": np.einsum("...qk,...q->...k", gi, FW),
+        "alpha-D": np.einsum("...mk,...m->...k", gi,
+                             np.einsum("...q,...qm->...m", v, Z)),
+        "beta-gradL": np.einsum("...r,...rk->...k",
+                                np.einsum("...rs,...s->...r", gradL, v), M),
+        "beta-F": np.einsum("...r,...rk->...k", Flow, M),
+        "beta-tF": np.einsum("...s,...sk->...k", FW, M),
+        "beta-tgg": np.einsum("...s,...sk->...k", WvT, M),
+        "beta-D-v": np.einsum("...a,...ak->...k",
+                              np.einsum("...m,...ma->...a", v, Z2), M),
+        "beta-D-F": np.einsum("...ka,...a->...k", Z,
+                              np.einsum("...am,...m->...a", gi, Flow)),
+        "B-D": np.einsum("...qr,...sq->...rs", gi, Z),
+        "C-tU": _outer(U, np.einsum("...q,...qs->...s", gL, tU)),
+        "C-tLup": _outer(np.einsum("...q,...qr->...r",
+                                   np.einsum("...qm,...m->...q", tLup, Lv), M),
+                         U),
+        "C-D": _outer(U, np.einsum("...sa,...a->...s", Z, gL)),
+        "C-D-r": np.einsum("...ar,...sa->...rs", M, Z),
+        "C-D-s": np.einsum("...as,...ra->...rs", M, Z2),
+    }
+
+
+def _momentum_contractions(p, W, Vv, Qv, U, Dp):
+    """The momentum route's contractions of Dp against p and W, as in
+    _velocity_contractions but over its own intermediate: pDW, Dp with
+    p in its first slot and W in its third."""
+    pDW = np.einsum("...s,...r,...sarc->...ac", p, W, Dp)
+    return {
+        "alpha-D": np.einsum("...kq,...q->...k", pDW, Vv),
+        "beta-D": np.einsum("...m,...mk->...k", Qv, pDW),
+        "B-D": pDW,
+        "C-D": _outer(U, np.einsum("...q,...qs->...s", p, pDW)),
+    }
+
+
 def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundle:
     """Closed-form assembly in the velocity representation.
 
@@ -174,27 +235,29 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
 
     Dv = dynamic_curvature(ctx)
     Rv = curvature(ctx)
+    c = _velocity_contractions(gi, v, Lv, W, U, Flow, gradL, tLup, tU, tF,
+                               tgg, Dv)
 
     alpha = (np.einsum("...rk,...r->...k", gi, U)
              + np.einsum("...r,...kr->...k", v, gradLup)
              + np.einsum("...q,...qk->...k", Fup_v, tLup)
-             + np.einsum("...r,...qk,...s,...rsq->...k", W, gi, v, tgg)
-             + np.einsum("...r,...qk,...qr->...k", W, gi, tF)
+             + c["alpha-tgg"]
+             + c["alpha-tF"]
              + np.einsum("...r,...qk,...rq->...k", W, gi, gradL)
-             - np.einsum("...mk,...s,...srqm,...r,...q->...k", gi, Lv, Dv, W, v))
+             - c["alpha-D"])
 
     beta_terms = [
         np.einsum("...r,...kr->...k", v, gradU),
         np.einsum("...q,...qk->...k", Fup_v, tU),
-        -np.einsum("...qk,...rq,...s,...rs->...k", gradL, gi, v, gradL),
-        -np.einsum("...qk,...rq,...r->...k", gradL, gi, Flow),
+        -c["beta-gradL"],
+        -c["beta-F"],
         np.einsum("...r,...rk->...k", W, gradF),
         np.einsum("...r,...m,...rmk->...k", W, v, gradgradL),
-        -np.einsum("...r,...qk,...sq,...sr->...k", W, gradL, gi, tF),
-        -np.einsum("...r,...qk,...sq,...m,...rms->...k", W, gradL, gi, v, tgg),
+        -c["beta-tF"],
+        -c["beta-tgg"],
         -np.einsum("...srmk,...m,...r,...s->...k", Rv, v, W, Lv),
-        np.einsum("...aq,...qk,...smra,...m,...r,...s->...k", gi, gradL, Dv, v, W, Lv),
-        np.einsum("...am,...srka,...m,...r,...s->...k", gi, Dv, Flow, W, Lv),
+        c["beta-D-v"],
+        c["beta-D-F"],
     ]
     if flip_beta_term is not None:
         beta_terms[flip_beta_term] = -beta_terms[flip_beta_term]
@@ -207,7 +270,7 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     skew = np.einsum("...qm,...qr->...rm", gi, tLup) - np.einsum("...qr,...qm->...rm", gi, tLup)
     Om2 = _lifted(_lifted(Om))
     B = (np.einsum("...qr,...qs->...rs", gi, tU)
-         + np.einsum("...qr,...k,...m,...mksq->...rs", gi, W, Lv, Dv)
+         + c["B-D"]
          - gradLup
          + np.einsum("...ks,...qk,...qr->...rs", gradL, gi, tLup)
          + np.einsum("...rm,...s,...m->...rs", skew, U, Lv) / Om2)
@@ -215,15 +278,15 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     C = (_T(gradU)
          - np.einsum("...qr,...kq,...ks->...rs", gradL, gi, tU)
          - np.einsum("...s,...mr,...m->...rs", U, gradLup, Lv) / Om2
-         - np.einsum("...r,...qm,...qs,...m->...rs", U, gi, tU, Lv) / Om2
-         + np.einsum("...s,...kr,...qk,...qm,...m->...rs", U, gradL, gi, tLup, Lv) / Om2
-         - np.einsum("...aq,...mksa,...r,...m,...k,...q->...rs", gi, Dv, U, Lv, W, Lv) / Om2
+         - c["C-tU"] / Om2
+         + c["C-tLup"] / Om2
+         - c["C-D"] / Om2
          - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rv, W, Lv)
          # the curvature transport correction splits over both index
          # slots with half weight each; a one-sided full-weight term
          # would shift the symmetric part and break route agreement
-         - 0.5 * np.einsum("...mr,...qksa,...am,...k,...q->...rs", gradL, Dv, gi, W, Lv)
-         + 0.5 * np.einsum("...ms,...qrka,...am,...k,...q->...rs", gradL, Dv, gi, W, Lv))
+         - 0.5 * c["C-D-r"]
+         + 0.5 * c["C-D-s"])
 
     return NormalityBundle(Rep.VELOCITY, ctx.x.copy(), v.copy(), W, Om, P, U,
                            alpha, beta, eta, A, B, C, lambda_scalar(B, P),
@@ -267,19 +330,20 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
 
     Dp = dynamic_curvature(ctx)
     Rp = curvature(ctx)
+    c = _momentum_contractions(p, W, Vv, Qv, U, Dp)
 
     alpha = (np.einsum("...kr,...r->...k", tV, U)
              + np.einsum("...kr,...r->...k", gradW, Vv)
              + np.einsum("...rk,...r->...k", tW, Qv)
              + np.einsum("...r,...kr->...k", W, tQ)
-             - np.einsum("...s,...skrq,...r,...q->...k", p, Dp, W, Vv))
+             - c["alpha-D"])
 
     beta = (np.einsum("...kr,...r->...k", gradU, Vv)
             + np.einsum("...rk,...r->...k", tU, Qv)
             + np.einsum("...rk,...r->...k", gradV, U)
             + np.einsum("...rk,...r->...k", gradQ, W)
             - np.einsum("...srmk,...m,...r,...s->...k", Rp, Vv, W, p)
-            + np.einsum("...smrk,...m,...r,...s->...k", Dp, Qv, W, p))
+            + c["beta-D"])
 
     eta = beta - U * _lifted(_dot(alpha, p)) / _lifted(Om)
 
@@ -287,14 +351,14 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
 
     Om2 = _lifted(_lifted(Om))
     B = (tU
-         + np.einsum("...k,...m,...mrks->...rs", W, p, Dp)
+         + c["B-D"]
          - gradW
          + np.einsum("...mr,...s,...m->...rs", tW - _T(tW), U, p) / Om2)
 
     C = (_T(gradU)
          - np.einsum("...r,...ms,...m->...rs", U, tU, p) / Om2
          - np.einsum("...s,...mr,...m->...rs", U, gradW, p) / Om2
-         - np.einsum("...mqks,...r,...m,...k,...q->...rs", Dp, U, p, W, p) / Om2
+         - c["C-D"] / Om2
          - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rp, W, p))
 
     return NormalityBundle(Rep.MOMENTUM, ctx.x.copy(), p.copy(), W, Om, P, U,

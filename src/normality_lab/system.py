@@ -14,7 +14,9 @@ Newton plus implicit differentiation), keeps an inner VContext at the
 preimage, and pushes its dense data through the inverse map by the
 chain rule. Phi, Gamma and the gauge tensor are first order in either,
 since no formula reads their second derivatives; the bundles need a
-second-order context, for the fiber map and its inverse.
+second-order context, for the fiber map and its inverse. Each context
+keeps the fiber correction of its horizontal derivatives, N and dN,
+computed from its own connection on first use.
 
 Both take one point, x and fiber of shape (n,), or a batch of N
 points, of shape (N, n). The batch axis then leads every field and its
@@ -275,6 +277,36 @@ class _Context:
         """Dense data of native components: one, or nested sequences."""
         return self._dense(components)
 
+    @property
+    def connection(self):
+        """The connection of the representation, first order: gamma, or
+        gamma_p in momenta."""
+        return self.gamma_p if self.rep is Rep.MOMENTUM else self.gamma
+
+    @cached_property
+    def N(self):
+        """The fiber correction N[b, m] of the horizontal derivative,
+        the coefficient of dX/dfiber_b in D_m X: p_a G^a_mb in momenta,
+        -v^a G^b_am in velocities. Computed on first use and kept, as
+        is dN, which only a second-order field reads."""
+        G = self.connection.val
+        if self.rep is Rep.MOMENTUM:
+            return np.einsum("...a,...amb->...bm", self.fiber, G)
+        return -np.einsum("...a,...bam->...bm", self.fiber, G)
+
+    @cached_property
+    def dN(self):
+        """The gradient dN[b, m, z] of N over (x, fiber)."""
+        n = self.n
+        _, G, dG, _ = self.connection
+        if self.rep is Rep.MOMENTUM:
+            dN = np.einsum("...a,...ambz->...bmz", self.fiber, dG)
+            dN[..., n:] += np.einsum("...amb->...bma", G)
+        else:
+            dN = -np.einsum("...a,...bamz->...bmz", self.fiber, dG)
+            dN[..., n:] -= np.einsum("...bam->...bma", G)
+        return dN
+
 
 class VContext(_Context):
     """Derivative data for one system at one velocity point, or at a
@@ -312,8 +344,11 @@ class VContext(_Context):
     def gauged(self, shift):
         """This point after a gauge change, which moves the connection
         alone: a copy with gamma + shift that shares every field already
-        evaluated here. Its `sys` names the ungauged system still."""
+        evaluated here but the fiber correction, which came from the
+        connection replaced. Its `sys` names the ungauged system still."""
         other = copy.copy(self)
+        for name in ("N", "dN"):
+            other.__dict__.pop(name, None)
         with np.errstate(all="ignore"):     # _checked catches overflow
             other.gamma = _checked(self.gamma + shift, "Gamma", self.batch,
                                    x=self.x, v=self.fiber)

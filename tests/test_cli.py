@@ -713,6 +713,54 @@ lagrangian = "0.5*v1^2 + v1^({exponent})"
                          "message": f"{path}:6: in lagrangian: {message}"}
 
 
+@pytest.mark.parametrize("extra, status", [(96, 0), (97, 2)])
+def test_a_lagrangian_at_the_depth_bound_is_checked(tmp_path, capsys, extra,
+                                                    status):
+    # a flat fiber map under a left-deep sum: 96 more terms make a tree
+    # MAX_DEPTH levels deep, whose every check passes; one more passes
+    # the bound, which the last term's last token closes
+    lagrangian = "0.5*v1^2+0.5*v2^2" + "+0*x1" * extra
+    path = write_system(tmp_path, f"""
+[system]
+n = 2
+
+[legendre]
+lagrangian = "{lagrangian}"
+""")
+    assert cli.main(["check", path, "--samples", "1"]) == status
+    out = capsys.readouterr()
+    assert out.err == ""
+    if status == 2:
+        assert json.loads(out.out)["error"] == {
+            "type": "ExprSyntaxError",
+            "message": f"{path}:6: in lagrangian: expression nests deeper "
+                       f"than 100 levels (line 1, column {len(lagrangian) - 1})"}
+
+
+@pytest.mark.parametrize("source, column", [
+    ("v1" + "+0*x1" * 2999, 498),           # a 3,000-term sum
+    ("(" * 400 + "v1" + ")" * 400, 100),    # 400 parentheses deep
+])
+def test_a_deep_expression_is_a_syntax_error_record(tmp_path, capsys, source,
+                                                    column):
+    # both ended the CLI in a RecursionError traceback with status 1
+    path = write_system(tmp_path, f"""
+[system]
+n = 2
+
+[legendre]
+L1 = "{source}"
+L2 = "v2"
+""")
+    assert cli.main(["check", path, "--samples", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["error"] == {
+        "type": "ExprSyntaxError",
+        "message": f"{path}:6: in l1: expression nests deeper than 100 "
+                   f"levels (line 1, column {column})"}
+
+
 def test_overflow_in_a_component_is_a_structured_error(tmp_path):
     # sin of an overflowed argument once escaped as a bare ValueError;
     # the argument is 0 at the load plan's v = 0 and inf in the box

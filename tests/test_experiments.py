@@ -177,6 +177,38 @@ def test_gauged_context_matches_summed_system(sysdef, tensor):
                 assert np.array_equal(getattr(a, part), getattr(b, part))
 
 
+@pytest.mark.parametrize("sysdef, tensor", [
+    (helpers.sys_cubic(), gauge_2d()),
+    (helpers.sys_cubic3(), gauge_3d()),
+], ids=["cubic", "cubic3"])
+def test_gauged_context_drops_the_fiber_correction(sysdef, tensor):
+    # a context keeps the fiber correction of its connection; the
+    # gauged copy must take its own from gamma + T, not the stale one
+    reference = summed_system(sysdef, tensor)
+    n = sysdef.n
+    x, v = helpers.random_box_point(np.random.default_rng(37), n)
+
+    def fields(ctx):
+        return [calculus.field_of(ctx, sysdef.legendre[0]),
+                calculus.FieldValue(ctx, ctx.L_dense, (calculus.LOWER,)),
+                calculus.field_of(ctx, sysdef.force, (calculus.UPPER,))]
+
+    ctx = VContext(sysdef, x, v)
+    for field in fields(ctx):
+        calculus.horizontal_derivative(field)
+    assert {"N", "dN"} <= set(ctx.__dict__)
+    gauged = ctx.gauged(ctx.eval_native(tensor))
+    want = VContext(reference, x, v)
+    for got, exp in zip(fields(gauged), fields(want)):
+        got = calculus.horizontal_derivative(got).data
+        exp = calculus.horizontal_derivative(exp).data
+        assert got.order == exp.order
+        assert np.array_equal(got.val, exp.val)
+        assert (got.grad is None and exp.grad is None
+                or np.array_equal(got.grad, exp.grad))
+    assert not np.array_equal(gauged.N, ctx.N)
+
+
 def test_gauge_point_evaluates_each_component_once():
     # the report evaluates its points as one batch: L, Phi and Gamma
     # are evaluated once for the plain batch, the gauged one shares

@@ -3,12 +3,13 @@
 import copy
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normality_lab import expr, jets
+from normality_lab import expr, jets, system
 from normality_lab.errors import (DimensionError, EvalError, ExprSyntaxError,
                                   MixedRepresentationError)
 from normality_lab.sysfile import read_system_file
@@ -463,3 +464,53 @@ def test_raw_form_has_the_bits_of_the_checked_form():
                 else:
                     assert raw == checked, expr.to_source(e)
     assert traps > 100
+
+
+# Sources whose tree is `depth` levels deep, by shape: the left-deep
+# spines of a sum, a product and a quotient, a power tower, nested
+# calls, parenthesized groups and unary minus
+DEEP = {
+    "sum": lambda depth: "v1" + "+x1" * (depth - 1),
+    "product": lambda depth: "v1" + "*v1" * (depth - 1),
+    "quotient": lambda depth: "v1" + "/v1" * (depth - 1),
+    "power": lambda depth: "^".join(["v1"] * depth),
+    "calls": lambda depth: "sin(" * (depth - 1) + "v1" + ")" * (depth - 1),
+    "groups": lambda depth: "(" * (depth - 1) + "v1" + ")" * (depth - 1),
+    "minus": lambda depth: "-" * (depth - 1) + "v1",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_a_tree_at_the_depth_bound_derives_evaluates_and_prints(shape):
+    # under Python's default recursion limit: the tree, and its
+    # derivative as a Lagrangian's fiber map, compile, evaluate in every
+    # algebra and print; one level more is a syntax error
+    assert sys.getrecursionlimit() == 1000
+    source = DEEP[shape](expr.MAX_DEPTH)
+    assert expr._check_depth(source, expr._TOKEN_RE.findall(source)) \
+        == expr.MAX_DEPTH
+    e = expr.parse(source, 1, kinds=("x", "v"))
+    assert expr.parse(expr.to_source(e), 1, kinds=("x", "v")) == e
+    fiber_map, = system.lagrangian_to_legendre(e)
+    dense = dict(zip(("x1", "v1"), jets.seeds(np.array([0.3, 1.2]), order=2)))
+    for tree in (e, fiber_map):
+        assert expr.to_source(tree)
+        value = tree.evaluate({"x1": 0.3, "v1": 1.2})
+        assert np.isfinite(value)
+        with np.errstate(all="raise"):
+            assert tree.evaluate_raw({"x1": np.float64(0.3),
+                                      "v1": np.float64(1.2)}) == value
+        jet = tree.evaluate(dense)      # a number, for a constant tree
+        assert getattr(jet, "val", jet) == value
+    with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
+        expr.parse(DEEP[shape](expr.MAX_DEPTH + 1), 1, kinds=("x", "v"))
+
+
+def test_the_depth_bound_names_where_it_is_passed():
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse("(" * 150 + "v1" + ")" * 150, 1)
+    assert (err.value.line, err.value.column) == (1, expr.MAX_DEPTH)
+    # a character that starts no token is reported first, as for any
+    # other error
+    with pytest.raises(ExprSyntaxError, match="unexpected character '@'"):
+        expr.parse("v1" + "+x1" * 200 + "@", 1)

@@ -3,6 +3,8 @@ gauge tensor are first order everywhere, the metric and transport
 checks build first-order contexts, and a first-order evaluation gives
 the value and gradient bits of a second-order one."""
 
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,3 +132,39 @@ def test_each_check_builds_contexts_of_its_order(monkeypatch, check, order):
                 assert (data.hess is None) == (order == 1 or name in
                                                ("phi", "gamma", "gamma_p")), name
 
+
+def _count_fiber_corrections(monkeypatch):
+    """(name, context) of every computation of a context's fiber
+    correction N and its gradient dN from here on."""
+    work = []
+    for name in ("N", "dN"):
+        def counted(ctx, name=name,
+                    compute=getattr(system._Context, name).func):
+            work.append((name, ctx))
+            return compute(ctx)
+        prop = cached_property(counted)
+        prop.__set_name__(system._Context, name)
+        monkeypatch.setattr(system._Context, name, prop)
+    return work
+
+
+@pytest.mark.parametrize("check, order", [
+    ("transport", 1), ("cross", 2), ("normality", 2), ("gauge", 2),
+])
+def test_each_context_computes_its_fiber_correction_once(monkeypatch, check,
+                                                         order):
+    # every horizontal derivative of a job reads its context's kept N;
+    # dN is computed once at most, and never in a first-order context
+    work = _count_fiber_corrections(monkeypatch)
+    path = str(FIXTURE_DIR / "cubic.system")
+    report, _ = cli.run_checks(cli.RunConfig(path, checks=(check,),
+                                             samples=3, seed=2))
+    assert "error" not in report["checks"][0]
+    contexts = {id(ctx): ctx for _, ctx in work}
+    assert contexts
+    for ctx in contexts.values():
+        counts = Counter(name for name, c in work if c is ctx)
+        assert ctx.order == order
+        assert counts["N"] == 1
+        assert counts["dN"] <= (1 if order == 2 else 0)
+    assert any(name == "dN" for name, _ in work) == (order == 2)

@@ -254,3 +254,58 @@ def _parsed(parse, source, dimension, kinds):
 def test_parser_gives_the_reference_trees_and_errors(case):
     assert (_parsed(expr.parse, *case)
             == _parsed(reference_parser.parse, *case))
+
+
+def _reference_depth(tokens):
+    """The depth of the tree parse builds from tokens, counting each
+    parenthesized group: a recursive descent of parse's grammar."""
+    tokens = tokens + [""]
+    pos = 0
+
+    def spine(operators, operand):
+        nonlocal pos
+        depth = operand()
+        while tokens[pos] in operators:
+            pos += 1
+            depth = max(depth, operand()) + 1
+        return depth
+
+    def expression():
+        return spine(("+", "-"), lambda: spine(("*", "/"), factor))
+
+    def factor():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok == "-":
+            return factor() + 1
+        depth = 1
+        if tok == "(" or tok in expr._FUNCTION_NAMES:
+            pos += tok != "("
+            depth = expression() + 1
+            assert tokens[pos] == ")"
+            pos += 1
+        if tokens[pos] == "^":
+            pos += 1
+            depth = max(depth, factor()) + 1
+        return depth
+
+    depth = expression()
+    assert tokens[pos] == ""
+    return depth
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.lists(_ANY_SOURCE, min_size=1, max_size=5),
+       st.lists(st.sampled_from("+-*/^"), min_size=4, max_size=4),
+       st.booleans())
+def test_the_depth_check_gives_the_depth_of_the_tree(parts, operators,
+                                                     printed):
+    # sources joined by operators, as drawn (every group parenthesized)
+    # or as printed (the parentheses precedence needs only)
+    if printed:
+        parts = [expr.to_source(expr.parse(part, 2)) for part in parts]
+    source = parts[0] + "".join(op + part
+                                for op, part in zip(operators, parts[1:]))
+    tokens = expr._TOKEN_RE.findall(source)
+    assert expr._check_depth(source, tokens) == _reference_depth(tokens)

@@ -2,13 +2,14 @@
 n = 4 fixtures whose additional normality equations decide their
 check."""
 
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from normality_lab import calculus
+from normality_lab import calculus, normality
 from normality_lab.cli import RunConfig, run_checks
 from normality_lab.experiments import gauge_invariance_report
 from normality_lab.normality import cross_check_all, normality_residuals
@@ -27,6 +28,7 @@ VERDICTS = {
                         normality=False, shift=False),
     "cylindrical3": dict(metric=True, transport=True, cross=True,
                          normality=True, gauge=True),
+    "family3": dict(metric=True, transport=True, cross=True, normality=True),
     "identity2": dict(metric=True, transport=True, cross=True, normality=True),
     "identity_full": dict(metric=True, transport=True, cross=True,
                           normality=True, gauge=True, shift=True),
@@ -48,6 +50,9 @@ EXTRA_EQUATIONS = ("skew-A", "trace-B", "skew-C")
 
 # normal fixtures at n >= 3, where every normality row is decisive
 DECISIVE = ("cylindrical3", "pullback4", "pullback4_newton")
+# normal fixtures at n >= 3 with a force not parallel to v, of the
+# explicit force family, where P^T C P has a symmetric part
+FAMILY = ("family3",)
 
 
 def fixture(name):
@@ -67,7 +72,7 @@ def test_every_fixture_gives_its_verdicts():
         assert status == (0 if all(verdicts.values()) else 1), name
 
 
-@pytest.mark.parametrize("name", DECISIVE)
+@pytest.mark.parametrize("name", DECISIVE + FAMILY)
 def test_the_additional_normality_rows_decide_and_pass(name):
     report, status = run_checks(RunConfig(fixture(name), samples=12))
     assert status == 0
@@ -99,6 +104,25 @@ def test_a_flipped_curvature_term_fails_the_normality(monkeypatch, name):
         samples=12))
     assert status == 1
     assert _passed(report) == dict(transport=True, cross=True, normality=False)
+
+
+@pytest.mark.parametrize("name", FAMILY)
+def test_a_symmetrized_skew_c_fails_the_normality(monkeypatch, name):
+    # the skew-C residual with C - C^T flipped to C + C^T: the family's
+    # C has a projected symmetric part, so the flip must fail the check
+    source = inspect.getsource(normality.residual_arrays)
+    assert source.count("bundle.C - _T(bundle.C)") == 1
+    flipped = {}
+    exec(source.replace("bundle.C - _T(bundle.C)", "bundle.C + _T(bundle.C)"),
+         vars(normality), flipped)
+    monkeypatch.setattr(normality, "residual_arrays",
+                        flipped["residual_arrays"])
+    report, status = run_checks(RunConfig(fixture(name),
+                                          checks=("normality",), samples=12))
+    assert status == 1
+    rows, = (r["rows"] for r in report["checks"])
+    failing = {row["equation"] for row in rows if not row["pass"]}
+    assert failing == {"skew-C"}
 
 
 def test_the_cylindrical_helper_is_the_fixture():

@@ -5,12 +5,6 @@ seeded box, runs the selected verification checks at every point, and
 emits one machine-readable report (JSON or CSV). The same file, config,
 and seed always produce byte-identical output; the exit status is 0
 exactly when every selected check passed its tolerances.
-
-`render_json` writes the bytes of json.dumps(report, indent=2,
-sort_keys=True, allow_nan=False) with its own walker, `_json`. A row of
-one of the three layouts the checks write is formatted from one
-template a layout and nesting level once its values have the layout's
-types and its floats are finite; any other dict goes through the walk.
 """
 
 import argparse
@@ -18,7 +12,6 @@ import csv
 import io
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -102,6 +95,9 @@ def _validate_config(cfg: RunConfig, checks, tolerances):
         raise ValidationError("samples must be at least 1")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
+    if cfg.fmt not in ("json", "csv"):
+        raise ValidationError(
+            f"unknown report format {cfg.fmt!r}; known: json, csv")
     unknown = sorted(set(cfg.tolerances) - set(DEFAULT_TOLERANCES))
     if unknown:
         raise ValidationError(
@@ -427,117 +423,11 @@ def run_checks(cfg: RunConfig):
     return report, status
 
 
-_STRING = json.encoder.encode_basestring_ascii
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-# The keys of the rows the checks write, by their count: the seven of
-# every row, plus decisive (normality), or conditional and requires (gauge)
-_ROW_KEYS = ("check", "equation", "index", "pass", "point", "residual",
-             "tolerance")
-_ROW_LAYOUTS = {7: frozenset(_ROW_KEYS),
-                8: frozenset(_ROW_KEYS + ("decisive",)),
-                9: frozenset(_ROW_KEYS + ("conditional", "requires"))}
-_ROW_VALUES = operator.itemgetter(*_ROW_KEYS)
-_ROW_TEMPLATES = {}     # (key count, level): the row as a %-template
-
-
-def _row_json(row, level, memo):
-    """A row of one of _ROW_LAYOUTS as _json writes it at `level`, from
-    the layout's template, or None unless every value has the type the
-    layout gives it, with finite floats; _json then walks the row. The
-    text of a tolerance is kept in memo under its id."""
-    size = len(row)
-    if row.keys() != _ROW_LAYOUTS[size]:
-        return None
-    check, equation, index, passed, point, residual, tolerance = (
-        _ROW_VALUES(row))
-    if (check.__class__ is not str or equation.__class__ is not str
-            or index.__class__ is not int or passed.__class__ is not bool
-            or point.__class__ is not dict or tolerance.__class__ is not float
-            or not math.isfinite(tolerance)
-            or residual is not None and (residual.__class__ is not float
-                                         or not math.isfinite(residual))):
-        return None
-    if size > 7:
-        flag = row["decisive"] if size == 8 else row["conditional"]
-        requires = row.get("requires", [])
-        if flag.__class__ is not bool or requires.__class__ is not list:
-            return None
-    # every other value is valid, so the walk would reach point and then
-    # requires too, and raise what they raise
-    values = [_STRING(check), _STRING(equation), int.__repr__(index),
-              _LITERALS[passed],
-              memo.get((id(point), level + 1)) or _json(point, level + 1, memo),
-              "null" if residual is None else float.__repr__(residual),
-              memo.get(id(tolerance)) or memo.setdefault(
-                  id(tolerance), float.__repr__(tolerance))]
-    if size == 9:
-        values.insert(5, _json(requires, level + 1, memo))
-    if size > 7:
-        values.insert(1, _LITERALS[flag])
-    template = _ROW_TEMPLATES.get((size, level))
-    if template is None:    # the walk's text of the row with 0 for each value
-        template = _ROW_TEMPLATES[size, level] = _json(dict.fromkeys(
-            _ROW_LAYOUTS[size], 0), level, {}).replace(": 0", ": %s")
-    return template % tuple(values)
-
-
-def _json(o, level, memo):
-    """The dict or list o as json.dumps(o, indent=2, sort_keys=True)
-    writes it at nesting level `level`, for str, int, float, bool and
-    None leaves in lists and in dicts with str keys. A non-finite float
-    raises ValueError, any other leaf or key TypeError. A row of one of
-    the checks' layouts in a container is written from a template
-    (_row_json). A container that holds no dict, such as the point dict
-    that every row of a point shares, is written once a level and kept
-    in memo; larger texts are not kept."""
-    key = (id(o), level)
-    text = memo.get(key)
-    if text is not None:
-        return text
-    kind = o.__class__
-    if kind is dict:
-        # a key that is not a str raises TypeError, in sorted or _STRING
-        items = [(_STRING(k) + ": ", o[k]) for k in sorted(o)]
-    elif kind is list:
-        items = [("", item) for item in o]
-    else:
-        raise TypeError(f"{kind.__name__} is not a report value: {o!r}")
-    parts, flat = [], True
-    for head, value in items:
-        leaf = value.__class__
-        if leaf is float:
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite float {value!r} in a report")
-            parts.append(head + float.__repr__(value))
-        elif leaf is str:
-            parts.append(head + _STRING(value))
-        elif leaf is bool or value is None:
-            parts.append(head + _LITERALS[value])
-        elif leaf is int:
-            parts.append(head + int.__repr__(value))
-        else:
-            row = (leaf is dict and len(value) in _ROW_LAYOUTS
-                   and _row_json(value, level + 1, memo))
-            parts.append(head + (row or _json(value, level + 1, memo)))
-            flat = flat and leaf is not dict and (id(value), level + 1) in memo
-    open_, close = "{}" if kind is dict else "[]"
-    if parts:
-        inner = "\n" + "  " * (level + 1)
-        text = (open_ + inner + ("," + inner).join(parts) + "\n"
-                + "  " * level + close)
-    else:
-        text = open_ + close
-    if flat:
-        memo[key] = text
-    return text
-
-
 def render_json(report) -> str:
-    """json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    plus a newline, byte for byte, for a report of str, int, float,
-    bool and None leaves in dicts with str keys and lists."""
-    return _json(report, 0, {}) + "\n"
+    """The report as compact, strict JSON with sorted keys, plus a
+    newline. A report is a tree the program builds, so no cycle check."""
+    return json.dumps(report, sort_keys=True, allow_nan=False,
+                      separators=(",", ":"), check_circular=False) + "\n"
 
 
 CSV_COLUMNS = ("check", "equation", "index", "rep", "x", "fiber", "t",
@@ -622,11 +512,17 @@ def main(argv=None) -> int:
     try:
         report, status = run_checks(cfg)
     except NormalityLabError as e:
-        _emit(render_json({"schema": 1, "error": {
-            "type": type(e).__name__, "message": str(e)}}), args.out)
+        text, status = render_json({"schema": 1, "error": {
+            "type": type(e).__name__, "message": str(e)}}), 2
+    else:
+        text = render_json(report) if cfg.fmt == "json" else render_csv(report)
+    try:
+        _emit(text, args.out)
+    except OSError as e:
+        # exit 1 is a failed certificate, so an unwritable report is not
+        sys.stderr.write(f"normality-lab: cannot write "
+                         f"{args.out or '<stdout>'}: {e.strerror or e}\n")
         return 2
-    _emit(render_json(report) if cfg.fmt == "json" else render_csv(report),
-          args.out)
     return status
 
 

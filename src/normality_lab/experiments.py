@@ -153,7 +153,7 @@ def _gauge_deviations(sysdef, tensor, x, v):
     res1 = residual_norms(vb)
     res2 = residual_norms(vb2)
     for rid in RESIDUAL_IDS:
-        out[rid] = np.abs(res1[rid] - res2[rid])
+        out[rid] = dev(res1[rid], res2[rid])
     rows = [GaugeRow(name, "invariant", out[name]) for name in INVARIANT_ROWS]
     rows += [GaugeRow(name, "rule", out[name]) for name in RULE_ROWS]
     rows += [GaugeRow(rid, "residual", out[rid], requires=RESIDUAL_NEEDS[rid])
@@ -169,7 +169,8 @@ def gauge_invariance_report(sysdef: SystemDef, points,
     rows recompute a quantity at the gauged point and compare it
     against the transformation rule applied to un-gauged values, which
     exercises the cancellations behind each rule. Residual rows compare
-    normality residual norms; the conditional ones list the residuals
+    normality residual norms, relative to their size as every row
+    compares; the conditional ones list the residuals
     whose vanishing they rely on. The tensor, supplied or the system's,
     is checked for symmetry once a call where validate_system checks
     it, the points are evaluated as one batch, and a nan deviation at

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -202,75 +203,72 @@ def test_non_finite_rows_fail_and_are_written_as_null():
         render_json({"residual": float("inf")})
 
 
-def _dumps(document):
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def test_render_json_writes_what_json_dumps_writes(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """Every fixture's report at 5 samples, with and without its
+    connection, and the CLI's error record, by name."""
+    out = {}
     for path in sorted(FIXTURES.glob("*.system")):
         for free in (False, True):
-            report, _ = run_checks(RunConfig(str(path), samples=5,
-                                              connection_free=free))
-            assert render_json(report) == _dumps(report), (path.name, free)
-    out = tmp_path / "error.json"
+            out[path.stem, free], _ = run_checks(
+                RunConfig(str(path), samples=5, connection_free=free))
+    error = tmp_path_factory.mktemp("error") / "error.json"
     assert cli.main(["check", fixture("cubic"), "--samples", "0",
-                     "--out", str(out)]) == 2
-    error = out.read_text(encoding="utf-8")
-    assert error == _dumps(json.loads(error))
-    shared = {"k": [1, 2.5, "s"]}
-    crafted = {
-        "shared": shared, "deeper": [shared, {"again": shared}],
-        "empty": [{}, [], "", {"e": []}],
-        "escaped": 'tab\t "quote" back\\slash \x01 line\n',
-        "non-ascii \u00e9": "\u2202 \u00e9 \U0001f600",
-        "numbers": [-0.0, 5e-324, 1e308, 0.1, -7, 0, 10**20],
-        "literals": [True, False, None],
-    }
-    # every row layout the CLI writes takes its template, at two nesting
-    # levels; a near miss is written by the walk, as json.dumps writes it
-    point = {"rep": "v", "x": [0.25, -1.5], "fiber": [3e-17, -0.0]}
-    core = {"check": "cross", "equation": "cross-beta", "index": 0,
-            "pass": True, "point": point, "residual": 1.5e-16,
-            "tolerance": 1e-06}
-    layouts = [
-        core,
-        {**core, "check": "normality", "decisive": False, "pass": False,
-         "residual": None},
-        {**core, "check": "gauge", "conditional": True,
-         "requires": ["cross-beta", "normality-\u00e9"]},
-        {**core, "check": "shift", "equation": "shift-start", "index": 3,
-         "point": {"t": 0.125}},
-    ]
-    near = [{**core, "residual": 0}, {**core, "index": True},
-            {**core, "extra": [1.0]},
-            {k: v for k, v in core.items() if k != "point"}]
-    crafted["rows"] = layouts + near
-    crafted["deeper"].append([layouts])
-    templated = []
-    row_json = cli._row_json
+                     "--out", str(error)]) == 2
+    out["error"] = json.loads(error.read_text(encoding="utf-8"))
+    assert out["error"]["error"]["type"] == "ValidationError"
+    return out
 
-    def spy(row, level, memo):
-        text = row_json(row, level, memo)
-        templated.append((id(row), text is not None))
-        return text
 
-    monkeypatch.setattr(cli, "_row_json", spy)
-    assert render_json(crafted) == _dumps(crafted)
-    assert sorted(templated) == sorted(
-        [(id(row), True) for row in layouts] * 2
-        + [(id(row), False) for row in near[:3]])
+def test_render_json_writes_what_json_dumps_writes(reports):
+    for name, report in reports.items():
+        text = render_json(report)
+        assert text == json.dumps(
+            report, sort_keys=True, allow_nan=False, separators=(",", ":"),
+            check_circular=False) + "\n", name
+        assert strict_json(text) == report, name
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
             render_json({"x": [bad]})
-    nan_point = {**point, "x": [0.25, float("nan")]}
-    for bad in ({**core, "tolerance": float("inf")},
-                {**core, "point": nan_point}):
         with pytest.raises(ValueError):
-            render_json({"rows": [bad]})
-    for bad in ({"x": (1.0, 2.0)}, {"x": np.float64(1.0)}, {1: "one"},
-                {"rows": [{**core, "residual": np.float64(1.0)}]}):
-        with pytest.raises(TypeError):
-            render_json(bad)
+            render_json({"rows": [{"point": {"x": [0.25, bad]}}]})
+
+
+def _leaves(node, where="report"):
+    """(where, leaf) of every leaf under node; a container other than a
+    dict with str keys or a list fails."""
+    if type(node) is dict:
+        for key, value in node.items():
+            assert type(key) is str, (where, key)
+            yield from _leaves(value, f"{where}.{key}")
+    elif type(node) is list:
+        for k, value in enumerate(node):
+            yield from _leaves(value, f"{where}[{k}]")
+    else:
+        yield where, node
+
+
+def test_reports_hold_plain_json_values(reports):
+    # json.dumps writes a tuple, a numpy scalar or an int key without
+    # complaint, and CSV reprs a numpy float as np.float64(...), so the
+    # reports themselves must hold plain values only
+    for name, report in reports.items():
+        for where, leaf in _leaves(report):
+            assert type(leaf) in (str, int, float, bool, type(None)), (
+                name, where, type(leaf))
+            assert type(leaf) is not float or math.isfinite(leaf), (
+                name, where)
+
+
+def test_an_unwritable_report_exits_2(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    for args in ((), ("--samples", "0")):
+        status, stdout, err = run_module("check", fixture("identity2"),
+                                         "--checks", "metric", *args,
+                                         "--out", str(out))
+        assert (status, stdout) == (2, "")
+        assert err.count("\n") == 1 and str(out) in err, err
+        assert "Traceback" not in err
 
 
 def test_overflowing_gauge_rows_fail(tmp_path):
@@ -576,6 +574,8 @@ def test_config_validation():
         run_checks(RunConfig(good, checks=("metric",), samples=2, seed=1.5))
     with pytest.raises(ValidationError, match="string 'metric'"):
         run_checks(RunConfig(good, checks="metric", samples=2))
+    with pytest.raises(ValidationError, match="unknown report format 'xml'"):
+        run_checks(RunConfig(good, checks=("metric",), samples=2, fmt="xml"))
     # non-finite or non-numeric settings are rejected before sampling
     for tol in (float("inf"), float("nan"), "1e-9", None, [1e-9], True):
         with pytest.raises(ValidationError, match="'metric' must be a positive"):

@@ -12,7 +12,8 @@ import helpers
 from normality_lab import calculus, normality
 from normality_lab.cli import RunConfig, run_checks
 from normality_lab.experiments import gauge_invariance_report
-from normality_lab.normality import cross_check_all, normality_residuals
+from normality_lab.normality import (bundle_at, cross_check_all,
+                                     normality_residuals, residual_norms)
 from normality_lab.phase import PhasePoint
 from normality_lab.sysfile import read_system_file
 
@@ -21,6 +22,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # run_checks(RunConfig(fixture, samples=5)), seed 0: the checks each
 # fixture selects and whether each passed
 VERDICTS = {
+    "coupled": dict(metric=True, transport=True, cross=True, normality=False,
+                    gauge=True),
     "cubic": dict(metric=True, transport=True, cross=True, normality=False,
                   gauge=True),
     "cubic3": dict(metric=True, transport=True, cross=True, normality=False),
@@ -123,6 +126,21 @@ def test_a_symmetrized_skew_c_fails_the_normality(monkeypatch, name):
     rows, = (r["rows"] for r in report["checks"])
     failing = {row["equation"] for row in rows if not row["pass"]}
     assert failing == {"skew-C"}
+
+
+def test_an_ill_conditioned_fiber_map_passes_the_gauge_check():
+    # the coupled map's metric is nearly singular at some of the default
+    # points, where the residual norms exceed 1e5; the gauge check
+    # compares them relative to their size, as every other row compares
+    report, status = run_checks(RunConfig(fixture("coupled"),
+                                          checks=("gauge",)))
+    assert status == 0
+    rows, = (r["rows"] for r in report["checks"])
+    points = {row["index"]: row["point"] for row in rows}
+    pt = PhasePoint.velocity([points[k]["x"] for k in sorted(points)],
+                             [points[k]["fiber"] for k in sorted(points)])
+    sysdef = read_system_file(fixture("coupled")).sysdef
+    assert np.max(residual_norms(bundle_at(sysdef, pt))["weak-alpha"]) > 1e5
 
 
 def test_the_cylindrical_helper_is_the_fixture():

@@ -204,16 +204,21 @@ def relative_deviation(a, b, batch=()):
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint, order: int = 1):
     """The velocity context at pt, a velocity point or a batch, and the
     momentum context at its image under the fiber map, both at `order`.
-    The momentum context builds its own inner velocity context at the
-    preimage, by the closed-form inverse or one Newton solve, so the two
-    routes stay independent. The transport check builds one such pair
-    per batch and evaluates all six relations on it; the public relation
-    functions build their own. Every relation reads first derivatives
-    only; cross_check_all asks for order 2, for its bundles."""
+    Without a closed-form inverse, the momentum context's Newton starts
+    at pt, takes no step where pt meets NEWTON_TOL, and then keeps the
+    velocity context as its inner one. The routes still share no
+    formula, only components evaluated at one point: evaluating them
+    again within NEWTON_TOL of pt added no evidence about the formulas.
+    The metric check's round trip keeps the cold start that certifies
+    the inverse. The transport check builds one such pair per batch and
+    evaluates all six relations on it; the public relation functions
+    build their own. Every relation reads first derivatives only;
+    cross_check_all asks for order 2, for its bundles."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
-    return (VContext(sysdef, pt.x, pt.fiber, order),
-            PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber, order))
+    vctx = VContext(sysdef, pt.x, pt.fiber, order)
+    return vctx, PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber,
+                          order, vctx)
 
 
 def _fiber_map_gradient(vctx) -> np.ndarray:

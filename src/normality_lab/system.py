@@ -407,9 +407,11 @@ def _conditions(G):
     return cond
 
 
-def _newton(sysdef: SystemDef, x, p):
+def _newton(sysdef: SystemDef, x, p, start=None):
     """Preimage v of the momentum p at x: Newton iteration for the
-    inverse fiber map L(x, v) = p from the system's guess, or from p.
+    inverse fiber map L(x, v) = p from `start`, else from the system's
+    guess, or from p. A node whose start meets NEWTON_TOL takes no step
+    and keeps the start's bits.
 
     x and p are (n,), or (N, n) with a leading node axis. Every node
     iterates until its own residual meets NEWTON_TOL, under its own
@@ -418,8 +420,9 @@ def _newton(sysdef: SystemDef, x, p):
     the nodes still iterating only."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    v = np.array(sysdef.newton_guess if sysdef.newton_guess is not None
-                 else p, dtype=float)
+    if start is None:
+        start = p if sysdef.newton_guess is None else sysdef.newton_guess
+    v = np.array(start, dtype=float)
     batched = p.ndim > 1
     if batched and v.ndim == 1:
         v = np.repeat(v[None], p.shape[0], axis=0)
@@ -467,17 +470,26 @@ class PContext(_Context):
     V is the dense data of the inverse components over (x, p), at the
     context's order, as are the inner VContext at the preimage and
     `transform`, the map (x, p) -> (x, V(x, p)), through which
-    jets.compose pushes the inner context's dense data here."""
+    jets.compose pushes the inner context's dense data here. Given
+    `vctx`, a velocity context meant to be at the preimage, Newton starts
+    at its point; when no node steps and the orders match, vctx is the
+    inner context. A closed-form inverse builds its own."""
 
-    def __init__(self, sysdef: SystemDef, x, p, order: int = 2):
+    def __init__(self, sysdef: SystemDef, x, p, order: int = 2, vctx=None):
         super().__init__(sysdef, x, p, Rep.MOMENTUM, order)
         if sysdef.v_inverse is not None:
             self.V = self._dense(sysdef.v_inverse, what="V")
             self.inner = VContext(sysdef, self.x, self.V.val, order)
         else:
             with np.errstate(all="ignore"):    # Newton checks its own steps
-                v_star = _newton(sysdef, self.x, self.fiber)
-            self.inner = VContext(sysdef, self.x, v_star, order)
+                v_star = _newton(sysdef, self.x, self.fiber,
+                                 None if vctx is None else vctx.fiber)
+            if (vctx is not None and vctx.order == order
+                    and np.array_equal(vctx.x, self.x)
+                    and np.array_equal(vctx.fiber, v_star)):
+                self.inner = vctx
+            else:
+                self.inner = VContext(sysdef, self.x, v_star, order)
             self.V = self._implicit_jets()
 
     def _implicit_jets(self):

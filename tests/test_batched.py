@@ -12,18 +12,23 @@ import pytest
 import helpers
 from normality_lab import experiments, expr, jets
 from normality_lab import system as system_module
+from normality_lab.calculus import (_curvature_relation,
+                                    _dynamic_curvature_relation,
+                                    _paired_contexts, relative_deviation)
 from normality_lab.errors import (DegeneratePoint, DegenerateSurface,
                                   EvalError, IntegrationFailure,
                                   NonConvergence, SingularMetric,
                                   ValidationError)
 from normality_lab.experiments import (ShiftRun, gauge_invariance_report,
                                        shift_integrate)
-from normality_lab.normality import cross_check_all, normality_residuals
+from normality_lab.normality import (CROSS_FIELDS, cross_check_all,
+                                     momentum_bundle, normality_residuals,
+                                     velocity_bundle)
 from normality_lab.phase import PhasePoint
 from normality_lab.sysfile import SHIFT_OPTIONS, read_system_file
-from normality_lab.system import (NEWTON_TOL, SystemDef, _newton,
-                                  lagrangian_to_legendre, legendre_forward,
-                                  legendre_inverse, metric)
+from normality_lab.system import (NEWTON_TOL, PContext, SystemDef, VContext,
+                                  _newton, lagrangian_to_legendre,
+                                  legendre_forward, legendre_inverse, metric)
 
 # every operator and function of the expression language; a and b are
 # Dense data, c a constant (a float, or a float array over nodes)
@@ -226,6 +231,99 @@ def _fixture(name):
 
 def _equal(a, b):
     return np.array_equal(a, b, equal_nan=True)
+
+
+def _box(sysdef, count, seed):
+    """count velocity points of the sampling box, (count, n) arrays, or
+    one point, (n,) arrays, with count None."""
+    rng = np.random.default_rng(seed)
+    shape = (sysdef.n,) if count is None else (count, sysdef.n)
+    return rng.uniform(-1.0, 1.0, shape), rng.uniform(0.5, 1.5, shape)
+
+
+def _counting_fiber_jets(monkeypatch):
+    """The node count of each evaluation of the fiber map in Newton."""
+    counts = []
+    fiber_jets = system_module._fiber_jets
+
+    def counted(sysdef, at, w, where=None):
+        counts.append(len(np.atleast_2d(w)))
+        return fiber_jets(sysdef, at, w, where)
+
+    monkeypatch.setattr(system_module, "_fiber_jets", counted)
+    return counts
+
+
+@pytest.mark.parametrize("count", [None, 16])
+def test_newton_started_at_a_preimage_evaluates_the_map_once(monkeypatch,
+                                                              count):
+    sysdef = _fixture("cubic")
+    x, v = _box(sysdef, count, 45)
+    p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
+    counts = _counting_fiber_jets(monkeypatch)
+    got = _newton(sysdef, x, p, start=v)
+    assert counts == [1 if count is None else count]
+    assert np.array_equal(got, v) and not np.shares_memory(got, v)
+
+
+@pytest.mark.parametrize("count", [None, 16])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["cubic", "cubic3", "pullback4_newton"])
+def test_a_newton_pair_shares_its_velocity_context(name, order, count):
+    # order 1 is the transport check's pair, order 2 the cross check's
+    sysdef = _fixture(name)
+    x, v = _box(sysdef, count, 46)
+    vctx, pctx = _paired_contexts(sysdef, PhasePoint.velocity(x, v), order)
+    assert pctx.inner is vctx
+
+
+@pytest.mark.parametrize("count", [None, 16])
+def test_a_closed_form_pair_keeps_its_own_inner_context(count):
+    sysdef = _fixture("linear_mode_a")
+    x, v = _box(sysdef, count, 47)
+    vctx, pctx = _paired_contexts(sysdef, PhasePoint.velocity(x, v), 2)
+    assert pctx.inner is not vctx
+    assert np.array_equal(pctx.inner.fiber, pctx.V.val)
+
+
+def _pair_rows(vctx, pctx):
+    """The rows of a context pair: the two curvature relations at order
+    1, the cross fields and their deviations at order 2."""
+    if vctx.order == 1:
+        return [relation(vctx, pctx).deviation for relation in
+                (_dynamic_curvature_relation, _curvature_relation)]
+    vb, pb = velocity_bundle(vctx), momentum_bundle(pctx)
+    return [value for field in CROSS_FIELDS for value in (
+        getattr(pb, field),
+        relative_deviation(getattr(vb, field), getattr(pb, field),
+                           vctx.batch))]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_node_past_the_tolerance_steps_and_gets_a_fresh_inner(monkeypatch,
+                                                               order):
+    sysdef = _fixture("cubic")
+    count, bad = 16, 5
+    x, v = _box(sysdef, count, 48)
+    p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber.copy()
+    p[bad, 0] += 1e3 * NEWTON_TOL
+    counts = _counting_fiber_jets(monkeypatch)
+    vctx = VContext(sysdef, x, v, order)
+    pctx = PContext(sysdef, x, p, order, vctx)
+    # the first evaluation over every node, then node `bad` alone
+    assert counts[0] == count and len(counts) > 1
+    assert all(c == 1 for c in counts[1:])
+    assert pctx.inner is not vctx
+    others = np.arange(count) != bad
+    assert np.array_equal(pctx.inner.fiber[others], v[others])
+    assert not np.array_equal(pctx.inner.fiber[bad], v[bad])
+    rows = _pair_rows(vctx, pctx)
+    for k in range(count):
+        lone_v = VContext(sysdef, x[k], v[k], order)
+        lone_p = PContext(sysdef, x[k], p[k], order, lone_v)
+        assert (lone_p.inner is lone_v) == (k != bad)
+        for got, alone in zip(rows, _pair_rows(lone_v, lone_p)):
+            assert _equal(got[k], alone), k
 
 
 @pytest.mark.parametrize("name", ["cubic", "cubic3", "lagrangian",

@@ -143,6 +143,26 @@ def test_an_ill_conditioned_fiber_map_passes_the_gauge_check():
     assert np.max(residual_norms(bundle_at(sysdef, pt))["weak-alpha"]) > 1e5
 
 
+# bounds on the largest row of a paired check at the default 100 points,
+# seed 0. The momentum route's Newton starts at the velocity point, a
+# preimage already, so the rows carry the formulas' round-off and not
+# Newton's stopping error: with a preimage within NEWTON_TOL they read
+# 4.9e-13 and 5.4e-13 on cubic and 3.1e-9 on coupled. These are test
+# bounds; the check tolerances are 1e-7 and 1e-6.
+MARGINS = {("cubic", "transport"): 1e-13, ("cubic", "cross"): 1e-13,
+           ("coupled", "transport"): 1e-11}
+
+
+@pytest.mark.parametrize("name, check", sorted(MARGINS))
+def test_paired_checks_read_round_off(name, check):
+    report, status = run_checks(RunConfig(fixture(name), checks=(check,),
+                                          seed=0))
+    assert status == 0
+    rows, = (r["rows"] for r in report["checks"])
+    assert len(rows) > 100
+    assert max(row["residual"] for row in rows) < MARGINS[name, check]
+
+
 def test_the_cylindrical_helper_is_the_fixture():
     # the same components give the same bits at a batch of points, and
     # the system is normal there with every n = 3 equation decisive; the

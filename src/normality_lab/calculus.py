@@ -280,9 +280,19 @@ def _vertical_transport(direct, composed, metric, ctx) -> float:
         ctx.batch)
 
 
+def _through_inverse(vctx, pctx, func, direct):
+    """Velocity-native func composed with the inverse map, given its data
+    `direct` on vctx: where vctx is pctx's inner context, that data is
+    composed and not evaluated again."""
+    if pctx.inner is vctx:
+        return jets.compose(direct, pctx.transform)
+    return pctx.eval_velocity_native(func)
+
+
 def _vertical_transport_velocity(vctx, pctx, func) -> float:
-    direct, composed = vctx.eval_native(func), pctx.eval_velocity_native(func)
-    return _vertical_transport(direct, composed, vctx.g_values, vctx)
+    direct = vctx.eval_native(func)
+    return _vertical_transport(direct, _through_inverse(vctx, pctx, func, direct),
+                               vctx.g_values, vctx)
 
 
 def vertical_transport_velocity(sysdef, pt, func) -> float:
@@ -301,23 +311,23 @@ def vertical_transport_momentum(sysdef, pt, func) -> float:
     return _vertical_transport_momentum(*_paired_contexts(sysdef, pt), func)
 
 
-def _horizontal_transport(native_ctx, other_ctx, evaluate, map_gradient,
-                          components, variance) -> float:
+def _horizontal_transport(native, composed, map_gradient) -> float:
     # D_m X = D_m(X o map) + sum_q D_m map_q d(X o map)/dfiber_q, with the
     # right side taken on the other context
-    lhs = horizontal_derivative(field_of(native_ctx, components, variance)).values()
-    composed = field_of(other_ctx, components, variance, evaluate=evaluate)
-    slots = "acdefghi"[:len(variance)]
+    lhs = horizontal_derivative(native).values()
+    slots = "acdefghi"[:len(native.variance)]
     rhs = (horizontal_derivative(composed).values()
            + np.einsum(f"...{slots}q,...qm->...{slots}m",
                        vertical_derivative(composed).values(), map_gradient))
-    return relative_deviation(lhs, rhs, native_ctx.batch)
+    return relative_deviation(lhs, rhs, native.ctx.batch)
 
 
 def _horizontal_transport_momentum(vctx, pctx, components, variance=()) -> float:
     grad_V = horizontal_derivative(FieldValue(pctx, pctx.V, (UPPER,))).values()
-    return _horizontal_transport(pctx, vctx, vctx.eval_momentum_native,
-                                 grad_V, components, variance)
+    return _horizontal_transport(
+        field_of(pctx, components, variance),
+        field_of(vctx, components, variance, evaluate=vctx.eval_momentum_native),
+        grad_V)
 
 
 def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
@@ -331,8 +341,10 @@ def horizontal_transport_momentum(sysdef, pt, components, variance=()) -> float:
 def _horizontal_transport_velocity(vctx, pctx, components, variance=(),
                                    grad_L=None) -> float:
     grad_L = _fiber_map_gradient(vctx) if grad_L is None else grad_L
-    return _horizontal_transport(vctx, pctx, pctx.eval_velocity_native,
-                                 grad_L, components, variance)
+    native = field_of(vctx, components, variance)
+    composed = FieldValue(pctx, _through_inverse(vctx, pctx, components,
+                                                 native.data), variance)
+    return _horizontal_transport(native, composed, grad_L)
 
 
 def horizontal_transport_velocity(sysdef, pt, components, variance=()) -> float:

@@ -5,6 +5,11 @@ seeded box, runs the selected verification checks at every point, and
 emits one machine-readable report (JSON or CSV). The same file, config,
 and seed always produce byte-identical output; the exit status is 0
 exactly when every selected check passed its tolerances.
+
+A JSON report (schema 2) lists each check's points once, by index, and
+each equation's tolerance and flags once; a row is the list
+[index, equation, residual, pass]. The CSV is the flat table of the
+same rows, one a line, with their points and tolerances written out.
 """
 
 import argparse
@@ -49,6 +54,8 @@ DEFAULT_TOLERANCES = {
 }
 
 RESAMPLE_LIMIT = 10
+
+SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -110,27 +117,27 @@ def _validate_config(cfg: RunConfig, checks, tolerances):
                 f"tolerance {name!r} must be {what}, got {value!r}")
 
 
-def _row(equation, residual, tolerance, **flags):
-    """One report row; a non-finite residual fails and is written as
-    null, and _summarize lets it decide its check whatever its flags."""
+def _row(equation, residual, tolerance):
+    """One row of a point, [equation, residual, pass]; a non-finite
+    residual fails and is written as null, and _summarize lets it
+    decide its check whatever its equation's flags."""
     residual = float(residual)
     finite = math.isfinite(residual)
-    row = {"equation": equation, "residual": residual if finite else None,
-           "tolerance": float(tolerance),
-           "pass": finite and residual <= tolerance}
-    row.update(flags)
-    return row
+    return [equation, residual if finite else None,
+            finite and residual <= tolerance]
 
 
 def _per_point(x, columns):
-    """The row lists of the points x, (n,) or (N, n), from columns
-    (equation, residuals, tolerance[, flags]) with one residual a
-    point."""
-    columns = [(eq, np.reshape(res, -1).tolist(), tol,
-                flags[0] if flags else {})
-               for eq, res, tol, *flags in columns]
-    return [[_row(eq, res[k], tol, **flags) for eq, res, tol, flags in columns]
-            for k in range(len(np.atleast_2d(x)))]
+    """The equation table and the rows of the points x, (n,) or (N, n),
+    from columns (equation, residuals, tolerance[, flags]) with one
+    residual a point: {equation: {"tolerance": ..., **flags}} and one
+    row list a point."""
+    table, lists = {}, []
+    for eq, res, tol, *flags in columns:
+        table[eq] = {"tolerance": float(tol), **(flags[0] if flags else {})}
+        lists.append((eq, np.reshape(res, -1).tolist(), tol))
+    return table, [[_row(eq, res[k], tol) for eq, res, tol in lists]
+                   for k in range(len(np.atleast_2d(x)))]
 
 
 def _scalar_draw(rng, n, kind):
@@ -253,7 +260,8 @@ def _gauge_rows(sysdef, doc, x, v, draws, tol):
 
 
 # Each builder takes the points x, v, of shape (n,) or (N, n), and the
-# extra draws of each point (_DRAWS), and returns one row list a point.
+# extra draws of each point (_DRAWS), and returns the check's equation
+# table and one row list a point (_per_point).
 _BUILDERS = {
     "metric": _metric_rows,
     "transport": _transport_rows,
@@ -322,22 +330,27 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
         v = rng.uniform(*FIBER_BOX, n)
         return x, v, extra(rng, n) if extra else None
 
-    rows, resampled = [], 0
+    equations, points, rows, resampled = {}, [], [], 0
+
+    def build(x, v, draws):
+        table, out = builder(sysdef, doc, x, v, draws, tolerances)
+        equations.update(table)
+        return out
+
     for start in range(0, cfg.samples, CHUNK):
         rngs = [np.random.default_rng([cfg.seed, check_index, index])
                 for index in range(start, min(start + CHUNK, cfg.samples))]
         done = _evaluate(build, draw, [draw(rng) for rng in rngs], rngs)
         for index, (from_point, attempts, x, v) in enumerate(done, start):
-            point = {"rep": "v", "x": [float(c) for c in x],
-                     "fiber": [float(c) for c in v]}
-            for row in from_point:
-                row.update(check=check_id, index=index, point=point)
-            rows.extend(from_point)
+            points.append({"rep": "v", "x": x.tolist(), "fiber": v.tolist()})
+            rows.extend([index, *row] for row in from_point)
             resampled += attempts
-    return rows, resampled
+    return {"equations": equations, "points": points, "rows": rows}, resampled
 
 
 def _shift_rows(doc, sysdef, tolerances):
+    """The shift's record: its output times as its points, and one row
+    a time, shift-start at t = 0 and shift-collinearity after it."""
     if doc.surface is None:
         raise ValidationError(
             "the shift check needs a [surface] section in the file")
@@ -346,43 +359,58 @@ def _shift_rows(doc, sysdef, tolerances):
         kwargs["nu"] = doc.nu
     run = ShiftRun(surface=doc.surface, **kwargs)
     result = shift_integrate(sysdef, run)
+    start, later = (("shift-start", tolerances["shift-start"]),
+                    ("shift-collinearity", tolerances["shift"]))
     rows = []
-    for index, t in enumerate(result.times):
-        key = "shift-start" if index == 0 else "shift"
-        rows.append(_row(key if index == 0 else "shift-collinearity",
-                         result.deviations[index], tolerances[key],
-                         check="shift", index=index, point={"t": float(t)}))
-    return rows
+    for index, deviation in enumerate(result.deviations):
+        equation, tolerance = later if index else start
+        rows.append([index, *_row(equation, deviation, tolerance)])
+    return {"equations": {eq: {"tolerance": float(tol)}
+                          for eq, tol in (start, later)},
+            "points": [{"t": float(t)} for t in result.times],
+            "rows": rows}
 
 
-def _summarize(rows, resampled):
-    residuals = [row["residual"] for row in rows]
-    decisive = [row for row in rows if row["residual"] is None or (
-        not row.get("conditional") and row.get("decisive", True))]
+def _summarize(record, resampled):
+    """The check's summary. A row decides the check when its residual is
+    non-finite, or its equation is neither conditional nor flagged
+    non-decisive; `worst` is the first decisive row with the largest
+    residual, a non-finite one before any other, and `decisive_max` its
+    residual (0.0 when no row decides)."""
+    rows, equations = record["rows"], record["equations"]
+    decides = {eq for eq, entry in equations.items()
+               if not entry.get("conditional") and entry.get("decisive", True)}
+    residuals = [row[2] for row in rows]
     finite = None not in residuals
+    decisive = [k for k, row in enumerate(rows)
+                if row[2] is None or row[1] in decides]
+    worst = max(decisive, default=None,
+                key=lambda k: (rows[k][2] is None, rows[k][2] or 0.0))
     return {
         "max": max(residuals, default=0.0) if finite else None,
         "mean": ((sum(residuals) / len(residuals) if residuals else 0.0)
                  if finite else None),
-        "pass_count": sum(1 for row in rows if row["pass"]),
+        "pass_count": sum(row[3] for row in rows),
         "rows": len(rows),
         "resampled": resampled,
-        "passed": bool(rows) and all(row["pass"] for row in decisive),
+        "passed": bool(rows) and all(rows[k][3] for k in decisive),
+        "decisive_max": 0.0 if worst is None else rows[worst][2],
+        "worst": None if worst is None else {
+            "row": worst, "equation": rows[worst][1], "index": rows[worst][0]},
     }
 
 
 def _run_one(check_id, cfg, doc, sysdef, tolerances):
+    resampled = 0
     try:
         if check_id == "shift":
-            rows, resampled = _shift_rows(doc, sysdef, tolerances), 0
+            record = _shift_rows(doc, sysdef, tolerances)
         else:
-            rows, resampled = _sweep(check_id, cfg, sysdef, doc, tolerances)
+            record, resampled = _sweep(check_id, cfg, sysdef, doc, tolerances)
     except NormalityLabError as e:
-        return {"id": check_id, "rows": [],
-                "error": {"type": type(e).__name__, "message": str(e)},
-                "summary": _summarize([], 0)}
-    return {"id": check_id, "rows": rows,
-            "summary": _summarize(rows, resampled)}
+        record = {"equations": {}, "points": [], "rows": [],
+                  "error": {"type": type(e).__name__, "message": str(e)}}
+    return {"id": check_id, **record, "summary": _summarize(record, resampled)}
 
 
 def run_checks(cfg: RunConfig):
@@ -398,7 +426,7 @@ def run_checks(cfg: RunConfig):
     records = [_run_one(check_id, cfg, doc, sysdef, tolerances)
                for check_id in checks]
     report = {
-        "schema": 1,
+        "schema": SCHEMA,
         "system": {
             "path": doc.path,
             "n": sysdef.n,
@@ -436,26 +464,30 @@ CSV_COLUMNS = ("check", "equation", "index", "rep", "x", "fiber", "t",
 
 
 def render_csv(report) -> str:
-    """Flat per-row table; summaries are a JSON-format concern."""
+    """Flat table, one row a line, with its point and its equation's
+    tolerance and flags written out; summaries are a JSON-format
+    concern."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in report["checks"]:
-        for row in record["rows"]:
-            point = row.get("point", {})
+        points = [(point.get("rep", ""),
+                   " ".join(repr(c) for c in point.get("x", ())),
+                   " ".join(repr(c) for c in point.get("fiber", ())),
+                   repr(point["t"]) if "t" in point else "")
+                  for point in record["points"]]
+        equations = {eq: (repr(entry["tolerance"]),
+                          str(entry["decisive"]).lower()
+                          if "decisive" in entry else "",
+                          "true" if entry.get("conditional") else "",
+                          ";".join(entry.get("requires", ())))
+                     for eq, entry in record["equations"].items()}
+        for index, equation, residual, passed in record["rows"]:
+            tolerance, *flags = equations[equation]
             writer.writerow([
-                row["check"], row["equation"], row["index"],
-                point.get("rep", ""),
-                " ".join(repr(c) for c in point.get("x", ())),
-                " ".join(repr(c) for c in point.get("fiber", ())),
-                repr(point["t"]) if "t" in point else "",
-                "" if row["residual"] is None else repr(row["residual"]),
-                repr(row["tolerance"]),
-                "pass" if row["pass"] else "fail",
-                "" if "decisive" not in row else str(row["decisive"]).lower(),
-                "true" if row.get("conditional") else "",
-                ";".join(row.get("requires", ())),
-            ])
+                record["id"], equation, index, *points[index],
+                "" if residual is None else repr(residual), tolerance,
+                "pass" if passed else "fail", *flags])
     return buf.getvalue()
 
 
@@ -512,7 +544,7 @@ def main(argv=None) -> int:
     try:
         report, status = run_checks(cfg)
     except NormalityLabError as e:
-        text, status = render_json({"schema": 1, "error": {
+        text, status = render_json({"schema": SCHEMA, "error": {
             "type": type(e).__name__, "message": str(e)}}), 2
     else:
         text = render_json(report) if cfg.fmt == "json" else render_csv(report)

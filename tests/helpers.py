@@ -11,6 +11,7 @@
   oracle for the batched integration of whole fronts
 - the per-node surface geometry and the per-time collinearity trace, as
   the oracles of their batched forms
+- expand, which writes a schema-2 report's rows out as schema-1 rows
 """
 
 import math
@@ -424,3 +425,22 @@ def scalar_tree(draw, n):
     for term in terms:
         root = expr.Binary("+", root, term)
     return expr.Expression(root, n, ("x", "v", "p"), kind)
+
+
+def expand(report):
+    """A schema-2 report with its rows written out as schema 1 wrote
+    them: each row a dict of its check, point index, point, equation,
+    residual, verdict and its equation's tolerance and flags, and no
+    record keeps `points` or `equations`. Everything else, `schema` and
+    the summaries included, is kept as it is."""
+    def record(r):
+        out = {k: v for k, v in r.items() if k not in ("points", "equations")}
+        out["rows"] = [{"check": r["id"], "index": index,
+                        "point": r["points"][index], "equation": equation,
+                        "residual": residual, "pass": passed,
+                        **r["equations"][equation]}
+                       for index, equation, residual, passed in r["rows"]]
+        return out
+    if "checks" not in report:
+        return dict(report)
+    return {**report, "checks": [record(r) for r in report["checks"]]}

@@ -193,10 +193,13 @@ def strict_json(text):
 
 
 def test_non_finite_rows_fail_and_are_written_as_null():
-    for kwargs in ({}, {"conditional": True}, {"decisive": False}):
-        row = cli._row("eq", float("nan"), 1.0, **kwargs)
-        assert row["residual"] is None and row["pass"] is False
-        summary = cli._summarize([cli._row("ok", 0.5, 1.0), row], 0)
+    for flags in ({}, {"conditional": True}, {"decisive": False}):
+        row = cli._row("eq", float("nan"), 1.0)
+        assert row == ["eq", None, False]
+        record = {"equations": {"ok": {"tolerance": 1.0},
+                                "eq": {"tolerance": 1.0, **flags}},
+                  "rows": [[0, *cli._row("ok", 0.5, 1.0)], [0, *row]]}
+        summary = cli._summarize(record, 0)
         assert summary["max"] is None and summary["mean"] is None
         assert summary["pass_count"] == 1 and not summary["passed"]
     with pytest.raises(ValueError):
@@ -277,7 +280,7 @@ def test_overflowing_gauge_rows_fail(tmp_path):
     path = cubic_with(tmp_path, "[gauge]", '[gauge]\nT_1_11 = "1e200"\n')
     report, status = run_checks(RunConfig(path, checks=("gauge",), samples=2))
     assert status == 1
-    record = strict_json(render_json(report))["checks"][0]
+    record = helpers.expand(strict_json(render_json(report)))["checks"][0]
     assert record["summary"]["max"] is None
     assert not record["summary"]["passed"]
     for index in range(2):
@@ -290,6 +293,49 @@ def test_overflowing_gauge_rows_fail(tmp_path):
             assert rows[name]["pass"] is False, name
 
 
+def test_the_summary_names_the_worst_decisive_row(tmp_path):
+    # cubic's largest gauge row is a conditional weak-eta norm, which
+    # does not decide the check; its worst decisive row is a weak-alpha
+    # norm at round-off
+    report, status = run_checks(RunConfig(fixture("cubic"), checks=("gauge",),
+                                          samples=5, seed=0))
+    assert status == 0
+    record, = report["checks"]
+    summary = record["summary"]
+    assert 0.17 < summary["max"] < 0.18
+    big, = (row for row in record["rows"] if row[2] == summary["max"])
+    assert big[1] == "residual-weak-eta"
+    assert record["equations"]["residual-weak-eta"]["conditional"]
+    assert summary["decisive_max"] == 8.881784197001252e-16
+    assert summary["worst"] == {"row": 21, "equation": "residual-weak-alpha",
+                                "index": 1}
+    assert record["rows"][21] == [1, "residual-weak-alpha",
+                                  summary["decisive_max"], True]
+    # of equal residuals the first row is the worst
+    report, _ = run_checks(RunConfig(fixture("cubic"), checks=("metric",),
+                                     samples=5, seed=0))
+    record, = report["checks"]
+    assert [row[2] for row in record["rows"]].count(
+        record["summary"]["decisive_max"]) > 1
+    assert record["summary"]["worst"] == {"row": 0, "index": 0,
+                                          "equation": "metric-product"}
+    # a non-finite decisive row is worse than any finite one, and the
+    # first of them is the worst
+    path = cubic_with(tmp_path, "[gauge]", '[gauge]\nT_1_11 = "1e200"\n')
+    report, status = run_checks(RunConfig(path, checks=("gauge",), samples=2))
+    assert status == 1
+    record, = report["checks"]
+    assert record["rows"][0][2] > 0.9 and record["rows"][3][2] is None
+    assert record["summary"]["decisive_max"] is None
+    assert record["summary"]["worst"] == {"row": 3, "equation": "rule-R",
+                                          "index": 0}
+    # no row decides an error record
+    report, _ = run_checks(RunConfig(fixture("identity2"), checks=("gauge",),
+                                     samples=2))
+    summary = report["checks"][0]["summary"]
+    assert (summary["decisive_max"], summary["worst"]) == (0.0, None)
+
+
 def test_overflowing_connection_writes_strict_json_without_warnings(
         tmp_path):
     path = cubic_with(tmp_path, 'Gamma_2_11 = "0.15*x1"',
@@ -297,7 +343,7 @@ def test_overflowing_connection_writes_strict_json_without_warnings(
     status, out, err = run_module("check", path, "--checks",
                                   "cross,normality,gauge", "--samples", "2")
     assert (status, err) == (1, "")
-    records = strict_json(out)["checks"]
+    records = helpers.expand(strict_json(out))["checks"]
     assert [r["id"] for r in records] == ["cross", "normality", "gauge"]
     for record in records:
         assert "error" not in record
@@ -422,7 +468,7 @@ def test_run_checks_full_fixture_passes():
     assert status == 0
     assert [c["id"] for c in report["checks"]] == list(cli.CHECK_IDS)
     assert all(c["summary"]["passed"] for c in report["checks"])
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["system"]["gauge"] and report["system"]["surface"]
 
 
@@ -431,10 +477,15 @@ def test_report_rows_are_complete():
                                      samples=2, seed=1))
     for record in report["checks"]:
         assert record["rows"], record["id"]
+        assert record["points"], record["id"]
+        for entry in record["equations"].values():
+            assert type(entry["tolerance"]) is float, record["id"]
         for row in record["rows"]:
-            for key in ("check", "equation", "index", "point", "residual",
-                        "tolerance", "pass"):
-                assert key in row, (record["id"], key)
+            index, equation, residual, passed = row
+            assert 0 <= index < len(record["points"]), (record["id"], row)
+            assert equation in record["equations"], (record["id"], row)
+            assert residual is None or type(residual) is float, row
+            assert type(passed) is bool, (record["id"], row)
         summary = record["summary"]
         assert summary["rows"] == len(record["rows"])
         assert summary["pass_count"] <= summary["rows"]
@@ -453,7 +504,7 @@ def test_mutation_fixture_fails_cross():
                                           checks=("cross",),
                                           samples=3, seed=5))
     assert status == 1
-    failing = {row["equation"] for c in report["checks"]
+    failing = {row["equation"] for c in helpers.expand(report)["checks"]
                for row in c["rows"] if not row["pass"]}
     assert "cross-beta" in failing
     assert report["system"]["mutation"] == "flip-beta-term"
@@ -473,7 +524,7 @@ def test_cubic_shift_fixture_fails_the_shift_after_newton():
     report, status = run_checks(RunConfig(fixture("cubic_shift"),
                                           checks=("shift",)))
     assert status == 1
-    shift = report["checks"][0]
+    shift = helpers.expand(report)["checks"][0]
     assert "error" not in shift and not shift["summary"]["passed"]
     assert shift["rows"][0]["pass"] and len(shift["rows"]) == 6
 
@@ -549,7 +600,7 @@ def test_conditional_gauge_rows_do_not_fail_the_check():
                                           checks=("gauge",),
                                           samples=3, seed=11))
     assert status == 0
-    rows = report["checks"][0]["rows"]
+    rows = helpers.expand(report)["checks"][0]["rows"]
     conditional = [r for r in rows if r.get("conditional")]
     assert conditional and any(not r["pass"] for r in conditional)
     assert all(r["requires"] for r in conditional)
@@ -642,7 +693,7 @@ def test_main_writes_report_and_exits_clean(tmp_path):
                        "--seed", "3", "--out", str(out)])
     assert status == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["schema"] == 1 and doc["config"]["samples"] == 2
+    assert doc["schema"] == 2 and doc["config"]["samples"] == 2
 
 
 def test_main_reports_load_failures(tmp_path):
@@ -1011,7 +1062,7 @@ def test_transport_resample_draws_the_next_point_after_the_scalars(monkeypatch):
     # the batch of both points, then point 0 alone, then point 1 alone,
     # once at its first draw and once at its second
     assert calls == [(2, n), (n,), (n,), (n,)]
-    record = report["checks"][0]
+    record = helpers.expand(report)["checks"][0]
     assert record["summary"]["resampled"] == 1
 
     replay.uniform(0.5, 1.5, n)

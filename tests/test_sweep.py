@@ -48,7 +48,7 @@ def test_every_sampled_point_lies_in_the_box():
                                      samples=12))
     (x_lo, x_hi), (f_lo, f_hi) = system.X_BOX, system.FIBER_BOX
     assert [c["id"] for c in report["checks"]] == list(POINT_CHECKS)
-    for record in report["checks"]:
+    for record in helpers.expand(report)["checks"]:
         assert {row["index"] for row in record["rows"]} == set(range(12))
         for row in record["rows"]:
             assert all(x_lo <= c <= x_hi for c in row["point"]["x"])
@@ -67,6 +67,22 @@ def test_a_batch_gives_each_point_its_rows_alone(monkeypatch, name):
     assert batch_calls == [(6, n)] * len(config["checks"])  # no split
     assert status == status_alone
     assert cli.render_json(batched) == cli.render_json(alone)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.system")),
+                         ids=lambda path: path.stem)
+def test_a_batch_that_raises_nothing_is_built_once_a_chunk(monkeypatch, path):
+    # a batch that raises splits down to lone points, which take their
+    # own branch of every solve and can pass where the batch's branch is
+    # wrong; where no point raised, each chunk must be one builder call
+    # (a Newton step that moves its live nodes the wrong way fails here)
+    n = read_system_file(str(path)).sysdef.n
+    for check in _point_checks(str(path)):
+        report, _, calls = _sweep(monkeypatch, 8, path=str(path),
+                                  checks=(check,), samples=16)
+        record, = report["checks"]
+        assert "error" not in record and record["summary"]["resampled"] == 0
+        assert calls == [(8, n)] * 2, (path.stem, check)
 
 
 def _first_draws(seed, check, samples, n, attempts=1):
@@ -112,7 +128,7 @@ def test_degenerate_points_in_a_batch_resample_as_alone(monkeypatch):
     assert batch["checks"][0]["summary"]["resampled"] == 3
     assert cli.render_json(batch) == cli.render_json(one)
     # the resampled points are the second draws of their substreams
-    rows = batch["checks"][0]["rows"]
+    rows = helpers.expand(batch)["checks"][0]["rows"]
     seconds = _first_draws(seed, "metric", samples, n, attempts=2)
     for k in (2, 5, 6):
         x = np.array([r["point"]["x"] for r in rows if r["index"] == k][0])
@@ -230,6 +246,29 @@ def _evaluations(monkeypatch, path, check, samples):
     monkeypatch.undo()
     assert "error" not in report["checks"][0]
     return counter[0]
+
+
+@pytest.mark.parametrize("samples", [1, 16])
+def test_a_newton_pair_evaluates_each_velocity_template_once(monkeypatch,
+                                                            samples):
+    # the momentum context of a Newton pair shares the velocity context,
+    # so a velocity-native template evaluated there is composed through
+    # the inverse map, not evaluated again; a momentum-native one is
+    # evaluated once on each side, at p and at L(x, v)
+    counts = {"v": 0, "p": 0}
+    real = cli._Scalar.evaluate
+
+    def counted(scalar, env):
+        counts[scalar.kind] += 1
+        return real(scalar, env)
+
+    monkeypatch.setattr(cli._Scalar, "evaluate", counted)
+    report, _ = run_checks(RunConfig(fixture("cubic"), checks=("transport",),
+                                     samples=samples, seed=1))
+    record, = report["checks"]
+    assert "error" not in record and record["summary"]["resampled"] == 0
+    n = read_system_file(fixture("cubic")).sysdef.n
+    assert counts == {"v": 1 + n, "p": 2 * (1 + n)}
 
 
 @pytest.mark.parametrize("name", ["linear_mode_a", "identity_full"])

@@ -79,7 +79,8 @@ def test_every_fixture_gives_its_verdicts():
 def test_the_additional_normality_rows_decide_and_pass(name):
     report, status = run_checks(RunConfig(fixture(name), samples=12))
     assert status == 0
-    rows, = (r["rows"] for r in report["checks"] if r["id"] == "normality")
+    rows, = (r["rows"] for r in helpers.expand(report)["checks"]
+             if r["id"] == "normality")
     extra = [row for row in rows if row["equation"] in EXTRA_EQUATIONS]
     assert len(extra) == 3 * 12
     assert all(row["decisive"] and row["pass"] for row in extra)
@@ -123,7 +124,7 @@ def test_a_symmetrized_skew_c_fails_the_normality(monkeypatch, name):
     report, status = run_checks(RunConfig(fixture(name),
                                           checks=("normality",), samples=12))
     assert status == 1
-    rows, = (r["rows"] for r in report["checks"])
+    rows, = (r["rows"] for r in helpers.expand(report)["checks"])
     failing = {row["equation"] for row in rows if not row["pass"]}
     assert failing == {"skew-C"}
 
@@ -135,7 +136,7 @@ def test_an_ill_conditioned_fiber_map_passes_the_gauge_check():
     report, status = run_checks(RunConfig(fixture("coupled"),
                                           checks=("gauge",)))
     assert status == 0
-    rows, = (r["rows"] for r in report["checks"])
+    rows, = (r["rows"] for r in helpers.expand(report)["checks"])
     points = {row["index"]: row["point"] for row in rows}
     pt = PhasePoint.velocity([points[k]["x"] for k in sorted(points)],
                              [points[k]["fiber"] for k in sorted(points)])
@@ -158,7 +159,7 @@ def test_paired_checks_read_round_off(name, check):
     report, status = run_checks(RunConfig(fixture(name), checks=(check,),
                                           seed=0))
     assert status == 0
-    rows, = (r["rows"] for r in report["checks"])
+    rows, = (r["rows"] for r in helpers.expand(report)["checks"])
     assert len(rows) > 100
     assert max(row["residual"] for row in rows) < MARGINS[name, check]
 

@@ -405,16 +405,28 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
         raise ValidationError(
             f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
-    # Newton checks its steps, and rhs every value it is given or
-    # returns, by its own traps or by the checked evaluation
+    # Newton checks its steps; it runs once a front, outside the retry
     with np.errstate(all="ignore"):
         v0 = (_values(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,))
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
         _checked(jets.Dense(0, v0), "V", (count,), x=x0, p=p0)
-        sol = solve_ivp(_rhs(sysdef.force, nodes), (0.0, float(times[-1])),
-                        np.concatenate([x0, v0], axis=1).ravel(),
-                        method="DOP853", rtol=rtol * shrink,
-                        atol=1e-12 * shrink, t_eval=times)
+
+    def integrate(raw):
+        with np.errstate(**(_TRAPS if raw else {"all": "ignore"})):
+            return solve_ivp(_rhs(sysdef.force, nodes, raw),
+                             (0.0, float(times[-1])),
+                             np.concatenate([x0, v0], axis=1).ravel(),
+                             method="DOP853", rtol=rtol * shrink,
+                             atol=1e-12 * shrink, t_eval=times)
+
+    # Phi's raw form under traps where every component has one; a trap
+    # anywhere in that run (Phi, the state check or the integrator's own
+    # arithmetic) integrates the front again with the checked form,
+    # which names the fault or gives the same bits
+    try:
+        sol = integrate(all(hasattr(f, "evaluate_raw") for f in sysdef.force))
+    except FloatingPointError:
+        sol = integrate(raw=False)
     if not sol.success:
         raise IntegrationFailure(
             f"front of {count} nodes (u from {nodes[0].tolist()} to "
@@ -445,49 +457,43 @@ def _at_node(t, x, v, k, nodes):
 
 
 # every floating-point exception that makes a non-finite value from
-# finite operands traps in the right-hand side's raw evaluation
+# finite operands traps in the raw right-hand side's run
 _TRAPS = dict(over="raise", divide="raise", invalid="raise", under="ignore")
 
 
-def _rhs(force, nodes):
+def _rhs(force, nodes, raw):
     """The right-hand side x' = v, v' = Phi(x, v) of the front of
     len(nodes) trajectories, over the state (node, x or v, n) flattened.
-    The names x1.., v1.. are bound once a front. A finite state gets the
-    flow of Phi's raw form under _TRAPS if nothing traps and the flow is
-    finite, which then has the checked form's bits; otherwise, or if a
-    component has no raw form, the checked form names a raising
-    component or a non-finite node. numpy's warnings are left to the
-    caller."""
+    The names x1.., v1.. are bound once a front, to the rows of a
+    (2n, N) buffer that each call fills. The raw mode, run under
+    _TRAPS, raises FloatingPointError on a non-finite state and applies
+    Phi's raw form, which traps wherever the checked form would fail on
+    a finite state; a non-finite constant, which makes a non-finite flow
+    without a trap, traps in the integrator's first step or the next
+    call's state check. The checked mode names a raising component or a
+    non-finite node; numpy's warnings are left to the caller."""
     count, n = len(nodes), len(force)
-    names = [f"{kind}{i + 1}" for kind in "xv" for i in range(n)]
-    raw = [getattr(f, "evaluate_raw", None) for f in force]
-    if None in raw:
-        raw = None
+    buffer = np.empty((2 * n, count))
+    env = dict(zip([f"{kind}{i + 1}" for kind in "xv" for i in range(n)],
+                   buffer))
+    funcs = [f.evaluate_raw if raw else f.evaluate for f in force]
 
     def rhs(t, y):
+        if raw and not np.isfinite(y).all():
+            raise FloatingPointError("non-finite state")
         state = y.reshape(count, 2 * n)
-        env = dict(zip(names, state.T))
+        buffer[...] = state.T
         flow = np.empty((count, 2 * n))
         flow[:, :n] = state[:, n:]
-        if raw is not None and np.isfinite(y).all():
+        for i, f in enumerate(funcs):
             try:
-                with np.errstate(**_TRAPS):
-                    for i, f in enumerate(raw, n):
-                        flow[:, i] = f(env)
-            except FloatingPointError:
-                pass
-            else:
-                if np.isfinite(flow).all():
-                    return flow.reshape(-1)
-        for i, f in enumerate(force):
-            try:
-                flow[:, n + i] = f.evaluate(env)
+                flow[:, n + i] = f(env)
             except EvalError as e:
                 k = e.node or 0
                 where = _at_node(t, state[k, :n], state[k, n:], k, nodes)
                 raise EvalError(
                     f"in Phi{i + 1}: {e.reason} at {where}") from None
-        if not (np.isfinite(y).all() and np.isfinite(flow).all()):
+        if not (raw or np.isfinite(y).all() and np.isfinite(flow).all()):
             k = int(np.argmin(np.isfinite(state).all(axis=1)
                               & np.isfinite(flow).all(axis=1)))
             where = _at_node(t, state[k, :n], state[k, n:], k, nodes)

@@ -197,7 +197,9 @@ class Dense:
                                       - _sq(w) * other.hess) / _sq(b))
         if isinstance(other, _CONST):
             _check(other != 0.0, other, "division by zero, divisor")
-            return self * (1.0 / other)
+            return Dense(self.order, self.val / other,
+                         None if self.grad is None else self.grad / _col(other),
+                         None if self.hess is None else self.hess / _sq(other))
         return NotImplemented
 
     def __rtruediv__(self, other):

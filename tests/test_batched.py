@@ -432,21 +432,24 @@ RHS_FORCE = [expr.parse("0.5*v2^2*(1 + x1)", 2),
 RHS_NODES = np.linspace(0.0, 1.0, 5)[:, None]
 
 
-def test_shift_rhs_is_the_velocity_and_the_force():
-    y = np.random.default_rng(11).uniform(-1.0, 1.0, 5 * 2 * 2)
-    flow = experiments._rhs(RHS_FORCE, RHS_NODES)(0.3, y)
-    x, v = y.reshape(5, 2, 2).transpose(1, 2, 0)
-    force = system_module._values(RHS_FORCE, system_module._env(x, v, "v"),
-                                  (5,))
-    assert flow.tobytes() == np.stack([v.T, force], axis=1).tobytes()
-    # a component without a raw form, which the benchmark's counting
-    # wrapper is, sends every call through the checked evaluation
+def _raw_rhs(force, y):
+    with np.errstate(**experiments._TRAPS):     # as _flow runs the raw mode
+        return experiments._rhs(force, RHS_NODES, True)(0.3, y.ravel())
 
-    class Plain:
-        def evaluate(self, env):
-            return RHS_FORCE[0].evaluate(env)
-    plain = experiments._rhs([Plain(), RHS_FORCE[1]], RHS_NODES)(0.3, y)
-    assert plain.tobytes() == flow.tobytes()
+
+def test_shift_rhs_is_the_velocity_and_the_force():
+    rng = np.random.default_rng(11)
+    rhs = experiments._rhs(RHS_FORCE, RHS_NODES, True)
+    for _ in range(2):      # each call refills the buffer the names read
+        y = rng.uniform(-1.0, 1.0, 5 * 2 * 2)
+        x, v = y.reshape(5, 2, 2).transpose(1, 2, 0)
+        force = system_module._values(RHS_FORCE, system_module._env(x, v, "v"),
+                                      (5,))
+        with np.errstate(**experiments._TRAPS):
+            raw = rhs(0.3, y)
+        checked = experiments._rhs(RHS_FORCE, RHS_NODES, False)(0.3, y)
+        assert raw.tobytes() == checked.tobytes() == np.stack(
+            [v.T, force], axis=1).tobytes()
 
 
 def test_shift_rhs_names_a_non_finite_node():
@@ -455,12 +458,15 @@ def test_shift_rhs_names_a_non_finite_node():
     with pytest.raises(EvalError, match=re.escape(
             "non-finite trajectory position, velocity or force at t=0.3, "
             "x=[nan, 1.0], v=[1.0, 1.0] (node 3, u=[0.75])")):
-        experiments._rhs(RHS_FORCE, RHS_NODES)(0.3, y.ravel())
+        experiments._rhs(RHS_FORCE, RHS_NODES, False)(0.3, y.ravel())
+    # the raw mode checks the state alone
+    with pytest.raises(FloatingPointError):
+        _raw_rhs(RHS_FORCE, y)
 
 
 def _checked_only(monkeypatch):
-    """Make every raw evaluation trap, so that the right-hand side
-    re-runs the checked evaluation on every call."""
+    """Make every raw evaluation trap, so that every front is integrated
+    again with the checked right-hand side."""
     def trap(self, env):
         raise FloatingPointError
     monkeypatch.setattr(expr.Expression, "evaluate_raw", trap)
@@ -469,16 +475,15 @@ def _checked_only(monkeypatch):
 
 def _rhs_error(force, y):
     with pytest.raises(EvalError) as err:
-        with np.errstate(all="ignore"):     # as _flow runs the rhs
-            experiments._rhs(force, RHS_NODES)(0.3, y.ravel())
+        with np.errstate(all="ignore"):     # as _flow runs the checked mode
+            experiments._rhs(force, RHS_NODES, False)(0.3, y.ravel())
     return str(err.value)
 
 
 # x1 falls from 1 to 0 over the five nodes; x2 and v are 1
 RHS_X1 = np.linspace(1.0, 0.0, 5)
-
-
-@pytest.mark.parametrize("source, reason, k", [
+# each raising force, the checked form's reason and its first node
+RAISING = [
     ("sqrt(x1 - 0.6)", "sqrt of negative value -0.09999999999999998", 2),
     ("v2 + ln(x1)", "ln of non-positive value 0.0", 4),
     ("exp(1000*x1)", "exp overflow at 1000.0", 0),
@@ -489,18 +494,20 @@ RHS_X1 = np.linspace(1.0, 0.0, 5)
     ("v1*2^1024", "non-finite power result for base 2.0", 0),
     # exp overflows where tanh would hide it
     ("tanh(exp(800*x1))", "exp overflow at 800.0", 0),
-])
-def test_shift_rhs_names_a_raising_force(monkeypatch, source, reason, k):
+]
+
+
+@pytest.mark.parametrize("source, reason, k", RAISING)
+def test_shift_rhs_names_a_raising_force(source, reason, k):
     y = np.ones((5, 2, 2))
     y[:, 0, 0] = RHS_X1
     force = [expr.parse(source, 2), RHS_FORCE[1]]
     where = (f"t=0.3, x={[float(RHS_X1[k]), 1.0]}, v=[1.0, 1.0] "
              f"(node {k}, u={RHS_NODES[k].tolist()})")
-    message = _rhs_error(force, y)
-    assert message == f"in Phi1: {reason} at {where}"
-    # the checked evaluation alone raises the same error
-    _checked_only(monkeypatch)
-    assert _rhs_error(force, y) == message
+    assert _rhs_error(force, y) == f"in Phi1: {reason} at {where}"
+    # the raw form traps instead
+    with pytest.raises(FloatingPointError):
+        _raw_rhs(force, y)
 
 
 NON_FINITE = "non-finite trajectory position, velocity or force"
@@ -514,19 +521,71 @@ NON_FINITE = "non-finite trajectory position, velocity or force"
     # a non-finite position, where exp(-inf) = 0 would hide it
     ("exp(x2)", (1, 0, 1, -np.inf), 1, "in Phi1: exp of non-finite value -inf"),
 ])
-def test_shift_rhs_names_a_non_finite_flow(monkeypatch, source, bad, k,
-                                           reason):
+def test_shift_rhs_names_a_non_finite_flow(source, bad, k, reason):
     y = np.ones((5, 2, 2))
     y[:, 0, 0] = RHS_X1
     if bad is not None:
         y[bad[:3]] = bad[3]
     force = [expr.parse(source, 2), RHS_FORCE[1]]
-    message = _rhs_error(force, y)
-    assert message == (
+    assert _rhs_error(force, y) == (
         f"{reason} at t=0.3, x={y[k, 0].tolist()}, v={y[k, 1].tolist()} "
         f"(node {k}, u={RHS_NODES[k].tolist()})")
-    _checked_only(monkeypatch)
-    assert _rhs_error(force, y) == message
+    # the raw mode traps on the overflow, or rejects the state
+    with pytest.raises(FloatingPointError):
+        _raw_rhs(force, y)
+
+
+def _front_error(force, surface, nu):
+    """The error of a five-node front of the identity fiber map under
+    force, whose right-hand side raises at its first fault."""
+    system = SystemDef(2, helpers.parse_all(["v1", "v2"], 2), force)
+    run = ShiftRun(surface=helpers.parse_surface(surface), nu=nu,
+                   u_samples=5, t_final=2.0, time_steps=4)
+    with pytest.raises(EvalError) as err:
+        shift_integrate(system, run)
+    return str(err.value)
+
+
+# the front of the right-hand-side cases: x1 falls from 1 to 0 over
+# the five nodes, x2 is 1, and v starts at (0, 1)
+LINE = ["1 - u1", "1"]
+
+
+@pytest.mark.parametrize("source, reason, k", RAISING)
+def test_a_raising_force_fails_the_front_with_the_checked_message(
+        source, reason, k):
+    where = (f"t=0.0, x={[float(RHS_X1[k]), 1.0]}, v=[0.0, 1.0] "
+             f"(node {k}, u={RHS_NODES[k].tolist()})")
+    assert _front_error([expr.parse(source, 2), RHS_FORCE[1]], LINE, -1.0) \
+        == f"in Phi1: {reason} at {where}"
+
+
+@pytest.mark.parametrize("source, surface, nu, message", [
+    ("x1*1e308*10", LINE, -1.0,
+     "non-finite trajectory position, velocity or force at t=0.0, "
+     "x=[1.0, 1.0], v=[0.0, 1.0] (node 0, u=[0.0])"),
+    # the velocity 1e308 overflows the integrator's first step to a
+    # nan position
+    ("x1", ["u1", "0"], 1e308,
+     "non-finite trajectory position, velocity or force at t=3.5e-323, "
+     "x=[0.0, nan], v=[0.0, 1e+308] (node 0, u=[0.0])"),
+    ("exp(x2)", ["u1", "0"], -1e308,
+     "in Phi1: exp of non-finite value nan at t=3.5e-323, x=[0.0, nan], "
+     "v=[3.5e-323, -1e+308] (node 0, u=[0.0])"),
+])
+def test_a_non_finite_flow_fails_the_front_with_the_checked_message(
+        source, surface, nu, message):
+    assert _front_error([expr.parse(source, 2), RHS_FORCE[1]], surface, nu) \
+        == message
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_constant_force_fails_the_front(value):
+    # the raw form of a constant makes a non-finite value without a trap
+    force = [expr.parse("0", 2), system_module.ConstFunc(value, 2)]
+    assert _front_error(force, LINE, -1.0) == (
+        "non-finite trajectory position, velocity or force at t=0.0, "
+        "x=[1.0, 1.0], v=[0.0, 1.0] (node 0, u=[0.0])")
 
 
 SURFACE_FIXTURES = [path.stem for path in sorted(
@@ -534,17 +593,123 @@ SURFACE_FIXTURES = [path.stem for path in sorted(
     if read_system_file(str(path)).surface is not None]
 
 
-@pytest.mark.parametrize("name", SURFACE_FIXTURES)
-def test_checked_rhs_gives_the_shift_of_the_raw_rhs(monkeypatch, name):
+def _fixture_shift(name):
     doc = read_system_file(
         str(Path(__file__).parent / "fixtures" / f"{name}.system"))
-    run = ShiftRun(surface=doc.surface, nu=doc.nu, **{
+    return doc.sysdef, _doc_run(doc)
+
+
+def _doc_run(doc):
+    return ShiftRun(surface=doc.surface, nu=doc.nu, **{
         key: doc.options[key] for key in SHIFT_OPTIONS if key in doc.options})
-    raw = shift_integrate(doc.sysdef, run)
-    _checked_only(monkeypatch)
-    checked = shift_integrate(doc.sysdef, run)
+
+
+def _same_shift(a, b):
     for field in ("times", "points", "covectors", "deviations"):
-        assert np.array_equal(getattr(raw, field), getattr(checked, field))
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def _spy(monkeypatch):
+    """The right-hand-side modes (raw or not) of the integrations a shift
+    starts, and the call counts of those that return."""
+    import scipy.integrate
+    modes, nfev = [], []
+    rhs, solve = experiments._rhs, scipy.integrate.solve_ivp
+
+    def spy_rhs(force, nodes, raw):
+        modes.append(raw)
+        return rhs(force, nodes, raw)
+
+    def spy_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    monkeypatch.setattr(experiments, "_rhs", spy_rhs)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy_solve)
+    return modes, nfev
+
+
+@pytest.mark.parametrize("name", SURFACE_FIXTURES)
+def test_checked_rhs_gives_the_shift_of_the_raw_rhs(monkeypatch, name):
+    sysdef, run = _fixture_shift(name)
+    raw = shift_integrate(sysdef, run)
+    _checked_only(monkeypatch)
+    modes, _ = _spy(monkeypatch)
+    _same_shift(shift_integrate(sysdef, run), raw)
+    assert modes == [True, False]
+
+
+# right-hand-side calls of one front: the checked mode's, which the raw
+# mode must keep
+FIXTURE_NFEV = {"cubic_shift": 62, "identity_full": 47, "shear": 77}
+WORKLOAD_FRONTS = ("circle-newton-0", "circle-closed-0", "sphere-newton-0",
+                   "control", "shear")
+
+
+def _workload_shift(monkeypatch, tmp_path, name, seed=7):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import workloads
+    spec, = (s for s in workloads.systems("shift-fronts", seed)
+             if s.name == name)
+    path = tmp_path / f"{name}.system"
+    path.write_text(spec.text)
+    doc = read_system_file(str(path))
+    return doc.sysdef, _doc_run(doc)
+
+
+@pytest.mark.parametrize("name", SURFACE_FIXTURES)
+def test_a_fixture_front_integrates_once_in_the_raw_mode(monkeypatch, name):
+    sysdef, run = _fixture_shift(name)
+    modes, nfev = _spy(monkeypatch)
+    shift_integrate(sysdef, run)
+    assert (modes, nfev) == ([True], [FIXTURE_NFEV[name]])
+
+
+@pytest.mark.parametrize("name", WORKLOAD_FRONTS)
+def test_a_workload_front_integrates_once_in_the_raw_mode(monkeypatch,
+                                                          tmp_path, name):
+    sysdef, run = _workload_shift(monkeypatch, tmp_path, name)
+    modes, nfev = _spy(monkeypatch)
+    shift_integrate(sysdef, run)
+    # 2 calls to start, 3 steps of 12 stages and 3 dense outputs of 3
+    assert (modes, nfev) == ([True], [47])
+
+
+def test_a_force_without_a_raw_form_integrates_once_checked(monkeypatch):
+    # the benchmark's counting wrapper has no raw form
+    class Plain:
+        def __init__(self, f):
+            self.f, self.dimension, self.fiber_kind = f, f.dimension, "v"
+
+        def evaluate(self, env):
+            return self.f.evaluate(env)
+    sysdef, run = _fixture_shift("cubic_shift")
+    raw = shift_integrate(sysdef, run)
+    plain = SystemDef(sysdef.n, sysdef.legendre,
+                      [Plain(f) for f in sysdef.force],
+                      v_inverse=sysdef.v_inverse)
+    modes, nfev = _spy(monkeypatch)
+    _same_shift(shift_integrate(plain, run), raw)
+    assert (modes, nfev) == ([False], [FIXTURE_NFEV["cubic_shift"]])
+
+
+def test_a_trap_in_the_integrator_integrates_the_front_again(monkeypatch):
+    from scipy.integrate import DOP853
+
+    sysdef, run = _fixture_shift("cubic_shift")
+    untrapped = shift_integrate(sysdef, run)
+    modes, nfev = _spy(monkeypatch)
+    step, injected = DOP853._step_impl, []
+
+    def faulty(self):
+        if not injected:
+            injected.append(self.t)
+            raise FloatingPointError("injected into the integrator's step")
+        return step(self)
+    monkeypatch.setattr(DOP853, "_step_impl", faulty)
+    _same_shift(shift_integrate(sysdef, run), untrapped)
+    # the trapped run returns nothing; the checked run counts as before
+    assert (modes, nfev) == ([True, False], [FIXTURE_NFEV["cubic_shift"]])
 
 
 def test_overflowing_force_raises_without_a_warning():

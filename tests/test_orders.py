@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normality_lab import calculus, cli, experiments, normality, system
+from normality_lab import calculus, cli, experiments, expr, normality, system
 from normality_lab.calculus import _paired_contexts
 from normality_lab.errors import MissingJets
 from normality_lab.normality import momentum_bundle, velocity_bundle
@@ -38,6 +38,26 @@ def _points(sysdef, lone, seed=3):
 
 def _scalar(rng, n, kind, count):
     return cli._Scalar([cli._scalar_draw(rng, n, kind) for _ in range(count)])
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_the_dense_fiber_map_is_its_float_evaluation_and_derivative_trees(
+        path):
+    # a constant divisor divides Dense data as it divides floats, so the
+    # first-order fiber map has the bits of the float evaluation and its
+    # Jacobian those of the expr.derivative trees, bit for bit
+    sysdef = read_system_file(str(path)).sysdef
+    n, rng = sysdef.n, np.random.default_rng(5)
+    x = rng.uniform(*system.X_BOX, (50, n))
+    v = rng.uniform(*system.FIBER_BOX, (50, n))
+    env = system._env(x.T, v.T, "v")
+    dense = system._fiber_jets(sysdef, x, v)
+    assert dense.val.tobytes() == system._values(
+        sysdef.legendre, env, (50,)).tobytes()
+    trees = [[expr.derivative(L, f"v{j + 1}") for j in range(n)]
+             for L in sysdef.legendre]
+    assert dense.grad.tobytes() == system._values(
+        trees, env, (50,)).reshape(50, n, n).tobytes()
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["point", "batch"])

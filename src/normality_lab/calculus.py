@@ -39,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .jets import c_einsum
 from .errors import DimensionError, MissingJets, MixedRepresentationError
 from .phase import PhasePoint, Rep
-from .system import (PContext, SystemDef, VContext, legendre_forward,
-                     sup_norm)
+from .system import PContext, SystemDef, VContext, sup_norm
 
 UPPER = "u"
 LOWER = "l"
@@ -128,24 +128,24 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
 
     # the field's own slots are spelled out, "..." is the batch
     slots = "acdefghi"[:field.rank]
-    val = dX[..., :n] + np.einsum(f"...{slots}b,...bm->...{slots}m",
-                                  dX[..., n:], N)
+    val = dX[..., :n] + c_einsum(f"...{slots}b,...bm->...{slots}m",
+                                 dX[..., n:], N)
     grad = None
     if ddX is not None:
         grad = (ddX[..., :n, :]
-                + np.einsum(f"...{slots}bz,...bm->...{slots}mz",
-                            ddX[..., n:, :], N)
-                + np.einsum(f"...{slots}b,...bmz->...{slots}mz",
-                            dX[..., n:], ctx.dN))
+                + c_einsum(f"...{slots}bz,...bm->...{slots}mz",
+                           ddX[..., n:, :], N)
+                + c_einsum(f"...{slots}b,...bmz->...{slots}mz",
+                           dX[..., n:], ctx.dN))
     for t, mark in enumerate(field.variance):
         src = slots[:t] + "y" + slots[t + 1:]
         conn, sign = ((f"{slots[t]}my", 1.0) if mark == UPPER
                       else (f"ym{slots[t]}", -1.0))
-        val += sign * np.einsum(f"...{conn},...{src}->...{slots}m", G, X)
+        val += sign * c_einsum(f"...{conn},...{src}->...{slots}m", G, X)
         if grad is not None:
             grad += sign * (
-                np.einsum(f"...{conn}z,...{src}->...{slots}mz", dG, X)
-                + np.einsum(f"...{conn},...{src}z->...{slots}mz", G, dX))
+                c_einsum(f"...{conn}z,...{src}->...{slots}mz", dG, X)
+                + c_einsum(f"...{conn},...{src}z->...{slots}mz", G, dX))
     return FieldValue(ctx, jets.Dense(0 if grad is None else 1, val, grad),
                       field.variance + (LOWER,))
 
@@ -159,8 +159,8 @@ def dynamic_curvature(ctx) -> np.ndarray:
     _, dG, _ = _connection(ctx)
     dfiber = dG[..., ctx.n:]
     if ctx.rep is Rep.MOMENTUM:
-        return -np.einsum("...kijr->...krij", dfiber)
-    return -np.einsum("...kirj->...krij", dfiber)
+        return -c_einsum("...kijr->...krij", dfiber)
+    return -c_einsum("...kirj->...krij", dfiber)
 
 
 def curvature(ctx) -> np.ndarray:
@@ -172,13 +172,13 @@ def curvature(ctx) -> np.ndarray:
     G, dG, fiber = _connection(ctx)
     # lead[m, i]: coefficient of dG/dfiber_m in the base derivative D_i
     if ctx.rep is Rep.MOMENTUM:
-        lead = np.einsum("...s,...smi->...mi", fiber, G)
+        lead = c_einsum("...s,...smi->...mi", fiber, G)
     else:
-        lead = -np.einsum("...s,...mis->...mi", fiber, G)
-    base = dG[..., :n] + np.einsum("...kjrm,...mi->...kjri", dG[..., n:], lead)
-    half = (np.einsum("...kjri->...krij", base)
-            + np.einsum("...kim,...mjr->...krij", G, G))
-    return half - np.einsum("...krij->...krji", half)
+        lead = -c_einsum("...s,...mis->...mi", fiber, G)
+    base = dG[..., :n] + c_einsum("...kjrm,...mi->...kjri", dG[..., n:], lead)
+    half = (c_einsum("...kjri->...krij", base)
+            + c_einsum("...kim,...mjr->...krij", G, G))
+    return half - c_einsum("...krij->...krji", half)
 
 
 @dataclass(frozen=True)
@@ -204,21 +204,23 @@ def relative_deviation(a, b, batch=()):
 def _paired_contexts(sysdef: SystemDef, pt: PhasePoint, order: int = 1):
     """The velocity context at pt, a velocity point or a batch, and the
     momentum context at its image under the fiber map, both at `order`.
-    Without a closed-form inverse, the momentum context's Newton starts
-    at pt, takes no step where pt meets NEWTON_TOL, and then keeps the
-    velocity context as its inner one. The routes still share no
-    formula, only components evaluated at one point: evaluating them
-    again within NEWTON_TOL of pt added no evidence about the formulas.
-    The metric check's round trip keeps the cold start that certifies
-    the inverse. The transport check builds one such pair per batch and
-    evaluates all six relations on it; the public relation functions
-    build their own. Every relation reads first derivatives only;
-    cross_check_all asks for order 2, for its bundles."""
+    The image p is the velocity context's own fiber-map values, the bits
+    legendre_forward gives, so each fiber-map component is evaluated
+    once a batch. Without a closed-form inverse, the momentum context
+    takes pt as the preimage where those values meet NEWTON_TOL, which
+    they do, and keeps the velocity context as its inner one. The routes
+    still share no formula, only components evaluated at one point:
+    evaluating them again within NEWTON_TOL of pt added no evidence
+    about the formulas. The metric check's round trip keeps the cold
+    start that certifies the inverse. The transport check builds one
+    such pair per batch and evaluates all six relations on it; the
+    public relation functions build their own. Every relation reads
+    first derivatives only; cross_check_all asks for order 2, for its
+    bundles."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
     vctx = VContext(sysdef, pt.x, pt.fiber, order)
-    return vctx, PContext(sysdef, pt.x, legendre_forward(sysdef, pt).fiber,
-                          order, vctx)
+    return vctx, PContext(sysdef, pt.x, vctx.L_dense.val, order, vctx)
 
 
 def _fiber_map_gradient(vctx) -> np.ndarray:
@@ -234,8 +236,8 @@ def _fiber_map_gradient(vctx) -> np.ndarray:
 
 def _dynamic_curvature_relation(vctx, pctx, dv=None) -> RelationCheck:
     lhs = dynamic_curvature(pctx)
-    rhs = np.einsum("...sr,...kijs->...krij", vctx.g_inv_values,
-                    dynamic_curvature(vctx) if dv is None else dv)
+    rhs = c_einsum("...sr,...kijs->...krij", vctx.g_inv_values,
+                   dynamic_curvature(vctx) if dv is None else dv)
     return RelationCheck(lhs, rhs, relative_deviation(lhs, rhs, vctx.batch))
 
 
@@ -249,8 +251,8 @@ def _fiber_map_correction(grad_L, g_inv, dv):
     """The velocity side's correction in the curvature relation,
     [k, r, i, j]: (grad_L g^-1)[s, i] dv[k, j, r, s], antisymmetrized in
     i and j by its own transpose."""
-    half = np.einsum("...si,...kjrs->...krij",
-                     np.einsum("...qi,...sq->...si", grad_L, g_inv), dv)
+    half = c_einsum("...si,...kjrs->...krij",
+                    c_einsum("...qi,...sq->...si", grad_L, g_inv), dv)
     return half - np.swapaxes(half, -1, -2)
 
 
@@ -276,7 +278,7 @@ def _vertical_transport(direct, composed, metric, ctx) -> float:
     n = ctx.n
     return relative_deviation(
         direct.grad[..., n:],
-        np.einsum("...qk,...q->...k", metric, composed.grad[..., n:]),
+        c_einsum("...qk,...q->...k", metric, composed.grad[..., n:]),
         ctx.batch)
 
 
@@ -317,8 +319,8 @@ def _horizontal_transport(native, composed, map_gradient) -> float:
     lhs = horizontal_derivative(native).values()
     slots = "acdefghi"[:len(native.variance)]
     rhs = (horizontal_derivative(composed).values()
-           + np.einsum(f"...{slots}q,...qm->...{slots}m",
-                       vertical_derivative(composed).values(), map_gradient))
+           + c_einsum(f"...{slots}q,...qm->...{slots}m",
+                      vertical_derivative(composed).values(), map_gradient))
     return relative_deviation(lhs, rhs, native.ctx.batch)
 
 

@@ -143,8 +143,9 @@ def _per_point(x, columns):
 def _scalar_draw(rng, n, kind):
     """One random scalar of the transport check, as (kind, a, b, c):
     1-based indices a and b and four coefficients rounded to six
-    decimals (-0.000000 reads as -0.0)."""
-    a, b = (int(i) + 1 for i in rng.integers(0, n, size=2))
+    decimals (-0.000000 reads as -0.0). Two scalar draws of the indices
+    give the bits of one size=2 draw without its array path."""
+    a, b = int(rng.integers(0, n)) + 1, int(rng.integers(0, n)) + 1
     return kind, a, b, [float(f"{w:.6f}")
                         for w in rng.uniform(-1.0, 1.0, size=4)]
 
@@ -321,9 +322,6 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
     extra = _DRAWS.get(check_id)
     check_index = CHECK_IDS.index(check_id)
     n = sysdef.n
-
-    def build(x, v, draws):
-        return builder(sysdef, doc, x, v, draws, tolerances)
 
     def draw(rng):
         x = rng.uniform(*X_BOX, n)

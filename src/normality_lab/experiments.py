@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import jets
+from .jets import c_einsum
 from .calculus import (LOWER, UPPER, FieldValue, horizontal_derivative,
                        relative_deviation, vertical_derivative)
 from .errors import (DegeneratePoint, DegenerateSurface, EvalError,
@@ -94,16 +95,16 @@ def _gauge_contractions(Tvals, Lv, W, P, A, B, alpha):
     """The rules' contractions of the gauge tensor with L, by rule, as
     two- and three-operand steps over TL = T^b_rq L_b and TL P; the C
     rule's long term is (TL P) A P^T TL^T."""
-    TL = np.einsum("...brq,...b->...rq", Tvals, Lv)
-    TLP = np.einsum("...rq,...qm->...rm", TL, P)
+    TL = c_einsum("...brq,...b->...rq", Tvals, Lv)
+    TLP = c_einsum("...rq,...qm->...rm", TL, P)
     return {
-        "U": np.einsum("...iq,...q->...i", TL, W),
-        "B": np.einsum("...sk,...rk->...rs", TLP, A - np.swapaxes(A, -1, -2)),
-        "C-B": np.einsum("...rm,...ms->...rs", TLP, B),
-        "C-A": np.einsum("...ra,...ca,...sc->...rs",
-                         np.einsum("...rm,...ma->...ra", TLP, A), P, TL),
-        "beta": np.einsum("...kq,...q->...k", TL, alpha),
-        "eta": np.einsum("...ks,...s->...k", TLP, alpha),
+        "U": c_einsum("...iq,...q->...i", TL, W),
+        "B": c_einsum("...sk,...rk->...rs", TLP, A - np.swapaxes(A, -1, -2)),
+        "C-B": c_einsum("...rm,...ms->...rs", TLP, B),
+        "C-A": c_einsum("...ra,...ca,...sc->...rs",
+                        c_einsum("...rm,...ma->...ra", TLP, A), P, TL),
+        "beta": c_einsum("...kq,...q->...k", TL, alpha),
+        "eta": c_einsum("...ks,...s->...k", TLP, alpha),
     }
 
 
@@ -131,14 +132,14 @@ def _gauge_deviations(sysdef, tensor, x, v):
     out["U"] = dev(vb2.U, vb.U + c["U"])
     out["D"] = dev(vb2.D, D1 - np.swapaxes(vertT, -3, -2))
     rule_r = (vb.R
-              + np.einsum("...kjri->...krij", gradT)
-              - np.einsum("...kirj->...krij", gradT)
-              - np.einsum("...m,...sjm,...kirs->...krij", v, Tvals, D1)
-              + np.einsum("...m,...sim,...kjrs->...krij", v, Tvals, D1)
-              + np.einsum("...kim,...mjr->...krij", Tvals, Tvals)
-              - np.einsum("...kjm,...mir->...krij", Tvals, Tvals)
-              + np.einsum("...m,...sjm,...kirs->...krij", v, Tvals, vertT)
-              - np.einsum("...m,...sim,...kjrs->...krij", v, Tvals, vertT))
+              + c_einsum("...kjri->...krij", gradT)
+              - c_einsum("...kirj->...krij", gradT)
+              - c_einsum("...m,...sjm,...kirs->...krij", v, Tvals, D1)
+              + c_einsum("...m,...sim,...kjrs->...krij", v, Tvals, D1)
+              + c_einsum("...kim,...mjr->...krij", Tvals, Tvals)
+              - c_einsum("...kjm,...mir->...krij", Tvals, Tvals)
+              + c_einsum("...m,...sjm,...kirs->...krij", v, Tvals, vertT)
+              - c_einsum("...m,...sim,...kjrs->...krij", v, Tvals, vertT))
     out["R"] = dev(vb2.R, rule_r)
     out["B"] = dev(vb2.B, B + c["B"])
     # the C rule pins down the skew part only; its symmetric remainder
@@ -299,8 +300,9 @@ def _front_geometry(run: ShiftRun, nodes):
     rows followed by the normal make a positively oriented frame."""
     count, m = nodes.shape
     env = {f"u{d + 1}": u for d, u in enumerate(jets.seeds(nodes.T, order=1))}
-    _, frame = _evaluate(run.surface, env, "x", u=nodes)
-    frame = _checked(jets.stack(frame, m, (count,)), "x", (count,), u=nodes)
+    _, frame, index = _evaluate(run.surface, env, "x", u=nodes)
+    frame = _checked(jets.stack(frame, m, (count,), index=index), "x", (count,),
+                     u=nodes)
     tangents = frame.grad.transpose(0, 2, 1)           # (N, m, n)
     _, sing, vt = np.linalg.svd(tangents)
     collapsed = sing[:, -1] < SURFACE_RANK_FLOOR

@@ -36,6 +36,15 @@ import numpy as np
 
 from .errors import EvalError, MissingJets, SingularMetric
 
+# numpy's C einsum kernel, where np.einsum ends when it is given neither
+# `optimize` nor `out`: called directly it gives the same bits without
+# np.einsum's Python-level dispatch, about 1 us of a 2 us contraction
+# over a few dozen entries. numpy 1.x keeps it in numpy.core.
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:
+    from numpy.core.multiarray import c_einsum
+
 _NUMBER = (int, float, np.integer, np.floating)
 # constants Dense data combines with: numbers, and float arrays over S
 _CONST = _NUMBER + (np.ndarray,)
@@ -203,10 +212,22 @@ class Dense:
         return NotImplemented
 
     def __rtruediv__(self, other):
+        # the steps of the expr.derivative trees of c/u, in their order,
+        # so that both give the same bits: grad = -(w du)/u and, by the
+        # same rules, hess = (-(w ddu + du grad^T) - grad du^T)/u
         if isinstance(other, _CONST):
             v = self.val
             _check(v != 0.0, v, "division by zero, divisor")
-            return self._chain(other / v, -other / (v * v), 2.0 * other / (v * v * v))
+            w = other / v
+            _finite(w, v, "non-finite value at argument")
+            if self.order == 0:
+                return Dense(0, w)
+            grad = -(_col(w) * self.grad) / _col(v)
+            if self.order == 1:
+                return Dense(1, w, grad)
+            cross = _outer(grad, self.grad)
+            hess = -(_sq(w) * self.hess + cross.swapaxes(-1, -2)) - cross
+            return Dense(2, w, grad, hess / _sq(v))
         return NotImplemented
 
 
@@ -226,9 +247,10 @@ def seeds(values, order: int = 2):
     return out
 
 
-def stack(entries, m: int, batch=(), order: int = 2) -> Dense:
+def stack(entries, m: int, batch=(), order: int = 2, index=None) -> Dense:
     """Dense data over m variables of a sequence of entries, laid along
-    a new axis after the batch axes: val has shape batch + (len,).
+    a new axis after the batch axes: val has shape batch + (len,), or
+    batch + (len(index),) with entry i of the result entries[index[i]].
     Entries are Dense data of shape `batch`, and numbers or float arrays
     of that shape, which are exact constants with zero derivatives. The
     order is the lowest over `order` and the Dense entries."""
@@ -245,6 +267,10 @@ def stack(entries, m: int, batch=(), order: int = 2) -> Dense:
                 grad[..., i, :] = u.grad
             if hess is not None:
                 hess[..., i, :, :] = u.hess
+    if index is not None:
+        axis = len(batch)
+        val, grad, hess = (None if a is None else a.take(index, axis)
+                           for a in (val, grad, hess))
     return Dense(order, val, grad, hess)
 
 
@@ -270,7 +296,7 @@ def einsum(spec: str, *operands) -> Dense:
     subs = inputs.split(",")
     vals = [a.val if isinstance(a, Dense) else a for a in operands]
     dense = [k for k, a in enumerate(operands) if isinstance(a, Dense)]
-    val = np.einsum(spec, *vals)
+    val = c_einsum(spec, *vals)
     if min(operands[k].order for k in dense) == 0:
         return Dense(0, val)
 
@@ -278,7 +304,7 @@ def einsum(spec: str, *operands) -> Dense:
         # operand k replaced by its gradient, with a trailing axis
         ops, s = list(vals), list(subs)
         ops[k], s[k] = operands[k].grad, s[k] + "Y"
-        return np.einsum(f"{','.join(s)}->{output}Y", *ops)
+        return c_einsum(f"{','.join(s)}->{output}Y", *ops)
 
     return Dense(1, val, sum(through(k) for k in dense))
 
@@ -325,7 +351,7 @@ def invert_matrix(A):
         raise SingularMetric("singular matrix while inverting metric") from exc
     if not np.all(np.isfinite(inv)):
         raise SingularMetric("non-finite inverse of the metric")
-    return Dense(1, inv, -np.einsum("...ij,...jkz,...kl->...ilz", inv, grad, inv))
+    return Dense(1, inv, -c_einsum("...ij,...jkz,...kl->...ilz", inv, grad, inv))
 
 
 # elementary functions, dispatching on float / float array / Dense.

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .jets import c_einsum
 from .calculus import (LOWER, UPPER, FieldValue, _paired_contexts, curvature,
                        dynamic_curvature, horizontal_derivative,
                        relative_deviation)
@@ -90,7 +91,7 @@ def lambda_scalar(B: np.ndarray, P: np.ndarray) -> float:
     n = P.shape[-1]
     if n < 2:
         raise DimensionError("the trace factor needs n >= 2")
-    return np.einsum("...rs,...sr->...", B, P) / (n - 1)
+    return c_einsum("...rs,...sr->...", B, P) / (n - 1)
 
 
 def _guard_omega(omega, fiber_scale, **point):
@@ -107,7 +108,7 @@ def _guard_omega(omega, fiber_scale, **point):
 
 def _dot(a, b):
     """a . b over the last axis, per point."""
-    return np.einsum("...q,...q->...", a, b)
+    return c_einsum("...q,...q->...", a, b)
 
 
 def _lifted(s):
@@ -139,34 +140,34 @@ def _velocity_contractions(gi, v, Lv, W, U, Flow, gradL, tLup, tU, tF, tgg,
     and three-operand steps over intermediates of this route alone: Z
     and Z2, Dv with L in its first slot and W in its second or third,
     M = g^-1 gradL, gL = g^-1 L, and tgg and tF against W (and v)."""
-    Z = np.einsum("...s,...r,...srqm->...qm", Lv, W, Dv)
-    Z2 = np.einsum("...s,...r,...sqrm->...qm", Lv, W, Dv)
-    M = np.einsum("...aq,...qk->...ak", gi, gradL)
-    gL = np.einsum("...aq,...q->...a", gi, Lv)
-    WvT = np.einsum("...r,...m,...rms->...s", W, v, tgg)
-    FW = np.einsum("...sr,...r->...s", tF, W)
+    Z = c_einsum("...s,...r,...srqm->...qm", Lv, W, Dv)
+    Z2 = c_einsum("...s,...r,...sqrm->...qm", Lv, W, Dv)
+    M = c_einsum("...aq,...qk->...ak", gi, gradL)
+    gL = c_einsum("...aq,...q->...a", gi, Lv)
+    WvT = c_einsum("...r,...m,...rms->...s", W, v, tgg)
+    FW = c_einsum("...sr,...r->...s", tF, W)
     return {
-        "alpha-tgg": np.einsum("...qk,...q->...k", gi, WvT),
-        "alpha-tF": np.einsum("...qk,...q->...k", gi, FW),
-        "alpha-D": np.einsum("...mk,...m->...k", gi,
-                             np.einsum("...q,...qm->...m", v, Z)),
-        "beta-gradL": np.einsum("...r,...rk->...k",
-                                np.einsum("...rs,...s->...r", gradL, v), M),
-        "beta-F": np.einsum("...r,...rk->...k", Flow, M),
-        "beta-tF": np.einsum("...s,...sk->...k", FW, M),
-        "beta-tgg": np.einsum("...s,...sk->...k", WvT, M),
-        "beta-D-v": np.einsum("...a,...ak->...k",
-                              np.einsum("...m,...ma->...a", v, Z2), M),
-        "beta-D-F": np.einsum("...ka,...a->...k", Z,
-                              np.einsum("...am,...m->...a", gi, Flow)),
-        "B-D": np.einsum("...qr,...sq->...rs", gi, Z),
-        "C-tU": _outer(U, np.einsum("...q,...qs->...s", gL, tU)),
-        "C-tLup": _outer(np.einsum("...q,...qr->...r",
-                                   np.einsum("...qm,...m->...q", tLup, Lv), M),
+        "alpha-tgg": c_einsum("...qk,...q->...k", gi, WvT),
+        "alpha-tF": c_einsum("...qk,...q->...k", gi, FW),
+        "alpha-D": c_einsum("...mk,...m->...k", gi,
+                            c_einsum("...q,...qm->...m", v, Z)),
+        "beta-gradL": c_einsum("...r,...rk->...k",
+                               c_einsum("...rs,...s->...r", gradL, v), M),
+        "beta-F": c_einsum("...r,...rk->...k", Flow, M),
+        "beta-tF": c_einsum("...s,...sk->...k", FW, M),
+        "beta-tgg": c_einsum("...s,...sk->...k", WvT, M),
+        "beta-D-v": c_einsum("...a,...ak->...k",
+                             c_einsum("...m,...ma->...a", v, Z2), M),
+        "beta-D-F": c_einsum("...ka,...a->...k", Z,
+                             c_einsum("...am,...m->...a", gi, Flow)),
+        "B-D": c_einsum("...qr,...sq->...rs", gi, Z),
+        "C-tU": _outer(U, c_einsum("...q,...qs->...s", gL, tU)),
+        "C-tLup": _outer(c_einsum("...q,...qr->...r",
+                                  c_einsum("...qm,...m->...q", tLup, Lv), M),
                          U),
-        "C-D": _outer(U, np.einsum("...sa,...a->...s", Z, gL)),
-        "C-D-r": np.einsum("...ar,...sa->...rs", M, Z),
-        "C-D-s": np.einsum("...as,...ra->...rs", M, Z2),
+        "C-D": _outer(U, c_einsum("...sa,...a->...s", Z, gL)),
+        "C-D-r": c_einsum("...ar,...sa->...rs", M, Z),
+        "C-D-s": c_einsum("...as,...ra->...rs", M, Z2),
     }
 
 
@@ -174,12 +175,12 @@ def _momentum_contractions(p, W, Vv, Qv, U, Dp):
     """The momentum route's contractions of Dp against p and W, as in
     _velocity_contractions but over its own intermediate: pDW, Dp with
     p in its first slot and W in its third."""
-    pDW = np.einsum("...s,...r,...sarc->...ac", p, W, Dp)
+    pDW = c_einsum("...s,...r,...sarc->...ac", p, W, Dp)
     return {
-        "alpha-D": np.einsum("...kq,...q->...k", pDW, Vv),
-        "beta-D": np.einsum("...m,...mk->...k", Qv, pDW),
+        "alpha-D": c_einsum("...kq,...q->...k", pDW, Vv),
+        "beta-D": c_einsum("...m,...mk->...k", Qv, pDW),
         "B-D": pDW,
-        "C-D": _outer(U, np.einsum("...q,...qs->...s", p, pDW)),
+        "C-D": _outer(U, c_einsum("...q,...qs->...s", p, pDW)),
     }
 
 
@@ -238,24 +239,24 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
     c = _velocity_contractions(gi, v, Lv, W, U, Flow, gradL, tLup, tU, tF,
                                tgg, Dv)
 
-    alpha = (np.einsum("...rk,...r->...k", gi, U)
-             + np.einsum("...r,...kr->...k", v, gradLup)
-             + np.einsum("...q,...qk->...k", Fup_v, tLup)
+    alpha = (c_einsum("...rk,...r->...k", gi, U)
+             + c_einsum("...r,...kr->...k", v, gradLup)
+             + c_einsum("...q,...qk->...k", Fup_v, tLup)
              + c["alpha-tgg"]
              + c["alpha-tF"]
-             + np.einsum("...r,...qk,...rq->...k", W, gi, gradL)
+             + c_einsum("...r,...qk,...rq->...k", W, gi, gradL)
              - c["alpha-D"])
 
     beta_terms = [
-        np.einsum("...r,...kr->...k", v, gradU),
-        np.einsum("...q,...qk->...k", Fup_v, tU),
+        c_einsum("...r,...kr->...k", v, gradU),
+        c_einsum("...q,...qk->...k", Fup_v, tU),
         -c["beta-gradL"],
         -c["beta-F"],
-        np.einsum("...r,...rk->...k", W, gradF),
-        np.einsum("...r,...m,...rmk->...k", W, v, gradgradL),
+        c_einsum("...r,...rk->...k", W, gradF),
+        c_einsum("...r,...m,...rmk->...k", W, v, gradgradL),
         -c["beta-tF"],
         -c["beta-tgg"],
-        -np.einsum("...srmk,...m,...r,...s->...k", Rv, v, W, Lv),
+        -c_einsum("...srmk,...m,...r,...s->...k", Rv, v, W, Lv),
         c["beta-D-v"],
         c["beta-D-F"],
     ]
@@ -265,23 +266,23 @@ def velocity_bundle(ctx: VContext, flip_beta_term: int = None) -> NormalityBundl
 
     eta = beta - U * _lifted(_dot(alpha, Lv)) / _lifted(Om)
 
-    A = np.einsum("...qr,...qs->...rs", gi, tLup)
+    A = c_einsum("...qr,...qs->...rs", gi, tLup)
 
-    skew = np.einsum("...qm,...qr->...rm", gi, tLup) - np.einsum("...qr,...qm->...rm", gi, tLup)
+    skew = c_einsum("...qm,...qr->...rm", gi, tLup) - c_einsum("...qr,...qm->...rm", gi, tLup)
     Om2 = _lifted(_lifted(Om))
-    B = (np.einsum("...qr,...qs->...rs", gi, tU)
+    B = (c_einsum("...qr,...qs->...rs", gi, tU)
          + c["B-D"]
          - gradLup
-         + np.einsum("...ks,...qk,...qr->...rs", gradL, gi, tLup)
-         + np.einsum("...rm,...s,...m->...rs", skew, U, Lv) / Om2)
+         + c_einsum("...ks,...qk,...qr->...rs", gradL, gi, tLup)
+         + c_einsum("...rm,...s,...m->...rs", skew, U, Lv) / Om2)
 
     C = (_T(gradU)
-         - np.einsum("...qr,...kq,...ks->...rs", gradL, gi, tU)
-         - np.einsum("...s,...mr,...m->...rs", U, gradLup, Lv) / Om2
+         - c_einsum("...qr,...kq,...ks->...rs", gradL, gi, tU)
+         - c_einsum("...s,...mr,...m->...rs", U, gradLup, Lv) / Om2
          - c["C-tU"] / Om2
          + c["C-tLup"] / Om2
          - c["C-D"] / Om2
-         - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rv, W, Lv)
+         - 0.5 * c_einsum("...qkrs,...k,...q->...rs", Rv, W, Lv)
          # the curvature transport correction splits over both index
          # slots with half weight each; a one-sided full-weight term
          # would shift the symmetric part and break route agreement
@@ -332,17 +333,17 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
     Rp = curvature(ctx)
     c = _momentum_contractions(p, W, Vv, Qv, U, Dp)
 
-    alpha = (np.einsum("...kr,...r->...k", tV, U)
-             + np.einsum("...kr,...r->...k", gradW, Vv)
-             + np.einsum("...rk,...r->...k", tW, Qv)
-             + np.einsum("...r,...kr->...k", W, tQ)
+    alpha = (c_einsum("...kr,...r->...k", tV, U)
+             + c_einsum("...kr,...r->...k", gradW, Vv)
+             + c_einsum("...rk,...r->...k", tW, Qv)
+             + c_einsum("...r,...kr->...k", W, tQ)
              - c["alpha-D"])
 
-    beta = (np.einsum("...kr,...r->...k", gradU, Vv)
-            + np.einsum("...rk,...r->...k", tU, Qv)
-            + np.einsum("...rk,...r->...k", gradV, U)
-            + np.einsum("...rk,...r->...k", gradQ, W)
-            - np.einsum("...srmk,...m,...r,...s->...k", Rp, Vv, W, p)
+    beta = (c_einsum("...kr,...r->...k", gradU, Vv)
+            + c_einsum("...rk,...r->...k", tU, Qv)
+            + c_einsum("...rk,...r->...k", gradV, U)
+            + c_einsum("...rk,...r->...k", gradQ, W)
+            - c_einsum("...srmk,...m,...r,...s->...k", Rp, Vv, W, p)
             + c["beta-D"])
 
     eta = beta - U * _lifted(_dot(alpha, p)) / _lifted(Om)
@@ -353,13 +354,13 @@ def momentum_bundle(ctx: PContext) -> NormalityBundle:
     B = (tU
          + c["B-D"]
          - gradW
-         + np.einsum("...mr,...s,...m->...rs", tW - _T(tW), U, p) / Om2)
+         + c_einsum("...mr,...s,...m->...rs", tW - _T(tW), U, p) / Om2)
 
     C = (_T(gradU)
-         - np.einsum("...r,...ms,...m->...rs", U, tU, p) / Om2
-         - np.einsum("...s,...mr,...m->...rs", U, gradW, p) / Om2
+         - c_einsum("...r,...ms,...m->...rs", U, tU, p) / Om2
+         - c_einsum("...s,...mr,...m->...rs", U, gradW, p) / Om2
          - c["C-D"] / Om2
-         - 0.5 * np.einsum("...qkrs,...k,...q->...rs", Rp, W, p))
+         - 0.5 * c_einsum("...qkrs,...k,...q->...rs", Rp, W, p))
 
     return NormalityBundle(Rep.MOMENTUM, ctx.x.copy(), p.copy(), W, Om, P, U,
                            alpha, beta, eta, A, B, C, lambda_scalar(B, P),
@@ -377,14 +378,14 @@ def residual_arrays(bundle: NormalityBundle) -> dict:
     """The five normality equations as raw residual arrays."""
     P = bundle.P
     return {
-        "weak-alpha": np.einsum("...r,...kr->...k", bundle.alpha, P),
-        "weak-eta": np.einsum("...r,...rk->...k", bundle.eta, P),
-        "skew-A": np.einsum("...rs,...ir,...js->...ij",
-                            bundle.A - _T(bundle.A), P, P),
-        "trace-B": (np.einsum("...ir,...rs,...sj->...ij", P, bundle.B, P)
+        "weak-alpha": c_einsum("...r,...kr->...k", bundle.alpha, P),
+        "weak-eta": c_einsum("...r,...rk->...k", bundle.eta, P),
+        "skew-A": c_einsum("...rs,...ir,...js->...ij",
+                           bundle.A - _T(bundle.A), P, P),
+        "trace-B": (c_einsum("...ir,...rs,...sj->...ij", P, bundle.B, P)
                     - _lifted(_lifted(bundle.lam)) * P),
-        "skew-C": np.einsum("...rs,...ri,...sj->...ij",
-                            bundle.C - _T(bundle.C), P, P),
+        "skew-C": c_einsum("...rs,...ri,...sj->...ij",
+                           bundle.C - _T(bundle.C), P, P),
     }
 
 

@@ -26,11 +26,12 @@ batch; every entry of a batch has the bits it has alone.
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import expr, jets
+from .jets import c_einsum
 from .errors import (AsymmetricGauge, EvalError, MixedRepresentationError,
                      NonConvergence, SingularMetric, ValidationError)
 from .phase import PhasePoint, Rep
@@ -81,12 +82,16 @@ def _vector(funcs, n, what, native="velocity"):
 
 def _component_array(entries, n, what):
     """The components of a velocity-native (1, 2) tensor field as an
-    (n, n, n) object array."""
-    arr = np.empty((n, n, n), dtype=object)
-    for k, i, j in np.ndindex(n, n, n):
-        f = arr[k, i, j] = entries[k][i][j]
+    (n, n, n) object array. Each distinct component is checked once, and
+    a failure names its first entry."""
+    arr = np.fromiter((entries[k][i][j] for k in range(n) for i in range(n)
+                       for j in range(n)), dtype=object, count=n ** 3)
+    arr = arr.reshape(n, n, n)
+    _, funcs, index = _flat(arr)
+    for k, f in enumerate(funcs):
         if f.dimension != n:
-            raise ValidationError(f"{what}[{k}][{i}][{j}] has wrong dimension")
+            idx = "".join(f"[{i}]" for i in _first(index, k, arr.shape))
+            raise ValidationError(f"{what}{idx} has wrong dimension")
         if f.fiber_kind == "p":
             raise ValidationError(f"{what} components must be velocity-native")
     return arr
@@ -141,20 +146,21 @@ def _env(x, fiber, kind):
 
 def _values(components, env, nodes=(), what=None):
     """Float values of one component or nested sequences of them, shape
-    nodes + (count,), numpy's warnings silenced: callers check the
-    values. With `what`, an EvalError names its component."""
-    shape, funcs = _flat(components)
+    nodes + (count,), each distinct component evaluated once, numpy's
+    warnings silenced: callers check the values. With `what`, an
+    EvalError names its component's first entry."""
+    shape, funcs, index = _flat(components)
     out = np.empty(nodes + (len(funcs),))
     with np.errstate(all="ignore"):
-        for i, f in enumerate(funcs):
+        for k, f in enumerate(funcs):
             try:
-                out[..., i] = f.evaluate(env)
+                out[..., k] = f.evaluate(env)
             except EvalError as e:
                 if what is None:
                     raise
-                name = _component_name(what, np.unravel_index(i, shape))
+                name = _component_name(what, _first(index, k, shape))
                 raise EvalError(f"in {name}: {e}") from None
-    return out
+    return out if index is None else out[..., index]
 
 
 def sup_norm(a, batch=()):
@@ -173,34 +179,57 @@ def _component_name(what, idx):
     return what + "".join(digits)
 
 
-def _flat(components):
+def _entries(components):
     """Layout and flat list of one component or nested sequences of
     them."""
     if isinstance(components, np.ndarray):
         return components.shape, list(components.flat)
     if hasattr(components, "evaluate"):
         return (), [components]
-    parts = [_flat(c) for c in components]
+    parts = [_entries(c) for c in components]
     return (len(parts),) + parts[0][0], [f for _, fs in parts for f in fs]
 
 
+def _flat(components):
+    """Layout of one component or nested sequences of them, the distinct
+    components (by identity) in order of first occurrence, and the index
+    of each entry among them, None when every entry is distinct. A
+    component that fills several entries, as a mirrored connection entry
+    or a shared zero does, is evaluated once."""
+    shape, funcs = _entries(components)
+    slots = {}
+    index = [slots.setdefault(id(f), len(slots)) for f in funcs]
+    if len(slots) == len(funcs):
+        return shape, funcs, None
+    return shape, list({id(f): f for f in funcs}.values()), np.array(index)
+
+
+def _first(index, k, shape):
+    """The index in `shape` of the first entry that distinct component k
+    fills."""
+    return np.unravel_index(k if index is None else int(np.argmax(index == k)),
+                            shape)
+
+
 def _evaluate(components, env, what=None, where=None, **point):
-    """Layout and values of components in env: Dense data or constants.
-    An EvalError names its component and the point, or the failing
-    node k of a batch, by where(k) if given, else by _at. numpy warnings
-    are silenced: overflow is caught by _checked on the stacked result."""
-    shape, funcs = _flat(components)
+    """Layout of components, the values in env of the distinct ones
+    (Dense data or constants) and the index of each entry among them,
+    as _flat gives them. An EvalError names its component's first entry
+    and the point, or the failing node k of a batch, by where(k) if
+    given, else by _at. numpy warnings are silenced: overflow is caught
+    by _checked on the stacked result."""
+    shape, funcs, index = _flat(components)
     where = where or (lambda k: _at(k, **point))
     out = []
     with np.errstate(all="ignore"):
-        for i, f in enumerate(funcs):
+        for k, f in enumerate(funcs):
             try:
                 out.append(f.evaluate(env))
             except EvalError as e:
-                name = _component_name(what, np.unravel_index(i, shape))
+                name = _component_name(what, _first(index, k, shape))
                 raise EvalError(f"in {name}: {e.reason} at "
                                 f"{where(e.node or 0)}") from None
-    return shape, out
+    return shape, out, index
 
 
 def _checked(dense, what, batch=(), **point):
@@ -267,8 +296,8 @@ class _Context:
         order = order or self.order
         if env is None:
             env = self.env1 if order == 1 else self.env
-        shape, entries = _evaluate(components, env, what, **self._where)
-        dense = jets.stack(entries, self.m, self.batch, order)
+        shape, entries, index = _evaluate(components, env, what, **self._where)
+        dense = jets.stack(entries, self.m, self.batch, order, index)
         if len(shape) != 1:
             dense = dense.reshape(self.batch + shape)
         return _checked(dense, what, self.batch, **self._where)
@@ -291,8 +320,8 @@ class _Context:
         is dN, which only a second-order field reads."""
         G = self.connection.val
         if self.rep is Rep.MOMENTUM:
-            return np.einsum("...a,...amb->...bm", self.fiber, G)
-        return -np.einsum("...a,...bam->...bm", self.fiber, G)
+            return c_einsum("...a,...amb->...bm", self.fiber, G)
+        return -c_einsum("...a,...bam->...bm", self.fiber, G)
 
     @cached_property
     def dN(self):
@@ -300,11 +329,11 @@ class _Context:
         n = self.n
         _, G, dG, _ = self.connection
         if self.rep is Rep.MOMENTUM:
-            dN = np.einsum("...a,...ambz->...bmz", self.fiber, dG)
-            dN[..., n:] += np.einsum("...amb->...bma", G)
+            dN = c_einsum("...a,...ambz->...bmz", self.fiber, dG)
+            dN[..., n:] += c_einsum("...amb->...bma", G)
         else:
-            dN = -np.einsum("...a,...bamz->...bmz", self.fiber, dG)
-            dN[..., n:] -= np.einsum("...bam->...bma", G)
+            dN = -c_einsum("...a,...bamz->...bmz", self.fiber, dG)
+            dN[..., n:] -= c_einsum("...bam->...bma", G)
         return dN
 
 
@@ -325,8 +354,9 @@ class VContext(_Context):
 
     @cached_property
     def L(self):
-        return tuple(_evaluate(self.sys.legendre, self.env, "L",
-                               **self._where)[1])
+        _, entries, index = _evaluate(self.sys.legendre, self.env, "L",
+                                      **self._where)
+        return tuple(entries if index is None else (entries[k] for k in index))
 
     @cached_property
     def L_dense(self):
@@ -382,8 +412,8 @@ def _fiber_jets(sysdef: SystemDef, x, v, where=None):
     or (N, n) over N nodes; the data then has shape (N, n), the node
     axis leading. where(k) names node k in an error, if given."""
     env = _env(x.T, jets.seeds(v.T, order=1), "v")
-    _, entries = _evaluate(sysdef.legendre, env, "L", where, x=x, v=v)
-    return jets.stack(entries, sysdef.n, v.shape[:-1])
+    _, entries, index = _evaluate(sysdef.legendre, env, "L", where, x=x, v=v)
+    return jets.stack(entries, sysdef.n, v.shape[:-1], index=index)
 
 
 def _at(k=0, **arrays):
@@ -471,9 +501,11 @@ class PContext(_Context):
     context's order, as are the inner VContext at the preimage and
     `transform`, the map (x, p) -> (x, V(x, p)), through which
     jets.compose pushes the inner context's dense data here. Given
-    `vctx`, a velocity context meant to be at the preimage, Newton starts
-    at its point; when no node steps and the orders match, vctx is the
-    inner context. A closed-form inverse builds its own."""
+    `vctx`, a velocity context meant to be at the preimage, its own
+    fiber-map values are the residual: where every node's meets
+    NEWTON_TOL, x is the same and the orders match, vctx is the inner
+    context and the fiber map is not evaluated again; otherwise Newton
+    starts at its point. A closed-form inverse builds its own."""
 
     def __init__(self, sysdef: SystemDef, x, p, order: int = 2, vctx=None):
         super().__init__(sysdef, x, p, Rep.MOMENTUM, order)
@@ -481,14 +513,15 @@ class PContext(_Context):
             self.V = self._dense(sysdef.v_inverse, what="V")
             self.inner = VContext(sysdef, self.x, self.V.val, order)
         else:
-            with np.errstate(all="ignore"):    # Newton checks its own steps
-                v_star = _newton(sysdef, self.x, self.fiber,
-                                 None if vctx is None else vctx.fiber)
             if (vctx is not None and vctx.order == order
                     and np.array_equal(vctx.x, self.x)
-                    and np.array_equal(vctx.fiber, v_star)):
+                    and np.all(sup_norm(vctx.L_dense.val - self.fiber,
+                                        self.batch) <= NEWTON_TOL)):
                 self.inner = vctx
             else:
+                with np.errstate(all="ignore"):  # Newton checks its own steps
+                    v_star = _newton(sysdef, self.x, self.fiber,
+                                     None if vctx is None else vctx.fiber)
                 self.inner = VContext(sysdef, self.x, v_star, order)
             self.V = self._implicit_jets()
 
@@ -507,8 +540,8 @@ class PContext(_Context):
         if self.order == 1:
             return jets.Dense(1, inner.fiber.copy(), J_full[..., n:, :])
         J_ = J_full[..., None, :, :]
-        H = -np.einsum("...sq,...qab->...sab", G_inv,
-                       np.swapaxes(J_, -1, -2) @ L.hess @ J_)
+        H = -c_einsum("...sq,...qab->...sab", G_inv,
+                      np.swapaxes(J_, -1, -2) @ L.hess @ J_)
         return jets.Dense(2, inner.fiber.copy(), J_full[..., n:, :], H)
 
     @cached_property
@@ -616,8 +649,8 @@ def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("theta_from_phi expects a velocity point")
     ctx = VContext(sysdef, pt.x, pt.fiber, order=1)
-    return np.einsum("...im,...m->...i", ctx.L_dense.grad,
-                     np.concatenate([pt.fiber, ctx.phi.val], axis=-1))
+    return c_einsum("...im,...m->...i", ctx.L_dense.grad,
+                    np.concatenate([pt.fiber, ctx.phi.val], axis=-1))
 
 
 def _samples(rng, n, parts):
@@ -651,15 +684,28 @@ def _check_symmetric(tensor, what, name, error, x, v):
                     f"x={x[:, s].tolist()}, v={v[:, s].tolist()}: {a} vs {b}")
 
 
-def _check_gauge(tensor, rng=None):
+@lru_cache(maxsize=None)
+def _plan(n, gauge, inverse):
+    """The validation plan of a system of dimension n with or without a
+    gauge tensor and a closed-form inverse, drawn once from
+    default_rng(0) in this order: the connection's block (x, v), the
+    gauge tensor's (x, v), then x, and p with an inverse. Blocks are
+    read-only (n, 8) arrays (_samples)."""
+    rng = np.random.default_rng(0)
+    plan = _samples(rng, n, 2)
+    if gauge:
+        plan += _samples(rng, n, 2)
+    plan += _samples(rng, n, 2 if inverse else 1)
+    for block in plan:
+        block.flags.writeable = False
+    return tuple(plan)
+
+
+def _check_gauge(tensor):
     """Check a gauge tensor's symmetry on its block of the validation
-    plan: rng is the plan past the connection's block, or None."""
-    n = len(tensor)
-    if rng is None:
-        rng = np.random.default_rng(0)
-        _samples(rng, n, 2)
+    plan."""
     _check_symmetric(tensor, "gauge tensor", "T", AsymmetricGauge,
-                     *_samples(rng, n, 2))
+                     *_plan(len(tensor), True, False)[2:4])
 
 
 def validate_system(sysdef: SystemDef):
@@ -668,22 +714,18 @@ def validate_system(sysdef: SystemDef):
     and symmetric, and a closed-form inverse actually inverts the map.
 
     Each check evaluates its components once over its block of the
-    plan (_samples), drawn from default_rng(0) in this order: the
-    connection's, the gauge tensor's, then x (and p with an inverse).
-    A failure names the first failing sample."""
+    plan (_plan). A failure names the first failing sample."""
     n = sysdef.n
-    rng = np.random.default_rng(0)
+    gauge, inverse = sysdef.gauge is not None, sysdef.v_inverse is not None
+    plan = _plan(n, gauge, inverse)
     _check_symmetric(sysdef.connection, "connection", "Gamma", ValidationError,
-                     *_samples(rng, n, 2))
-    if sysdef.gauge is not None:
-        _check_gauge(sysdef.gauge, rng)
-    if sysdef.v_inverse is None:
-        x, = _samples(rng, n, 1)
-    else:
-        x, p = _samples(rng, n, 2)
+                     *plan[:2])
+    if gauge:
+        _check_gauge(sysdef.gauge)
+    x, p = plan[-2:] if inverse else (plan[-1], None)
     at_zero = _values(sysdef.legendre, _env(x, np.zeros_like(x), "v"), (8,), "L")
     bad = np.max(np.abs(at_zero), axis=1) > 1e-9
-    if sysdef.v_inverse is not None:
+    if inverse:
         v_closed = _values(sysdef.v_inverse, _env(x, p, "p"), (8,), "V")
         back = _values(sysdef.legendre, _env(x, v_closed.T, "v"), (8,), "L")
         residual = np.max(np.abs(back - p.T), axis=1)

@@ -205,6 +205,22 @@ def make_connection(n, entries=None):
     return out
 
 
+class Counting:
+    """A system component that counts its evaluations, and raises
+    EvalError instead when `fails` is set."""
+
+    def __init__(self, inner, fails=False):
+        self.inner, self.fails, self.calls = inner, fails, 0
+        self.dimension, self.fiber_kind = inner.dimension, inner.fiber_kind
+
+    def evaluate(self, env):
+        from normality_lab.errors import EvalError
+        self.calls += 1
+        if self.fails:
+            raise EvalError("shared failure")
+        return self.inner.evaluate(env)
+
+
 def sys_identity(n=2):
     """Trivial fiber map p_i = v_i, no force, flat connection."""
     from normality_lab.system import SystemDef

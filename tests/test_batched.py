@@ -277,6 +277,36 @@ def test_a_newton_pair_shares_its_velocity_context(name, order, count):
     assert pctx.inner is vctx
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["cubic", "pullback4_newton", "linear_mode_a"])
+def test_a_pair_evaluates_each_fiber_map_component_once_a_batch(name, order):
+    # p is the velocity context's own fiber-map values, and a Newton
+    # pair takes the velocity point without evaluating the map again
+    fixture = _fixture(name)
+    legendre = [helpers.Counting(f) for f in fixture.legendre]
+    sysdef = SystemDef(fixture.n, legendre, fixture.force, fixture.connection,
+                       fixture.v_inverse, fixture.gauge, fixture.newton_guess)
+    x, v = _box(sysdef, 16, 48)
+    vctx, pctx = _paired_contexts(sysdef, PhasePoint.velocity(x, v), order)
+    assert [f.calls for f in legendre] == [1] * sysdef.n
+    assert (pctx.inner is vctx) == (sysdef.v_inverse is None)
+    want = legendre_forward(fixture, PhasePoint.velocity(x, v)).fiber
+    assert pctx.fiber.tobytes() == want.tobytes()
+
+
+def test_a_fiber_map_error_at_a_paired_point_names_its_component_and_point():
+    # the context's evaluation raises it, not legendre_forward's bare one
+    n = 2
+    sysdef = SystemDef(n, helpers.parse_all(["v1 + 0*sqrt(x1 + 0.5)", "v2"], n))
+    at = r"at x=\[-0\.9, 0\.0\], v=\[1\.0, 0\.5\]"
+    for x, v, tail in (([-0.9, 0.0], [1.0, 0.5], "$"),
+                       ([[0.2, 0.0], [-0.9, 0.0]], [[1.0, 1.0], [1.0, 0.5]],
+                        r" \(node 1\)$")):
+        with pytest.raises(EvalError, match=r"^in L1: sqrt of negative value "
+                           r"-0\.4\d* " + at + tail):
+            _paired_contexts(sysdef, PhasePoint.velocity(x, v))
+
+
 @pytest.mark.parametrize("count", [None, 16])
 def test_a_closed_form_pair_keeps_its_own_inner_context(count):
     sysdef = _fixture("linear_mode_a")

@@ -1021,10 +1021,14 @@ def test_random_scalars_are_the_parsed_sources():
 
 def test_random_scalar_keeps_the_sign_of_a_negative_zero():
     class Fixed:
-        """Fixed draws: the first coefficient rounds to -0.000000."""
+        """Fixed draws: indices 1 and 0, one at a time or as one size=2
+        draw, and the first coefficient rounds to -0.000000."""
 
-        def integers(self, low, high, size):
-            return np.array([1, 0])
+        def __init__(self):
+            self.indices = [1, 0]
+
+        def integers(self, low, high, size=None):
+            return np.array(self.indices) if size else self.indices.pop(0)
 
         def uniform(self, low, high, size):
             return np.array([-1e-7, 0.25, -0.5, 4e-7])
@@ -1074,3 +1078,37 @@ def test_transport_resample_draws_the_next_point_after_the_scalars(monkeypatch):
     assert len(points) == 6
     for point in points:
         assert point == {"rep": "v", "x": x.tolist(), "fiber": v.tolist()}
+
+
+def test_a_random_scalars_index_draws_are_those_of_one_size_2_draw():
+    # two scalar rng.integers calls get the two halves of the word one
+    # size=2 call takes: three scalars a seed, their uniform draws between
+    for seed in range(300):
+        for n in (2, 3, 4, 5, 7):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for kind in ("v", "p", "v"):
+                a, b = (int(i) + 1 for i in ref.integers(0, n, size=2))
+                c = [float(f"{w:.6f}") for w in ref.uniform(-1.0, 1.0, size=4)]
+                assert cli._scalar_draw(rng, n, kind) == (kind, a, b, c)
+
+
+def test_a_fiber_map_error_of_a_paired_check_names_l_and_its_point(tmp_path):
+    # the transport and cross checks take p from the velocity context,
+    # whose evaluation names the component and the point, as the
+    # normality check's does
+    path = write_system(tmp_path, """
+        [system]
+        n = 2
+
+        [legendre]
+        L1 = "v1 + 0.1*v1^3 + 0*sqrt(x1 + 0.9)"
+        L2 = "v2"
+    """)
+    report, status = run_checks(RunConfig(
+        path, checks=("transport", "cross", "normality"), samples=20))
+    assert status == 1          # a check record with an error fails
+    for record in report["checks"]:
+        assert record["error"]["type"] == "EvalError"
+        assert re.fullmatch(r"in L1: sqrt of negative value -0\.\d+ at "
+                            r"x=\[-0\.9\d*, -?0\.\d+\], v=\[\d\.\d+, \d\.\d+\]",
+                            record["error"]["message"]), record["error"]

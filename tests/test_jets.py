@@ -226,3 +226,25 @@ def test_matrix_inverse_values_and_derivative():
     singular = np.array([[t, 2.0 * t], [2.0 * t, 4.0 * t]], dtype=object)
     with pytest.raises(SingularMetric):
         jets.invert_matrix(_stacked(singular, 1))
+
+
+@pytest.mark.parametrize("source", ["3/v1", "1/v1^2", "v1 - 5/v1"])
+def test_a_constant_over_dense_data_has_the_bits_of_the_derivative_trees(
+        source):
+    # c/u takes the steps of its expr.derivative trees in their order,
+    # at first and at second order
+    e = expr.parse(source, 1)
+    d1 = expr.derivative(e, "v1")
+    d2 = expr.derivative(d1, "v1")
+    v = np.random.default_rng(11).uniform(0.5, 1.5, 200)
+    floats = {"x1": np.zeros(200), "v1": v}
+    for order in (1, 2):
+        (seed,) = jets.seeds(v[None], order)
+        dense = e.evaluate({"x1": np.zeros(200), "v1": seed})
+        assert dense.order == order
+        assert dense.val.tobytes() == e.evaluate(floats).tobytes()
+        assert (np.ascontiguousarray(dense.grad[:, 0]).tobytes()
+                == d1.evaluate(floats).tobytes())
+        if order == 2:
+            assert (np.ascontiguousarray(dense.hess[:, 0, 0]).tobytes()
+                    == d2.evaluate(floats).tobytes())

@@ -1,10 +1,14 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from normality_lab import calculus, expr, jets
+from normality_lab import calculus, experiments, expr, jets, normality
+from normality_lab import system as system_module
+from normality_lab.cli import RunConfig, run_checks
 from normality_lab.errors import (EvalError, NonConvergence, SingularMetric,
                                   ValidationError)
 from normality_lab.phase import PhasePoint, Rep
@@ -12,6 +16,9 @@ from normality_lab.system import (ConstFunc, PContext, SystemDef, VContext,
                                   lagrangian_to_legendre, legendre_forward,
                                   legendre_inverse, metric, theta_from_phi,
                                   validate_system, _newton, _samples)
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+SRC_DIR = Path(normality.__file__).parent
 
 
 def fixtures():
@@ -446,3 +453,139 @@ def test_both_contexts_give_back_their_point():
             assert ctx.rep is pt.rep is rep
             assert np.array_equal(pt.x, x) and np.array_equal(pt.fiber, fiber)
             assert np.array_equal(ctx.fiber, fiber)
+
+
+def _shared_connection(n=3, fails=False):
+    """make_connection's nested list with every parsed component, each
+    filling its mirrored entry pair, wrapped in a counter; the zeros
+    share one constant."""
+    conn = helpers.make_connection(n, {(0, 0, 1): "0.1*v1*x2",
+                                       (1, 0, 2): "sin(x1) + v3",
+                                       (2, 2, 2): "0.2*v2^2"})
+    counters = {}
+    for row in (row for plane in conn for row in plane):
+        for j, f in enumerate(row):
+            if not isinstance(f, ConstFunc):
+                row[j] = counters.setdefault(id(f), helpers.Counting(f, fails))
+    return conn, list(counters.values())
+
+
+def test_a_shared_component_is_evaluated_once_and_laid_out_by_entry():
+    n = 3
+    conn, counters = _shared_connection(n)
+    sysdef = SystemDef(n, helpers.parse_all(["v1", "v2", "v3"], n),
+                       connection=conn)
+    flat = list(sysdef.connection.flat)
+    rng = np.random.default_rng(4)
+    x, v = rng.uniform(-1.0, 1.0, (5, n)), rng.uniform(0.5, 1.5, (5, n))
+
+    # float values: one evaluation a distinct component, the bits of
+    # entry-by-entry evaluation
+    env = system_module._env(x.T, v.T, "v")
+    got = system_module._values(sysdef.connection, env, (5,), "Gamma")
+    assert [c.calls for c in counters] == [1, 1, 1]
+    want = np.stack([np.broadcast_to(f.evaluate(env), (5,)) for f in flat],
+                    axis=-1)
+    assert got.tobytes() == want.tobytes()
+
+    # dense data: the same, against stacking every entry's evaluation
+    for lone in (False, True):
+        for c in counters:
+            c.calls = 0
+        ctx = VContext(sysdef, x[0] if lone else x, v[0] if lone else v)
+        gamma = ctx.gamma
+        assert [c.calls for c in counters] == [1, 1, 1]
+        entries = [f.evaluate(ctx.env1) for f in flat]
+        want = jets.stack(entries, 2 * n, ctx.batch, 1).reshape(
+            ctx.batch + (n, n, n))
+        assert gamma.order == want.order == 1
+        assert gamma.val.tobytes() == want.val.tobytes()
+        assert gamma.grad.tobytes() == want.grad.tobytes()
+
+
+def test_a_raising_shared_component_is_named_by_its_first_entry():
+    n = 3
+    conn, _ = _shared_connection(n, fails=True)
+    sysdef = SystemDef(n, helpers.parse_all(["v1", "v2", "v3"], n),
+                       connection=conn)
+    x, v = np.zeros((2, n)), np.ones((2, n))
+    # Gamma^1_12 and Gamma^1_21 share the first failing component
+    with pytest.raises(EvalError, match="^in Gamma_1_12: shared failure$"):
+        system_module._values(sysdef.connection,
+                              system_module._env(x.T, v.T, "v"), (2,), "Gamma")
+    with pytest.raises(EvalError, match=r"^in Gamma_1_12: shared failure at "
+                       r"x=\[0\.0, 0\.0, 0\.0\], v=\[1\.0, 1\.0, 1\.0\] "
+                       r"\(node 0\)$"):
+        VContext(sysdef, x, v).gamma
+
+
+def test_a_component_of_wrong_dimension_is_named_by_its_first_entry():
+    n = 2
+    conn = helpers.make_connection(n)
+    bad = expr.parse("x1 + x3", 3)
+    conn[1][1][0] = conn[1][0][1] = bad
+    with pytest.raises(ValidationError,
+                       match=r"^connection\[1\]\[0\]\[1\] has wrong dimension$"):
+        SystemDef(n, helpers.parse_all(["v1", "v2"], n), connection=conn)
+
+
+def test_the_load_plan_is_drawn_once_and_read_only():
+    # the plan against fresh default_rng(0) draws, one rng.uniform call
+    # per vector, sample by sample, in the order validate_system reads it
+    for n in range(1, 6):
+        for gauge in (False, True):
+            for inverse in (False, True):
+                widths = (2,) + ((2,) if gauge else ()) + (2 if inverse else 1,)
+                ref = np.random.default_rng(0)
+                want = []
+                for width in widths:
+                    box = (system_module.X_BOX, system_module.FIBER_BOX)[:width]
+                    draws = np.array([[ref.uniform(lo, hi, n) for lo, hi in box]
+                                      for _ in range(8)])
+                    want.extend(draws.transpose(1, 2, 0))
+                plan = system_module._plan(n, gauge, inverse)
+                assert plan is system_module._plan(n, gauge, inverse)
+                assert len(plan) == len(want)
+                for got, block in zip(plan, want):
+                    assert got.tobytes() == block.tobytes()
+                    assert not got.flags.writeable
+                    with pytest.raises(ValueError):
+                        got[0, 0] = 0.0
+
+
+def test_the_einsum_kernel_gives_np_einsums_bits_on_every_spec_in_src(
+        monkeypatch):
+    # every contraction of the fixtures' default checks and of
+    # theta_from_phi, which no check calls, recorded at the kernel and
+    # replayed through np.einsum; each spec the source spells
+    # out, an f-string one as a pattern, must be among them
+    kernel, seen = jets.c_einsum, {}
+
+    def recording(spec, *operands):
+        key = (spec,) + tuple(np.shape(a) for a in operands)
+        seen.setdefault(key, [np.array(a, dtype=float) for a in operands])
+        return kernel(spec, *operands)
+
+    for module in (jets, calculus, normality, experiments, system_module):
+        monkeypatch.setattr(module, "c_einsum", recording)
+    for path in sorted(FIXTURE_DIR.glob("*.system")):
+        run_checks(RunConfig(str(path), samples=2))
+    theta_from_phi(helpers.sys_cubic(),
+                   PhasePoint.velocity([0.1, -0.2], [1.0, 0.9]))
+    for (spec, *_), operands in seen.items():
+        want = np.einsum(spec, *operands)
+        got = kernel(spec, *operands)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), spec
+
+    specs = {spec for spec, *_ in seen}
+    source = "\n".join(p.read_text() for p in SRC_DIR.glob("*.py"))
+    written = re.findall(r'c_einsum\(\s*(f?)"([^"]*)"', source)
+    assert len(written) > 100
+    for is_f, text in written:
+        if is_f:
+            pattern = re.compile("".join(
+                "[a-zA-Z,.>-]*" if part.startswith("{") else re.escape(part)
+                for part in re.split(r"(\{[^}]*\})", text)))
+            assert any(pattern.fullmatch(s) for s in specs), text
+        else:
+            assert text in specs, text

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
-from normality_lab import calculus, normality
+from normality_lab import calculus, jets, normality
 from normality_lab.cli import RunConfig, run_checks
 from normality_lab.experiments import gauge_invariance_report
 from normality_lab.normality import (bundle_at, cross_check_all,
@@ -86,23 +86,18 @@ def test_the_additional_normality_rows_decide_and_pass(name):
     assert all(row["decisive"] and row["pass"] for row in extra)
 
 
-class _FlippedConnectionSquare:
-    """numpy, with the G.G term of calculus.curvature negated."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def einsum(spec, *operands, **kwargs):
-        out = np.einsum(spec, *operands, **kwargs)
-        return -out if spec == "...kim,...mjr->...krij" else out
+def _flipped_connection_square(spec, *operands):
+    """calculus's einsum kernel, with the G.G term of
+    calculus.curvature negated."""
+    out = jets.c_einsum(spec, *operands)
+    return -out if spec == "...kim,...mjr->...krij" else out
 
 
 @pytest.mark.parametrize("name", DECISIVE)
 def test_a_flipped_curvature_term_fails_the_normality(monkeypatch, name):
     # both routes of the transport and cross checks read the same
     # flipped curvature, so only the normality equations can see it
-    monkeypatch.setattr(calculus, "np", _FlippedConnectionSquare())
+    monkeypatch.setattr(calculus, "c_einsum", _flipped_connection_square)
     report, status = run_checks(RunConfig(
         fixture(name), checks=("transport", "cross", "normality"),
         samples=12))

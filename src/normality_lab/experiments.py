@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import jets
+from . import dop853, jets
 from .jets import c_einsum
 from .calculus import (LOWER, UPPER, FieldValue, horizontal_derivative,
                        relative_deviation, vertical_derivative)
@@ -397,11 +397,9 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
     """Positions and momenta (T, N, n) at the output times of the N
     trajectories from x0, p0 (N, n), integrated as one ShiftRun front;
     nodes (N, m) name a failing node."""
-    from scipy.integrate import solve_ivp     # only the shift needs scipy
-
     count, n = x0.shape
-    # the integrator would raise a smaller per-node rtol to 100 eps with
-    # only a warning, loosening the run silently
+    # the smallest per-node rtol DOP853 admits: scipy's, whose bits
+    # dop853 gives, raises a smaller one to 100 eps with only a warning
     shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
     if rtol * shrink < floor:
         raise ValidationError(
@@ -415,11 +413,10 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
 
     def integrate(raw):
         with np.errstate(**(_TRAPS if raw else {"all": "ignore"})):
-            return solve_ivp(_rhs(sysdef.force, nodes, raw),
-                             (0.0, float(times[-1])),
-                             np.concatenate([x0, v0], axis=1).ravel(),
-                             method="DOP853", rtol=rtol * shrink,
-                             atol=1e-12 * shrink, t_eval=times)
+            return dop853.solve(_rhs(sysdef.force, nodes, raw),
+                                (0.0, float(times[-1])),
+                                np.concatenate([x0, v0], axis=1).ravel(),
+                                times, rtol * shrink, 1e-12 * shrink)
 
     # Phi's raw form under traps where every component has one; a trap
     # anywhere in that run (Phi, the state check or the integrator's own
@@ -434,9 +431,9 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
             f"front of {count} nodes (u from {nodes[0].tolist()} to "
             f"{nodes[-1].tolist()}) aborted: {sol.message}")
 
-    # (nodes, 2n, T) -> time-major (T * nodes) pairs, then the momenta
+    # (T, nodes * 2n) -> time-major (T * nodes) pairs, then the momenta
     # p = L(x, v) and the fiber Jacobian of every pair in one evaluation
-    pairs = sol.y.reshape(count, 2 * n, len(times)).transpose(2, 0, 1)
+    pairs = sol.y.reshape(len(times), count, 2 * n)
     x, v = pairs.reshape(-1, 2, n).transpose(1, 0, 2)
     def where(j):
         return _at_node(times[j // count], x[j], v[j], j % count, nodes)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from normality_lab import experiments, expr, jets
+from normality_lab import dop853, experiments, expr, jets
 from normality_lab import system as system_module
 from normality_lab.calculus import (_curvature_relation,
                                     _dynamic_curvature_relation,
@@ -445,8 +445,8 @@ def test_overflowing_position_names_the_node():
     # a velocity of 1e308 overflows the integrator's step estimates and
     # the positions turn non-finite while the velocity and the force stay
     # finite; the front once passed with nan positions and zero deviations.
-    # The integration runs under one errstate, so scipy's overflowing step
-    # estimates give no numpy warning either
+    # The integration runs under one errstate, so the integrator's
+    # overflowing step estimates give no numpy warning either
     system = SystemDef(2, helpers.parse_all(["v1", "v2"], 2))
     run = ShiftRun(surface=helpers.parse_surface(["u1", "0"]), nu=1e308,
                    u_samples=3, t_final=2.0, time_steps=4)
@@ -641,22 +641,30 @@ def _same_shift(a, b):
 
 def _spy(monkeypatch):
     """The right-hand-side modes (raw or not) of the integrations a shift
-    starts, and the call counts of those that return."""
-    import scipy.integrate
-    modes, nfev = [], []
-    rhs, solve = experiments._rhs, scipy.integrate.solve_ivp
+    starts, and the right-hand-side calls and the dop853.Solution of
+    those that return; each Solution's nfev must be the calls counted."""
+    modes, nfev, sols = [], [], []
+    rhs, solve = experiments._rhs, dop853.solve
 
     def spy_rhs(force, nodes, raw):
         modes.append(raw)
-        return rhs(force, nodes, raw)
+        inner = rhs(force, nodes, raw)
 
-    def spy_solve(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        nfev.append(sol.nfev)
+        def counted(t, y):
+            counted.calls += 1
+            return inner(t, y)
+        counted.calls = 0
+        return counted
+
+    def spy_solve(fun, *args):
+        sol = solve(fun, *args)
+        assert sol.nfev == fun.calls, (sol.nfev, fun.calls)
+        nfev.append(fun.calls)
+        sols.append(sol)
         return sol
     monkeypatch.setattr(experiments, "_rhs", spy_rhs)
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy_solve)
-    return modes, nfev
+    monkeypatch.setattr(dop853, "solve", spy_solve)
+    return modes, nfev, sols
 
 
 @pytest.mark.parametrize("name", SURFACE_FIXTURES)
@@ -664,7 +672,7 @@ def test_checked_rhs_gives_the_shift_of_the_raw_rhs(monkeypatch, name):
     sysdef, run = _fixture_shift(name)
     raw = shift_integrate(sysdef, run)
     _checked_only(monkeypatch)
-    modes, _ = _spy(monkeypatch)
+    modes, _, _ = _spy(monkeypatch)
     _same_shift(shift_integrate(sysdef, run), raw)
     assert modes == [True, False]
 
@@ -690,7 +698,7 @@ def _workload_shift(monkeypatch, tmp_path, name, seed=7):
 @pytest.mark.parametrize("name", SURFACE_FIXTURES)
 def test_a_fixture_front_integrates_once_in_the_raw_mode(monkeypatch, name):
     sysdef, run = _fixture_shift(name)
-    modes, nfev = _spy(monkeypatch)
+    modes, nfev, _ = _spy(monkeypatch)
     shift_integrate(sysdef, run)
     assert (modes, nfev) == ([True], [FIXTURE_NFEV[name]])
 
@@ -699,10 +707,15 @@ def test_a_fixture_front_integrates_once_in_the_raw_mode(monkeypatch, name):
 def test_a_workload_front_integrates_once_in_the_raw_mode(monkeypatch,
                                                           tmp_path, name):
     sysdef, run = _workload_shift(monkeypatch, tmp_path, name)
-    modes, nfev = _spy(monkeypatch)
+    modes, nfev, sols = _spy(monkeypatch)
     shift_integrate(sysdef, run)
-    # 2 calls to start, 3 steps of 12 stages and 3 dense outputs of 3
+    # 2 calls to start, 3 steps of 12 stages and 3 dense outputs of 3:
+    # a fifth of the calls feed the dense output
     assert (modes, nfev) == ([True], [47])
+    sol, = sols
+    start = sol.nfev - 12 * (sol.accepted + sol.rejected) - sol.dense_calls
+    assert (start, 12 * sol.accepted, sol.rejected, sol.dense_calls) \
+        == (2, 36, 0, 9)
 
 
 def test_a_force_without_a_raw_form_integrates_once_checked(monkeypatch):
@@ -718,25 +731,23 @@ def test_a_force_without_a_raw_form_integrates_once_checked(monkeypatch):
     plain = SystemDef(sysdef.n, sysdef.legendre,
                       [Plain(f) for f in sysdef.force],
                       v_inverse=sysdef.v_inverse)
-    modes, nfev = _spy(monkeypatch)
+    modes, nfev, _ = _spy(monkeypatch)
     _same_shift(shift_integrate(plain, run), raw)
     assert (modes, nfev) == ([False], [FIXTURE_NFEV["cubic_shift"]])
 
 
 def test_a_trap_in_the_integrator_integrates_the_front_again(monkeypatch):
-    from scipy.integrate import DOP853
-
     sysdef, run = _fixture_shift("cubic_shift")
     untrapped = shift_integrate(sysdef, run)
-    modes, nfev = _spy(monkeypatch)
-    step, injected = DOP853._step_impl, []
+    modes, nfev, _ = _spy(monkeypatch)
+    step, injected = dop853._step, []
 
-    def faulty(self):
+    def faulty(*args):
         if not injected:
-            injected.append(self.t)
+            injected.append(args[1])
             raise FloatingPointError("injected into the integrator's step")
-        return step(self)
-    monkeypatch.setattr(DOP853, "_step_impl", faulty)
+        return step(*args)
+    monkeypatch.setattr(dop853, "_step", faulty)
     _same_shift(shift_integrate(sysdef, run), untrapped)
     # the trapped run returns nothing; the checked run counts as before
     assert (modes, nfev) == ([True, False], [FIXTURE_NFEV["cubic_shift"]])
@@ -973,8 +984,6 @@ def test_trace_raises_what_the_per_time_loop_raises(faults, error, where):
     (helpers.sys_cubic3, _sphere_run()),
 ])
 def test_one_node_front_integrates_as_the_node_alone(make, run):
-    from scipy.integrate import solve_ivp
-
     sysdef = make()
     n = sysdef.n
     nodes, times, _, _ = _grid(run)
@@ -992,9 +1001,9 @@ def test_one_node_front_integrates_as_the_node_alone(make, run):
         return np.concatenate([y[n:], phi])
 
     v0 = _newton(sysdef, x0[k], p0[k])
-    alone = solve_ivp(rhs, (0.0, run.t_final), np.concatenate([x0[k], v0]),
-                      method="DOP853", rtol=run.rtol, atol=1e-12, t_eval=times)
-    assert np.max(np.abs(x[:, 0] - alone.y[:n].T)) < 1e-12
+    alone = dop853.solve(rhs, (0.0, run.t_final), np.concatenate([x0[k], v0]),
+                         times, run.rtol, 1e-12)
+    assert np.max(np.abs(x[:, 0] - alone.y[:, :n])) < 1e-12
     # and the momentum-form RK45 oracle, under its bound
     points, covectors, _ = helpers.shift_per_node(sysdef, run)
     assert np.max(np.abs(x[:, 0] - points.reshape(len(times), -1, n)[:, k])) \

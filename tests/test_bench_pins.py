@@ -14,6 +14,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _layers(monkeypatch):
+    # the layer probes' calibration kernel runs scipy's solve_ivp
+    pytest.importorskip("scipy.integrate")
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     return layers

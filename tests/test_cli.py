@@ -555,7 +555,8 @@ def test_shift_rtol_below_the_integrator_floor_is_rejected(tmp_path, capsys):
     assert "rtol" in error["message"] and "32 nodes" in error["message"]
 
 
-def test_point_checks_do_not_import_scipy():
+def test_no_check_imports_scipy():
+    # the point checks, then the shift, which integrates with dop853
     root = Path(__file__).parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -567,6 +568,10 @@ def test_point_checks_do_not_import_scipy():
         "    'metric,transport,cross,normality,gauge', '--samples', '2',\n"
         f"    '--out', {os.devnull!r}])\n"
         "assert status in (0, 1), status\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"report, _ = cli.run_checks(cli.RunConfig({fixture('cubic_shift')!r},\n"
+        "    checks=('shift',)))\n"
+        "assert 'error' not in report['checks'][0], report['checks'][0]\n"
         "assert 'scipy' not in sys.modules\n")
     done = subprocess.run([sys.executable, "-W", "error", "-c", script],
                           capture_output=True, text=True, env=env, timeout=300)

@@ -8,9 +8,12 @@ multiplication.
 
 `parse` scans the source once, with one regex findall over the token
 texts, and descends it with two loops, for sums and for products, and
-one `factor` for unary minus, an atom and ^. A syntax error carries the
-line and column of its token, recomputed only then; a character that
-starts no token is reported before any other error in the source.
+one `factor` for unary minus, an atom and ^. Each returns its node with
+the node's depth, and the descent stops where a tree passes MAX_DEPTH:
+one pass bounds the depth of every source, short or long. A syntax
+error carries the line and column of its token, recomputed only then; a
+character that starts no token is reported before any other error in
+the source, and otherwise the first error in token order is reported.
 
 Evaluation is generic over the scalar algebra: plain floats, float
 arrays over a batch and jets.Dense derivative data all work, which is
@@ -56,55 +59,6 @@ _FUNCTION_NAMES = frozenset(jets.FUNCTIONS)
 # from one, stays within Python's default recursion limit.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
-# binding of the operators in _check_depth, "u-" for unary minus
-_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "u-": 3, "^": 4}
-
-
-def _check_depth(source, tokens):
-    """The depth of the tree of tokens; ExprSyntaxError where it passes
-    MAX_DEPTH. A depth needs as many tokens, so parse runs this on longer
-    sources only: one shunting-yard pass keeping the depth of each
-    operand and the operators and open groups ("(") above the last one.
-    Where the tokens form no expression it returns None and leaves the
-    error to the parser."""
-    depths, ops = [], []
-
-    def reduce(at):
-        # the pending operator or group, over its one or two operands
-        d = depths.pop() + 1
-        if ops.pop() not in ("u-", "("):
-            d = max(d, depths.pop() + 1)
-        if d > MAX_DEPTH:
-            _fail(source, tokens, at, _TOO_DEEP)
-        depths.append(d)
-
-    operand = False         # whether the tokens read end an operand
-    for i, tok in enumerate(tokens):
-        if operand and tok in _BINDING:
-            # pending operators binding as tight or tighter apply first,
-            # but ^ is right associative
-            while ops and ops[-1] != "(" and (
-                    _BINDING[ops[-1]] > _BINDING[tok]
-                    or _BINDING[ops[-1]] == _BINDING[tok] != 4):
-                reduce(i)
-            ops.append(tok)
-            operand = False
-        elif operand and tok == ")" and "(" in ops:
-            while ops[-1] != "(":
-                reduce(i)
-            reduce(i)
-        elif operand or tok == ")":
-            return None
-        elif tok in ("-", "("):
-            ops.append("u-" if tok == "-" else tok)
-        elif tok not in _FUNCTION_NAMES:     # a call's level is its group
-            depths.append(1)
-            operand = True
-        if len(ops) >= MAX_DEPTH:   # each is a level above the next operand
-            _fail(source, tokens, i, _TOO_DEEP)
-    while operand and ops and ops[-1] != "(":
-        reduce(len(tokens) - 1)
-    return depths[0] if operand and not ops else None
 
 
 def _position(source, offset):
@@ -206,54 +160,67 @@ def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
     """The tree of source over the variables of `kinds` with indices
     1..dimension. Two loops take the sums and the products; `factor`
     takes unary minus, an atom and ^, which binds tighter than unary
-    minus and is right associative. A tree deeper than MAX_DEPTH is an
-    ExprSyntaxError."""
+    minus and is right associative. Each is given the levels open above
+    the node it reads and returns the node with its depth, so a tree
+    deeper than MAX_DEPTH is an ExprSyntaxError where it passes the
+    bound: at the token that opens a level too many, or at the token
+    after a node too deep (the last token, at the end)."""
     if dimension < 1:
         raise DimensionError(f"dimension must be positive, got {dimension}")
     kinds = tuple(kinds)
     tokens = _TOKEN_RE.findall(source)
-    if len(tokens) > MAX_DEPTH:
-        _check_depth(source, tokens)
     tokens.append("")       # the end
     pos = 0
     fiber_kind = None
 
-    def expression():
+    def expression(above):
         nonlocal pos
-        node = term()
+        node, depth = term(above)
         while tokens[pos] in ("+", "-"):
+            if depth > MAX_DEPTH:
+                _fail(source, tokens, pos, _TOO_DEEP)
+            op = tokens[pos]
             pos += 1
-            node = Binary(tokens[pos - 1], node, term())
-        return node
+            right, d = term(above + 1)
+            node, depth = Binary(op, node, right), (d if d > depth else depth) + 1
+        return node, depth
 
-    def term():
+    def term(above):
         nonlocal pos
-        node = factor()
+        node, depth = factor(above)
         while tokens[pos] in ("*", "/"):
+            if depth > MAX_DEPTH:
+                _fail(source, tokens, pos, _TOO_DEEP)
+            op = tokens[pos]
             pos += 1
-            node = Binary(tokens[pos - 1], node, factor())
-        return node
+            right, d = factor(above + 1)
+            node, depth = Binary(op, node, right), (d if d > depth else depth) + 1
+        return node, depth
 
-    def factor():
+    def factor(above):
         nonlocal pos, fiber_kind
+        if above >= MAX_DEPTH:  # the last token opened a level too many
+            _fail(source, tokens, pos - 1, _TOO_DEEP)
         tok = tokens[pos]
         pos += 1
         if tok == "-":
-            return Unary(factor())
-        if tok == "(":
-            node = expression()
+            node, depth = factor(above + 1)
+            return Unary(node), depth + 1
+        if tok == "(" or tok in _FUNCTION_NAMES:
+            if tok != "(":
+                if tokens[pos] != "(":
+                    _fail(source, tokens, pos - 1,
+                          f"function {tok} needs an argument list")
+                pos += 1
+            node, depth = expression(above + 1)
             if tokens[pos] != ")":
                 _fail(source, tokens, pos, "expected ')'")
+            if depth >= MAX_DEPTH:      # the group is a level over it
+                _fail(source, tokens, pos, _TOO_DEEP)
             pos += 1
-        elif tok in _FUNCTION_NAMES:
-            if tokens[pos] != "(":
-                _fail(source, tokens, pos - 1,
-                      f"function {tok} needs an argument list")
-            pos += 1
-            node = Call(tok, expression())
-            if tokens[pos] != ")":
-                _fail(source, tokens, pos, "expected ')'")
-            pos += 1
+            depth += 1
+            if tok != "(":
+                node = Call(tok, node)
         elif tok[:1].isidentifier():    # a name, or a bad letter
             m = _VARIABLE.fullmatch(tok)
             if m is None or m[1] not in kinds:
@@ -268,7 +235,7 @@ def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
                 elif kind != fiber_kind:
                     _fail(source, tokens, pos - 1, "expression mixes v and p "
                           "variables", MixedRepresentationError)
-            node = Var(kind, index)
+            node, depth = Var(kind, index), 1
         else:
             try:
                 value = float(tok)
@@ -277,15 +244,18 @@ def parse(source: str, dimension: int, kinds=("x", "v", "p")) -> Expression:
                       else "unexpected end of input")
             if value == np.inf:
                 _fail(source, tokens, pos - 1, f"number {tok} overflows")
-            node = Num(value)
+            node, depth = Num(value), 1
         if tokens[pos] == "^":
             pos += 1
-            return Binary("^", node, factor())
-        return node
+            right, d = factor(above + 1)
+            return Binary("^", node, right), (d if d > depth else depth) + 1
+        return node, depth
 
-    root = expression()
+    root, depth = expression(0)
     if tokens[pos]:
         _fail(source, tokens, pos, f"unexpected {tokens[pos]!r}")
+    if depth > MAX_DEPTH:
+        _fail(source, tokens, pos - 1, _TOO_DEEP)
     return Expression(root, dimension, kinds, fiber_kind)
 
 

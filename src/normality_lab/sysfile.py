@@ -45,12 +45,12 @@ be quoted or bare. Blank lines and full-line # comments are skipped; a
 on the header line; a `nu = ...` line in a plain [nu] section works too.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
 from . import expr
-from .errors import (EvalError, ExprSyntaxError, SystemFileError,
-                     ValidationError)
+from .errors import DimensionError, EvalError, ExprSyntaxError, SystemFileError
 from .normality import MUTATIONS
 from .system import (ConstFunc, SystemDef, lagrangian_to_legendre,
                      validate_system, zero_connection)
@@ -139,18 +139,16 @@ def _split_sections(path, lines):
 def _parse_expr(path, lineno, key, source, n, kinds, parsed):
     """The expression of one entry. parsed maps (source, n, kinds) to
     the Expression already parsed from them in this file, which entries
-    with the same source then share, so that it compiles once."""
+    with the same source then share, so that it compiles once. A parse
+    error keeps its type, message and position, after the file, line
+    and key it comes from."""
     e = parsed.get((source, n, kinds))
     if e is None:
         try:
             e = parsed[source, n, kinds] = expr.parse(source, n, kinds=kinds)
-        except ExprSyntaxError as err:
-            suffix = f" (line {err.line}, column {err.column})"
-            base = str(err)
-            if base.endswith(suffix):
-                base = base[:-len(suffix)]
-            raise ExprSyntaxError(f"{path}:{lineno}: in {key}: {base}",
-                                  err.line, err.column) from None
+        except (ExprSyntaxError, DimensionError) as err:
+            err.args = (f"{path}:{lineno}: in {key}: {err}",)
+            raise
     return e
 
 
@@ -212,6 +210,9 @@ def _parse_options(path, entries, n):
                 if len(guess) != n:
                     raise SystemFileError(
                         f"{path}:{lineno}: newton_guess needs {n} values")
+                if not all(map(math.isfinite, guess)):
+                    raise SystemFileError(
+                        f"{path}:{lineno}: newton_guess must be finite")
                 out[key] = guess
             elif key == "mutate":
                 if value not in MUTATIONS:

@@ -130,6 +130,8 @@ class SystemDef:
             newton_guess = np.asarray(newton_guess, dtype=float)
             if newton_guess.shape != (n,):
                 raise ValidationError("newton guess needs one value per dimension")
+            if not np.isfinite(newton_guess).all():
+                raise ValidationError("newton guess must be finite")
         self.newton_guess = newton_guess
 
 

@@ -365,6 +365,41 @@ L2 = "v2"
         read_system_file(path).sysdef
 
 
+@pytest.mark.parametrize("body, line, key, message", [
+    ('[legendre]\nL1 = "v3"\nL2 = "v2"', 5, "l1",
+     "variable v3 out of range for dimension 2 (line 1, column 1)"),
+    ('[legendre]\nL1 = "v1"\nL2 = "v2"\n[surface]\nx1 = "cos(u1)"\n'
+     'x2 = "sin(u1)*u2"', 9, "x2",
+     "variable u2 out of range for dimension 1 (line 1, column 9)"),
+], ids=["legendre", "surface"])
+def test_every_parse_error_names_its_file_line_and_key(tmp_path, capsys,
+                                                       body, line, key,
+                                                       message):
+    # a variable out of range is a parse error like a syntax error, and
+    # its record names the file, line and key too
+    path = write_system(tmp_path, "\n[system]\nn = 2\n" + body + "\n")
+    assert cli.main(["check", path, "--samples", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "DimensionError",
+        "message": f"{path}:{line}: in {key}: {message}"}
+
+
+def test_a_non_finite_newton_guess_fails_at_load(tmp_path):
+    # a NaN guess starts Newton at NaN, where the metric check's error
+    # record would blame L1; the file's line names the guess instead
+    path = write_system(tmp_path, '[system]\nn = 2\n[legendre]\n'
+                        'L1 = "v1 + 0.1*v1^3"\nL2 = "v2"\n[options]\n'
+                        'newton_guess = nan, 1\n')
+    with pytest.raises(SystemFileError,
+                       match=f"^{re.escape(path)}:7: newton_guess must be "
+                             f"finite$"):
+        read_system_file(path)
+    fiber_map = helpers.parse_all(["v1", "v2"], 2)
+    for guess in ([np.nan, 1.0], [0.0, -np.inf]):
+        with pytest.raises(ValidationError, match="must be finite"):
+            system.SystemDef(2, fiber_map, newton_guess=guess)
+
+
 def test_overflowing_literal_fails_at_load(tmp_path):
     path = write_system(tmp_path, """[system]
 n = 2

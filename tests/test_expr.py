@@ -478,6 +478,11 @@ DEEP = {
     "groups": lambda depth: "(" * (depth - 1) + "v1" + ")" * (depth - 1),
     "minus": lambda depth: "-" * (depth - 1) + "v1",
 }
+# the column where each shape one level deeper passes the bound: the
+# last token of a spine, or the ^, the call's "(", the "(" or the "-"
+# that opens a level too many
+PASSED_AT = {"sum": 301, "product": 301, "quotient": 301, "power": 300,
+             "calls": 400, "groups": 100, "minus": 100}
 
 
 @pytest.mark.parametrize("shape", DEEP)
@@ -487,8 +492,6 @@ def test_a_tree_at_the_depth_bound_derives_evaluates_and_prints(shape):
     # algebra and print; one level more is a syntax error
     assert sys.getrecursionlimit() == 1000
     source = DEEP[shape](expr.MAX_DEPTH)
-    assert expr._check_depth(source, expr._TOKEN_RE.findall(source)) \
-        == expr.MAX_DEPTH
     e = expr.parse(source, 1, kinds=("x", "v"))
     assert expr.parse(expr.to_source(e), 1, kinds=("x", "v")) == e
     fiber_map, = system.lagrangian_to_legendre(e)
@@ -502,8 +505,10 @@ def test_a_tree_at_the_depth_bound_derives_evaluates_and_prints(shape):
                                       "v1": np.float64(1.2)}) == value
         jet = tree.evaluate(dense)      # a number, for a constant tree
         assert getattr(jet, "val", jet) == value
-    with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
+    with pytest.raises(ExprSyntaxError,
+                       match="nests deeper than 100 levels") as err:
         expr.parse(DEEP[shape](expr.MAX_DEPTH + 1), 1, kinds=("x", "v"))
+    assert (err.value.line, err.value.column) == (1, PASSED_AT[shape])
 
 
 def test_the_depth_bound_names_where_it_is_passed():
@@ -514,3 +519,16 @@ def test_the_depth_bound_names_where_it_is_passed():
     # other error
     with pytest.raises(ExprSyntaxError, match="unexpected character '@'"):
         expr.parse("v1" + "+x1" * 200 + "@", 1)
+
+
+def test_the_first_error_in_token_order_is_reported():
+    # one pass over the tokens, whatever the length of the source: an
+    # unknown name before the bound is passed is reported, and the
+    # hundredth open group passes the bound before the input ends
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse("foo" + "+x1" * 200, 1)
+    assert str(err.value) == "unknown identifier 'foo' (line 1, column 1)"
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse("(" * 100, 1)
+    assert str(err.value) == ("expression nests deeper than 100 levels "
+                              "(line 1, column 100)")

@@ -23,6 +23,7 @@ raise its exception with its message, line and column.
 import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -307,5 +308,10 @@ def test_the_depth_check_gives_the_depth_of_the_tree(parts, operators,
         parts = [expr.to_source(expr.parse(part, 2)) for part in parts]
     source = parts[0] + "".join(op + part
                                 for op, part in zip(operators, parts[1:]))
-    tokens = expr._TOKEN_RE.findall(source)
-    assert expr._check_depth(source, tokens) == _reference_depth(tokens)
+    depth = _reference_depth(expr._TOKEN_RE.findall(source))
+    # in one group under minuses up to MAX_DEPTH levels it parses; one
+    # more minus passes the bound
+    bounded = "-" * (expr.MAX_DEPTH - 1 - depth) + f"({source})"
+    expr.parse(bounded, 2)
+    with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels"):
+        expr.parse("-" + bounded, 2)

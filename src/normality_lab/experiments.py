@@ -13,7 +13,8 @@ two- and three-operand steps; the C rule's long term is
 
 The second half drives the shift itself. A parametric hypersurface is
 seeded with covectors along its normals, found for all nodes at once,
-and turned into velocities once. The front travels as one state along
+and turned into velocities once, each evaluation naming its failing
+component and node. The front travels as one state along
 x' = v, v' = Phi(x, v) under the Dormand-Prince 8(5,3) pair, DOP853,
 and one pass over all output times compares the momentum p = L(x, v)
 with the normal direction of the moving surface.
@@ -35,7 +36,7 @@ from .phase import Rep
 from .expr import Expression
 from .system import (COND_LIMIT, ConstFunc, SystemDef, VContext, _check_gauge,
                      _checked, _component_array, _conditions, _env, _evaluate,
-                     _fiber_jets, _newton, _values, zero_connection)
+                     _fiber_jets, _newton, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
 # a momentum of at most this norm vanishes; seeded momenta have norm |nu|
@@ -269,6 +270,20 @@ def _real(value, name, what="a real number"):
     return float(value)
 
 
+def _check_option(name, value):
+    """`value` if it meets the rule of the ShiftRun field `name` taken
+    alone, else ValidationError; a system file's [options] line meets it
+    at load too. Rules across fields (u_stop above u_start, the rtol
+    floor of a front) hold where a run is set up."""
+    if name == "u_samples" and not value >= 3:
+        raise ValidationError("tangent stencils need u_samples >= 3")
+    if name in ("u_start", "u_stop") and not np.isfinite(value):
+        raise ValidationError("u_start and u_stop must be finite")
+    if name in ("time_steps", "t_final", "rtol") and not 0.0 < value < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _axes(run: ShiftRun, m):
     starts = _per_axis(run.u_start, m, "u_start")
     stops = _per_axis(run.u_stop, m, "u_stop")
@@ -279,12 +294,10 @@ def _axes(run: ShiftRun, m):
             f"periodic must be a bool per axis, got {run.periodic!r}")
     axes = []
     for d in range(m):
-        count = _count(counts[d], "u_samples")
-        if count < 3:
-            raise ValidationError("tangent stencils need u_samples >= 3")
+        count = _check_option("u_samples", _count(counts[d], "u_samples"))
         lo, hi = _real(starts[d], "u_start"), _real(stops[d], "u_stop")
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValidationError("u_start and u_stop must be finite")
+        _check_option("u_start", lo)
+        _check_option("u_stop", hi)
         if not hi > lo:
             raise ValidationError("u_stop must exceed u_start")
         if wraps[d]:
@@ -300,9 +313,8 @@ def _front_geometry(run: ShiftRun, nodes):
     rows followed by the normal make a positively oriented frame."""
     count, m = nodes.shape
     env = {f"u{d + 1}": u for d, u in enumerate(jets.seeds(nodes.T, order=1))}
-    _, frame, index = _evaluate(run.surface, env, "x", u=nodes)
-    frame = _checked(jets.stack(frame, m, (count,), index=index), "x", (count,),
-                     u=nodes)
+    frame = _checked(_evaluate(run.surface, env, (count,), m, 1, "x", u=nodes),
+                     "x", (count,), u=nodes)
     tangents = frame.grad.transpose(0, 2, 1)           # (N, m, n)
     _, sing, vt = np.linalg.svd(tangents)
     collapsed = sing[:, -1] < SURFACE_RANK_FLOOR
@@ -322,8 +334,8 @@ def _nu_values(run: ShiftRun, nodes, m):
     as the unit normals it scales make momenta of norm |nu|."""
     nu = run.nu
     if isinstance(nu, Expression) and (nu.kinds, nu.dimension) == (("u",), m):
-        nu = _values([nu], {f"u{d + 1}": u for d, u in enumerate(nodes.T)},
-                     (len(nodes),))[:, 0]
+        nu = _evaluate(nu, {f"u{d + 1}": u for d, u in enumerate(nodes.T)},
+                       (len(nodes),), what="nu", u=nodes).val
     else:
         nu = _real(nu, "nu", f"a number or an expression in u1..u{m}")
     scale = np.full(len(nodes), nu, dtype=float)
@@ -380,9 +392,7 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     t_final, rtol = _real(run.t_final, "t_final"), _real(run.rtol, "rtol")
     for name, value in (("time_steps", steps), ("t_final", t_final),
                         ("rtol", rtol)):
-        if not 0.0 < value < np.inf:
-            raise ValidationError(
-                f"{name} must be positive and finite, got {value}")
+        _check_option(name, value)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
     times = np.linspace(0.0, t_final, steps + 1)
     x0, normals = _front_geometry(run, nodes)
@@ -407,7 +417,8 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
     # Newton checks its steps; it runs once a front, outside the retry
     with np.errstate(all="ignore"):
-        v0 = (_values(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,))
+        v0 = (_evaluate(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,),
+                        what="V", x=x0, p=p0).val
               if sysdef.v_inverse is not None else _newton(sysdef, x0, p0))
         _checked(jets.Dense(0, v0), "V", (count,), x=x0, p=p0)
 

@@ -50,7 +50,9 @@ import re
 from dataclasses import dataclass, field
 
 from . import expr
-from .errors import DimensionError, EvalError, ExprSyntaxError, SystemFileError
+from .errors import (DimensionError, EvalError, ExprSyntaxError,
+                     SystemFileError, ValidationError)
+from .experiments import _check_option
 from .normality import MUTATIONS
 from .system import (ConstFunc, SystemDef, lagrangian_to_legendre,
                      validate_system, zero_connection)
@@ -196,10 +198,9 @@ def _parse_options(path, entries, n):
     out = {}
     for lineno, key, value in entries:
         try:
-            if key in _FLOAT_OPTIONS:
-                out[key] = float(value)
-            elif key in _INT_OPTIONS:
-                out[key] = int(value)
+            if key in _FLOAT_OPTIONS + _INT_OPTIONS:    # a ShiftRun field
+                out[key] = _check_option(
+                    key, (float if key in _FLOAT_OPTIONS else int)(value))
             elif key == "periodic":
                 flag = value.strip().lower()
                 if flag not in ("true", "false", "yes", "no", "1", "0"):
@@ -226,6 +227,8 @@ def _parse_options(path, entries, n):
         except ValueError:
             raise SystemFileError(
                 f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+        except ValidationError as e:
+            raise SystemFileError(f"{path}:{lineno}: {e}") from None
     return out
 
 
@@ -318,6 +321,7 @@ def read_system_file(path) -> SystemFile:
                        newton_guess=options.get("newton_guess"))
     try:
         validate_system(sysdef)
-    except EvalError as e:
-        raise EvalError(f"{path}: {e}") from None
+    except (EvalError, ValidationError) as e:   # keeps its type
+        e.args = (f"{path}: {e}",)
+        raise
     return SystemFile(sysdef, surface, nu, options, path)

@@ -7,16 +7,19 @@ and optionally the closed-form inverse V^i(x, p) and a gauge T^k_ij(x, v).
 
 Two evaluation contexts do the real work. Their base seeds derivative
 data (jets.Dense) of its order, 1 or 2, at a point of its
-representation, ctx.rep, and stacks components evaluated over it into
-one Dense per field. VContext adds the fields of a velocity point.
-PContext inverts the fiber map at a momentum point (closed form, or
-Newton plus implicit differentiation), keeps an inner VContext at the
-preimage, and pushes its dense data through the inverse map by the
-chain rule. Phi, Gamma and the gauge tensor are first order in either,
-since no formula reads their second derivatives; the bundles need a
-second-order context, for the fiber map and its inverse. Each context
-keeps the fiber correction of its horizontal derivatives, N and dN,
-computed from its own connection on first use.
+representation, ctx.rep, and evaluates components over it into one
+Dense per field by _evaluate, the one evaluator: Newton, load checks,
+legendre_forward and the shift read values from it too, and every
+failure in it names its component and point. VContext adds the fields
+of a velocity point. PContext inverts the fiber map at a momentum
+point (closed form, or Newton plus implicit differentiation), keeps an
+inner VContext at the preimage, and pushes its dense data through the
+inverse map by the chain rule. Phi, Gamma and the gauge tensor are
+first order in either, since no formula reads their second
+derivatives; the bundles need a second-order context, for the fiber
+map and its inverse. Each context keeps the fiber correction of its
+horizontal derivatives, N and dN, computed from its own connection on
+first use.
 
 Both take one point, x and fiber of shape (n,), or a batch of N
 points, of shape (N, n). The batch axis then leads every field and its
@@ -146,25 +149,6 @@ def _env(x, fiber, kind):
     return env
 
 
-def _values(components, env, nodes=(), what=None):
-    """Float values of one component or nested sequences of them, shape
-    nodes + (count,), each distinct component evaluated once, numpy's
-    warnings silenced: callers check the values. With `what`, an
-    EvalError names its component's first entry."""
-    shape, funcs, index = _flat(components)
-    out = np.empty(nodes + (len(funcs),))
-    with np.errstate(all="ignore"):
-        for k, f in enumerate(funcs):
-            try:
-                out[..., k] = f.evaluate(env)
-            except EvalError as e:
-                if what is None:
-                    raise
-                name = _component_name(what, _first(index, k, shape))
-                raise EvalError(f"in {name}: {e}") from None
-    return out if index is None else out[..., index]
-
-
 def sup_norm(a, batch=()):
     """max |a| per point: over every axis of a but the batch axes."""
     return np.max(np.abs(a), axis=tuple(range(len(batch), np.ndim(a))))
@@ -181,29 +165,20 @@ def _component_name(what, idx):
     return what + "".join(digits)
 
 
-def _entries(components):
-    """Layout and flat list of one component or nested sequences of
-    them."""
-    if isinstance(components, np.ndarray):
-        return components.shape, list(components.flat)
-    if hasattr(components, "evaluate"):
-        return (), [components]
-    parts = [_entries(c) for c in components]
-    return (len(parts),) + parts[0][0], [f for _, fs in parts for f in fs]
-
-
 def _flat(components):
-    """Layout of one component or nested sequences of them, the distinct
-    components (by identity) in order of first occurrence, and the index
-    of each entry among them, None when every entry is distinct. A
-    component that fills several entries, as a mirrored connection entry
-    or a shared zero does, is evaluated once."""
-    shape, funcs = _entries(components)
+    """Layout of one component or nested sequences of them, as
+    np.asarray gives it, the distinct components (by identity) in order
+    of first occurrence, and the index of each entry among them, None
+    when every entry is distinct. A component that fills several
+    entries, as a mirrored connection entry or a shared zero does, is
+    evaluated once."""
+    layout = np.asarray(components, dtype=object)
+    funcs = layout.ravel().tolist()
     slots = {}
     index = [slots.setdefault(id(f), len(slots)) for f in funcs]
     if len(slots) == len(funcs):
-        return shape, funcs, None
-    return shape, list({id(f): f for f in funcs}.values()), np.array(index)
+        return layout.shape, funcs, None
+    return layout.shape, list({id(f): f for f in funcs}.values()), np.array(index)
 
 
 def _first(index, k, shape):
@@ -213,15 +188,17 @@ def _first(index, k, shape):
                             shape)
 
 
-def _evaluate(components, env, what=None, where=None, **point):
-    """Layout of components, the values in env of the distinct ones
-    (Dense data or constants) and the index of each entry among them,
-    as _flat gives them. An EvalError names its component's first entry
-    and the point, or the failing node k of a batch, by where(k) if
-    given, else by _at. numpy warnings are silenced: overflow is caught
-    by _checked on the stacked result."""
+def _evaluate(components, env, batch=(), m=0, order=0, what=None, where=None,
+              **point):
+    """Dense data of shape batch + layout (_flat) of components in env,
+    over m variables, at `order` or the lowest order of the entries:
+    order 0, the values alone, in an environment of floats. Each
+    distinct component is evaluated once. An EvalError names its
+    component's first entry and the point, or the failing node k of a
+    batch, by where(k) if given, else by _at over the point's arrays.
+    numpy warnings are silenced: callers check the result, most by
+    _checked."""
     shape, funcs, index = _flat(components)
-    where = where or (lambda k: _at(k, **point))
     out = []
     with np.errstate(all="ignore"):
         for k, f in enumerate(funcs):
@@ -229,9 +206,10 @@ def _evaluate(components, env, what=None, where=None, **point):
                 out.append(f.evaluate(env))
             except EvalError as e:
                 name = _component_name(what, _first(index, k, shape))
-                raise EvalError(f"in {name}: {e.reason} at "
-                                f"{where(e.node or 0)}") from None
-    return shape, out, index
+                at = where(e.node or 0) if where else _at(e.node or 0, **point)
+                raise EvalError(f"in {name}: {e.reason} at {at}") from None
+    dense = jets.stack(out, m, batch, order, index)
+    return dense if len(shape) == 1 else dense.reshape(batch + shape)
 
 
 def _checked(dense, what, batch=(), **point):
@@ -298,11 +276,9 @@ class _Context:
         order = order or self.order
         if env is None:
             env = self.env1 if order == 1 else self.env
-        shape, entries, index = _evaluate(components, env, what, **self._where)
-        dense = jets.stack(entries, self.m, self.batch, order, index)
-        if len(shape) != 1:
-            dense = dense.reshape(self.batch + shape)
-        return _checked(dense, what, self.batch, **self._where)
+        return _checked(_evaluate(components, env, self.batch, self.m, order,
+                                  what, **self._where),
+                        what, self.batch, **self._where)
 
     def eval_native(self, components):
         """Dense data of native components: one, or nested sequences."""
@@ -342,9 +318,9 @@ class _Context:
 class VContext(_Context):
     """Derivative data for one system at one velocity point, or at a
     batch of them, as dense data over (x, v). The fiber map is also
-    kept per component, as the evaluator computes it, because it binds
-    p in eval_momentum_native. Phi and Gamma are first order at any
-    order of the context."""
+    kept per component, as the columns of L_dense, because it binds p
+    in eval_momentum_native. Phi and Gamma are first order at any order
+    of the context."""
 
     def __init__(self, sysdef: SystemDef, x, v, order: int = 2):
         super().__init__(sysdef, x, v, Rep.VELOCITY, order)
@@ -356,14 +332,14 @@ class VContext(_Context):
 
     @cached_property
     def L(self):
-        _, entries, index = _evaluate(self.sys.legendre, self.env, "L",
-                                      **self._where)
-        return tuple(entries if index is None else (entries[k] for k in index))
+        order, val, grad, hess = self.L_dense
+        return tuple(jets.Dense(order, val[..., i], grad[..., i, :],
+                                None if hess is None else hess[..., i, :, :])
+                     for i in range(self.n))
 
     @cached_property
     def L_dense(self):
-        return _checked(jets.stack(self.L, self.m, self.batch, self.order),
-                        "L", self.batch, x=self.x, v=self.fiber)
+        return self._dense(self.sys.legendre, what="L")
 
     @cached_property
     def phi(self):
@@ -383,7 +359,7 @@ class VContext(_Context):
             other.__dict__.pop(name, None)
         with np.errstate(all="ignore"):     # _checked catches overflow
             other.gamma = _checked(self.gamma + shift, "Gamma", self.batch,
-                                   x=self.x, v=self.fiber)
+                                   **self._where)
         return other
 
     @cached_property
@@ -414,8 +390,8 @@ def _fiber_jets(sysdef: SystemDef, x, v, where=None):
     or (N, n) over N nodes; the data then has shape (N, n), the node
     axis leading. where(k) names node k in an error, if given."""
     env = _env(x.T, jets.seeds(v.T, order=1), "v")
-    _, entries, index = _evaluate(sysdef.legendre, env, "L", where, x=x, v=v)
-    return jets.stack(entries, sysdef.n, v.shape[:-1], index=index)
+    return _evaluate(sysdef.legendre, env, v.shape[:-1], sysdef.n, 1, "L",
+                     where, x=x, v=v)
 
 
 def _at(k=0, **arrays):
@@ -614,9 +590,9 @@ def legendre_forward(sysdef: SystemDef, pt: PhasePoint) -> PhasePoint:
         raise MixedRepresentationError("forward map expects a velocity point")
     x, v = pt.x, pt.fiber
     batch = x.shape[:-1]
-    p = _values(sysdef.legendre, _env(x.T, v.T, "v"), batch)
-    _checked(jets.Dense(0, p), "L", batch, x=x, v=v)
-    return PhasePoint.momentum(x, p)
+    p = _evaluate(sysdef.legendre, _env(x.T, v.T, "v"), batch, what="L",
+                  x=x, v=v)
+    return PhasePoint.momentum(x, _checked(p, "L", batch, x=x, v=v).val)
 
 
 def legendre_inverse(sysdef: SystemDef, pt: PhasePoint) -> LegendreInverse:
@@ -670,8 +646,8 @@ def _check_symmetric(tensor, what, name, error, x, v):
     within 1e-10 at the samples (x, v), (n, 8) arrays; a non-finite
     gap fails. The message names the first failing sample and its
     largest gap, a non-finite one first."""
-    vals = _values(tensor, _env(x, v, "v"), (8,), name).reshape(
-        (8,) + tensor.shape)
+    vals = _evaluate(tensor, _env(x, v, "v"), (8,), what=name, x=x.T,
+                     v=v.T).val
     with np.errstate(all="ignore"):
         gap = np.abs(vals - vals.transpose(0, 1, 3, 2))
     bad = ~(gap.max(axis=(1, 2, 3)) <= 1e-10)
@@ -725,17 +701,22 @@ def validate_system(sysdef: SystemDef):
     if gauge:
         _check_gauge(sysdef.gauge)
     x, p = plan[-2:] if inverse else (plan[-1], None)
-    at_zero = _values(sysdef.legendre, _env(x, np.zeros_like(x), "v"), (8,), "L")
-    bad = np.max(np.abs(at_zero), axis=1) > 1e-9
+    zero = np.zeros_like(x)
+    at_zero = _evaluate(sysdef.legendre, _env(x, zero, "v"), (8,), what="L",
+                        x=x.T, v=zero.T).val
+    # a nan fails: it does not compare within the tolerance
+    bad = ~(np.max(np.abs(at_zero), axis=1) <= 1e-9)
     if inverse:
-        v_closed = _values(sysdef.v_inverse, _env(x, p, "p"), (8,), "V")
-        back = _values(sysdef.legendre, _env(x, v_closed.T, "v"), (8,), "L")
+        v_closed = _evaluate(sysdef.v_inverse, _env(x, p, "p"), (8,),
+                             what="V", x=x.T, p=p.T).val
+        back = _evaluate(sysdef.legendre, _env(x, v_closed.T, "v"), (8,),
+                         what="L", x=x.T, v=v_closed).val
         residual = np.max(np.abs(back - p.T), axis=1)
-        bad |= residual > 1e-8
+        bad |= ~(residual <= 1e-8)
     if not bad.any():
         return
     s = int(np.argmax(bad))
-    if np.max(np.abs(at_zero[s])) > 1e-9:
+    if not np.max(np.abs(at_zero[s])) <= 1e-9:
         raise ValidationError(
             f"fiber map does not send v=0 to p=0 at x={x[:, s].tolist()}: "
             f"{at_zero[s].tolist()}")

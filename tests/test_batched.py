@@ -473,8 +473,8 @@ def test_shift_rhs_is_the_velocity_and_the_force():
     for _ in range(2):      # each call refills the buffer the names read
         y = rng.uniform(-1.0, 1.0, 5 * 2 * 2)
         x, v = y.reshape(5, 2, 2).transpose(1, 2, 0)
-        force = system_module._values(RHS_FORCE, system_module._env(x, v, "v"),
-                                      (5,))
+        force = system_module._evaluate(
+            RHS_FORCE, system_module._env(x, v, "v"), (5,), x=x.T, v=v.T).val
         with np.errstate(**experiments._TRAPS):
             raw = rhs(0.3, y)
         checked = experiments._rhs(RHS_FORCE, RHS_NODES, False)(0.3, y)

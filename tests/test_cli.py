@@ -13,7 +13,7 @@ import pytest
 import helpers
 from normality_lab import calculus, cli, expr, sysfile, system
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
-from normality_lab.errors import (AsymmetricGauge, DegeneratePoint,
+from normality_lab.errors import (AsymmetricGauge, DegeneratePoint, EvalError,
                                   ExprSyntaxError, SingularMetric,
                                   SystemFileError, ValidationError)
 from normality_lab.sysfile import read_system_file
@@ -114,11 +114,25 @@ IDENTITY = '[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
      "closed-form inverse disagrees with the fiber map at "
      "x=[0.14305966145952187, -0.3562612178481157], "
      "p=[1.0943000301996968, 0.8379112255071333] (residual 1.14e-08)"),
+    # inf - inf makes a nan, which does not compare within a tolerance
+    ('[system]\nn = 2\n[legendre]\n'
+     'L1 = "v1 + 1e200*1e200*x1 - 1e200*1e200*x1"\nL2 = "v2"\n',
+     ValidationError,
+     "fiber map does not send v=0 to p=0 at "
+     "x=[-0.7298069899551776, 0.4429766803881634]: [nan, 0.0]"),
+    (IDENTITY + '[inverse]\nV1 = "p1 + 1e200*1e200*x1 - 1e200*1e200*x1"\n'
+     'V2 = "p2"\n',
+     ValidationError,
+     "closed-form inverse disagrees with the fiber map at "
+     "x=[-0.7298069899551776, 0.4429766803881634], "
+     "p=[1.0253543224757258, 0.8102418755589557] (residual nan)"),
 ])
 def test_structural_fault_messages(tmp_path, body, error, message):
+    # the message keeps its type, after the file it comes from
+    path = write_system(tmp_path, body)
     with pytest.raises(error) as info:
-        read_system_file(write_system(tmp_path, body)).sysdef
-    assert str(info.value) == message
+        read_system_file(path).sysdef
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_asymmetric_gauge_file_exits_2(tmp_path, capsys):
@@ -126,7 +140,7 @@ def test_asymmetric_gauge_file_exits_2(tmp_path, capsys):
     assert cli.main(["check", path]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] == "AsymmetricGauge"
-    assert error["message"].startswith("gauge tensor is asymmetric")
+    assert error["message"].startswith(f"{path}: gauge tensor is asymmetric")
 
 
 def test_cli_gauge_check_validates_its_tensor_once(monkeypatch, tmp_path):
@@ -157,7 +171,8 @@ def test_non_finite_tensor_fails_at_load(tmp_path, section, entries, error,
     path = write_system(tmp_path, IDENTITY + f"[{section}]\n" + entries)
     with pytest.raises(error) as info:
         read_system_file(path).sysdef
-    assert str(info.value).startswith(f"{what} is not finite at [0][0][0], x=")
+    assert str(info.value).startswith(
+        f"{path}: {what} is not finite at [0][0][0], x=")
     assert str(info.value).endswith(": inf vs inf")
 
 
@@ -910,6 +925,71 @@ def test_component_raising_at_load_names_file_and_component(
     assert error["type"] == "EvalError"
     assert error["message"].startswith(f"{path}: in {name}: {message} ")
     assert error["message"].endswith(" (node 0)")
+
+
+SURFACE3 = '[surface]\nx1(u1) = "3*cos(u1)"\nx2(u1) = "3*sin(u1)"\n'
+CIRCLE3 = (SURFACE3 + '[options]\nu_stop = 6.283185307179586\n'
+           'u_samples = 8\nperiodic = true\n')
+
+
+@pytest.mark.parametrize("body, check, message", [
+    # load: the fiber map at v = 0, the closed-form inverse in the round
+    # trip and a connection entry shared by its mirror in the symmetry
+    # check, each at the first sample of its block of the plan
+    ('[system]\nn = 2\n[legendre]\nL1 = "v1 + 0*sqrt(x1 - 5)"\nL2 = "v2"\n',
+     None, "in L1: sqrt of negative value -5.729806989955177 at "
+     "x=[-0.7298069899551776, 0.4429766803881634], v=[0.0, 0.0] (node 0)"),
+    (IDENTITY + '[inverse]\nV1 = "p1 + 0*sqrt(x2 - 5)"\nV2 = "p2"\n', None,
+     "in V1: sqrt of negative value -4.557023319611837 at "
+     "x=[-0.7298069899551776, 0.4429766803881634], "
+     "p=[1.0253543224757258, 0.8102418755589557] (node 0)"),
+    (IDENTITY + '[connection]\nGamma_1_12 = "sqrt(x2 - 5)"\n'
+     'Gamma_1_21 = "sqrt(x2 - 5)"\n', None,
+     "in Gamma_1_12: sqrt of negative value -5.46042657247226 at "
+     "x=[0.2739233746429086, -0.4604265724722594], "
+     "v=[0.5409735239361947, 0.5165276355285291] (node 0)"),
+    # the shift's start: nu at the nodes, and the closed-form inverse,
+    # which loads in the sampling box, at the seeded covectors
+    (IDENTITY + CIRCLE3 + '[nu] = "sqrt(u1 - 0.5)"\n', "shift",
+     "in nu: sqrt of negative value -0.5 at u=[0.0] (node 0)"),
+    (IDENTITY + '[inverse]\nV1 = "p1 + 0*sqrt(2 - x1)"\nV2 = "p2"\n'
+     + CIRCLE3 + '[nu] = "2"\n', "shift",
+     "in V1: sqrt of negative value -1.0 at x=[3.0, 0.0], p=[-2.0, -0.0] "
+     "(node 0)"),
+], ids=["load L", "load V", "load Gamma", "shift nu", "shift V"])
+def test_an_evaluation_failure_names_its_component_and_point(
+        tmp_path, body, check, message):
+    path = write_system(tmp_path, body)
+    if check is None:
+        with pytest.raises(EvalError) as info:
+            read_system_file(path)
+        assert str(info.value) == f"{path}: {message}"
+    else:
+        report, status = run_checks(RunConfig(path, checks=(check,)))
+        assert status == 1
+        assert report["checks"][0]["error"] == {"type": "EvalError",
+                                                "message": message}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("u_start = nan", "u_start and u_stop must be finite"),
+    ("u_stop = inf", "u_start and u_stop must be finite"),
+    ("u_samples = 2", "tangent stencils need u_samples >= 3"),
+    ("time_steps = 0", "time_steps must be positive and finite, got 0"),
+    ("t_final = nan", "t_final must be positive and finite, got nan"),
+    ("t_final = -0.5", "t_final must be positive and finite, got -0.5"),
+    ("rtol = -1", "rtol must be positive and finite, got -1.0"),
+    ("rtol = inf", "rtol must be positive and finite, got inf"),
+])
+def test_a_shift_option_breaking_its_own_rule_fails_at_load(
+        tmp_path, capsys, line, message):
+    # the rule of one option holds at load, on the option's line; rules
+    # across options (u_stop above u_start, the rtol floor) at run time
+    path = write_system(tmp_path, IDENTITY + SURFACE3 + f"[options]\n{line}\n")
+    assert cli.main(["check", path, "--checks", "shift"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "SystemFileError",
+                     "message": f"{path}:10: {message}"}
 
 
 @pytest.mark.parametrize("body, message", [

@@ -52,12 +52,12 @@ def test_the_dense_fiber_map_is_its_float_evaluation_and_derivative_trees(
     v = rng.uniform(*system.FIBER_BOX, (50, n))
     env = system._env(x.T, v.T, "v")
     dense = system._fiber_jets(sysdef, x, v)
-    assert dense.val.tobytes() == system._values(
-        sysdef.legendre, env, (50,)).tobytes()
+    assert dense.val.tobytes() == system._evaluate(
+        sysdef.legendre, env, (50,), x=x, v=v).val.tobytes()
     trees = [[expr.derivative(L, f"v{j + 1}") for j in range(n)]
              for L in sysdef.legendre]
-    assert dense.grad.tobytes() == system._values(
-        trees, env, (50,)).reshape(50, n, n).tobytes()
+    assert dense.grad.tobytes() == system._evaluate(
+        trees, env, (50,), x=x, v=v).val.tobytes()
 
 
 @pytest.mark.parametrize("lone", [True, False], ids=["point", "batch"])

@@ -482,11 +482,14 @@ def test_a_shared_component_is_evaluated_once_and_laid_out_by_entry():
     # float values: one evaluation a distinct component, the bits of
     # entry-by-entry evaluation
     env = system_module._env(x.T, v.T, "v")
-    got = system_module._values(sysdef.connection, env, (5,), "Gamma")
+    got = system_module._evaluate(sysdef.connection, env, (5,), what="Gamma",
+                                  x=x, v=v)
     assert [c.calls for c in counters] == [1, 1, 1]
     want = np.stack([np.broadcast_to(f.evaluate(env), (5,)) for f in flat],
-                    axis=-1)
-    assert got.tobytes() == want.tobytes()
+                    axis=-1).reshape((5,) + sysdef.connection.shape)
+    assert got.order == 0 and got.grad is None
+    assert got.val.shape == want.shape
+    assert got.val.tobytes() == want.tobytes()
 
     # dense data: the same, against stacking every entry's evaluation
     for lone in (False, True):
@@ -510,12 +513,13 @@ def test_a_raising_shared_component_is_named_by_its_first_entry():
                        connection=conn)
     x, v = np.zeros((2, n)), np.ones((2, n))
     # Gamma^1_12 and Gamma^1_21 share the first failing component
-    with pytest.raises(EvalError, match="^in Gamma_1_12: shared failure$"):
-        system_module._values(sysdef.connection,
-                              system_module._env(x.T, v.T, "v"), (2,), "Gamma")
-    with pytest.raises(EvalError, match=r"^in Gamma_1_12: shared failure at "
-                       r"x=\[0\.0, 0\.0, 0\.0\], v=\[1\.0, 1\.0, 1\.0\] "
-                       r"\(node 0\)$"):
+    message = (r"^in Gamma_1_12: shared failure at x=\[0\.0, 0\.0, 0\.0\], "
+               r"v=\[1\.0, 1\.0, 1\.0\] \(node 0\)$")
+    with pytest.raises(EvalError, match=message):
+        system_module._evaluate(sysdef.connection,
+                                system_module._env(x.T, v.T, "v"), (2,),
+                                what="Gamma", x=x, v=v)
+    with pytest.raises(EvalError, match=message):
         VContext(sysdef, x, v).gamma
 
 

@@ -79,6 +79,7 @@ def _sq(a):
 
 
 def _outer(a, b):
+    """a_r b_s per point."""
     return a[..., :, None] * b[..., None, :]
 
 

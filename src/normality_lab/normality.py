@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .jets import c_einsum
+from .jets import _outer, c_einsum
 from .calculus import (LOWER, UPPER, FieldValue, _paired_contexts, curvature,
                        dynamic_curvature, horizontal_derivative,
                        relative_deviation)
@@ -125,11 +125,6 @@ def _projector(W, fiber, Om):
 
 def _T(a):
     return np.swapaxes(a, -1, -2)
-
-
-def _outer(a, b):
-    """a_r b_s per point."""
-    return a[..., :, None] * b[..., None, :]
 
 
 def _velocity_contractions(gi, v, Lv, W, U, Flow, gradL, tLup, tU, tF, tgg,

@@ -85,11 +85,13 @@ def _vector(funcs, n, what, native="velocity"):
 
 def _component_array(entries, n, what):
     """The components of a velocity-native (1, 2) tensor field as an
-    (n, n, n) object array. Each distinct component is checked once, and
-    a failure names its first entry."""
-    arr = np.fromiter((entries[k][i][j] for k in range(n) for i in range(n)
-                       for j in range(n)), dtype=object, count=n ** 3)
-    arr = arr.reshape(n, n, n)
+    (n, n, n) object array, from nested sequences or such an array.
+    Each distinct component is checked once, and a failure names its
+    first entry."""
+    arr = np.array(entries, dtype=object)
+    if arr.shape != (n, n, n):
+        raise ValidationError(f"{what} needs shape {(n, n, n)}, got "
+                              f"{arr.shape}")
     _, funcs, index = _flat(arr)
     for k, f in enumerate(funcs):
         if f.dimension != n:
@@ -421,7 +423,8 @@ def _newton(sysdef: SystemDef, x, p, start=None):
     guess, or from p. A node whose start meets NEWTON_TOL takes no step
     and keeps the start's bits.
 
-    x and p are (n,), or (N, n) with a leading node axis. Every node
+    x and p are (n,), or (N, n) with a leading node axis; a lone point
+    iterates as a batch of one, and v keeps the layout of p. Every node
     iterates until its own residual meets NEWTON_TOL, under its own
     condition check; converged nodes are not updated any more. A node
     takes the steps it takes alone, and the fiber map is evaluated at
@@ -430,18 +433,18 @@ def _newton(sysdef: SystemDef, x, p, start=None):
     p = np.asarray(p, dtype=float)
     if start is None:
         start = p if sysdef.newton_guess is None else sysdef.newton_guess
-    v = np.array(start, dtype=float)
-    batched = p.ndim > 1
-    if batched and v.ndim == 1:
-        v = np.repeat(v[None], p.shape[0], axis=0)
+    v = np.array(np.broadcast_to(start, p.shape), dtype=float)
+    # the node views of x, p and v, in which the iteration runs; messages
+    # name a point through the caller's arrays, a lone one without a node
+    xs, ps, vs = (a.reshape(-1, sysdef.n) for a in (x, p, v))
     # indices of the nodes still iterating, or None while all of them
     # do, which are then evaluated without a gather
     live = None
     for iteration in range(NEWTON_MAX_ITER + 1):
         at = slice(None) if live is None else live
-        Lj = _fiber_jets(sysdef, x[at], v[at], None if live is None else
-                         lambda k: _at(int(live[k]), x=x, v=v))
-        residual = Lj.val - p[at]
+        Lj = _fiber_jets(sysdef, xs[at], vs[at], lambda k: _at(
+            k if live is None else int(live[k]), x=x, v=v))
+        residual = Lj.val - ps[at]
         err = np.max(np.abs(residual), axis=-1)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
         if not todo.any():
@@ -450,25 +453,20 @@ def _newton(sysdef: SystemDef, x, p, start=None):
             k = int(np.argmax(np.where(todo, np.nan_to_num(err, nan=np.inf),
                                        -1.0)))
             raise NonConvergence(
-                f"Newton stalled at residual {np.reshape(err, -1)[k]:.3e} "
-                f"solving the inverse fiber map at "
+                f"Newton stalled at residual {err[k]:.3e} solving the "
+                f"inverse fiber map at "
                 f"{_at(k if live is None else int(live[k]), x=x, p=p)}")
-        # the systems of the nodes still iterating; a lone point's one
-        # system is solved as it is, without a node axis
-        if batched:
-            live = np.flatnonzero(todo) if live is None else live[todo]
-        G = Lj.grad[todo] if batched else Lj.grad
+        # the systems of the nodes still iterating
+        live = np.flatnonzero(todo) if live is None else live[todo]
+        G = Lj.grad[todo]
         k = _singular(G)
         if k is not None:
             raise SingularMetric(
                 f"fiber Jacobian singular during inversion at "
-                f"{_at(int(live[k]) if batched else k, x=x, v=v)}")
-        if batched:
-            v[live] += np.linalg.solve(G, -residual[todo][..., None])[..., 0]
-            if len(live) == len(v):
-                live = None
-        else:
-            v += np.linalg.solve(G, -residual)
+                f"{_at(int(live[k]), x=x, v=v)}")
+        vs[live] += np.linalg.solve(G, -residual[todo][..., None])[..., 0]
+        if len(live) == len(vs):
+            live = None
 
 
 class PContext(_Context):

@@ -190,7 +190,7 @@ def test_batched_newton_agrees_with_scalar_solves(make, monkeypatch):
     assert np.max(residual) <= NEWTON_TOL
     for k in range(nodes):
         alone = _newton(sysdef, x[k], p[k])
-        assert np.max(np.abs(batched[k] - alone)) < 1e-12
+        assert np.array_equal(batched[k], alone)
     assert sum(count for count, _ in in_batch) == len(evaluated)
     assert all(shared == (count == nodes) for count, shared in in_batch)
     assert in_batch[0] == (nodes, True) and in_batch[-1][0] < nodes
@@ -222,6 +222,26 @@ def test_newton_names_a_raising_node_among_all_nodes():
                                         r"x=\[0\.0, 0\.0\], v=\[-1\.16\d*, 1\.0\]"
                                         r" \(node 1\)$"):
         _newton(SystemDef(2, L), np.zeros((2, 2)), p)
+
+
+@pytest.mark.parametrize("error, L, x, p, guess, message", [
+    (NonConvergence, ["v1^3 - 2*v1"], [0.7], [-2.0], [0.0],
+     "Newton stalled at residual 2.000e+00 solving the inverse fiber map at "
+     "x=[0.7], p=[-2.0]"),
+    (SingularMetric, ["v1 + v2*x1", "v1*x2 + v2"], [1.0, 1.0], [1.0, 1.0],
+     None, "fiber Jacobian singular during inversion at x=[1.0, 1.0], "
+     "v=[1.0, 1.0]"),
+    (EvalError, ["v1 - 0.3*v1^3 + 0*sqrt(v1 + 1)", "v2"], [0.0, 0.0],
+     [-0.8, 1.0], None, "in L1: sqrt of negative value -0.1622641509433964 "
+     "at x=[0.0, 0.0], v=[-1.1622641509433964, 1.0]"),
+])
+def test_newton_names_a_lone_point_without_a_node(error, L, x, p, guess,
+                                                  message):
+    # a lone point iterates as a batch of one, and is named as a point
+    sysdef = SystemDef(len(x), helpers.parse_all(L, len(x)),
+                       newton_guess=guess)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _newton(sysdef, np.array(x), np.array(p))
 
 
 def _fixture(name):

@@ -533,6 +533,34 @@ def test_a_component_of_wrong_dimension_is_named_by_its_first_entry():
         SystemDef(n, helpers.parse_all(["v1", "v2"], n), connection=conn)
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_tensor_field_of_the_wrong_shape_is_named(size):
+    # a nesting too short or too large, in either field of SystemDef
+    # and in the gauge a report is given
+    n = 2
+    L = helpers.parse_all(["v1", "v2"], n)
+    wrong = helpers.make_connection(size)
+    tail = re.escape(f" needs shape (2, 2, 2), got {(size,) * 3}") + "$"
+    for field in ("connection", "gauge"):
+        with pytest.raises(ValidationError, match=f"^{field}{tail}"):
+            SystemDef(n, L, **{field: wrong})
+    pts = [PhasePoint.velocity([0.1, 0.2], [1.0, 0.5])]
+    with pytest.raises(ValidationError, match=f"^gauge{tail}"):
+        experiments.gauge_invariance_report(SystemDef(n, L), pts, gauge=wrong)
+
+
+def test_a_tensor_field_is_taken_as_nested_lists_or_an_object_array():
+    n = 2
+    L = helpers.parse_all(["v1", "v2"], n)
+    nested = helpers.make_connection(n, {(0, 0, 1): "0.1*v1"})
+    for entries in (nested, np.array(nested, dtype=object)):
+        sysdef = SystemDef(n, L, connection=entries, gauge=entries)
+        for field in (sysdef.connection, sysdef.gauge):
+            assert field.shape == (n, n, n)
+            assert all(field[k, i, j] is nested[k][i][j]
+                       for k, i, j in np.ndindex(n, n, n))
+
+
 def test_the_load_plan_is_drawn_once_and_read_only():
     # the plan against fresh default_rng(0) draws, one rng.uniform call
     # per vector, sample by sample, in the order validate_system reads it

@@ -87,15 +87,6 @@ def field_of(ctx, components, variance=(), evaluate=None):
     return FieldValue(ctx, evaluate(components), variance)
 
 
-def _connection(ctx):
-    """Stacked connection of the context's representation and the fiber
-    coordinates it is contracted with: (G, dG, fiber)."""
-    order, G, dG, _ = ctx.connection
-    if order == 0:
-        raise MissingJets("connection carries no derivative data")
-    return G, dG, ctx.fiber
-
-
 def vertical_derivative(field: FieldValue) -> FieldValue:
     """Fiber derivative. Appends an upper index in the momentum
     representation and a lower index in the velocity representation."""
@@ -123,7 +114,7 @@ def horizontal_derivative(field: FieldValue) -> FieldValue:
     if field.data.order == 0:
         raise MissingJets("field carries no derivative data")
     _, X, dX, ddX = field.data
-    G, dG, _ = _connection(ctx)
+    _, G, dG, _ = ctx.connection
     N = ctx.N
 
     # the field's own slots are spelled out, "..." is the batch
@@ -156,7 +147,7 @@ def dynamic_curvature(ctx) -> np.ndarray:
     Layout [k][r][i][j]: in the velocity representation the entry is
     -dG^k_ir/dv^j (one upper, three lower indices); in the momentum
     representation it is -dG^k_ij/dp_r (upper pair k,r; lower pair i,j)."""
-    _, dG, _ = _connection(ctx)
+    _, _, dG, _ = ctx.connection
     dfiber = dG[..., ctx.n:]
     if ctx.rep is Rep.MOMENTUM:
         return -c_einsum("...kijr->...krij", dfiber)
@@ -169,12 +160,12 @@ def curvature(ctx) -> np.ndarray:
     signs in the two representations, matching the horizontal
     derivative they come from."""
     n = ctx.n
-    G, dG, fiber = _connection(ctx)
+    _, G, dG, _ = ctx.connection
     # lead[m, i]: coefficient of dG/dfiber_m in the base derivative D_i
     if ctx.rep is Rep.MOMENTUM:
-        lead = c_einsum("...s,...smi->...mi", fiber, G)
+        lead = c_einsum("...s,...smi->...mi", ctx.fiber, G)
     else:
-        lead = -c_einsum("...s,...mis->...mi", fiber, G)
+        lead = -c_einsum("...s,...mis->...mi", ctx.fiber, G)
     base = dG[..., :n] + c_einsum("...kjrm,...mi->...kjri", dG[..., n:], lead)
     half = (c_einsum("...kjri->...krij", base)
             + c_einsum("...kim,...mjr->...krij", G, G))
@@ -207,16 +198,16 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint, order: int = 1):
     The image p is the velocity context's own fiber-map values, the bits
     legendre_forward gives, so each fiber-map component is evaluated
     once a batch. Without a closed-form inverse, the momentum context
-    takes pt as the preimage where those values meet NEWTON_TOL, which
-    they do, and keeps the velocity context as its inner one. The routes
-    still share no formula, only components evaluated at one point:
-    evaluating them again within NEWTON_TOL of pt added no evidence
-    about the formulas. The metric check's round trip keeps the cold
-    start that certifies the inverse. The transport check builds one
-    such pair per batch and evaluates all six relations on it; the
-    public relation functions build their own. Every relation reads
-    first derivatives only; cross_check_all asks for order 2, for its
-    bundles."""
+    keeps the velocity context as its inner one, which PContext accepts
+    since p is its fiber-map values exactly, and Newton does not run:
+    the pair is consistent by construction. The routes still share no
+    formula, only components evaluated at one point: evaluating them
+    again within NEWTON_TOL of pt added no evidence about the formulas.
+    The metric check's round trip keeps the cold start that certifies
+    the inverse. The transport check builds one such pair per batch and
+    evaluates all six relations on it; the public relation functions
+    build their own. Every relation reads first derivatives only;
+    cross_check_all asks for order 2, for its bundles."""
     if pt.rep is not Rep.VELOCITY:
         raise MixedRepresentationError("paired evaluation starts from a velocity point")
     vctx = VContext(sysdef, pt.x, pt.fiber, order)
@@ -284,11 +275,10 @@ def _vertical_transport(direct, composed, metric, ctx) -> float:
 
 def _through_inverse(vctx, pctx, func, direct):
     """Velocity-native func composed with the inverse map, given its data
-    `direct` on vctx: where vctx is pctx's inner context, that data is
-    composed and not evaluated again."""
-    if pctx.inner is vctx:
-        return jets.compose(direct, pctx.transform)
-    return pctx.eval_velocity_native(func)
+    `direct` on vctx: where vctx is pctx's inner context, as in every
+    Newton pair, that data is composed and not evaluated again."""
+    return jets.compose(direct if pctx.inner is vctx
+                        else pctx.inner.eval_native(func), pctx.transform)
 
 
 def _vertical_transport_velocity(vctx, pctx, func) -> float:

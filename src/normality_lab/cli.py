@@ -62,8 +62,8 @@ SCHEMA = 2
 class RunConfig:
     """One check run. checks=None selects everything the file supports:
     the four point checks, plus gauge and shift when the file carries
-    the sections they need. Points are drawn from system.X_BOX and
-    system.FIBER_BOX."""
+    the sections they need, and at n = 1 metric and transport alone.
+    Points are drawn from system.X_BOX and system.FIBER_BOX."""
 
     path: str
     checks: tuple = None
@@ -86,6 +86,8 @@ def _selected_checks(cfg: RunConfig, doc) -> tuple:
                 f"unknown checks: {', '.join(unknown)}; "
                 f"known: {', '.join(CHECK_IDS)}")
         return tuple(c for c in CHECK_IDS if c in cfg.checks)
+    if doc.sysdef.n == 1:       # the other checks' fields need n >= 2
+        return ("metric", "transport")
     picked = ["metric", "transport", "cross", "normality"]
     if doc.sysdef.gauge is not None:
         picked.append("gauge")

@@ -417,34 +417,29 @@ def _conditions(G):
     return cond
 
 
-def _newton(sysdef: SystemDef, x, p, start=None):
+def _newton(sysdef: SystemDef, x, p):
     """Preimage v of the momentum p at x: Newton iteration for the
-    inverse fiber map L(x, v) = p from `start`, else from the system's
-    guess, or from p. A node whose start meets NEWTON_TOL takes no step
-    and keeps the start's bits.
+    inverse fiber map L(x, v) = p from the system's guess, or from p.
 
     x and p are (n,), or (N, n) with a leading node axis; a lone point
     iterates as a batch of one, and v keeps the layout of p. Every node
     iterates until its own residual meets NEWTON_TOL, under its own
-    condition check; converged nodes are not updated any more. A node
-    takes the steps it takes alone, and the fiber map is evaluated at
-    the nodes still iterating only."""
+    condition check; converged nodes are not updated any more. From the
+    first iteration on, the fiber map is evaluated at the nodes still
+    iterating, gathered by index, so a node takes the steps it takes
+    alone."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if start is None:
-        start = p if sysdef.newton_guess is None else sysdef.newton_guess
+    start = p if sysdef.newton_guess is None else sysdef.newton_guess
     v = np.array(np.broadcast_to(start, p.shape), dtype=float)
     # the node views of x, p and v, in which the iteration runs; messages
     # name a point through the caller's arrays, a lone one without a node
     xs, ps, vs = (a.reshape(-1, sysdef.n) for a in (x, p, v))
-    # indices of the nodes still iterating, or None while all of them
-    # do, which are then evaluated without a gather
-    live = None
+    live = np.arange(len(vs))           # indices of the nodes iterating
     for iteration in range(NEWTON_MAX_ITER + 1):
-        at = slice(None) if live is None else live
-        Lj = _fiber_jets(sysdef, xs[at], vs[at], lambda k: _at(
-            k if live is None else int(live[k]), x=x, v=v))
-        residual = Lj.val - ps[at]
+        Lj = _fiber_jets(sysdef, xs[live], vs[live],
+                         lambda k: _at(int(live[k]), x=x, v=v))
+        residual = Lj.val - ps[live]
         err = np.max(np.abs(residual), axis=-1)
         todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
         if not todo.any():
@@ -454,19 +449,14 @@ def _newton(sysdef: SystemDef, x, p, start=None):
                                        -1.0)))
             raise NonConvergence(
                 f"Newton stalled at residual {err[k]:.3e} solving the "
-                f"inverse fiber map at "
-                f"{_at(k if live is None else int(live[k]), x=x, p=p)}")
-        # the systems of the nodes still iterating
-        live = np.flatnonzero(todo) if live is None else live[todo]
-        G = Lj.grad[todo]
+                f"inverse fiber map at {_at(int(live[k]), x=x, p=p)}")
+        live, G = live[todo], Lj.grad[todo]
         k = _singular(G)
         if k is not None:
             raise SingularMetric(
                 f"fiber Jacobian singular during inversion at "
                 f"{_at(int(live[k]), x=x, v=v)}")
         vs[live] += np.linalg.solve(G, -residual[todo][..., None])[..., 0]
-        if len(live) == len(vs):
-            live = None
 
 
 class PContext(_Context):
@@ -476,30 +466,31 @@ class PContext(_Context):
     V is the dense data of the inverse components over (x, p), at the
     context's order, as are the inner VContext at the preimage and
     `transform`, the map (x, p) -> (x, V(x, p)), through which
-    jets.compose pushes the inner context's dense data here. Given
-    `vctx`, a velocity context meant to be at the preimage, its own
-    fiber-map values are the residual: where every node's meets
-    NEWTON_TOL, x is the same and the orders match, vctx is the inner
-    context and the fiber map is not evaluated again; otherwise Newton
-    starts at its point. A closed-form inverse builds its own."""
+    jets.compose pushes the inner context's dense data here. Without a
+    closed-form inverse, a given `vctx` is the inner context: it must
+    have the context's order and x, and its own fiber-map values must
+    meet NEWTON_TOL against p, else ValidationError, and the fiber map
+    is not evaluated again. Without `vctx`, Newton starts cold and the
+    inner context is built at its preimage. A closed-form inverse
+    builds its own at V(x, p)."""
 
     def __init__(self, sysdef: SystemDef, x, p, order: int = 2, vctx=None):
         super().__init__(sysdef, x, p, Rep.MOMENTUM, order)
         if sysdef.v_inverse is not None:
             self.V = self._dense(sysdef.v_inverse, what="V")
             self.inner = VContext(sysdef, self.x, self.V.val, order)
-        else:
-            if (vctx is not None and vctx.order == order
-                    and np.array_equal(vctx.x, self.x)
-                    and np.all(sup_norm(vctx.L_dense.val - self.fiber,
-                                        self.batch) <= NEWTON_TOL)):
-                self.inner = vctx
-            else:
-                with np.errstate(all="ignore"):  # Newton checks its own steps
-                    v_star = _newton(sysdef, self.x, self.fiber,
-                                     None if vctx is None else vctx.fiber)
-                self.inner = VContext(sysdef, self.x, v_star, order)
-            self.V = self._implicit_jets()
+            return
+        if vctx is None:
+            with np.errstate(all="ignore"):  # Newton checks its own steps
+                v_star = _newton(sysdef, self.x, self.fiber)
+            vctx = VContext(sysdef, self.x, v_star, order)
+        elif not (vctx.order == order and np.array_equal(vctx.x, self.x)
+                  and np.all(sup_norm(vctx.L_dense.val - self.fiber,
+                                      self.batch) <= NEWTON_TOL)):
+            raise ValidationError("the velocity context is not at the "
+                                  "preimage of p at this order")
+        self.inner = vctx
+        self.V = self._implicit_jets()
 
     def _implicit_jets(self):
         # differentiate L(x, V(x,p)) = p once, or twice in a second-order

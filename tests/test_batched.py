@@ -12,18 +12,14 @@ import pytest
 import helpers
 from normality_lab import dop853, experiments, expr, jets
 from normality_lab import system as system_module
-from normality_lab.calculus import (_curvature_relation,
-                                    _dynamic_curvature_relation,
-                                    _paired_contexts, relative_deviation)
+from normality_lab.calculus import _paired_contexts
 from normality_lab.errors import (DegeneratePoint, DegenerateSurface,
                                   EvalError, IntegrationFailure,
                                   NonConvergence, SingularMetric,
                                   ValidationError)
 from normality_lab.experiments import (ShiftRun, gauge_invariance_report,
                                        shift_integrate)
-from normality_lab.normality import (CROSS_FIELDS, cross_check_all,
-                                     momentum_bundle, normality_residuals,
-                                     velocity_bundle)
+from normality_lab.normality import cross_check_all, normality_residuals
 from normality_lab.phase import PhasePoint
 from normality_lab.sysfile import SHIFT_OPTIONS, read_system_file
 from normality_lab.system import (NEWTON_TOL, PContext, SystemDef, VContext,
@@ -167,7 +163,7 @@ def _momenta(sysdef, x, v):
                                   helpers.sys_cubic3])
 def test_batched_newton_agrees_with_scalar_solves(make, monkeypatch):
     # and evaluates the fiber map at a node exactly as often as the node
-    # alone, the whole batch ungathered while every node iterates
+    # alone, at the nodes still iterating only
     sysdef = make()
     n, nodes = sysdef.n, 9
     rng = np.random.default_rng(33)
@@ -179,7 +175,7 @@ def test_batched_newton_agrees_with_scalar_solves(make, monkeypatch):
     fiber_jets = system_module._fiber_jets
 
     def counted(sysdef, at, w, where=None):
-        evaluated.append((len(np.atleast_2d(w)), np.shares_memory(at, x)))
+        evaluated.append(len(np.atleast_2d(w)))
         return fiber_jets(sysdef, at, w, where)
 
     monkeypatch.setattr(system_module, "_fiber_jets", counted)
@@ -191,9 +187,8 @@ def test_batched_newton_agrees_with_scalar_solves(make, monkeypatch):
     for k in range(nodes):
         alone = _newton(sysdef, x[k], p[k])
         assert np.array_equal(batched[k], alone)
-    assert sum(count for count, _ in in_batch) == len(evaluated)
-    assert all(shared == (count == nodes) for count, shared in in_batch)
-    assert in_batch[0] == (nodes, True) and in_batch[-1][0] < nodes
+    assert sum(in_batch) == len(evaluated)
+    assert in_batch[0] == nodes and in_batch[-1] < nodes
 
 
 def test_batched_newton_names_the_failing_node():
@@ -275,18 +270,6 @@ def _counting_fiber_jets(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [None, 16])
-def test_newton_started_at_a_preimage_evaluates_the_map_once(monkeypatch,
-                                                              count):
-    sysdef = _fixture("cubic")
-    x, v = _box(sysdef, count, 45)
-    p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
-    counts = _counting_fiber_jets(monkeypatch)
-    got = _newton(sysdef, x, p, start=v)
-    assert counts == [1 if count is None else count]
-    assert np.array_equal(got, v) and not np.shares_memory(got, v)
-
-
-@pytest.mark.parametrize("count", [None, 16])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("name", ["cubic", "cubic3", "pullback4_newton"])
 def test_a_newton_pair_shares_its_velocity_context(name, order, count):
@@ -336,44 +319,25 @@ def test_a_closed_form_pair_keeps_its_own_inner_context(count):
     assert np.array_equal(pctx.inner.fiber, pctx.V.val)
 
 
-def _pair_rows(vctx, pctx):
-    """The rows of a context pair: the two curvature relations at order
-    1, the cross fields and their deviations at order 2."""
-    if vctx.order == 1:
-        return [relation(vctx, pctx).deviation for relation in
-                (_dynamic_curvature_relation, _curvature_relation)]
-    vb, pb = velocity_bundle(vctx), momentum_bundle(pctx)
-    return [value for field in CROSS_FIELDS for value in (
-        getattr(pb, field),
-        relative_deviation(getattr(vb, field), getattr(pb, field),
-                           vctx.batch))]
-
-
+@pytest.mark.parametrize("count", [None, 16])
 @pytest.mark.parametrize("order", [1, 2])
-def test_a_node_past_the_tolerance_steps_and_gets_a_fresh_inner(monkeypatch,
-                                                               order):
+def test_a_velocity_context_off_the_preimage_is_refused(monkeypatch, order,
+                                                        count):
+    # one node's p past the tolerance, another order or another x:
+    # PContext refuses the velocity context before Newton runs
     sysdef = _fixture("cubic")
-    count, bad = 16, 5
     x, v = _box(sysdef, count, 48)
-    p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber.copy()
-    p[bad, 0] += 1e3 * NEWTON_TOL
-    counts = _counting_fiber_jets(monkeypatch)
+    p = legendre_forward(sysdef, PhasePoint.velocity(x, v)).fiber
     vctx = VContext(sysdef, x, v, order)
-    pctx = PContext(sysdef, x, p, order, vctx)
-    # the first evaluation over every node, then node `bad` alone
-    assert counts[0] == count and len(counts) > 1
-    assert all(c == 1 for c in counts[1:])
-    assert pctx.inner is not vctx
-    others = np.arange(count) != bad
-    assert np.array_equal(pctx.inner.fiber[others], v[others])
-    assert not np.array_equal(pctx.inner.fiber[bad], v[bad])
-    rows = _pair_rows(vctx, pctx)
-    for k in range(count):
-        lone_v = VContext(sysdef, x[k], v[k], order)
-        lone_p = PContext(sysdef, x[k], p[k], order, lone_v)
-        assert (lone_p.inner is lone_v) == (k != bad)
-        for got, alone in zip(rows, _pair_rows(lone_v, lone_p)):
-            assert _equal(got[k], alone), k
+    assert PContext(sysdef, x, p, order, vctx).inner is vctx
+    off = p.copy()
+    off.reshape(-1, sysdef.n)[-1, 0] += 1e3 * NEWTON_TOL
+    counts = _counting_fiber_jets(monkeypatch)
+    for args in ((x, off, order), (x, p, 3 - order), (x + 0.1, p, order)):
+        with pytest.raises(ValidationError, match="^the velocity context is "
+                                                  "not at the preimage"):
+            PContext(sysdef, *args, vctx)
+    assert counts == []
 
 
 @pytest.mark.parametrize("name", ["cubic", "cubic3", "lagrangian",

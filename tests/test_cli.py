@@ -143,6 +143,31 @@ def test_asymmetric_gauge_file_exits_2(tmp_path, capsys):
     assert error["message"].startswith(f"{path}: gauge tensor is asymmetric")
 
 
+ONE_DIMENSIONAL = """[system]
+n = 1
+[legendre]
+L1 = "2*v1 + 0.1*v1^3"
+[force]
+Phi1 = "0.3*v1"
+[gauge]
+T_1_11 = "0.2*x1"
+"""
+
+
+def test_default_checks_at_n_1_are_metric_and_transport(tmp_path, capsys):
+    # the cross, normality and gauge fields need n >= 2
+    path = write_system(tmp_path, ONE_DIMENSIONAL)
+    assert cli.main(["check", path, "--samples", "3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks] == ["metric", "transport"]
+    assert all(c["summary"]["passed"] for c in checks)
+    # asked for, a check that needs n >= 2 keeps its error record
+    assert cli.main(["check", path, "--samples", "3", "--checks", "cross"]) == 1
+    cross, = json.loads(capsys.readouterr().out)["checks"]
+    assert cross["error"] == {"type": "DimensionError",
+                              "message": "normality fields need n >= 2"}
+
+
 def test_cli_gauge_check_validates_its_tensor_once(monkeypatch, tmp_path):
     calls = []
     real = system._check_symmetric
@@ -768,6 +793,21 @@ def test_main_tolerance_override(tmp_path):
     assert status == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["config"]["tolerances"]["metric"] == 1e-3
+
+
+def test_a_check_flag_leaves_the_secondary_tolerances_alone(tmp_path):
+    # roundtrip, gauge-exact and shift-start have no flag of their own
+    out = tmp_path / "report.json"
+    status = cli.main(["check", fixture("identity2"), "--checks", "metric",
+                       "--samples", "2", "--tol-metric", "1e-3",
+                       "--out", str(out)])
+    assert status == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["config"]["tolerances"]["roundtrip"] == 1e-10
+    assert doc["config"]["tolerances"] == {**cli.DEFAULT_TOLERANCES,
+                                           "metric": 1e-3}
+    metric, = doc["checks"]
+    assert metric["equations"]["fiber-roundtrip"] == {"tolerance": 1e-10}
 
 
 def test_main_rejects_a_non_finite_tolerance(tmp_path):

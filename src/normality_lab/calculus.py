@@ -82,7 +82,8 @@ def field_of(ctx, components, variance=(), evaluate=None):
     `components` is a scalar component for rank 0 or nested sequences
     matching the variance. The default evaluator treats components as
     native to the context's representation; pass e.g.
-    ctx.eval_velocity_native to compose through the fiber map instead."""
+    vctx.eval_momentum_native to compose with the fiber map instead, and
+    see _through_inverse for the inverse map."""
     evaluate = evaluate or ctx.eval_native
     return FieldValue(ctx, evaluate(components), variance)
 
@@ -198,11 +199,11 @@ def _paired_contexts(sysdef: SystemDef, pt: PhasePoint, order: int = 1):
     The image p is the velocity context's own fiber-map values, the bits
     legendre_forward gives, so each fiber-map component is evaluated
     once a batch. Without a closed-form inverse, the momentum context
-    keeps the velocity context as its inner one, which PContext accepts
-    since p is its fiber-map values exactly, and Newton does not run:
-    the pair is consistent by construction. The routes still share no
-    formula, only components evaluated at one point: evaluating them
-    again within NEWTON_TOL of pt added no evidence about the formulas.
+    keeps the velocity context as its inner one, whose residual against
+    p is zero, so PContext's preimage test passes, Newton does not run
+    and the pair shares that context's one g^-1. The routes still share
+    no formula, only components evaluated at one point: evaluating
+    them again near pt added no evidence about the formulas.
     The metric check's round trip keeps the cold start that certifies
     the inverse. The transport check builds one such pair per batch and
     evaluates all six relations on it; the public relation functions
@@ -275,8 +276,9 @@ def _vertical_transport(direct, composed, metric, ctx) -> float:
 
 def _through_inverse(vctx, pctx, func, direct):
     """Velocity-native func composed with the inverse map, given its data
-    `direct` on vctx: where vctx is pctx's inner context, as in every
-    Newton pair, that data is composed and not evaluated again."""
+    `direct` on vctx, the one path to a momentum context: where vctx is
+    pctx's inner context, as in every Newton pair, that data is
+    composed and not evaluated again."""
     return jets.compose(direct if pctx.inner is vctx
                         else pctx.inner.eval_native(func), pctx.transform)
 

@@ -34,9 +34,9 @@ from .errors import (DegeneratePoint, DegenerateSurface, EvalError,
 from .normality import RESIDUAL_IDS, residual_norms, velocity_bundle
 from .phase import Rep
 from .expr import Expression
-from .system import (COND_LIMIT, ConstFunc, SystemDef, VContext, _check_gauge,
-                     _checked, _component_array, _conditions, _env, _evaluate,
-                     _fiber_jets, _newton, zero_connection)
+from .system import (ConstFunc, SystemDef, VContext, _check_gauge, _checked,
+                     _components, _env, _evaluate, _fiber_jets, _newton,
+                     _singular, zero_connection)
 
 SURFACE_RANK_FLOOR = 1e-10
 # a momentum of at most this norm vanishes; seeded momenta have norm |nu|
@@ -181,7 +181,7 @@ def gauge_invariance_report(sysdef: SystemDef, points,
     if tensor is None:
         raise MissingGaugeTensor(
             "system carries no gauge tensor and none was supplied")
-    tensor = _component_array(tensor, sysdef.n, "gauge")
+    tensor = _components(tensor, sysdef.n, "gauge")
     _check_gauge(tensor)
     points = list(points)
     if not points:
@@ -285,6 +285,10 @@ def _check_option(name, value):
 
 
 def _axes(run: ShiftRun, m):
+    """The run's m grid axes and wraps, once its grid fields meet their
+    rules alone and across fields: u_stop above u_start, and rtol at
+    least 100 eps sqrt(nodes), below which DOP853 (scipy's too) clamps
+    the per-node rtol. shift_integrate and a system file's load call it."""
     starts = _per_axis(run.u_start, m, "u_start")
     stops = _per_axis(run.u_stop, m, "u_stop")
     counts = _per_axis(run.u_samples, m, "u_samples")
@@ -295,15 +299,21 @@ def _axes(run: ShiftRun, m):
     axes = []
     for d in range(m):
         count = _check_option("u_samples", _count(counts[d], "u_samples"))
-        lo, hi = _real(starts[d], "u_start"), _real(stops[d], "u_stop")
-        _check_option("u_start", lo)
-        _check_option("u_stop", hi)
+        lo = _check_option("u_start", _real(starts[d], "u_start"))
+        hi = _check_option("u_stop", _real(stops[d], "u_stop"))
         if not hi > lo:
             raise ValidationError("u_stop must exceed u_start")
         if wraps[d]:
             axes.append(lo + (hi - lo) * np.arange(count) / count)
         else:
             axes.append(np.linspace(lo, hi, count))
+    rtol = _check_option("rtol", _real(run.rtol, "rtol"))
+    count = int(np.prod([len(a) for a in axes]))
+    shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
+    if rtol * shrink < floor:
+        raise ValidationError(
+            f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
+            f"allowed for {count} nodes (100 eps sqrt(nodes))")
     return axes, wraps
 
 
@@ -388,17 +398,14 @@ def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
         raise ValidationError(
             f"surface is for ambient dimension {n}, system has {sysdef.n}")
     axes, wraps = _axes(run, m)
-    steps = _count(run.time_steps, "time_steps")
-    t_final, rtol = _real(run.t_final, "t_final"), _real(run.rtol, "rtol")
-    for name, value in (("time_steps", steps), ("t_final", t_final),
-                        ("rtol", rtol)):
-        _check_option(name, value)
+    steps = _check_option("time_steps", _count(run.time_steps, "time_steps"))
+    t_final = _check_option("t_final", _real(run.t_final, "t_final"))
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
     times = np.linspace(0.0, t_final, steps + 1)
     x0, normals = _front_geometry(run, nodes)
     points, covectors = (a.reshape(len(times), *map(len, axes), n) for a in _flow(
-        sysdef, x0, _nu_values(run, nodes, m)[:, None] * normals, times, rtol,
-        nodes))
+        sysdef, x0, _nu_values(run, nodes, m)[:, None] * normals, times,
+        float(run.rtol), nodes))
     return ShiftResult(times, points, covectors,
                        _collinearity(points, covectors, axes, wraps, times))
 
@@ -408,13 +415,7 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
     trajectories from x0, p0 (N, n), integrated as one ShiftRun front;
     nodes (N, m) name a failing node."""
     count, n = x0.shape
-    # the smallest per-node rtol DOP853 admits: scipy's, whose bits
-    # dop853 gives, raises a smaller one to 100 eps with only a warning
-    shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
-    if rtol * shrink < floor:
-        raise ValidationError(
-            f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
-            f"allowed for {count} nodes (100 eps sqrt(nodes))")
+    shrink = 1.0 / np.sqrt(count)   # rtol meets its floor (_axes)
     # Newton checks its steps; it runs once a front, outside the retry
     with np.errstate(all="ignore"):
         v0 = (_evaluate(sysdef.v_inverse, _env(x0.T, p0.T, "p"), (count,),
@@ -451,11 +452,12 @@ def _flow(sysdef, x0, p0, times, rtol, nodes):
 
     with np.errstate(all="ignore"):
         Lj = _fiber_jets(sysdef, x, v, where)
-    cond = np.where(np.isfinite(Lj.val).all(axis=1), _conditions(Lj.grad),
-                    np.inf)
-    if not np.all(cond <= COND_LIMIT):
+    # non-finite momenta fail the gate, which names the worst pair
+    k = _singular(np.where(np.isfinite(Lj.val).all(axis=1)[:, None, None],
+                           Lj.grad, np.nan))
+    if k is not None:
         raise SingularMetric("fiber Jacobian singular on the shift at "
-                             + where(int(np.argmax(~(cond <= COND_LIMIT)))))
+                             + where(k))
     momenta = Lj.val.reshape(len(times), count, n)
     momenta[0] = p0                     # the seeded covectors, exactly
     return pairs[:, :, :n], momenta

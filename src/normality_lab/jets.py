@@ -24,9 +24,10 @@ Above the evaluator, `stack` lays evaluated entries along a new axis
 after the batch axes, `einsum` contracts dense data by the product
 rule, `derivative` slices one order off (and raises MissingJets below
 order zero), `compose` applies the chain rule through a point map, and
-`invert_matrix` inverts a matrix with its first derivatives; `einsum`
-and `invert_matrix` are first order at most. Each takes leading batch
-axes: a batch of points is the same data with one more leading axis.
+`invert_matrix` inverts a matrix with its first derivatives, or its
+values alone at order zero; `einsum` and `invert_matrix` are first
+order at most. Each takes leading batch axes: a batch of points is
+the same data with one more leading axis.
 """
 
 import math
@@ -339,19 +340,19 @@ def compose(h, transform):
 
 def invert_matrix(A):
     """Inverse of a square matrix (or a batch of them) given as dense
-    data of order one or more, with its first derivatives
-    d(A^-1) = -A^-1 dA A^-1; first order at most, since no caller needs
-    more. Raises MissingJets at order zero, and SingularMetric when the
-    value part cannot be inverted."""
+    data, with its first derivatives d(A^-1) = -A^-1 dA A^-1: first
+    order at most, since no caller needs more, and the values alone at
+    order zero. Raises SingularMetric when the value part cannot be
+    inverted."""
     order, val, grad, _ = A
-    if order == 0:
-        raise MissingJets("matrix carries no derivative data")
     try:
         inv = np.linalg.inv(val)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric("singular matrix while inverting metric") from exc
     if not np.all(np.isfinite(inv)):
         raise SingularMetric("non-finite inverse of the metric")
+    if order == 0:
+        return Dense(0, inv)
     return Dense(1, inv, -c_einsum("...ij,...jkz,...kl->...ilz", inv, grad, inv))
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from . import expr
 from .errors import (DimensionError, EvalError, ExprSyntaxError,
                      SystemFileError, ValidationError)
-from .experiments import _check_option
+from .experiments import ShiftRun, _axes, _check_option
 from .normality import MUTATIONS
 from .system import (ConstFunc, SystemDef, lagrangian_to_legendre,
                      validate_system, zero_connection)
@@ -195,12 +195,16 @@ def _tensor_section(path, entries, prefix, n, parsed):
 
 
 def _parse_options(path, entries, n):
-    out = {}
+    """The [options], each meeting its own rule on its line, and the
+    last line of u_start, u_stop, u_samples and rtol, or None."""
+    out, last = {}, None
     for lineno, key, value in entries:
         try:
             if key in _FLOAT_OPTIONS + _INT_OPTIONS:    # a ShiftRun field
                 out[key] = _check_option(
                     key, (float if key in _FLOAT_OPTIONS else int)(value))
+                if key in ("u_start", "u_stop", "u_samples", "rtol"):
+                    last = lineno
             elif key == "periodic":
                 flag = value.strip().lower()
                 if flag not in ("true", "false", "yes", "no", "1", "0"):
@@ -229,7 +233,7 @@ def _parse_options(path, entries, n):
                 f"{path}:{lineno}: bad value for {key}: {value!r}") from None
         except ValidationError as e:
             raise SystemFileError(f"{path}:{lineno}: {e}") from None
-    return out
+    return out, last
 
 
 def read_system_file(path) -> SystemFile:
@@ -314,7 +318,14 @@ def read_system_file(path) -> SystemFile:
             nu = _parse_expr(path, lineno, key, value, max(n - 1, 1), ("u",),
                              parsed)
 
-    options = _parse_options(path, sections.get("options", ()), n)
+    options, last = _parse_options(path, sections.get("options", ()), n)
+    if surface is not None:     # the rules across the grid's options
+        try:
+            _axes(ShiftRun(surface, **{k: options[k] for k in SHIFT_OPTIONS
+                                       if k in options}), n - 1)
+        except ValidationError as e:    # the defaults alone name no line
+            where = path if last is None else f"{path}:{last}"
+            raise SystemFileError(f"{where}: {e}") from None
 
     sysdef = SystemDef(n, legendre, force=force, connection=connection,
                        v_inverse=v_inverse, gauge=gauge,

@@ -73,33 +73,25 @@ def lagrangian_to_legendre(lagrangian: expr.Expression):
                  for i in range(lagrangian.dimension))
 
 
-def _vector(funcs, n, what, native="velocity"):
-    """The n components of a vector field, all of one fiber kind."""
-    if len(funcs) != n:
-        raise ValidationError(f"need {n} {what} components, got {len(funcs)}")
-    for f in funcs:
-        if f.fiber_kind == ("p" if native == "velocity" else "v") or f.dimension != n:
-            raise ValidationError(f"{what} components must be {native}-native")
-    return tuple(funcs)
-
-
-def _component_array(entries, n, what):
-    """The components of a velocity-native (1, 2) tensor field as an
-    (n, n, n) object array, from nested sequences or such an array.
-    Each distinct component is checked once, and a failure names its
-    first entry."""
+def _components(entries, n, what, rank=3, native="velocity"):
+    """The components of a field native to `native` coordinates: a
+    vector (rank 1) as a tuple, or a (1, 2) tensor as an (n, n, n)
+    object array, from nested sequences or such an array. Each distinct
+    component is checked once, its dimension and then its fiber kind,
+    and a failure names its first entry."""
     arr = np.array(entries, dtype=object)
-    if arr.shape != (n, n, n):
-        raise ValidationError(f"{what} needs shape {(n, n, n)}, got "
+    if arr.shape != (n,) * rank:
+        raise ValidationError(f"{what} needs shape {(n,) * rank}, got "
                               f"{arr.shape}")
     _, funcs, index = _flat(arr)
+    other = "p" if native == "velocity" else "v"
     for k, f in enumerate(funcs):
-        if f.dimension != n:
+        fault = ("has wrong dimension" if f.dimension != n else
+                 f"must be {native}-native" if f.fiber_kind == other else None)
+        if fault:
             idx = "".join(f"[{i}]" for i in _first(index, k, arr.shape))
-            raise ValidationError(f"{what}{idx} has wrong dimension")
-        if f.fiber_kind == "p":
-            raise ValidationError(f"{what} components must be velocity-native")
-    return arr
+            raise ValidationError(f"{what}{idx} {fault}")
+    return arr if rank == 3 else tuple(arr)
 
 
 def zero_connection(n: int):
@@ -121,15 +113,15 @@ class SystemDef:
         if n < 1:
             raise ValidationError(f"dimension must be positive, got {n}")
         self.n = n
-        self.legendre = _vector(legendre, n, "fiber map")
-        self.force = _vector([ConstFunc(0.0, n) for _ in range(n)]
-                             if force is None else force, n, "force")
-        self.connection = _component_array(
+        self.legendre = _components(legendre, n, "fiber map", 1)
+        self.force = _components([ConstFunc(0.0, n) for _ in range(n)]
+                                 if force is None else force, n, "force", 1)
+        self.connection = _components(
             zero_connection(n) if connection is None else connection, n,
             "connection")
-        self.v_inverse = (None if v_inverse is None
-                          else _vector(v_inverse, n, "inverse", "momentum"))
-        self.gauge = None if gauge is None else _component_array(gauge, n, "gauge")
+        self.v_inverse = (None if v_inverse is None else
+                          _components(v_inverse, n, "inverse", 1, "momentum"))
+        self.gauge = None if gauge is None else _components(gauge, n, "gauge")
 
         if newton_guess is not None:
             newton_guess = np.asarray(newton_guess, dtype=float)
@@ -234,9 +226,19 @@ def _checked(dense, what, batch=(), **point):
 def _singular(g):
     """None when the matrix g, or every matrix of a batch, is finite and
     conditioned within COND_LIMIT; else the index of the worst
-    conditioned matrix, 0 for a lone one."""
-    cond = _conditions(g.reshape((-1,) + g.shape[-2:]))
+    conditioned matrix, a non-finite one first, 0 for a lone one."""
+    G = g.reshape((-1,) + g.shape[-2:])
+    finite = np.isfinite(G).all(axis=(1, 2))
+    cond = np.full(len(G), np.inf)
+    cond[finite] = np.linalg.cond(G[finite])
     return None if np.all(cond <= COND_LIMIT) else int(np.argmax(cond))
+
+
+def _converged(residual):
+    """v is p's preimage: the sup norm err of residual = L(x, v) - p
+    over its last axis, and err <= NEWTON_TOL, false for a nan err."""
+    err = np.max(np.abs(residual), axis=-1)
+    return err, err <= NEWTON_TOL
 
 
 class _Context:
@@ -373,17 +375,17 @@ class VContext(_Context):
     def g_values(self) -> np.ndarray:
         return self.g_jets.val
 
-    @cached_property
+    @property
     def g_inv_values(self) -> np.ndarray:
+        return self.g_inv_jets.val
+
+    @cached_property
+    def g_inv_jets(self):
+        """g^-1 past the condition gate: first order, or values alone."""
         k = _singular(self.g_values)
         if k is not None:
             raise SingularMetric(f"fiber Jacobian is singular at "
                                  f"{_at(k, x=self.x, v=self.fiber)}")
-        return np.linalg.inv(self.g_values)
-
-    @cached_property
-    def g_inv_jets(self):
-        self.g_inv_values  # condition check first
         return jets.invert_matrix(self.g_jets)
 
 
@@ -405,26 +407,14 @@ def _at(k=0, **arrays):
                      for name, a in arrays.items()) + f" (node {k})"
 
 
-def _conditions(G):
-    """Condition numbers of a stack of matrices, inf where one has a
-    non-finite entry."""
-    finite = np.isfinite(G).all(axis=(1, 2))
-    if finite.all():
-        return np.linalg.cond(G)
-    cond = np.full(len(G), np.inf)
-    if finite.any():
-        cond[finite] = np.linalg.cond(G[finite])
-    return cond
-
-
 def _newton(sysdef: SystemDef, x, p):
     """Preimage v of the momentum p at x: Newton iteration for the
     inverse fiber map L(x, v) = p from the system's guess, or from p.
 
     x and p are (n,), or (N, n) with a leading node axis; a lone point
     iterates as a batch of one, and v keeps the layout of p. Every node
-    iterates until its own residual meets NEWTON_TOL, under its own
-    condition check; converged nodes are not updated any more. From the
+    iterates until its own residual passes _converged, under its own
+    _singular gate; converged nodes are not updated any more. From the
     first iteration on, the fiber map is evaluated at the nodes still
     iterating, gathered by index, so a node takes the steps it takes
     alone."""
@@ -440,23 +430,22 @@ def _newton(sysdef: SystemDef, x, p):
         Lj = _fiber_jets(sysdef, xs[live], vs[live],
                          lambda k: _at(int(live[k]), x=x, v=v))
         residual = Lj.val - ps[live]
-        err = np.max(np.abs(residual), axis=-1)
-        todo = ~(err <= NEWTON_TOL)         # a nan residual is not converged
-        if not todo.any():
+        err, done = _converged(residual)
+        if done.all():
             return v
         if iteration == NEWTON_MAX_ITER:
-            k = int(np.argmax(np.where(todo, np.nan_to_num(err, nan=np.inf),
-                                       -1.0)))
+            k = int(np.argmax(np.where(done, -1.0,
+                                       np.nan_to_num(err, nan=np.inf))))
             raise NonConvergence(
                 f"Newton stalled at residual {err[k]:.3e} solving the "
                 f"inverse fiber map at {_at(int(live[k]), x=x, p=p)}")
-        live, G = live[todo], Lj.grad[todo]
+        live, G = live[~done], Lj.grad[~done]
         k = _singular(G)
         if k is not None:
             raise SingularMetric(
                 f"fiber Jacobian singular during inversion at "
                 f"{_at(int(live[k]), x=x, v=v)}")
-        vs[live] += np.linalg.solve(G, -residual[todo][..., None])[..., 0]
+        vs[live] += np.linalg.solve(G, -residual[~done][..., None])[..., 0]
 
 
 class PContext(_Context):
@@ -469,10 +458,10 @@ class PContext(_Context):
     jets.compose pushes the inner context's dense data here. Without a
     closed-form inverse, a given `vctx` is the inner context: it must
     have the context's order and x, and its own fiber-map values must
-    meet NEWTON_TOL against p, else ValidationError, and the fiber map
-    is not evaluated again. Without `vctx`, Newton starts cold and the
-    inner context is built at its preimage. A closed-form inverse
-    builds its own at V(x, p)."""
+    pass Newton's stopping test against p (_converged), else
+    ValidationError, and the fiber map is not evaluated again. Without
+    `vctx`, Newton starts cold and the inner context is built at its
+    preimage. A closed-form inverse builds its own at V(x, p)."""
 
     def __init__(self, sysdef: SystemDef, x, p, order: int = 2, vctx=None):
         super().__init__(sysdef, x, p, Rep.MOMENTUM, order)
@@ -485,8 +474,7 @@ class PContext(_Context):
                 v_star = _newton(sysdef, self.x, self.fiber)
             vctx = VContext(sysdef, self.x, v_star, order)
         elif not (vctx.order == order and np.array_equal(vctx.x, self.x)
-                  and np.all(sup_norm(vctx.L_dense.val - self.fiber,
-                                      self.batch) <= NEWTON_TOL)):
+                  and np.all(_converged(vctx.L_dense.val - self.fiber)[1])):
             raise ValidationError("the velocity context is not at the "
                                   "preimage of p at this order")
         self.inner = vctx
@@ -520,11 +508,6 @@ class PContext(_Context):
                             V.grad], axis=-2),
             None if V.hess is None else
             np.concatenate([np.zeros(batch + (n, m, m)), V.hess], axis=-3))
-
-    def eval_velocity_native(self, components):
-        """Dense data over (x, p) of velocity-native components composed
-        with the inverse fiber map."""
-        return jets.compose(self.inner.eval_native(components), self.transform)
 
     @cached_property
     def gamma_p(self):

@@ -617,17 +617,20 @@ def test_non_finite_shift_scale_is_a_validation_error(tmp_path, nu):
 
 def test_shift_rtol_below_the_integrator_floor_is_rejected(tmp_path, capsys):
     # 32 nodes: the per-node rtol 1e-13/sqrt(32) is below 100 eps, which
-    # the integrator would clamp with a warning
+    # the integrator would clamp with a warning; the file fails at load,
+    # on the rtol line, as a rule across the grid's options
     text = Path(fixture("identity_full")).read_text(encoding="utf-8")
     path = write_system(tmp_path, text + "rtol = 1e-13\n")
     status = cli.main(["check", path, "--checks", "shift",
                        "--out", str(tmp_path / "r.json")])
-    assert status == 1
+    assert status == 2
     assert capsys.readouterr().err == ""
     report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-    error = report["checks"][0]["error"]
-    assert error["type"] == "ValidationError"
-    assert "rtol" in error["message"] and "32 nodes" in error["message"]
+    lineno = text.count("\n") + 1
+    assert report["error"] == {
+        "type": "SystemFileError",
+        "message": f"{path}:{lineno}: rtol 1e-13 is below 1.256e-13, the "
+                   f"smallest allowed for 32 nodes (100 eps sqrt(nodes))"}
 
 
 def test_no_check_imports_scipy():
@@ -1013,6 +1016,9 @@ def test_an_evaluation_failure_names_its_component_and_point(
 
 @pytest.mark.parametrize("line, message", [
     ("u_start = nan", "u_start and u_stop must be finite"),
+    ("u_start = 7.0", "u_stop must exceed u_start"),
+    ("rtol = 1e-15", "rtol 1e-15 is below 1.256e-13, the smallest allowed "
+                     "for 32 nodes (100 eps sqrt(nodes))"),
     ("u_stop = inf", "u_start and u_stop must be finite"),
     ("u_samples = 2", "tangent stencils need u_samples >= 3"),
     ("time_steps = 0", "time_steps must be positive and finite, got 0"),
@@ -1023,8 +1029,11 @@ def test_an_evaluation_failure_names_its_component_and_point(
 ])
 def test_a_shift_option_breaking_its_own_rule_fails_at_load(
         tmp_path, capsys, line, message):
-    # the rule of one option holds at load, on the option's line; rules
-    # across options (u_stop above u_start, the rtol floor) at run time
+    # every rule of the shift's options holds at load, as SystemFileError
+    # and exit 2, never as a failed certificate: the rule of one option
+    # on its line, and a rule across the grid's options (u_stop above
+    # u_start, the rtol floor for the node count) on the last line of
+    # them, here the one option line
     path = write_system(tmp_path, IDENTITY + SURFACE3 + f"[options]\n{line}\n")
     assert cli.main(["check", path, "--checks", "shift"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]

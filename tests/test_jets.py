@@ -222,6 +222,10 @@ def test_matrix_inverse_values_and_derivative():
     step = 1e-6
     d_fd = (inv_at(0.4 + step) - inv_at(0.4 - step)) / (2 * step)
     assert np.allclose(Ainv.grad[..., 0], d_fd, atol=1e-8)
+    # at order zero, the values alone, from the same inverse
+    values = jets.invert_matrix(jets.Dense(0, inv_at(0.4)))
+    assert values.order == 0 and values.grad is None
+    assert values.val.tobytes() == np.linalg.inv(inv_at(0.4)).tobytes()
 
     singular = np.array([[t, 2.0 * t], [2.0 * t, 4.0 * t]], dtype=object)
     with pytest.raises(SingularMetric):

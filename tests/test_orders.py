@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normality_lab import calculus, cli, experiments, expr, normality, system
+from normality_lab import (calculus, cli, experiments, expr, jets, normality,
+                          system)
 from normality_lab.calculus import _paired_contexts
 from normality_lab.errors import MissingJets
 from normality_lab.normality import momentum_bundle, velocity_bundle
@@ -34,6 +35,12 @@ def _points(sysdef, lone, seed=3):
     shape = (sysdef.n,) if lone else (8, sysdef.n)
     return PhasePoint.velocity(rng.uniform(*system.X_BOX, shape),
                                rng.uniform(*system.FIBER_BOX, shape))
+
+
+def _through_inverse(pctx, components):
+    """Velocity-native components on a momentum context, composed
+    through its inverse map as calculus._through_inverse composes them."""
+    return jets.compose(pctx.inner.eval_native(components), pctx.transform)
 
 
 def _scalar(rng, n, kind, count):
@@ -65,6 +72,9 @@ def test_the_dense_fiber_map_is_its_float_evaluation_and_derivative_trees(
 def test_first_order_contexts_give_the_bits_of_second_order_ones(path, lone):
     sysdef = read_system_file(str(path)).sysdef
     pt = _points(sysdef, lone)
+    if path.stem == "half_singular":
+        # singular for x1 <= 0: the points mirrored into x > 0
+        pt = PhasePoint.velocity(np.abs(pt.x), pt.fiber)
     v1, p1 = _paired_contexts(sysdef, pt)
     v2, p2 = _paired_contexts(sysdef, pt, order=2)
     assert (v1.order, p1.order, v2.order, p2.order) == (1, 1, 2, 2)
@@ -74,7 +84,7 @@ def test_first_order_contexts_give_the_bits_of_second_order_ones(path, lone):
     _same_to_first_order(v1.phi, v2.eval_native(sysdef.force))
     _same_to_first_order(p1.inner.phi, p2.inner.eval_native(sysdef.force))
     _same_to_first_order(v1.gamma, v2.eval_native(sysdef.connection))
-    _same_to_first_order(p1.gamma_p, p2.eval_velocity_native(sysdef.connection))
+    _same_to_first_order(p1.gamma_p, _through_inverse(p2, sysdef.connection))
     if sysdef.gauge is not None:
         _same_to_first_order(v1._dense(sysdef.gauge, what="T", order=1),
                              v2.eval_native(sysdef.gauge))
@@ -89,8 +99,7 @@ def test_first_order_contexts_give_the_bits_of_second_order_ones(path, lone):
     sv = _scalar(rng, sysdef.n, "v", count)
     sp = _scalar(rng, sysdef.n, "p", count)
     _same_to_first_order(v1.eval_native(sv), v2.eval_native(sv))
-    _same_to_first_order(p1.eval_velocity_native(sv),
-                         p2.eval_velocity_native(sv))
+    _same_to_first_order(_through_inverse(p1, sv), _through_inverse(p2, sv))
     _same_to_first_order(p1.eval_native(sp), p2.eval_native(sp))
     _same_to_first_order(v1.eval_momentum_native(sp),
                          v2.eval_momentum_native(sp))

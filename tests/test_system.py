@@ -268,6 +268,46 @@ def test_singular_fiber_jacobian():
         PContext(degenerate, np.zeros(2), np.array([1.0, 1.0]))
 
 
+def test_the_condition_gate_names_the_worst_matrix_a_non_finite_first():
+    eye, ill, worse = np.eye(2), np.diag([1.0, 1e-13]), np.diag([1.0, 1e-15])
+    assert system_module._singular(np.stack([eye, 2 * eye])) is None
+    assert system_module._singular(ill) == 0
+    assert system_module._singular(np.stack([eye, ill, worse])) == 2
+    nan = np.full((2, 2), np.nan)
+    assert system_module._singular(np.stack([eye, worse, nan])) == 2
+    assert system_module._singular(np.stack([nan, eye, nan])) == 0
+
+
+def test_the_preimage_test_is_newtons_stop_and_a_nan_fails_it():
+    tol = system_module.NEWTON_TOL
+    err, done = system_module._converged(
+        np.array([[tol, -tol], [0.0, 2 * tol], [np.nan, 0.0]]))
+    assert err.tolist()[:2] == [tol, 2 * tol]
+    assert done.tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("check", ["cross", "normality", "gauge"])
+def test_a_second_order_context_inverts_its_fiber_jacobian_once(
+        monkeypatch, check):
+    # g_inv_values is the value part of g_inv_jets, not a second inverse
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: calls.append(np.shape(a)) or inv(a))
+    report, _ = run_checks(RunConfig(str(FIXTURE_DIR / "cubic.system"),
+                                     checks=(check,), samples=1))
+    assert "error" not in report["checks"][0]
+    assert calls == [(2, 2)]
+
+
+def test_a_first_order_context_inverts_once_without_derivatives():
+    ctx = VContext(helpers.sys_cubic(), np.array([0.3, -0.2]),
+                   np.array([0.9, 1.1]), order=1)
+    assert ctx.g_inv_jets.order == 0 and ctx.g_inv_jets.grad is None
+    assert ctx.g_inv_values is ctx.g_inv_jets.val
+    assert ctx.g_inv_values.tobytes() == np.linalg.inv(ctx.g_values).tobytes()
+
+
 def test_validation_blocks_match_per_sample_draws():
     # the reference: one rng.uniform call per vector, sample by sample
     for n in range(1, 6):
@@ -335,7 +375,8 @@ def test_the_calls_of_the_benchmark_probes():
     image = legendre_forward(sysdef, PhasePoint.velocity(x, v))
     pctx = PContext(sysdef, image.x, image.fiber)
     composed = jets.compose(pctx.inner.L[0], pctx.transform)
-    want = pctx.eval_velocity_native(sysdef.legendre[0])
+    want = jets.compose(pctx.inner.eval_native(sysdef.legendre[0]),
+                        pctx.transform)
     assert np.allclose(composed.grad, want.grad, rtol=1e-13, atol=1e-14)
     assert np.allclose(composed.hess, want.hess, rtol=1e-13, atol=1e-14)
     inverse = jets.invert_matrix(ctx.g_jets)
@@ -531,6 +572,26 @@ def test_a_component_of_wrong_dimension_is_named_by_its_first_entry():
     with pytest.raises(ValidationError,
                        match=r"^connection\[1\]\[0\]\[1\] has wrong dimension$"):
         SystemDef(n, helpers.parse_all(["v1", "v2"], n), connection=conn)
+
+
+def test_a_vector_component_of_wrong_dimension_or_kind_is_named():
+    # one check a component: its dimension first, then its fiber kind
+    L = helpers.parse_all(["v1", "v2"], 2)
+    with pytest.raises(ValidationError,
+                       match=r"^fiber map\[0\] has wrong dimension$"):
+        SystemDef(2, [expr.parse("v1", 3), expr.parse("v2", 3)])
+    with pytest.raises(ValidationError,
+                       match=r"^force\[1\] must be velocity-native$"):
+        SystemDef(2, L, [expr.parse("x1", 2), expr.parse("p1", 2)])
+    with pytest.raises(ValidationError,
+                       match=r"^inverse\[0\] must be momentum-native$"):
+        SystemDef(2, L, v_inverse=L)
+    conn = helpers.make_connection(2)
+    conn[0][1][1] = expr.parse("p2", 2)
+    with pytest.raises(ValidationError,
+                       match=r"^connection\[0\]\[1\]\[1\] must be "
+                             r"velocity-native$"):
+        SystemDef(2, L, connection=conn)
 
 
 @pytest.mark.parametrize("size", [1, 3])

@@ -32,6 +32,9 @@ VERDICTS = {
     "cylindrical3": dict(metric=True, transport=True, cross=True,
                          normality=True, gauge=True),
     "family3": dict(metric=True, transport=True, cross=True, normality=True),
+    # singular for x1 <= 0: its points there resample (tests/test_sweep.py)
+    "half_singular": dict(metric=True, transport=True, cross=True,
+                          normality=False),
     "identity2": dict(metric=True, transport=True, cross=True, normality=True),
     "identity_full": dict(metric=True, transport=True, cross=True,
                           normality=True, gauge=True, shift=True),

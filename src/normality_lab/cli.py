@@ -31,13 +31,13 @@ from .calculus import (LOWER, _curvature_relation,
                        _vertical_transport_velocity, dynamic_curvature)
 from .errors import (DegeneratePoint, MissingGaugeTensor, NormalityLabError,
                      SingularMetric, ValidationError)
-from .experiments import (ShiftRun, _count, _gauge_deviations, _real,
+from .experiments import (_count, _gauge_deviations, _real,
                           connection_free_mode, shift_integrate)
 from .normality import CROSS_FIELDS, cross_check_all, normality_residuals
 from .phase import PhasePoint
-from .system import (FIBER_BOX, X_BOX, legendre_forward, legendre_inverse,
-                     metric, sup_norm)
-from .sysfile import SHIFT_OPTIONS, read_system_file
+from .system import (FIBER_BOX, X_BOX, _samples, legendre_forward,
+                     legendre_inverse, metric, sup_norm)
+from .sysfile import read_system_file
 
 CHECK_IDS = ("metric", "transport", "cross", "normality", "gauge", "shift")
 
@@ -326,8 +326,7 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
     n = sysdef.n
 
     def draw(rng):
-        x = rng.uniform(*X_BOX, n)
-        v = rng.uniform(*FIBER_BOX, n)
+        x, v = (part[:, 0] for part in _samples(rng, n, 2, 1))
         return x, v, extra(rng, n) if extra else None
 
     equations, points, rows, resampled = {}, [], [], 0
@@ -351,14 +350,10 @@ def _sweep(check_id, cfg, sysdef, doc, tolerances):
 def _shift_rows(doc, sysdef, tolerances):
     """The shift's record: its output times as its points, and one row
     a time, shift-start at t = 0 and shift-collinearity after it."""
-    if doc.surface is None:
+    if doc.shift is None:
         raise ValidationError(
             "the shift check needs a [surface] section in the file")
-    kwargs = {k: doc.options[k] for k in SHIFT_OPTIONS if k in doc.options}
-    if doc.nu is not None:
-        kwargs["nu"] = doc.nu
-    run = ShiftRun(surface=doc.surface, **kwargs)
-    result = shift_integrate(sysdef, run)
+    result = shift_integrate(sysdef, doc.shift)
     start, later = (("shift-start", tolerances["shift-start"]),
                     ("shift-collinearity", tolerances["shift"]))
     rows = []

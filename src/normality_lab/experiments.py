@@ -21,6 +21,7 @@ with the normal direction of the moving surface.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -214,7 +215,9 @@ class ShiftRun:
     the lone estimate, but one node's large e3 can lower the front's
     estimate below another node's own. That fronts match nodes
     integrated alone is tested, not implied by this norm. rtol must be
-    at least 100 eps sqrt(N), the integrator's floor."""
+    at least 100 eps sqrt(N), the integrator's floor. Any values make a
+    run; `grid` checks every field but nu and builds the grid once
+    (_axes), so a bad field raises ValidationError when integrated."""
 
     surface: tuple
     nu: object = 1.0
@@ -225,6 +228,7 @@ class ShiftRun:
     t_final: float = 1.0
     time_steps: int = 10
     rtol: float = 1e-10
+    grid = cached_property(lambda run: _axes(run))
 
 
 @dataclass(frozen=True)
@@ -245,18 +249,6 @@ def _per_axis(value, m, name):
     return [value] * m
 
 
-def _run_dims(run: ShiftRun):
-    n = len(run.surface)
-    if n < 2:
-        raise ValidationError("a hypersurface needs ambient dimension >= 2")
-    m = n - 1
-    for f in run.surface:
-        if f.dimension != m:
-            raise ValidationError(
-                f"surface components must use u1..u{m}")
-    return n, m
-
-
 def _count(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -272,9 +264,8 @@ def _real(value, name, what="a real number"):
 
 def _check_option(name, value):
     """`value` if it meets the rule of the ShiftRun field `name` taken
-    alone, else ValidationError; a system file's [options] line meets it
-    at load too. Rules across fields (u_stop above u_start, the rtol
-    floor of a front) hold where a run is set up."""
+    alone, else ValidationError; a file's [options] line meets it at
+    load, and _axes holds the rules across fields."""
     if name == "u_samples" and not value >= 3:
         raise ValidationError("tangent stencils need u_samples >= 3")
     if name in ("u_start", "u_stop") and not np.isfinite(value):
@@ -284,15 +275,19 @@ def _check_option(name, value):
     return value
 
 
-def _axes(run: ShiftRun, m):
-    """The run's m grid axes and wraps, once its grid fields meet their
-    rules alone and across fields: u_stop above u_start, and rtol at
-    least 100 eps sqrt(nodes), below which DOP853 (scipy's too) clamps
-    the per-node rtol. shift_integrate and a system file's load call it."""
-    starts = _per_axis(run.u_start, m, "u_start")
-    stops = _per_axis(run.u_stop, m, "u_stop")
-    counts = _per_axis(run.u_samples, m, "u_samples")
-    wraps = _per_axis(run.periodic, m, "periodic")
+def _axes(run: ShiftRun):
+    """The run's m = n - 1 grid axes, their wraps and its output times,
+    once every field but nu meets its rules alone and across fields:
+    n >= 2 surface components in u1..um, u_stop above u_start, and rtol
+    at least 100 eps sqrt(nodes), below which DOP853 (scipy's too)
+    clamps the per-node rtol. ShiftRun.grid keeps them."""
+    m = len(run.surface) - 1
+    if m < 1:
+        raise ValidationError("a hypersurface needs ambient dimension >= 2")
+    if any(f.dimension != m for f in run.surface):
+        raise ValidationError(f"surface components must use u1..u{m}")
+    starts, stops, counts, wraps = (_per_axis(getattr(run, k), m, k) for k in
+                                    ("u_start", "u_stop", "u_samples", "periodic"))
     if not all(isinstance(w, (bool, np.bool_)) for w in wraps):
         raise ValidationError(
             f"periodic must be a bool per axis, got {run.periodic!r}")
@@ -303,10 +298,8 @@ def _axes(run: ShiftRun, m):
         hi = _check_option("u_stop", _real(stops[d], "u_stop"))
         if not hi > lo:
             raise ValidationError("u_stop must exceed u_start")
-        if wraps[d]:
-            axes.append(lo + (hi - lo) * np.arange(count) / count)
-        else:
-            axes.append(np.linspace(lo, hi, count))
+        axes.append(lo + (hi - lo) * np.arange(count) / count if wraps[d]
+                    else np.linspace(lo, hi, count))
     rtol = _check_option("rtol", _real(run.rtol, "rtol"))
     count = int(np.prod([len(a) for a in axes]))
     shrink, floor = 1.0 / np.sqrt(count), 100 * np.finfo(float).eps
@@ -314,7 +307,9 @@ def _axes(run: ShiftRun, m):
         raise ValidationError(
             f"rtol {rtol} is below {floor / shrink:.3e}, the smallest "
             f"allowed for {count} nodes (100 eps sqrt(nodes))")
-    return axes, wraps
+    steps = _check_option("time_steps", _count(run.time_steps, "time_steps"))
+    t_final = _check_option("t_final", _real(run.t_final, "t_final"))
+    return axes, wraps, np.linspace(0.0, t_final, steps + 1)
 
 
 def _front_geometry(run: ShiftRun, nodes):
@@ -393,20 +388,17 @@ def _collinearity(points, covectors, axes, wraps, times):
 def shift_integrate(sysdef: SystemDef, run: ShiftRun) -> ShiftResult:
     """Integrate the shift of the run's hypersurface and trace the
     collinearity between momenta and moving-surface normals."""
-    n, m = _run_dims(run)
+    axes, wraps, times = run.grid
+    n, m = len(run.surface), len(axes)
     if n != sysdef.n:
         raise ValidationError(
             f"surface is for ambient dimension {n}, system has {sysdef.n}")
-    axes, wraps = _axes(run, m)
-    steps = _check_option("time_steps", _count(run.time_steps, "time_steps"))
-    t_final = _check_option("t_final", _real(run.t_final, "t_final"))
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    times = np.linspace(0.0, t_final, steps + 1)
     x0, normals = _front_geometry(run, nodes)
     points, covectors = (a.reshape(len(times), *map(len, axes), n) for a in _flow(
         sysdef, x0, _nu_values(run, nodes, m)[:, None] * normals, times,
         float(run.rtol), nodes))
-    return ShiftResult(times, points, covectors,
+    return ShiftResult(times.copy(), points, covectors,  # the run's own stay
                        _collinearity(points, covectors, axes, wraps, times))
 
 

@@ -39,20 +39,23 @@ A small sectioned plain-text format, one `key = value` pair per line:
 Omitted force and connection entries are zero; connection entries are
 not mirrored. [inverse] (all or none), [gauge], [surface], [nu] (a
 number or a u-expression) and [options] are optional; options also
-take u_start, t_final, time_steps, rtol and newton_guess. Values may
-be quoted or bare. Blank lines and full-line # comments are skipped; a
-# after a value is part of the value. `[nu] = "1"` carries its value
-on the header line; a `nu = ...` line in a plain [nu] section works too.
+take u_start, t_final, time_steps, rtol and newton_guess. [nu] and
+the shift options need a [surface]; SystemFile.shift is their run,
+whose rules hold at load. Values may be quoted or bare. Blank lines
+and full-line # comments are skipped; a # after a value is part of the
+value. `[nu] = "1"` carries its value on the header line; a `nu = ...`
+line in a plain [nu] section works too.
 """
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from . import expr
 from .errors import (DimensionError, EvalError, ExprSyntaxError,
                      SystemFileError, ValidationError)
-from .experiments import ShiftRun, _axes, _check_option
+from .experiments import ShiftRun, _check_option
 from .normality import MUTATIONS
 from .system import (ConstFunc, SystemDef, lagrangian_to_legendre,
                      validate_system, zero_connection)
@@ -63,10 +66,11 @@ SECTIONS = ("system", "legendre", "force", "connection", "inverse",
 _TENSOR_KEY = re.compile(r"^(gamma|t)_(\d+)_(\d)_?(\d)$")
 _VECTOR_KEY = re.compile(r"^(l|phi|v|x)(\d+)$")
 
-_FLOAT_OPTIONS = ("u_start", "u_stop", "t_final", "rtol")
-_INT_OPTIONS = ("u_samples", "time_steps")
-# the [options] keys that set ShiftRun fields of the same names
-SHIFT_OPTIONS = _FLOAT_OPTIONS + _INT_OPTIONS + ("periodic",)
+# the [options] keys that set the ShiftRun fields after surface and nu,
+# each read as the type of its field's default, a bool from these words
+SHIFT_OPTIONS = tuple(f.name for f in fields(ShiftRun))[2:]
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,15 @@ class SystemFile:
     nu: object = None       # float or an expression in u
     options: dict = field(default_factory=dict)
     path: str = ""
+
+    @cached_property
+    def shift(self):
+        """The run of [surface], [nu] and [options]; None without one."""
+        if self.surface is None:
+            return None
+        nu = {} if self.nu is None else {"nu": self.nu}
+        return ShiftRun(self.surface, **nu, **{
+            k: self.options[k] for k in SHIFT_OPTIONS if k in self.options})
 
 
 def _unquote(value: str) -> str:
@@ -194,22 +207,22 @@ def _tensor_section(path, entries, prefix, n, parsed):
     return out
 
 
-def _parse_options(path, entries, n):
-    """The [options], each meeting its own rule on its line, and the
-    last line of u_start, u_stop, u_samples and rtol, or None."""
-    out, last = {}, None
-    for lineno, key, value in entries:
+def _parse_options(path, sections, n):
+    """The [options], each meeting its own rule on its line (a shift
+    option needs a surface), and the path and last line of u_start,
+    u_stop, u_samples and rtol, or the path alone."""
+    out, where = {}, path
+    for lineno, key, value in sections.get("options", ()):
         try:
-            if key in _FLOAT_OPTIONS + _INT_OPTIONS:    # a ShiftRun field
-                out[key] = _check_option(
-                    key, (float if key in _FLOAT_OPTIONS else int)(value))
+            if key in SHIFT_OPTIONS:
+                kind = type(getattr(ShiftRun, key))
+                out[key] = _check_option(key, _BOOLS[value.strip().lower()]
+                                         if kind is bool else kind(value))
+                if "surface" not in sections:
+                    raise SystemFileError(
+                        f"{path}:{lineno}: {key} needs a [surface]")
                 if key in ("u_start", "u_stop", "u_samples", "rtol"):
-                    last = lineno
-            elif key == "periodic":
-                flag = value.strip().lower()
-                if flag not in ("true", "false", "yes", "no", "1", "0"):
-                    raise ValueError(flag)
-                out[key] = flag in ("true", "yes", "1")
+                    where = f"{path}:{lineno}"
             elif key == "newton_guess":
                 guess = [float(part) for part in value.split(",")]
                 if len(guess) != n:
@@ -228,12 +241,12 @@ def _parse_options(path, entries, n):
             else:
                 raise SystemFileError(
                     f"{path}:{lineno}: unknown option {key!r}")
-        except ValueError:
+        except (KeyError, ValueError):
             raise SystemFileError(
                 f"{path}:{lineno}: bad value for {key}: {value!r}") from None
         except ValidationError as e:
             raise SystemFileError(f"{path}:{lineno}: {e}") from None
-    return out, last
+    return out, where
 
 
 def read_system_file(path) -> SystemFile:
@@ -312,27 +325,26 @@ def read_system_file(path) -> SystemFile:
             raise SystemFileError(
                 f"{path}:{where}: [nu] takes exactly one value")
         lineno, key, value = entries[0]
+        if surface is None:
+            raise SystemFileError(f"{path}:{lineno}: [nu] needs a [surface]")
         try:
             nu = float(value)
         except ValueError:
-            nu = _parse_expr(path, lineno, key, value, max(n - 1, 1), ("u",),
-                             parsed)
+            nu = _parse_expr(path, lineno, key, value, n - 1, ("u",), parsed)
 
-    options, last = _parse_options(path, sections.get("options", ()), n)
-    if surface is not None:     # the rules across the grid's options
-        try:
-            _axes(ShiftRun(surface, **{k: options[k] for k in SHIFT_OPTIONS
-                                       if k in options}), n - 1)
-        except ValidationError as e:    # the defaults alone name no line
-            where = path if last is None else f"{path}:{last}"
-            raise SystemFileError(f"{where}: {e}") from None
-
+    options, where = _parse_options(path, sections, n)
     sysdef = SystemDef(n, legendre, force=force, connection=connection,
                        v_inverse=v_inverse, gauge=gauge,
                        newton_guess=options.get("newton_guess"))
+    doc = SystemFile(sysdef, surface, nu, options, path)
+    if surface is not None:     # the rules across the grid's options
+        try:
+            doc.shift.grid
+        except ValidationError as e:    # the defaults alone name no line
+            raise SystemFileError(f"{where}: {e}") from None
     try:
         validate_system(sysdef)
     except (EvalError, ValidationError) as e:   # keeps its type
         e.args = (f"{path}: {e}",)
         raise
-    return SystemFile(sysdef, surface, nu, options, path)
+    return doc

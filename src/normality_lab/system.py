@@ -603,12 +603,13 @@ def theta_from_phi(sysdef: SystemDef, pt: PhasePoint) -> np.ndarray:
                     np.concatenate([pt.fiber, ctx.phi.val], axis=-1))
 
 
-def _samples(rng, n, parts):
-    """One block of the validation plan: `parts` n-vectors at each of 8
-    samples, drawn sample by sample, x in X_BOX first and then fibers
-    in FIBER_BOX. Returns the parts as (n, 8) arrays, equal bit for bit
-    to rng.uniform(lo, hi, n) calls, which scale rng.random()."""
-    draws = rng.random((8, parts, n)).transpose(1, 2, 0)
+def _samples(rng, n, parts, count=8):
+    """`parts` n-vectors at each of `count` samples (8 a block of the
+    validation plan, 1 a CLI draw), drawn sample by sample, x in X_BOX
+    first and then fibers in FIBER_BOX. Returns the parts as (n, count)
+    arrays, equal bit for bit to rng.uniform(lo, hi, n) calls, which
+    scale rng.random()."""
+    draws = rng.random((count, parts, n)).transpose(1, 2, 0)
     return [lo + (hi - lo) * r for r, (lo, hi)
             in zip(draws, [X_BOX] + [FIBER_BOX] * (parts - 1))]
 

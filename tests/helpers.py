@@ -332,11 +332,10 @@ def shift_per_node(sysdef, run):
     from normality_lab.phase import PhasePoint
     from normality_lab.system import _newton, theta_from_phi
 
-    n, m = experiments._run_dims(run)
-    axes, wraps = experiments._axes(run, m)
+    axes, wraps, times = run.grid
+    n, m = len(run.surface), len(axes)
     shape = tuple(len(a) for a in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
 
     def rhs(t, y):
         x, p = y[:n], y[n:]

@@ -21,7 +21,7 @@ from normality_lab.experiments import (ShiftRun, gauge_invariance_report,
                                        shift_integrate)
 from normality_lab.normality import cross_check_all, normality_residuals
 from normality_lab.phase import PhasePoint
-from normality_lab.sysfile import SHIFT_OPTIONS, read_system_file
+from normality_lab.sysfile import read_system_file
 from normality_lab.system import (NEWTON_TOL, PContext, SystemDef, VContext,
                                   _newton, lagrangian_to_legendre,
                                   legendre_forward, legendre_inverse, metric)
@@ -610,12 +610,7 @@ SURFACE_FIXTURES = [path.stem for path in sorted(
 def _fixture_shift(name):
     doc = read_system_file(
         str(Path(__file__).parent / "fixtures" / f"{name}.system"))
-    return doc.sysdef, _doc_run(doc)
-
-
-def _doc_run(doc):
-    return ShiftRun(surface=doc.surface, nu=doc.nu, **{
-        key: doc.options[key] for key in SHIFT_OPTIONS if key in doc.options})
+    return doc.sysdef, doc.shift
 
 
 def _same_shift(a, b):
@@ -676,7 +671,7 @@ def _workload_shift(monkeypatch, tmp_path, name, seed=7):
     path = tmp_path / f"{name}.system"
     path.write_text(spec.text)
     doc = read_system_file(str(path))
-    return doc.sysdef, _doc_run(doc)
+    return doc.sysdef, doc.shift
 
 
 @pytest.mark.parametrize("name", SURFACE_FIXTURES)
@@ -853,10 +848,9 @@ def test_lagrangian_generator_shift_matches_explicit_map():
 def _grid(run):
     """Nodes (N, m) and output times of a run, as shift_integrate lays
     them out."""
-    n, m = experiments._run_dims(run)
-    axes, wraps = experiments._axes(run, m)
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    times = np.linspace(0.0, float(run.t_final), run.time_steps + 1)
+    axes, wraps, times = run.grid
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
+        -1, len(axes))
     return nodes, times, axes, wraps
 
 

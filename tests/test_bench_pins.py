@@ -32,6 +32,28 @@ def test_the_benchmark_reads_the_shift_options_the_cli_reads(monkeypatch):
     assert set(_layers(monkeypatch).SHIFT_OPTIONS) == set(sysfile.SHIFT_OPTIONS)
 
 
+def test_the_benchmark_probes_the_shift_run_the_cli_integrates(monkeypatch,
+                                                               tmp_path):
+    # the per-layer shift probe builds its run as the CLI's does, from
+    # every [surface] fixture and every seed-7 shift-fronts file, and a
+    # document whose components the traced runs replace builds its run
+    # from the new ones
+    layers = _layers(monkeypatch)
+    import workloads
+    specs, _ = workloads.write_workload("shift-fronts", 7, str(tmp_path))
+    docs = [sysfile.read_system_file(str(tmp_path / f"{spec.name}.system"))
+            for spec in specs]
+    assert all(doc.surface is not None for doc in docs)
+    docs += [doc for doc in map(sysfile.read_system_file, sorted(
+        (BENCH.parent / "tests" / "fixtures").glob("*.system")))
+        if doc.surface is not None]
+    for doc in docs:
+        assert layers._shift_run(doc) == doc.shift
+        counted = layers.counting_reader([0])(lambda path: doc)(doc.path)
+        assert counted.shift.surface == counted.surface != doc.surface
+        assert layers._shift_run(counted) == counted.shift
+
+
 def _package_reads(tree):
     """(binding, attribute) of every `<name>.<attr>` and `self.<name>.<attr>`
     where name is bound by an import from the package, and the objects

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
-from normality_lab import calculus, cli, expr, sysfile, system
+from normality_lab import calculus, cli, experiments, expr, sysfile, system
 from normality_lab.cli import RunConfig, render_csv, render_json, run_checks
 from normality_lab.errors import (AsymmetricGauge, DegeneratePoint, EvalError,
                                   ExprSyntaxError, SingularMetric,
@@ -477,6 +477,13 @@ Phi1 = "0.5*v2 + 1e400*v1"
      '[options]\nnewton_guess = 1.0', "needs 2 values"),
     ('[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
      '[options]\nu_samples = many', "bad value"),
+    # the shift's settings need a surface, at n = 1 too, and a shift
+    # option names its own line
+    ('[system]\nn = 1\n[legendre]\nL1 = "v1"\n[nu]\nnu = "2"',
+     r":6: \[nu\] needs a \[surface\]$"),
+    ('[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
+     '[options]\nmutate = flip-beta-term\nu_samples = 5',
+     r":8: u_samples needs a \[surface\]$"),
 ])
 def test_malformed_files_rejected(tmp_path, body, match):
     path = write_system(tmp_path, body)
@@ -530,7 +537,8 @@ T_2_11 = "x1"
 
 
 def test_nu_forms(tmp_path):
-    base = '[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
+    base = ('[system]\nn = 2\n[legendre]\nL1 = "v1"\nL2 = "v2"\n'
+            '[surface]\nx1 = "u1"\nx2 = "0"\n')
     doc = read_system_file(write_system(tmp_path, base + '[nu] = "2.5"'))
     assert doc.nu == 2.5
     doc = read_system_file(write_system(tmp_path, base + '[nu]\nnu = "1 + u1"'))
@@ -1039,6 +1047,49 @@ def test_a_shift_option_breaking_its_own_rule_fails_at_load(
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "SystemFileError",
                      "message": f"{path}:10: {message}"}
+
+
+# a value meeting its own rule for each shift option
+SHIFT_VALUES = {"u_start": "0.5", "u_stop": "2.0", "u_samples": "5",
+                "periodic": "true", "t_final": "0.5", "time_steps": "4",
+                "rtol": "1e-9"}
+
+
+@pytest.mark.parametrize("key", ["[nu]", *sysfile.SHIFT_OPTIONS])
+def test_a_shift_setting_without_a_surface_fails_at_load(tmp_path, capsys,
+                                                         key):
+    # a file without [surface] runs no shift, so its [nu] and shift
+    # options would be silently ignored; each fails on its own line
+    body = ('[nu] = "2"' if key == "[nu]"
+            else f"[options]\n{key} = {SHIFT_VALUES[key]}")
+    path = write_system(tmp_path, IDENTITY + body + "\n")
+    line = 6 if key == "[nu]" else 7
+    assert cli.main(["check", path, "--samples", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "SystemFileError",
+        "message": f"{path}:{line}: {key} needs a [surface]"}
+
+
+def test_a_shift_job_builds_its_grid_once():
+    # the load checks the run's grid and the CLI integrates that run,
+    # so the grid's rules and arrays are worked out once a job; every
+    # call of the function is counted, under whatever name it is bound
+    calls, code = [], experiments._axes.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        report, status = run_checks(RunConfig(fixture("cubic_shift"),
+                                              checks=("shift",)))
+    finally:
+        sys.setprofile(None)
+    # the file's force breaks normality, so its shift fails by design
+    record, = report["checks"]
+    assert status == 1 and "error" not in record and len(record["rows"]) == 6
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("body, message", [

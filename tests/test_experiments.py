@@ -483,6 +483,25 @@ def test_shift_circle_under_geodesic_flow():
     assert np.max(np.abs(radii - 2.0)) < 1e-8
 
 
+def test_a_run_builds_its_grid_once_and_keeps_it_from_its_results():
+    # the grid is checked and built on the first integration; a result's
+    # times are its own, so writing to them leaves the run as it was
+    run = circle_run(u_samples=8, time_steps=4)
+    first = shift_integrate(helpers.sys_identity(2), run)
+    assert run.grid[2] is not first.times
+    assert np.array_equal(run.grid[2], np.linspace(0.0, 1.0, 5))
+    first.times[:] = 0.0
+    again = shift_integrate(helpers.sys_identity(2), run)
+    assert again.points.tobytes() == first.points.tobytes()
+    assert np.array_equal(again.times, np.linspace(0.0, 1.0, 5))
+    # any values make a run, and a bad one raises when it is integrated
+    bad = circle_run(t_final=-1.0)
+    with pytest.raises(ValidationError, match="t_final must be positive"):
+        bad.grid
+    with pytest.raises(ValidationError, match="t_final must be positive"):
+        shift_integrate(helpers.sys_identity(2), bad)
+
+
 def test_shift_collapse_is_detected():
     # with nu = +1 the same run moves inward and the front shrinks to
     # a point at t = 1, where tangent estimates lose rank

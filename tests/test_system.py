@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -309,15 +310,16 @@ def test_a_first_order_context_inverts_once_without_derivatives():
 
 
 def test_validation_blocks_match_per_sample_draws():
-    # the reference: one rng.uniform call per vector, sample by sample
-    for n in range(1, 6):
+    # the reference: one rng.uniform call per vector, sample by sample;
+    # the validation plan draws 8 samples a block, the CLI's draw one
+    for n, count in itertools.product(range(1, 6), (8, 1)):
         for parts in ((2, 2, 1), (2, 2, 2), (2, 1), (2, 2)):
             rng, ref = np.random.default_rng(0), np.random.default_rng(0)
             for width in parts:
                 box = ((-1.0, 1.0), (0.5, 1.5))[:width]
                 want = np.array([[ref.uniform(lo, hi, n) for lo, hi in box]
-                                 for _ in range(8)])
-                got = np.array(_samples(rng, n, width))
+                                 for _ in range(count)])
+                got = np.array(_samples(rng, n, width, count))
                 assert got.tobytes() == want.transpose(1, 2, 0).tobytes()
 
 

@@ -14,7 +14,7 @@ each in a fresh interpreter that imports the program from that side's
 the best of `--repeats` passes, after one untimed pass, divided by the
 file count. The output is one JSON object: per workload the file count,
 each side's median over the rounds of the ms a load and the ratio
-change/parent.
+change/parent (below 1 means the change loads faster).
 """
 
 import argparse

@@ -15,7 +15,9 @@ the program from that side's `src/`:
 
 For each set, `render_ms` is the best of `--rounds` runs of three
 `cli.render_json` passes over the whole set, divided by three, and
-`bytes` the length of one pass's output. The output is one JSON object.
+`bytes` the length of one pass's output. The output is one JSON object:
+per set each side's figures, and `<set>_ratio`, the render time
+change/parent (below 1 means the change renders faster).
 """
 
 import argparse
@@ -74,8 +76,8 @@ def main(argv=None):
                 capture_output=True, text=True, check=True, timeout=900)
             out[side] = json.loads(done.stdout)
     for name in out["change"]:
-        out[f"{name}_ratio"] = (out["parent"][name]["render_ms"]
-                                / out["change"][name]["render_ms"])
+        out[f"{name}_ratio"] = (out["change"][name]["render_ms"]
+                                / out["parent"][name]["render_ms"])
     print(json.dumps(out, indent=1))
 
 

@@ -18,7 +18,8 @@ fresh interpreters that import the program from that side's `src/`:
   --samples N`, interpreter start and imports included.
 
 The output is one JSON object: per system its n, each side's median
-over the rounds and the parent over change ratio of each.
+over the rounds and the ratio change/parent of each (below 1 means the
+change is faster).
 """
 
 import argparse
@@ -109,7 +110,7 @@ def main(argv=None):
             medians = {side: statistics.median(t[k] for t in times[name, side])
                        for side in sides}
             entry[metric] = medians
-            entry[f"{metric}_ratio"] = medians["parent"] / medians["change"]
+            entry[f"{metric}_ratio"] = medians["change"] / medians["parent"]
         out["systems"][name] = entry
     print(json.dumps(out, indent=1))
 
